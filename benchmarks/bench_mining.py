@@ -247,70 +247,6 @@ def test_tab4_medium_indexed_speedup(medium_mining_graph, benchmark, emit):
     benchmark(indexed_run)
 
 
-def test_tab4_compact_gate(medium_mining_graph, benchmark, emit):
-    """Acceptance gate: compact (CSR) backend >= 1.2x over dict on lazy mining.
-
-    Lazy MNI evaluation is anchored-probe bound — exactly the regime the
-    interned-int fast paths target — so the compact core's win shows up
-    here rather than in the collector-dominated eager pipeline (observed
-    headroom ~1.45x).  Each timed run switches the process backend, which
-    invalidates the cached index, so both pipelines pay one index build
-    per round: the comparison covers build + mine, the way a cold mining
-    session actually runs.  Interleaved min-of-3 pairs, tab4c discipline.
-    """
-    from repro.index import index_backend, set_index_backend
-
-    params = dict(
-        measure="mni",
-        min_support=4,
-        max_pattern_nodes=4,
-        max_pattern_edges=4,
-        lazy=True,
-    )
-
-    def run_with(backend):
-        def run():
-            set_index_backend(backend)
-            return mine_frequent_patterns(medium_mining_graph, **params)
-
-        return run
-
-    previous = index_backend()
-    try:
-        dict_run = run_with("dict")
-        compact_run = run_with("compact")
-        t_dict, dict_result, t_compact, compact_result = _best_of_interleaved(
-            dict_run, compact_run
-        )
-        # Identical results — content, order, and search-effort stats.
-        assert compact_result.certificates() == dict_result.certificates()
-        assert [fp.support for fp in compact_result.frequent] == [
-            fp.support for fp in dict_result.frequent
-        ]
-        assert compact_result.stats.as_dict() == dict_result.stats.as_dict()
-        speedup = t_dict / max(t_compact, 1e-9)
-        emit(
-            format_table(
-                ["backend", "time ms", "frequent"],
-                [
-                    ["dict index", f"{t_dict*1e3:.1f}", dict_result.num_frequent],
-                    [
-                        "compact (CSR) index",
-                        f"{t_compact*1e3:.1f}",
-                        compact_result.num_frequent,
-                    ],
-                    ["speedup", f"{speedup:.2f}x", ""],
-                ],
-                title="tab4d: compact vs dict index backend (lazy MNI, medium dataset)",
-            )
-        )
-        assert speedup >= 1.2, f"compact backend only {speedup:.2f}x over dict"
-
-        benchmark(compact_run)
-    finally:
-        set_index_backend(previous)
-
-
 def test_tab4_medium_parallel_matches_serial(medium_mining_graph, emit):
     """Parallel support evaluation returns byte-identical mining results."""
     kwargs = dict(

@@ -1,6 +1,6 @@
 """tab10 — partitioned (sharded) mining vs the flat single-graph miner.
 
-Seven experiments share this module:
+Six experiments share this module:
 
 * **tab10a** — partitioner quality: per-method shard balance, boundary
   vertex count, and replication factor on the clustered medium dataset
@@ -34,11 +34,7 @@ Seven experiments share this module:
   all-resident run while its deterministic peak resident view weight
   (``ShardPager.peak_resident_weight``, the projected index footprint
   in bytes of every non-alias resident view) stays strictly below the
-  all-resident peak;
-* **tab10g** — the compact-footprint gate: the same paged corridor run
-  under the compact (CSR) index backend must peak at **<= 0.7x** the
-  dict backend's resident weight, with byte-identical results — the
-  memory half of the compact core's bargain (tab4d is the speed half).
+  all-resident peak.
 
 Results must be identical in every configuration; wall time is the
 experiment.
@@ -508,55 +504,6 @@ def test_tab10f_out_of_core_memory(corridor_workload, emit):
     assert bounded.peak_resident_weight < all_resident.peak_resident_weight, (
         f"paged peak {bounded.peak_resident_weight} not below "
         f"all-resident peak {all_resident.peak_resident_weight}"
-    )
-
-
-def test_tab10g_compact_footprint_gate(corridor_workload, emit):
-    """Acceptance gate: compact views weigh <= 0.7x dict under the pager.
-
-    The pager prices every non-alias resident view with the analytic
-    per-backend footprint model (``projected_index_nbytes``), so the
-    peak resident weight of the same paged run directly compares what
-    each backend would pin in memory.  Both runs must stay byte-
-    identical to each other — the compact core saves bytes, never
-    answers.
-    """
-    from repro.index import index_backend, set_index_backend
-    from repro.mining.miner import FrequentSubgraphMiner
-
-    params = dict(partition_method="edgecut", **MINE_PARAMS)
-    peaks = {}
-    results = {}
-    previous = index_backend()
-    try:
-        for backend in ("dict", "compact"):
-            set_index_backend(backend)
-            miner = FrequentSubgraphMiner(
-                corridor_workload, shards=4, max_resident=2, **params
-            )
-            results[backend] = miner.mine()
-            peaks[backend] = miner._pager.peak_resident_weight
-    finally:
-        set_index_backend(previous)
-
-    assert results["compact"].certificates() == results["dict"].certificates()
-    assert [fp.support for fp in results["compact"].frequent] == [
-        fp.support for fp in results["dict"].frequent
-    ]
-    ratio = peaks["compact"] / max(peaks["dict"], 1e-9)
-    emit(
-        format_table(
-            ["backend", "peak resident weight (bytes)", "ratio"],
-            [
-                ["dict index", peaks["dict"], ""],
-                ["compact (CSR) index", peaks["compact"], f"{ratio:.2f}x"],
-            ],
-            title="tab10g: compact vs dict paged footprint (corridor graph, k=4)",
-        )
-    )
-    assert peaks["compact"] > 0  # non-alias views were actually priced
-    assert ratio <= 0.7, (
-        f"compact resident weight {ratio:.2f}x of dict (gate: <= 0.7x)"
     )
 
 

@@ -191,15 +191,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if want_trace:
         records = trace.get_trace(trace.last_trace_id())
         if args.profile:
-            from .index.graph_index import index_backend
             from .obs import metrics as _metrics
             from .obs.profile import format_profile
 
             trace_epilogue.append(format_profile(records))
             registry = _metrics.get_registry()
             trace_epilogue.append(
-                "index footprint: backend={} bytes={:.0f} intern_entries={:.0f}".format(
-                    index_backend(),
+                "index footprint: bytes={:.0f} intern_entries={:.0f}".format(
                     registry.gauge("repro_index_bytes").value,
                     registry.gauge("repro_index_intern_entries").value,
                 )

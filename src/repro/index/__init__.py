@@ -17,26 +17,16 @@ from .delta import (
     VertexAdded,
     VertexRemoved,
 )
-from .compact import CompactGraphIndex, LabelTable, projected_index_nbytes
-from .graph_index import (
-    GraphIndex,
-    IndexArg,
-    get_index,
-    index_backend,
-    resolve_index,
-    set_index_backend,
-)
+from .compact import LabelTable, projected_index_nbytes
+from .graph_index import GraphIndex, IndexArg, get_index, resolve_index
 from .maintainable import DeltaMaintainer, MaintainableIndex
 
 __all__ = [
     "GraphIndex",
-    "CompactGraphIndex",
     "LabelTable",
     "IndexArg",
     "get_index",
     "resolve_index",
-    "index_backend",
-    "set_index_backend",
     "projected_index_nbytes",
     "GraphDelta",
     "VertexAdded",

@@ -1,57 +1,20 @@
-"""Compact storage core: interned ids + CSR adjacency behind ``GraphIndex``.
+"""Compact storage primitives behind :class:`~repro.index.GraphIndex`.
 
-The dict-backed :class:`~repro.index.graph_index.GraphIndex` answers every
-query with per-entry Python objects: tuples of vertex objects per label,
-nested dicts per vertex, boxed counts per signature.  That representation
-is convenient but costs ~100 bytes per entry and a hash lookup per hop.
-This module provides :class:`CompactGraphIndex`, a drop-in subclass that
-stores the same information in flat :mod:`array` buffers over *interned*
-ids:
+* :class:`LabelTable` interns vertex ids and labels to the dense ints
+  (vints / lints) the index buffers are keyed by;
+* :func:`projected_index_nbytes` is the analytic footprint of an index
+  over a graph of a given size — the pager's deterministic cost model.
 
-* a :class:`LabelTable` interns vertex ids and labels to dense ints at the
-  graph boundary — slots are assigned in canonical (``repr``) order at
-  build time, appended for entries first seen by a patch, and tombstoned
-  (never recycled for a different key) on removal;
-* **inverted lists** — ``lint -> array('i')`` of member vints, kept in the
-  library's canonical ``repr`` order;
-* **CSR adjacency rows** — one ``array('i')`` per vertex holding an inline
-  label directory followed by the neighbor vints::
-
-      [k, l1, c1, ..., lk, ck,  <c1 neighbors of label l1>, ...]
-
-  directory groups are sorted by lint, neighbors within a group in
-  canonical order, so a label-filtered adjacency query is one small header
-  scan plus a contiguous slice;
-* **label-pair edge lists** — ``(lint, lint) -> array('i')`` of flattened
-  ``(u, v)`` vint pairs in canonical edge order.
-
-All decoded query methods (the full ``GraphIndex`` API) return objects
-identical — content *and* order — to the dict implementation, which stays
-as the brute reference diffed by the equivalence suites.  The matching
-engines additionally use the int-level accessors directly and translate
-back to user-facing vertices only at result boundaries.
-
-Delta maintenance patches the flat buffers in O(delta): ``array.insert``
-and slice deletion are C-level memmoves within one row/list, and every
-splice lands at the same canonical position the dict index would use, so
-a patched compact index stays structurally identical to a rebuilt one
-(``tests/test_compact_index.py`` churns this).  The
-:class:`~repro.index.delta.IndexMaintainer` patch-limit fallback applies
-unchanged — a rebuild re-interns the table from scratch, which is the
-only point where tombstoned slots are reclaimed.
+The index itself (CSR rows, inverted lists, label-pair edge lists, and
+their O(delta) patching) lives in :mod:`repro.index.graph_index`.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
-from ..graph.labeled_graph import Edge, Label, LabeledGraph, Vertex, normalize_edge
-from .graph_index import GraphIndex, _label_pair_key
-
-_EMPTY: Tuple = ()
-_EMPTY_ROW = array("i", (0,))
+from ..graph.labeled_graph import Label, Vertex
 
 
 class LabelTable:
@@ -128,575 +91,16 @@ class LabelTable:
         )
 
 
-def _row_find(row: array, li: int) -> Tuple[int, int]:
-    """Locate label group ``li`` in a CSR row: ``(body_offset, count)``.
-
-    ``count`` is 0 when the group is absent; ``body_offset`` is then the
-    offset the group's neighbors *would* occupy.
-    """
-    k = row[0]
-    off = 1 + 2 * k
-    for gi in range(k):
-        gl = row[1 + 2 * gi]
-        gc = row[2 + 2 * gi]
-        if gl == li:
-            return off, gc
-        if gl > li:
-            return off, 0
-        off += gc
-    return off, 0
-
-
-class CompactGraphIndex(GraphIndex):
-    """A :class:`GraphIndex` over interned ids and flat CSR buffers.
-
-    Same graph/version contract, same maintainable-index protocol, and
-    decoded answers identical to the dict implementation — built with
-    :meth:`build` or selected process-wide via
-    :func:`repro.index.graph_index.set_index_backend`.
-    """
-
-    __slots__ = (
-        "table",
-        "_lab",
-        "_deg",
-        "_rows",
-        "_inv",
-        "_pair_edges",
-        "_lpair_set",
-        "_memo_inv",
-        "_memo_pairs",
-        "_memo_hist",
-        "_memo_lpairs",
-        "_memo_nwl",
-        "_memo_deg",
-        "_memo_sig",
-        "_memo_segset",
-    )
-
-    def __init__(self, graph: LabeledGraph) -> None:  # noqa: C901
-        self.graph = graph
-        self.version = graph.mutation_version()
-
-        vertices = graph.vertices()  # canonical repr order
-        table = LabelTable(vertices, graph.label_alphabet())
-        self.table = table
-        vint_of = table._vint_of
-        labels_map = graph.labels()
-        lint_of = table._lint_of
-
-        lab = array("i", (lint_of[labels_map[v]] for v in vertices))
-        self._lab = lab
-
-        # Inverted lists: ascending vint == canonical order at build time.
-        inv: Dict[int, array] = {}
-        for vi in range(len(vertices)):
-            li = lab[vi]
-            arr = inv.get(li)
-            if arr is None:
-                inv[li] = array("i", (vi,))
-            else:
-                arr.append(vi)
-        self._inv = inv
-
-        deg = array("i", bytes(4 * len(vertices)))
-        rows: List[Optional[array]] = []
-        for vi, vertex in enumerate(vertices):
-            nbrs = sorted(vint_of[w] for w in graph.neighbors(vertex))
-            deg[vi] = len(nbrs)
-            if not nbrs:
-                rows.append(array("i", (0,)))
-                continue
-            buckets: Dict[int, List[int]] = {}
-            for w in nbrs:
-                buckets.setdefault(lab[w], []).append(w)
-            header: List[int] = [len(buckets)]
-            body: List[int] = []
-            for gl in sorted(buckets):
-                members = buckets[gl]
-                header.append(gl)
-                header.append(len(members))
-                body.extend(members)
-            rows.append(array("i", header + body))
-        self._deg = deg
-        self._rows = rows
-
-        # Label-pair edge lists: graph.edges() is already in canonical
-        # (repr-of-normalized-edge) order, grouped here per label pair.
-        pair_edges: Dict[Tuple[int, int], array] = {}
-        lpair_set: Set[Tuple[int, int]] = set()
-        for u, v in graph.edges():
-            lu = lab[vint_of[u]]
-            lv = lab[vint_of[v]]
-            lpair_set.add((lu, lv))
-            lpair_set.add((lv, lu))
-            key = self._pair_key(lu, lv)
-            arr = pair_edges.get(key)
-            if arr is None:
-                arr = array("i")
-                pair_edges[key] = arr
-            arr.append(vint_of[u])
-            arr.append(vint_of[v])
-        self._pair_edges = pair_edges
-        self._lpair_set = lpair_set
-        self._reset_memos()
-
-    # ------------------------------------------------------------------
-    # shared helpers
-    # ------------------------------------------------------------------
-    def _reset_memos(self) -> None:
-        # Decoded-object caches (lazy, rebuilt after any patch): decoding
-        # translates vints back to vertex objects, and repeated decoded
-        # queries (sharded evaluation, incremental extension) should not
-        # pay that per call.
-        self._memo_inv: Dict[int, Tuple[Vertex, ...]] = {}
-        self._memo_pairs: Dict[Tuple[int, int], Tuple[Edge, ...]] = {}
-        self._memo_hist: Optional[Dict[Label, int]] = None
-        self._memo_lpairs: Optional[FrozenSet[Tuple[Label, Label]]] = None
-        self._memo_nwl: Dict[Tuple[int, int], Tuple[Vertex, ...]] = {}
-        self._memo_deg: Optional[Dict[Vertex, int]] = None
-        self._memo_sig: Optional[Dict[Vertex, Dict[Label, int]]] = None
-        self._memo_segset: Dict[int, FrozenSet[int]] = {}
-
-    def _pair_key(self, la: int, lb: int) -> Tuple[int, int]:
-        """Canonical (repr-ordered by decoded label) form of a lint pair."""
-        label_of = self.table.label_of
-        if repr(label_of[la]) <= repr(label_of[lb]):
-            return (la, lb)
-        return (lb, la)
-
-    def _live_vint(self, vertex: Vertex) -> int:
-        """The vint of a *present* vertex (KeyError for unknown/retired)."""
-        vi = self.table._vint_of[vertex]
-        if self._lab[vi] < 0:
-            raise KeyError(vertex)
-        return vi
-
-    def _bisect_inv(self, arr: array, rv: str) -> int:
-        """Leftmost canonical position for repr ``rv`` in a vint array."""
-        dec = self.table.vertex_of
-        lo, hi = 0, len(arr)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if repr(dec[arr[mid]]) < rv:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _segment(self, vi: int, li: int) -> Tuple[array, int, int]:
-        """The (row, start, stop) slice of ``vi``'s neighbors with label ``li``."""
-        row = self._rows[vi]
-        if row is None:
-            return _EMPTY_ROW, 0, 0
-        off, cnt = _row_find(row, li)
-        return row, off, off + cnt
-
-    def _segment_len(self, vi: int, li: int) -> int:
-        row = self._rows[vi]
-        if row is None:
-            return 0
-        return _row_find(row, li)[1]
-
-    def _segment_set(self, vi: int, li: int) -> FrozenSet[int]:
-        """Memoized frozenset of ``vi``'s neighbor vints with label ``li``.
-
-        The matching engines probe the same (vertex, label) adjacency
-        sets across thousands of expansions per mining session; building
-        each set once per patch generation amortizes that to nothing.
-        Keys pack as ``vi * num_interned_labels + li`` (both ids are
-        dense and stable between patches).
-        """
-        key = vi * len(self.table.label_of) + li
-        cached = self._memo_segset.get(key)
-        if cached is None:
-            row, start, stop = self._segment(vi, li)
-            cached = frozenset(row[start:stop])
-            self._memo_segset[key] = cached
-        return cached
-
-    # ------------------------------------------------------------------
-    # factory / freshness
-    # ------------------------------------------------------------------
-    def rebuilt(self) -> "CompactGraphIndex":
-        """A from-scratch compact index (fresh table, no tombstones)."""
-        return CompactGraphIndex(self.graph)
-
-    # ------------------------------------------------------------------
-    # delta maintenance: canonical splices into the flat buffers
-    # ------------------------------------------------------------------
-    def _apply_vertex_added(self, vertex: Vertex, label: Label) -> None:
-        table = self.table
-        vi = table._vint_of.get(vertex)
-        if vi is None:
-            vi = table.intern_vertex(vertex)
-            self._lab.append(-1)
-            self._deg.append(0)
-            self._rows.append(array("i", (0,)))
-        li = table.intern_label(label)
-        self._lab[vi] = li
-        self._deg[vi] = 0
-        self._rows[vi] = array("i", (0,))
-        arr = self._inv.get(li)
-        if arr is None:
-            self._inv[li] = array("i", (vi,))
-        else:
-            arr.insert(self._bisect_inv(arr, repr(vertex)), vi)
-        self._reset_memos()
-
-    def _apply_edge_added(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
-        table = self.table
-        ui = self._live_vint(u)
-        wi = self._live_vint(v)
-        li_u = table.intern_label(lu)
-        li_v = table.intern_label(lv)
-        self._lpair_set.add((li_u, li_v))
-        self._lpair_set.add((li_v, li_u))
-        edge = normalize_edge(u, v)
-        key = self._pair_key(li_u, li_v)
-        arr = self._pair_edges.get(key)
-        if arr is None:
-            arr = array("i")
-            self._pair_edges[key] = arr
-        pos = self._bisect_pairs(arr, repr(edge))
-        arr[2 * pos : 2 * pos] = array(
-            "i", (table._vint_of[edge[0]], table._vint_of[edge[1]])
-        )
-        self._row_insert(ui, li_v, wi, v)
-        self._row_insert(wi, li_u, ui, u)
-        self._deg[ui] += 1
-        self._deg[wi] += 1
-        self._reset_memos()
-
-    def _apply_edge_removed(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
-        table = self.table
-        ui = self._live_vint(u)
-        wi = self._live_vint(v)
-        li_u = table._lint_of[lu]
-        li_v = table._lint_of[lv]
-        edge = normalize_edge(u, v)
-        key = self._pair_key(li_u, li_v)
-        arr = self._pair_edges[key]
-        pos = self._bisect_pairs(arr, repr(edge))
-        npairs = len(arr) // 2
-        dec = table.vertex_of
-        while pos < npairs and (dec[arr[2 * pos]], dec[arr[2 * pos + 1]]) != edge:
-            pos += 1  # repr ties broken linearly, as in the dict index
-        if pos == npairs:
-            raise KeyError(edge)
-        del arr[2 * pos : 2 * pos + 2]
-        if not arr:
-            # A rebuild never materializes empty entries.
-            del self._pair_edges[key]
-            self._lpair_set.discard((li_u, li_v))
-            self._lpair_set.discard((li_v, li_u))
-        self._row_remove(ui, li_v, wi, v)
-        self._row_remove(wi, li_u, ui, u)
-        self._deg[ui] -= 1
-        self._deg[wi] -= 1
-        self._reset_memos()
-
-    def _apply_vertex_removed(self, vertex: Vertex, label: Label) -> None:
-        vi = self._live_vint(vertex)
-        if self._deg[vi] != 0:
-            raise ValueError(
-                f"VertexRemoved({vertex!r}) patched while the vertex still has "
-                f"{self._deg[vi]} indexed edges; the publisher must emit "
-                "the incident EdgeRemoved deltas first"
-            )
-        li = self.table._lint_of[label]
-        arr = self._inv[li]
-        pos = self._bisect_inv(arr, repr(vertex))
-        while pos < len(arr) and arr[pos] != vi:
-            pos += 1
-        if pos == len(arr):
-            raise KeyError(vertex)
-        del arr[pos]
-        if not arr:
-            del self._inv[li]
-        # Tombstone: the table keeps the slot, the label array retires it.
-        self._lab[vi] = -1
-        self._rows[vi] = array("i", (0,))
-        self._reset_memos()
-
-    def _bisect_pairs(self, arr: array, re: str) -> int:
-        """Leftmost canonical position for edge-repr ``re`` (pair units)."""
-        dec = self.table.vertex_of
-        lo, hi = 0, len(arr) // 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if repr((dec[arr[2 * mid]], dec[arr[2 * mid + 1]])) < re:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _row_insert(self, vi: int, li: int, wi: int, w: Vertex) -> None:
-        """Splice neighbor ``wi`` (label ``li``) into ``vi``'s CSR row."""
-        row = self._rows[vi]
-        k = row[0]
-        off = 1 + 2 * k
-        gi = k
-        found = False
-        for g in range(k):
-            gl = row[1 + 2 * g]
-            if gl == li:
-                gi, found = g, True
-                break
-            if gl > li:
-                gi = g
-                break
-            off += row[2 + 2 * g]
-        if not found:
-            # New directory group: header grows by one (lint, count) pair,
-            # shifting the body right by two slots.
-            row[1 + 2 * gi : 1 + 2 * gi] = array("i", (li, 0))
-            row[0] = k + 1
-            off += 2
-        # Canonical position within the (repr-sorted) group.
-        dec = self.table.vertex_of
-        cnt = row[2 + 2 * gi]
-        rw = repr(w)
-        lo, hi = 0, cnt
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if repr(dec[row[off + mid]]) < rw:
-                lo = mid + 1
-            else:
-                hi = mid
-        row.insert(off + lo, wi)
-        row[2 + 2 * gi] = cnt + 1
-
-    def _row_remove(self, vi: int, li: int, wi: int, w: Vertex) -> None:
-        """Splice neighbor ``wi`` (label ``li``) out of ``vi``'s CSR row."""
-        row = self._rows[vi]
-        k = row[0]
-        off = 1 + 2 * k
-        gi = -1
-        for g in range(k):
-            gl = row[1 + 2 * g]
-            if gl == li:
-                gi = g
-                break
-            off += row[2 + 2 * g]
-        if gi < 0:
-            raise KeyError(w)
-        cnt = row[2 + 2 * gi]
-        dec = self.table.vertex_of
-        rw = repr(w)
-        lo, hi = 0, cnt
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if repr(dec[row[off + mid]]) < rw:
-                lo = mid + 1
-            else:
-                hi = mid
-        while lo < cnt and row[off + lo] != wi:
-            lo += 1
-        if lo == cnt:
-            raise KeyError(w)
-        del row[off + lo]
-        if cnt == 1:
-            # The group emptied: drop its directory entry, as a rebuild
-            # would never have created it.
-            del row[1 + 2 * gi : 3 + 2 * gi]
-            row[0] = k - 1
-        else:
-            row[2 + 2 * gi] = cnt - 1
-
-    # ------------------------------------------------------------------
-    # decoded query API (identical objects/order to the dict index)
-    # ------------------------------------------------------------------
-    def vertices_with_label(self, label: Label) -> Tuple[Vertex, ...]:
-        li = self.table._lint_of.get(label)
-        if li is None:
-            return _EMPTY
-        cached = self._memo_inv.get(li)
-        if cached is None:
-            arr = self._inv.get(li)
-            if not arr:
-                return _EMPTY
-            dec = self.table.vertex_of
-            cached = tuple(dec[vi] for vi in arr)
-            self._memo_inv[li] = cached
-        return cached
-
-    def label_histogram(self) -> Dict[Label, int]:
-        hist = self._memo_hist
-        if hist is None:
-            label_of = self.table.label_of
-            hist = {label_of[li]: len(arr) for li, arr in self._inv.items()}
-            self._memo_hist = hist
-        return hist
-
-    def label_frequency(self, label: Label) -> int:
-        li = self.table._lint_of.get(label)
-        if li is None:
-            return 0
-        arr = self._inv.get(li)
-        return len(arr) if arr is not None else 0
-
-    def adjacent_label_pairs(self) -> FrozenSet[Tuple[Label, Label]]:
-        pairs = self._memo_lpairs
-        if pairs is None:
-            label_of = self.table.label_of
-            pairs = frozenset(
-                (label_of[a], label_of[b]) for a, b in self._lpair_set
-            )
-            self._memo_lpairs = pairs
-        return pairs
-
-    def has_label_pair(self, lu: Label, lv: Label) -> bool:
-        lint_of = self.table._lint_of
-        la = lint_of.get(lu)
-        lb = lint_of.get(lv)
-        if la is None or lb is None:
-            return False
-        return (la, lb) in self._lpair_set
-
-    def edges_with_labels(self, lu: Label, lv: Label) -> Tuple[Edge, ...]:
-        lint_of = self.table._lint_of
-        la = lint_of.get(lu)
-        lb = lint_of.get(lv)
-        if la is None or lb is None:
-            return _EMPTY
-        key = self._pair_key(la, lb)
-        cached = self._memo_pairs.get(key)
-        if cached is None:
-            arr = self._pair_edges.get(key)
-            if arr is None:
-                return _EMPTY
-            dec = self.table.vertex_of
-            cached = tuple(
-                (dec[arr[i]], dec[arr[i + 1]]) for i in range(0, len(arr), 2)
-            )
-            self._memo_pairs[key] = cached
-        return cached
-
-    def distinct_edge_label_pairs(self) -> List[Tuple[Label, Label]]:
-        label_of = self.table.label_of
-        return sorted(
-            ((label_of[a], label_of[b]) for a, b in self._pair_edges),
-            key=repr,
-        )
-
-    def degree_of(self, vertex: Vertex) -> int:
-        return self._deg[self._live_vint(vertex)]
-
-    def degree_map(self) -> Dict[Vertex, int]:
-        dmap = self._memo_deg
-        if dmap is None:
-            dec = self.table.vertex_of
-            lab = self._lab
-            deg = self._deg
-            dmap = {
-                dec[vi]: deg[vi] for vi in range(len(lab)) if lab[vi] >= 0
-            }
-            self._memo_deg = dmap
-        return dmap
-
-    def signature_map(self) -> Dict[Vertex, Dict[Label, int]]:
-        smap = self._memo_sig
-        if smap is None:
-            dec = self.table.vertex_of
-            lab = self._lab
-            smap = {
-                dec[vi]: self._decode_signature(vi)
-                for vi in range(len(lab))
-                if lab[vi] >= 0
-            }
-            self._memo_sig = smap
-        return smap
-
-    def _decode_signature(self, vi: int) -> Dict[Label, int]:
-        row = self._rows[vi]
-        label_of = self.table.label_of
-        k = row[0]
-        return {
-            label_of[row[1 + 2 * g]]: row[2 + 2 * g] for g in range(k)
-        }
-
-    def neighbors_with_label(self, vertex: Vertex, label: Label) -> Tuple[Vertex, ...]:
-        vi = self._live_vint(vertex)
-        li = self.table._lint_of.get(label)
-        if li is None:
-            return _EMPTY
-        cached = self._memo_nwl.get((vi, li))
-        if cached is None:
-            row, start, stop = self._segment(vi, li)
-            if start == stop:
-                return _EMPTY
-            dec = self.table.vertex_of
-            cached = tuple(dec[row[i]] for i in range(start, stop))
-            self._memo_nwl[(vi, li)] = cached
-        return cached
-
-    def signature_of(self, vertex: Vertex) -> Dict[Label, int]:
-        return self._decode_signature(self._live_vint(vertex))
-
-    def dominates(self, vertex: Vertex, requirements: Dict[Label, int]) -> bool:
-        vi = self._live_vint(vertex)
-        lint_of = self.table._lint_of
-        for label, count in requirements.items():
-            li = lint_of.get(label)
-            if li is None or self._segment_len(vi, li) < count:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # footprint accounting
-    # ------------------------------------------------------------------
-    def nbytes(self) -> int:
-        """Approximate resident bytes of the index buffers.
-
-        Counts the intern table, the flat arrays, and container overhead;
-        excludes the vertex/label objects themselves (shared with the
-        graph) and the transient decode memos.
-        """
-        total = self.table.nbytes()
-        total += sys.getsizeof(self._lab) + sys.getsizeof(self._deg)
-        total += sys.getsizeof(self._rows)
-        for row in self._rows:
-            if row is not None:
-                total += sys.getsizeof(row)
-        total += sys.getsizeof(self._inv)
-        for arr in self._inv.values():
-            total += sys.getsizeof(arr)
-        total += sys.getsizeof(self._pair_edges)
-        for arr in self._pair_edges.values():
-            total += sys.getsizeof(arr)
-        total += sys.getsizeof(self._lpair_set)
-        return total
-
-    def intern_entries(self) -> int:
-        """Interned slots in the label table (tombstones included)."""
-        return self.table.entries
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        live = sum(1 for li in self._lab if li >= 0)
-        return (
-            f"<CompactGraphIndex |V|={live} labels={len(self._inv)} "
-            f"pairs={len(self._pair_edges)} interned={self.table.entries} "
-            f"v{self.version}>"
-        )
-
-
 # ----------------------------------------------------------------------
 # projected footprints (the pager's deterministic cost model)
 # ----------------------------------------------------------------------
-#: Per-entry byte estimates for each backend, calibrated against
-#: ``nbytes()`` on CPython 3.11/64-bit synthetic graphs (see
-#: ``tests/test_compact_index.py::test_projected_footprint_tracks_nbytes``).
-#: (per-vertex, per-edge, per-label) coefficients.
-_FOOTPRINT_COEFFICIENTS = {
-    "dict": (700, 90, 3000),
-    "compact": (180, 14, 900),
-}
+#: Per-entry byte estimates (per-vertex, per-edge, per-label), calibrated
+#: against ``GraphIndex.nbytes()`` on CPython 3.11/64-bit synthetic graphs
+#: (see ``tests/test_compact_index.py::test_projected_footprint_tracks_nbytes``).
+_FOOTPRINT_COEFFICIENTS = (180, 14, 900)
 
 
-def projected_index_nbytes(
-    num_vertices: int, num_edges: int, num_labels: int, backend: str
-) -> int:
+def projected_index_nbytes(num_vertices: int, num_edges: int, num_labels: int) -> int:
     """Deterministic footprint estimate for an index over a graph this size.
 
     Used by :class:`repro.partition.workers.ShardPager` as its resident-
@@ -704,7 +108,7 @@ def projected_index_nbytes(
     they use this projection rather than measuring a (possibly not yet
     built) per-view index.
     """
-    per_vertex, per_edge, per_label = _FOOTPRINT_COEFFICIENTS[backend]
+    per_vertex, per_edge, per_label = _FOOTPRINT_COEFFICIENTS
     return (
         256  # fixed container overhead
         + per_vertex * num_vertices

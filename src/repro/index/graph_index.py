@@ -1,21 +1,39 @@
 """Precomputed acceleration index over a :class:`LabeledGraph`.
 
 Every hot path of the library — subgraph matching, anchored searches,
-occurrence enumeration, candidate generation in the miner — used to re-scan
-the data graph per query: per-call set copies of the label inverted lists,
-per-call ``repr``-sorts of candidate vertices, per-call neighbor scans for
-label-filtered adjacency.  A :class:`GraphIndex` materializes all of that
-once per graph:
+occurrence enumeration, candidate generation in the miner — would
+otherwise re-scan the data graph per query: per-call set copies of the
+label inverted lists, per-call ``repr``-sorts of candidate vertices,
+per-call neighbor scans for label-filtered adjacency.  A
+:class:`GraphIndex` materializes all of that once per graph, in flat
+:mod:`array` buffers over *interned* ids:
 
-* **inverted lists** — ``label -> tuple of vertices`` carrying the label,
-  pre-sorted in the library's canonical (``repr``) order;
-* **label-pair adjacency** — ``(label_u, label_v) -> tuple of data edges``
-  whose endpoints carry those labels (the graphs are vertex-labeled with a
-  single implicit edge label, so the paper's (src-label, edge-label,
-  dst-label) triple collapses to the unordered vertex-label pair);
-* **per-vertex signatures** — degree plus the multiset of neighbor labels,
-  with neighbor lists per label pre-sorted, for candidate filtering that
-  rejects hopeless vertices before any backtracking.
+* a :class:`~repro.index.compact.LabelTable` interns vertex ids and
+  labels to dense ints (vints / lints) at the graph boundary — slots are
+  assigned in canonical (``repr``) order at build time, appended for
+  entries first seen by a patch, and tombstoned (never recycled for a
+  different key) on removal;
+* **inverted lists** — ``lint -> array('i')`` of member vints, kept in
+  the library's canonical ``repr`` order;
+* **CSR adjacency rows** — one ``array('i')`` per vertex holding an
+  inline label directory followed by the neighbor vints::
+
+      [k, l1, c1, ..., lk, ck,  <c1 neighbors of label l1>, ...]
+
+  directory groups are sorted by lint, neighbors within a group in
+  canonical order, so a label-filtered adjacency query is one small
+  header scan plus a contiguous slice, and a vertex's neighbor-label
+  signature is its directory;
+* **label-pair edge lists** — ``(lint, lint) -> array('i')`` of
+  flattened ``(u, v)`` vint pairs in canonical edge order (the graphs are
+  vertex-labeled with a single implicit edge label, so the paper's
+  (src-label, edge-label, dst-label) triple collapses to the unordered
+  vertex-label pair).
+
+The matching engines (:mod:`repro.isomorphism.vf2`,
+:mod:`repro.isomorphism.anchored`) read the buffers directly and decode
+back to user-facing vertices only at result boundaries; the decoded
+query methods below serve the miner, the partition layer, and lazy MNI.
 
 Each :class:`LabeledGraph` carries a version counter bumped on every
 mutation; :func:`get_index` caches the index on the graph itself and
@@ -23,28 +41,33 @@ transparently rebuilds after mutations, so "build once per mining session,
 reuse across all candidates" is automatic.  Indexes never drift from their
 graph: they either match its version exactly or are replaced.  Under an
 update stream — insertions *and* deletions — a full rebuild is avoidable:
-:meth:`apply_delta` patches the index in O(delta) per update (canonical
-splice-in for additions, the inverse splice-out for removals), and
-:class:`repro.index.delta.IndexMaintainer` drives that from the graph's
-mutation-observer hook.
+:meth:`GraphIndex.apply_delta` patches the buffers in O(delta) per update
+(``array.insert`` and slice deletion are C-level memmoves within one
+row/list), and :class:`repro.index.delta.IndexMaintainer` drives that
+from the graph's mutation-observer hook.  A rebuild re-interns the table
+from scratch, which is the only point where tombstoned slots are
+reclaimed.
 
 All orders are the same canonical ``repr`` orders used by the brute-force
-paths, which is what makes indexed and unindexed enumeration byte-identical
-(asserted by ``tests/test_index_equivalence.py``).
+reference (``index=False``), which is what makes indexed and unindexed
+enumeration byte-identical (asserted by ``tests/test_index_equivalence.py``),
+and every patch splice lands where a rebuild would put it (asserted by
+``tests/test_compact_index.py`` and ``tests/test_delta_maintenance.py``).
 """
 
 from __future__ import annotations
 
-import os
 import sys
+from array import array
 from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from ..graph.labeled_graph import Edge, Label, LabeledGraph, Vertex, normalize_edge
+from ..graph.labeled_graph import Label, LabeledGraph, Vertex, normalize_edge
 from ..obs import metrics as _metrics
+from .compact import LabelTable
 from .maintainable import MaintainableIndex
 
-_EMPTY: Tuple[Vertex, ...] = ()
+_EMPTY: Tuple = ()
 
 
 def _insert_canonical(members: Tuple, item) -> Tuple:
@@ -69,6 +92,25 @@ def _label_pair_key(lu: Label, lv: Label) -> Tuple[Label, Label]:
     return (lu, lv) if repr(lu) <= repr(lv) else (lv, lu)
 
 
+def _row_find(row: array, li: int) -> Tuple[int, int]:
+    """Locate label group ``li`` in a CSR row: ``(body_offset, count)``.
+
+    ``count`` is 0 when the group is absent; ``body_offset`` is then the
+    offset the group's neighbors *would* occupy.
+    """
+    k = row[0]
+    off = 1 + 2 * k
+    for gi in range(k):
+        gl = row[1 + 2 * gi]
+        gc = row[2 + 2 * gi]
+        if gl == li:
+            return off, gc
+        if gl > li:
+            return off, 0
+        off += gc
+    return off, 0
+
+
 class GraphIndex(MaintainableIndex):
     """An acceleration structure for one labeled graph snapshot.
 
@@ -84,60 +126,86 @@ class GraphIndex(MaintainableIndex):
     __slots__ = (
         "graph",
         "version",
-        "_label_list",
-        "_histogram",
-        "_neighbors_by_label",
-        "_signatures",
-        "_degrees",
-        "_label_pairs",
-        "_edges_by_pair",
+        "table",
+        "_lab",
+        "_deg",
+        "_rows",
+        "_inv",
+        "_pair_edges",
+        "_lpair_set",
+        "_memo_inv",
+        "_memo_hist",
+        "_memo_lpairs",
+        "_memo_nwl",
+        "_memo_segset",
     )
 
     def __init__(self, graph: LabeledGraph) -> None:
         self.graph = graph
         self.version = graph.mutation_version()
 
-        label_list: Dict[Label, Tuple[Vertex, ...]] = {}
-        for label in graph.label_alphabet():
-            label_list[label] = tuple(
-                sorted(graph.vertices_with_label(label), key=repr)
-            )
-        self._label_list = label_list
-        self._histogram = {label: len(vs) for label, vs in label_list.items()}
+        vertices = graph.vertices()  # canonical repr order
+        table = LabelTable(vertices, graph.label_alphabet())
+        self.table = table
+        vint_of = table._vint_of
+        labels_map = graph.labels()
+        lint_of = table._lint_of
 
-        neighbors_by_label: Dict[Vertex, Dict[Label, Tuple[Vertex, ...]]] = {}
-        signatures: Dict[Vertex, Dict[Label, int]] = {}
-        degrees: Dict[Vertex, int] = {}
-        labels = graph.labels()
-        for vertex in graph.vertices():
-            buckets: Dict[Label, List[Vertex]] = {}
-            for neighbor in graph.neighbors(vertex):
-                buckets.setdefault(labels[neighbor], []).append(neighbor)
-            neighbors_by_label[vertex] = {
-                label: tuple(sorted(members, key=repr))
-                for label, members in buckets.items()
-            }
-            signatures[vertex] = {
-                label: len(members) for label, members in buckets.items()
-            }
-            degrees[vertex] = graph.degree(vertex)
-        self._neighbors_by_label = neighbors_by_label
-        self._signatures = signatures
-        self._degrees = degrees
+        lab = array("i", (lint_of[labels_map[v]] for v in vertices))
+        self._lab = lab
 
-        label_pairs: Set[Tuple[Label, Label]] = set()
-        edges_by_pair: Dict[Tuple[Label, Label], List[Edge]] = {}
+        # Inverted lists: ascending vint == canonical order at build time.
+        inv: Dict[int, array] = {}
+        for vi in range(len(vertices)):
+            li = lab[vi]
+            arr = inv.get(li)
+            if arr is None:
+                inv[li] = array("i", (vi,))
+            else:
+                arr.append(vi)
+        self._inv = inv
+
+        deg = array("i", bytes(4 * len(vertices)))
+        rows: List[array] = []
+        for vi, vertex in enumerate(vertices):
+            nbrs = sorted(vint_of[w] for w in graph.neighbors(vertex))
+            deg[vi] = len(nbrs)
+            if not nbrs:
+                rows.append(array("i", (0,)))
+                continue
+            buckets: Dict[int, List[int]] = {}
+            for w in nbrs:
+                buckets.setdefault(lab[w], []).append(w)
+            header: List[int] = [len(buckets)]
+            body: List[int] = []
+            for gl in sorted(buckets):
+                members = buckets[gl]
+                header.append(gl)
+                header.append(len(members))
+                body.extend(members)
+            rows.append(array("i", header + body))
+        self._deg = deg
+        self._rows = rows
+
+        # Label-pair edge lists: graph.edges() is already in canonical
+        # (repr-of-normalized-edge) order, grouped here per label pair.
+        pair_edges: Dict[Tuple[int, int], array] = {}
+        lpair_set: Set[Tuple[int, int]] = set()
         for u, v in graph.edges():
-            lu, lv = labels[u], labels[v]
-            label_pairs.add((lu, lv))
-            label_pairs.add((lv, lu))
-            edges_by_pair.setdefault(_label_pair_key(lu, lv), []).append(
-                normalize_edge(u, v)
-            )
-        self._label_pairs = frozenset(label_pairs)
-        self._edges_by_pair = {
-            pair: tuple(members) for pair, members in edges_by_pair.items()
-        }
+            lu = lab[vint_of[u]]
+            lv = lab[vint_of[v]]
+            lpair_set.add((lu, lv))
+            lpair_set.add((lv, lu))
+            key = self._pair_key(lu, lv)
+            arr = pair_edges.get(key)
+            if arr is None:
+                arr = array("i")
+                pair_edges[key] = arr
+            arr.append(vint_of[u])
+            arr.append(vint_of[v])
+        self._pair_edges = pair_edges
+        self._lpair_set = lpair_set
+        self._reset_memos()
 
     # ------------------------------------------------------------------
     # factory / freshness
@@ -148,11 +216,77 @@ class GraphIndex(MaintainableIndex):
         return cls(graph)
 
     def rebuilt(self) -> "GraphIndex":
-        """A from-scratch index for the graph's current state."""
+        """A from-scratch index (fresh table, no tombstones)."""
         return GraphIndex(self.graph)
 
     # ------------------------------------------------------------------
-    # delta maintenance (see repro.index.delta)
+    # shared helpers
+    # ------------------------------------------------------------------
+    def _reset_memos(self) -> None:
+        # Decoded-object caches (lazy, rebuilt after any patch): decoding
+        # translates vints back to vertex objects, and repeated decoded
+        # queries (sharded evaluation, incremental extension) should not
+        # pay that per call.
+        self._memo_inv: Dict[int, Tuple[Vertex, ...]] = {}
+        self._memo_hist: Optional[Dict[Label, int]] = None
+        self._memo_lpairs: Optional[FrozenSet[Tuple[Label, Label]]] = None
+        self._memo_nwl: Dict[Tuple[int, int], Tuple[Vertex, ...]] = {}
+        self._memo_segset: Dict[int, FrozenSet[int]] = {}
+
+    def _pair_key(self, la: int, lb: int) -> Tuple[int, int]:
+        """Canonical (repr-ordered by decoded label) form of a lint pair."""
+        label_of = self.table.label_of
+        if repr(label_of[la]) <= repr(label_of[lb]):
+            return (la, lb)
+        return (lb, la)
+
+    def _live_vint(self, vertex: Vertex) -> int:
+        """The vint of a *present* vertex (KeyError for unknown/retired)."""
+        vi = self.table._vint_of[vertex]
+        if self._lab[vi] < 0:
+            raise KeyError(vertex)
+        return vi
+
+    def _bisect_inv(self, arr: array, rv: str) -> int:
+        """Leftmost canonical position for repr ``rv`` in a vint array."""
+        dec = self.table.vertex_of
+        lo, hi = 0, len(arr)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if repr(dec[arr[mid]]) < rv:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def _segment(self, vi: int, li: int) -> Tuple[array, int, int]:
+        """The (row, start, stop) slice of ``vi``'s neighbors with label ``li``."""
+        row = self._rows[vi]
+        off, cnt = _row_find(row, li)
+        return row, off, off + cnt
+
+    def _segment_len(self, vi: int, li: int) -> int:
+        return _row_find(self._rows[vi], li)[1]
+
+    def _segment_set(self, vi: int, li: int) -> FrozenSet[int]:
+        """Memoized frozenset of ``vi``'s neighbor vints with label ``li``.
+
+        The matching engines probe the same (vertex, label) adjacency
+        sets across thousands of expansions per mining session; building
+        each set once per patch generation amortizes that to nothing.
+        Keys pack as ``vi * num_interned_labels + li`` (both ids are
+        dense and stable between patches).
+        """
+        key = vi * len(self.table.label_of) + li
+        cached = self._memo_segset.get(key)
+        if cached is None:
+            row, start, stop = self._segment(vi, li)
+            cached = frozenset(row[start:stop])
+            self._memo_segset[key] = cached
+        return cached
+
+    # ------------------------------------------------------------------
+    # delta maintenance: canonical splices into the flat buffers
     # ------------------------------------------------------------------
     def apply_delta(self, delta) -> bool:
         """Patch this index in place for one typed graph delta.
@@ -160,19 +294,20 @@ class GraphIndex(MaintainableIndex):
         Insertions (:class:`~repro.index.delta.VertexAdded`,
         :class:`~repro.index.delta.EdgeAdded`) are absorbed in O(delta):
         a vertex splices into its label's inverted list, an edge splices
-        into its label-pair edge list and both endpoints' neighbor-label
-        buckets — all at the canonical (``repr``-sorted) position, so the
-        patched index is structurally identical to a rebuilt one.
+        into its label-pair edge list and both endpoints' CSR rows — all
+        at the canonical (``repr``-sorted) position, so the patched index
+        is structurally identical to a rebuilt one.
 
         Removals (:class:`~repro.index.delta.EdgeRemoved`,
         :class:`~repro.index.delta.VertexRemoved`) are the exact inverse
         splices: an edge leaves its label-pair edge list and both
-        endpoints' neighbor-label buckets (entries that empty are deleted
-        outright, exactly as a rebuild would never create them); a vertex
-        leaves its label's inverted list and drops its signature state.
-        A ``VertexRemoved`` delta is only sound once the vertex is
-        isolated — the publisher emits the incident ``EdgeRemoved`` deltas
-        first, so a contiguous replay is always in that order.
+        endpoints' rows (directory groups and pair lists that empty are
+        deleted outright, exactly as a rebuild would never create them);
+        a vertex leaves its label's inverted list and its intern slot is
+        tombstoned.  A ``VertexRemoved`` delta is only sound once the
+        vertex is isolated — the publisher emits the incident
+        ``EdgeRemoved`` deltas first, so a contiguous replay is always in
+        that order.
 
         The index version advances to the delta's version; callers must
         apply deltas contiguously
@@ -197,163 +332,254 @@ class GraphIndex(MaintainableIndex):
         return True
 
     def _apply_vertex_added(self, vertex: Vertex, label: Label) -> None:
-        self._label_list[label] = _insert_canonical(
-            self._label_list.get(label, _EMPTY), vertex
-        )
-        self._histogram[label] = self._histogram.get(label, 0) + 1
-        self._neighbors_by_label[vertex] = {}
-        self._signatures[vertex] = {}
-        self._degrees[vertex] = 0
+        table = self.table
+        vi = table._vint_of.get(vertex)
+        if vi is None:
+            vi = table.intern_vertex(vertex)
+            self._lab.append(-1)
+            self._deg.append(0)
+            self._rows.append(array("i", (0,)))
+        li = table.intern_label(label)
+        self._lab[vi] = li
+        self._deg[vi] = 0
+        self._rows[vi] = array("i", (0,))
+        arr = self._inv.get(li)
+        if arr is None:
+            self._inv[li] = array("i", (vi,))
+        else:
+            arr.insert(self._bisect_inv(arr, repr(vertex)), vi)
+        self._reset_memos()
 
     def _apply_edge_added(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
-        if (lu, lv) not in self._label_pairs:
-            self._label_pairs = self._label_pairs | {(lu, lv), (lv, lu)}
-        pair = _label_pair_key(lu, lv)
-        self._edges_by_pair[pair] = _insert_canonical(
-            self._edges_by_pair.get(pair, _EMPTY), normalize_edge(u, v)
+        table = self.table
+        ui = self._live_vint(u)
+        wi = self._live_vint(v)
+        li_u = table.intern_label(lu)
+        li_v = table.intern_label(lv)
+        self._lpair_set.add((li_u, li_v))
+        self._lpair_set.add((li_v, li_u))
+        edge = normalize_edge(u, v)
+        key = self._pair_key(li_u, li_v)
+        arr = self._pair_edges.get(key)
+        if arr is None:
+            arr = array("i")
+            self._pair_edges[key] = arr
+        pos = self._bisect_pairs(arr, repr(edge))
+        arr[2 * pos : 2 * pos] = array(
+            "i", (table._vint_of[edge[0]], table._vint_of[edge[1]])
         )
-        buckets_u = self._neighbors_by_label[u]
-        buckets_u[lv] = _insert_canonical(buckets_u.get(lv, _EMPTY), v)
-        buckets_v = self._neighbors_by_label[v]
-        buckets_v[lu] = _insert_canonical(buckets_v.get(lu, _EMPTY), u)
-        signature_u = self._signatures[u]
-        signature_u[lv] = signature_u.get(lv, 0) + 1
-        signature_v = self._signatures[v]
-        signature_v[lu] = signature_v.get(lu, 0) + 1
-        self._degrees[u] += 1
-        self._degrees[v] += 1
+        self._row_insert(ui, li_v, wi, v)
+        self._row_insert(wi, li_u, ui, u)
+        self._deg[ui] += 1
+        self._deg[wi] += 1
+        self._reset_memos()
 
     def _apply_edge_removed(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
-        pair = _label_pair_key(lu, lv)
-        remaining = _remove_canonical(self._edges_by_pair[pair], normalize_edge(u, v))
-        if remaining:
-            self._edges_by_pair[pair] = remaining
-        else:
-            # A rebuild never materializes empty entries: the pair leaves
-            # the edge map and (both orders of) the adjacency set.
-            del self._edges_by_pair[pair]
-            self._label_pairs = self._label_pairs - {(lu, lv), (lv, lu)}
-        for vertex, other, other_label in ((u, v, lv), (v, u, lu)):
-            buckets = self._neighbors_by_label[vertex]
-            shrunk = _remove_canonical(buckets[other_label], other)
-            signature = self._signatures[vertex]
-            if shrunk:
-                buckets[other_label] = shrunk
-                signature[other_label] -= 1
-            else:
-                del buckets[other_label]
-                del signature[other_label]
-            self._degrees[vertex] -= 1
+        table = self.table
+        ui = self._live_vint(u)
+        wi = self._live_vint(v)
+        li_u = table._lint_of[lu]
+        li_v = table._lint_of[lv]
+        edge = normalize_edge(u, v)
+        key = self._pair_key(li_u, li_v)
+        arr = self._pair_edges[key]
+        pos = self._bisect_pairs(arr, repr(edge))
+        npairs = len(arr) // 2
+        dec = table.vertex_of
+        while pos < npairs and (dec[arr[2 * pos]], dec[arr[2 * pos + 1]]) != edge:
+            pos += 1  # repr ties broken linearly
+        if pos == npairs:
+            raise KeyError(edge)
+        del arr[2 * pos : 2 * pos + 2]
+        if not arr:
+            # A rebuild never materializes empty entries.
+            del self._pair_edges[key]
+            self._lpair_set.discard((li_u, li_v))
+            self._lpair_set.discard((li_v, li_u))
+        self._row_remove(ui, li_v, wi, v)
+        self._row_remove(wi, li_u, ui, u)
+        self._deg[ui] -= 1
+        self._deg[wi] -= 1
+        self._reset_memos()
 
     def _apply_vertex_removed(self, vertex: Vertex, label: Label) -> None:
-        if self._degrees[vertex] != 0:
+        vi = self._live_vint(vertex)
+        if self._deg[vi] != 0:
             raise ValueError(
                 f"VertexRemoved({vertex!r}) patched while the vertex still has "
-                f"{self._degrees[vertex]} indexed edges; the publisher must emit "
+                f"{self._deg[vi]} indexed edges; the publisher must emit "
                 "the incident EdgeRemoved deltas first"
             )
-        remaining = _remove_canonical(self._label_list[label], vertex)
-        if remaining:
-            self._label_list[label] = remaining
-            self._histogram[label] -= 1
+        li = self.table._lint_of[label]
+        arr = self._inv[li]
+        pos = self._bisect_inv(arr, repr(vertex))
+        while pos < len(arr) and arr[pos] != vi:
+            pos += 1
+        if pos == len(arr):
+            raise KeyError(vertex)
+        del arr[pos]
+        if not arr:
+            del self._inv[li]
+        # Tombstone: the table keeps the slot, the label array retires it.
+        self._lab[vi] = -1
+        self._rows[vi] = array("i", (0,))
+        self._reset_memos()
+
+    def _bisect_pairs(self, arr: array, re: str) -> int:
+        """Leftmost canonical position for edge-repr ``re`` (pair units)."""
+        dec = self.table.vertex_of
+        lo, hi = 0, len(arr) // 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if repr((dec[arr[2 * mid]], dec[arr[2 * mid + 1]])) < re:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def _row_insert(self, vi: int, li: int, wi: int, w: Vertex) -> None:
+        """Splice neighbor ``wi`` (label ``li``) into ``vi``'s CSR row."""
+        row = self._rows[vi]
+        k = row[0]
+        off = 1 + 2 * k
+        gi = k
+        found = False
+        for g in range(k):
+            gl = row[1 + 2 * g]
+            if gl == li:
+                gi, found = g, True
+                break
+            if gl > li:
+                gi = g
+                break
+            off += row[2 + 2 * g]
+        if not found:
+            # New directory group: header grows by one (lint, count) pair,
+            # shifting the body right by two slots.
+            row[1 + 2 * gi : 1 + 2 * gi] = array("i", (li, 0))
+            row[0] = k + 1
+            off += 2
+        # Canonical position within the (repr-sorted) group.
+        dec = self.table.vertex_of
+        cnt = row[2 + 2 * gi]
+        rw = repr(w)
+        lo, hi = 0, cnt
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if repr(dec[row[off + mid]]) < rw:
+                lo = mid + 1
+            else:
+                hi = mid
+        row.insert(off + lo, wi)
+        row[2 + 2 * gi] = cnt + 1
+
+    def _row_remove(self, vi: int, li: int, wi: int, w: Vertex) -> None:
+        """Splice neighbor ``wi`` (label ``li``) out of ``vi``'s CSR row."""
+        row = self._rows[vi]
+        k = row[0]
+        off = 1 + 2 * k
+        gi = -1
+        for g in range(k):
+            gl = row[1 + 2 * g]
+            if gl == li:
+                gi = g
+                break
+            off += row[2 + 2 * g]
+        if gi < 0:
+            raise KeyError(w)
+        cnt = row[2 + 2 * gi]
+        dec = self.table.vertex_of
+        rw = repr(w)
+        lo, hi = 0, cnt
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if repr(dec[row[off + mid]]) < rw:
+                lo = mid + 1
+            else:
+                hi = mid
+        while lo < cnt and row[off + lo] != wi:
+            lo += 1
+        if lo == cnt:
+            raise KeyError(w)
+        del row[off + lo]
+        if cnt == 1:
+            # The group emptied: drop its directory entry, as a rebuild
+            # would never have created it.
+            del row[1 + 2 * gi : 3 + 2 * gi]
+            row[0] = k - 1
         else:
-            del self._label_list[label]
-            del self._histogram[label]
-        del self._neighbors_by_label[vertex]
-        del self._signatures[vertex]
-        del self._degrees[vertex]
+            row[2 + 2 * gi] = cnt - 1
 
     # ------------------------------------------------------------------
-    # inverted lists
+    # decoded query API (canonical order, memoized per patch generation)
     # ------------------------------------------------------------------
     def vertices_with_label(self, label: Label) -> Tuple[Vertex, ...]:
-        """Vertices carrying ``label``, pre-sorted in canonical order."""
-        return self._label_list.get(label, _EMPTY)
+        """Vertices carrying ``label``, in canonical order."""
+        li = self.table._lint_of.get(label)
+        if li is None:
+            return _EMPTY
+        cached = self._memo_inv.get(li)
+        if cached is None:
+            arr = self._inv.get(li)
+            if not arr:
+                return _EMPTY
+            dec = self.table.vertex_of
+            cached = tuple(dec[vi] for vi in arr)
+            self._memo_inv[li] = cached
+        return cached
 
     def label_histogram(self) -> Dict[Label, int]:
         """Vertex count per label (do not mutate the returned dict)."""
-        return self._histogram
+        hist = self._memo_hist
+        if hist is None:
+            label_of = self.table.label_of
+            hist = {label_of[li]: len(arr) for li, arr in self._inv.items()}
+            self._memo_hist = hist
+        return hist
 
-    def label_frequency(self, label: Label) -> int:
-        return self._histogram.get(label, 0)
-
-    # ------------------------------------------------------------------
-    # label-pair adjacency
-    # ------------------------------------------------------------------
     def adjacent_label_pairs(self) -> FrozenSet[Tuple[Label, Label]]:
         """All label pairs joined by a data edge (both orders present)."""
-        return self._label_pairs
-
-    def has_label_pair(self, lu: Label, lv: Label) -> bool:
-        return (lu, lv) in self._label_pairs
-
-    def edges_with_labels(self, lu: Label, lv: Label) -> Tuple[Edge, ...]:
-        """Data edges whose endpoint labels are the unordered pair (lu, lv)."""
-        return self._edges_by_pair.get(_label_pair_key(lu, lv), _EMPTY)
+        pairs = self._memo_lpairs
+        if pairs is None:
+            label_of = self.table.label_of
+            pairs = frozenset(
+                (label_of[a], label_of[b]) for a, b in self._lpair_set
+            )
+            self._memo_lpairs = pairs
+        return pairs
 
     def distinct_edge_label_pairs(self) -> List[Tuple[Label, Label]]:
         """Canonical unordered label pairs realized by data edges, sorted."""
-        return sorted(self._edges_by_pair, key=repr)
+        label_of = self.table.label_of
+        return sorted(
+            ((label_of[a], label_of[b]) for a, b in self._pair_edges),
+            key=repr,
+        )
 
-    # ------------------------------------------------------------------
-    # per-vertex signatures
-    # ------------------------------------------------------------------
     def degree_of(self, vertex: Vertex) -> int:
-        return self._degrees[vertex]
-
-    def degree_map(self) -> Dict[Vertex, int]:
-        """Vertex -> degree for the whole graph (do not mutate)."""
-        return self._degrees
-
-    def signature_map(self) -> Dict[Vertex, Dict[Label, int]]:
-        """Vertex -> neighbor-label multiset for the whole graph (do not mutate)."""
-        return self._signatures
-
-    def neighbors_with_label(self, vertex: Vertex, label: Label) -> Tuple[Vertex, ...]:
-        """Neighbors of ``vertex`` carrying ``label``, pre-sorted."""
-        return self._neighbors_by_label[vertex].get(label, _EMPTY)
+        return self._deg[self._live_vint(vertex)]
 
     def signature_of(self, vertex: Vertex) -> Dict[Label, int]:
-        """Neighbor-label multiset of ``vertex`` (do not mutate)."""
-        return self._signatures[vertex]
+        """Neighbor-label multiset of ``vertex`` (its CSR row directory)."""
+        row = self._rows[self._live_vint(vertex)]
+        label_of = self.table.label_of
+        return {label_of[row[1 + 2 * g]]: row[2 + 2 * g] for g in range(row[0])}
 
-    def nbytes(self) -> int:
-        """Approximate resident bytes of the index structures.
-
-        Counts container overhead of the inverted lists, signature maps,
-        and edge lists; excludes the vertex/label objects themselves
-        (shared with the graph).  The compact backend overrides this with
-        its buffer sizes; both feed the ``repro_index_bytes`` gauge and
-        the footprint benchmarks.
-        """
-        total = sys.getsizeof(self._label_list)
-        for members in self._label_list.values():
-            total += sys.getsizeof(members)
-        total += sys.getsizeof(self._histogram)
-        total += sys.getsizeof(self._neighbors_by_label)
-        for buckets in self._neighbors_by_label.values():
-            total += sys.getsizeof(buckets)
-            for members in buckets.values():
-                total += sys.getsizeof(members)
-        total += sys.getsizeof(self._signatures)
-        for signature in self._signatures.values():
-            total += sys.getsizeof(signature)
-            total += 28 * len(signature)  # boxed per-label counts
-        total += sys.getsizeof(self._degrees) + 28 * len(self._degrees)
-        total += sys.getsizeof(self._label_pairs)
-        total += sys.getsizeof(self._edges_by_pair)
-        for members in self._edges_by_pair.values():
-            total += sys.getsizeof(members) + 64 * len(members)  # edge tuples
-        return total
-
-    def intern_entries(self) -> int:
-        """Intern-table size (0: the dict backend stores objects directly).
-
-        The compact backend overrides this with its
-        :class:`~repro.index.compact.LabelTable` entry count (tombstones
-        included); both feed the ``repro_index_intern_entries`` gauge.
-        """
-        return 0
+    def neighbors_with_label(self, vertex: Vertex, label: Label) -> Tuple[Vertex, ...]:
+        """Neighbors of ``vertex`` carrying ``label``, in canonical order."""
+        vi = self._live_vint(vertex)
+        li = self.table._lint_of.get(label)
+        if li is None:
+            return _EMPTY
+        cached = self._memo_nwl.get((vi, li))
+        if cached is None:
+            row, start, stop = self._segment(vi, li)
+            if start == stop:
+                return _EMPTY
+            dec = self.table.vertex_of
+            cached = tuple(dec[row[i]] for i in range(start, stop))
+            self._memo_nwl[(vi, li)] = cached
+        return cached
 
     def dominates(self, vertex: Vertex, requirements: Dict[Label, int]) -> bool:
         """True when ``vertex``'s neighbor-label counts cover ``requirements``.
@@ -363,16 +589,48 @@ class GraphIndex(MaintainableIndex):
         check: pattern neighbors of one label must map injectively into
         data neighbors of that label.
         """
-        signature = self._signatures[vertex]
+        vi = self._live_vint(vertex)
+        lint_of = self.table._lint_of
         for label, count in requirements.items():
-            if signature.get(label, 0) < count:
+            li = lint_of.get(label)
+            if li is None or self._segment_len(vi, li) < count:
                 return False
         return True
 
+    # ------------------------------------------------------------------
+    # footprint accounting
+    # ------------------------------------------------------------------
+    def nbytes(self) -> int:
+        """Approximate resident bytes of the index buffers.
+
+        Counts the intern table, the flat arrays, and container overhead;
+        excludes the vertex/label objects themselves (shared with the
+        graph) and the transient decode memos.  Feeds the
+        ``repro_index_bytes`` gauge.
+        """
+        total = self.table.nbytes()
+        total += sys.getsizeof(self._lab) + sys.getsizeof(self._deg)
+        total += sys.getsizeof(self._rows)
+        for row in self._rows:
+            total += sys.getsizeof(row)
+        total += sys.getsizeof(self._inv)
+        for arr in self._inv.values():
+            total += sys.getsizeof(arr)
+        total += sys.getsizeof(self._pair_edges)
+        for arr in self._pair_edges.values():
+            total += sys.getsizeof(arr)
+        total += sys.getsizeof(self._lpair_set)
+        return total
+
+    def intern_entries(self) -> int:
+        """Interned slots in the label table (tombstones included)."""
+        return self.table.entries
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        live = sum(1 for li in self._lab if li >= 0)
         return (
-            f"<GraphIndex |V|={len(self._degrees)} "
-            f"labels={len(self._label_list)} pairs={len(self._edges_by_pair)} "
+            f"<GraphIndex |V|={live} labels={len(self._inv)} "
+            f"pairs={len(self._pair_edges)} interned={self.table.entries} "
             f"v{self.version}>"
         )
 
@@ -383,67 +641,20 @@ class GraphIndex(MaintainableIndex):
 #: a :class:`GraphIndex` -> use exactly this index.
 IndexArg = Union[None, bool, GraphIndex]
 
-#: Process-wide index backend: ``"compact"`` (interned ids + CSR buffers,
-#: the default) or ``"dict"`` (the per-entry reference implementation).
-#: Both produce byte-identical query answers; the env var seeds the
-#: default so CI smokes and benchmarks can pin a backend per process.
-_INDEX_BACKENDS = ("compact", "dict")
-_index_backend = os.environ.get("REPRO_INDEX_BACKEND", "compact")
-if _index_backend not in _INDEX_BACKENDS:  # pragma: no cover - env guard
-    _index_backend = "compact"
-
-
-def index_backend() -> str:
-    """The active index backend name (``"compact"`` or ``"dict"``)."""
-    return _index_backend
-
-
-def set_index_backend(name: str) -> str:
-    """Select the backend :func:`get_index` builds; returns the previous one.
-
-    Already-cached indexes are not evicted — they remain valid (both
-    backends answer identically) until the graph mutates.
-    """
-    global _index_backend
-    if name not in _INDEX_BACKENDS:
-        raise ValueError(
-            f"unknown index backend {name!r}; expected one of {_INDEX_BACKENDS}"
-        )
-    previous = _index_backend
-    _index_backend = name
-    return previous
-
-
-def _build_index(graph: LabeledGraph) -> GraphIndex:
-    if _index_backend == "compact":
-        from .compact import CompactGraphIndex
-
-        return CompactGraphIndex(graph)
-    return GraphIndex(graph)
-
 
 def get_index(graph: LabeledGraph) -> GraphIndex:
     """The cached index for ``graph``, (re)building after any mutation.
 
-    Builds with the active backend (:func:`index_backend`) on a cache
-    miss and publishes the ``repro_index_bytes`` /
-    ``repro_index_intern_entries`` footprint gauges for the fresh build.
+    Publishes the ``repro_index_bytes`` / ``repro_index_intern_entries``
+    footprint gauges for each fresh build.
     """
     cached = graph.cached_index()
     if isinstance(cached, GraphIndex) and cached.is_current():
-        # A backend switch invalidates caches lazily: a cached index of
-        # the wrong flavor is rebuilt on next access, not eagerly.
-        from .compact import CompactGraphIndex
-
-        want_compact = _index_backend == "compact"
-        if isinstance(cached, CompactGraphIndex) == want_compact:
-            return cached
-    index = _build_index(graph)
+        return cached
+    index = GraphIndex(graph)
     graph.cache_index(index)
     _metrics.gauge("repro_index_bytes").set(index.nbytes())
-    _metrics.gauge("repro_index_intern_entries").set(
-        getattr(index, "intern_entries", lambda: 0)()
-    )
+    _metrics.gauge("repro_index_intern_entries").set(index.intern_entries())
     return index
 
 

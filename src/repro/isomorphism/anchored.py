@@ -6,11 +6,12 @@ pattern node ``v`` and data vertex ``u``: *does any occurrence map v to
 u?*  Each such question is a subgraph-isomorphism search with one
 assignment pinned in advance, which this module provides.
 
-The search reuses the VF2 engine's feasibility logic but fixes the anchor
-before exploring, and stops at the first witness.  Candidate vertices for
-anchoring are seeded from the graph index's pre-sorted inverted lists when
-an index is in play (the default), which also accelerates every inner
-anchored search via label-filtered adjacency and signature filtering.
+The search fixes the anchor before exploring and stops at the first
+witness.  With an index (the default) candidate vertices for anchoring
+come straight off the index's interned inverted lists, and every inner
+anchored search runs over interned ids with label-filtered CSR segments
+and signature filtering; with ``index=False`` the VF2 engine's brute-force
+candidate and feasibility logic runs instead, in the same canonical order.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..graph.labeled_graph import LabeledGraph, Vertex
-from ..index.compact import CompactGraphIndex
-from ..index.graph_index import IndexArg, resolve_index
+from ..index.graph_index import GraphIndex, IndexArg, resolve_index
 from ..obs import metrics as _metrics
 from .vf2 import (
     Mapping,
@@ -34,7 +34,7 @@ from ..graph.pattern import Pattern
 class _AnchoredPlan:
     """Static int-id probe plan for one set of anchored pattern nodes.
 
-    Mirrors :class:`repro.isomorphism.vf2._CompactPlan`, except that the
+    Mirrors :class:`repro.isomorphism.vf2._IndexedPlan`, except that the
     mapped pattern neighbors at each depth may also be anchors: prior
     references ``>= 0`` index the sub-order depth, references ``< 0``
     index the anchor tuple as ``-(i + 1)``.  Anchor images vary per
@@ -58,7 +58,7 @@ class _AnchoredPlan:
     def __init__(
         self,
         pattern: Pattern,
-        ci: CompactGraphIndex,
+        ci: GraphIndex,
         order: List[Vertex],
         anchor_nodes: Tuple[Vertex, ...],
     ) -> None:
@@ -127,9 +127,9 @@ class AnchoredSearch:
     Anchored probes come in bursts — lazy MNI asks "does any occurrence
     map v to u?" once per candidate data vertex — so the per-pattern setup
     (index resolution, matching order, node signature requirements) is
-    computed once here and shared across every probe.  With a compact
-    index the probes additionally run entirely over interned ids
-    (:class:`_AnchoredPlan`), decoding only yielded mappings.
+    computed once here and shared across every probe.  With an index the
+    probes run entirely over interned ids (:class:`_AnchoredPlan`),
+    decoding only yielded mappings.
     """
 
     __slots__ = (
@@ -138,7 +138,6 @@ class AnchoredSearch:
         "resolved",
         "requirements",
         "order",
-        "_compact",
         "_plans",
         "_scratch",
     )
@@ -156,25 +155,20 @@ class AnchoredSearch:
             _node_requirements(pattern) if self.resolved is not None else None
         )
         self.order = _matching_order(pattern, data)
-        self._compact = (
-            self.resolved
-            if isinstance(self.resolved, CompactGraphIndex)
-            else None
-        )
         self._plans: Dict[FrozenSet[Vertex], _AnchoredPlan] = {}
         self._scratch: Optional[bytearray] = None
 
-    # -- compact probe machinery ---------------------------------------
+    # -- indexed probe machinery ---------------------------------------
     def _plan_for(self, anchor_nodes: Tuple[Vertex, ...]) -> _AnchoredPlan:
         key = frozenset(anchor_nodes)
         plan = self._plans.get(key)
         if plan is None:
-            plan = _AnchoredPlan(self.pattern, self._compact, self.order, anchor_nodes)
+            plan = _AnchoredPlan(self.pattern, self.resolved, self.order, anchor_nodes)
             self._plans[key] = plan
         return plan
 
-    def _compact_domain(self, plan: _AnchoredPlan, depth, images, anchor_vints):
-        ci = self._compact
+    def _indexed_domain(self, plan: _AnchoredPlan, depth, images, anchor_vints):
+        ci = self.resolved
         li = plan.lints[depth]
         refs = plan.prior[depth]
         if not refs:
@@ -209,7 +203,7 @@ class AnchoredSearch:
         is explored depth-first over interned ids with an early exit at
         the first witness.
         """
-        ci = self._compact
+        ci = self.resolved
         plan = self._plan_for((node,))
         if plan.empty:
             return False
@@ -376,11 +370,11 @@ class AnchoredSearch:
         finally:
             used[vint] = 0
 
-    def _iter_from_compact(
+    def _iter_from_indexed(
         self, anchors: Mapping, limit: Optional[int]
     ) -> Iterator[Mapping]:
-        """Compact backtracking for validated anchors (decoded yields)."""
-        ci = self._compact
+        """Int-id backtracking for validated anchors (decoded yields)."""
+        ci = self.resolved
         anchor_nodes = tuple(anchors)
         plan = self._plan_for(anchor_nodes)
         if plan.empty:
@@ -412,7 +406,7 @@ class AnchoredSearch:
                     mapping[suborder[d]] = decode[images[d]]
                 yield mapping
                 return
-            row, start, stop, other_sets = self._compact_domain(
+            row, start, stop, other_sets = self._indexed_domain(
                 plan, depth, images, anchor_vints
             )
             requirement = requirement_items[depth]
@@ -479,15 +473,13 @@ class AnchoredSearch:
             if u in anchors and v in anchors:
                 if not data.has_edge(anchors[u], anchors[v]):
                     return
-        if resolved is not None and requirements is not None:
+        if resolved is not None:
             # The signature filter applies to anchors too: an anchor whose
             # neighborhood cannot host its pattern neighbors has no witness.
             for node, vertex in anchors.items():
                 if not resolved.dominates(vertex, requirements[node]):
                     return
-
-        if self._compact is not None:
-            yield from self._iter_from_compact(anchors, limit)
+            yield from self._iter_from_indexed(anchors, limit)
             return
 
         order = [node for node in self.order if node not in anchors]
@@ -504,13 +496,8 @@ class AnchoredSearch:
                 yield dict(mapping)
                 return
             node = order[depth]
-            for vertex in _candidate_data_vertices(
-                pattern, data, node, mapping, resolved
-            ):
-                if not _is_feasible(
-                    pattern, data, node, vertex, mapping, used, False,
-                    resolved, requirements,
-                ):
+            for vertex in _candidate_data_vertices(pattern, data, node, mapping):
+                if not _is_feasible(pattern, data, node, vertex, mapping, used, False):
                     continue
                 mapping[node] = vertex
                 used.add(vertex)
@@ -524,7 +511,7 @@ class AnchoredSearch:
 
     def has_witness(self, node: Vertex, vertex: Vertex) -> bool:
         """True when some occurrence maps pattern ``node`` to ``vertex``."""
-        ci = self._compact
+        ci = self.resolved
         if ci is not None and self.pattern.graph.has_vertex(node):
             try:
                 vint = ci._live_vint(vertex)
@@ -575,13 +562,13 @@ def valid_images(
     ``stop_after`` truncates the scan once that many images are confirmed —
     the heart of lazy MNI: deciding "support >= t" needs only t images per
     node, not the full occurrence set.  Candidates come straight from the
-    index's pre-sorted inverted list (or a sorted set copy in brute mode);
+    index's interned inverted list (or a sorted set copy in brute mode);
     either way the scan order is the canonical one.  One shared
     :class:`AnchoredSearch` context serves every probe in the scan.
     """
     label = pattern.label_of(node)
     search = AnchoredSearch(pattern, data, index=index)
-    ci = search._compact
+    ci = search.resolved
     if ci is not None:
         # Probe straight off the interned inverted list: the label match
         # is implied by list membership, so each candidate goes directly
@@ -599,12 +586,8 @@ def valid_images(
                 if stop_after is not None and len(images) >= stop_after:
                     break
         return images
-    if search.resolved is not None:
-        candidates = search.resolved.vertices_with_label(label)
-    else:
-        candidates = sorted(data.vertices_with_label(label), key=repr)
     images: List[Vertex] = []
-    for vertex in candidates:
+    for vertex in sorted(data.vertices_with_label(label), key=repr):
         if search.has_witness(node, vertex):
             images.append(vertex)
             if stop_after is not None and len(images) >= stop_after:

@@ -10,19 +10,21 @@ This is the matcher behind every occurrence enumeration in the library
 * full adjacency consistency checks against already-mapped nodes.
 
 When a :class:`~repro.index.GraphIndex` is available (the default — see the
-``index`` parameter) the search additionally uses:
+``index`` parameter) the search runs over the index's interned ids and
+additionally uses:
 
-* pre-sorted inverted lists and per-vertex label-filtered adjacency for
-  candidate domains (no per-call set copies or ``repr`` sorts);
+* pre-sorted inverted lists and per-vertex label-filtered CSR segments
+  for candidate domains (no per-call set copies or ``repr`` sorts);
 * intersection over *all* mapped pattern neighbors, anchored at the one
-  with the smallest compatible adjacency list;
+  with the smallest compatible adjacency segment;
 * neighbor-label signature dominance filtering (a data vertex must carry,
   per label, at least as many neighbors as the pattern node requires).
 
-Both modes explore candidates in the same canonical order and the extra
-filters only cut subtrees that cannot complete, so indexed and brute-force
-enumeration yield byte-identical occurrence sequences (asserted by
-``tests/test_index_equivalence.py``).
+With ``index=False`` (and for induced matching) the brute-force reference
+engine runs instead.  Both explore candidates in the same canonical order
+and the extra filters only cut subtrees that cannot complete, so indexed
+and brute-force enumeration yield byte-identical occurrence sequences
+(asserted by ``tests/test_index_equivalence.py``).
 
 Two entry points:
 
@@ -38,7 +40,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from ..graph.labeled_graph import Label, LabeledGraph, Vertex
 from ..graph.pattern import Pattern
-from ..index.compact import CompactGraphIndex
 from ..index.graph_index import GraphIndex, IndexArg, resolve_index
 from ..obs import metrics as _metrics
 
@@ -100,13 +101,13 @@ def _node_requirements(pattern: Pattern) -> Dict[Vertex, Dict[Label, int]]:
     return requirements
 
 
-class _CompactPlan:
+class _IndexedPlan:
     """Static search plan over interned ids for one (pattern, data) pair.
 
     Precomputes, per depth of the matching order: the pattern node's
     interned label, the depths of its already-mapped pattern neighbors,
     its degree requirement, and its neighbor-label signature requirement
-    as ``(lint, count)`` pairs.  Shared by the compact collector and
+    as ``(lint, count)`` pairs.  Shared by the indexed collector and
     generator drivers (and mirrored by the anchored engine) so the
     engines can never diverge on domain computation.
 
@@ -117,9 +118,7 @@ class _CompactPlan:
 
     __slots__ = ("order", "lints", "prior", "min_deg", "reqs", "empty")
 
-    def __init__(
-        self, pattern: Pattern, ci: CompactGraphIndex, order: List[Vertex]
-    ) -> None:
+    def __init__(self, pattern: Pattern, ci: GraphIndex, order: List[Vertex]) -> None:
         pattern_graph = pattern.graph
         lint_of = ci.table._lint_of
         inv = ci._inv
@@ -148,9 +147,10 @@ class _CompactPlan:
             self.min_deg.append(len(neighbors))
             if len(prior) < len(neighbors):
                 # Signature requirements only help while some pattern
-                # neighbor is still unmapped (same rule as the dict
-                # collector); requirement labels all label order nodes,
-                # so their lints exist when the plan is non-empty.
+                # neighbor is still unmapped: once every neighbor is
+                # mapped and adjacent, the vertex trivially dominates
+                # its requirement.  Requirement labels all label order
+                # nodes, so their lints exist when the plan is non-empty.
                 self.reqs.append(
                     tuple(
                         (lint_of[label], count)
@@ -161,18 +161,16 @@ class _CompactPlan:
                 self.reqs.append(None)
 
 
-def _compact_domain(ci: CompactGraphIndex, plan: _CompactPlan, depth: int, images):
+def _indexed_domain(ci: GraphIndex, plan: _IndexedPlan, depth: int, images):
     """Candidate domain at ``depth``: ``(row, start, stop, other_sets)``.
 
     The domain is the smallest label-filtered CSR segment among the
     mapped pattern neighbors' images (ties resolved to the earliest
-    anchor, as in :func:`_indexed_candidate_domain`), with the other
-    anchors' segments returned as membership sets; with no anchors it is
-    the inverted list.  Iterating ``row[start:stop]`` filtered by
-    ``other_sets`` visits exactly the dict engine's candidates in the
-    same canonical order.  The hot engines below inline this logic; this
-    helper is the readable reference (and serves the anchored engine's
-    generator path).
+    anchor), with the other anchors' segments returned as membership
+    sets; with no anchors it is the inverted list.  Iterating
+    ``row[start:stop]`` filtered by ``other_sets`` visits candidates in
+    canonical order.  The collector inlines this logic; this helper is
+    the readable reference and serves the generator.
     """
     li = plan.lints[depth]
     anchors = plan.prior[depth]
@@ -198,13 +196,13 @@ def _compact_domain(ci: CompactGraphIndex, plan: _CompactPlan, depth: int, image
     return row, start, stop, other_sets
 
 
-def _collect_items_compact(
+def _collect_items_indexed(
     pattern: Pattern,
     data: LabeledGraph,
-    ci: CompactGraphIndex,
+    ci: GraphIndex,
     limit: Optional[int],
 ):
-    """Compact twin of the collector engine: int-id search, decoded results.
+    """Indexed collector engine: int-id search, decoded results.
 
     The recursion inlines the CSR directory scans (segment lookup and
     signature-requirement counting) rather than calling the index
@@ -217,7 +215,7 @@ def _collect_items_compact(
     since they are branch-independent.
     """
     order = _matching_order(pattern, data)
-    plan = _CompactPlan(pattern, ci, order)
+    plan = _IndexedPlan(pattern, ci, order)
     if plan.empty:
         return []
     depth_count = len(order)
@@ -373,13 +371,13 @@ def _collect_items_compact(
     return results
 
 
-def _iter_mappings_compact(
+def _iter_mappings_indexed(
     pattern: Pattern,
     data: LabeledGraph,
-    ci: CompactGraphIndex,
+    ci: GraphIndex,
     limit: Optional[int],
 ) -> Iterator[Mapping]:
-    """Compact twin of the generator engine (non-induced matching only).
+    """Indexed generator engine (non-induced matching only).
 
     Shares the collector's pruning structure: requirement verdicts are
     memoized per (depth, vint), and the degree/requirement checks are
@@ -388,7 +386,7 @@ def _iter_mappings_compact(
     byte-identity-safe).
     """
     order = _matching_order(pattern, data)
-    plan = _CompactPlan(pattern, ci, order)
+    plan = _IndexedPlan(pattern, ci, order)
     if plan.empty:
         return
     depth_count = len(order)
@@ -416,7 +414,7 @@ def _iter_mappings_compact(
                 order[d]: decode[images[d]] for d in range(depth_count)
             }
             return
-        row, start, stop, other_sets = _compact_domain(ci, plan, depth, images)
+        row, start, stop, other_sets = _indexed_domain(ci, plan, depth, images)
         requirement = requirement_items[depth]
         min_degree = min_degrees[depth]
         memo = req_memo[depth]
@@ -457,57 +455,20 @@ def _iter_mappings_compact(
     yield from backtrack(0)
 
 
-def _indexed_candidate_domain(
-    index: GraphIndex,
-    data: LabeledGraph,
-    label: Label,
-    anchor_images: List[Vertex],
-) -> Iterable[Vertex]:
-    """Candidate domain from the index, in canonical order.
-
-    ``anchor_images`` are the (already distinct) images of the node's
-    mapped pattern neighbors.  The domain is the smallest label-filtered
-    adjacency list among them, intersected with the other anchors'
-    adjacency; with no anchors it is the inverted list.  This single
-    helper serves both the generator and collector engines so the two can
-    never diverge on domain computation.
-    """
-    if not anchor_images:
-        return index.vertices_with_label(label)
-    best_image = anchor_images[0]
-    best = index.neighbors_with_label(best_image, label)
-    for image in anchor_images[1:]:
-        narrowed = index.neighbors_with_label(image, label)
-        if len(narrowed) < len(best):
-            best, best_image = narrowed, image
-    if len(anchor_images) == 1:
-        return best
-    other_sets = [
-        data.neighbors(image) for image in anchor_images if image != best_image
-    ]
-    return [v for v in best if all(v in nbrs for nbrs in other_sets)]
-
-
 def _candidate_data_vertices(
     pattern: Pattern,
     data: LabeledGraph,
     node: Vertex,
     mapping: Mapping,
-    index: Optional[GraphIndex] = None,
 ) -> Iterable[Vertex]:
     """Data vertices that could host ``node`` given the partial ``mapping``.
 
     If ``node`` has a mapped pattern neighbor, candidates come from that
-    neighbor's image's adjacency (cheap); otherwise from the label index.
-    With an index, the adjacency lists are pre-sorted and the domain is
-    intersected over every mapped neighbor.
+    neighbor's image's adjacency (cheap); otherwise from the label's
+    vertex set.  Either way they are sorted into canonical order.
     """
     label = pattern.label_of(node)
     mapped_neighbors = [n for n in pattern.graph.neighbors(node) if n in mapping]
-    if index is not None:
-        return _indexed_candidate_domain(
-            index, data, label, [mapping[n] for n in mapped_neighbors]
-        )
     if mapped_neighbors:
         anchor = mapping[mapped_neighbors[0]]
         candidates: Set[Vertex] = data.neighbors_with_label(anchor, label)
@@ -524,17 +485,12 @@ def _is_feasible(
     mapping: Mapping,
     used: Set[Vertex],
     induced: bool,
-    index: Optional[GraphIndex] = None,
-    requirements: Optional[Dict[Vertex, Dict[Label, int]]] = None,
 ) -> bool:
     """Check injectivity, degree, and adjacency consistency for node→vertex."""
     if vertex in used:
         return False
     if data.degree(vertex) < pattern.graph.degree(node):
         return False
-    if index is not None and requirements is not None:
-        if not index.dominates(vertex, requirements[node]):
-            return False
     data_neighbors = data.neighbors(vertex)
     for pattern_neighbor in pattern.graph.neighbors(node):
         image = mapping.get(pattern_neighbor)
@@ -574,7 +530,9 @@ def find_subgraph_isomorphisms(
         forces the brute-force reference path; a ``GraphIndex`` instance
         is used when it is current for this data graph, and silently
         replaced by a fresh cached index otherwise (staleness safety
-        net).  All modes yield identical occurrence sequences.
+        net).  All modes yield identical occurrence sequences.  Induced
+        matching ignores the index and always runs the brute-force
+        engine.
 
     Yields
     ------
@@ -583,13 +541,13 @@ def find_subgraph_isomorphisms(
     _metrics.counter("repro_match_vf2_calls").inc()
     if pattern.num_nodes > data.num_vertices:
         return
-    resolved = resolve_index(data, index)
-    if isinstance(resolved, CompactGraphIndex) and not induced:
-        # Int-id fast path (induced matching stays on the generic path,
-        # which works against the compact index's decoded API).
-        yield from _iter_mappings_compact(pattern, data, resolved, limit)
-        return
-    requirements = _node_requirements(pattern) if resolved is not None else None
+    if not induced:
+        resolved = resolve_index(data, index)
+        if resolved is not None:
+            yield from _iter_mappings_indexed(pattern, data, resolved, limit)
+            return
+    # The brute-force reference engine; induced matching always runs
+    # here, since the int-id engine does not check non-edges.
     order = _matching_order(pattern, data)
     mapping: Mapping = {}
     used: Set[Vertex] = set()
@@ -604,11 +562,8 @@ def find_subgraph_isomorphisms(
             yield dict(mapping)
             return
         node = order[depth]
-        for vertex in _candidate_data_vertices(pattern, data, node, mapping, resolved):
-            if not _is_feasible(
-                pattern, data, node, vertex, mapping, used, induced,
-                resolved, requirements,
-            ):
+        for vertex in _candidate_data_vertices(pattern, data, node, mapping):
+            if not _is_feasible(pattern, data, node, vertex, mapping, used, induced):
                 continue
             mapping[node] = vertex
             used.add(vertex)
@@ -632,11 +587,11 @@ def collect_subgraph_isomorphism_items(
     This is the hot-path twin of :func:`find_subgraph_isomorphisms`: the
     same search in the same exploration order, but collecting into a list
     with per-depth static precomputation (anchor neighbors, prior-neighbor
-    adjacency checks, degree requirements, signature requirements) instead
-    of resuming a generator chain per node.  Items come back pre-sorted in
-    the canonical ``repr`` node order — exactly what
-    :meth:`Occurrence.from_mapping` would produce — so occurrence
-    construction skips its per-occurrence sort.
+    adjacency checks, degree requirements, and on the indexed engine
+    signature requirements) instead of resuming a generator chain per
+    node.  Items come back pre-sorted in the canonical ``repr`` node
+    order — exactly what :meth:`Occurrence.from_mapping` would produce —
+    so occurrence construction skips its per-occurrence sort.
 
     The equivalence suite pins this against the generator engine in both
     indexed and brute modes.
@@ -647,8 +602,8 @@ def collect_subgraph_isomorphism_items(
     if limit is not None and limit <= 0:
         return []  # mirror the generator engine: limit=0 yields nothing
     resolved = resolve_index(data, index)
-    if isinstance(resolved, CompactGraphIndex):
-        return _collect_items_compact(pattern, data, resolved, limit)
+    if resolved is not None:
+        return _collect_items_indexed(pattern, data, resolved, limit)
     order = _matching_order(pattern, data)
     pattern_graph = pattern.graph
 
@@ -665,23 +620,8 @@ def collect_subgraph_isomorphism_items(
         neighbors = pattern_graph.neighbors(node)
         prior_neighbors.append([n for n in neighbors if position[n] < depth])
         min_degrees.append(len(neighbors))
-    # Signature requirements only help while some pattern neighbor is
-    # still unmapped: once every neighbor is mapped and adjacent, the
-    # vertex trivially dominates its requirement.
-    requirement_items: List[Optional[tuple]] = [None] * depth_count
-    if resolved is not None:
-        requirements = _node_requirements(pattern)
-        for depth, node in enumerate(order):
-            if len(prior_neighbors[depth]) < min_degrees[depth]:
-                requirement_items[depth] = tuple(requirements[node].items())
 
-    if resolved is not None:
-        degree_get = resolved.degree_map().__getitem__
-        signature_map = resolved.signature_map()
-    else:
-        degree_get = data.degree
-        signature_map = None
-
+    degree = data.degree
     data_neighbors = data.neighbors
     results: List[tuple] = []
     mapping: Mapping = {}
@@ -696,36 +636,19 @@ def collect_subgraph_isomorphism_items(
         node = order[depth]
         label = labels[depth]
         anchors = prior_neighbors[depth]
-        if resolved is not None:
-            candidates = _indexed_candidate_domain(
-                resolved, data, label, [mapping[n] for n in anchors]
-            )
+        if anchors:
+            pool = data.neighbors_with_label(mapping[anchors[0]], label)
         else:
-            if anchors:
-                pool = data.neighbors_with_label(mapping[anchors[0]], label)
-            else:
-                pool = data.vertices_with_label(label)
-            candidates = sorted(pool, key=repr)
+            pool = data.vertices_with_label(label)
         min_degree = min_degrees[depth]
-        requirement = requirement_items[depth]
-        # Indexed candidates are drawn from (and intersected over) every
-        # anchor's adjacency, so the per-candidate adjacency loop is only
-        # needed on the brute path, where candidates come from one anchor.
-        check_neighbors = anchors[1:] if resolved is None else ()
-        for vertex in candidates:
+        # Candidates come from the first anchor's adjacency; the other
+        # anchors are checked per candidate.
+        check_neighbors = anchors[1:]
+        for vertex in sorted(pool, key=repr):
             if vertex in used:
                 continue
-            if degree_get(vertex) < min_degree:
+            if degree(vertex) < min_degree:
                 continue
-            if requirement is not None:
-                signature = signature_map[vertex]
-                ok = True
-                for req_label, count in requirement:
-                    if signature.get(req_label, 0) < count:
-                        ok = False
-                        break
-                if not ok:
-                    continue
             if check_neighbors:
                 nbrs = data_neighbors(vertex)
                 ok = True

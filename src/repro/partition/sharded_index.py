@@ -627,17 +627,15 @@ class ShardedIndex(MaintainableIndex):
     ) -> LabeledGraph:
         """Compute one halo-expanded view from scratch (no cache lookup).
 
-        When the source graph carries a current compact index, the BFS
+        When the source graph carries a current index, the BFS
         runs over the CSR rows with interned ids (one list index per
         neighbor instead of a hash probe per visit) and the kept set is
         decoded once at the end.
         """
-        from ..index.compact import CompactGraphIndex
-
         cached_index = self.graph.cached_index()
         if (
             depth > 0
-            and isinstance(cached_index, CompactGraphIndex)
+            and isinstance(cached_index, GraphIndex)
             and cached_index.is_current()
         ):
             ci = cached_index

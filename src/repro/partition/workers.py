@@ -59,7 +59,6 @@ from ..errors import PartitionError
 from ..graph.labeled_graph import Edge, LabeledGraph, Vertex
 from ..graph.pattern import Pattern
 from ..index.compact import projected_index_nbytes
-from ..index.graph_index import index_backend
 from ..obs import metrics as _metrics
 from .evaluate import (
     anchored_occurrence_items,
@@ -701,10 +700,9 @@ class ShardPager:
     ``resident_weight`` / ``peak_resident_weight`` account resident view
     footprints deterministically via
     :func:`repro.index.compact.projected_index_nbytes` — the analytic
-    byte cost of the active backend's index over each non-alias view —
-    so paging decisions track what a view actually costs to keep hot
-    (the compact backend projects a few times lighter than the dict
-    one).  The out-of-core and footprint benchmarks gate on these.
+    byte cost of an index over each non-alias view — so paging
+    decisions track what a view actually costs to keep hot.  The
+    out-of-core benchmark gates on these.
     """
 
     def __init__(
@@ -782,7 +780,6 @@ class ShardPager:
             view.num_vertices,
             view.num_edges,
             len(view.label_alphabet()),
-            index_backend(),
         )
 
     @property

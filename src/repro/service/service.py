@@ -7,12 +7,12 @@ surfaces — in-process callers, the ``repro serve`` daemon, and
 * **one writer thread** owns the live graph.  Update batches are
   submitted as tickets and applied in order through
   :class:`~repro.mining.dynamic.StreamApplier` (sliding-window rules
-  included); after each batch the writer publishes a new snapshot
-  version and — when a *maintenance spec* is configured — refreshes its
-  :class:`~repro.mining.dynamic.DynamicMiner` (O(delta) reuse/skip over
-  the existing maintainer stack) and caches the result at the new
-  version, so readers asking the maintained question are pure cache
-  hits;
+  included); after each batch the writer — when a *maintenance spec* is
+  configured — refreshes its :class:`~repro.mining.dynamic.DynamicMiner`
+  (O(delta) reuse/skip over the existing maintainer stack) and caches
+  the result at the new version, and only then publishes that version
+  as a new snapshot, so readers asking the maintained question are pure
+  cache hits;
 * **readers never touch the live graph.**  A mine request pins an
   immutable snapshot from the :class:`SnapshotRegistry`, consults the
   :class:`ResultCache` at the pinned version, and only on a miss runs a
@@ -181,11 +181,15 @@ class GraphService:
 
     def _apply_batch(self, updates: Sequence[GraphUpdate]) -> BatchInfo:
         applied, expired = self._applier.apply_batch(updates)
-        version = self.registry.publish()
         result = None
         if self._miner is not None:
+            # Cache the maintained result before the version is published:
+            # a reader that pins the new tip must find it, never re-mine.
             result = self._miner.refresh()
-            self.cache.put(version, self._maintain.cache_key(), result)
+            self.cache.put(
+                self._graph.mutation_version(), self._maintain.cache_key(), result
+            )
+        version = self.registry.publish()
         # Version advance is the one invalidation rule: entries for
         # versions nobody can reach anymore (older than tip, unpinned)
         # are dead weight; pinned versions keep their entries.
@@ -216,8 +220,8 @@ class GraphService:
         """Queue one update batch for the writer; returns its ticket.
 
         The ticket resolves to a :class:`BatchInfo` once the writer has
-        applied the batch, published the new snapshot version, and (with
-        a maintenance spec) refreshed + cached the maintained result.
+        applied the batch, (with a maintenance spec) refreshed + cached
+        the maintained result, and published the new snapshot version.
         """
         return self._submit_command("batch", list(updates))
 

@@ -1,7 +1,7 @@
-"""Compact-core tests: LabelTable interning, CSR patching, backend switch.
+"""Compact-core tests: LabelTable interning, CSR patching, footprints.
 
-The compact index must be indistinguishable from the dict index through
-every decoded query, and its O(delta) CSR splices must land exactly
+Every decoded view of the index must equal the same view computed
+straight from the graph, and its O(delta) CSR splices must land exactly
 where a from-scratch rebuild would put them — under randomized mixed
 insert/delete/window churn, not just single-delta unit cases.  The
 intern table may keep tombstones while patching (slots are never
@@ -17,36 +17,82 @@ import pytest
 from repro.datasets.synthetic import random_labeled_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.index import (
-    CompactGraphIndex,
     GraphIndex,
     IndexMaintainer,
     LabelTable,
     get_index,
-    index_backend,
     projected_index_nbytes,
-    set_index_backend,
 )
+from repro.index import graph_index as graph_index_module
+from repro.index.graph_index import _label_pair_key
+from repro.obs import metrics as metrics_mod
+from repro.obs.metrics import MetricsRegistry
+
+
+def pair_edge_lists(index):
+    """The label-pair edge lists, decoded (no query method reads them)."""
+    label_of, vertex_of = index.table.label_of, index.table.vertex_of
+    return {
+        (label_of[a], label_of[b]): tuple(
+            (vertex_of[arr[i]], vertex_of[arr[i + 1]]) for i in range(0, len(arr), 2)
+        )
+        for (a, b), arr in index._pair_edges.items()
+    }
 
 
 def decoded_view(index, graph):
-    """Every decoded query the rest of the library can ask an index."""
+    """Every decoded view of the index's buffers."""
     labels = graph.label_alphabet()
     return {
         "hist": index.label_histogram(),
         "adj_pairs": index.adjacent_label_pairs(),
         "pairs": index.distinct_edge_label_pairs(),
-        "deg": index.degree_map(),
-        "sig": index.signature_map(),
+        "deg": {v: index.degree_of(v) for v in graph.vertices()},
+        "sig": {v: index.signature_of(v) for v in graph.vertices()},
         "inv": {label: index.vertices_with_label(label) for label in labels},
         "nwl": {
             (v, label): index.neighbors_with_label(v, label)
             for v in graph.vertices()
             for label in labels
         },
-        "edges": {
-            pair: index.edges_with_labels(*pair)
-            for pair in index.distinct_edge_label_pairs()
+        "edges": pair_edge_lists(index),
+    }
+
+
+def graph_view(graph):
+    """What :func:`decoded_view` must show, computed by brute force."""
+    labels = graph.label_alphabet()
+    label_of = graph.label_of
+    edges = {}
+    for u, v in graph.edges():
+        edges.setdefault(_label_pair_key(label_of(u), label_of(v)), []).append((u, v))
+    return {
+        "hist": graph.label_histogram(),
+        "adj_pairs": frozenset(
+            pair
+            for u, v in graph.edges()
+            for pair in ((label_of(u), label_of(v)), (label_of(v), label_of(u)))
+        ),
+        "pairs": sorted(edges, key=repr),
+        "deg": {v: graph.degree(v) for v in graph.vertices()},
+        "sig": {
+            v: {
+                label: len(graph.neighbors_with_label(v, label))
+                for label in labels
+                if graph.neighbors_with_label(v, label)
+            }
+            for v in graph.vertices()
         },
+        "inv": {
+            label: tuple(sorted(graph.vertices_with_label(label), key=repr))
+            for label in labels
+        },
+        "nwl": {
+            (v, label): tuple(sorted(graph.neighbors_with_label(v, label), key=repr))
+            for v in graph.vertices()
+            for label in labels
+        },
+        "edges": {pair: tuple(members) for pair, members in edges.items()},
     }
 
 
@@ -71,70 +117,67 @@ class TestLabelTable:
         assert table.nbytes() > 0
 
 
-class TestBackendSwitch:
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        previous = index_backend()
-        yield
-        set_index_backend(previous)
+class TestIndexClass:
+    @pytest.fixture
+    def fresh_registry(self):
+        registry = MetricsRegistry()
+        previous = metrics_mod.set_registry(registry)
+        yield registry
+        metrics_mod.set_registry(previous)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_index_backend("sparse-matrix")
-
-    def test_switch_returns_previous(self):
-        first = set_index_backend("dict")
-        assert first in ("dict", "compact")
-        assert set_index_backend("compact") == "dict"
-
-    def test_get_index_follows_backend(self):
+    def test_get_index_builds_and_caches_the_one_index_class(self):
+        # Callers (and instrumentation wrapping ``GraphIndex.__init__``)
+        # rely on every index being built through this one binding.
+        assert graph_index_module.GraphIndex is GraphIndex
         graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=5)
-        set_index_backend("dict")
         index = get_index(graph)
         assert type(index) is GraphIndex
-        set_index_backend("compact")
-        index = get_index(graph)
-        assert isinstance(index, CompactGraphIndex)
-        # The compact cache keeps serving while the backend is compact.
         assert get_index(graph) is index
+        graph.add_vertex("fresh", "B")
+        rebuilt = get_index(graph)
+        assert type(rebuilt) is GraphIndex and rebuilt is not index
+        assert "fresh" in rebuilt.vertices_with_label("B")
+
+    def test_get_index_publishes_footprint_gauges(self, fresh_registry):
+        graph = random_labeled_graph(20, 0.25, alphabet=("A", "B", "C"), seed=9)
+        index = get_index(graph)
+        assert fresh_registry.gauge("repro_index_bytes").value == index.nbytes()
+        assert (
+            fresh_registry.gauge("repro_index_intern_entries").value
+            == index.intern_entries()
+        )
 
 
 class TestCompactFootprint:
-    def test_compact_smaller_than_dict(self):
-        graph = random_labeled_graph(40, 0.2, alphabet=("A", "B", "C"), seed=11)
-        dict_bytes = GraphIndex.build(graph).nbytes()
-        compact_bytes = CompactGraphIndex(graph).nbytes()
-        assert compact_bytes < dict_bytes / 2
-
     def test_projected_footprint_tracks_nbytes(self):
         # The projection is the pager's cost model: it must land within a
-        # small constant factor of the measured footprint for both
-        # backends and preserve the compact-vs-dict ordering.
+        # small constant factor of the measured footprint.
         for seed, size, p in ((3, 30, 0.2), (7, 80, 0.12), (19, 150, 0.08)):
             graph = random_labeled_graph(
                 size, p, alphabet=("A", "B", "C", "D"), seed=seed
             )
-            num_labels = len(graph.label_alphabet())
-            for backend, index in (
-                ("dict", GraphIndex.build(graph)),
-                ("compact", CompactGraphIndex(graph)),
-            ):
-                projected = projected_index_nbytes(
-                    graph.num_vertices, graph.num_edges, num_labels, backend
-                )
-                measured = index.nbytes()
-                assert measured / 3 <= projected <= measured * 3
-        projected_dict = projected_index_nbytes(100, 300, 4, "dict")
-        projected_compact = projected_index_nbytes(100, 300, 4, "compact")
-        assert projected_compact <= 0.7 * projected_dict
+            projected = projected_index_nbytes(
+                graph.num_vertices, graph.num_edges, len(graph.label_alphabet())
+            )
+            measured = GraphIndex(graph).nbytes()
+            assert measured / 3 <= projected <= measured * 3
+
+    def test_rebuild_sheds_tombstone_bytes(self):
+        # Patching never recycles slots, so a long window stream leaves
+        # the patched buffers larger than the live graph needs; a rebuild
+        # must price exactly like a fresh build of the live graph.
+        for seed in (6, 18, 27):
+            graph, index = _window_stream(seed)
+            rebuilt = index.rebuilt()
+            assert rebuilt.nbytes() == GraphIndex(graph).nbytes()
+            assert rebuilt.nbytes() < index.nbytes()
 
     def test_intern_entries_counts_table(self):
         graph = random_labeled_graph(15, 0.3, alphabet=("A", "B"), seed=2)
-        index = CompactGraphIndex(graph)
+        index = GraphIndex(graph)
         assert index.intern_entries() == graph.num_vertices + len(
             graph.label_alphabet()
         )
-        assert GraphIndex.build(graph).intern_entries() == 0
 
 
 def _random_mutation(rng: random.Random, graph: LabeledGraph, next_id: list) -> None:
@@ -159,6 +202,29 @@ def _random_mutation(rng: random.Random, graph: LabeledGraph, next_id: list) -> 
         graph.remove_vertex(vertex)
 
 
+def _window_stream(seed: int):
+    """A sliding window of 12 vertices streamed through a patched index."""
+    rng = random.Random(seed)
+    graph = LabeledGraph(name="window")
+    index = GraphIndex(graph)
+    pending = []
+    graph.subscribe(pending.append)
+    window = []
+    for step in range(80):
+        vertex = f"w{step}"
+        graph.add_vertex(vertex, rng.choice("AB"))
+        if window and rng.random() < 0.9:
+            graph.add_edge(vertex, rng.choice(window))
+        window.append(vertex)
+        if len(window) > 12:
+            graph.remove_vertex(window.pop(0))
+        for delta in pending:
+            assert index.apply_delta(delta)
+        pending.clear()
+    assert index.is_current()
+    return graph, index
+
+
 class TestCompactChurn:
     """CSR-patched == rebuilt under randomized mixed churn streams."""
 
@@ -168,7 +234,7 @@ class TestCompactChurn:
         graph = random_labeled_graph(
             10, 0.3, alphabet=("A", "B", "C"), seed=seed
         )
-        patched = CompactGraphIndex(graph)
+        patched = GraphIndex(graph)
         pending = []
         graph.subscribe(pending.append)
         next_id = [0]
@@ -179,11 +245,9 @@ class TestCompactChurn:
             pending.clear()
             assert patched.is_current()
             if step % 20 == 19:
-                rebuilt = patched.rebuilt()
-                fresh_dict = GraphIndex.build(graph)
-                expected = decoded_view(fresh_dict, graph)
+                expected = graph_view(graph)
                 assert decoded_view(patched, graph) == expected
-                assert decoded_view(rebuilt, graph) == expected
+                assert decoded_view(patched.rebuilt(), graph) == expected
 
     @pytest.mark.parametrize("seed", [6, 18, 27])
     def test_window_stream_and_intern_compaction(self, seed):
@@ -193,51 +257,66 @@ class TestCompactChurn:
         a rebuild re-interns from scratch, so the fresh table must hold
         exactly the live vertices and labels — no leaked retirees.
         """
-        rng = random.Random(seed)
-        graph = LabeledGraph(name="window")
-        index = CompactGraphIndex(graph)
-        pending = []
-        graph.subscribe(pending.append)
-        window = []
-        for step in range(80):
-            vertex = f"w{step}"
-            graph.add_vertex(vertex, rng.choice("AB"))
-            if window and rng.random() < 0.9:
-                graph.add_edge(vertex, rng.choice(window))
-            window.append(vertex)
-            if len(window) > 12:
-                graph.remove_vertex(window.pop(0))
-            for delta in pending:
-                assert index.apply_delta(delta)
-            pending.clear()
-        assert index.is_current()
+        graph, index = _window_stream(seed)
         live = graph.num_vertices + len(graph.label_alphabet())
         assert index.intern_entries() > live  # tombstones accumulated
         rebuilt = index.rebuilt()
         assert rebuilt.intern_entries() == live  # rebuild sheds them
-        assert decoded_view(rebuilt, graph) == decoded_view(index, graph)
+        expected = graph_view(graph)
+        assert decoded_view(index, graph) == expected
+        assert decoded_view(rebuilt, graph) == expected
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_dominates_matches_neighbor_label_counts(self, seed):
+        # The anchored engine's requirement filter: patched and rebuilt
+        # indexes must answer it exactly like counting the graph's
+        # labelled neighbors, including labels the graph has never seen.
+        rng = random.Random(seed)
+        graph = random_labeled_graph(10, 0.35, alphabet=("A", "B", "C"), seed=seed)
+        patched = GraphIndex(graph)
+        pending = []
+        graph.subscribe(pending.append)
+        next_id = [0]
+        for step in range(60):
+            _random_mutation(rng, graph, next_id)
+            for delta in pending:
+                assert patched.apply_delta(delta)
+            pending.clear()
+            if step % 15 != 14:
+                continue
+            rebuilt = patched.rebuilt()
+            for vertex in graph.vertices():
+                counts = {
+                    label: len(graph.neighbors_with_label(vertex, label))
+                    for label in "ABCDZ"
+                }
+                for _ in range(4):
+                    requirements = {
+                        label: rng.randint(1, 3)
+                        for label in rng.sample("ABCDZ", rng.randint(0, 3))
+                    }
+                    expected = all(
+                        counts[label] >= need for label, need in requirements.items()
+                    )
+                    assert patched.dominates(vertex, requirements) is expected
+                    assert rebuilt.dominates(vertex, requirements) is expected
 
     def test_maintainer_patches_compact_index(self):
-        previous = set_index_backend("compact")
-        try:
-            graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=4)
-            maintainer = IndexMaintainer(graph)
-            assert isinstance(maintainer.index(), CompactGraphIndex)
-            anchor = sorted(graph.vertices(), key=repr)[0]
-            graph.add_vertex("fresh", "A")
-            graph.add_edge("fresh", anchor)
-            index = maintainer.index()
-            assert index.is_current()
-            assert "fresh" in index.vertices_with_label("A")
-            assert maintainer.patches_applied >= 1
-        finally:
-            set_index_backend(previous)
+        graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=4)
+        maintainer = IndexMaintainer(graph)
+        anchor = sorted(graph.vertices(), key=repr)[0]
+        graph.add_vertex("fresh", "A")
+        graph.add_edge("fresh", anchor)
+        index = maintainer.index()
+        assert index.is_current()
+        assert "fresh" in index.vertices_with_label("A")
+        assert maintainer.patches_applied >= 1
 
 
 class TestSegmentSetMemo:
     def test_memo_invalidated_by_patch(self):
         graph = random_labeled_graph(10, 0.4, alphabet=("A", "B"), seed=8)
-        index = CompactGraphIndex(graph)
+        index = GraphIndex(graph)
         vertex = sorted(graph.vertices())[0]
         vi = index.table.vint(vertex)
         li = index.table.lint("A")

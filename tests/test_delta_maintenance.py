@@ -37,16 +37,27 @@ from repro.index import (
 from repro.isomorphism.matcher import find_occurrences
 
 
+def pair_edge_lists(index: GraphIndex):
+    """The label-pair edge lists, decoded (no query method reads them)."""
+    label_of, vertex_of = index.table.label_of, index.table.vertex_of
+    return {
+        (label_of[a], label_of[b]): tuple(
+            (vertex_of[arr[i]], vertex_of[arr[i + 1]]) for i in range(0, len(arr), 2)
+        )
+        for (a, b), arr in index._pair_edges.items()
+    }
+
+
 def index_structure(index: GraphIndex, graph):
-    """Every observable component of the index, via its public API."""
-    pairs = index.distinct_edge_label_pairs()
+    """Every observable component of the index, decoded."""
     alphabet = graph.label_alphabet()
     return {
         "version": index.version,
         "inverted": {label: index.vertices_with_label(label) for label in alphabet},
         "histogram": dict(index.label_histogram()),
         "label_pairs": set(index.adjacent_label_pairs()),
-        "pair_edges": {pair: index.edges_with_labels(*pair) for pair in pairs},
+        "edge_label_pairs": index.distinct_edge_label_pairs(),
+        "pair_edges": pair_edge_lists(index),
         "degrees": {vertex: index.degree_of(vertex) for vertex in graph.vertices()},
         "signatures": {
             vertex: dict(index.signature_of(vertex)) for vertex in graph.vertices()
@@ -259,8 +270,8 @@ class TestRemovalPatching:
         assert maintainer.rebuilds == 0
         assert patched.label_histogram() == {"A": 1, "B": 1}
         assert patched.vertices_with_label("Z") == ()
-        assert not patched.has_label_pair("B", "Z")
-        assert patched.edges_with_labels("B", "Z") == ()
+        assert ("B", "Z") not in patched.adjacent_label_pairs()
+        assert ("B", "Z") not in pair_edge_lists(patched)
 
     def test_remove_then_reinsert_round_trips(self):
         graph = build_graph(("er", 17, 12, 0.3))

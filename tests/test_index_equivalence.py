@@ -25,13 +25,7 @@ from repro.hypergraph.overlap import (
     overlap_statistics,
     overlaps,
 )
-from repro.index import (
-    CompactGraphIndex,
-    GraphIndex,
-    get_index,
-    index_backend,
-    set_index_backend,
-)
+from repro.index import GraphIndex, IndexMaintainer, get_index
 from repro.isomorphism.anchored import valid_images
 from repro.isomorphism.matcher import find_occurrences
 from repro.isomorphism.vf2 import find_subgraph_isomorphisms
@@ -241,85 +235,76 @@ class TestIndexLifecycle:
                 )
 
 
-class TestBackendEquivalence:
-    """compact == dict == brute, byte-identical, on every seeded graph.
+class TestExplicitIndexEquivalence:
+    """index == brute, byte-identical, on every seeded graph.
 
-    The compact backend's int-id engines (vf2 collector/generator,
-    anchored probes, lazy MNI) must reproduce the dict engines' results
-    exactly — content AND order — which in turn must match brute force.
-    Explicit index instances pin the backend per call, so this axis
-    holds regardless of the process-default backend.
+    The int-id engines (vf2 collector/generator, anchored probes) must
+    reproduce the brute-force reference exactly — content AND order —
+    when handed an explicit :class:`GraphIndex` instance.
     """
 
     def test_occurrence_lists_identical(self, graph):
-        dict_index = GraphIndex.build(graph)
-        compact_index = CompactGraphIndex.build(graph)
+        index = GraphIndex.build(graph)
         for pattern in PATTERNS:
             brute = find_occurrences(pattern, graph, index=False)
-            assert find_occurrences(pattern, graph, index=dict_index) == brute
-            assert find_occurrences(pattern, graph, index=compact_index) == brute
+            assert find_occurrences(pattern, graph, index=index) == brute
 
     def test_generator_streams_identical(self, graph):
-        dict_index = GraphIndex.build(graph)
-        compact_index = CompactGraphIndex.build(graph)
+        index = GraphIndex.build(graph)
         for pattern in PATTERNS:
-            brute = list(find_subgraph_isomorphisms(pattern, graph, index=False))
-            assert (
-                list(find_subgraph_isomorphisms(pattern, graph, index=dict_index))
-                == brute
-            )
-            assert (
-                list(
-                    find_subgraph_isomorphisms(pattern, graph, index=compact_index)
+            for induced in (False, True):
+                brute = list(
+                    find_subgraph_isomorphisms(
+                        pattern, graph, induced=induced, index=False
+                    )
                 )
-                == brute
-            )
+                indexed = find_subgraph_isomorphisms(
+                    pattern, graph, induced=induced, index=index
+                )
+                assert list(indexed) == brute
 
     def test_valid_images_identical(self, graph):
-        dict_index = GraphIndex.build(graph)
-        compact_index = CompactGraphIndex.build(graph)
+        index = GraphIndex.build(graph)
         for pattern in PATTERNS[:3]:
             for node in pattern.nodes():
-                brute = valid_images(pattern, graph, node, index=False)
-                assert (
-                    valid_images(pattern, graph, node, index=dict_index) == brute
-                )
-                assert (
-                    valid_images(pattern, graph, node, index=compact_index)
-                    == brute
-                )
-                for stop_after in (1, 2):
-                    truncated = valid_images(
+                for stop_after in (None, 1, 2):
+                    brute = valid_images(
                         pattern, graph, node, stop_after=stop_after, index=False
                     )
                     assert (
                         valid_images(
-                            pattern,
-                            graph,
-                            node,
-                            stop_after=stop_after,
-                            index=compact_index,
+                            pattern, graph, node, stop_after=stop_after, index=index
                         )
-                        == truncated
+                        == brute
                     )
 
-    def test_mining_identical_across_backends(self, graph):
+
+    def test_mining_through_patched_index_identical(self, graph):
+        # Mining must read a delta-patched index exactly like a fresh one:
+        # remove an edge and a vertex, grow a vertex, then mine through
+        # the maintained index and compare with brute force, stats included.
+        maintainer = IndexMaintainer(graph)
+        vertices = graph.vertices()
+        edges = graph.edges()
+        if edges:
+            graph.remove_edge(*edges[len(edges) // 2])
+        graph.remove_vertex(vertices[-1])
+        graph.add_vertex("grown", graph.label_of(vertices[0]))
+        for vertex in vertices[: min(3, len(vertices) - 1)]:
+            graph.add_edge("grown", vertex)
+        patched = maintainer.index()
+        assert maintainer.rebuilds == 0 and maintainer.patches_applied >= 1
+        assert get_index(graph) is patched
         kwargs = dict(
             measure="mni", min_support=2, max_pattern_nodes=3, max_pattern_edges=3
         )
-        previous = index_backend()
-        try:
-            set_index_backend("dict")
-            dict_result = mine_frequent_patterns(graph, **kwargs)
-            set_index_backend("compact")
-            compact_result = mine_frequent_patterns(graph, **kwargs)
-        finally:
-            set_index_backend(previous)
-        assert compact_result.certificates() == dict_result.certificates()
-        assert [fp.support for fp in compact_result.frequent] == [
-            fp.support for fp in dict_result.frequent
+        indexed = mine_frequent_patterns(graph, **kwargs)
+        brute = mine_frequent_patterns(graph, use_index=False, **kwargs)
+        assert indexed.certificates() == brute.certificates()
+        assert [fp.support for fp in indexed.frequent] == [
+            fp.support for fp in brute.frequent
         ]
-        assert compact_result.stats.as_dict() == dict_result.stats.as_dict()
+        assert indexed.stats.as_dict() == brute.stats.as_dict()
 
 
 class TestMinerRobustness:

@@ -269,6 +269,26 @@ class TestGraphService:
             direct = mine_frequent_patterns(graph_after(2), spec=SPEC)
             assert result_bytes(result) == result_bytes(direct)
 
+    def test_maintained_result_is_cached_before_its_version_is_published(self):
+        # A reader that pins the new tip the moment it is published must
+        # find the maintained entry, never re-mine it from scratch.
+        with GraphService(base_graph(), maintain=SPEC) as service:
+            publish = service.registry.publish
+            cached_at_publish = []
+
+            def checked_publish():
+                version = publish()
+                cached_at_publish.append(
+                    (version, service.cache.peek(version, SPEC.cache_key()) is not None)
+                )
+                return version
+
+            service.registry.publish = checked_publish
+            versions = [
+                service.apply_updates(UPDATES[n - 2 : n]).version for n in (2, 4, 6)
+            ]
+            assert cached_at_publish == [(v, True) for v in versions]
+
     def test_async_submit_tickets(self):
         with GraphService(base_graph()) as service:
             ticket = service.submit(SPEC)
