@@ -1,10 +1,7 @@
-"""tab9 (ablation) — incremental machinery vs recomputing from scratch.
+"""tab9 (ablation) — maintaining the answer under updates vs recomputing it.
 
 Three ablations share this module:
 
-* **tab9** — embedding propagation (:mod:`repro.mining.incremental`) vs
-  the recomputing miner: extending the parent's embedding list avoids
-  re-running subgraph isomorphism for every candidate;
 * **tab9b** — delta-maintained dynamic mining
   (:mod:`repro.mining.dynamic`) vs full re-mining per batch over an
   insertion stream: patching the `GraphIndex` in O(delta) and re-evaluating
@@ -32,7 +29,7 @@ import time
 
 import pytest
 from stream_workloads import (
-    STREAM_PARAMS,
+    STREAM_SPEC,
     apply_batch,
     batches,
     churn_stream,
@@ -41,95 +38,16 @@ from stream_workloads import (
 )
 
 from repro.analysis.report import format_table
-from repro.datasets.synthetic import planted_pattern_graph
-from repro.graph.builders import path_pattern, star_pattern
 from repro.mining.dynamic import DynamicMiner
-from repro.mining.incremental import mine_frequent_patterns_incremental
 from repro.mining.miner import mine_frequent_patterns
 from repro.mining.standing import StandingSpec, answer_from_result, diff_answer
 from repro.service import ResultCache
 from repro.service.subscriptions import SubscriptionRegistry
 
-# The ablations time the legacy-kwarg entry points on purpose; the
-# deprecation they trigger is expected, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
-
-
-@pytest.fixture(scope="module")
-def workload():
-    pattern = star_pattern("A", ["B", "B"])
-    graph = planted_pattern_graph(pattern, num_copies=12, overlap_fraction=0.5, seed=19)
-    chain = path_pattern(["B", "A", "B", "A"])
-    welded = planted_pattern_graph(chain, num_copies=6, overlap_fraction=0.4, seed=7)
-    offset = graph.num_vertices + 50
-    for vertex in welded.vertices():
-        graph.add_vertex(vertex + offset, welded.label_of(vertex))
-    for u, v in welded.edges():
-        graph.add_edge(u + offset, v + offset)
-    return graph
-
-
-def test_tab9_incremental_vs_recompute(workload, benchmark, emit):
-    rows = []
-    for max_nodes in (3, 4):
-        start = time.perf_counter()
-        baseline = mine_frequent_patterns(
-            workload, measure="mni", min_support=3, max_pattern_nodes=max_nodes
-        )
-        t_base = time.perf_counter() - start
-
-        start = time.perf_counter()
-        incremental = mine_frequent_patterns_incremental(
-            workload, measure="mni", min_support=3, max_pattern_nodes=max_nodes
-        )
-        t_inc = time.perf_counter() - start
-
-        assert baseline.certificates() == incremental.certificates()
-        rows.append(
-            [
-                max_nodes,
-                baseline.num_frequent,
-                baseline.stats.occurrence_enumerations,
-                incremental.stats.occurrence_enumerations,
-                f"{t_base*1e3:.1f}",
-                f"{t_inc*1e3:.1f}",
-            ]
-        )
-    emit(
-        format_table(
-            [
-                "max nodes",
-                "frequent",
-                "enumerations (recompute)",
-                "enumerations (incremental)",
-                "recompute ms",
-                "incremental ms",
-            ],
-            rows,
-            title="tab9: embedding propagation vs recomputing miner (identical results)",
-        )
-    )
-
-    benchmark(
-        lambda: mine_frequent_patterns_incremental(
-            workload, measure="mni", min_support=3, max_pattern_nodes=3
-        )
-    )
-
-
-def test_tab9_benchmark_recompute(workload, benchmark):
-    benchmark(
-        lambda: mine_frequent_patterns(
-            workload, measure="mni", min_support=3, max_pattern_nodes=3
-        )
-    )
-
 
 # ----------------------------------------------------------------------
 # tab9b — delta-maintained dynamic mining vs full re-mine per batch
-# (search parameters: stream_workloads.STREAM_PARAMS, shared with tab10d)
+# (search parameters: stream_workloads.STREAM_SPEC, shared with tab10d)
 # ----------------------------------------------------------------------
 
 
@@ -159,7 +77,7 @@ def test_tab9b_delta_stream_vs_rebuild_per_batch(stream_workload, benchmark, emi
 
     def delta_run():
         graph = base.copy()
-        miner = DynamicMiner(graph, **STREAM_PARAMS)
+        miner = DynamicMiner(graph, spec=STREAM_SPEC)
         keys = [miner.refresh().certificates()]
         for batch in update_batches:
             apply_batch(graph, batch)
@@ -168,10 +86,10 @@ def test_tab9b_delta_stream_vs_rebuild_per_batch(stream_workload, benchmark, emi
 
     def rebuild_run():
         graph = base.copy()
-        keys = [mine_frequent_patterns(graph, **STREAM_PARAMS).certificates()]
+        keys = [mine_frequent_patterns(graph, spec=STREAM_SPEC).certificates()]
         for batch in update_batches:
             apply_batch(graph, batch)
-            keys.append(mine_frequent_patterns(graph, **STREAM_PARAMS).certificates())
+            keys.append(mine_frequent_patterns(graph, spec=STREAM_SPEC).certificates())
         return keys
 
     best_delta = best_rebuild = float("inf")
@@ -225,7 +143,13 @@ def test_tab9d_standing_query_vs_remine_and_diff(stream_workload, benchmark, emi
     """
     base, updates = stream_workload
     update_batches = batches(updates, 6)
-    spec = StandingSpec.from_kwargs(kind="threshold", **STREAM_PARAMS)
+    spec = StandingSpec(
+        kind="threshold",
+        measure=STREAM_SPEC.measure,
+        min_support=STREAM_SPEC.min_support,
+        max_pattern_nodes=STREAM_SPEC.max_pattern_nodes,
+        max_pattern_edges=STREAM_SPEC.max_pattern_edges,
+    )
 
     def standing_run():
         graph = base.copy()
@@ -243,12 +167,12 @@ def test_tab9d_standing_query_vs_remine_and_diff(stream_workload, benchmark, emi
 
     def remine_run():
         graph = base.copy()
-        answer = answer_from_result(mine_frequent_patterns(graph, **STREAM_PARAMS))
+        answer = answer_from_result(mine_frequent_patterns(graph, spec=STREAM_SPEC))
         stream = []
         seq = 0
         for version, batch in enumerate(update_batches, start=1):
             apply_batch(graph, batch)
-            new = answer_from_result(mine_frequent_patterns(graph, **STREAM_PARAMS))
+            new = answer_from_result(mine_frequent_patterns(graph, spec=STREAM_SPEC))
             events, seq = diff_answer(answer, new, version=version, seq_start=seq)
             stream.extend(events)
             answer = new
@@ -298,10 +222,10 @@ def test_tab9b_benchmark_rebuild_per_batch(stream_workload, benchmark):
 
     def rebuild_run():
         graph = base.copy()
-        results = [mine_frequent_patterns(graph, **STREAM_PARAMS)]
+        results = [mine_frequent_patterns(graph, spec=STREAM_SPEC)]
         for batch in update_batches:
             apply_batch(graph, batch)
-            results.append(mine_frequent_patterns(graph, **STREAM_PARAMS))
+            results.append(mine_frequent_patterns(graph, spec=STREAM_SPEC))
         return results
 
     benchmark(rebuild_run)
@@ -336,7 +260,7 @@ def test_tab9c_deletion_stream_vs_rebuild_per_batch(churn_workload, benchmark, e
 
     def delta_run():
         graph = base.copy()
-        miner = DynamicMiner(graph, **STREAM_PARAMS)
+        miner = DynamicMiner(graph, spec=STREAM_SPEC)
         keys = [miner.refresh().certificates()]
         for batch in update_batches:
             apply_batch(graph, batch)
@@ -345,10 +269,10 @@ def test_tab9c_deletion_stream_vs_rebuild_per_batch(churn_workload, benchmark, e
 
     def rebuild_run():
         graph = base.copy()
-        keys = [mine_frequent_patterns(graph, **STREAM_PARAMS).certificates()]
+        keys = [mine_frequent_patterns(graph, spec=STREAM_SPEC).certificates()]
         for batch in update_batches:
             apply_batch(graph, batch)
-            keys.append(mine_frequent_patterns(graph, **STREAM_PARAMS).certificates())
+            keys.append(mine_frequent_patterns(graph, spec=STREAM_SPEC).certificates())
         return keys
 
     best_delta = best_rebuild = float("inf")

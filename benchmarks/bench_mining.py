@@ -21,12 +21,8 @@ from repro.datasets.synthetic import (
 )
 from repro.graph.builders import path_pattern, star_pattern
 from repro.mining.miner import mine_frequent_patterns
+from repro.mining.spec import MiningSpec
 
-# The ablations time the legacy-kwarg entry points on purpose; the
-# deprecation they trigger is expected, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
 MEASURES = ("mis", "mvc", "mi", "mni")
 
@@ -183,24 +179,20 @@ def test_tab4_medium_indexed_speedup(medium_mining_graph, benchmark, emit):
     Timed as interleaved min-of-3 pairs so CI-runner contention cannot
     slow one phase in isolation (observed headroom ~2.9x).
     """
-    params = dict(min_support=4, max_nodes=4, max_edges=4)
+    spec = MiningSpec(
+        measure="mni", min_support=4, max_pattern_nodes=4, max_pattern_edges=4
+    )
 
     def baseline_run():
         return _seed_baseline_mine(
             medium_mining_graph,
-            params["min_support"],
-            params["max_nodes"],
-            params["max_edges"],
+            spec.min_support,
+            spec.max_pattern_nodes,
+            spec.max_pattern_edges,
         )
 
     def indexed_run():
-        return mine_frequent_patterns(
-            medium_mining_graph,
-            measure="mni",
-            min_support=params["min_support"],
-            max_pattern_nodes=params["max_nodes"],
-            max_pattern_edges=params["max_edges"],
-        )
+        return mine_frequent_patterns(medium_mining_graph, spec=spec)
 
     indexed_run()  # warm the cached GraphIndex before timing
     t_baseline, baseline_certificates, t_indexed, indexed_result = (
@@ -208,12 +200,7 @@ def test_tab4_medium_indexed_speedup(medium_mining_graph, benchmark, emit):
     )
 
     brute_result = mine_frequent_patterns(
-        medium_mining_graph,
-        measure="mni",
-        min_support=params["min_support"],
-        max_pattern_nodes=params["max_nodes"],
-        max_pattern_edges=params["max_edges"],
-        use_index=False,
+        medium_mining_graph, spec=spec.replace(use_index=False)
     )
 
     speedup = t_baseline / max(t_indexed, 1e-9)
@@ -249,11 +236,13 @@ def test_tab4_medium_indexed_speedup(medium_mining_graph, benchmark, emit):
 
 def test_tab4_medium_parallel_matches_serial(medium_mining_graph, emit):
     """Parallel support evaluation returns byte-identical mining results."""
-    kwargs = dict(
+    spec = MiningSpec(
         measure="mni", min_support=4, max_pattern_nodes=4, max_pattern_edges=4
     )
-    serial = mine_frequent_patterns(medium_mining_graph, **kwargs)
-    parallel = mine_frequent_patterns(medium_mining_graph, workers=4, **kwargs)
+    serial = mine_frequent_patterns(medium_mining_graph, spec=spec)
+    parallel = mine_frequent_patterns(
+        medium_mining_graph, spec=spec.replace(workers=4)
+    )
     assert parallel.certificates() == serial.certificates()
     assert [fp.support for fp in parallel.frequent] == [
         fp.support for fp in serial.frequent
@@ -269,10 +258,9 @@ def test_tab4_measure_sweep(mining_graph, benchmark, emit):
         start = time.perf_counter()
         result = mine_frequent_patterns(
             mining_graph,
-            measure=measure,
-            min_support=5,
-            max_pattern_nodes=4,
-            max_pattern_edges=4,
+            spec=MiningSpec(
+                measure=measure, min_support=5, max_pattern_nodes=4, max_pattern_edges=4
+            ),
         )
         elapsed = time.perf_counter() - start
         results[measure] = result
@@ -301,8 +289,10 @@ def test_tab4_measure_sweep(mining_graph, benchmark, emit):
 
     benchmark(
         lambda: mine_frequent_patterns(
-            mining_graph, measure="mi", min_support=3,
-            max_pattern_nodes=4, max_pattern_edges=4,
+            mining_graph,
+            spec=MiningSpec(
+                measure="mi", min_support=3, max_pattern_nodes=4, max_pattern_edges=4
+            ),
         )
     )
 
@@ -313,10 +303,12 @@ def test_tab4_threshold_sweep(mining_graph, benchmark, emit):
     for threshold in (2, 3, 5, 8):
         result = mine_frequent_patterns(
             mining_graph,
-            measure="mni",
-            min_support=threshold,
-            max_pattern_nodes=4,
-            max_pattern_edges=4,
+            spec=MiningSpec(
+                measure="mni",
+                min_support=threshold,
+                max_pattern_nodes=4,
+                max_pattern_edges=4,
+            ),
         )
         rows.append([threshold, result.num_frequent, result.max_pattern_edges()])
         if previous is not None:
@@ -332,8 +324,10 @@ def test_tab4_threshold_sweep(mining_graph, benchmark, emit):
 
     benchmark(
         lambda: mine_frequent_patterns(
-            mining_graph, measure="mni", min_support=8,
-            max_pattern_nodes=4, max_pattern_edges=4,
+            mining_graph,
+            spec=MiningSpec(
+                measure="mni", min_support=8, max_pattern_nodes=4, max_pattern_edges=4
+            ),
         )
     )
 
@@ -342,10 +336,9 @@ def test_tab4_benchmark_mni_mining(mining_graph, benchmark):
     benchmark(
         lambda: mine_frequent_patterns(
             mining_graph,
-            measure="mni",
-            min_support=3,
-            max_pattern_nodes=4,
-            max_pattern_edges=4,
+            spec=MiningSpec(
+                measure="mni", min_support=3, max_pattern_nodes=4, max_pattern_edges=4
+            ),
         )
     )
 
@@ -354,9 +347,8 @@ def test_tab4_benchmark_mis_mining(mining_graph, benchmark):
     benchmark(
         lambda: mine_frequent_patterns(
             mining_graph,
-            measure="mis",
-            min_support=3,
-            max_pattern_nodes=4,
-            max_pattern_edges=4,
+            spec=MiningSpec(
+                measure="mis", min_support=3, max_pattern_nodes=4, max_pattern_edges=4
+            ),
         )
     )

@@ -1,6 +1,6 @@
 """tab10 — partitioned (sharded) mining vs the flat single-graph miner.
 
-Six experiments share this module:
+Five experiments share this module:
 
 * **tab10a** — partitioner quality: per-method shard balance, boundary
   vertex count, and replication factor on the clustered medium dataset
@@ -22,13 +22,6 @@ Six experiments share this module:
   O(delta) per update, per-shard state patched, untouched expansions
   cached — must beat re-partitioning + re-mining per batch by
   **>= 1.3x**, with byte-identical per-batch results;
-* **tab10e** — the worker-lifecycle gate: over the same shared stream,
-  the shard-resident pool (one long-lived worker per shard, slices
-  shipped once and re-shipped only when deltas dirtied them) must beat
-  the per-task shipping reference (``resident_workers=False``: workers
-  respawned and the whole graph + partition re-shipped every refresh)
-  by **>= 1.3x**.  Valid on a single CPU: both sides run the same
-  evaluation, the gate measures pure pool-lifecycle overhead;
 * **tab10f** — the out-of-core gate: mining a large-diameter corridor
   graph with ``max_resident=1`` must be byte-identical to the
   all-resident run while its deterministic peak resident view weight
@@ -47,7 +40,7 @@ import time
 
 import pytest
 from stream_workloads import (
-    STREAM_PARAMS,
+    STREAM_SPEC,
     apply_batch,
     batches,
     churn_stream,
@@ -62,20 +55,16 @@ from repro.datasets.synthetic import (
 from repro.graph.builders import path_pattern, star_pattern
 from repro.mining.dynamic import DynamicMiner
 from repro.mining.miner import mine_frequent_patterns
+from repro.mining.spec import MiningSpec
 from repro.partition import PARTITION_METHODS, ShardedIndex
 
-# The ablations time the legacy-kwarg entry points on purpose; the
-# deprecation they trigger is expected, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
 #: Equivalence-scale search (tab10a/b — fast enough for the CI smoke).
-MINE_PARAMS = dict(
+MINE_SPEC = MiningSpec(
     measure="mni", min_support=4, max_pattern_nodes=4, max_pattern_edges=4
 )
 #: Gate-scale search (tab10c — deep enough to amortize pool startup).
-GATE_PARAMS = dict(
+GATE_SPEC = MiningSpec(
     measure="mni", min_support=4, max_pattern_nodes=5, max_pattern_edges=5
 )
 
@@ -177,10 +166,11 @@ def test_tab10a_partitioner_quality(partition_workload, emit):
 
 
 def test_tab10b_sharded_mining_identical(partition_workload, emit):
-    flat = mine_frequent_patterns(partition_workload, **MINE_PARAMS)
+    flat = mine_frequent_patterns(partition_workload, spec=MINE_SPEC)
     for method in PARTITION_METHODS:
         sharded = mine_frequent_patterns(
-            partition_workload, shards=4, partition_method=method, **MINE_PARAMS
+            partition_workload,
+            spec=MINE_SPEC.replace(shards=4, partition_method=method),
         )
         assert sharded.certificates() == flat.certificates()
         assert [fp.support for fp in sharded.frequent] == [
@@ -208,15 +198,12 @@ def test_tab10c_sharded_parallel_speedup(partition_workload, benchmark, emit):
         pytest.skip("parallel speedup gate needs >= 4 CPUs")
 
     def flat_run():
-        return mine_frequent_patterns(partition_workload, **GATE_PARAMS)
+        return mine_frequent_patterns(partition_workload, spec=GATE_SPEC)
 
     def sharded_run():
         return mine_frequent_patterns(
             partition_workload,
-            shards=4,
-            workers=4,
-            partition_method="label",
-            **GATE_PARAMS,
+            spec=GATE_SPEC.replace(shards=4, workers=4, partition_method="label"),
         )
 
     flat_run()  # warm the cached GraphIndex before timing
@@ -252,12 +239,12 @@ def test_tab10c_sharded_parallel_speedup(partition_workload, benchmark, emit):
 
 
 def test_tab10_benchmark_flat_mining(partition_workload, benchmark):
-    benchmark(lambda: mine_frequent_patterns(partition_workload, **MINE_PARAMS))
+    benchmark(lambda: mine_frequent_patterns(partition_workload, spec=MINE_SPEC))
 
 
 # ----------------------------------------------------------------------
 # tab10d — delta-maintained sharded streaming vs re-partition per batch
-# (search parameters: stream_workloads.STREAM_PARAMS, shared with tab9b/c)
+# (search parameters: stream_workloads.STREAM_SPEC, shared with tab9b/c)
 # ----------------------------------------------------------------------
 
 
@@ -283,11 +270,11 @@ def test_tab10d_sharded_delta_stream_vs_repartition_per_batch(
     """
     base, updates = sharded_stream_workload
     update_batches = batches(updates, 6)
-    sharding = dict(shards=2, partition_method="label")
+    spec = STREAM_SPEC.replace(shards=2, partition_method="label")
 
     def delta_run():
         graph = base.copy()
-        miner = DynamicMiner(graph, **sharding, **STREAM_PARAMS)
+        miner = DynamicMiner(graph, spec=spec)
         try:
             keys = [miner.refresh().certificates()]
             for batch in update_batches:
@@ -299,11 +286,11 @@ def test_tab10d_sharded_delta_stream_vs_repartition_per_batch(
 
     def repartition_run():
         graph = base.copy()
-        mined = mine_frequent_patterns(graph, **sharding, **STREAM_PARAMS)
+        mined = mine_frequent_patterns(graph, spec=spec)
         keys = [mined.certificates()]
         for batch in update_batches:
             apply_batch(graph, batch)
-            mined = mine_frequent_patterns(graph, **sharding, **STREAM_PARAMS)
+            mined = mine_frequent_patterns(graph, spec=spec)
             keys.append(mined.certificates())
         return keys
 
@@ -354,86 +341,6 @@ def test_tab10d_sharded_delta_stream_vs_repartition_per_batch(
 
 
 # ----------------------------------------------------------------------
-# tab10e — shard-resident workers vs per-task shipping over the stream
-# ----------------------------------------------------------------------
-
-
-def test_tab10e_resident_workers_vs_per_task_shipping(
-    sharded_stream_workload, benchmark, emit
-):
-    """Acceptance gate: resident workers beat per-task shipping >= 1.3x.
-
-    Both pipelines run the *same* delta-maintained sharded stream with
-    ``workers=2, shards=2`` — the only difference is worker lifecycle.
-    The resident pipeline keeps one worker per shard alive across every
-    refresh; each worker owns its shard's slice and the parent re-ships
-    only slices that deltas dirtied.  The reference pipeline
-    (``resident_workers=False``) is the pre-resident design: a fresh
-    executor per refresh, every worker re-initialized with the whole
-    graph and partition, every shard index rebuilt worker-side.  The
-    evaluation work is identical, so the measured ratio is pure
-    spawn-and-ship overhead — which is why the gate is valid on one CPU.
-    """
-    base, updates = sharded_stream_workload
-    update_batches = batches(updates, 6)
-    config = dict(shards=2, partition_method="label", workers=2, **STREAM_PARAMS)
-
-    def stream_run(resident_workers):
-        graph = base.copy()
-        miner = DynamicMiner(graph, resident_workers=resident_workers, **config)
-        try:
-            keys = [miner.refresh().certificates()]
-            for batch in update_batches:
-                apply_batch(graph, batch)
-                keys.append(miner.refresh().certificates())
-        finally:
-            miner.detach()
-        return keys
-
-    best_resident = best_shipping = float("inf")
-    resident_keys = shipping_keys = None
-    for _ in range(2):
-        start = time.perf_counter()
-        shipping_keys = stream_run(resident_workers=False)
-        best_shipping = min(best_shipping, time.perf_counter() - start)
-        start = time.perf_counter()
-        resident_keys = stream_run(resident_workers=True)
-        best_resident = min(best_resident, time.perf_counter() - start)
-
-    assert resident_keys == shipping_keys  # identical after every batch
-    speedup = best_shipping / max(best_resident, 1e-9)
-    emit(
-        format_table(
-            ["pipeline", "time ms", "batches", "final frequent"],
-            [
-                [
-                    "per-task shipping (respawn per refresh)",
-                    f"{best_shipping * 1e3:.1f}",
-                    len(update_batches),
-                    len(shipping_keys[-1]),
-                ],
-                [
-                    "shard-resident workers (persistent pool)",
-                    f"{best_resident * 1e3:.1f}",
-                    len(update_batches),
-                    len(resident_keys[-1]),
-                ],
-                ["speedup", f"{speedup:.2f}x", "", ""],
-            ],
-            title=(
-                "tab10e: shard-resident workers vs per-task shipping "
-                "(shared stream, workers=2, shards=2)"
-            ),
-        )
-    )
-    assert speedup >= 1.3, (
-        f"resident workers only {speedup:.2f}x over per-task shipping"
-    )
-
-    benchmark(lambda: stream_run(resident_workers=True))
-
-
-# ----------------------------------------------------------------------
 # tab10f — out-of-core shard paging bounds resident memory
 # ----------------------------------------------------------------------
 
@@ -465,16 +372,16 @@ def test_tab10f_out_of_core_memory(corridor_workload, emit):
     """Acceptance gate: max_resident=1 pages, matches, and uses less memory."""
     from repro.mining.miner import FrequentSubgraphMiner
 
-    params = dict(partition_method="edgecut", **MINE_PARAMS)
+    spec = MINE_SPEC.replace(partition_method="edgecut")
     runs = {}
     for max_resident in (1, 4):
         miner = FrequentSubgraphMiner(
-            corridor_workload, shards=4, max_resident=max_resident, **params
+            corridor_workload, spec=spec.replace(shards=4, max_resident=max_resident)
         )
         result = miner.mine()
         runs[max_resident] = (result, miner._pager)
 
-    flat = mine_frequent_patterns(corridor_workload, **MINE_PARAMS)
+    flat = mine_frequent_patterns(corridor_workload, spec=MINE_SPEC)
     for max_resident, (result, _) in runs.items():
         assert result.certificates() == flat.certificates(), max_resident
         assert result.stats.as_dict() == flat.stats.as_dict(), max_resident
@@ -515,14 +422,14 @@ def test_tab10d_benchmark_repartition_per_batch(sharded_stream_workload, benchma
         graph = base.copy()
         results = [
             mine_frequent_patterns(
-                graph, shards=2, partition_method="label", **STREAM_PARAMS
+                graph, spec=STREAM_SPEC.replace(shards=2, partition_method="label")
             )
         ]
         for batch in update_batches:
             apply_batch(graph, batch)
             results.append(
                 mine_frequent_patterns(
-                    graph, shards=2, partition_method="label", **STREAM_PARAMS
+                    graph, spec=STREAM_SPEC.replace(shards=2, partition_method="label")
                 )
             )
         return results

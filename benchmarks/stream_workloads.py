@@ -17,12 +17,13 @@ import random
 from repro.datasets.synthetic import planted_pattern_graph, random_labeled_graph
 from repro.graph.builders import path_pattern, star_pattern
 from repro.mining.dynamic import apply_update
+from repro.mining.spec import MiningSpec
 
-#: The tab9-family search parameters every stream gate mines with — one
+#: The tab9-family search every stream gate mines with — one
 #: definition, so tab9b/tab9c (bench_incremental) and tab10d
 #: (bench_partition) keep measuring the same search over the shared
 #: workload.
-STREAM_PARAMS = dict(
+STREAM_SPEC = MiningSpec(
     measure="mni", min_support=3, max_pattern_nodes=4, max_pattern_edges=4
 )
 

@@ -13,7 +13,7 @@ Run:  python examples/molecule_motifs.py
 from repro.analysis import format_table
 from repro.datasets import planted_pattern_graph
 from repro.graph import cycle_pattern, path_pattern
-from repro.mining import mine_frequent_patterns
+from repro.mining import MiningSpec, mine_frequent_patterns
 
 
 def build_molecule_graph():
@@ -47,14 +47,9 @@ def main() -> None:
 
     rows = []
     results = {}
+    spec = MiningSpec(min_support=3, max_pattern_nodes=4, max_pattern_edges=4)
     for measure in ("mni", "mi", "mis"):
-        result = mine_frequent_patterns(
-            graph,
-            measure=measure,
-            min_support=3,
-            max_pattern_nodes=4,
-            max_pattern_edges=4,
-        )
+        result = mine_frequent_patterns(graph, spec=spec.replace(measure=measure))
         results[measure] = result
         rows.append(
             [

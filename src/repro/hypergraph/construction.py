@@ -99,16 +99,13 @@ class HypergraphBundle:
         pattern: Pattern,
         data: LabeledGraph,
         occurrences: List[Occurrence],
-        instances: Optional[List[Instance]] = None,
-        occurrence_hg: Optional[Hypergraph] = None,
-        instance_hg: Optional[Hypergraph] = None,
     ) -> None:
         self.pattern = pattern
         self.data = data
         self.occurrences = occurrences
-        self._instances = instances
-        self._occurrence_hg = occurrence_hg
-        self._instance_hg = instance_hg
+        self._instances: Optional[List[Instance]] = None
+        self._occurrence_hg: Optional[Hypergraph] = None
+        self._instance_hg: Optional[Hypergraph] = None
 
     @classmethod
     def build(

@@ -136,7 +136,6 @@ class GraphIndex(MaintainableIndex):
         "_memo_inv",
         "_memo_hist",
         "_memo_lpairs",
-        "_memo_nwl",
         "_memo_segset",
     )
 
@@ -225,12 +224,10 @@ class GraphIndex(MaintainableIndex):
     def _reset_memos(self) -> None:
         # Decoded-object caches (lazy, rebuilt after any patch): decoding
         # translates vints back to vertex objects, and repeated decoded
-        # queries (sharded evaluation, incremental extension) should not
-        # pay that per call.
+        # queries (sharded evaluation) should not pay that per call.
         self._memo_inv: Dict[int, Tuple[Vertex, ...]] = {}
         self._memo_hist: Optional[Dict[Label, int]] = None
         self._memo_lpairs: Optional[FrozenSet[Tuple[Label, Label]]] = None
-        self._memo_nwl: Dict[Tuple[int, int], Tuple[Vertex, ...]] = {}
         self._memo_segset: Dict[int, FrozenSet[int]] = {}
 
     def _pair_key(self, la: int, lb: int) -> Tuple[int, int]:
@@ -571,15 +568,11 @@ class GraphIndex(MaintainableIndex):
         li = self.table._lint_of.get(label)
         if li is None:
             return _EMPTY
-        cached = self._memo_nwl.get((vi, li))
-        if cached is None:
-            row, start, stop = self._segment(vi, li)
-            if start == stop:
-                return _EMPTY
-            dec = self.table.vertex_of
-            cached = tuple(dec[row[i]] for i in range(start, stop))
-            self._memo_nwl[(vi, li)] = cached
-        return cached
+        row, start, stop = self._segment(vi, li)
+        if start == stop:
+            return _EMPTY
+        dec = self.table.vertex_of
+        return tuple(dec[row[i]] for i in range(start, stop))
 
     def dominates(self, vertex: Vertex, requirements: Dict[Label, int]) -> bool:
         """True when ``vertex``'s neighbor-label counts cover ``requirements``.

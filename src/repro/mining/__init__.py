@@ -14,10 +14,9 @@ from .dynamic import (
     mine_stream,
     pattern_footprint,
 )
-from .incremental import IncrementalMiner, mine_frequent_patterns_incremental
 from .miner import FrequentSubgraphMiner, mine_frequent_patterns
 from .results import FrequentPattern, MiningResult, MiningStats
-from .spec import DEFAULT_SPEC, UNSET, MiningSpec, resolve_spec
+from .spec import DEFAULT_SPEC, MiningSpec
 from .standing import (
     AnswerEntry,
     AnswerEvent,
@@ -37,16 +36,12 @@ __all__ = [
     "pattern_footprint",
     "MiningSpec",
     "DEFAULT_SPEC",
-    "UNSET",
-    "resolve_spec",
     "adjacent_label_pairs",
     "all_extensions",
     "backward_extensions",
     "forward_extensions",
     "single_edge_patterns",
     "FrequentSubgraphMiner",
-    "IncrementalMiner",
-    "mine_frequent_patterns_incremental",
     "mine_frequent_patterns",
     "FrequentPattern",
     "MiningResult",

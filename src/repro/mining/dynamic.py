@@ -1,7 +1,7 @@
 """Dynamic frequent-subgraph mining over a growing data graph.
 
-The static miners (:mod:`repro.mining.miner`, ``.incremental``) answer one
-question about one graph snapshot.  :class:`DynamicMiner` maintains the
+The static miner (:mod:`repro.mining.miner`) answers one question about
+one graph snapshot.  :class:`DynamicMiner` maintains the
 answer *under a stream of updates*: mutate the data graph, call
 :meth:`DynamicMiner.refresh`, and the frequent-pattern set is brought
 current — without re-evaluating patterns the updates cannot have touched.
@@ -42,15 +42,17 @@ Observation gaps (e.g. after :meth:`DynamicMiner.detach`) are answered
 with a full re-mine.  The data graph's index rides along through an
 :class:`~repro.index.delta.IndexMaintainer`, so the ``GraphIndex`` is
 patched in O(delta) — insertions and deletions alike — rather than
-rebuilt per batch; ``use_index=False`` keeps the brute-force reference
-path alive, and rebuild-per-batch via
+rebuilt per batch; ``spec.use_index=False`` keeps the brute-force
+reference path alive, and rebuild-per-batch via
 :func:`repro.mining.miner.mine_frequent_patterns` is the reference mode of
 :func:`mine_stream` (CLI: ``repro-graph mine-stream``, including the
 sliding-window workload ``--window N`` that expires the oldest live
-stream edges).  With ``shards=k`` (CLI ``--shards K --partition M``) the
-stream runs over the partitioned evaluator: the delta mode keeps one
-delta-maintained :class:`~repro.partition.ShardedIndex` alive across the
-whole stream while the reference modes re-partition per batch.
+stream edges).  Both entry points take one
+:class:`~repro.mining.spec.MiningSpec` as ``spec=``.  With ``shards=k``
+(CLI ``--shards K --partition M``) the stream runs over the partitioned
+evaluator: the delta mode keeps one delta-maintained
+:class:`~repro.partition.ShardedIndex` alive across the whole stream
+while the reference modes re-partition per batch.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ from ..obs.logs import get_logger
 from .extension import adjacent_label_pairs, all_extensions, single_edge_patterns
 from .parallel import evaluate_support
 from .results import FrequentPattern, MiningResult, MiningStats
-from .spec import UNSET, MiningSpec, resolve_spec
+from .spec import MiningSpec, require_spec
 
 _LOG = get_logger("mining.dynamic")
 
@@ -131,7 +133,7 @@ class _MinerResources:
     """Everything a :class:`DynamicMiner` must give back, held *outside* it.
 
     The graph subscription, the index/sharded maintainers, the persistent
-    worker pool, the per-refresh executor, and the out-of-core pager all
+    worker pool, and the out-of-core pager all
     outlive a miner that is simply dropped on the floor — the graph keeps
     the observers alive and the pool keeps OS processes alive.  Keeping
     them on a separate object lets a ``weakref.finalize`` on the miner
@@ -152,7 +154,6 @@ class _MinerResources:
         "sharded_maintainer",
         "pool",
         "pager",
-        "refresh_executor",
     )
 
     def __init__(self) -> None:
@@ -162,7 +163,6 @@ class _MinerResources:
         self.sharded_maintainer = None
         self.pool = None
         self.pager = None
-        self.refresh_executor = None
 
     def release(self) -> None:
         """Unsubscribe + detach + shut down everything still held.
@@ -183,9 +183,6 @@ class _MinerResources:
         pool, self.pool = self.pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        executor, self.refresh_executor = self.refresh_executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
         pager, self.pager = self.pager, None
         if pager is not None:
             pager.close()
@@ -197,9 +194,12 @@ class DynamicMiner:
     Construct over a live :class:`LabeledGraph`; the miner subscribes to
     the graph's mutation-observer hook.  Mutate the graph freely (directly
     or via :meth:`apply`), then call :meth:`refresh` to get a
-    :class:`MiningResult` for the *current* graph.  Parameters mirror
-    :class:`~repro.mining.miner.FrequentSubgraphMiner` (measure must be
-    anti-monotonic — the delta reuse argument depends on it).
+    :class:`MiningResult` for the *current* graph.  ``spec`` is the
+    same :class:`~repro.mining.spec.MiningSpec` that configures
+    :class:`~repro.mining.miner.FrequentSubgraphMiner` (``None`` = the
+    defaults); its measure must be anti-monotonic — the delta reuse
+    argument depends on it — and the one-shot-only ``max_occurrences``
+    and stream fields are ignored.
 
     With ``use_index=True`` (default) the graph's acceleration index is
     delta-patched between refreshes through an
@@ -210,7 +210,8 @@ class DynamicMiner:
     a :class:`~repro.partition.ShardedIndexMaintainer` — no re-partition
     per batch) and every affected candidate evaluates through the
     halo-aware sharded path; results stay byte-identical to the flat
-    run.  An optional :class:`~repro.partition.RebalancePolicy` lets
+    run.  An optional :class:`~repro.partition.RebalancePolicy`
+    (``rebalance=``, a policy object rather than a spec field) lets
     skewed streams trigger shard rebalancing between refreshes.
 
     ``workers=n > 1`` (sharded sessions only — the delta path has no
@@ -219,10 +220,7 @@ class DynamicMiner:
     one **persistent** shard-resident worker pool
     (:class:`~repro.partition.ShardWorkerPool`): workers keep their
     shard views across refreshes and the parent re-ships only slices
-    that deltas actually dirtied.  ``resident_workers=False`` selects
-    the per-refresh executor instead — workers are respawned and the
-    whole graph re-shipped every refresh (the reference lifecycle the
-    resident pool exists to avoid).  ``max_resident=N`` bounds resident
+    that deltas actually dirtied.  ``max_resident=N`` bounds resident
     shard views through an out-of-core
     :class:`~repro.partition.ShardPager` that survives policy-triggered
     re-partitions.
@@ -231,36 +229,10 @@ class DynamicMiner:
     def __init__(
         self,
         data: LabeledGraph,
-        measure=UNSET,
-        min_support=UNSET,
-        max_pattern_nodes=UNSET,
-        max_pattern_edges=UNSET,
-        lazy=UNSET,
-        use_index=UNSET,
-        shards=UNSET,
-        partition_method=UNSET,
-        rebalance=None,
-        workers=UNSET,
-        max_resident=UNSET,
-        resident_workers=UNSET,
         spec: Optional[MiningSpec] = None,
+        rebalance=None,
     ) -> None:
-        spec = resolve_spec(
-            spec,
-            {
-                "measure": measure,
-                "min_support": min_support,
-                "max_pattern_nodes": max_pattern_nodes,
-                "max_pattern_edges": max_pattern_edges,
-                "lazy": lazy,
-                "use_index": use_index,
-                "shards": shards,
-                "partition_method": partition_method,
-                "workers": workers,
-                "max_resident": max_resident,
-                "resident_workers": resident_workers,
-            },
-        )
+        spec = require_spec(spec)
         info = measure_info(spec.measure)
         if not info.anti_monotonic:
             raise MiningError(
@@ -288,14 +260,12 @@ class DynamicMiner:
         self.partition_method = spec.partition_method
         self.workers = spec.workers
         self.max_resident = spec.max_resident
-        self.resident_workers = spec.resident_workers
         # Every releasable resource lives on ``_resources`` so the
         # finalizer below can give it all back without touching (and
         # thus without keeping alive) the miner itself.
         self._resources = _MinerResources()
         self._resources.graph = data
         self._pool_failed = False
-        self._active_runner = None
         if self.use_index:
             self._maintainer = IndexMaintainer(data)
             self._resources.maintainer = self._maintainer
@@ -339,9 +309,9 @@ class DynamicMiner:
         self._last_result: Optional[MiningResult] = None
 
     # ------------------------------------------------------------------
-    # The pool, pager, and per-refresh executor live on _resources (so
-    # the finalizer can release them); these properties keep the miner's
-    # own code — and tests that reach for miner._pool — unchanged.
+    # The pool and pager live on _resources (so the finalizer can release
+    # them); these properties keep the miner's own code — and tests that
+    # reach for miner._pool — unchanged.
     @property
     def _pool(self):
         return self._resources.pool
@@ -357,14 +327,6 @@ class DynamicMiner:
     @_pager.setter
     def _pager(self, value) -> None:
         self._resources.pager = value
-
-    @property
-    def _refresh_executor(self):
-        return self._resources.refresh_executor
-
-    @_refresh_executor.setter
-    def _refresh_executor(self, value) -> None:
-        self._resources.refresh_executor = value
 
     # ------------------------------------------------------------------
     @property
@@ -473,83 +435,41 @@ class DynamicMiner:
         return cached
 
     # ------------------------------------------------------------------
-    def _acquire_runner(self, sharded):
-        """The shard runner for one refresh, or ``None`` (serial).
+    def _ensure_pool(self, sharded) -> None:
+        """Start the session's :class:`ShardWorkerPool` if it should run.
 
-        Resident mode reuses one :class:`ShardWorkerPool` across every
-        refresh of the session; the reference mode spawns (and
-        :meth:`_release_runner` tears down) a per-refresh executor that
-        re-ships the whole graph and partition to fresh workers.  Any
-        spawn failure degrades the whole session to serial — results are
-        identical either way.
+        One pool serves every refresh of the session (``_pool`` stays
+        ``None`` for serial sessions).  A spawn failure degrades the whole
+        session to serial — results are identical either way.
         """
-        if self.workers <= 1 or sharded is None or self._pool_failed:
-            return None
-        if self.resident_workers:
-            if self._pool is None:
-                try:
-                    from ..partition.workers import ShardWorkerPool
-
-                    self._pool = ShardWorkerPool(
-                        self.workers,
-                        measure=self.measure,
-                        lazy=self.lazy,
-                        lazy_cap=self._lazy_cap,
-                        use_index=self.use_index,
-                        depth=max(0, self.max_pattern_nodes - 2),
-                    )
-                except (OSError, ValueError) as exc:
-                    _LOG.warning(
-                        "could not start the shard worker pool (%s); the "
-                        "session evaluates serially from here on",
-                        exc,
-                    )
-                    _metrics.counter("repro_pool_serial_fallbacks").inc()
-                    self._pool_failed = True
-                    return None
-            return self._pool
+        if (
+            self.workers <= 1
+            or sharded is None
+            or self._pool_failed
+            or self._pool is not None
+        ):
+            return
         try:
-            from concurrent.futures import ProcessPoolExecutor
+            from ..partition.workers import ShardWorkerPool
 
-            from ..partition.workers import ExecutorShardRunner
-            from .parallel import init_worker
-
-            executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=init_worker,
-                initargs=(
-                    self.data,
-                    self.measure,
-                    self.lazy,
-                    self._lazy_cap,
-                    None,
-                    self.use_index,
-                    self.min_support,
-                    sharded.partition,
-                ),
+            self._pool = ShardWorkerPool(
+                self.workers,
+                measure=self.measure,
+                lazy=self.lazy,
+                lazy_cap=self._lazy_cap,
+                use_index=self.use_index,
+                depth=max(0, self.max_pattern_nodes - 2),
             )
         except (OSError, ValueError) as exc:
             _LOG.warning(
-                "could not start the per-refresh executor (%s); the session "
-                "evaluates serially from here on",
+                "could not start the shard worker pool (%s); the "
+                "session evaluates serially from here on",
                 exc,
             )
             _metrics.counter("repro_pool_serial_fallbacks").inc()
             self._pool_failed = True
-            return None
-        self._refresh_executor = executor
-        return ExecutorShardRunner(executor, self.workers)
 
-    def _release_runner(self, *, wait: bool = True) -> None:
-        """End-of-refresh cleanup: per-refresh executors die, the
-        resident pool lives on.  ``wait=False`` is the interrupt path —
-        cancel instead of draining."""
-        self._active_runner = None
-        if self._refresh_executor is not None:
-            self._refresh_executor.shutdown(wait=wait, cancel_futures=not wait)
-            self._refresh_executor = None
-
-    def _drop_runner(self) -> None:
+    def _drop_pool(self) -> None:
         """A pool-infrastructure failure: go serial for good."""
         _LOG.warning(
             "shard runner failed mid-refresh; affected candidates re-evaluate "
@@ -557,13 +477,9 @@ class DynamicMiner:
         )
         _metrics.counter("repro_pool_serial_fallbacks").inc()
         self._pool_failed = True
-        self._active_runner = None
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-        if self._refresh_executor is not None:
-            self._refresh_executor.shutdown(wait=False, cancel_futures=True)
-            self._refresh_executor = None
 
     def _evaluate(
         self,
@@ -587,7 +503,7 @@ class DynamicMiner:
         stats.patterns_evaluated += 1
         stats.support_calls += 1
         outcome = None
-        if sharded is not None and self._active_runner is not None:
+        if sharded is not None and self._pool is not None:
             outcome = self._evaluate_pooled(pattern, sharded, histogram)
         if outcome is not None:
             support, num_occurrences = outcome
@@ -658,7 +574,7 @@ class DynamicMiner:
             return pooled_outcomes(
                 [pattern],
                 sharded,
-                self._active_runner,
+                self._pool,
                 measure=self.measure,
                 lazy=self.lazy,
                 lazy_cap=self._lazy_cap,
@@ -668,7 +584,7 @@ class DynamicMiner:
                 prune_below=self.min_support,
             )[0]
         except (OSError, BrokenExecutor):
-            self._drop_runner()
+            self._drop_pool()
             return None
 
     def _mine(self, delta_pairs: Optional[Set[LabelPair]]) -> MiningResult:
@@ -681,7 +597,7 @@ class DynamicMiner:
             if self._sharded_maintainer is not None
             else None
         )
-        self._active_runner = self._acquire_runner(sharded)
+        self._ensure_pool(sharded)
         label_pairs = adjacent_label_pairs(self.data, index=index)
         histogram = (
             index.label_histogram()
@@ -714,68 +630,62 @@ class DynamicMiner:
                     level.append((seed, certificate))
                 seed_span.set(seeds=len(level))
 
-            try:
-                while level:
-                    levels += 1
-                    frequent_before = stats.patterns_frequent
-                    pruned_before = stats.patterns_pruned
-                    reused_before = stats.patterns_reused
-                    skipped_before = stats.patterns_skipped_unaffected
-                    with _trace.span(
-                        "level", level=levels, candidates=len(level)
-                    ) as level_span:
-                        next_level: List[Tuple[Pattern, str]] = []
-                        for pattern, certificate in level:
-                            evaluated = self._evaluate(
-                                pattern,
-                                certificate,
-                                delta_pairs,
-                                histogram,
-                                stats,
-                                sharded,
-                            )
-                            if evaluated is None:
-                                continue
-                            if evaluated.support >= self.min_support:
-                                stats.patterns_frequent += 1
-                                if (
-                                    delta_pairs is not None
-                                    and certificate not in self._frequent
-                                    and certificate in self._ever_frequent
-                                ):
-                                    # Frequent again after an earlier refresh
-                                    # pruned it — a deletion pushed it out, an
-                                    # insertion revived it.
-                                    stats.patterns_revived += 1
-                                frequent.append(evaluated)
-                                for extension in all_extensions(
-                                    pattern,
-                                    label_pairs,
-                                    max_nodes=self.max_pattern_nodes,
-                                    max_edges=self.max_pattern_edges,
-                                ):
-                                    stats.patterns_generated += 1
-                                    ext_certificate = self._certificate(extension)
-                                    if ext_certificate in seen:
-                                        stats.duplicates_skipped += 1
-                                        continue
-                                    seen.add(ext_certificate)
-                                    next_level.append((extension, ext_certificate))
-                            else:
-                                stats.patterns_pruned += 1
-                        level_span.set(
-                            frequent=stats.patterns_frequent - frequent_before,
-                            pruned=stats.patterns_pruned - pruned_before,
-                            reused=stats.patterns_reused - reused_before,
-                            skipped=stats.patterns_skipped_unaffected
-                            - skipped_before,
+            while level:
+                levels += 1
+                frequent_before = stats.patterns_frequent
+                pruned_before = stats.patterns_pruned
+                reused_before = stats.patterns_reused
+                skipped_before = stats.patterns_skipped_unaffected
+                with _trace.span(
+                    "level", level=levels, candidates=len(level)
+                ) as level_span:
+                    next_level: List[Tuple[Pattern, str]] = []
+                    for pattern, certificate in level:
+                        evaluated = self._evaluate(
+                            pattern,
+                            certificate,
+                            delta_pairs,
+                            histogram,
+                            stats,
+                            sharded,
                         )
-                    level = next_level
-            except BaseException:
-                # Interrupt/failure: never wait on in-flight pool work.
-                self._release_runner(wait=False)
-                raise
-            self._release_runner()
+                        if evaluated is None:
+                            continue
+                        if evaluated.support >= self.min_support:
+                            stats.patterns_frequent += 1
+                            if (
+                                delta_pairs is not None
+                                and certificate not in self._frequent
+                                and certificate in self._ever_frequent
+                            ):
+                                # Frequent again after an earlier refresh
+                                # pruned it — a deletion pushed it out, an
+                                # insertion revived it.
+                                stats.patterns_revived += 1
+                            frequent.append(evaluated)
+                            for extension in all_extensions(
+                                pattern,
+                                label_pairs,
+                                max_nodes=self.max_pattern_nodes,
+                                max_edges=self.max_pattern_edges,
+                            ):
+                                stats.patterns_generated += 1
+                                ext_certificate = self._certificate(extension)
+                                if ext_certificate in seen:
+                                    stats.duplicates_skipped += 1
+                                    continue
+                                seen.add(ext_certificate)
+                                next_level.append((extension, ext_certificate))
+                        else:
+                            stats.patterns_pruned += 1
+                    level_span.set(
+                        frequent=stats.patterns_frequent - frequent_before,
+                        pruned=stats.patterns_pruned - pruned_before,
+                        reused=stats.patterns_reused - reused_before,
+                        skipped=stats.patterns_skipped_unaffected
+                        - skipped_before,
+                    )
+                level = next_level
 
             frequent.sort(key=lambda fp: (fp.num_edges, -fp.support, fp.certificate))
             mine_span.set(levels=levels, frequent=len(frequent))
@@ -910,26 +820,14 @@ class StreamApplier:
 def mine_stream(
     data: LabeledGraph,
     updates: Sequence[GraphUpdate],
-    *,
-    batch_size=UNSET,
-    mode=UNSET,
-    measure=UNSET,
-    min_support=UNSET,
-    max_pattern_nodes=UNSET,
-    max_pattern_edges=UNSET,
-    lazy=UNSET,
-    window=UNSET,
-    shards=UNSET,
-    partition_method=UNSET,
-    workers=UNSET,
-    max_resident=UNSET,
-    resident_workers=UNSET,
     spec: Optional[MiningSpec] = None,
 ) -> Iterator[StreamBatch]:
     """Mine a live graph: apply ``updates`` in batches, yield per-batch results.
 
     Updates may mix insertions (``v`` / ``e``) and deletions (``de`` /
-    ``dv``).  ``mode`` selects the maintenance strategy:
+    ``dv``).  ``spec`` (``None`` = the defaults) configures both the
+    mining question and the replay; ``spec.mode`` selects the
+    maintenance strategy:
 
     * ``"delta"`` — :class:`DynamicMiner` with the delta-maintained index
       (the fast path);
@@ -950,8 +848,7 @@ def mine_stream(
     across all batches (requires ``shards > 1``; it raises otherwise),
     and the reference modes pass workers into each per-batch mine.
     ``max_resident=N`` likewise rides along to bound resident shard
-    views out-of-core, and ``resident_workers=False`` selects the
-    per-task-shipping reference pool lifecycle.
+    views out-of-core.
 
     ``window=N`` turns the replay into a **sliding-window** workload: after
     each batch, the oldest live stream-inserted edges are removed until at
@@ -974,24 +871,7 @@ def mine_stream(
     they are the independent baseline the equivalence suites diff the
     service-mediated path against.
     """
-    spec = resolve_spec(
-        spec,
-        {
-            "batch_size": batch_size,
-            "mode": mode,
-            "measure": measure,
-            "min_support": min_support,
-            "max_pattern_nodes": max_pattern_nodes,
-            "max_pattern_edges": max_pattern_edges,
-            "lazy": lazy,
-            "window": window,
-            "shards": shards,
-            "partition_method": partition_method,
-            "workers": workers,
-            "max_resident": max_resident,
-            "resident_workers": resident_workers,
-        },
-    )
+    spec = require_spec(spec)
     if spec.mode == "delta":
         yield from _stream_via_service(data, updates, spec)
         return

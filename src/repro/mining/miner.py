@@ -18,6 +18,8 @@ performed — seeds are all one-edge patterns, each extension adds exactly
 one edge — but it exposes the per-level batches needed for parallel
 support evaluation (``workers > 1``) while keeping results identical.
 
+Every run is configured by one :class:`~repro.mining.spec.MiningSpec`
+passed as ``spec=`` — the only way in; field names below refer to it.
 The data graph's :class:`~repro.index.GraphIndex` is built **once per
 mining session** and reused across every candidate evaluation (and every
 worker builds its own copy exactly once); ``use_index=False`` selects the
@@ -45,7 +47,7 @@ from ..obs import trace as _trace
 from ..obs.logs import get_logger
 from .extension import adjacent_label_pairs, all_extensions, single_edge_patterns
 from .results import FrequentPattern, MiningResult, MiningStats
-from .spec import UNSET, MiningSpec, resolve_spec
+from .spec import MiningSpec, require_spec
 
 _LOG = get_logger("mining.miner")
 
@@ -80,106 +82,35 @@ class FrequentSubgraphMiner:
     ----------
     data:
         The single data graph to mine.
-    measure:
-        Name of a registered support measure (default ``"mni"``, the
-        cheapest anti-monotonic choice; ``"mi"``, ``"mvc"``, ``"mis"`` and
-        the LP relaxations all work).
-    min_support:
-        Frequency threshold; patterns with support >= this are frequent.
-    max_pattern_nodes / max_pattern_edges:
-        Structural caps on the search.
-    max_occurrences:
-        Safety valve: stop enumerating occurrences of a candidate beyond
-        this count and treat the candidate's support optimistically via its
-        truncated occurrence list (exact for every pattern below the cap).
-    allow_non_anti_monotonic:
-        Permit measures whose pruning is not safe (for experimentation).
-    lazy:
-        Only for ``measure="mni"``: decide frequency with the GraMi-style
-        threshold-bounded evaluation (anchored searches, no occurrence
-        enumeration).  Reported supports are capped at ``min_support``.
-    use_index:
-        Route all matching through the data graph's acceleration index
-        (built once, reused for every candidate).  ``False`` is the
-        brute-force reference path; results are identical either way.
-    workers:
-        Evaluate same-level candidates concurrently in this many worker
-        processes (``<= 1`` = in-process serial evaluation).  Result
-        order, supports and statistics are deterministic and identical to
-        the serial run.  Falls back to serial evaluation if worker
-        processes cannot be spawned.
-    shards:
-        Partition the data graph into this many edge-disjoint shards
-        (``repro.partition``) and evaluate support shard-by-shard: each
-        candidate enumerates only its relevant halo-expanded shards and
-        the per-shard results merge into exact global values — results
-        are byte-identical to the unsharded run (with ``max_occurrences``
-        set, truncation is still deterministic but may keep a different
-        occurrence subset than the flat enumeration order would).
-        ``shards=1`` (default) is the unsharded path, untouched.
-        Composes with ``workers``: each shard is pinned to one
-        long-lived shard-resident worker (``shard_id % workers``) that
-        holds the shard's slice and halo expansions for the whole
-        session, so shards of the same candidate evaluate in parallel
-        and only constant-size requests cross the process boundary.
-    partition_method:
-        Partitioner for ``shards > 1`` — ``"hash"``, ``"label"``, or
-        ``"edgecut"`` (see :func:`repro.partition.partition_edges`).
-    max_resident:
-        Out-of-core mode (requires ``shards > 1``): keep at most this
-        many shards' halo-expanded views resident in parent memory; the
-        least recently used shard spills to disk and is re-hydrated on
-        demand (:class:`repro.partition.workers.ShardPager`).  Results
-        are byte-identical regardless of eviction order.
-    resident_workers:
-        With ``False``, sharded pooled sessions use the per-task
-        shipping pool (the pre-resident design: every worker receives
-        the whole graph + partition and rebuilds its own sharded
-        index).  Kept as the explicit benchmark baseline; results are
-        identical either way.
     spec:
-        A :class:`~repro.mining.spec.MiningSpec` carrying the whole
-        parameter surface at once.  Explicit kwargs override the spec's
-        fields; omitting both uses the spec defaults.  The kwargs above
-        remain supported as a shim over the spec.
+        The :class:`~repro.mining.spec.MiningSpec` describing the run
+        (``None`` = :data:`~repro.mining.spec.DEFAULT_SPEC`).  Its
+        structural fields decide what is mined: the support ``measure``
+        (any registered name; non-anti-monotonic ones need
+        ``allow_non_anti_monotonic``), ``min_support``, the pattern-size
+        caps, the ``max_occurrences`` safety valve (a candidate's
+        support is then computed from its truncated occurrence list),
+        and ``lazy`` (MNI only: GraMi-style threshold-bounded
+        evaluation, reported supports capped at ``min_support``).
+
+        Its strategy fields decide how, and never change the result:
+        ``use_index=False`` is the brute-force reference path;
+        ``workers > 1`` evaluates each level's candidates in worker
+        processes (falling back to serial if they cannot be spawned);
+        ``shards=k`` evaluates support over ``k`` edge-disjoint,
+        halo-expanded shards (``partition_method`` picks the
+        partitioner) and merges per-shard results exactly — with
+        ``workers`` as well, each shard is pinned to one long-lived
+        shard-resident worker (``shard_id % workers``) that holds its
+        slice for the whole session; ``max_resident`` bounds the
+        resident shard views, spilling the least recently used one to
+        disk (:class:`repro.partition.workers.ShardPager`).  With
+        ``max_occurrences`` set, sharded truncation is deterministic but
+        may keep a different occurrence subset than the flat order.
     """
 
-    def __init__(
-        self,
-        data: LabeledGraph,
-        measure=UNSET,
-        min_support=UNSET,
-        max_pattern_nodes=UNSET,
-        max_pattern_edges=UNSET,
-        max_occurrences=UNSET,
-        allow_non_anti_monotonic=UNSET,
-        lazy=UNSET,
-        use_index=UNSET,
-        workers=UNSET,
-        shards=UNSET,
-        partition_method=UNSET,
-        max_resident=UNSET,
-        resident_workers=UNSET,
-        spec: Optional[MiningSpec] = None,
-    ) -> None:
-        spec = resolve_spec(
-            spec,
-            {
-                "measure": measure,
-                "min_support": min_support,
-                "max_pattern_nodes": max_pattern_nodes,
-                "max_pattern_edges": max_pattern_edges,
-                "max_occurrences": max_occurrences,
-                "allow_non_anti_monotonic": allow_non_anti_monotonic,
-                "lazy": lazy,
-                "use_index": use_index,
-                "workers": workers,
-                "shards": shards,
-                "partition_method": partition_method,
-                "max_resident": max_resident,
-                "resident_workers": resident_workers,
-            },
-        )
+    def __init__(self, data: LabeledGraph, spec: Optional[MiningSpec] = None) -> None:
+        spec = require_spec(spec)
         info = measure_info(spec.measure)
         if not info.anti_monotonic and not spec.allow_non_anti_monotonic:
             raise MiningError(
@@ -199,7 +130,6 @@ class FrequentSubgraphMiner:
         self.shards = spec.shards
         self.partition_method = spec.partition_method
         self.max_resident = spec.max_resident
-        self.resident_workers = spec.resident_workers
         self._pager = None
         # Built once per mining session; every candidate evaluation, seed
         # generation, and extension proposal reuses it.  mine() re-syncs
@@ -382,21 +312,10 @@ class FrequentSubgraphMiner:
         (:func:`repro.partition.workers.pooled_outcomes`), and merges
         each candidate's shard partials through the shared merge helpers.
         Outcomes are therefore byte-identical to the serial sharded run,
-        which in turn matches the unsharded one — for the shard-resident
-        pool and the per-task-shipping reference pool alike.
+        which in turn matches the unsharded one.
         """
-        from ..partition.workers import (
-            ExecutorShardRunner,
-            ShardWorkerPool,
-            pooled_outcomes,
-        )
+        from ..partition.workers import pooled_outcomes
         from .parallel import evaluate_support
-
-        runner = (
-            pool
-            if isinstance(pool, ShardWorkerPool)
-            else ExecutorShardRunner(pool, self.workers)
-        )
 
         def flat_evaluate(pattern: Pattern) -> Tuple[float, int]:
             return evaluate_support(
@@ -414,7 +333,7 @@ class FrequentSubgraphMiner:
         return pooled_outcomes(
             [pattern for pattern, _ in level],
             self._sharded,
-            runner,
+            pool,
             measure=self.measure,
             lazy=self.lazy,
             lazy_cap=self._lazy_cap,
@@ -427,18 +346,15 @@ class FrequentSubgraphMiner:
     def _make_pool(self):
         """A process pool for support evaluation, or None (serial).
 
-        Sharded sessions get the shard-resident worker pool by default
-        (``resident_workers=False`` selects the per-task shipping
-        executor instead); flat sessions keep the candidate-level
-        executor — initialized **without** a partition, so flat workers
-        never pay sharded pickling or rebuild a sharded index.  Any
-        construction failure degrades to the serial path, which produces
-        identical results; the degrade path for workers that die later
-        lives in :meth:`_evaluate_level`.
+        Sharded sessions get the shard-resident worker pool; flat
+        sessions get the candidate-level executor.  Any construction
+        failure degrades to the serial path, which produces identical
+        results; the degrade path for workers that die later lives in
+        :meth:`_evaluate_level`.
         """
         if self.workers <= 1:
             return None
-        if self._sharded is not None and self.resident_workers:
+        if self._sharded is not None:
             try:
                 from ..partition.workers import ShardWorkerPool
 
@@ -473,7 +389,6 @@ class FrequentSubgraphMiner:
                     self.max_occurrences,
                     self.use_index,
                     self.min_support,
-                    self._sharded.partition if self._sharded is not None else None,
                 ),
             )
         except (OSError, ValueError) as exc:
@@ -579,38 +494,7 @@ class FrequentSubgraphMiner:
 
 
 def mine_frequent_patterns(
-    data: LabeledGraph,
-    measure=UNSET,
-    min_support=UNSET,
-    max_pattern_nodes=UNSET,
-    max_pattern_edges=UNSET,
-    max_occurrences=UNSET,
-    allow_non_anti_monotonic=UNSET,
-    lazy=UNSET,
-    use_index=UNSET,
-    workers=UNSET,
-    shards=UNSET,
-    partition_method=UNSET,
-    max_resident=UNSET,
-    resident_workers=UNSET,
-    spec: Optional[MiningSpec] = None,
+    data: LabeledGraph, spec: Optional[MiningSpec] = None
 ) -> MiningResult:
     """Convenience one-call mining entry point (see :class:`FrequentSubgraphMiner`)."""
-    miner = FrequentSubgraphMiner(
-        data,
-        measure=measure,
-        min_support=min_support,
-        max_pattern_nodes=max_pattern_nodes,
-        max_pattern_edges=max_pattern_edges,
-        max_occurrences=max_occurrences,
-        allow_non_anti_monotonic=allow_non_anti_monotonic,
-        lazy=lazy,
-        use_index=use_index,
-        workers=workers,
-        shards=shards,
-        partition_method=partition_method,
-        max_resident=max_resident,
-        resident_workers=resident_workers,
-        spec=spec,
-    )
-    return miner.mine()
+    return FrequentSubgraphMiner(data, spec).mine()

@@ -14,15 +14,9 @@ level are independent of each other, so the miner can farm them out to a
   order, so mining results are **deterministic and identical to the
   serial path** regardless of worker count or scheduling.
 
-For a sharded mining session (``FrequentSubgraphMiner(shards=k)``) the
-pool's unit of work drops from one candidate to one **(candidate, shard)
-pair**: workers rebuild the same :class:`~repro.partition.ShardedIndex`
-from the shipped :class:`~repro.partition.Partition` (never re-partition
-— the parent's assignment is authoritative), enumerate the candidate's
-anchored occurrences in their halo-expanded shard, and ship the raw item
-tuples (or per-node image scans in lazy mode) back for the parent to
-merge exactly — so a single expensive candidate parallelizes across its
-shards instead of serializing on one worker.
+Flat pooled sessions only: a sharded pooled session always runs on the
+shard-resident :class:`~repro.partition.workers.ShardWorkerPool`, planned
+and merged through :func:`repro.partition.workers.pooled_outcomes`.
 
 The helpers live in their own module (not nested in the miner class) so
 they are picklable under every ``multiprocessing`` start method.
@@ -110,15 +104,8 @@ def init_worker(
     max_occurrences: Optional[int],
     use_index: bool,
     prune_below: Optional[float],
-    partition=None,
 ) -> None:
-    """Pool initializer: stash the shared evaluation context in the worker.
-
-    ``partition`` (a :class:`repro.partition.Partition`, or ``None`` for
-    flat evaluation) carries the parent's shard assignment; the worker's
-    :class:`~repro.partition.ShardedIndex` is built from it lazily on the
-    first shard task, so flat sessions pay nothing.
-    """
+    """Pool initializer: stash the shared evaluation context in the worker."""
     if use_index:
         from ..index.graph_index import get_index
 
@@ -133,87 +120,6 @@ def init_worker(
         index_arg=None if use_index else False,
         histogram=data.label_histogram(),
         prune_below=prune_below,
-        partition=partition,
-        sharded=None,
-    )
-
-
-def _worker_sharded_index():
-    """The worker's ShardedIndex, built once from the shipped partition.
-
-    Only shard tasks reach this; a flat pooled session initializes its
-    workers with ``partition=None`` and must never build a sharded index
-    here — that would silently re-shard inside the worker and charge flat
-    sessions for partition state the parent never shipped.
-    """
-    sharded = _WORKER_STATE.get("sharded")
-    if sharded is None:
-        assert _WORKER_STATE.get("partition") is not None, (
-            "shard task reached a flat worker: init_worker was given "
-            "partition=None, so no ShardedIndex may be built here"
-        )
-        from ..partition.sharded_index import ShardedIndex
-
-        sharded = ShardedIndex(
-            _WORKER_STATE["data"],  # type: ignore[arg-type]
-            _WORKER_STATE["partition"],  # type: ignore[arg-type]
-        )
-        _WORKER_STATE["sharded"] = sharded
-    return sharded
-
-
-def evaluate_shard_task(task: Tuple[str, Pattern, int]):
-    """Evaluate one sharded work item — ``("solo", p, _)`` or ``("part", p, s)``.
-
-    ``solo`` — the candidate's whole footprint anchors in one shard, so
-    every global occurrence lives there: the worker runs the complete
-    sharded evaluation and returns the final ``(support,
-    num_occurrences)`` pair — two numbers across the process boundary,
-    and the measure computation parallelizes along with the enumeration.
-    This is the common case under footprint-affine partitioning.
-
-    ``part`` — the footprint spans shards, so exact merging needs the raw
-    partial: anchored occurrence item tuples in eager mode, the per-node
-    image scan in lazy mode, merged in the parent through
-    :func:`repro.partition.evaluate.support_from_shard_items` /
-    :func:`~repro.partition.evaluate.merge_lazy_partials`.  Either way
-    the outcome is exact regardless of how work lands on processes.
-    """
-    from ..partition.evaluate import (
-        shard_node_images,
-        shard_occurrence_items,
-        sharded_evaluate_support,
-    )
-
-    kind, pattern, shard_id = task
-    state = _WORKER_STATE
-    sharded = _worker_sharded_index()
-    if kind == "solo":
-        return sharded_evaluate_support(
-            pattern,
-            sharded,
-            str(state["measure"]),
-            lazy=bool(state["lazy"]),
-            lazy_cap=int(state["lazy_cap"]),  # type: ignore[arg-type]
-            max_occurrences=state["max_occurrences"],  # type: ignore[arg-type]
-            index_arg=state["index_arg"],
-            histogram=state["histogram"],  # type: ignore[arg-type]
-            prune_below=state["prune_below"],  # type: ignore[arg-type]
-        )
-    if state["lazy"]:
-        return shard_node_images(
-            pattern,
-            sharded,
-            shard_id,
-            cap=int(state["lazy_cap"]),  # type: ignore[arg-type]
-            index=state["index_arg"],
-        )
-    return shard_occurrence_items(
-        pattern,
-        sharded,
-        shard_id,
-        index=state["index_arg"],
-        limit=state["max_occurrences"],  # type: ignore[arg-type]
     )
 
 

@@ -1,17 +1,20 @@
 """``MiningSpec`` — the one request object every mining entry point accepts.
 
-Through PR 6 the mining parameter surface grew to a dozen loose kwargs
-(``measure``, ``min_support``, ``lazy``, ``workers``, ``shards``,
-``partition_method``, ``max_resident``, ``resident_workers``, ``window``,
-...) threaded separately through :class:`FrequentSubgraphMiner`,
+Every mining entry point — :class:`FrequentSubgraphMiner`,
 :class:`DynamicMiner`, :func:`mine_frequent_patterns`,
-:func:`mine_stream`, and the CLI — with defaults re-declared at every
-hop.  :class:`MiningSpec` consolidates them into one frozen, validated,
-JSON-round-trippable dataclass:
+:func:`mine_stream`, the CLI and the service protocol — is configured by
+one frozen, validated, JSON-round-trippable :class:`MiningSpec` passed
+as ``spec=`` (``None`` means :data:`DEFAULT_SPEC`).  Callers that vary
+one knob derive a spec with :meth:`MiningSpec.replace`:
 
-* the **field defaults here are the single source of truth** — the
-  library signatures and the CLI flag defaults are both derived from
-  them (``tests/test_mining_spec.py`` pins the agreement);
+* the **field defaults here are the single source of truth** — the CLI
+  flag defaults are derived from them (``tests/test_mining_spec.py``
+  pins the agreement);
+* ``__post_init__`` type-checks every field before any range check, so
+  a malformed wire spec (``"min_support": "3"``, ``"lazy": "yes"``)
+  fails with :class:`~repro.errors.MiningError` — the service maps it
+  to ``bad_request`` — and ``min_support`` is normalised to ``float``
+  so ``3`` and ``3.0`` are one request;
 * :meth:`MiningSpec.to_json` serializes in canonical field order, so a
   spec has exactly one wire form;
 * :meth:`MiningSpec.cache_key` is the canonical form of the
@@ -21,38 +24,16 @@ JSON-round-trippable dataclass:
   the mined bytes.  The service layer's :class:`~repro.service.ResultCache`
   keys on ``(graph version, cache_key)``, so a brute-force request can be
   served from a cache entry an indexed request populated.
-
-Every public entry point accepts ``spec=``; the legacy kwargs keep
-working through :func:`resolve_spec`, which folds explicitly-passed
-values over the spec (or over the defaults when no spec is given).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields, replace as _dataclass_replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import MiningError
 from ..measures.base import measure_info
-
-
-class _Unset:
-    """Sentinel for "parameter not passed" in the legacy-kwarg shims."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unset>"
-
-
-UNSET = _Unset()
 
 #: Stream maintenance strategies accepted by :func:`mine_stream`.
 STREAM_MODES = ("delta", "rebuild", "brute")
@@ -71,11 +52,62 @@ RESULT_FIELDS = (
     "lazy",
 )
 
-#: Legacy/CLI spellings accepted by :meth:`MiningSpec.from_kwargs`.
+#: CLI spellings accepted by :meth:`MiningSpec.from_kwargs`.
 _ALIASES = {
     "max_nodes": "max_pattern_nodes",
     "max_edges": "max_pattern_edges",
     "partition": "partition_method",
+}
+
+#: ``(type, optional)`` per field; ``float`` admits ints, ``int`` admits
+#: no bools (``True`` is an ``int`` to Python, never a shard count).
+FieldTypes = Dict[str, Tuple[type, bool]]
+
+
+def check_field_types(spec: Any, types: FieldTypes) -> None:
+    """Raise :class:`MiningError` for the first field of the wrong type.
+
+    Runs before any range check, so a malformed wire value (a string
+    threshold, a fractional worker count, a ``null`` cap) surfaces as a
+    typed ``bad_request`` rather than a ``TypeError`` from a comparison.
+    """
+    for name, (kind, optional) in types.items():
+        value = getattr(spec, name)
+        if value is None and optional:
+            continue
+        if kind is float:
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        elif kind is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            expected = {float: "a number", int: "an integer", bool: "a boolean"}.get(
+                kind, f"a {kind.__name__}"
+            )
+            if optional:
+                expected += " or null"
+            raise MiningError(
+                f"{name} must be {expected}, got {type(value).__name__} {value!r}"
+            )
+
+
+_MINING_FIELD_TYPES: FieldTypes = {
+    "measure": (str, False),
+    "min_support": (float, False),
+    "max_pattern_nodes": (int, False),
+    "max_pattern_edges": (int, False),
+    "max_occurrences": (int, True),
+    "allow_non_anti_monotonic": (bool, False),
+    "lazy": (bool, False),
+    "use_index": (bool, False),
+    "workers": (int, False),
+    "shards": (int, False),
+    "partition_method": (str, False),
+    "max_resident": (int, True),
+    "window": (int, True),
+    "batch_size": (int, False),
+    "mode": (str, False),
 }
 
 
@@ -84,7 +116,7 @@ class MiningSpec:
     """One validated, canonical description of a mining request.
 
     Structural fields (``measure`` .. ``lazy``) decide *what* is mined;
-    strategy fields (``use_index`` .. ``resident_workers``) decide *how*
+    strategy fields (``use_index`` .. ``max_resident``) decide *how*
     — results are byte-identical across strategies; stream fields
     (``window``, ``batch_size``, ``mode``) only apply to update-stream
     replays and are ignored by one-shot mining.
@@ -102,12 +134,14 @@ class MiningSpec:
     shards: int = 1
     partition_method: str = "hash"
     max_resident: Optional[int] = None
-    resident_workers: bool = True
     window: Optional[int] = None
     batch_size: int = 1
     mode: str = "delta"
 
     def __post_init__(self) -> None:
+        check_field_types(self, _MINING_FIELD_TYPES)
+        # One request, one key: 3 and 3.0 must share the cache entry.
+        object.__setattr__(self, "min_support", float(self.min_support))
         # Raises MeasureError with the available-measure list for typos.
         measure_info(self.measure)
         if self.min_support <= 0:
@@ -227,33 +261,19 @@ class MiningSpec:
 DEFAULT_SPEC = MiningSpec()
 
 
-def resolve_spec(spec: Optional[MiningSpec], overrides: Dict[str, Any]) -> MiningSpec:
-    """The legacy-kwarg shim shared by every entry point.
 
-    ``overrides`` maps parameter names to values, with :data:`UNSET`
-    marking "not passed".  Explicitly-passed values are folded over
-    ``spec`` (or over the defaults when ``spec`` is ``None``), so
-    ``f(data, spec=s, workers=4)`` means "``s``, but with 4 workers" and
-    plain legacy calls behave exactly as before.
+def require_spec(spec: Optional[MiningSpec]) -> MiningSpec:
+    """``spec`` itself, :data:`DEFAULT_SPEC` for ``None``, else an error.
 
-    Bare legacy kwargs (no ``spec=`` at all) are deprecated: they keep
-    working, but emit a :class:`DeprecationWarning` pointing at
-    ``MiningSpec.from_kwargs``.  Spec-plus-overrides stays first-class —
-    that form is how strategy knobs are meant to be varied.
+    The guard every entry point runs on its ``spec`` argument: a stray
+    positional value (``mine_frequent_patterns(g, "mi")``) fails loudly
+    instead of reaching attribute access.
     """
-    given = {name: value for name, value in overrides.items() if value is not UNSET}
     if spec is None:
-        if given:
-            warnings.warn(
-                "legacy mining kwargs are deprecated; build a MiningSpec "
-                "(MiningSpec.from_kwargs(...)) and pass it as spec=...",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return MiningSpec.from_kwargs(**given)
+        return DEFAULT_SPEC
     if not isinstance(spec, MiningSpec):
         raise MiningError(
             f"spec must be a MiningSpec, got {type(spec).__name__} "
             "(build one with MiningSpec.from_kwargs(...))"
         )
-    return spec.replace(**given)
+    return spec

@@ -48,7 +48,7 @@ from ..graph.pattern import Pattern
 from ..measures.base import measure_info
 from .dynamic import pattern_footprint
 from .results import MiningResult
-from .spec import DEFAULT_SPEC, MiningSpec, _ALIASES
+from .spec import DEFAULT_SPEC, FieldTypes, MiningSpec, _ALIASES, check_field_types
 
 #: The standing-query kinds.
 STANDING_KINDS = ("pattern", "threshold")
@@ -113,6 +113,19 @@ def _normalize_pattern(value: Any) -> Tuple[Tuple, Tuple]:
     return tuple(norm_nodes), tuple(norm_edges)
 
 
+_STANDING_FIELD_TYPES: FieldTypes = {
+    "kind": (str, False),
+    "pattern": (tuple, True),
+    "measure": (str, False),
+    "min_support": (float, False),
+    "max_pattern_nodes": (int, False),
+    "max_pattern_edges": (int, False),
+    "lazy": (bool, False),
+    "events": (tuple, True),
+    "delivery": (str, False),
+}
+
+
 @dataclass(frozen=True)
 class StandingSpec:
     """One validated, canonical description of a standing query.
@@ -135,6 +148,9 @@ class StandingSpec:
     delivery: str = "poll"
 
     def __post_init__(self) -> None:
+        check_field_types(self, _STANDING_FIELD_TYPES)
+        # Same normalisation as MiningSpec: 3 and 3.0 are one query.
+        object.__setattr__(self, "min_support", float(self.min_support))
         if self.kind not in STANDING_KINDS:
             raise MiningError(
                 f"unknown standing-query kind {self.kind!r}; "
@@ -249,6 +265,11 @@ class StandingSpec:
             requested = resolved["events"]
             if isinstance(requested, str):
                 requested = [requested]
+            if not isinstance(requested, (list, tuple)):
+                raise MiningError(
+                    "events must be an event type or a list of them, got "
+                    f"{type(requested).__name__} {requested!r}"
+                )
             requested = list(requested)
             unknown = [e for e in requested if e not in EVENT_TYPES]
             if unknown:

@@ -36,13 +36,7 @@ from .maintainer import RebalancePolicy, ShardedIndexMaintainer, absorb_graph
 from .partitioner import PARTITION_METHODS, EdgeRouter, Partition, partition_edges
 from .shard import GraphShard
 from .sharded_index import ShardedIndex
-from .workers import (
-    ExecutorShardRunner,
-    ShardPager,
-    ShardWorkerPool,
-    WorkerPoolError,
-    pooled_outcomes,
-)
+from .workers import ShardPager, ShardWorkerPool, WorkerPoolError, pooled_outcomes
 
 __all__ = [
     "PARTITION_METHODS",
@@ -60,7 +54,6 @@ __all__ = [
     "load_shard_view",
     "ShardWorkerPool",
     "ShardPager",
-    "ExecutorShardRunner",
     "WorkerPoolError",
     "pooled_outcomes",
     "required_depth",

@@ -3,14 +3,11 @@
 Two subsystems that bound what mining keeps in memory, built on the same
 invalidation protocol:
 
-**Shard-resident workers** (:class:`ShardWorkerPool`).  The per-task
-process pool (``repro.mining.parallel``) ships the whole data graph plus
-the full :class:`~repro.partition.partitioner.Partition` to every worker,
-and each worker rebuilds a complete
-:class:`~repro.partition.sharded_index.ShardedIndex` — memory is
-``workers x |G|`` and every new pool pays the shipping again.  Here each
-long-lived worker instead *owns* the shards pinned to it (``shard_id %
-workers``): the parent ships one :class:`ShardSlice` per shard — the
+**Shard-resident workers** (:class:`ShardWorkerPool`), the one executor
+for sharded pooled mining.  Rather than shipping the whole data graph
+and partition to every worker (memory ``workers x |G|``, paid again by
+every new pool), each long-lived worker *owns* the shards pinned to it
+(``shard_id % workers``): the parent ships one :class:`ShardSlice` per shard — the
 shard's member set, core edges, and its deepest halo-expanded view — and
 from then on routes only constant-size ``(candidate -> partial support)``
 requests over the pipe.  Workers derive every shallower view they need by
@@ -525,30 +522,6 @@ class ShardWorkerPool:
                 pass
 
 
-class ExecutorShardRunner:
-    """Per-task-shipping reference runner (the pre-resident pool design).
-
-    Adapts a :class:`concurrent.futures.ProcessPoolExecutor` initialized
-    by :func:`repro.mining.parallel.init_worker` to the resident pool's
-    ``run(sharded, tasks)`` interface: every task re-routes through
-    ``evaluate_shard_task`` against the worker's own rebuilt
-    :class:`ShardedIndex`.  Kept as the explicit baseline the
-    ``tab10e`` benchmark gate measures the resident pool against, and as
-    the fallback mode (``resident_workers=False``).
-    """
-
-    def __init__(self, executor, workers: int) -> None:
-        self.executor = executor
-        self.workers = max(1, int(workers))
-
-    def run(self, sharded: ShardedIndex, tasks: Sequence[ShardTask]) -> List:
-        from ..mining.parallel import evaluate_shard_task
-
-        legacy = [(kind, pattern, shard_id) for kind, pattern, shard_id, *_ in tasks]
-        chunksize = max(1, len(legacy) // (self.workers * 4))
-        return list(self.executor.map(evaluate_shard_task, legacy, chunksize=chunksize))
-
-
 def pooled_outcomes(
     patterns: Sequence[Pattern],
     sharded: ShardedIndex,
@@ -565,8 +538,7 @@ def pooled_outcomes(
     """Plan, dispatch, and merge one batch of candidates through a runner.
 
     The single planner/merger shared by the static miner's level loop and
-    the dynamic miner's per-candidate evaluation, for both the resident
-    pool and the per-task-shipping reference runner: the parent makes
+    the dynamic miner's per-candidate evaluation: the parent makes
     every decision the serial sharded evaluator would (prune bound,
     relevant shards, flat fallback, solo-vs-fanout) and merges partials
     through the same helpers — so pooled outcomes are byte-identical to

@@ -25,14 +25,10 @@ from repro.mining.dynamic import (
     pattern_footprint,
 )
 from repro.mining.miner import mine_frequent_patterns
+from repro.mining.spec import MiningSpec
 
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
-MINE_KWARGS = dict(
+MINE_SPEC = MiningSpec(
     measure="mni", min_support=2, max_pattern_nodes=4, max_pattern_edges=4
 )
 
@@ -45,10 +41,10 @@ def result_key(result):
     ]
 
 
-def reference_keys(graph, **kwargs):
+def reference_keys(graph, spec):
     """Full re-mine references: rebuilt index (on a copy) and brute force."""
-    rebuilt = mine_frequent_patterns(graph.copy(), **kwargs)
-    brute = mine_frequent_patterns(graph, use_index=False, **kwargs)
+    rebuilt = mine_frequent_patterns(graph.copy(), spec=spec)
+    brute = mine_frequent_patterns(graph, spec=spec.replace(use_index=False))
     assert result_key(rebuilt) == result_key(brute)
     return result_key(rebuilt)
 
@@ -97,16 +93,16 @@ class TestRandomizedStreamEquivalence:
         alphabet = ("A", "B", "C") if seed % 2 else ("A", "B", "C", "D")
         graph = random_labeled_graph(14, 0.22, alphabet=alphabet, seed=seed)
         rng = random.Random(seed * 37 + 5)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
-        assert result_key(miner.refresh()) == reference_keys(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
+        assert result_key(miner.refresh()) == reference_keys(graph, MINE_SPEC)
         for batch in range(4):
             grow_randomly(graph, rng, steps=5, alphabet="ABCD", tag=f"s{seed}b{batch}")
             dynamic = miner.refresh()
-            assert result_key(dynamic) == reference_keys(graph, **MINE_KWARGS)
+            assert result_key(dynamic) == reference_keys(graph, MINE_SPEC)
 
     @pytest.mark.parametrize("measure", ["mni", "mi", "mis"])
     def test_measure_generality(self, measure):
-        kwargs = dict(MINE_KWARGS, measure=measure)
+        spec = MINE_SPEC.replace(measure=measure)
         graph = planted_pattern_graph(
             star_pattern("A", ["B", "C"]),
             num_copies=8,
@@ -116,29 +112,29 @@ class TestRandomizedStreamEquivalence:
             seed=21,
         )
         rng = random.Random(99)
-        miner = DynamicMiner(graph, **kwargs)
+        miner = DynamicMiner(graph, spec=spec)
         miner.refresh()
         for batch in range(3):
             grow_randomly(graph, rng, steps=4, alphabet="ABC", tag=f"m{batch}")
-            assert result_key(miner.refresh()) == reference_keys(graph, **kwargs)
+            assert result_key(miner.refresh()) == reference_keys(graph, spec)
 
     def test_lazy_mni_stream(self):
-        kwargs = dict(MINE_KWARGS, lazy=True)
+        spec = MINE_SPEC.replace(lazy=True)
         graph = random_labeled_graph(14, 0.25, alphabet=("A", "B", "C"), seed=31)
         rng = random.Random(7)
-        miner = DynamicMiner(graph, **kwargs)
+        miner = DynamicMiner(graph, spec=spec)
         miner.refresh()
         for batch in range(3):
             grow_randomly(graph, rng, steps=4, alphabet="ABC", tag=f"l{batch}")
-            assert result_key(miner.refresh()) == reference_keys(graph, **kwargs)
+            assert result_key(miner.refresh()) == reference_keys(graph, spec)
 
     def test_brute_reference_mode(self):
         graph = random_labeled_graph(12, 0.25, alphabet=("A", "B"), seed=17)
         rng = random.Random(3)
-        miner = DynamicMiner(graph, use_index=False, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC.replace(use_index=False))
         miner.refresh()
         grow_randomly(graph, rng, steps=6, alphabet="AB", tag="nb")
-        assert result_key(miner.refresh()) == reference_keys(graph, **MINE_KWARGS)
+        assert result_key(miner.refresh()) == reference_keys(graph, MINE_SPEC)
 
 
 class TestMixedStreamEquivalence:
@@ -149,15 +145,15 @@ class TestMixedStreamEquivalence:
         alphabet = ("A", "B", "C") if seed % 2 else ("A", "B", "C", "D")
         graph = random_labeled_graph(14, 0.25, alphabet=alphabet, seed=seed)
         rng = random.Random(seed * 53 + 11)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
-        assert result_key(miner.refresh()) == reference_keys(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
+        assert result_key(miner.refresh()) == reference_keys(graph, MINE_SPEC)
         for batch in range(4):
             churn_randomly(graph, rng, steps=5, alphabet="ABCD", tag=f"x{seed}b{batch}")
-            assert result_key(miner.refresh()) == reference_keys(graph, **MINE_KWARGS)
+            assert result_key(miner.refresh()) == reference_keys(graph, MINE_SPEC)
 
     @pytest.mark.parametrize("measure", ["mni", "mi", "mis"])
     def test_measure_generality_under_churn(self, measure):
-        kwargs = dict(MINE_KWARGS, measure=measure)
+        spec = MINE_SPEC.replace(measure=measure)
         graph = planted_pattern_graph(
             star_pattern("A", ["B", "C"]),
             num_copies=8,
@@ -167,32 +163,32 @@ class TestMixedStreamEquivalence:
             seed=43,
         )
         rng = random.Random(77)
-        miner = DynamicMiner(graph, **kwargs)
+        miner = DynamicMiner(graph, spec=spec)
         miner.refresh()
         for batch in range(3):
             churn_randomly(graph, rng, steps=4, alphabet="ABC", tag=f"g{batch}")
-            assert result_key(miner.refresh()) == reference_keys(graph, **kwargs)
+            assert result_key(miner.refresh()) == reference_keys(graph, spec)
 
     def test_lazy_mni_under_churn(self):
-        kwargs = dict(MINE_KWARGS, lazy=True)
+        spec = MINE_SPEC.replace(lazy=True)
         graph = random_labeled_graph(14, 0.28, alphabet=("A", "B", "C"), seed=47)
         rng = random.Random(19)
-        miner = DynamicMiner(graph, **kwargs)
+        miner = DynamicMiner(graph, spec=spec)
         miner.refresh()
         for batch in range(3):
             churn_randomly(graph, rng, steps=4, alphabet="ABC", tag=f"z{batch}")
-            assert result_key(miner.refresh()) == reference_keys(graph, **kwargs)
+            assert result_key(miner.refresh()) == reference_keys(graph, spec)
 
     def test_pure_deletion_batches(self):
         graph = random_labeled_graph(16, 0.3, alphabet=("A", "B", "C"), seed=51)
         rng = random.Random(23)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
         miner.refresh()
         for batch in range(4):
             for _ in range(3):
                 if graph.num_edges:
                     graph.remove_edge(*rng.choice(graph.edges()))
-            assert result_key(miner.refresh()) == reference_keys(graph, **MINE_KWARGS)
+            assert result_key(miner.refresh()) == reference_keys(graph, MINE_SPEC)
 
     def test_localized_deletion_reuses_unaffected_patterns(self):
         """Deletions confined to one label region leave the rest reused."""
@@ -207,7 +203,7 @@ class TestMixedStreamEquivalence:
             graph.add_vertex(vertex + offset, right.label_of(vertex))
         for u, v in right.edges():
             graph.add_edge(u + offset, v + offset)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
         initial = miner.refresh()
         # Delete only C-D edges; every A/B pattern must be reused verbatim.
         cd_edges = [
@@ -221,14 +217,15 @@ class TestMixedStreamEquivalence:
         stats = refreshed.stats
         assert stats.patterns_reused > 0
         assert stats.patterns_evaluated < initial.stats.patterns_evaluated
-        assert result_key(refreshed) == reference_keys(graph, **MINE_KWARGS)
+        assert result_key(refreshed) == reference_keys(graph, MINE_SPEC)
 
     def test_deleted_pattern_resurfaces_after_reinsert(self):
         """A pattern killed by deletions revives when insertions restore it."""
         graph = planted_pattern_graph(
             star_pattern("A", ["B", "B"]), num_copies=3, overlap_fraction=0.0, seed=9
         )
-        miner = DynamicMiner(graph, measure="mni", min_support=3, max_pattern_nodes=3)
+        spec = MiningSpec(measure="mni", min_support=3, max_pattern_nodes=3)
+        miner = DynamicMiner(graph, spec=spec)
         initial = miner.refresh()
         star_cert = next(fp.certificate for fp in initial.frequent if fp.num_edges == 2)
         # Break one planted star: support drops from 3 below min_support.
@@ -238,9 +235,7 @@ class TestMixedStreamEquivalence:
         shrunk = miner.refresh()
         assert star_cert not in {fp.certificate for fp in shrunk.frequent}
         assert shrunk.stats.patterns_revived == 0  # pruning revives nothing
-        assert result_key(shrunk) == reference_keys(
-            graph, measure="mni", min_support=3, max_pattern_nodes=3
-        )
+        assert result_key(shrunk) == reference_keys(graph, spec)
         # Repair it: the pruned pattern must resurface, counted as revived.
         graph.add_edge(a_vertex, b_neighbor)
         revived = miner.refresh()
@@ -251,7 +246,7 @@ class TestMixedStreamEquivalence:
     def test_isolated_vertex_removal_evaluates_nothing(self):
         graph = random_labeled_graph(14, 0.25, alphabet=("A", "B"), seed=55)
         graph.add_vertex("loner", "A")
-        miner = DynamicMiner(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
         initial = miner.refresh()
         graph.remove_vertex("loner")
         refreshed = miner.refresh()
@@ -275,7 +270,7 @@ class TestDeltaSavings:
             graph.add_vertex(vertex + offset, right.label_of(vertex))
         for u, v in right.edges():
             graph.add_edge(u + offset, v + offset)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
         initial = miner.refresh()
         assert initial.num_frequent > 0
         # Touch only the C/D region.
@@ -288,11 +283,11 @@ class TestDeltaSavings:
         assert stats.patterns_evaluated < initial.stats.patterns_evaluated
         # First appearances on a growth-only refresh are not "revivals".
         assert stats.patterns_revived == 0
-        assert result_key(refreshed) == reference_keys(graph, **MINE_KWARGS)
+        assert result_key(refreshed) == reference_keys(graph, MINE_SPEC)
 
     def test_vertex_only_batch_evaluates_nothing(self):
         graph = random_labeled_graph(14, 0.25, alphabet=("A", "B"), seed=5)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
         initial = miner.refresh()
         graph.add_vertex("isolated", "A")
         refreshed = miner.refresh()
@@ -302,7 +297,7 @@ class TestDeltaSavings:
 
     def test_noop_refresh_returns_cached_result(self):
         graph = random_labeled_graph(10, 0.3, alphabet=("A", "B"), seed=6)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
         first = miner.refresh()
         assert miner.refresh() is first
 
@@ -311,26 +306,26 @@ class TestFallbacks:
     def test_edge_removal_stays_on_the_delta_path(self):
         """A deletion is a delta, not a fallback: unaffected patterns reuse."""
         graph = random_labeled_graph(14, 0.3, alphabet=("A", "B", "C"), seed=9)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
         miner.refresh()
         u, v = graph.edges()[0]
         graph.remove_edge(u, v)
         refreshed = miner.refresh()
         assert refreshed.stats.patterns_reused > 0
-        assert result_key(refreshed) == reference_keys(graph, **MINE_KWARGS)
+        assert result_key(refreshed) == reference_keys(graph, MINE_SPEC)
 
     def test_vertex_removal_stays_on_the_delta_path(self):
         graph = random_labeled_graph(14, 0.3, alphabet=("A", "B", "C"), seed=10)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
         miner.refresh()
         graph.remove_vertex(graph.vertices()[0])
         refreshed = miner.refresh()
         assert refreshed.stats.patterns_reused > 0
-        assert result_key(refreshed) == reference_keys(graph, **MINE_KWARGS)
+        assert result_key(refreshed) == reference_keys(graph, MINE_SPEC)
 
     def test_detached_miner_stays_correct_via_full_remine(self):
         graph = random_labeled_graph(12, 0.25, alphabet=("A", "B"), seed=11)
-        miner = DynamicMiner(graph, **MINE_KWARGS)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
         miner.refresh()
         assert miner.attached
         miner.detach()
@@ -338,20 +333,20 @@ class TestFallbacks:
         grow_randomly(graph, random.Random(1), steps=5, alphabet="AB", tag="det")
         refreshed = miner.refresh()
         assert refreshed.stats.patterns_reused == 0  # no delta savings anymore
-        assert result_key(refreshed) == reference_keys(graph, **MINE_KWARGS)
+        assert result_key(refreshed) == reference_keys(graph, MINE_SPEC)
         miner.detach()  # idempotent
 
     def test_rejects_non_anti_monotonic_measure(self):
         graph = random_labeled_graph(8, 0.3, alphabet=("A", "B"), seed=12)
         with pytest.raises(MiningError):
-            DynamicMiner(graph, measure="occurrences")
+            DynamicMiner(graph, spec=MiningSpec(measure="occurrences"))
 
     def test_rejects_bad_parameters(self):
         graph = random_labeled_graph(8, 0.3, alphabet=("A", "B"), seed=13)
         with pytest.raises(MiningError):
-            DynamicMiner(graph, min_support=0)
+            DynamicMiner(graph, spec=MiningSpec(min_support=0))
         with pytest.raises(MiningError):
-            DynamicMiner(graph, measure="mis", lazy=True)
+            DynamicMiner(graph, spec=MiningSpec(measure="mis", lazy=True))
 
 
 class TestMineStream:
@@ -367,7 +362,9 @@ class TestMineStream:
         for mode in ("delta", "rebuild", "brute"):
             graph = random_labeled_graph(10, 0.25, alphabet=("A", "B"), seed=20)
             steps = list(
-                mine_stream(graph, updates, batch_size=3, mode=mode, **MINE_KWARGS)
+                mine_stream(
+                    graph, updates, spec=MINE_SPEC.replace(batch_size=3, mode=mode)
+                )
             )
             assert [step.batch for step in steps] == [0, 1, 2, 3, 4]
             assert steps[0].updates_applied == 0
@@ -381,8 +378,7 @@ class TestMineStream:
             mine_stream(
                 graph,
                 [("v", "s-0", "A"), ("e", "s-0", graph.vertices()[0])],
-                batch_size=2,
-                **MINE_KWARGS,
+                spec=MINE_SPEC.replace(batch_size=2),
             )
         )
         assert isinstance(steps[0], StreamBatch)
@@ -393,10 +389,10 @@ class TestMineStream:
 
     def test_stream_detaches_observers_when_done(self):
         graph = random_labeled_graph(8, 0.3, alphabet=("A", "B"), seed=24)
-        list(mine_stream(graph, [("v", "s-0", "A")], **MINE_KWARGS))
+        list(mine_stream(graph, [("v", "s-0", "A")], spec=MINE_SPEC))
         assert not graph.has_observers()
         # Abandoning the generator mid-stream must also clean up.
-        stream = mine_stream(graph, [("v", "s-1", "B")], **MINE_KWARGS)
+        stream = mine_stream(graph, [("v", "s-1", "B")], spec=MINE_SPEC)
         next(stream)
         stream.close()
         assert not graph.has_observers()
@@ -414,7 +410,9 @@ class TestMineStream:
         for mode in ("delta", "rebuild", "brute"):
             graph = random_labeled_graph(10, 0.25, alphabet=("A", "B"), seed=26)
             steps = list(
-                mine_stream(graph, updates, batch_size=3, mode=mode, **MINE_KWARGS)
+                mine_stream(
+                    graph, updates, spec=MINE_SPEC.replace(batch_size=3, mode=mode)
+                )
             )
             keys[mode] = [result_key(step.result) for step in steps]
             assert graph.num_vertices == 10 + 5 - 1 + 1
@@ -423,9 +421,9 @@ class TestMineStream:
     def test_rejects_bad_mode_and_batch_size(self):
         graph = random_labeled_graph(8, 0.3, alphabet=("A", "B"), seed=23)
         with pytest.raises(MiningError):
-            list(mine_stream(graph, [], mode="nope"))
+            list(mine_stream(graph, [], spec=MiningSpec(mode="nope")))
         with pytest.raises(MiningError):
-            list(mine_stream(graph, [], batch_size=0))
+            list(mine_stream(graph, [], spec=MiningSpec(batch_size=0)))
         with pytest.raises(MiningError):
             list(mine_stream(graph, [("x", 1, 2)]))
 
@@ -444,7 +442,9 @@ class TestSlidingWindow:
         graph = random_labeled_graph(8, 0.25, alphabet=("A", "B"), seed=29)
         base_edges = graph.num_edges
         updates = self._chain_updates(graph, 10)
-        steps = list(mine_stream(graph, updates, batch_size=4, window=3, **MINE_KWARGS))
+        steps = list(
+            mine_stream(graph, updates, spec=MINE_SPEC.replace(batch_size=4, window=3))
+        )
         # Once saturated, every batch expires as many edges as it inserts.
         assert [step.edges_expired for step in steps] == [0, 0, 1, 2, 2, 2]
         assert graph.num_edges == base_edges + 3  # exactly the window remains
@@ -458,7 +458,9 @@ class TestSlidingWindow:
             updates = updates or self._chain_updates(graph, 8)
             steps = list(
                 mine_stream(
-                    graph, updates, batch_size=3, window=4, mode=mode, **MINE_KWARGS
+                    graph,
+                    updates,
+                    spec=MINE_SPEC.replace(batch_size=3, window=4, mode=mode),
                 )
             )
             keys[mode] = [
@@ -472,7 +474,9 @@ class TestSlidingWindow:
         updates = self._chain_updates(graph, 4) + [("de", "w-2", "w-3")]
         steps = list(
             mine_stream(
-                graph, updates, batch_size=len(updates), window=3, **MINE_KWARGS
+                graph,
+                updates,
+                spec=MINE_SPEC.replace(batch_size=len(updates), window=3),
             )
         )
         # 4 inserted, 1 explicitly deleted -> 3 live: nothing left to expire.
@@ -483,7 +487,9 @@ class TestSlidingWindow:
         graph = random_labeled_graph(8, 0.4, alphabet=("A", "B"), seed=37)
         base = set(map(tuple, graph.edges()))
         updates = self._chain_updates(graph, 6)
-        list(mine_stream(graph, updates, batch_size=2, window=1, **MINE_KWARGS))
+        list(
+            mine_stream(graph, updates, spec=MINE_SPEC.replace(batch_size=2, window=1))
+        )
         assert base <= set(map(tuple, graph.edges()))
 
     def test_redundant_reinsert_does_not_hand_base_edge_to_window(self):
@@ -496,7 +502,9 @@ class TestSlidingWindow:
         graph = random_labeled_graph(8, 0.4, alphabet=("A", "B"), seed=45)
         u, v = graph.edges()[0]
         updates = [("e", u, v)] + self._chain_updates(graph, 5)
-        list(mine_stream(graph, updates, batch_size=3, window=2, **MINE_KWARGS))
+        list(
+            mine_stream(graph, updates, spec=MINE_SPEC.replace(batch_size=3, window=2))
+        )
         assert graph.has_edge(u, v)
 
     def test_window_supersedes_explicit_deletion_of_expired_edge(self):
@@ -515,7 +523,9 @@ class TestSlidingWindow:
             replay = random_labeled_graph(8, 0.25, alphabet=("A", "B"), seed=43)
             steps = list(
                 mine_stream(
-                    replay, updates, batch_size=4, window=2, mode=mode, **MINE_KWARGS
+                    replay,
+                    updates,
+                    spec=MINE_SPEC.replace(batch_size=4, window=2, mode=mode),
                 )
             )
             assert steps[-1].num_edges == replay.num_edges
@@ -524,11 +534,11 @@ class TestSlidingWindow:
     def test_rejects_bad_window(self):
         graph = random_labeled_graph(8, 0.3, alphabet=("A", "B"), seed=39)
         with pytest.raises(MiningError):
-            list(mine_stream(graph, [], window=0))
+            list(mine_stream(graph, [], spec=MiningSpec(window=0)))
 
     def test_stream_batch_expired_default(self):
         graph = random_labeled_graph(8, 0.3, alphabet=("A", "B"), seed=41)
-        steps = list(mine_stream(graph, [("v", "s-0", "A")], **MINE_KWARGS))
+        steps = list(mine_stream(graph, [("v", "s-0", "A")], spec=MINE_SPEC))
         assert all(step.edges_expired == 0 for step in steps)
 
 

@@ -33,6 +33,7 @@ from repro.graph.io import save_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.index import MaintainableIndex
 from repro.mining.miner import mine_frequent_patterns
+from repro.mining.spec import MiningSpec
 from repro.partition import (
     PARTITION_METHODS,
     EdgeRouter,
@@ -46,13 +47,8 @@ from repro.partition import (
     save_partition,
 )
 
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
-MINE_KWARGS = dict(
+MINE_SPEC = MiningSpec(
     measure="mni", min_support=2, max_pattern_nodes=4, max_pattern_edges=4
 )
 
@@ -277,8 +273,10 @@ class TestRebalancing:
             sharded_structure(rebuilt_from_partition(view)), version=view.version
         )
         # ... and mining over the rebalanced partition stays exact.
-        sharded_result = mine_frequent_patterns(graph.copy(), shards=3, **MINE_KWARGS)
-        flat_result = mine_frequent_patterns(graph.copy(), **MINE_KWARGS)
+        sharded_result = mine_frequent_patterns(
+            graph.copy(), spec=MINE_SPEC.replace(shards=3)
+        )
+        flat_result = mine_frequent_patterns(graph.copy(), spec=MINE_SPEC)
         assert sharded_result.certificates() == flat_result.certificates()
 
     def test_rebalance_is_deterministic(self):
@@ -561,6 +559,8 @@ class TestRebalanceCLI:
         assert "re-partition" in output
         loaded = load_partition(outdir)
         assert loaded.graph == graph
-        sharded_result = mine_frequent_patterns(graph.copy(), shards=3, **MINE_KWARGS)
-        flat_result = mine_frequent_patterns(graph.copy(), **MINE_KWARGS)
+        sharded_result = mine_frequent_patterns(
+            graph.copy(), spec=MINE_SPEC.replace(shards=3)
+        )
+        flat_result = mine_frequent_patterns(graph.copy(), spec=MINE_SPEC)
         assert sharded_result.certificates() == flat_result.certificates()

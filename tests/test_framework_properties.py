@@ -19,12 +19,6 @@ from repro.measures.mies import mies_support_of
 from repro.measures.mvc import mvc_support_of
 from repro.measures.relaxations import lp_mies_support_of, lp_mvc_support_of
 
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
-
 
 def random_hypergraph(
     seed: int, max_vertices: int = 9, max_edges: int = 8
@@ -105,12 +99,14 @@ class TestMinerDepth2Oracle:
         from repro.measures.base import compute_support
         from repro.mining.extension import adjacent_label_pairs
         from repro.mining.miner import mine_frequent_patterns
+        from repro.mining.spec import MiningSpec
         from repro.graph.canonical import canonical_certificate
 
         graph = random_labeled_graph(12, 0.25, alphabet=("A", "B"), seed=11)
         threshold = 2
         result = mine_frequent_patterns(
-            graph, measure="mni", min_support=threshold, max_pattern_edges=2
+            graph,
+            spec=MiningSpec(measure="mni", min_support=threshold, max_pattern_edges=2),
         )
         mined = {fp.certificate for fp in result.frequent if fp.num_edges == 2}
 

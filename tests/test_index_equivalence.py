@@ -33,12 +33,8 @@ from repro.measures.lazy_mni import lazy_mni_support, mni_at_least
 from repro.measures.mni import mni_support_from_occurrences
 from repro.mining.extension import adjacent_label_pairs, single_edge_patterns
 from repro.mining.miner import mine_frequent_patterns
+from repro.mining.spec import MiningSpec
 
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
 PATTERNS = [
     path_pattern(["A", "B"]),
@@ -136,11 +132,11 @@ class TestAnchoredEquivalence:
 
 class TestMinerEquivalence:
     def test_mining_results_identical(self, graph):
-        kwargs = dict(
+        spec = MiningSpec(
             measure="mni", min_support=2, max_pattern_nodes=4, max_pattern_edges=4
         )
-        indexed = mine_frequent_patterns(graph, **kwargs)
-        brute = mine_frequent_patterns(graph, use_index=False, **kwargs)
+        indexed = mine_frequent_patterns(graph, spec=spec)
+        brute = mine_frequent_patterns(graph, spec=spec.replace(use_index=False))
         assert indexed.certificates() == brute.certificates()
         assert [fp.support for fp in indexed.frequent] == [
             fp.support for fp in brute.frequent
@@ -295,11 +291,11 @@ class TestExplicitIndexEquivalence:
         patched = maintainer.index()
         assert maintainer.rebuilds == 0 and maintainer.patches_applied >= 1
         assert get_index(graph) is patched
-        kwargs = dict(
+        spec = MiningSpec(
             measure="mni", min_support=2, max_pattern_nodes=3, max_pattern_edges=3
         )
-        indexed = mine_frequent_patterns(graph, **kwargs)
-        brute = mine_frequent_patterns(graph, use_index=False, **kwargs)
+        indexed = mine_frequent_patterns(graph, spec=spec)
+        brute = mine_frequent_patterns(graph, spec=spec.replace(use_index=False))
         assert indexed.certificates() == brute.certificates()
         assert [fp.support for fp in indexed.frequent] == [
             fp.support for fp in brute.frequent
@@ -313,7 +309,7 @@ class TestMinerRobustness:
 
         graph = build_graph(("er", 7, 14, 0.25))
         miner = FrequentSubgraphMiner(
-            graph, measure="mni", min_support=2, max_pattern_nodes=3
+            graph, spec=MiningSpec(measure="mni", min_support=2, max_pattern_nodes=3)
         )
         # Mutate after construction: session state (index, label pairs,
         # histogram prune bounds) must re-sync inside mine().
@@ -323,7 +319,7 @@ class TestMinerRobustness:
             graph.add_edge(base, f"late-{i}")
         mutated = miner.mine()
         fresh = mine_frequent_patterns(
-            graph, measure="mni", min_support=2, max_pattern_nodes=3
+            graph, spec=MiningSpec(measure="mni", min_support=2, max_pattern_nodes=3)
         )
         assert mutated.certificates() == fresh.certificates()
         assert [fp.support for fp in mutated.frequent] == [
@@ -348,10 +344,10 @@ class TestMinerRobustness:
             FrequentSubgraphMiner, "_make_pool", lambda self: ExplodingPool()
         )
         graph = build_graph(("er", 11, 14, 0.25))
-        kwargs = dict(measure="mni", min_support=2, max_pattern_nodes=3)
-        broken = mine_frequent_patterns(graph, workers=4, **kwargs)
+        spec = MiningSpec(measure="mni", min_support=2, max_pattern_nodes=3)
+        broken = mine_frequent_patterns(graph, spec=spec.replace(workers=4))
         monkeypatch.undo()
-        serial = mine_frequent_patterns(graph, **kwargs)
+        serial = mine_frequent_patterns(graph, spec=spec)
         assert broken.certificates() == serial.certificates()
         assert broken.stats.as_dict() == serial.stats.as_dict()
 
@@ -359,11 +355,11 @@ class TestMinerRobustness:
 @pytest.mark.parametrize("seed", [3, 17, 29])
 def test_parallel_mining_identical_to_serial(seed):
     graph = build_graph(("er", seed, 16, 0.3))
-    kwargs = dict(
+    spec = MiningSpec(
         measure="mni", min_support=2, max_pattern_nodes=4, max_pattern_edges=4
     )
-    serial = mine_frequent_patterns(graph, **kwargs)
-    parallel = mine_frequent_patterns(graph, workers=2, **kwargs)
+    serial = mine_frequent_patterns(graph, spec=spec)
+    parallel = mine_frequent_patterns(graph, spec=spec.replace(workers=2))
     assert parallel.certificates() == serial.certificates()
     assert [fp.support for fp in parallel.frequent] == [
         fp.support for fp in serial.frequent
@@ -374,11 +370,11 @@ def test_parallel_mining_identical_to_serial(seed):
 @pytest.mark.parametrize("measure", ["mni", "mi", "mvc", "mis"])
 def test_all_measures_mine_identically(measure):
     graph = build_graph(("planted", 45, 8, 0.6))
-    kwargs = dict(
+    spec = MiningSpec(
         measure=measure, min_support=2, max_pattern_nodes=4, max_pattern_edges=4
     )
-    indexed = mine_frequent_patterns(graph, **kwargs)
-    brute = mine_frequent_patterns(graph, use_index=False, **kwargs)
+    indexed = mine_frequent_patterns(graph, spec=spec)
+    brute = mine_frequent_patterns(graph, spec=spec.replace(use_index=False))
     assert indexed.certificates() == brute.certificates()
     assert [fp.support for fp in indexed.frequent] == [
         fp.support for fp in brute.frequent

@@ -17,12 +17,7 @@ from repro.isomorphism.matcher import find_occurrences
 from repro.measures.lazy_mni import lazy_mni_support, mni_at_least
 from repro.measures.mni import mni_support_from_occurrences
 from repro.mining.miner import FrequentSubgraphMiner, mine_frequent_patterns
-
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
+from repro.mining.spec import MiningSpec
 
 
 class TestAnchoredSearch:
@@ -118,28 +113,39 @@ class TestLazyMining:
     def test_lazy_matches_eager_results(self):
         graph = zoo_graph("triangle_fan")
         eager = mine_frequent_patterns(
-            graph, measure="mni", min_support=3, max_pattern_nodes=3
+            graph, spec=MiningSpec(measure="mni", min_support=3, max_pattern_nodes=3)
         )
         lazy = mine_frequent_patterns(
-            graph, measure="mni", min_support=3, max_pattern_nodes=3, lazy=True
+            graph,
+            spec=MiningSpec(
+                measure="mni", min_support=3, max_pattern_nodes=3, lazy=True
+            ),
         )
         assert eager.certificates() == lazy.certificates()
 
     def test_lazy_never_enumerates_occurrences(self):
         graph = zoo_graph("disjoint_triangles")
         result = mine_frequent_patterns(
-            graph, measure="mni", min_support=2, max_pattern_nodes=3, lazy=True
+            graph,
+            spec=MiningSpec(
+                measure="mni", min_support=2, max_pattern_nodes=3, lazy=True
+            ),
         )
         assert result.stats.occurrence_enumerations == 0
         assert all(fp.num_occurrences == -1 for fp in result.frequent)
 
     def test_lazy_requires_mni(self):
         with pytest.raises(MiningError):
-            FrequentSubgraphMiner(zoo_graph("star"), measure="mi", lazy=True)
+            FrequentSubgraphMiner(
+                zoo_graph("star"), spec=MiningSpec(measure="mi", lazy=True)
+            )
 
     def test_lazy_supports_capped_at_threshold(self):
         graph = zoo_graph("disjoint_triangles")
         result = mine_frequent_patterns(
-            graph, measure="mni", min_support=2, max_pattern_nodes=3, lazy=True
+            graph,
+            spec=MiningSpec(
+                measure="mni", min_support=2, max_pattern_nodes=3, lazy=True
+            ),
         )
         assert all(fp.support <= 2 for fp in result.frequent)

@@ -37,12 +37,8 @@ from repro.mining.extension import (
 )
 from repro.mining.miner import mine_frequent_patterns
 from repro.mining.parallel import label_frequency_bound
+from repro.mining.spec import MiningSpec
 
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
 CHAIN_PATTERNS = [
     path_pattern(["A", "B"]),
@@ -118,8 +114,10 @@ class TestAntiMonotonicity:
             seed=9,
         )
         result = mine_frequent_patterns(
-            graph, measure=measure, min_support=2, max_pattern_nodes=4,
-            max_pattern_edges=4,
+            graph,
+            spec=MiningSpec(
+                measure=measure, min_support=2, max_pattern_nodes=4, max_pattern_edges=4
+            ),
         )
         best_by_size = {}
         for fp in result.frequent:
@@ -168,11 +166,16 @@ class TestFractionalThresholds:
             seed=31,
         )
         eager = mine_frequent_patterns(
-            graph, measure="mni", min_support=min_support, max_pattern_nodes=4
+            graph,
+            spec=MiningSpec(
+                measure="mni", min_support=min_support, max_pattern_nodes=4
+            ),
         )
         lazy = mine_frequent_patterns(
-            graph, measure="mni", min_support=min_support, max_pattern_nodes=4,
-            lazy=True,
+            graph,
+            spec=MiningSpec(
+                measure="mni", min_support=min_support, max_pattern_nodes=4, lazy=True
+            ),
         )
         assert lazy.certificates() == eager.certificates()
 
@@ -184,6 +187,6 @@ class TestFractionalThresholds:
         graph = planted_pattern_graph(path_pattern(["A", "B"]), num_copies=4, seed=1)
         for threshold in (0.4, 1.0, 2.5, 3.0, 7.2):
             miner = FrequentSubgraphMiner(
-                graph, measure="mni", min_support=threshold, lazy=True
+                graph, spec=MiningSpec(measure="mni", min_support=threshold, lazy=True)
             )
             assert miner._lazy_cap == max(1, math.ceil(threshold))

@@ -14,12 +14,7 @@ from repro.mining.extension import (
     single_edge_patterns,
 )
 from repro.mining.miner import FrequentSubgraphMiner, mine_frequent_patterns
-
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
+from repro.mining.spec import MiningSpec
 
 
 class TestExtensionGeneration:
@@ -77,22 +72,25 @@ class TestMinerBasics:
     def test_rejects_non_anti_monotonic_measure(self):
         g = path_graph(["a", "a", "a"])
         with pytest.raises(MiningError):
-            FrequentSubgraphMiner(g, measure="occurrences")
+            FrequentSubgraphMiner(g, spec=MiningSpec(measure="occurrences"))
 
     def test_non_anti_monotonic_opt_in(self):
         g = path_graph(["a", "a", "a"])
         miner = FrequentSubgraphMiner(
-            g, measure="occurrences", allow_non_anti_monotonic=True, min_support=1
+            g,
+            spec=MiningSpec(
+                measure="occurrences", allow_non_anti_monotonic=True, min_support=1
+            ),
         )
         assert miner.mine().num_frequent >= 1
 
     def test_rejects_non_positive_support(self):
         g = path_graph(["a", "a"])
         with pytest.raises(MiningError):
-            FrequentSubgraphMiner(g, min_support=0)
+            FrequentSubgraphMiner(g, spec=MiningSpec(min_support=0))
 
     def test_empty_graph_mines_nothing(self):
-        result = mine_frequent_patterns(LabeledGraph(), min_support=1)
+        result = mine_frequent_patterns(LabeledGraph(), spec=MiningSpec(min_support=1))
         assert result.num_frequent == 0
 
 
@@ -100,10 +98,9 @@ class TestMiningResults:
     def test_disjoint_triangles_with_mis(self, disjoint_tri_graph):
         result = mine_frequent_patterns(
             disjoint_tri_graph,
-            measure="mis",
-            min_support=3,
-            max_pattern_nodes=3,
-            max_pattern_edges=3,
+            spec=MiningSpec(
+                measure="mis", min_support=3, max_pattern_nodes=3, max_pattern_edges=3
+            ),
         )
         shapes = sorted((fp.num_nodes, fp.num_edges) for fp in result.frequent)
         # Edge, path-of-3, and triangle each appear 3 independent times.
@@ -111,30 +108,36 @@ class TestMiningResults:
         assert all(fp.support == 3 for fp in result.frequent)
 
     def test_threshold_monotonicity(self, disjoint_tri_graph):
-        low = mine_frequent_patterns(disjoint_tri_graph, measure="mni", min_support=2)
-        high = mine_frequent_patterns(disjoint_tri_graph, measure="mni", min_support=4)
+        low = mine_frequent_patterns(
+            disjoint_tri_graph, spec=MiningSpec(measure="mni", min_support=2)
+        )
+        high = mine_frequent_patterns(
+            disjoint_tri_graph, spec=MiningSpec(measure="mni", min_support=4)
+        )
         assert set(high.certificates()) <= set(low.certificates())
 
     def test_measure_ordering_nests_results(self, fan_graph):
         # sigma_MIS <= sigma_MNI pointwise => MIS-frequent set is a subset.
         mis_result = mine_frequent_patterns(
-            fan_graph, measure="mis", min_support=2, max_pattern_nodes=3
+            fan_graph,
+            spec=MiningSpec(measure="mis", min_support=2, max_pattern_nodes=3),
         )
         mni_result = mine_frequent_patterns(
-            fan_graph, measure="mni", min_support=2, max_pattern_nodes=3
+            fan_graph,
+            spec=MiningSpec(measure="mni", min_support=2, max_pattern_nodes=3),
         )
         assert set(mis_result.certificates()) <= set(mni_result.certificates())
 
     def test_results_sorted_by_size(self, disjoint_tri_graph):
         result = mine_frequent_patterns(
-            disjoint_tri_graph, measure="mni", min_support=2
+            disjoint_tri_graph, spec=MiningSpec(measure="mni", min_support=2)
         )
         sizes = [fp.num_edges for fp in result.frequent]
         assert sizes == sorted(sizes)
 
     def test_stats_are_consistent(self, disjoint_tri_graph):
         result = mine_frequent_patterns(
-            disjoint_tri_graph, measure="mni", min_support=2
+            disjoint_tri_graph, spec=MiningSpec(measure="mni", min_support=2)
         )
         stats = result.stats
         assert stats.patterns_frequent == result.num_frequent
@@ -145,20 +148,22 @@ class TestMiningResults:
 
     def test_by_size_grouping(self, disjoint_tri_graph):
         result = mine_frequent_patterns(
-            disjoint_tri_graph, measure="mni", min_support=2
+            disjoint_tri_graph, spec=MiningSpec(measure="mni", min_support=2)
         )
         grouped = result.by_size()
         assert sum(len(v) for v in grouped.values()) == result.num_frequent
 
     def test_max_pattern_edges_cap(self, disjoint_tri_graph):
         result = mine_frequent_patterns(
-            disjoint_tri_graph, measure="mni", min_support=1, max_pattern_edges=2
+            disjoint_tri_graph,
+            spec=MiningSpec(measure="mni", min_support=1, max_pattern_edges=2),
         )
         assert result.max_pattern_edges() <= 2
 
     def test_no_duplicate_patterns(self, fan_graph):
         result = mine_frequent_patterns(
-            fan_graph, measure="mni", min_support=2, max_pattern_nodes=4
+            fan_graph,
+            spec=MiningSpec(measure="mni", min_support=2, max_pattern_nodes=4),
         )
         certificates = result.certificates()
         assert len(certificates) == len(set(certificates))
@@ -166,7 +171,9 @@ class TestMiningResults:
     def test_mined_patterns_actually_occur(self, fan_graph):
         from repro.isomorphism.vf2 import has_subgraph_isomorphism
 
-        result = mine_frequent_patterns(fan_graph, measure="mni", min_support=2)
+        result = mine_frequent_patterns(
+            fan_graph, spec=MiningSpec(measure="mni", min_support=2)
+        )
         for fp in result.frequent:
             assert has_subgraph_isomorphism(fp.pattern, fan_graph)
 
@@ -174,9 +181,7 @@ class TestMiningResults:
         for measure in ("mi", "mvc", "lp_mvc"):
             result = mine_frequent_patterns(
                 disjoint_tri_graph,
-                measure=measure,
-                min_support=2,
-                max_pattern_nodes=3,
+                spec=MiningSpec(measure=measure, min_support=2, max_pattern_nodes=3),
             )
             assert result.num_frequent >= 1, measure
 
@@ -186,7 +191,7 @@ class TestCompletenessAgainstBruteForce:
         # Brute-force: every distinct one-edge pattern with MNI >= 2 is mined.
         g = zoo_graph("bipartite")
         result = mine_frequent_patterns(
-            g, measure="mni", min_support=2, max_pattern_edges=1
+            g, spec=MiningSpec(measure="mni", min_support=2, max_pattern_edges=1)
         )
         seeds = single_edge_patterns(g)
         from repro.measures.base import compute_support

@@ -1,7 +1,9 @@
-"""Unit tests for the MiningSpec request API and its legacy-kwarg shims."""
+"""Unit tests for the MiningSpec request API: the one way into mining."""
 
 import gc
 import json
+import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -9,15 +11,9 @@ from repro.cli import build_parser, spec_from_args
 from repro.errors import MeasureError, MiningError
 from repro.graph.builders import path_graph
 from repro.mining.dynamic import DynamicMiner, mine_stream
-from repro.mining.miner import mine_frequent_patterns
-from repro.mining.spec import DEFAULT_SPEC, MiningSpec, resolve_spec
+from repro.mining.miner import FrequentSubgraphMiner, mine_frequent_patterns
+from repro.mining.spec import _MINING_FIELD_TYPES, DEFAULT_SPEC, MiningSpec
 from repro.service.protocol import result_bytes
-
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
 
 def sample_graph():
@@ -67,6 +63,50 @@ class TestValidation:
             MiningSpec(batch_size=0)
         with pytest.raises(MiningError):
             MiningSpec(mode="sideways")
+
+    def test_has_exactly_the_fifteen_declared_fields(self):
+        names = [f.name for f in fields(MiningSpec)]
+        assert len(names) == 15
+        assert list(_MINING_FIELD_TYPES) == names  # every field type-checked
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("measure", 3),
+            ("min_support", "3"),
+            ("min_support", True),
+            ("min_support", None),
+            ("max_pattern_nodes", None),
+            ("max_pattern_nodes", 3.0),
+            ("max_pattern_edges", "4"),
+            ("max_occurrences", 2.5),
+            ("allow_non_anti_monotonic", 1),
+            ("lazy", "yes"),
+            ("use_index", None),
+            ("workers", 2.5),
+            ("workers", True),
+            ("shards", True),
+            ("partition_method", None),
+            ("max_resident", "1"),
+            ("window", 1.5),
+            ("batch_size", False),
+            ("mode", ["delta"]),
+        ],
+    )
+    def test_wrong_field_type_is_a_mining_error(self, field, value):
+        with pytest.raises(MiningError, match=field):
+            MiningSpec(**{field: value})
+
+    def test_optional_fields_accept_none(self):
+        spec = MiningSpec(max_occurrences=None, max_resident=None, window=None)
+        assert spec == DEFAULT_SPEC
+
+    def test_min_support_normalised_to_float(self):
+        spec = MiningSpec(min_support=3)
+        assert type(spec.min_support) is float
+        assert spec == MiningSpec(min_support=3.0)
+        assert spec.cache_key() == MiningSpec(min_support=3.0).cache_key()
+        assert spec.to_json() == MiningSpec(min_support=3.0).to_json()
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -120,63 +160,6 @@ class TestFromKwargs:
     def test_alias_conflict_rejected(self):
         with pytest.raises(MiningError):
             MiningSpec.from_kwargs(max_nodes=4, max_pattern_nodes=5)
-
-    def test_resolve_spec_overrides_fold_over_spec(self):
-        spec = MiningSpec(min_support=3, measure="mis")
-        merged = resolve_spec(spec, {"min_support": 4})
-        assert merged.min_support == 4
-        assert merged.measure == "mis"
-
-    def test_resolve_spec_type_checked(self):
-        with pytest.raises(MiningError):
-            resolve_spec({"min_support": 2}, {})
-
-
-class TestLegacyKwargEquivalence:
-    """Every entry point: kwargs and spec= produce byte-identical results."""
-
-    def test_mine_frequent_patterns(self):
-        data = sample_graph()
-        via_kwargs = mine_frequent_patterns(
-            data, measure="mni", min_support=2, max_pattern_nodes=4
-        )
-        via_spec = mine_frequent_patterns(
-            data, spec=MiningSpec(min_support=2, max_pattern_nodes=4)
-        )
-        assert result_bytes(via_kwargs) == result_bytes(via_spec)
-
-    def test_explicit_kwargs_override_spec(self):
-        data = sample_graph()
-        loose = mine_frequent_patterns(
-            data, spec=MiningSpec(min_support=99), min_support=2
-        )
-        direct = mine_frequent_patterns(data, min_support=2)
-        assert result_bytes(loose) == result_bytes(direct)
-        assert len(loose.frequent) > 0
-
-    def test_dynamic_miner(self):
-        g1, g2 = sample_graph(), sample_graph()
-        with DynamicMiner(g1, min_support=2) as via_kwargs:
-            with DynamicMiner(g2, spec=MiningSpec(min_support=2)) as via_spec:
-                assert result_bytes(via_kwargs.refresh()) == result_bytes(
-                    via_spec.refresh()
-                )
-
-    def test_mine_stream(self):
-        updates = [("v", 6, "b"), ("e", 5, 6)]
-        via_kwargs = list(
-            mine_stream(sample_graph(), updates, min_support=2, batch_size=2)
-        )
-        via_spec = list(
-            mine_stream(
-                sample_graph(),
-                updates,
-                spec=MiningSpec(min_support=2, batch_size=2),
-            )
-        )
-        assert len(via_kwargs) == len(via_spec)
-        for a, b in zip(via_kwargs, via_spec):
-            assert result_bytes(a.result) == result_bytes(b.result)
 
 
 class TestCliDefaultsSingleSource:
@@ -243,7 +226,7 @@ class TestDynamicMinerTeardown:
         # observer so an abandoned miner doesn't make the graph grow a
         # delta log forever.
         graph = sample_graph()
-        miner = DynamicMiner(graph, min_support=2)
+        miner = DynamicMiner(graph, spec=MiningSpec(min_support=2))
         assert graph.has_observers()
         del miner
         gc.collect()
@@ -251,7 +234,9 @@ class TestDynamicMinerTeardown:
 
     def test_abandoned_pooled_miner_releases_resources(self):
         graph = path_graph(["a", "b", "a", "b", "a", "b"])
-        miner = DynamicMiner(graph, min_support=2, shards=2, workers=2)
+        miner = DynamicMiner(
+            graph, spec=MiningSpec(min_support=2, shards=2, workers=2)
+        )
         miner.refresh()  # the pool is created lazily, on first use
         pool = miner._pool
         assert pool is not None
@@ -262,7 +247,7 @@ class TestDynamicMinerTeardown:
 
     def test_close_is_idempotent_and_context_managed(self):
         graph = sample_graph()
-        with DynamicMiner(graph, min_support=2) as miner:
+        with DynamicMiner(graph, spec=MiningSpec(min_support=2)) as miner:
             miner.refresh()
         assert not graph.has_observers()
         miner.close()  # second release is a no-op
@@ -278,48 +263,41 @@ def test_spec_json_shape_is_pure_data():
         assert value is None or isinstance(value, (bool, int, float, str))
 
 
-class TestLegacyKwargDeprecation:
-    """Bare legacy kwargs warn at every public entry point; spec= never does.
+ENTRY_POINTS = {
+    "mine_frequent_patterns": lambda g, **kw: mine_frequent_patterns(g, **kw),
+    "FrequentSubgraphMiner": lambda g, **kw: FrequentSubgraphMiner(g, **kw),
+    "DynamicMiner": lambda g, **kw: DynamicMiner(g, **kw).close(),
+    "mine_stream": lambda g, **kw: list(mine_stream(g, [], **kw)),
+}
 
-    The module-level filterwarnings mark silences the deprecation for the
-    equivalence suites above, so these tests re-raise it locally.
-    """
 
-    pytestmark = pytest.mark.filterwarnings(
-        "error:legacy mining kwargs:DeprecationWarning"
-    )
+class TestSpecIsTheOnlyWayIn:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bare_legacy_kwarg_is_a_type_error(self, entry):
+        with pytest.raises(TypeError, match="min_support"):
+            ENTRY_POINTS[entry](sample_graph(), min_support=2)
 
-    def test_mine_frequent_patterns_warns(self):
-        with pytest.warns(DeprecationWarning, match="legacy mining kwargs"):
-            mine_frequent_patterns(sample_graph(), min_support=2)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_spec_value_rejected(self, entry):
+        with pytest.raises(MiningError, match="spec must be a MiningSpec"):
+            ENTRY_POINTS[entry](sample_graph(), spec={"min_support": 2})
 
-    def test_frequent_subgraph_miner_warns(self):
-        from repro.mining.miner import FrequentSubgraphMiner
+    def test_resident_workers_is_not_a_field(self):
+        with pytest.raises(MiningError, match="resident_workers"):
+            MiningSpec.from_kwargs(resident_workers=False)
 
-        with pytest.warns(DeprecationWarning, match="legacy mining kwargs"):
-            FrequentSubgraphMiner(sample_graph(), min_support=2)
-
-    def test_dynamic_miner_warns(self):
-        graph = sample_graph()
-        with pytest.warns(DeprecationWarning, match="legacy mining kwargs"):
-            miner = DynamicMiner(graph, min_support=2)
-        miner.close()
-
-    def test_mine_stream_warns(self):
-        # mine_stream is a generator: the spec resolves (and warns) when
-        # iteration starts, not at the bare call.
-        with pytest.warns(DeprecationWarning, match="legacy mining kwargs"):
-            list(mine_stream(sample_graph(), [("v", 99, "a")], min_support=2))
+    def test_no_spec_means_the_defaults(self):
+        data = sample_graph()
+        assert result_bytes(mine_frequent_patterns(data)) == result_bytes(
+            mine_frequent_patterns(data, spec=DEFAULT_SPEC)
+        )
+        assert FrequentSubgraphMiner(data).spec is DEFAULT_SPEC
 
     def test_spec_path_is_silent(self):
-        # filterwarnings("error") above turns any stray warning into a
-        # failure, so plain calls prove the spec= path never warns.
         spec = MiningSpec(min_support=2)
-        mine_frequent_patterns(sample_graph(), spec=spec)
-        list(mine_stream(sample_graph(), [("v", 99, "a")], spec=spec))
-        with DynamicMiner(sample_graph(), spec=spec) as miner:
-            miner.refresh()
-
-    def test_resolve_spec_defaults_are_silent(self):
-        # No kwargs at all -> pure defaults, nothing legacy to flag.
-        assert resolve_spec(None, {}) == DEFAULT_SPEC
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mine_frequent_patterns(sample_graph(), spec=spec)
+            list(mine_stream(sample_graph(), [("v", 99, "a")], spec=spec))
+            with DynamicMiner(sample_graph(), spec=spec) as miner:
+                miner.refresh()

@@ -10,12 +10,6 @@ from repro.hypergraph.construction import HypergraphBundle
 from repro.isomorphism.matcher import find_occurrences
 from repro.measures.base import available_measures, compute_support, measure_info
 
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
-
 
 class TestMeasureRegistry:
     def test_unknown_measure(self):
@@ -84,11 +78,14 @@ class TestOccurrenceLimits:
 class TestLazyMiningFloatThreshold:
     def test_float_min_support_ceils(self):
         from repro.datasets.zoo import zoo_graph
-        from repro.mining import mine_frequent_patterns
+        from repro.mining import MiningSpec, mine_frequent_patterns
 
         graph = zoo_graph("disjoint_triangles")
         result = mine_frequent_patterns(
-            graph, measure="mni", min_support=2.5, max_pattern_nodes=3, lazy=True
+            graph,
+            spec=MiningSpec(
+                measure="mni", min_support=2.5, max_pattern_nodes=3, lazy=True
+            ),
         )
         # Threshold 2.5 requires support >= 2.5, i.e. 3 confirmed images.
         assert all(fp.support >= 2.5 for fp in result.frequent)

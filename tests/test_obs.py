@@ -18,6 +18,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.index.delta import IndexMaintainer
 from repro.mining.dynamic import mine_stream
 from repro.mining.miner import mine_frequent_patterns
+from repro.mining.spec import MiningSpec
 from repro.obs import logs as logs_mod
 from repro.obs import metrics as metrics_mod
 from repro.obs import trace as trace_mod
@@ -25,13 +26,8 @@ from repro.obs.metrics import DOCUMENTED_METRICS, MetricsRegistry
 from repro.obs.profile import coverage, format_profile
 from repro.service import GraphService
 
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
-MINE_KWARGS = dict(
+MINE_SPEC = MiningSpec(
     measure="mni", min_support=2, max_pattern_nodes=4, max_pattern_edges=4
 )
 
@@ -321,17 +317,17 @@ class TestInstrumentedMining:
         graph_off = mining_graph()
         graph_on = mining_graph()
         assert not trace_mod.enabled()
-        off = mine_frequent_patterns(graph_off, **MINE_KWARGS)
+        off = mine_frequent_patterns(graph_off, spec=MINE_SPEC)
         trace_mod.enable()
         try:
-            on = mine_frequent_patterns(graph_on, **MINE_KWARGS)
+            on = mine_frequent_patterns(graph_on, spec=MINE_SPEC)
         finally:
             trace_mod.disable()
             trace_mod.clear_traces()
         assert result_key(off) == result_key(on)
 
     def test_session_flush_matches_stats(self, fresh_registry):
-        result = mine_frequent_patterns(mining_graph(), **MINE_KWARGS)
+        result = mine_frequent_patterns(mining_graph(), spec=MINE_SPEC)
         snap = fresh_registry.snapshot()
         assert snap["repro_miner_sessions"] == 1
         assert snap["repro_miner_levels"] >= 1
@@ -343,7 +339,7 @@ class TestInstrumentedMining:
         assert matcher_calls > 0
 
     def test_profile_coverage_and_rendering(self, fresh_registry, tracing):
-        mine_frequent_patterns(mining_graph(), **MINE_KWARGS)
+        mine_frequent_patterns(mining_graph(), spec=MINE_SPEC)
         records = trace_mod.get_trace(trace_mod.last_trace_id())
         assert records is not None
         names = {record.name for record in records}
@@ -411,12 +407,9 @@ class TestDocumentedMetrics:
             mine_stream(
                 graph,
                 updates,
-                batch_size=3,
-                mode="delta",
-                shards=3,
-                workers=2,
-                max_resident=1,
-                **MINE_KWARGS,
+                spec=MINE_SPEC.replace(
+                    batch_size=3, mode="delta", shards=3, workers=2, max_resident=1
+                ),
             )
         )
         assert steps  # the stream ran
@@ -426,9 +419,7 @@ class TestDocumentedMetrics:
             mine_stream(
                 flat_graph,
                 updates[:2],
-                batch_size=2,
-                mode="delta",
-                **MINE_KWARGS,
+                spec=MINE_SPEC.replace(batch_size=2, mode="delta"),
             )
         )
         snap = fresh_registry.snapshot()
@@ -443,12 +434,9 @@ class TestDocumentedMetrics:
             mine_stream(
                 graph,
                 updates,
-                batch_size=2,
-                mode="delta",
-                shards=3,
-                workers=2,
-                max_resident=1,
-                **MINE_KWARGS,
+                spec=MINE_SPEC.replace(
+                    batch_size=2, mode="delta", shards=3, workers=2, max_resident=1
+                ),
             )
         )
         snap = fresh_registry.snapshot()

@@ -22,12 +22,14 @@ from repro.datasets.synthetic import (
     preferential_attachment_graph,
     random_labeled_graph,
 )
+from repro.datasets.zoo import zoo_graph, zoo_names
 from repro.graph.builders import path_pattern, star_pattern, triangle_pattern
 from repro.isomorphism.matcher import find_occurrences
 from repro.measures.lazy_mni import lazy_mni_support
 from repro.mining.dynamic import DynamicMiner, mine_stream
 from repro.mining.miner import mine_frequent_patterns
 from repro.mining.parallel import evaluate_support
+from repro.mining.spec import MiningSpec
 from repro.partition import (
     PARTITION_METHODS,
     ShardedIndex,
@@ -36,11 +38,6 @@ from repro.partition import (
     sharded_occurrences,
 )
 
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
 PATTERNS = [
     path_pattern(["A", "B"]),
@@ -59,7 +56,7 @@ GRAPH_SPECS = (
     + [("planted", seed, 8, 0.5) for seed in range(26, 31)]
 )
 
-MINE_KWARGS = dict(
+MINE_SPEC = MiningSpec(
     measure="mni", min_support=2, max_pattern_nodes=4, max_pattern_edges=4
 )
 
@@ -103,8 +100,8 @@ def graph(request):
 class TestShardedMiningEquivalence:
     def test_mining_identical_across_all_graphs(self, graph):
         """Every seeded graph, eager MNI, three shards."""
-        flat = mine_frequent_patterns(graph, **MINE_KWARGS)
-        sharded = mine_frequent_patterns(graph, shards=3, **MINE_KWARGS)
+        flat = mine_frequent_patterns(graph, spec=MINE_SPEC)
+        sharded = mine_frequent_patterns(graph, spec=MINE_SPEC.replace(shards=3))
         assert_mining_identical(sharded, flat)
 
 
@@ -114,9 +111,9 @@ class TestShardedMiningEquivalence:
 def test_mining_identical_per_partitioner(seed, shards, method):
     """k in {2, 3, 4} x all three partitioners (the acceptance matrix)."""
     graph = build_graph(GRAPH_SPECS[seed])
-    flat = mine_frequent_patterns(graph, **MINE_KWARGS)
+    flat = mine_frequent_patterns(graph, spec=MINE_SPEC)
     sharded = mine_frequent_patterns(
-        graph, shards=shards, partition_method=method, **MINE_KWARGS
+        graph, spec=MINE_SPEC.replace(shards=shards, partition_method=method)
     )
     assert_mining_identical(sharded, flat)
 
@@ -125,10 +122,10 @@ def test_mining_identical_per_partitioner(seed, shards, method):
 @pytest.mark.parametrize("seed", [4, 12, 28])
 def test_measures_mine_identically(seed, measure):
     graph = build_graph(GRAPH_SPECS[seed])
-    kwargs = {**MINE_KWARGS, "measure": measure}
-    flat = mine_frequent_patterns(graph, **kwargs)
+    spec = MINE_SPEC.replace(measure=measure)
+    flat = mine_frequent_patterns(graph, spec=spec)
     sharded = mine_frequent_patterns(
-        graph, shards=3, partition_method="label", **kwargs
+        graph, spec=spec.replace(shards=3, partition_method="label")
     )
     assert_mining_identical(sharded, flat)
 
@@ -137,10 +134,10 @@ def test_measures_mine_identically(seed, measure):
 @pytest.mark.parametrize("seed", [0, 6, 10, 17, 21, 24, 29])
 def test_lazy_mining_identical(seed, method):
     graph = build_graph(GRAPH_SPECS[seed])
-    kwargs = {**MINE_KWARGS, "lazy": True}
-    flat = mine_frequent_patterns(graph, **kwargs)
+    spec = MINE_SPEC.replace(lazy=True)
+    flat = mine_frequent_patterns(graph, spec=spec)
     sharded = mine_frequent_patterns(
-        graph, shards=4, partition_method=method, **kwargs
+        graph, spec=spec.replace(shards=4, partition_method=method)
     )
     assert_mining_identical(sharded, flat)
 
@@ -149,9 +146,9 @@ def test_lazy_mining_identical(seed, method):
 def test_brute_force_sharded_identical(seed):
     """index=False stays the reference path shard-by-shard too."""
     graph = build_graph(GRAPH_SPECS[seed])
-    kwargs = {**MINE_KWARGS, "use_index": False}
-    flat = mine_frequent_patterns(graph, **kwargs)
-    sharded = mine_frequent_patterns(graph, shards=2, **kwargs)
+    spec = MINE_SPEC.replace(use_index=False)
+    flat = mine_frequent_patterns(graph, spec=spec)
+    sharded = mine_frequent_patterns(graph, spec=spec.replace(shards=2))
     assert_mining_identical(sharded, flat)
 
 
@@ -159,8 +156,8 @@ def test_brute_force_sharded_identical(seed):
 def test_pooled_sharded_identical(seed):
     """shards=k composed with workers=N matches the flat serial run."""
     graph = build_graph(GRAPH_SPECS[seed])
-    flat = mine_frequent_patterns(graph, **MINE_KWARGS)
-    pooled = mine_frequent_patterns(graph, shards=3, workers=2, **MINE_KWARGS)
+    flat = mine_frequent_patterns(graph, spec=MINE_SPEC)
+    pooled = mine_frequent_patterns(graph, spec=MINE_SPEC.replace(shards=3, workers=2))
     assert_mining_identical(pooled, flat)
 
 
@@ -173,10 +170,10 @@ def test_pooled_lazy_sharded_identical(seed):
     rather than collapsing to solo tasks.
     """
     graph = build_graph(GRAPH_SPECS[seed])
-    kwargs = {**MINE_KWARGS, "lazy": True}
-    flat = mine_frequent_patterns(graph, **kwargs)
+    spec = MINE_SPEC.replace(lazy=True)
+    flat = mine_frequent_patterns(graph, spec=spec)
     pooled = mine_frequent_patterns(
-        graph, shards=3, workers=2, partition_method="hash", **kwargs
+        graph, spec=spec.replace(shards=3, workers=2, partition_method="hash")
     )
     assert_mining_identical(pooled, flat)
 
@@ -190,10 +187,10 @@ def test_max_occurrences_sharded_deterministic(seed):
     sharded, and pooled sharded runs must all agree exactly.
     """
     graph = build_graph(GRAPH_SPECS[seed])
-    kwargs = {**MINE_KWARGS, "max_occurrences": 5}
-    first = mine_frequent_patterns(graph, shards=3, **kwargs)
-    again = mine_frequent_patterns(graph, shards=3, **kwargs)
-    pooled = mine_frequent_patterns(graph, shards=3, workers=2, **kwargs)
+    spec = MINE_SPEC.replace(max_occurrences=5)
+    first = mine_frequent_patterns(graph, spec=spec.replace(shards=3))
+    again = mine_frequent_patterns(graph, spec=spec.replace(shards=3))
+    pooled = mine_frequent_patterns(graph, spec=spec.replace(shards=3, workers=2))
     assert_mining_identical(again, first)
     assert_mining_identical(pooled, first)
 
@@ -204,12 +201,46 @@ def test_single_shard_session_is_the_flat_path(seed):
     from repro.mining.miner import FrequentSubgraphMiner
 
     graph = build_graph(GRAPH_SPECS[seed])
-    miner = FrequentSubgraphMiner(graph, **MINE_KWARGS)
+    miner = FrequentSubgraphMiner(graph, spec=MINE_SPEC)
     assert miner._sharded is None
     assert_mining_identical(
-        mine_frequent_patterns(graph, shards=1, **MINE_KWARGS),
+        mine_frequent_patterns(graph, spec=MINE_SPEC.replace(shards=1)),
         miner.mine(),
     )
+
+
+#: Every execution strategy the miner offers besides the default
+#: (indexed, flat, serial) one; each must reproduce it byte for byte.
+ZOO_STRATEGIES = {
+    "brute": {"use_index": False},
+    "sharded": {"shards": 3},
+    "sharded-pooled": {"shards": 3, "workers": 2},
+}
+ZOO_SPEC = MiningSpec(min_support=2, max_pattern_nodes=3, max_pattern_edges=3)
+
+
+@pytest.mark.parametrize("strategy", sorted(ZOO_STRATEGIES))
+@pytest.mark.parametrize("name", zoo_names())
+def test_zoo_strategies_identical(name, strategy):
+    """The hand-built zoo graphs under every strategy, byte for byte."""
+    graph = zoo_graph(name)
+    default = mine_frequent_patterns(graph, spec=ZOO_SPEC)
+    assert default.num_frequent > 0
+    other = mine_frequent_patterns(
+        graph, spec=ZOO_SPEC.replace(**ZOO_STRATEGIES[strategy])
+    )
+    assert_mining_identical(other, default)
+
+
+@pytest.mark.parametrize("measure", ["mi", "mis"])
+def test_zoo_other_measures_identical(measure):
+    graph = zoo_graph("disjoint_triangles")
+    spec = ZOO_SPEC.replace(measure=measure, min_support=3)
+    default = mine_frequent_patterns(graph, spec=spec)
+    assert default.num_frequent == 3  # edge, wedge, triangle
+    for strategy in ZOO_STRATEGIES.values():
+        other = mine_frequent_patterns(graph, spec=spec.replace(**strategy))
+        assert_mining_identical(other, default)
 
 
 class TestShardedSupportEquivalence:
@@ -325,10 +356,12 @@ class TestDynamicShardedEquivalence:
     def test_mixed_churn_matches_fresh_partition(self, seed, method):
         graph = build_graph(GRAPH_SPECS[seed])
         rng = random.Random(seed * 131 + 17)
-        miner = DynamicMiner(graph, shards=3, partition_method=method, **MINE_KWARGS)
+        miner = DynamicMiner(
+            graph, spec=MINE_SPEC.replace(shards=3, partition_method=method)
+        )
         try:
             assert result_key(miner.refresh()) == result_key(
-                mine_frequent_patterns(graph.copy(), **MINE_KWARGS)
+                mine_frequent_patterns(graph.copy(), spec=MINE_SPEC)
             )
             for batch in range(3):
                 churn_randomly(
@@ -338,22 +371,22 @@ class TestDynamicShardedEquivalence:
                 fresh = result_key(
                     mine_frequent_patterns(
                         graph.copy(),
-                        shards=3,
-                        partition_method=method,
-                        **MINE_KWARGS,
+                        spec=MINE_SPEC.replace(shards=3, partition_method=method),
                     )
                 )
-                flat = result_key(mine_frequent_patterns(graph.copy(), **MINE_KWARGS))
+                flat = result_key(mine_frequent_patterns(graph.copy(), spec=MINE_SPEC))
                 assert patched == fresh == flat
         finally:
             miner.detach()
 
     @pytest.mark.parametrize("measure", ["mni", "mi", "mis"])
     def test_measure_generality_under_sharded_churn(self, measure):
-        kwargs = {**MINE_KWARGS, "measure": measure}
+        spec = MINE_SPEC.replace(measure=measure)
         graph = build_graph(GRAPH_SPECS[28])
         rng = random.Random(53)
-        miner = DynamicMiner(graph, shards=2, partition_method="hash", **kwargs)
+        miner = DynamicMiner(
+            graph, spec=spec.replace(shards=2, partition_method="hash")
+        )
         try:
             miner.refresh()
             for batch in range(3):
@@ -361,7 +394,8 @@ class TestDynamicShardedEquivalence:
                 patched = result_key(miner.refresh())
                 fresh = result_key(
                     mine_frequent_patterns(
-                        graph.copy(), shards=2, partition_method="hash", **kwargs
+                        graph.copy(),
+                        spec=spec.replace(shards=2, partition_method="hash"),
                     )
                 )
                 assert patched == fresh
@@ -369,10 +403,12 @@ class TestDynamicShardedEquivalence:
             miner.detach()
 
     def test_lazy_mni_under_sharded_churn(self):
-        kwargs = {**MINE_KWARGS, "lazy": True}
+        spec = MINE_SPEC.replace(lazy=True)
         graph = build_graph(GRAPH_SPECS[12])
         rng = random.Random(29)
-        miner = DynamicMiner(graph, shards=3, partition_method="edgecut", **kwargs)
+        miner = DynamicMiner(
+            graph, spec=spec.replace(shards=3, partition_method="edgecut")
+        )
         try:
             miner.refresh()
             for batch in range(3):
@@ -380,10 +416,11 @@ class TestDynamicShardedEquivalence:
                 patched = result_key(miner.refresh())
                 fresh = result_key(
                     mine_frequent_patterns(
-                        graph.copy(), shards=3, partition_method="edgecut", **kwargs
+                        graph.copy(),
+                        spec=spec.replace(shards=3, partition_method="edgecut"),
                     )
                 )
-                flat = result_key(mine_frequent_patterns(graph.copy(), **kwargs))
+                flat = result_key(mine_frequent_patterns(graph.copy(), spec=spec))
                 assert patched == fresh == flat
         finally:
             miner.detach()
@@ -391,7 +428,9 @@ class TestDynamicShardedEquivalence:
     def test_delta_savings_survive_sharding(self):
         """Footprint reuse/skip still fires when evaluation is sharded."""
         graph = build_graph(GRAPH_SPECS[26])  # planted: two label regions
-        miner = DynamicMiner(graph, shards=2, partition_method="label", **MINE_KWARGS)
+        miner = DynamicMiner(
+            graph, spec=MINE_SPEC.replace(shards=2, partition_method="label")
+        )
         try:
             initial = miner.refresh()
             anchor = sorted(graph.vertices_with_label("A"), key=repr)[0]
@@ -407,7 +446,7 @@ class TestDynamicShardedEquivalence:
                 initial.stats.patterns_evaluated
             )
             assert result_key(refreshed) == result_key(
-                mine_frequent_patterns(graph.copy(), **MINE_KWARGS)
+                mine_frequent_patterns(graph.copy(), spec=MINE_SPEC)
             )
         finally:
             miner.detach()
@@ -435,12 +474,13 @@ class TestShardedWindowStreams:
                 mine_stream(
                     graph,
                     updates,
-                    batch_size=3,
-                    window=4,
-                    mode=mode,
-                    shards=2,
-                    partition_method=method,
-                    **MINE_KWARGS,
+                    spec=MINE_SPEC.replace(
+                        batch_size=3,
+                        window=4,
+                        mode=mode,
+                        shards=2,
+                        partition_method=method,
+                    ),
                 )
             )
             keys[mode] = [
@@ -464,10 +504,9 @@ class TestShardedWindowStreams:
                 mine_stream(
                     graph,
                     updates,
-                    batch_size=4,
-                    shards=shards,
-                    partition_method="edgecut",
-                    **MINE_KWARGS,
+                    spec=MINE_SPEC.replace(
+                        batch_size=4, shards=shards, partition_method="edgecut"
+                    ),
                 )
             )
             keys[shards] = [result_key(step.result) for step in steps]

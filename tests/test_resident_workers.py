@@ -8,8 +8,8 @@ in memory, spilling cold shards to disk and re-hydrating (plus replaying
 ball-safe pending deltas) on demand.  Everything here pins the same
 contract as the rest of the partition suite: **byte-identical results**
 — whatever the worker scheduling, whatever the eviction order — plus the
-pool-lifecycle bugfixes (Ctrl-C shutdown, flat workers never building a
-sharded index, pool failures degrading to serial).
+pool-lifecycle bugfixes (Ctrl-C shutdown, flat workers never shipped a
+partition, pool failures degrading to serial).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.graph.builders import path_pattern
 from repro.graph.labeled_graph import LabeledGraph
 from repro.mining.dynamic import DynamicMiner, mine_stream
 from repro.mining.miner import FrequentSubgraphMiner, mine_frequent_patterns
+from repro.mining.spec import MiningSpec
 from repro.partition import (
     ShardedIndex,
     ShardPager,
@@ -34,13 +35,8 @@ from repro.partition import (
 )
 from repro.partition.workers import build_slice, restrict_view
 
-# These suites deliberately exercise the legacy-kwarg entry points
-# alongside spec=; the deprecation they trigger is the point, not noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:legacy mining kwargs:DeprecationWarning"
-)
 
-MINE_KWARGS = dict(
+MINE_SPEC = MiningSpec(
     measure="mni", min_support=2, max_pattern_nodes=4, max_pattern_edges=4
 )
 
@@ -84,29 +80,21 @@ class TestResidentPoolEquivalence:
     @pytest.mark.parametrize("seed", [2, 9])
     def test_resident_pool_identical_to_flat(self, seed):
         graph = random_labeled_graph(18, 0.22, alphabet=("A", "B", "C"), seed=seed)
-        flat = mine_frequent_patterns(graph, **MINE_KWARGS)
-        pooled = mine_frequent_patterns(graph, shards=3, workers=2, **MINE_KWARGS)
-        assert_mining_identical(pooled, flat)
-
-    def test_per_task_shipping_reference_identical(self):
-        graph = random_labeled_graph(16, 0.25, alphabet=("A", "B", "C"), seed=5)
-        flat = mine_frequent_patterns(graph, **MINE_KWARGS)
-        shipped = mine_frequent_patterns(
-            graph, shards=3, workers=2, resident_workers=False, **MINE_KWARGS
+        flat = mine_frequent_patterns(graph, spec=MINE_SPEC)
+        pooled = mine_frequent_patterns(
+            graph, spec=MINE_SPEC.replace(shards=3, workers=2)
         )
-        assert_mining_identical(shipped, flat)
+        assert_mining_identical(pooled, flat)
 
     def test_out_of_core_pool_identical_and_pages(self):
         """max_resident < shards under the pool: identical, and it paged."""
         graph = long_path_graph()
-        flat = mine_frequent_patterns(graph, **MINE_KWARGS)
+        flat = mine_frequent_patterns(graph, spec=MINE_SPEC)
         miner = FrequentSubgraphMiner(
             graph,
-            shards=4,
-            workers=2,
-            max_resident=1,
-            partition_method="edgecut",
-            **MINE_KWARGS,
+            spec=MINE_SPEC.replace(
+                shards=4, workers=2, max_resident=1, partition_method="edgecut"
+            ),
         )
         paged = miner.mine()
         assert_mining_identical(paged, flat)
@@ -122,10 +110,9 @@ class TestResidentPoolEquivalence:
         for max_resident in (1, 4):
             miner = FrequentSubgraphMiner(
                 graph,
-                shards=4,
-                max_resident=max_resident,
-                partition_method="edgecut",
-                **MINE_KWARGS,
+                spec=MINE_SPEC.replace(
+                    shards=4, max_resident=max_resident, partition_method="edgecut"
+                ),
             )
             miner.mine()
             peaks[max_resident] = miner._pager.peak_resident_weight
@@ -228,13 +215,15 @@ class TestPoolFailureFallback:
     def test_worker_pool_error_falls_back_to_serial(self, monkeypatch):
         """A pool that dies mid-level degrades to serial, byte-identical."""
         graph = random_labeled_graph(16, 0.25, alphabet=("A", "B", "C"), seed=3)
-        serial = mine_frequent_patterns(graph, shards=3, **MINE_KWARGS)
+        serial = mine_frequent_patterns(graph, spec=MINE_SPEC.replace(shards=3))
 
         def broken_run(self, sharded, tasks):
             raise WorkerPoolError("worker killed mid-level (test)")
 
         monkeypatch.setattr(ShardWorkerPool, "run", broken_run)
-        miner = FrequentSubgraphMiner(graph, shards=3, workers=2, **MINE_KWARGS)
+        miner = FrequentSubgraphMiner(
+            graph, spec=MINE_SPEC.replace(shards=3, workers=2)
+        )
         result = miner.mine()
         assert_mining_identical(result, serial)
 
@@ -275,7 +264,9 @@ class TestShutdownOnInterrupt:
     def test_interrupt_uses_non_waiting_shutdown(self, monkeypatch):
         """Ctrl-C mid-mine must not drain the pool (the hang bugfix)."""
         graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=1)
-        miner = FrequentSubgraphMiner(graph, shards=2, workers=2, **MINE_KWARGS)
+        miner = FrequentSubgraphMiner(
+            graph, spec=MINE_SPEC.replace(shards=2, workers=2)
+        )
         fake = _RecordingPool()
         monkeypatch.setattr(miner, "_make_pool", lambda: fake)
 
@@ -289,7 +280,7 @@ class TestShutdownOnInterrupt:
 
     def test_clean_exit_uses_waiting_shutdown(self, monkeypatch):
         graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=1)
-        miner = FrequentSubgraphMiner(graph, **MINE_KWARGS)
+        miner = FrequentSubgraphMiner(graph, spec=MINE_SPEC)
         fake = _RecordingPool()
         monkeypatch.setattr(miner, "_make_pool", lambda: fake)
         monkeypatch.setattr(
@@ -300,22 +291,17 @@ class TestShutdownOnInterrupt:
 
 
 class TestFlatWorkersStayFlat:
-    def test_flat_worker_refuses_shard_tasks(self):
-        """init_worker(partition=None) must never build a ShardedIndex."""
-        from repro.mining import parallel
-
-        graph = random_labeled_graph(10, 0.3, alphabet=("A", "B"), seed=0)
-        parallel.init_worker(graph, "mni", False, 2, None, False, None, None)
-        with pytest.raises(AssertionError, match="flat worker"):
-            parallel.evaluate_shard_task(("solo", path_pattern(["A", "B"]), 0))
-
     def test_flat_pool_ships_no_partition(self):
+        from repro.partition import Partition
+
         graph = random_labeled_graph(10, 0.3, alphabet=("A", "B"), seed=0)
-        miner = FrequentSubgraphMiner(graph, workers=2, **MINE_KWARGS)
+        miner = FrequentSubgraphMiner(graph, spec=MINE_SPEC.replace(workers=2))
         miner._sync_session_state()
         pool = miner._make_pool()
         try:
-            assert pool is None or pool._initargs[-1] is None
+            assert pool is None or not any(
+                isinstance(arg, Partition) for arg in pool._initargs
+            )
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -344,19 +330,12 @@ def _stream_fixture():
 
 
 class TestStreamWorkers:
-    def _run(self, **kwargs):
+    def _run(self, **strategy):
         graph, updates = _stream_fixture()
+        spec = MiningSpec(batch_size=3, min_support=2.0, max_pattern_nodes=4)
         return [
             result_key(step.result)
-            for step in mine_stream(
-                graph,
-                updates,
-                batch_size=3,
-                mode=kwargs.pop("mode", "delta"),
-                min_support=2.0,
-                max_pattern_nodes=4,
-                **kwargs,
-            )
+            for step in mine_stream(graph, updates, spec=spec.replace(**strategy))
         ]
 
     def test_stream_workers_identical_to_serial(self):
@@ -378,13 +357,14 @@ class TestStreamWorkers:
         """workers must never be silently dropped: shards=1 delta raises."""
         graph, updates = _stream_fixture()
         with pytest.raises(MiningError, match="workers > 1 requires shards > 1"):
-            list(mine_stream(graph, updates, mode="delta", workers=2))
+            list(mine_stream(graph, updates, spec=MiningSpec(mode="delta", workers=2)))
 
     def test_dynamic_miner_persistent_pool_reused(self):
         """One pool across refreshes; slices re-ship only when dirtied."""
         graph, updates = _stream_fixture()
         miner = DynamicMiner(
-            graph, min_support=2.0, max_pattern_nodes=4, shards=3, workers=2
+            graph,
+            spec=MiningSpec(min_support=2.0, max_pattern_nodes=4, shards=3, workers=2),
         )
         try:
             miner.refresh()
@@ -407,8 +387,8 @@ class TestStreamWorkers:
     def test_dynamic_validation(self):
         graph, _ = _stream_fixture()
         with pytest.raises(MiningError):
-            DynamicMiner(graph, workers=2)
+            DynamicMiner(graph, spec=MiningSpec(workers=2))
         with pytest.raises(MiningError):
-            DynamicMiner(graph, max_resident=2)
+            DynamicMiner(graph, spec=MiningSpec(max_resident=2))
         with pytest.raises(MiningError):
-            DynamicMiner(graph, shards=2, max_resident=0)
+            DynamicMiner(graph, spec=MiningSpec(shards=2, max_resident=0))

@@ -1,6 +1,7 @@
 """Tests for the graph service: MVCC snapshots, result cache, protocol."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ from repro.service import (
     handle_request,
     parse_updates,
     result_bytes,
+    serve_tcp,
 )
 
 SPEC = MiningSpec(min_support=2)
@@ -392,3 +394,82 @@ class TestProtocol:
 
     def request_raw(self, service, line):
         return handle_request(service, line)
+
+    def test_integer_threshold_hits_the_maintained_cache(self):
+        # The CLI's --min-support is a float; a JSON client's 3 is an int.
+        maintain = MiningSpec(min_support=3.0)
+        with GraphService(base_graph(), maintain=maintain) as service:
+            update, _ = self.request(
+                service, {"op": "update", "updates": [["v", 6, "b"], ["e", 5, 6]]}
+            )
+            assert update["ok"] and service.stats()["entries"] == 1
+            mined, _ = self.request(service, {"op": "mine", "spec": {"min_support": 3}})
+            assert mined["ok"] and mined["cached"] is True
+            assert service.stats()["entries"] == 1
+
+
+#: Spec payloads of the wrong field type: each must come back as a typed
+#: ``bad_request`` response, never as an exception out of handle_request.
+MALFORMED_SPECS = [
+    ("mine", {"min_support": "3"}),
+    ("mine", {"workers": 2.5}),
+    ("mine", {"max_pattern_nodes": None}),
+    ("mine", {"lazy": "yes"}),
+    ("mine", {"shards": True}),
+    ("subscribe", {"kind": "threshold", "min_support": "3"}),
+    ("subscribe", {"kind": "threshold", "lazy": 1}),
+    ("subscribe", {"kind": "threshold", "events": 5}),
+]
+
+
+class TestMalformedSpecFields:
+    @pytest.mark.parametrize("op, spec", MALFORMED_SPECS)
+    def test_wrong_type_is_a_bad_request(self, op, spec):
+        with GraphService(base_graph()) as service:
+            response, shutdown = handle_request(
+                service, json.dumps({"op": op, "spec": spec, "id": 7})
+            )
+        assert not shutdown
+        assert response["ok"] is False
+        assert response["code"] == "bad_request"
+        assert response["type"] == "MiningError"
+        assert response["id"] == 7
+
+    def test_tcp_connection_survives_a_malformed_spec(self):
+        class Announce:
+            def __init__(self):
+                self.lines = []
+                self.ready = threading.Event()
+
+            def write(self, text):
+                self.lines.append(text)
+
+            def flush(self):
+                self.ready.set()
+
+        announce = Announce()
+        with GraphService(base_graph()) as service:
+            server = threading.Thread(
+                target=serve_tcp,
+                args=(service,),
+                kwargs={"port": 0, "announce": announce},
+                daemon=True,
+            )
+            server.start()
+            assert announce.ready.wait(10)
+            port = json.loads("".join(announce.lines))["port"]
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+                stream = conn.makefile("rwb")
+
+                def ask(payload):
+                    stream.write((json.dumps(payload) + "\n").encode())
+                    stream.flush()
+                    return json.loads(stream.readline())
+
+                for op, spec in MALFORMED_SPECS:
+                    bad = ask({"op": op, "spec": spec})
+                    assert bad["ok"] is False and bad["code"] == "bad_request"
+                assert ask({"op": "ping"})["ok"] is True
+                assert ask({"op": "shutdown"})["ok"] is True
+            server.join(10)
+            assert not server.is_alive()
