@@ -5,7 +5,7 @@
 * :func:`projected_index_nbytes` is the analytic footprint of an index
   over a graph of a given size — the pager's deterministic cost model.
 
-The index itself (CSR rows, inverted lists, label-pair edge lists, and
+The index itself (CSR rows, inverted lists, label-pair edge counts, and
 their O(delta) patching) lives in :mod:`repro.index.graph_index`.
 """
 

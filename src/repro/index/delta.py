@@ -19,7 +19,7 @@ Three pieces cooperate:
   stamped with the post-mutation version, so a contiguous delta run is a
   faithful replay of the version counter;
 * **O(delta) patching** — ``GraphIndex.apply_delta`` splices a single
-  update into the inverted lists, label-pair edge lists, and
+  update into the inverted lists, label-pair edge counts, and
   degree/neighbor-label signatures: insertions splice *in* at the
   canonical (``repr``) position, removals splice *out* (deleting entries
   that empty), so a patched index is structurally identical to one

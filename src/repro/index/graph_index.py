@@ -24,11 +24,11 @@ per-call neighbor scans for label-filtered adjacency.  A
   canonical order, so a label-filtered adjacency query is one small
   header scan plus a contiguous slice, and a vertex's neighbor-label
   signature is its directory;
-* **label-pair edge lists** — ``(lint, lint) -> array('i')`` of
-  flattened ``(u, v)`` vint pairs in canonical edge order (the graphs are
-  vertex-labeled with a single implicit edge label, so the paper's
-  (src-label, edge-label, dst-label) triple collapses to the unordered
-  vertex-label pair).
+* **label-pair edge counts** — ``(lint, lint) -> int``, keyed by the
+  canonical unordered pair (the graphs are vertex-labeled with a single
+  implicit edge label, so the paper's (src-label, edge-label, dst-label)
+  triple collapses to the unordered vertex-label pair); a pair is a key
+  exactly while some data edge realizes it.
 
 The matching engines (:mod:`repro.isomorphism.vf2`,
 :mod:`repro.isomorphism.anchored`) read the buffers directly and decode
@@ -60,9 +60,9 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from ..graph.labeled_graph import Label, LabeledGraph, Vertex, normalize_edge
+from ..graph.labeled_graph import Label, LabeledGraph, Vertex
 from ..obs import metrics as _metrics
 from .compact import LabelTable
 from .maintainable import MaintainableIndex
@@ -131,8 +131,7 @@ class GraphIndex(MaintainableIndex):
         "_deg",
         "_rows",
         "_inv",
-        "_pair_edges",
-        "_lpair_set",
+        "_pair_counts",
         "_memo_inv",
         "_memo_hist",
         "_memo_lpairs",
@@ -186,24 +185,13 @@ class GraphIndex(MaintainableIndex):
         self._deg = deg
         self._rows = rows
 
-        # Label-pair edge lists: graph.edges() is already in canonical
-        # (repr-of-normalized-edge) order, grouped here per label pair.
-        pair_edges: Dict[Tuple[int, int], array] = {}
-        lpair_set: Set[Tuple[int, int]] = set()
+        # Edge counts per canonical label pair; a pair is present exactly
+        # while some data edge realizes it.
+        pair_counts: Dict[Tuple[int, int], int] = {}
         for u, v in graph.edges():
-            lu = lab[vint_of[u]]
-            lv = lab[vint_of[v]]
-            lpair_set.add((lu, lv))
-            lpair_set.add((lv, lu))
-            key = self._pair_key(lu, lv)
-            arr = pair_edges.get(key)
-            if arr is None:
-                arr = array("i")
-                pair_edges[key] = arr
-            arr.append(vint_of[u])
-            arr.append(vint_of[v])
-        self._pair_edges = pair_edges
-        self._lpair_set = lpair_set
+            key = self._pair_key(lab[vint_of[u]], lab[vint_of[v]])
+            pair_counts[key] = pair_counts.get(key, 0) + 1
+        self._pair_counts = pair_counts
         self._reset_memos()
 
     # ------------------------------------------------------------------
@@ -291,14 +279,14 @@ class GraphIndex(MaintainableIndex):
         Insertions (:class:`~repro.index.delta.VertexAdded`,
         :class:`~repro.index.delta.EdgeAdded`) are absorbed in O(delta):
         a vertex splices into its label's inverted list, an edge splices
-        into its label-pair edge list and both endpoints' CSR rows — all
-        at the canonical (``repr``-sorted) position, so the patched index
-        is structurally identical to a rebuilt one.
+        into both endpoints' CSR rows at the canonical (``repr``-sorted)
+        position and bumps its label-pair count, so the patched index is
+        structurally identical to a rebuilt one.
 
         Removals (:class:`~repro.index.delta.EdgeRemoved`,
         :class:`~repro.index.delta.VertexRemoved`) are the exact inverse
-        splices: an edge leaves its label-pair edge list and both
-        endpoints' rows (directory groups and pair lists that empty are
+        splices: an edge leaves both endpoints' rows and drops its
+        label-pair count (directory groups and pair counts that empty are
         deleted outright, exactly as a rebuild would never create them);
         a vertex leaves its label's inverted list and its intern slot is
         tombstoned.  A ``VertexRemoved`` delta is only sound once the
@@ -353,18 +341,8 @@ class GraphIndex(MaintainableIndex):
         wi = self._live_vint(v)
         li_u = table.intern_label(lu)
         li_v = table.intern_label(lv)
-        self._lpair_set.add((li_u, li_v))
-        self._lpair_set.add((li_v, li_u))
-        edge = normalize_edge(u, v)
         key = self._pair_key(li_u, li_v)
-        arr = self._pair_edges.get(key)
-        if arr is None:
-            arr = array("i")
-            self._pair_edges[key] = arr
-        pos = self._bisect_pairs(arr, repr(edge))
-        arr[2 * pos : 2 * pos] = array(
-            "i", (table._vint_of[edge[0]], table._vint_of[edge[1]])
-        )
+        self._pair_counts[key] = self._pair_counts.get(key, 0) + 1
         self._row_insert(ui, li_v, wi, v)
         self._row_insert(wi, li_u, ui, u)
         self._deg[ui] += 1
@@ -377,24 +355,17 @@ class GraphIndex(MaintainableIndex):
         wi = self._live_vint(v)
         li_u = table._lint_of[lu]
         li_v = table._lint_of[lv]
-        edge = normalize_edge(u, v)
-        key = self._pair_key(li_u, li_v)
-        arr = self._pair_edges[key]
-        pos = self._bisect_pairs(arr, repr(edge))
-        npairs = len(arr) // 2
-        dec = table.vertex_of
-        while pos < npairs and (dec[arr[2 * pos]], dec[arr[2 * pos + 1]]) != edge:
-            pos += 1  # repr ties broken linearly
-        if pos == npairs:
-            raise KeyError(edge)
-        del arr[2 * pos : 2 * pos + 2]
-        if not arr:
-            # A rebuild never materializes empty entries.
-            del self._pair_edges[key]
-            self._lpair_set.discard((li_u, li_v))
-            self._lpair_set.discard((li_v, li_u))
+        # The row splices raise KeyError for an unindexed edge before
+        # anything is patched.
         self._row_remove(ui, li_v, wi, v)
         self._row_remove(wi, li_u, ui, u)
+        key = self._pair_key(li_u, li_v)
+        count = self._pair_counts[key] - 1
+        if count:
+            self._pair_counts[key] = count
+        else:
+            # A rebuild never materializes empty entries.
+            del self._pair_counts[key]
         self._deg[ui] -= 1
         self._deg[wi] -= 1
         self._reset_memos()
@@ -421,18 +392,6 @@ class GraphIndex(MaintainableIndex):
         self._lab[vi] = -1
         self._rows[vi] = array("i", (0,))
         self._reset_memos()
-
-    def _bisect_pairs(self, arr: array, re: str) -> int:
-        """Leftmost canonical position for edge-repr ``re`` (pair units)."""
-        dec = self.table.vertex_of
-        lo, hi = 0, len(arr) // 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if repr((dec[arr[2 * mid]], dec[arr[2 * mid + 1]])) < re:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
 
     def _row_insert(self, vi: int, li: int, wi: int, w: Vertex) -> None:
         """Splice neighbor ``wi`` (label ``li``) into ``vi``'s CSR row."""
@@ -540,7 +499,9 @@ class GraphIndex(MaintainableIndex):
         if pairs is None:
             label_of = self.table.label_of
             pairs = frozenset(
-                (label_of[a], label_of[b]) for a, b in self._lpair_set
+                pair
+                for a, b in self._pair_counts
+                for pair in ((label_of[a], label_of[b]), (label_of[b], label_of[a]))
             )
             self._memo_lpairs = pairs
         return pairs
@@ -549,7 +510,7 @@ class GraphIndex(MaintainableIndex):
         """Canonical unordered label pairs realized by data edges, sorted."""
         label_of = self.table.label_of
         return sorted(
-            ((label_of[a], label_of[b]) for a, b in self._pair_edges),
+            ((label_of[a], label_of[b]) for a, b in self._pair_counts),
             key=repr,
         )
 
@@ -609,10 +570,7 @@ class GraphIndex(MaintainableIndex):
         total += sys.getsizeof(self._inv)
         for arr in self._inv.values():
             total += sys.getsizeof(arr)
-        total += sys.getsizeof(self._pair_edges)
-        for arr in self._pair_edges.values():
-            total += sys.getsizeof(arr)
-        total += sys.getsizeof(self._lpair_set)
+        total += sys.getsizeof(self._pair_counts)
         return total
 
     def intern_entries(self) -> int:
@@ -623,7 +581,7 @@ class GraphIndex(MaintainableIndex):
         live = sum(1 for li in self._lab if li >= 0)
         return (
             f"<GraphIndex |V|={live} labels={len(self._inv)} "
-            f"pairs={len(self._pair_edges)} interned={self.table.entries} "
+            f"pairs={len(self._pair_counts)} interned={self.table.entries} "
             f"v{self.version}>"
         )
 

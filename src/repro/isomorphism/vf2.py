@@ -1,7 +1,9 @@
 """Backtracking (sub)graph-isomorphism engine.
 
 This is the matcher behind every occurrence enumeration in the library
-(Definitions 2.1.5–2.1.9).  It is a VF2-flavored depth-first search with:
+(Definitions 2.1.5–2.1.9) and behind the anchored probes of
+:mod:`repro.isomorphism.anchored`.  It is a VF2-flavored depth-first
+search with:
 
 * a static matching order that starts from the rarest-label pattern node and
   grows along pattern connectivity (so partial maps are always connected when
@@ -9,34 +11,56 @@ This is the matcher behind every occurrence enumeration in the library
 * label and degree feasibility filters;
 * full adjacency consistency checks against already-mapped nodes.
 
-When a :class:`~repro.index.GraphIndex` is available (the default — see the
-``index`` parameter) the search runs over the index's interned ids and
-additionally uses:
+There is one plan, one int-id kernel and one brute-force reference:
 
-* pre-sorted inverted lists and per-vertex label-filtered CSR segments
-  for candidate domains (no per-call set copies or ``repr`` sorts);
-* intersection over *all* mapped pattern neighbors, anchored at the one
-  with the smallest compatible adjacency segment;
-* neighbor-label signature dominance filtering (a data vertex must carry,
-  per label, at least as many neighbors as the pattern node requires).
+* :class:`_Plan` — the static search plan over interned ids.  Anchored
+  pattern nodes (none for plain enumeration) take depths ``0..k-1``,
+  followed by the rest of the matching order, so every mapped-neighbor
+  reference is a plain depth.  The plan also owns the per-depth memos
+  of requirement verdicts, so they survive a burst of anchored probes.
+* :func:`_search` — the int-id kernel, used whenever a
+  :class:`~repro.index.GraphIndex` is available (the default — see the
+  ``index`` parameter).  It extends pre-filled anchor images over
+  pre-sorted inverted lists and per-vertex label-filtered CSR segments,
+  intersects the segments of *all* mapped pattern neighbors, and drops
+  candidates whose neighbor-label signature cannot host the pattern
+  node (a data vertex must carry, per label, at least as many neighbors
+  as the pattern node requires).  Each complete assignment is decoded
+  to ``(node, vertex)`` items over the nodes the caller asks for, and
+  an optional leaf-keep predicate can reject it.
+* :func:`_extend` — the brute-force reference, a lazy generator over
+  the data graph's adjacency sets, serving ``index=False`` and induced
+  matching.
 
-With ``index=False`` (and for induced matching) the brute-force reference
-engine runs instead.  Both explore candidates in the same canonical order
-and the extra filters only cut subtrees that cannot complete, so indexed
-and brute-force enumeration yield byte-identical occurrence sequences
+Both explore candidates in the same canonical order and the kernel's
+extra filters only cut subtrees that cannot complete, so indexed and
+brute-force enumeration yield byte-identical occurrence sequences
 (asserted by ``tests/test_index_equivalence.py``).
 
-Two entry points:
+Entry points:
 
 * :func:`find_subgraph_isomorphisms` — injective label/edge-preserving maps
   from a pattern into a data graph (the paper's *occurrences*);
+* :func:`collect_subgraph_isomorphism_items` — the same occurrences as
+  sorted item tuples, the form occurrence objects are built from;
 * :func:`find_isomorphisms` — bijections between two graphs (used for
   automorphism groups and instance-level isomorphism tests).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from itertools import islice
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..graph.labeled_graph import Label, LabeledGraph, Vertex
 from ..graph.pattern import Pattern
@@ -44,6 +68,8 @@ from ..index.graph_index import GraphIndex, IndexArg, resolve_index
 from ..obs import metrics as _metrics
 
 Mapping = Dict[Vertex, Vertex]
+#: One occurrence as ``(node, vertex)`` pairs in ``repr`` order of the nodes.
+Items = Tuple[Tuple[Vertex, Vertex], ...]
 
 
 def _matching_order(pattern: Pattern, data: Optional[LabeledGraph]) -> List[Vertex]:
@@ -85,10 +111,9 @@ def _matching_order(pattern: Pattern, data: Optional[LabeledGraph]) -> List[Vert
 def _node_requirements(pattern: Pattern) -> Dict[Vertex, Dict[Label, int]]:
     """Per pattern node: multiset of its neighbors' labels.
 
-    Used with :meth:`GraphIndex.dominates` — pattern neighbors with one
-    label must map injectively into same-label data neighbors, so a data
-    vertex whose signature does not dominate the requirement can never
-    host the node.
+    Pattern neighbors with one label must map injectively into same-label
+    data neighbors, so a data vertex whose neighbor-label counts do not
+    cover the requirement can never host the node.
     """
     graph = pattern.graph
     requirements: Dict[Vertex, Dict[Label, int]] = {}
@@ -101,28 +126,51 @@ def _node_requirements(pattern: Pattern) -> Dict[Vertex, Dict[Label, int]]:
     return requirements
 
 
-class _IndexedPlan:
-    """Static search plan over interned ids for one (pattern, data) pair.
+class _Plan:
+    """Static search plan over interned ids for one (pattern, index, anchors).
 
-    Precomputes, per depth of the matching order: the pattern node's
-    interned label, the depths of its already-mapped pattern neighbors,
-    its degree requirement, and its neighbor-label signature requirement
-    as ``(lint, count)`` pairs.  Shared by the indexed collector and
-    generator drivers (and mirrored by the anchored engine) so the
-    engines can never diverge on domain computation.
+    ``order`` puts the ``k`` anchored pattern nodes first, then the rest
+    of the matching order in its own relative order; ``depth_of`` inverts
+    it.  Per depth the plan holds the pattern node's interned label, the
+    depths of its already-mapped pattern neighbors (``prior``), its
+    degree, and its neighbor-label signature requirement as
+    ``(lint, count)`` pairs.
+    Below ``k`` the requirement is the kernel's anchor check; from ``k``
+    on it is ``None`` once every pattern neighbor is mapped, since
+    adjacency to each mapped image then implies it.
 
-    ``empty`` is set when some pattern label has no live data vertex —
-    every domain at that depth would be empty, so the search has no
-    results.
+    Requirement verdicts depend only on (depth, vint), so ``memo`` keeps
+    them per depth (0 = unknown, 1 = pass, 2 = fail) for the plan's
+    lifetime.  ``empty`` is set when some pattern label has no live data
+    vertex — every search over the plan then has no results.
     """
 
-    __slots__ = ("order", "lints", "prior", "min_deg", "reqs", "empty")
+    __slots__ = (
+        "order",
+        "depth_of",
+        "k",
+        "lints",
+        "prior",
+        "min_deg",
+        "reqs",
+        "memo",
+        "empty",
+    )
 
-    def __init__(self, pattern: Pattern, ci: GraphIndex, order: List[Vertex]) -> None:
+    def __init__(
+        self,
+        pattern: Pattern,
+        ci: GraphIndex,
+        order: List[Vertex],
+        anchor_nodes: Tuple[Vertex, ...] = (),
+    ) -> None:
         pattern_graph = pattern.graph
         lint_of = ci.table._lint_of
         inv = ci._inv
+        order = list(anchor_nodes) + [n for n in order if n not in anchor_nodes]
         self.order = order
+        self.depth_of = depth_of = {node: depth for depth, node in enumerate(order)}
+        self.k = k = len(anchor_nodes)
         self.empty = False
         lints: List[int] = []
         for node in order:
@@ -131,26 +179,21 @@ class _IndexedPlan:
                 self.empty = True
             lints.append(-1 if li is None else li)
         self.lints = lints
-        position = {node: depth for depth, node in enumerate(order)}
         self.prior: List[tuple] = []
         self.min_deg: List[int] = []
         self.reqs: List[Optional[tuple]] = []
+        self.memo: List[Optional[bytearray]] = []
         if self.empty:
             return
         requirements = _node_requirements(pattern)
         for depth, node in enumerate(order):
             neighbors = pattern_graph.neighbors(node)
-            prior = tuple(
-                position[n] for n in neighbors if position[n] < depth
-            )
+            prior = tuple(depth_of[n] for n in neighbors if depth_of[n] < depth)
             self.prior.append(prior)
             self.min_deg.append(len(neighbors))
-            if len(prior) < len(neighbors):
-                # Signature requirements only help while some pattern
-                # neighbor is still unmapped: once every neighbor is
-                # mapped and adjacent, the vertex trivially dominates
-                # its requirement.  Requirement labels all label order
-                # nodes, so their lints exist when the plan is non-empty.
+            if depth < k or len(prior) < len(neighbors):
+                # Requirement labels all label order nodes, so their
+                # lints exist when the plan is non-empty.
                 self.reqs.append(
                     tuple(
                         (lint_of[label], count)
@@ -159,70 +202,44 @@ class _IndexedPlan:
                 )
             else:
                 self.reqs.append(None)
+        size = len(ci.table.vertex_of)
+        self.memo = [None if req is None else bytearray(size) for req in self.reqs]
 
 
-def _indexed_domain(ci: GraphIndex, plan: _IndexedPlan, depth: int, images):
-    """Candidate domain at ``depth``: ``(row, start, stop, other_sets)``.
-
-    The domain is the smallest label-filtered CSR segment among the
-    mapped pattern neighbors' images (ties resolved to the earliest
-    anchor), with the other anchors' segments returned as membership
-    sets; with no anchors it is the inverted list.  Iterating
-    ``row[start:stop]`` filtered by ``other_sets`` visits candidates in
-    canonical order.  The collector inlines this logic; this helper is
-    the readable reference and serves the generator.
-    """
-    li = plan.lints[depth]
-    anchors = plan.prior[depth]
-    if not anchors:
-        arr = ci._inv[li]
-        return arr, 0, len(arr), None
-    row, start, stop = ci._segment(images[anchors[0]], li)
-    if len(anchors) == 1:
-        return row, start, stop, None
-    best = anchors[0]
-    best_len = stop - start
-    for anchor in anchors[1:]:
-        other_row, other_start, other_stop = ci._segment(images[anchor], li)
-        if other_stop - other_start < best_len:
-            row, start, stop = other_row, other_start, other_stop
-            best_len = other_stop - other_start
-            best = anchor
-    other_sets = [
-        ci._segment_set(images[anchor], li)
-        for anchor in anchors
-        if anchor != best
-    ]
-    return row, start, stop, other_sets
-
-
-def _collect_items_indexed(
-    pattern: Pattern,
-    data: LabeledGraph,
+def _search(
     ci: GraphIndex,
+    plan: _Plan,
+    images: List[int],
+    used: bytearray,
     limit: Optional[int],
-):
-    """Indexed collector engine: int-id search, decoded results.
+    nodes: Sequence[Vertex] = (),
+    make: Callable = tuple,
+    keep: Optional[Callable] = None,
+) -> list:
+    """The int-id kernel: extend ``images[:plan.k]`` to complete assignments.
+
+    ``images`` holds one vint per plan depth, the first ``plan.k``
+    pre-filled with label-matched, distinct anchor images.  The anchor
+    check runs first: an anchor whose degree or neighbor-label signature
+    cannot host its pattern node has no extension.  ``used`` is a zeroed
+    bytearray over the index's vints and is zeroed again on return, so
+    callers may reuse it.  Each complete assignment is decoded as
+    ``make`` over the ``(node, vertex)`` pairs of ``nodes`` — pattern
+    nodes in the order the caller wants them, or none when only the
+    count matters: ``tuple`` gives item tuples, ``dict`` mappings.
+    Leaves failing the leaf-keep predicate ``keep`` are dropped; the
+    search stops after ``limit`` kept ones.  The plan must not be empty.
 
     The recursion inlines the CSR directory scans (segment lookup and
     signature-requirement counting) rather than calling the index
     helpers — this loop runs once per candidate expansion and the call
-    overhead dominated the win otherwise.  Two extra prunes are free
-    here and byte-identity-safe (monotone filters only shrink doomed
-    subtrees): when every pattern neighbor is already mapped the degree
-    and requirement checks are implied by segment membership and are
-    skipped, and requirement verdicts are memoized per (depth, vint)
-    since they are branch-independent.
+    overhead dominated otherwise.  Two prunes are byte-identity-safe
+    (monotone filters only shrink doomed subtrees): when every pattern
+    neighbor is already mapped the degree and requirement checks are
+    implied by segment membership and are skipped, and requirement
+    verdicts are memoized on the plan.
     """
-    order = _matching_order(pattern, data)
-    plan = _IndexedPlan(pattern, ci, order)
-    if plan.empty:
-        return []
-    depth_count = len(order)
-    position = {node: depth for depth, node in enumerate(order)}
-    item_nodes = sorted(order, key=repr)
-    item_pos = [position[node] for node in item_nodes]
-    decode = ci.table.vertex_of
+    depth_count = len(plan.order)
     deg = ci._deg
     rows = ci._rows
     inv = ci._inv
@@ -231,20 +248,24 @@ def _collect_items_indexed(
     priors = plan.prior
     min_degrees = plan.min_deg
     requirement_items = plan.reqs
-    vertex_count = len(decode)
-    used = bytearray(vertex_count)
-    req_memo = [
-        bytearray(vertex_count) if requirement_items[d] is not None else None
-        for d in range(depth_count)
-    ]
-    images = [0] * depth_count
-    results: List[tuple] = []
+    req_memo = plan.memo
+    if nodes:
+        # Anchored probes decode nothing, and a lazy-MNI burst runs
+        # thousands of them, so they skip this set-up.
+        decode = ci.table.vertex_of.__getitem__
+        image_at = images.__getitem__
+        positions = tuple(map(plan.depth_of.__getitem__, nodes))
+    results: list = []
 
     def rec(depth: int) -> bool:
+        """Explore one depth; False aborts the whole search (limit hit)."""
         if depth == depth_count:
-            results.append(
-                tuple(zip(item_nodes, [decode[images[p]] for p in item_pos]))
-            )
+            leaf = ()
+            if nodes:
+                leaf = make(zip(nodes, map(decode, map(image_at, positions))))
+            if keep is not None and not keep(leaf):
+                return True
+            results.append(leaf)
             return limit is None or len(results) < limit
         li = lints[depth]
         anchors = priors[depth]
@@ -270,7 +291,9 @@ def _collect_items_indexed(
             stop = body + cnt
             if len(anchors) > 1:
                 # Smallest segment wins (strict <, earliest anchor on
-                # ties); the rest probe as memoized frozensets.
+                # ties); the rest probe as memoized frozensets.  Every
+                # segment is in canonical order, so which one is iterated
+                # never changes the candidate order.
                 best = 0
                 best_len = cnt
                 sets = [None] * len(anchors)
@@ -367,92 +390,26 @@ def _collect_items_indexed(
                     return False
         return True
 
-    rec(0)
-    return results
-
-
-def _iter_mappings_indexed(
-    pattern: Pattern,
-    data: LabeledGraph,
-    ci: GraphIndex,
-    limit: Optional[int],
-) -> Iterator[Mapping]:
-    """Indexed generator engine (non-induced matching only).
-
-    Shares the collector's pruning structure: requirement verdicts are
-    memoized per (depth, vint), and the degree/requirement checks are
-    skipped entirely when every pattern neighbor is already mapped
-    (segment membership implies them — monotone filters, so
-    byte-identity-safe).
-    """
-    order = _matching_order(pattern, data)
-    plan = _IndexedPlan(pattern, ci, order)
-    if plan.empty:
-        return
-    depth_count = len(order)
-    decode = ci.table.vertex_of
-    deg = ci._deg
+    k = plan.k
     seg_len = ci._segment_len
-    min_degrees = plan.min_deg
-    requirement_items = plan.reqs
-    vertex_count = len(decode)
-    used = bytearray(vertex_count)
-    req_memo = [
-        bytearray(vertex_count) if requirement_items[d] is not None else None
-        for d in range(depth_count)
-    ]
-    images = [0] * depth_count
-    yielded = 0
-
-    def backtrack(depth: int) -> Iterator[Mapping]:
-        nonlocal yielded
-        if limit is not None and yielded >= limit:
-            return
-        if depth == depth_count:
-            yielded += 1
-            yield {
-                order[d]: decode[images[d]] for d in range(depth_count)
-            }
-            return
-        row, start, stop, other_sets = _indexed_domain(ci, plan, depth, images)
-        requirement = requirement_items[depth]
-        min_degree = min_degrees[depth]
+    for depth in range(k):
+        w = images[depth]
         memo = req_memo[depth]
-        for i in range(start, stop):
-            w = row[i]
-            if used[w]:
-                continue
-            if requirement is not None:
-                if deg[w] < min_degree:
-                    continue
-                state = memo[w]
-                if state == 2:
-                    continue
-                if state == 0:
-                    ok = True
-                    for req_lint, count in requirement:
-                        if seg_len(w, req_lint) < count:
-                            ok = False
-                            break
-                    memo[w] = 1 if ok else 2
-                    if not ok:
-                        continue
-            if other_sets is not None:
-                ok = True
-                for members in other_sets:
-                    if w not in members:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            images[depth] = w
-            used[w] = 1
-            yield from backtrack(depth + 1)
+        if memo[w] == 0:
+            ok = deg[w] >= min_degrees[depth]
+            for req_li, count in requirement_items[depth]:
+                ok = ok and seg_len(w, req_li) >= count
+            memo[w] = 1 if ok else 2
+        if memo[w] == 2:
+            return results
+    for w in images[:k]:
+        used[w] = 1
+    try:
+        rec(k)
+    finally:
+        for w in images[:k]:
             used[w] = 0
-            if limit is not None and yielded >= limit:
-                return
-
-    yield from backtrack(0)
+    return results
 
 
 def _candidate_data_vertices(
@@ -507,6 +464,42 @@ def _is_feasible(
     return True
 
 
+def _extend(
+    pattern: Pattern,
+    data: LabeledGraph,
+    order: List[Vertex],
+    anchors: Mapping,
+    induced: bool,
+) -> Iterator[Mapping]:
+    """The brute-force reference: occurrences extending ``anchors``, lazily.
+
+    ``anchors`` is a validated partial assignment (empty for plain
+    enumeration); the other pattern nodes are assigned in ``order``.
+    Each occurrence is a fresh dict holding the anchors first.  The
+    generator stays lazy so that callers can stop at the first hit.
+    """
+    mapping: Mapping = dict(anchors)
+    used: Set[Vertex] = set(mapping.values())
+    free = [node for node in order if node not in mapping]
+    depth_count = len(free)
+
+    def backtrack(depth: int) -> Iterator[Mapping]:
+        if depth == depth_count:
+            yield dict(mapping)
+            return
+        node = free[depth]
+        for vertex in _candidate_data_vertices(pattern, data, node, mapping):
+            if not _is_feasible(pattern, data, node, vertex, mapping, used, induced):
+                continue
+            mapping[node] = vertex
+            used.add(vertex)
+            yield from backtrack(depth + 1)
+            del mapping[node]
+            used.discard(vertex)
+
+    return backtrack(0)
+
+
 def find_subgraph_isomorphisms(
     pattern: Pattern,
     data: LabeledGraph,
@@ -532,48 +525,63 @@ def find_subgraph_isomorphisms(
         replaced by a fresh cached index otherwise (staleness safety
         net).  All modes yield identical occurrence sequences.  Induced
         matching ignores the index and always runs the brute-force
-        engine.
+        reference, since the kernel does not check non-edges.  On the
+        index the search runs to ``limit`` before the first yield; the
+        brute-force reference is lazy.
 
     Yields
     ------
-    dict mapping pattern node -> data vertex, a fresh dict per occurrence.
+    dict mapping pattern node -> data vertex, a fresh dict per occurrence,
+    keyed in matching order.
     """
     _metrics.counter("repro_match_vf2_calls").inc()
-    if pattern.num_nodes > data.num_vertices:
+    if pattern.num_nodes > data.num_vertices or (limit is not None and limit <= 0):
         return
-    if not induced:
-        resolved = resolve_index(data, index)
-        if resolved is not None:
-            yield from _iter_mappings_indexed(pattern, data, resolved, limit)
-            return
-    # The brute-force reference engine; induced matching always runs
-    # here, since the int-id engine does not check non-edges.
     order = _matching_order(pattern, data)
-    mapping: Mapping = {}
-    used: Set[Vertex] = set()
-    yielded = 0
+    resolved = None if induced else resolve_index(data, index)
+    if resolved is None:
+        yield from islice(_extend(pattern, data, order, {}, induced), limit)
+        return
+    plan = _Plan(pattern, resolved, order)
+    if plan.empty:
+        return
+    used = bytearray(len(resolved.table.vertex_of))
+    yield from _search(resolved, plan, [0] * len(order), used, limit, order, dict)
 
-    def backtrack(depth: int) -> Iterator[Mapping]:
-        nonlocal yielded
-        if limit is not None and yielded >= limit:
-            return
-        if depth == len(order):
-            yielded += 1
-            yield dict(mapping)
-            return
-        node = order[depth]
-        for vertex in _candidate_data_vertices(pattern, data, node, mapping):
-            if not _is_feasible(pattern, data, node, vertex, mapping, used, induced):
-                continue
-            mapping[node] = vertex
-            used.add(vertex)
-            yield from backtrack(depth + 1)
-            del mapping[node]
-            used.discard(vertex)
-            if limit is not None and yielded >= limit:
-                return
 
-    yield from backtrack(0)
+def _collect_items(
+    pattern: Pattern,
+    data: LabeledGraph,
+    limit: Optional[int],
+    index: IndexArg,
+    keep: Optional[Callable[[Items], bool]] = None,
+) -> List[Items]:
+    """Occurrences as sorted item tuples, filtered by ``keep`` at each leaf.
+
+    ``limit`` counts *kept* occurrences, so a filtered search stops as
+    soon as enough of them are confirmed instead of materializing every
+    occurrence first.
+    """
+    _metrics.counter("repro_match_vf2_calls").inc()
+    if pattern.num_nodes > data.num_vertices or (limit is not None and limit <= 0):
+        return []
+    order = _matching_order(pattern, data)
+    item_nodes = sorted(order, key=repr)
+    resolved = resolve_index(data, index)
+    if resolved is None:
+        found: Iterable[Items] = (
+            tuple([(node, mapping[node]) for node in item_nodes])
+            for mapping in _extend(pattern, data, order, {}, False)
+        )
+        if keep is not None:
+            found = filter(keep, found)
+        return list(islice(found, limit))
+    plan = _Plan(pattern, resolved, order)
+    if plan.empty:
+        return []
+    used = bytearray(len(resolved.table.vertex_of))
+    images = [0] * len(order)
+    return _search(resolved, plan, images, used, limit, item_nodes, tuple, keep)
 
 
 def collect_subgraph_isomorphism_items(
@@ -581,94 +589,16 @@ def collect_subgraph_isomorphism_items(
     data: LabeledGraph,
     limit: Optional[int] = None,
     index: IndexArg = None,
-):
+) -> List[Items]:
     """All (non-induced) occurrences as sorted ``(node, vertex)`` item tuples.
 
-    This is the hot-path twin of :func:`find_subgraph_isomorphisms`: the
-    same search in the same exploration order, but collecting into a list
-    with per-depth static precomputation (anchor neighbors, prior-neighbor
-    adjacency checks, degree requirements, and on the indexed engine
-    signature requirements) instead of resuming a generator chain per
-    node.  Items come back pre-sorted in the canonical ``repr`` node
-    order — exactly what :meth:`Occurrence.from_mapping` would produce —
-    so occurrence construction skips its per-occurrence sort.
-
-    The equivalence suite pins this against the generator engine in both
-    indexed and brute modes.
+    The same occurrences in the same order as
+    :func:`find_subgraph_isomorphisms`, collected into a list.  Items come
+    back pre-sorted in the canonical ``repr`` node order — exactly what
+    :meth:`Occurrence.from_mapping` would produce — so occurrence
+    construction skips its per-occurrence sort.
     """
-    _metrics.counter("repro_match_vf2_calls").inc()
-    if pattern.num_nodes > data.num_vertices:
-        return []
-    if limit is not None and limit <= 0:
-        return []  # mirror the generator engine: limit=0 yields nothing
-    resolved = resolve_index(data, index)
-    if resolved is not None:
-        return _collect_items_indexed(pattern, data, resolved, limit)
-    order = _matching_order(pattern, data)
-    pattern_graph = pattern.graph
-
-    depth_count = len(order)
-    position = {node: depth for depth, node in enumerate(order)}
-    item_nodes = sorted(order, key=repr)
-    labels = [pattern_graph.label_of(node) for node in order]
-    # Static per-depth structure: pattern neighbors mapped before this
-    # depth (the only ones adjacency checks can bind against), and the
-    # degree each candidate must meet.
-    prior_neighbors: List[List[Vertex]] = []
-    min_degrees: List[int] = []
-    for depth, node in enumerate(order):
-        neighbors = pattern_graph.neighbors(node)
-        prior_neighbors.append([n for n in neighbors if position[n] < depth])
-        min_degrees.append(len(neighbors))
-
-    degree = data.degree
-    data_neighbors = data.neighbors
-    results: List[tuple] = []
-    mapping: Mapping = {}
-    used: Set[Vertex] = set()
-    image_of = mapping.__getitem__
-
-    def rec(depth: int) -> bool:
-        """Explore one depth; False aborts the whole search (limit hit)."""
-        if depth == depth_count:
-            results.append(tuple(zip(item_nodes, map(image_of, item_nodes))))
-            return limit is None or len(results) < limit
-        node = order[depth]
-        label = labels[depth]
-        anchors = prior_neighbors[depth]
-        if anchors:
-            pool = data.neighbors_with_label(mapping[anchors[0]], label)
-        else:
-            pool = data.vertices_with_label(label)
-        min_degree = min_degrees[depth]
-        # Candidates come from the first anchor's adjacency; the other
-        # anchors are checked per candidate.
-        check_neighbors = anchors[1:]
-        for vertex in sorted(pool, key=repr):
-            if vertex in used:
-                continue
-            if degree(vertex) < min_degree:
-                continue
-            if check_neighbors:
-                nbrs = data_neighbors(vertex)
-                ok = True
-                for prior in check_neighbors:
-                    if mapping[prior] not in nbrs:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            mapping[node] = vertex
-            used.add(vertex)
-            keep_going = rec(depth + 1)
-            del mapping[node]
-            used.discard(vertex)
-            if not keep_going:
-                return False
-        return True
-
-    rec(0)
-    return results
+    return _collect_items(pattern, data, limit, index)
 
 
 def count_subgraph_isomorphisms(

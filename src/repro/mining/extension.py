@@ -61,7 +61,7 @@ def single_edge_patterns(
 
     These seed the mining search; label pairs are deduplicated as
     unordered pairs.  With an index the seeds come straight from the
-    label-pair edge lists (no edge scan); both paths return the same
+    label-pair edge counts (no edge scan); both paths return the same
     patterns in the same order.
     """
     if index is not None:

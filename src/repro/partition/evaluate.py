@@ -39,7 +39,7 @@ from ..hypergraph.construction import HypergraphBundle
 from ..index.graph_index import IndexArg, _label_pair_key
 from ..isomorphism.anchored import valid_images
 from ..isomorphism.matcher import Occurrence
-from ..isomorphism.vf2 import collect_subgraph_isomorphism_items
+from ..isomorphism.vf2 import _collect_items, collect_subgraph_isomorphism_items
 from ..measures.base import compute_support
 from ..mining.parallel import LABEL_FREQUENCY_BOUNDED, label_frequency_bound
 from .sharded_index import ShardedIndex
@@ -166,32 +166,16 @@ def anchored_occurrence_items(
     # occurrence.
     position = {node: i for i, node in enumerate(sorted(pattern.nodes(), key=repr))}
     edge_positions = [(position[a], position[b]) for a, b in pattern.edges()]
-    kept: List[OccurrenceItems] = []
-    if limit is not None:
-        # Enumerate through the generator engine so the search stops as
-        # soon as `limit` *anchored* occurrences are confirmed, instead of
-        # materializing the expanded view's full occurrence list first.
-        from ..isomorphism.vf2 import find_subgraph_isomorphisms
 
-        if limit <= 0:
-            return kept
-        for mapping in find_subgraph_isomorphisms(pattern, expanded, index=index):
-            items = tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0])))
-            if any(
-                normalize_edge(items[pa][1], items[pb][1]) in core
-                for pa, pb in edge_positions
-            ):
-                kept.append(items)
-                if len(kept) >= limit:
-                    break
-        return kept
-    for items in collect_subgraph_isomorphism_items(pattern, expanded, index=index):
-        if any(
+    def uses_core_edge(items: OccurrenceItems) -> bool:
+        return any(
             normalize_edge(items[pa][1], items[pb][1]) in core
             for pa, pb in edge_positions
-        ):
-            kept.append(items)
-    return kept
+        )
+
+    # The core-edge test runs at each leaf of the search, so a `limit`
+    # stops it as soon as that many *anchored* occurrences are confirmed.
+    return _collect_items(pattern, expanded, limit, index, keep=uses_core_edge)
 
 
 def shard_occurrence_items(

@@ -29,15 +29,10 @@ from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import MetricsRegistry
 
 
-def pair_edge_lists(index):
-    """The label-pair edge lists, decoded (no query method reads them)."""
-    label_of, vertex_of = index.table.label_of, index.table.vertex_of
-    return {
-        (label_of[a], label_of[b]): tuple(
-            (vertex_of[arr[i]], vertex_of[arr[i + 1]]) for i in range(0, len(arr), 2)
-        )
-        for (a, b), arr in index._pair_edges.items()
-    }
+def pair_edge_counts(index):
+    """The label-pair edge counts, decoded (no query method reads them)."""
+    label_of, counts = index.table.label_of, index._pair_counts
+    return {(label_of[a], label_of[b]): counts[a, b] for a, b in counts}
 
 
 def decoded_view(index, graph):
@@ -55,7 +50,7 @@ def decoded_view(index, graph):
             for v in graph.vertices()
             for label in labels
         },
-        "edges": pair_edge_lists(index),
+        "edges": pair_edge_counts(index),
     }
 
 
@@ -65,7 +60,8 @@ def graph_view(graph):
     label_of = graph.label_of
     edges = {}
     for u, v in graph.edges():
-        edges.setdefault(_label_pair_key(label_of(u), label_of(v)), []).append((u, v))
+        key = _label_pair_key(label_of(u), label_of(v))
+        edges[key] = edges.get(key, 0) + 1
     return {
         "hist": graph.label_histogram(),
         "adj_pairs": frozenset(
@@ -92,7 +88,7 @@ def graph_view(graph):
             for v in graph.vertices()
             for label in labels
         },
-        "edges": {pair: tuple(members) for pair, members in edges.items()},
+        "edges": edges,
     }
 
 

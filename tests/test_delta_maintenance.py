@@ -34,18 +34,23 @@ from repro.index import (
     VertexRemoved,
     get_index,
 )
+from repro.index.graph_index import _label_pair_key
 from repro.isomorphism.matcher import find_occurrences
 
 
-def pair_edge_lists(index: GraphIndex):
-    """The label-pair edge lists, decoded (no query method reads them)."""
-    label_of, vertex_of = index.table.label_of, index.table.vertex_of
-    return {
-        (label_of[a], label_of[b]): tuple(
-            (vertex_of[arr[i]], vertex_of[arr[i + 1]]) for i in range(0, len(arr), 2)
-        )
-        for (a, b), arr in index._pair_edges.items()
-    }
+def pair_edge_counts(index: GraphIndex):
+    """The label-pair edge counts, decoded (no query method reads them)."""
+    label_of, counts = index.table.label_of, index._pair_counts
+    return {(label_of[a], label_of[b]): counts[a, b] for a, b in counts}
+
+
+def graph_pair_counts(graph):
+    """What :func:`pair_edge_counts` must show, counted from the graph."""
+    counts = {}
+    for u, v in graph.edges():
+        key = _label_pair_key(graph.label_of(u), graph.label_of(v))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def index_structure(index: GraphIndex, graph):
@@ -57,7 +62,7 @@ def index_structure(index: GraphIndex, graph):
         "histogram": dict(index.label_histogram()),
         "label_pairs": set(index.adjacent_label_pairs()),
         "edge_label_pairs": index.distinct_edge_label_pairs(),
-        "pair_edges": pair_edge_lists(index),
+        "pair_counts": pair_edge_counts(index),
         "degrees": {vertex: index.degree_of(vertex) for vertex in graph.vertices()},
         "signatures": {
             vertex: dict(index.signature_of(vertex)) for vertex in graph.vertices()
@@ -74,6 +79,7 @@ def assert_patched_equals_rebuilt(maintainer: IndexMaintainer, graph):
     patched = maintainer.index()
     rebuilt = GraphIndex.build(graph)
     assert index_structure(patched, graph) == index_structure(rebuilt, graph)
+    assert pair_edge_counts(patched) == graph_pair_counts(graph)
     return patched
 
 
@@ -271,7 +277,7 @@ class TestRemovalPatching:
         assert patched.label_histogram() == {"A": 1, "B": 1}
         assert patched.vertices_with_label("Z") == ()
         assert ("B", "Z") not in patched.adjacent_label_pairs()
-        assert ("B", "Z") not in pair_edge_lists(patched)
+        assert ("B", "Z") not in pair_edge_counts(patched)
 
     def test_remove_then_reinsert_round_trips(self):
         graph = build_graph(("er", 17, 12, 0.3))

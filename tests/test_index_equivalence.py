@@ -11,6 +11,8 @@ random graphs spanning sparse/dense and label-poor/label-rich regimes.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from repro.datasets.synthetic import (
@@ -26,7 +28,11 @@ from repro.hypergraph.overlap import (
     overlaps,
 )
 from repro.index import GraphIndex, IndexMaintainer, get_index
-from repro.isomorphism.anchored import valid_images
+from repro.isomorphism.anchored import (
+    AnchoredSearch,
+    find_anchored_isomorphisms,
+    valid_images,
+)
 from repro.isomorphism.matcher import find_occurrences
 from repro.isomorphism.vf2 import find_subgraph_isomorphisms
 from repro.measures.lazy_mni import lazy_mni_support, mni_at_least
@@ -73,6 +79,11 @@ def build_graph(spec):
     )
 
 
+def ordered_items(mappings):
+    """Each mapping as its item list: ``==`` on dicts ignores key order."""
+    return [list(mapping.items()) for mapping in mappings]
+
+
 @pytest.fixture(params=GRAPH_SPECS, ids=lambda spec: f"{spec[0]}-s{spec[1]}")
 def graph(request):
     return build_graph(request.param)
@@ -114,6 +125,38 @@ class TestAnchoredEquivalence:
             assert valid_images(pattern, graph, node, index=False) == valid_images(
                 pattern, graph, node
             )
+
+    def test_multi_anchor_search_identical(self, graph):
+        # Every 1- and 2-node anchor subset of every occurrence: the
+        # anchors-first int-id plan must extend the anchors exactly like
+        # the brute-force reference, for every limit, down to the key
+        # order of each yielded dict.  One reused search context also
+        # sees each 2-node anchor set in both insertion orders, so its
+        # per-anchor-set plan cache is exercised.
+        pattern = PATTERNS[1]
+        nodes = sorted(pattern.nodes(), key=repr)
+        subsets = [subset for r in (1, 2) for subset in combinations(nodes, r)]
+        search = AnchoredSearch(pattern, graph)
+        for occurrence in find_occurrences(pattern, graph, index=False):
+            mapping = occurrence.mapping
+            for subset in subsets:
+                anchors = {node: mapping[node] for node in subset}
+                flipped = {node: mapping[node] for node in subset[::-1]}
+                for limit in (None, 1, 2):
+                    brute = find_anchored_isomorphisms(
+                        pattern, graph, anchors, limit=limit, index=False
+                    )
+                    indexed = find_anchored_isomorphisms(
+                        pattern, graph, anchors, limit=limit
+                    )
+                    brute_items = ordered_items(brute)
+                    assert brute_items  # the occurrence extends its own anchors
+                    assert ordered_items(indexed) == brute_items
+                    flipped_brute = find_anchored_isomorphisms(
+                        pattern, graph, flipped, limit=limit, index=False
+                    )
+                    reused = search.iter_from(flipped, limit)
+                    assert ordered_items(reused) == ordered_items(flipped_brute)
 
     def test_lazy_mni_identical_and_matches_eager(self, graph):
         for pattern in PATTERNS[:3]:
@@ -234,7 +277,7 @@ class TestIndexLifecycle:
 class TestExplicitIndexEquivalence:
     """index == brute, byte-identical, on every seeded graph.
 
-    The int-id engines (vf2 collector/generator, anchored probes) must
+    The int-id kernel (collector, generator, anchored probes) must
     reproduce the brute-force reference exactly — content AND order —
     when handed an explicit :class:`GraphIndex` instance.
     """
@@ -263,7 +306,7 @@ class TestExplicitIndexEquivalence:
         index = GraphIndex.build(graph)
         for pattern in PATTERNS[:3]:
             for node in pattern.nodes():
-                for stop_after in (None, 1, 2):
+                for stop_after in (None, 0, 1, 2):
                     brute = valid_images(
                         pattern, graph, node, stop_after=stop_after, index=False
                     )
@@ -273,6 +316,8 @@ class TestExplicitIndexEquivalence:
                         )
                         == brute
                     )
+                    if stop_after == 0:
+                        assert brute == []
 
 
     def test_mining_through_patched_index_identical(self, graph):

@@ -227,17 +227,18 @@ class TestHaloBookkeeping:
         with pytest.raises(PartitionError):
             ShardedIndex(graph, partition)
 
-    def test_shard_occurrence_limit_truncates_anchored_occurrences(self):
+    @pytest.mark.parametrize("index", [None, False])
+    def test_shard_occurrence_limit_truncates_anchored_occurrences(self, index):
         from repro.partition import shard_occurrence_items
 
         graph = build_graph(GRAPH_SPECS[0])
         sharded = ShardedIndex.build(graph, 3, "hash")
         pattern = build_pattern()
         for shard_id in range(3):
-            full = shard_occurrence_items(pattern, sharded, shard_id)
+            full = shard_occurrence_items(pattern, sharded, shard_id, index=index)
             for limit in (0, 1, 3):
                 limited = shard_occurrence_items(
-                    pattern, sharded, shard_id, limit=limit
+                    pattern, sharded, shard_id, index=index, limit=limit
                 )
                 # Early-stopped enumeration returns the same anchored
                 # occurrences, in the same order, just truncated.
