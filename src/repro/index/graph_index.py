@@ -535,22 +535,6 @@ class GraphIndex(MaintainableIndex):
         dec = self.table.vertex_of
         return tuple(dec[row[i]] for i in range(start, stop))
 
-    def dominates(self, vertex: Vertex, requirements: Dict[Label, int]) -> bool:
-        """True when ``vertex``'s neighbor-label counts cover ``requirements``.
-
-        A pattern node whose neighbors carry labels with multiplicities
-        ``requirements`` can only be hosted by data vertices passing this
-        check: pattern neighbors of one label must map injectively into
-        data neighbors of that label.
-        """
-        vi = self._live_vint(vertex)
-        lint_of = self.table._lint_of
-        for label, count in requirements.items():
-            li = lint_of.get(label)
-            if li is None or self._segment_len(vi, li) < count:
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # footprint accounting
     # ------------------------------------------------------------------

@@ -23,20 +23,22 @@ under the paper's anti-monotone support measures:
   by anti-monotonicity it stays exactly as infrequent as it was.  (This
   is why the miner refuses non-anti-monotone measures.)
 
-So the refresh re-runs the pattern-growth search but, per candidate:
+So the refresh re-runs the static miner's lattice walk
+(:func:`repro.mining.miner._walk` — the same seeds, level batches,
+evaluator and extensions) with one per-candidate rule added:
 known-frequent + unaffected footprint -> **reuse** the cached result;
-unknown + unaffected -> **skip** (provably infrequent); affected ->
-re-evaluate through the shared :func:`repro.mining.parallel.evaluate_support`
-path.  Deletions can only shrink supports, so an affected pattern may
-drop out of the frequent set — and its pruned descendants may *resurface*
-after later insertions: the lattice walk regenerates candidates from
-frequent parents each refresh, so revival is automatically bounded to the
-touched footprint (``stats.patterns_revived`` counts patterns that
-re-entered the frequent set on a delta refresh).  Results are
-byte-identical to a from-scratch mine of the current graph (certificates,
-supports, occurrence counts — pinned by ``tests/test_dynamic_mining.py``);
-only the work differs, which ``stats.patterns_reused`` /
-``stats.patterns_skipped_unaffected`` report.
+unknown + unaffected -> **skip** (provably infrequent); affected -> join
+the level's batch and **re-evaluate**.  Deletions can only shrink
+supports, so an affected pattern may drop out of the frequent set — and
+its pruned descendants may *resurface* after later insertions: the
+lattice walk regenerates candidates from frequent parents each refresh,
+so revival is automatically bounded to the touched footprint
+(``stats.patterns_revived`` counts patterns that re-entered the frequent
+set on a delta refresh).  Results are byte-identical to a from-scratch
+mine of the current graph (certificates, supports, occurrence counts —
+pinned by ``tests/test_dynamic_mining.py``); only the work differs,
+which ``stats.patterns_reused`` / ``stats.patterns_skipped_unaffected``
+report.
 
 Observation gaps (e.g. after :meth:`DynamicMiner.detach`) are answered
 with a full re-mine.  The data graph's index rides along through an
@@ -57,7 +59,6 @@ while the reference modes re-partition per batch.
 
 from __future__ import annotations
 
-import math
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -86,15 +87,9 @@ from ..index.delta import (
 )
 from ..index.graph_index import _label_pair_key
 from ..measures.base import measure_info
-from ..obs import metrics as _metrics
-from ..obs import trace as _trace
-from ..obs.logs import get_logger
-from .extension import adjacent_label_pairs, all_extensions, single_edge_patterns
-from .parallel import evaluate_support
+from .miner import EVALUATE, _make_pool, _Session, _walk
 from .results import FrequentPattern, MiningResult, MiningStats
 from .spec import MiningSpec, require_spec
-
-_LOG = get_logger("mining.dynamic")
 
 LabelPair = Tuple[Label, Label]
 
@@ -188,6 +183,51 @@ class _MinerResources:
             pager.close()
 
 
+class _FootprintRule:
+    """The delta refresh's reuse rule for one batch of touched label pairs.
+
+    A candidate whose footprint meets ``delta_pairs`` is evaluated.  An
+    unaffected one is reused when the previous refresh found it frequent
+    and skipped otherwise — by the module docstring's argument its
+    support is unchanged either way.  The lattice walk
+    (:func:`repro.mining.miner._walk`) calls the rule per candidate and
+    asks :meth:`revived` about every frequent one.
+    """
+
+    def __init__(
+        self,
+        delta_pairs: Set[LabelPair],
+        previous: Dict[str, FrequentPattern],
+        ever_frequent: Set[str],
+        footprints: Dict[str, FrozenSet[LabelPair]],
+    ) -> None:
+        self._delta_pairs = delta_pairs
+        self._previous = previous
+        self._ever_frequent = ever_frequent
+        self._footprints = footprints
+
+    def __call__(self, pattern: Pattern, certificate: str, stats: MiningStats):
+        footprint = self._footprints.get(certificate)
+        if footprint is None:
+            footprint = self._footprints[certificate] = pattern_footprint(pattern)
+        if footprint & self._delta_pairs:
+            return EVALUATE
+        cached = self._previous.get(certificate)
+        if cached is None:
+            stats.patterns_skipped_unaffected += 1
+        else:
+            stats.patterns_reused += 1
+        return cached
+
+    def revived(self, certificate: str) -> bool:
+        """Frequent again after an earlier refresh pruned it.
+
+        A deletion pushed it out, an insertion brought it back; a pattern
+        frequent for the first time is not a revival.
+        """
+        return certificate not in self._previous and certificate in self._ever_frequent
+
+
 class DynamicMiner:
     """Maintain the frequent-pattern set of one graph under updates.
 
@@ -198,8 +238,18 @@ class DynamicMiner:
     same :class:`~repro.mining.spec.MiningSpec` that configures
     :class:`~repro.mining.miner.FrequentSubgraphMiner` (``None`` = the
     defaults); its measure must be anti-monotonic — the delta reuse
-    argument depends on it — and the one-shot-only ``max_occurrences``
-    and stream fields are ignored.
+    argument depends on it — and the stream fields are ignored.  The
+    one-shot-only ``max_occurrences`` is refused: a truncated occurrence
+    list is not a pure function of the graph, so the reuse argument
+    does not hold for it.
+
+    Each refresh runs the static miner's lattice walk
+    (:func:`repro.mining.miner._walk`): a full walk on the first refresh
+    and after observation gaps, and otherwise the same walk with the
+    label-pair footprint rule (:class:`_FootprintRule`).  What the miner
+    owns is what the walk does not: the delta buffer, the maintained
+    index and partition, the revival bookkeeping, and the lifetime of
+    its worker pool and pager.
 
     With ``use_index=True`` (default) the graph's acceleration index is
     delta-patched between refreshes through an
@@ -214,16 +264,18 @@ class DynamicMiner:
     (``rebalance=``, a policy object rather than a spec field) lets
     skewed streams trigger shard rebalancing between refreshes.
 
-    ``workers=n > 1`` (sharded sessions only — the delta path has no
-    other task granularity, so flat parallelism would be silently
-    dropped; it raises instead) evaluates affected candidates through
-    one **persistent** shard-resident worker pool
-    (:class:`~repro.partition.ShardWorkerPool`): workers keep their
-    shard views across refreshes and the parent re-ships only slices
-    that deltas actually dirtied.  ``max_resident=N`` bounds resident
-    shard views through an out-of-core
-    :class:`~repro.partition.ShardPager` that survives policy-triggered
-    re-partitions.
+    ``workers=n > 1`` (sharded sessions only — the flat pool ships one
+    snapshot of the graph, which goes stale after the first update, so
+    flat parallelism would be silently wrong; it raises instead)
+    evaluates each level's affected candidates through one
+    **persistent** shard-resident worker pool
+    (:class:`~repro.partition.ShardWorkerPool`), started on the first
+    refresh: workers keep their shard views across refreshes and the
+    parent re-ships only slices that deltas actually dirtied.  A pool
+    that cannot start, or fails mid-refresh, leaves the session serial.
+    ``max_resident=N`` bounds resident shard views through an
+    out-of-core :class:`~repro.partition.ShardPager` that survives
+    policy-triggered re-partitions.
     """
 
     def __init__(
@@ -239,10 +291,19 @@ class DynamicMiner:
                 f"measure {spec.measure!r} is not anti-monotonic; dynamic "
                 "maintenance relies on anti-monotone pruning and reuse"
             )
+        if spec.max_occurrences is not None:
+            raise MiningError(
+                "max_occurrences is one-shot only: a truncated occurrence "
+                "list cannot be maintained under updates (got "
+                f"max_occurrences={spec.max_occurrences}); use the "
+                "rebuild/brute stream modes"
+            )
         if spec.workers > 1 and spec.shards <= 1:
-            # Delta maintenance evaluates one affected candidate at a
-            # time; (candidate, shard) tasks are its only parallel
-            # granularity.  Refusing beats silently mining serially.
+            # The flat pool ships one snapshot of the graph to its
+            # workers; after the first update it is stale.  (candidate,
+            # shard) tasks on the resident pool are the only parallel
+            # granularity that follows deltas.  Refusing beats silently
+            # mining serially.
             raise MiningError(
                 "workers > 1 requires shards > 1 under delta maintenance "
                 f"(got workers={spec.workers}, shards={spec.shards}); use the "
@@ -250,42 +311,33 @@ class DynamicMiner:
             )
         self.data = data
         self.spec = spec
-        self.measure = spec.measure
-        self.min_support = spec.min_support
-        self.max_pattern_nodes = spec.max_pattern_nodes
-        self.max_pattern_edges = spec.max_pattern_edges
-        self.lazy = spec.lazy
-        self.use_index = spec.use_index
-        self.shards = spec.shards
-        self.partition_method = spec.partition_method
-        self.workers = spec.workers
-        self.max_resident = spec.max_resident
         # Every releasable resource lives on ``_resources`` so the
         # finalizer below can give it all back without touching (and
         # thus without keeping alive) the miner itself.
         self._resources = _MinerResources()
         self._resources.graph = data
-        self._pool_failed = False
-        if self.use_index:
+        # The pool is started once per session, on the first refresh.
+        self._pool_started = False
+        if spec.use_index:
             self._maintainer = IndexMaintainer(data)
             self._resources.maintainer = self._maintainer
         else:
             self._maintainer = None
         self._sharded_maintainer = None
-        if self.shards > 1:
+        if spec.shards > 1:
             from ..partition.maintainer import ShardedIndexMaintainer
 
             self._sharded_maintainer = ShardedIndexMaintainer(
-                data, self.shards, self.partition_method, policy=rebalance
+                data, spec.shards, spec.partition_method, policy=rebalance
             )
             self._resources.sharded_maintainer = self._sharded_maintainer
-            if self.max_resident is not None:
+            if spec.max_resident is not None:
                 from ..partition.workers import ShardPager
 
                 # Attached now, carried across policy re-partitions by
                 # ShardedIndexMaintainer.sharded().
-                self._pager = ShardPager(
-                    self._sharded_maintainer.sharded(), self.max_resident
+                self._resources.pager = ShardPager(
+                    self._sharded_maintainer.sharded(), spec.max_resident
                 )
         self._buffer: List[AnyDelta] = []
         self._observer = data.subscribe(self._buffer.append)
@@ -307,26 +359,6 @@ class DynamicMiner:
         self._certificates: Dict[Tuple, str] = {}
         self._synced_version: Optional[int] = None
         self._last_result: Optional[MiningResult] = None
-
-    # ------------------------------------------------------------------
-    # The pool and pager live on _resources (so the finalizer can release
-    # them); these properties keep the miner's own code — and tests that
-    # reach for miner._pool — unchanged.
-    @property
-    def _pool(self):
-        return self._resources.pool
-
-    @_pool.setter
-    def _pool(self, value) -> None:
-        self._resources.pool = value
-
-    @property
-    def _pager(self):
-        return self._resources.pager
-
-    @_pager.setter
-    def _pager(self, value) -> None:
-        self._resources.pager = value
 
     # ------------------------------------------------------------------
     @property
@@ -354,10 +386,6 @@ class DynamicMiner:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.detach()
-
-    @property
-    def _lazy_cap(self) -> int:
-        return max(1, math.ceil(self.min_support))
 
     # ------------------------------------------------------------------
     def apply(self, updates: Iterable[GraphUpdate]) -> int:
@@ -419,283 +447,44 @@ class DynamicMiner:
             d.label_pair() for d in deltas if isinstance(d, (EdgeAdded, EdgeRemoved))
         }
 
-    def _certificate(self, pattern: Pattern) -> str:
-        key = pattern.graph.signature()
+    def _certificate(self, graph: LabeledGraph) -> str:
+        key = graph.signature()
         certificate = self._certificates.get(key)
         if certificate is None:
-            certificate = canonical_certificate(pattern.graph)
+            certificate = canonical_certificate(graph)
             self._certificates[key] = certificate
         return certificate
 
-    def _footprint(self, pattern: Pattern, certificate: str) -> FrozenSet[LabelPair]:
-        cached = self._footprints.get(certificate)
-        if cached is None:
-            cached = pattern_footprint(pattern)
-            self._footprints[certificate] = cached
-        return cached
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self, sharded) -> None:
-        """Start the session's :class:`ShardWorkerPool` if it should run.
-
-        One pool serves every refresh of the session (``_pool`` stays
-        ``None`` for serial sessions).  A spawn failure degrades the whole
-        session to serial — results are identical either way.
-        """
-        if (
-            self.workers <= 1
-            or sharded is None
-            or self._pool_failed
-            or self._pool is not None
-        ):
-            return
-        try:
-            from ..partition.workers import ShardWorkerPool
-
-            self._pool = ShardWorkerPool(
-                self.workers,
-                measure=self.measure,
-                lazy=self.lazy,
-                lazy_cap=self._lazy_cap,
-                use_index=self.use_index,
-                depth=max(0, self.max_pattern_nodes - 2),
-            )
-        except (OSError, ValueError) as exc:
-            _LOG.warning(
-                "could not start the shard worker pool (%s); the "
-                "session evaluates serially from here on",
-                exc,
-            )
-            _metrics.counter("repro_pool_serial_fallbacks").inc()
-            self._pool_failed = True
-
-    def _drop_pool(self) -> None:
-        """A pool-infrastructure failure: go serial for good."""
-        _LOG.warning(
-            "shard runner failed mid-refresh; affected candidates re-evaluate "
-            "serially and the session stays serial"
-        )
-        _metrics.counter("repro_pool_serial_fallbacks").inc()
-        self._pool_failed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def _evaluate(
-        self,
-        pattern: Pattern,
-        certificate: str,
-        delta_pairs: Optional[Set[LabelPair]],
-        histogram: Dict,
-        stats: MiningStats,
-        sharded=None,
-    ) -> Optional[FrequentPattern]:
-        """One candidate: reuse, skip (returns ``None``), or evaluate."""
-        if delta_pairs is not None and not (
-            self._footprint(pattern, certificate) & delta_pairs
-        ):
-            cached = self._frequent.get(certificate)
-            if cached is not None:
-                stats.patterns_reused += 1
-                return cached
-            stats.patterns_skipped_unaffected += 1
-            return None
-        stats.patterns_evaluated += 1
-        stats.support_calls += 1
-        outcome = None
-        if sharded is not None and self._pool is not None:
-            outcome = self._evaluate_pooled(pattern, sharded, histogram)
-        if outcome is not None:
-            support, num_occurrences = outcome
-        elif sharded is not None:
-            from ..partition.evaluate import sharded_evaluate_support
-
-            support, num_occurrences = sharded_evaluate_support(
-                pattern,
-                sharded,
-                self.measure,
-                lazy=self.lazy,
-                lazy_cap=self._lazy_cap,
-                max_occurrences=None,
-                index_arg=None if self.use_index else False,
-                histogram=histogram,
-                prune_below=self.min_support,
-            )
-        else:
-            support, num_occurrences = evaluate_support(
-                pattern,
-                self.data,
-                self.measure,
-                lazy=self.lazy,
-                lazy_cap=self._lazy_cap,
-                max_occurrences=None,
-                index_arg=None if self.use_index else False,
-                histogram=histogram,
-                prune_below=self.min_support,
-            )
-        if num_occurrences >= 0:
-            stats.occurrence_enumerations += 1
-        return FrequentPattern(
-            pattern=pattern,
-            support=support,
-            certificate=certificate,
-            num_occurrences=num_occurrences,
-        )
-
-    def _evaluate_pooled(
-        self, pattern: Pattern, sharded, histogram: Dict
-    ) -> Optional[Tuple[float, int]]:
-        """One affected candidate through the shard runner.
-
-        Plans/merges through the same :func:`pooled_outcomes` path as
-        static pooled mining, so the outcome is byte-identical to the
-        serial ``sharded_evaluate_support`` call it replaces.  Pool
-        infrastructure failures return ``None`` (caller re-evaluates
-        serially) and drop the runner for the rest of the session.
-        """
-        from concurrent.futures import BrokenExecutor
-
-        from ..partition.workers import pooled_outcomes
-
-        def flat_evaluate(p: Pattern) -> Tuple[float, int]:
-            return evaluate_support(
-                p,
-                self.data,
-                self.measure,
-                lazy=self.lazy,
-                lazy_cap=self._lazy_cap,
-                max_occurrences=None,
-                index_arg=None if self.use_index else False,
-                histogram=histogram,
-                prune_below=self.min_support,
-            )
-
-        try:
-            return pooled_outcomes(
-                [pattern],
-                sharded,
-                self._pool,
-                measure=self.measure,
-                lazy=self.lazy,
-                lazy_cap=self._lazy_cap,
-                max_occurrences=None,
-                flat_evaluate=flat_evaluate,
-                histogram=histogram,
-                prune_below=self.min_support,
-            )[0]
-        except (OSError, BrokenExecutor):
-            self._drop_pool()
-            return None
-
     def _mine(self, delta_pairs: Optional[Set[LabelPair]]) -> MiningResult:
-        """Pattern-growth closure with per-candidate reuse/skip/evaluate."""
-        from .miner import record_session_metrics
-
-        index = self._maintainer.index() if self._maintainer is not None else None
+        """One lattice walk over the maintained structures."""
+        resources = self._resources
         sharded = (
             self._sharded_maintainer.sharded()
             if self._sharded_maintainer is not None
             else None
         )
-        self._ensure_pool(sharded)
-        label_pairs = adjacent_label_pairs(self.data, index=index)
-        histogram = (
-            index.label_histogram()
-            if index is not None
-            else self.data.label_histogram()
+        if not self._pool_started:
+            self._pool_started = True
+            resources.pool = _make_pool(self.data, self.spec, sharded)
+        session = _Session(
+            self.data,
+            self.spec,
+            self._maintainer.index() if self._maintainer is not None else None,
+            sharded,
+            pool=resources.pool,
+            certify=self._certificate,
         )
-        stats = MiningStats()
-        frequent: List[FrequentPattern] = []
-        seen: Set[str] = set()
-        levels = 0
-
-        with _trace.span(
-            "mine",
-            dynamic=True,
-            delta=delta_pairs is not None,
-            measure=self.measure,
-            min_support=self.min_support,
-            shards=self.shards,
-            workers=self.workers,
-        ) as mine_span:
-            level: List[Tuple[Pattern, str]] = []
-            with _trace.span("seeds") as seed_span:
-                for seed in single_edge_patterns(self.data, index=index):
-                    stats.patterns_generated += 1
-                    certificate = self._certificate(seed)
-                    if certificate in seen:
-                        stats.duplicates_skipped += 1
-                        continue
-                    seen.add(certificate)
-                    level.append((seed, certificate))
-                seed_span.set(seeds=len(level))
-
-            while level:
-                levels += 1
-                frequent_before = stats.patterns_frequent
-                pruned_before = stats.patterns_pruned
-                reused_before = stats.patterns_reused
-                skipped_before = stats.patterns_skipped_unaffected
-                with _trace.span(
-                    "level", level=levels, candidates=len(level)
-                ) as level_span:
-                    next_level: List[Tuple[Pattern, str]] = []
-                    for pattern, certificate in level:
-                        evaluated = self._evaluate(
-                            pattern,
-                            certificate,
-                            delta_pairs,
-                            histogram,
-                            stats,
-                            sharded,
-                        )
-                        if evaluated is None:
-                            continue
-                        if evaluated.support >= self.min_support:
-                            stats.patterns_frequent += 1
-                            if (
-                                delta_pairs is not None
-                                and certificate not in self._frequent
-                                and certificate in self._ever_frequent
-                            ):
-                                # Frequent again after an earlier refresh
-                                # pruned it — a deletion pushed it out, an
-                                # insertion revived it.
-                                stats.patterns_revived += 1
-                            frequent.append(evaluated)
-                            for extension in all_extensions(
-                                pattern,
-                                label_pairs,
-                                max_nodes=self.max_pattern_nodes,
-                                max_edges=self.max_pattern_edges,
-                            ):
-                                stats.patterns_generated += 1
-                                ext_certificate = self._certificate(extension)
-                                if ext_certificate in seen:
-                                    stats.duplicates_skipped += 1
-                                    continue
-                                seen.add(ext_certificate)
-                                next_level.append((extension, ext_certificate))
-                        else:
-                            stats.patterns_pruned += 1
-                    level_span.set(
-                        frequent=stats.patterns_frequent - frequent_before,
-                        pruned=stats.patterns_pruned - pruned_before,
-                        reused=stats.patterns_reused - reused_before,
-                        skipped=stats.patterns_skipped_unaffected
-                        - skipped_before,
-                    )
-                level = next_level
-
-            frequent.sort(key=lambda fp: (fp.num_edges, -fp.support, fp.certificate))
-            mine_span.set(levels=levels, frequent=len(frequent))
-        record_session_metrics(stats, levels)
-        return MiningResult(
-            frequent=frequent,
-            stats=stats,
-            measure=self.measure,
-            min_support=self.min_support,
-        )
+        rule = None
+        if delta_pairs is not None:
+            rule = _FootprintRule(
+                delta_pairs, self._frequent, self._ever_frequent, self._footprints
+            )
+        try:
+            return _walk(session, rule)
+        finally:
+            # The evaluator shuts a pool that failed mid-level down and
+            # drops it; the session then stays serial.
+            resources.pool = session.pool
 
 
 @dataclass(frozen=True)

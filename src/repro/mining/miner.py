@@ -13,10 +13,18 @@ A pattern-growth (gSpan/GraMi-flavored) search:
 
 The search is organized **level-synchronously** (all candidates with k+1
 edges are generated from the level-k survivors, deduplicated, then
-evaluated as a batch).  This is the same traversal the old FIFO queue
-performed — seeds are all one-edge patterns, each extension adds exactly
-one edge — but it exposes the per-level batches needed for parallel
-support evaluation (``workers > 1``) while keeping results identical.
+evaluated as a batch).  Seeds are all one-edge patterns and each
+extension adds exactly one edge, so the levels are the pattern sizes;
+the per-level batches are what parallel support evaluation
+(``workers > 1``) farms out while keeping results identical.
+
+This module holds the **one lattice walk** (:func:`_walk`) and its one
+evaluator (:meth:`_Session.evaluate`: serial flat, serial sharded, the
+flat process pool or the shard-resident pool, with one pool-failure
+fallback).  :class:`FrequentSubgraphMiner` runs the walk over one graph
+snapshot; :class:`~repro.mining.dynamic.DynamicMiner` runs the same walk
+with a per-candidate reuse rule (its label-pair footprint test) to keep
+the answer current under updates.
 
 Every run is configured by one :class:`~repro.mining.spec.MiningSpec`
 passed as ``spec=`` — the only way in; field names below refer to it.
@@ -51,14 +59,18 @@ from .spec import MiningSpec, require_spec
 
 _LOG = get_logger("mining.miner")
 
+#: A reuse rule's verdict for a candidate the walk must evaluate (see
+#: :func:`_walk`).
+EVALUATE = object()
+
 
 def record_session_metrics(stats: MiningStats, levels: int) -> None:
     """Flush one mining session's counters onto the active registry.
 
     Called once at session end (never per candidate — the hot loop pays
-    nothing) by both the static and dynamic lattice walks; zero-valued
-    counters still register, so every ``repro_miner_*`` name appears in
-    snapshots from the first session on.
+    nothing) by the lattice walk; zero-valued counters still register,
+    so every ``repro_miner_*`` name appears in snapshots from the first
+    session on.
     """
     registry = _metrics.get_registry()
     registry.counter("repro_miner_sessions").inc()
@@ -73,6 +85,297 @@ def record_session_metrics(stats: MiningStats, levels: int) -> None:
     registry.counter("repro_match_anchored_searches")
     for name, value in stats.as_dict().items():
         registry.counter(f"repro_miner_{name}").inc(value)
+
+
+def _lazy_cap(min_support: float) -> int:
+    """Ceiling of the (possibly fractional) threshold for lazy mode."""
+    return max(1, math.ceil(min_support))
+
+
+def _make_pool(data: LabeledGraph, spec: MiningSpec, sharded):
+    """A process pool for support evaluation, or None (serial).
+
+    Sharded sessions get the shard-resident worker pool — this is the one
+    place a :class:`~repro.partition.workers.ShardWorkerPool` is built;
+    flat sessions get the candidate-level executor, which ships one
+    snapshot of ``data`` to every worker.  Any construction failure
+    degrades to the serial path, which produces identical results; the
+    degrade path for workers that die later is :meth:`_Session.evaluate`.
+    """
+    if spec.workers <= 1:
+        return None
+    try:
+        if sharded is not None:
+            from ..partition.workers import ShardWorkerPool
+
+            return ShardWorkerPool(
+                spec.workers,
+                measure=spec.measure,
+                lazy=spec.lazy,
+                lazy_cap=_lazy_cap(spec.min_support),
+                use_index=spec.use_index,
+                depth=max(0, spec.max_pattern_nodes - 2),
+            )
+        from concurrent.futures import ProcessPoolExecutor
+
+        from .parallel import init_worker
+
+        return ProcessPoolExecutor(
+            max_workers=spec.workers,
+            initializer=init_worker,
+            initargs=(
+                data,
+                spec.measure,
+                spec.lazy,
+                _lazy_cap(spec.min_support),
+                spec.max_occurrences,
+                spec.use_index,
+                spec.min_support,
+            ),
+        )
+    except (OSError, ValueError) as exc:
+        # Restricted environments (no usable start method, no
+        # /dev/shm): degrade to the serial path, which produces
+        # identical results.
+        _LOG.warning("could not start the worker pool (%s); mining serially", exc)
+        _metrics.counter("repro_pool_serial_fallbacks").inc()
+        return None
+
+
+class _Session:
+    """One walk's inputs and the one evaluator that reads them.
+
+    ``index`` and ``sharded`` are the caller's structures for ``data``
+    (rebuilt per graph version by the static miner, delta-maintained by
+    the dynamic one); ``pool`` is the caller's worker pool or ``None``.
+    ``certify`` maps a pattern graph to its canonical certificate
+    (``None`` = :func:`canonical_certificate`, looked up when the walk
+    starts).
+    :meth:`evaluate` drops a pool that fails mid-level, so the caller
+    reads ``pool`` back after the walk.
+    """
+
+    def __init__(
+        self,
+        data: LabeledGraph,
+        spec: MiningSpec,
+        index: Optional[GraphIndex],
+        sharded=None,
+        pool=None,
+        certify=None,
+    ) -> None:
+        self.data = data
+        self.spec = spec
+        self.index = index
+        self.sharded = sharded
+        self.pool = pool
+        self.certify = certify
+        self.label_pairs = adjacent_label_pairs(data, index=index)
+        self._index_arg = None if spec.use_index else False
+        self._common = dict(
+            lazy=spec.lazy,
+            lazy_cap=_lazy_cap(spec.min_support),
+            max_occurrences=spec.max_occurrences,
+            histogram=(index if index is not None else data).label_histogram(),
+            prune_below=spec.min_support,
+        )
+
+    def _flat(self, pattern: Pattern) -> Tuple[float, int]:
+        from .parallel import evaluate_support
+
+        return evaluate_support(
+            pattern,
+            self.data,
+            self.spec.measure,
+            index_arg=self._index_arg,
+            **self._common,
+        )
+
+    def _serial(self, pattern: Pattern) -> Tuple[float, int]:
+        if self.sharded is None:
+            return self._flat(pattern)
+        from ..partition.evaluate import sharded_evaluate_support
+
+        return sharded_evaluate_support(
+            pattern,
+            self.sharded,
+            self.spec.measure,
+            index_arg=self._index_arg,
+            **self._common,
+        )
+
+    def _pooled(self, patterns: List[Pattern]) -> List[Tuple[float, int]]:
+        if self.sharded is None:
+            from .parallel import evaluate_candidate
+
+            chunksize = max(1, len(patterns) // (self.spec.workers * 4))
+            return list(
+                self.pool.map(evaluate_candidate, patterns, chunksize=chunksize)
+            )
+        from ..partition.workers import pooled_outcomes
+
+        return pooled_outcomes(
+            patterns,
+            self.sharded,
+            self.pool,
+            measure=self.spec.measure,
+            flat_evaluate=self._flat,
+            **self._common,
+        )
+
+    def evaluate(
+        self, batch: Sequence[Tuple[Pattern, str]], stats: MiningStats
+    ) -> List[FrequentPattern]:
+        """Evaluate one level's batch of candidates, results in batch order.
+
+        With a pool the whole batch goes out in one call (the flat
+        executor's ``map``, or one :func:`pooled_outcomes` plan for the
+        shard-resident pool).  ``ProcessPoolExecutor`` spawns workers
+        lazily, so environments that cannot fork only fail here, not in
+        :func:`_make_pool`.  Any pool-infrastructure failure (spawn
+        refused, workers killed) re-evaluates the batch serially, shuts
+        the pool down without waiting and sets ``pool`` to ``None``, so
+        the rest of the run stays serial.  Evaluation is pure, so the
+        retry changes nothing but wall-clock time.
+        """
+        if not batch:
+            return []
+        from concurrent.futures import BrokenExecutor
+
+        patterns = [pattern for pattern, _ in batch]
+        outcomes = None
+        if self.pool is not None:
+            try:
+                outcomes = self._pooled(patterns)
+            except (OSError, BrokenExecutor) as exc:
+                _LOG.warning(
+                    "worker pool failed mid-level (%s); re-evaluating the "
+                    "level serially and staying serial for this run",
+                    exc,
+                )
+                _metrics.counter("repro_pool_serial_fallbacks").inc()
+                self.pool.shutdown(wait=False, cancel_futures=True)
+                self.pool = None
+        if outcomes is None:
+            outcomes = [self._serial(pattern) for pattern in patterns]
+        results = []
+        for (pattern, certificate), (support, num_occurrences) in zip(batch, outcomes):
+            stats.support_calls += 1
+            if num_occurrences >= 0:
+                stats.occurrence_enumerations += 1
+            results.append(
+                FrequentPattern(
+                    pattern=pattern,
+                    support=support,
+                    certificate=certificate,
+                    num_occurrences=num_occurrences,
+                )
+            )
+        return results
+
+
+def _walk(session: _Session, reuse=None) -> MiningResult:
+    """The lattice walk: seed, evaluate each level as one batch, extend.
+
+    ``reuse`` is an optional per-candidate rule.  ``reuse(pattern,
+    certificate, stats)`` returns :data:`EVALUATE` for a candidate the
+    walk must evaluate, a cached :class:`FrequentPattern` to keep
+    unevaluated, or ``None`` to drop the candidate as provably
+    infrequent (the rule counts its own reuses and skips on ``stats``);
+    ``reuse.revived(certificate)`` tells whether a frequent candidate
+    re-entered the frequent set.  Without a rule every candidate is
+    evaluated.  Frequent candidates — evaluated or kept — are extended
+    in level order, so the walk visits the same lattice either way.
+    """
+    spec = session.spec
+    certify = session.certify or canonical_certificate
+    stats = MiningStats()
+    frequent: List[FrequentPattern] = []
+    seen: set = set()
+    levels = 0
+
+    def propose(pattern: Pattern, into: List[Tuple[Pattern, str]]) -> None:
+        stats.patterns_generated += 1
+        certificate = certify(pattern.graph)
+        if certificate in seen:
+            stats.duplicates_skipped += 1
+            return
+        seen.add(certificate)
+        into.append((pattern, certificate))
+
+    with _trace.span(
+        "mine",
+        delta=reuse is not None,
+        measure=spec.measure,
+        min_support=spec.min_support,
+        shards=spec.shards,
+        workers=spec.workers,
+    ) as mine_span:
+        level: List[Tuple[Pattern, str]] = []
+        with _trace.span("seeds") as seed_span:
+            for seed in single_edge_patterns(session.data, index=session.index):
+                propose(seed, level)
+            seed_span.set(seeds=len(level))
+
+        while level:
+            levels += 1
+            before = stats.as_dict()
+            with _trace.span(
+                "level", level=levels, candidates=len(level)
+            ) as level_span:
+                with _trace.span("evaluate", candidates=len(level)):
+                    if reuse is None:
+                        kept = [EVALUATE] * len(level)
+                    else:
+                        kept = [reuse(*candidate, stats) for candidate in level]
+                    pending = [
+                        i for i, verdict in enumerate(kept) if verdict is EVALUATE
+                    ]
+                    stats.patterns_evaluated += len(pending)
+                    results = session.evaluate([level[i] for i in pending], stats)
+                    for i, result in zip(pending, results):
+                        kept[i] = result
+                survivors: List[Pattern] = []
+                for (pattern, certificate), result in zip(level, kept):
+                    if result is None:
+                        continue
+                    if result.support >= spec.min_support:
+                        stats.patterns_frequent += 1
+                        if reuse is not None and reuse.revived(certificate):
+                            stats.patterns_revived += 1
+                        frequent.append(result)
+                        survivors.append(pattern)
+                    else:
+                        stats.patterns_pruned += 1
+                next_level: List[Tuple[Pattern, str]] = []
+                with _trace.span("extend"):
+                    for pattern in survivors:
+                        for extension in all_extensions(
+                            pattern,
+                            session.label_pairs,
+                            max_nodes=spec.max_pattern_nodes,
+                            max_edges=spec.max_pattern_edges,
+                        ):
+                            propose(extension, next_level)
+                level_span.set(
+                    frequent=stats.patterns_frequent - before["patterns_frequent"],
+                    pruned=stats.patterns_pruned - before["patterns_pruned"],
+                    generated=stats.patterns_generated - before["patterns_generated"],
+                    reused=stats.patterns_reused - before["patterns_reused"],
+                    skipped=stats.patterns_skipped_unaffected
+                    - before["patterns_skipped_unaffected"],
+                )
+            level = next_level
+
+        frequent.sort(key=lambda fp: (fp.num_edges, -fp.support, fp.certificate))
+        mine_span.set(levels=levels, frequent=len(frequent))
+    record_session_metrics(stats, levels)
+    return MiningResult(
+        frequent=frequent,
+        stats=stats,
+        measure=spec.measure,
+        min_support=spec.min_support,
+    )
 
 
 class FrequentSubgraphMiner:
@@ -107,6 +410,10 @@ class FrequentSubgraphMiner:
         disk (:class:`repro.partition.workers.ShardPager`).  With
         ``max_occurrences`` set, sharded truncation is deterministic but
         may keep a different occurrence subset than the flat order.
+
+    :meth:`mine` runs the module's lattice walk with no reuse rule and a
+    worker pool of its own, started per call and shut down when the
+    call ends.
     """
 
     def __init__(self, data: LabeledGraph, spec: Optional[MiningSpec] = None) -> None:
@@ -119,24 +426,11 @@ class FrequentSubgraphMiner:
             )
         self.data = data
         self.spec = spec
-        self.measure = spec.measure
-        self.min_support = spec.min_support
-        self.max_pattern_nodes = spec.max_pattern_nodes
-        self.max_pattern_edges = spec.max_pattern_edges
-        self.max_occurrences = spec.max_occurrences
-        self.lazy = spec.lazy
-        self.use_index = spec.use_index
-        self.workers = spec.workers
-        self.shards = spec.shards
-        self.partition_method = spec.partition_method
-        self.max_resident = spec.max_resident
         self._pager = None
         # Built once per mining session; every candidate evaluation, seed
         # generation, and extension proposal reuses it.  mine() re-syncs
         # against the graph's mutation version, so a graph mutated between
-        # construction and mining never sees stale label pairs, histogram
-        # counts, or prune bounds.
-        self._index_arg = None if self.use_index else False
+        # construction and mining never sees a stale index or partition.
         self._index: Optional[GraphIndex] = None
         self._sharded = None
         self._session_version: Optional[int] = None
@@ -146,351 +440,47 @@ class FrequentSubgraphMiner:
         """(Re)derive per-session state from the data graph when it changed."""
         if self._session_version == self.data.mutation_version():
             return
-        self._index = get_index(self.data) if self.use_index else None
-        self._label_pairs = adjacent_label_pairs(self.data, index=self._index)
-        self._histogram = (
-            self._index.label_histogram()
-            if self._index
-            else self.data.label_histogram()
-        )
+        spec = self.spec
+        self._index = get_index(self.data) if spec.use_index else None
         if self._pager is not None:
             # The old index (and any spills derived from it) is obsolete.
             self._pager.close()
             self._pager = None
-        if self.shards > 1:
+        if spec.shards > 1:
             from ..partition.sharded_index import ShardedIndex
 
             self._sharded = ShardedIndex.build(
-                self.data, self.shards, self.partition_method
+                self.data, spec.shards, spec.partition_method
             )
-            if self.max_resident is not None:
+            if spec.max_resident is not None:
                 from ..partition.workers import ShardPager
 
-                self._pager = ShardPager(self._sharded, self.max_resident)
+                self._pager = ShardPager(self._sharded, spec.max_resident)
         else:
             self._sharded = None
         self._session_version = self.data.mutation_version()
 
-    # ------------------------------------------------------------------
-    @property
-    def _lazy_cap(self) -> int:
-        """Ceiling of the (possibly fractional) threshold for lazy mode."""
-        return max(1, math.ceil(self.min_support))
-
-    def _record(
-        self,
-        pattern: Pattern,
-        certificate: str,
-        support: float,
-        num_occurrences: int,
-        stats: MiningStats,
-    ) -> FrequentPattern:
-        """The single stats-bookkeeping + result-assembly path.
-
-        Both the serial evaluator and the process-pool outcome loop feed
-        through here, so serial and parallel runs cannot drift apart.
-        """
-        stats.support_calls += 1
-        if num_occurrences >= 0:
-            stats.occurrence_enumerations += 1
-        return FrequentPattern(
-            pattern=pattern,
-            support=support,
-            certificate=certificate,
-            num_occurrences=num_occurrences,
-        )
-
-    def _support_of(
-        self, pattern: Pattern, certificate: str, stats: MiningStats
-    ) -> FrequentPattern:
-        """Evaluate the measure for one candidate, recording stats."""
-        if self._sharded is not None:
-            from ..partition.evaluate import sharded_evaluate_support
-
-            support, num_occurrences = sharded_evaluate_support(
-                pattern,
-                self._sharded,
-                self.measure,
-                lazy=self.lazy,
-                lazy_cap=self._lazy_cap,
-                max_occurrences=self.max_occurrences,
-                index_arg=self._index_arg,
-                histogram=self._histogram,
-                prune_below=self.min_support,
-            )
-            return self._record(pattern, certificate, support, num_occurrences, stats)
-        from .parallel import evaluate_support
-
-        support, num_occurrences = evaluate_support(
-            pattern,
-            self.data,
-            self.measure,
-            lazy=self.lazy,
-            lazy_cap=self._lazy_cap,
-            max_occurrences=self.max_occurrences,
-            index_arg=self._index_arg,
-            histogram=self._histogram,
-            prune_below=self.min_support,
-        )
-        return self._record(pattern, certificate, support, num_occurrences, stats)
-
-    # ------------------------------------------------------------------
-    def _evaluate_level(
-        self,
-        level: Sequence[Tuple[Pattern, str]],
-        stats: MiningStats,
-        pool,
-    ) -> Tuple[List[FrequentPattern], object]:
-        """Evaluate one level's candidates in order; returns (results, pool).
-
-        ``ProcessPoolExecutor`` spawns workers lazily, so environments
-        that cannot fork only fail here, at the first ``map`` — not in
-        :meth:`_make_pool`.  Any pool-infrastructure failure (spawn
-        refused, workers killed) shuts the pool down and re-evaluates the
-        level serially; the returned pool is then ``None`` so the rest of
-        the run stays serial.  Evaluation is pure, so the retry changes
-        nothing but wall-clock time.
-        """
-        from concurrent.futures import BrokenExecutor
-
-        outcomes = None
-        if pool is not None and self._sharded is not None:
-            try:
-                outcomes = self._pooled_sharded_outcomes(level, pool)
-            except (OSError, BrokenExecutor) as exc:
-                _LOG.warning(
-                    "shard worker pool failed mid-level (%s); re-evaluating "
-                    "the level serially and staying serial for this run",
-                    exc,
-                )
-                _metrics.counter("repro_pool_serial_fallbacks").inc()
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-        elif pool is not None:
-            from .parallel import evaluate_candidate
-
-            patterns = [pattern for pattern, _ in level]
-            chunksize = max(1, len(patterns) // (self.workers * 4))
-            try:
-                outcomes = list(
-                    pool.map(evaluate_candidate, patterns, chunksize=chunksize)
-                )
-            except (OSError, BrokenExecutor) as exc:
-                _LOG.warning(
-                    "worker pool failed mid-level (%s); re-evaluating the "
-                    "level serially and staying serial for this run",
-                    exc,
-                )
-                _metrics.counter("repro_pool_serial_fallbacks").inc()
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-        if outcomes is None:
-            return (
-                [
-                    self._support_of(pattern, certificate, stats)
-                    for pattern, certificate in level
-                ],
-                pool,
-            )
-        evaluated = [
-            self._record(pattern, certificate, support, num_occurrences, stats)
-            for (pattern, certificate), (support, num_occurrences) in zip(
-                level, outcomes
-            )
-        ]
-        return evaluated, pool
-
-    def _pooled_sharded_outcomes(
-        self, level: Sequence[Tuple[Pattern, str]], pool
-    ) -> List[Tuple[float, int]]:
-        """One level through the pool at (candidate, shard) granularity.
-
-        The parent plans each candidate exactly as the serial sharded
-        evaluator would — same prune bound, same relevant-shard set, same
-        flat fallback for unshardable patterns — routes the planned
-        (candidate, shard) tasks through the shared planner/merger
-        (:func:`repro.partition.workers.pooled_outcomes`), and merges
-        each candidate's shard partials through the shared merge helpers.
-        Outcomes are therefore byte-identical to the serial sharded run,
-        which in turn matches the unsharded one.
-        """
-        from ..partition.workers import pooled_outcomes
-        from .parallel import evaluate_support
-
-        def flat_evaluate(pattern: Pattern) -> Tuple[float, int]:
-            return evaluate_support(
-                pattern,
-                self.data,
-                self.measure,
-                lazy=self.lazy,
-                lazy_cap=self._lazy_cap,
-                max_occurrences=self.max_occurrences,
-                index_arg=self._index_arg,
-                histogram=self._histogram,
-                prune_below=self.min_support,
-            )
-
-        return pooled_outcomes(
-            [pattern for pattern, _ in level],
-            self._sharded,
-            pool,
-            measure=self.measure,
-            lazy=self.lazy,
-            lazy_cap=self._lazy_cap,
-            max_occurrences=self.max_occurrences,
-            flat_evaluate=flat_evaluate,
-            histogram=self._histogram,
-            prune_below=self.min_support,
-        )
-
-    def _make_pool(self):
-        """A process pool for support evaluation, or None (serial).
-
-        Sharded sessions get the shard-resident worker pool; flat
-        sessions get the candidate-level executor.  Any construction
-        failure degrades to the serial path, which produces identical
-        results; the degrade path for workers that die later lives in
-        :meth:`_evaluate_level`.
-        """
-        if self.workers <= 1:
-            return None
-        if self._sharded is not None:
-            try:
-                from ..partition.workers import ShardWorkerPool
-
-                return ShardWorkerPool(
-                    self.workers,
-                    measure=self.measure,
-                    lazy=self.lazy,
-                    lazy_cap=self._lazy_cap,
-                    use_index=self.use_index,
-                    depth=max(0, self.max_pattern_nodes - 2),
-                )
-            except (OSError, ValueError) as exc:
-                _LOG.warning(
-                    "could not start the shard worker pool (%s); mining serially",
-                    exc,
-                )
-                _metrics.counter("repro_pool_serial_fallbacks").inc()
-                return None
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from .parallel import init_worker
-
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=init_worker,
-                initargs=(
-                    self.data,
-                    self.measure,
-                    self.lazy,
-                    self._lazy_cap,
-                    self.max_occurrences,
-                    self.use_index,
-                    self.min_support,
-                ),
-            )
-        except (OSError, ValueError) as exc:
-            # Restricted environments (no usable start method, no
-            # /dev/shm): degrade to the serial path, which produces
-            # identical results.
-            _LOG.warning(
-                "could not start the worker pool (%s); mining serially", exc
-            )
-            _metrics.counter("repro_pool_serial_fallbacks").inc()
-            return None
-
     def mine(self) -> MiningResult:
         """Run the search; returns every frequent pattern found."""
         self._sync_session_state()
-        stats = MiningStats()
-        frequent: List[FrequentPattern] = []
-        seen: set = set()
-        levels = 0
-
-        with _trace.span(
-            "mine",
-            measure=self.measure,
-            min_support=self.min_support,
-            shards=self.shards,
-            workers=self.workers,
-        ) as mine_span:
-            level: List[Tuple[Pattern, str]] = []
-            with _trace.span("seeds") as seed_span:
-                for seed in single_edge_patterns(self.data, index=self._index):
-                    stats.patterns_generated += 1
-                    certificate = canonical_certificate(seed.graph)
-                    if certificate in seen:
-                        stats.duplicates_skipped += 1
-                        continue
-                    seen.add(certificate)
-                    level.append((seed, certificate))
-                seed_span.set(seeds=len(level))
-
-            pool = self._make_pool()
-            try:
-                while level:
-                    levels += 1
-                    frequent_before = stats.patterns_frequent
-                    pruned_before = stats.patterns_pruned
-                    generated_before = stats.patterns_generated
-                    with _trace.span(
-                        "level", level=levels, candidates=len(level)
-                    ) as level_span:
-                        stats.patterns_evaluated += len(level)
-                        survivors: List[Pattern] = []
-                        with _trace.span("evaluate", candidates=len(level)):
-                            results, pool = self._evaluate_level(level, stats, pool)
-                        for evaluated in results:
-                            if evaluated.support >= self.min_support:
-                                stats.patterns_frequent += 1
-                                frequent.append(evaluated)
-                                survivors.append(evaluated.pattern)
-                            else:
-                                stats.patterns_pruned += 1
-                        next_level: List[Tuple[Pattern, str]] = []
-                        with _trace.span("extend"):
-                            for pattern in survivors:
-                                for extension in all_extensions(
-                                    pattern,
-                                    self._label_pairs,
-                                    max_nodes=self.max_pattern_nodes,
-                                    max_edges=self.max_pattern_edges,
-                                ):
-                                    stats.patterns_generated += 1
-                                    certificate = canonical_certificate(
-                                        extension.graph
-                                    )
-                                    if certificate in seen:
-                                        stats.duplicates_skipped += 1
-                                        continue
-                                    seen.add(certificate)
-                                    next_level.append((extension, certificate))
-                        level_span.set(
-                            frequent=stats.patterns_frequent - frequent_before,
-                            pruned=stats.patterns_pruned - pruned_before,
-                            generated=stats.patterns_generated - generated_before,
-                        )
-                    level = next_level
-            except BaseException:
-                # Interrupt/failure path: never *wait* for in-flight work —
-                # a Ctrl-C during a long level must not hang on shutdown.
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            if pool is not None:
-                pool.shutdown()
-
-            frequent.sort(key=lambda fp: (fp.num_edges, -fp.support, fp.certificate))
-            mine_span.set(levels=levels, frequent=len(frequent))
-        record_session_metrics(stats, levels)
-        return MiningResult(
-            frequent=frequent,
-            stats=stats,
-            measure=self.measure,
-            min_support=self.min_support,
+        session = _Session(
+            self.data,
+            self.spec,
+            self._index,
+            self._sharded,
+            pool=_make_pool(self.data, self.spec, self._sharded),
         )
+        try:
+            result = _walk(session)
+        except BaseException:
+            # Interrupt/failure path: never *wait* for in-flight work —
+            # a Ctrl-C during a long level must not hang on shutdown.
+            if session.pool is not None:
+                session.pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        if session.pool is not None:
+            session.pool.shutdown()
+        return result
 
 
 def mine_frequent_patterns(

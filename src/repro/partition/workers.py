@@ -537,12 +537,15 @@ def pooled_outcomes(
 ) -> List[Tuple[float, int]]:
     """Plan, dispatch, and merge one batch of candidates through a runner.
 
-    The single planner/merger shared by the static miner's level loop and
-    the dynamic miner's per-candidate evaluation: the parent makes
-    every decision the serial sharded evaluator would (prune bound,
-    relevant shards, flat fallback, solo-vs-fanout) and merges partials
-    through the same helpers — so pooled outcomes are byte-identical to
-    serial ones however the tasks execute.
+    The single planner/merger of the lattice walk's evaluator
+    (:meth:`repro.mining.miner._Session.evaluate`), called once per level
+    with that level's batch — every candidate of a static mine, or the
+    footprint-affected candidates of a dynamic refresh.  The parent
+    makes every decision the serial sharded evaluator would (prune
+    bound, relevant shards, flat fallback, solo-vs-fanout), sends the
+    batch's tasks in one :meth:`ShardWorkerPool.run`, and merges
+    partials through the same helpers — so pooled outcomes are
+    byte-identical to serial ones however the tasks execute.
     """
     plans: List[Tuple[str, object]] = []
     tasks: List[ShardTask] = []

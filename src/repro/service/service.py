@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from queue import SimpleQueue
 from typing import Iterator, List, Optional, Sequence
 
-from ..errors import ServiceError
+from ..errors import MiningError, ServiceError
 from ..graph.labeled_graph import LabeledGraph
 from ..mining.dynamic import DynamicMiner, GraphUpdate, StreamApplier
 from ..mining.miner import mine_frequent_patterns
@@ -144,7 +144,13 @@ class GraphService:
         self._applier = StreamApplier(graph, window)
         self._miner: Optional[DynamicMiner] = None
         if maintain is not None:
-            self._miner = DynamicMiner(graph, spec=maintain)
+            try:
+                self._miner = DynamicMiner(graph, spec=maintain)
+            except MiningError:
+                # A spec the miner refuses must not leave the registry
+                # subscribed to the caller's graph.
+                self.registry.close()
+                raise
         self._commands: SimpleQueue = SimpleQueue()
         self._stopped = False
         self._lock = threading.Lock()

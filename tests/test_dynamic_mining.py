@@ -17,7 +17,7 @@ import pytest
 
 from repro.datasets.synthetic import planted_pattern_graph, random_labeled_graph
 from repro.errors import MiningError
-from repro.graph.builders import star_pattern
+from repro.graph.builders import path_graph, star_pattern
 from repro.mining.dynamic import (
     DynamicMiner,
     StreamBatch,
@@ -540,6 +540,36 @@ class TestSlidingWindow:
         graph = random_labeled_graph(8, 0.3, alphabet=("A", "B"), seed=41)
         steps = list(mine_stream(graph, [("v", "s-0", "A")], spec=MINE_SPEC))
         assert all(step.edges_expired == 0 for step in steps)
+
+
+class TestMaxOccurrencesIsOneShot:
+    """A truncated occurrence list cannot be maintained: delta paths refuse it."""
+
+    SPEC = MiningSpec(min_support=1, max_pattern_nodes=3, max_occurrences=1)
+    UPDATES = [("v", 9, "A"), ("e", 8, 9), ("de", 1, 2)]
+
+    def test_dynamic_miner_refuses(self):
+        graph = path_graph(["A", "B"] * 4)
+        with pytest.raises(MiningError, match="max_occurrences"):
+            DynamicMiner(graph, spec=self.SPEC)
+        assert not graph.has_observers()
+
+    def test_delta_stream_refuses(self):
+        graph = path_graph(["A", "B"] * 4)
+        with pytest.raises(MiningError, match="max_occurrences"):
+            list(mine_stream(graph, self.UPDATES, spec=self.SPEC))
+        assert not graph.has_observers()
+
+    @pytest.mark.parametrize("mode", ["rebuild", "brute"])
+    def test_reference_streams_honour_it(self, mode):
+        graph = path_graph(["A", "B"] * 4)
+        steps = list(
+            mine_stream(graph, self.UPDATES, spec=self.SPEC.replace(mode=mode))
+        )
+        for step in steps:
+            assert [fp.num_occurrences for fp in step.result.frequent] == [1, 1, 1]
+        final = mine_frequent_patterns(graph, spec=self.SPEC)
+        assert result_key(steps[-1].result) == result_key(final)
 
 
 def test_pattern_footprint_is_canonical():

@@ -374,7 +374,7 @@ class TestMinerRobustness:
     def test_broken_pool_degrades_to_serial(self, monkeypatch):
         from concurrent.futures import BrokenExecutor
 
-        from repro.mining.miner import FrequentSubgraphMiner
+        from repro.mining import miner as miner_module
 
         class ExplodingPool:
             """Pool whose workers die on first use (spawn-refused stand-in)."""
@@ -386,7 +386,7 @@ class TestMinerRobustness:
                 pass
 
         monkeypatch.setattr(
-            FrequentSubgraphMiner, "_make_pool", lambda self: ExplodingPool()
+            miner_module, "_make_pool", lambda data, spec, sharded: ExplodingPool()
         )
         graph = build_graph(("er", 11, 14, 0.25))
         spec = MiningSpec(measure="mni", min_support=2, max_pattern_nodes=3)

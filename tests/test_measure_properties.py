@@ -182,11 +182,7 @@ class TestFractionalThresholds:
     def test_lazy_cap_is_true_ceiling(self):
         import math
 
-        from repro.mining.miner import FrequentSubgraphMiner
+        from repro.mining.miner import _lazy_cap
 
-        graph = planted_pattern_graph(path_pattern(["A", "B"]), num_copies=4, seed=1)
         for threshold in (0.4, 1.0, 2.5, 3.0, 7.2):
-            miner = FrequentSubgraphMiner(
-                graph, spec=MiningSpec(measure="mni", min_support=threshold, lazy=True)
-            )
-            assert miner._lazy_cap == max(1, math.ceil(threshold))
+            assert _lazy_cap(threshold) == max(1, math.ceil(threshold))

@@ -238,7 +238,7 @@ class TestDynamicMinerTeardown:
             graph, spec=MiningSpec(min_support=2, shards=2, workers=2)
         )
         miner.refresh()  # the pool is created lazily, on first use
-        pool = miner._pool
+        pool = miner._resources.pool
         assert pool is not None
         del miner
         gc.collect()

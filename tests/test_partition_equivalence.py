@@ -216,19 +216,33 @@ ZOO_STRATEGIES = {
     "sharded": {"shards": 3},
     "sharded-pooled": {"shards": 3, "workers": 2},
 }
+#: A DynamicMiner's first refresh runs the same lattice walk as the
+#: static miner, so under the default and every strategy above it must
+#: report the same result *and* the same stats.
+ZOO_DYNAMIC_STRATEGIES = {
+    "dynamic": {},
+    **{f"dynamic-{name}": kwargs for name, kwargs in ZOO_STRATEGIES.items()},
+}
 ZOO_SPEC = MiningSpec(min_support=2, max_pattern_nodes=3, max_pattern_edges=3)
 
 
-@pytest.mark.parametrize("strategy", sorted(ZOO_STRATEGIES))
+@pytest.mark.parametrize(
+    "strategy", sorted(ZOO_STRATEGIES) + sorted(ZOO_DYNAMIC_STRATEGIES)
+)
 @pytest.mark.parametrize("name", zoo_names())
 def test_zoo_strategies_identical(name, strategy):
     """The hand-built zoo graphs under every strategy, byte for byte."""
     graph = zoo_graph(name)
     default = mine_frequent_patterns(graph, spec=ZOO_SPEC)
     assert default.num_frequent > 0
-    other = mine_frequent_patterns(
-        graph, spec=ZOO_SPEC.replace(**ZOO_STRATEGIES[strategy])
-    )
+    if strategy in ZOO_DYNAMIC_STRATEGIES:
+        spec = ZOO_SPEC.replace(**ZOO_DYNAMIC_STRATEGIES[strategy])
+        with DynamicMiner(graph, spec=spec) as miner:
+            other = miner.refresh()
+    else:
+        other = mine_frequent_patterns(
+            graph, spec=ZOO_SPEC.replace(**ZOO_STRATEGIES[strategy])
+        )
     assert_mining_identical(other, default)
 
 

@@ -22,9 +22,12 @@ from repro.datasets.synthetic import random_labeled_graph
 from repro.errors import MiningError
 from repro.graph.builders import path_pattern
 from repro.graph.labeled_graph import LabeledGraph
+from repro.mining import miner as miner_module
 from repro.mining.dynamic import DynamicMiner, mine_stream
 from repro.mining.miner import FrequentSubgraphMiner, mine_frequent_patterns
+from repro.mining.results import FrequentPattern
 from repro.mining.spec import MiningSpec
+from repro.obs import metrics
 from repro.partition import (
     ShardedIndex,
     ShardPager,
@@ -227,6 +230,46 @@ class TestPoolFailureFallback:
         result = miner.mine()
         assert_mining_identical(result, serial)
 
+    def test_dynamic_pool_failure_mid_refresh_stays_serial(self, monkeypatch):
+        """A pool lost on a delta refresh: serial answer, serial from then on."""
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=4, shards=3, workers=2)
+        graph, updates = _stream_fixture()
+        reference_graph, _ = _stream_fixture()
+        fallbacks = metrics.counter("repro_pool_serial_fallbacks")
+        miner = DynamicMiner(graph, spec=spec)
+        reference = DynamicMiner(reference_graph, spec=spec.replace(workers=1))
+        try:
+            assert_mining_identical(miner.refresh(), reference.refresh())
+            pool = miner._resources.pool
+            assert isinstance(pool, ShardWorkerPool)
+
+            def broken_run(self, sharded, tasks):
+                raise WorkerPoolError("worker killed mid-refresh (test)")
+
+            spawned = []
+            real_init = ShardWorkerPool.__init__
+
+            def counting_init(self, *args, **kwargs):
+                spawned.append(self)
+                real_init(self, *args, **kwargs)
+
+            monkeypatch.setattr(ShardWorkerPool, "run", broken_run)
+            monkeypatch.setattr(ShardWorkerPool, "__init__", counting_init)
+            before = fallbacks.value
+            miner.apply(updates[:4])
+            reference.apply(updates[:4])
+            assert_mining_identical(miner.refresh(), reference.refresh())
+            assert fallbacks.value == before + 1
+            assert pool._closed and miner._resources.pool is None
+            miner.apply(updates[4:])
+            reference.apply(updates[4:])
+            assert_mining_identical(miner.refresh(), reference.refresh())
+            assert spawned == [] and miner._resources.pool is None
+            assert fallbacks.value == before + 1
+        finally:
+            miner.detach()
+            reference.detach()
+
     def test_killed_worker_raises_worker_pool_error(self):
         """A genuinely dead worker process surfaces as WorkerPoolError."""
         graph = long_path_graph()
@@ -268,12 +311,12 @@ class TestShutdownOnInterrupt:
             graph, spec=MINE_SPEC.replace(shards=2, workers=2)
         )
         fake = _RecordingPool()
-        monkeypatch.setattr(miner, "_make_pool", lambda: fake)
+        monkeypatch.setattr(miner_module, "_make_pool", lambda *args: fake)
 
-        def interrupted(level, stats, pool):
+        def interrupted(session, batch, stats):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(miner, "_evaluate_level", interrupted)
+        monkeypatch.setattr(miner_module._Session, "evaluate", interrupted)
         with pytest.raises(KeyboardInterrupt):
             miner.mine()
         assert fake.calls == [("shutdown", False, True)]
@@ -282,11 +325,17 @@ class TestShutdownOnInterrupt:
         graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=1)
         miner = FrequentSubgraphMiner(graph, spec=MINE_SPEC)
         fake = _RecordingPool()
-        monkeypatch.setattr(miner, "_make_pool", lambda: fake)
-        monkeypatch.setattr(
-            miner, "_evaluate_level", lambda level, stats, pool: ([], pool)
-        )
-        miner.mine()
+        monkeypatch.setattr(miner_module, "_make_pool", lambda *args: fake)
+
+        def all_pruned(session, batch, stats):
+            return [
+                FrequentPattern(pattern, 0.0, certificate, -1)
+                for pattern, certificate in batch
+            ]
+
+        monkeypatch.setattr(miner_module._Session, "evaluate", all_pruned)
+        result = miner.mine()
+        assert result.frequent == []
         assert fake.calls == [("shutdown", True, False)]
 
 
@@ -295,9 +344,7 @@ class TestFlatWorkersStayFlat:
         from repro.partition import Partition
 
         graph = random_labeled_graph(10, 0.3, alphabet=("A", "B"), seed=0)
-        miner = FrequentSubgraphMiner(graph, spec=MINE_SPEC.replace(workers=2))
-        miner._sync_session_state()
-        pool = miner._make_pool()
+        pool = miner_module._make_pool(graph, MINE_SPEC.replace(workers=2), None)
         try:
             assert pool is None or not any(
                 isinstance(arg, Partition) for arg in pool._initargs
@@ -368,21 +415,46 @@ class TestStreamWorkers:
         )
         try:
             miner.refresh()
-            pool = miner._pool
+            pool = miner._resources.pool
             assert isinstance(pool, ShardWorkerPool)
             shipped_once = pool.slices_shipped
             assert shipped_once > 0
             miner.refresh()  # no mutations: nothing dispatched, same pool
-            assert miner._pool is pool
+            assert miner._resources.pool is pool
             assert pool.slices_shipped == shipped_once
             for update in updates:
                 from repro.mining.dynamic import apply_update
 
                 apply_update(graph, update)
             miner.refresh()
-            assert miner._pool is pool  # survived the delta refresh too
+            assert miner._resources.pool is pool  # survived the delta refresh too
         finally:
             miner.detach()
+
+    def test_pooled_refresh_batches_each_level(self, monkeypatch):
+        """A delta refresh sends each level's affected candidates in one call."""
+        from repro.mining.dynamic import apply_update
+        from repro.partition import workers as workers_module
+
+        graph, updates = _stream_fixture()
+        batches = []
+        real = workers_module.pooled_outcomes
+
+        def counting(patterns, *args, **kwargs):
+            batches.append(len(patterns))
+            return real(patterns, *args, **kwargs)
+
+        monkeypatch.setattr(workers_module, "pooled_outcomes", counting)
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=4, shards=3, workers=2)
+        with DynamicMiner(graph, spec=spec) as miner:
+            miner.refresh()
+            for update in updates:
+                apply_update(graph, update)
+            batches.clear()
+            result = miner.refresh()
+        levels = result.max_pattern_edges() + 1
+        assert sum(batches) == result.stats.patterns_evaluated > levels
+        assert len(batches) <= levels
 
     def test_dynamic_validation(self):
         graph, _ = _stream_fixture()

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import MiningError, ServiceError
 from repro.graph.builders import path_graph
 from repro.mining.dynamic import StreamApplier
 from repro.mining.miner import mine_frequent_patterns
@@ -313,6 +313,21 @@ class TestGraphService:
         service.apply_updates(UPDATES[:2])
         service.stop()
         assert not graph.has_observers()
+
+    def test_maintained_spec_refuses_max_occurrences(self):
+        # The maintained result is cached under spec.cache_key(), which
+        # includes max_occurrences; serving it untruncated was wrong.
+        graph = path_graph(["A", "B"] * 4)
+        spec = MiningSpec(min_support=1, max_pattern_nodes=3, max_occurrences=1)
+        with pytest.raises(MiningError, match="max_occurrences"):
+            GraphService(graph, maintain=spec)
+        assert not graph.has_observers()
+        # An ad-hoc read of the same spec is a one-shot mine: honoured.
+        with GraphService(graph) as service:
+            served = service.mine(spec=spec)
+        direct = mine_frequent_patterns(graph, spec=spec)
+        assert result_bytes(served) == result_bytes(direct)
+        assert [fp.num_occurrences for fp in served.frequent] == [1, 1, 1]
 
     def test_bad_update_fails_the_ticket_not_the_writer(self):
         with GraphService(base_graph()) as service:
