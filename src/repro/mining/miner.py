@@ -19,9 +19,11 @@ the per-level batches are what parallel support evaluation
 (``workers > 1``) farms out while keeping results identical.
 
 This module holds the **one lattice walk** (:func:`_walk`) and its one
-evaluator (:meth:`_Session.evaluate`: serial flat, serial sharded, the
-flat process pool or the shard-resident pool, with one pool-failure
-fallback).  :class:`FrequentSubgraphMiner` runs the walk over one graph
+evaluator (:meth:`_Session.evaluate`: flat candidates serially or on
+the flat process pool; sharded ones through the one sharded evaluator,
+:func:`repro.partition.workers.pooled_outcomes`, in process or on the
+shard-resident pool; with one pool-failure fallback).
+:class:`FrequentSubgraphMiner` runs the walk over one graph
 snapshot; :class:`~repro.mining.dynamic.DynamicMiner` runs the same walk
 with a per-candidate reuse rule (its label-pair footprint test) to keep
 the answer current under updates.
@@ -148,6 +150,9 @@ class _Session:
     ``index`` and ``sharded`` are the caller's structures for ``data``
     (rebuilt per graph version by the static miner, delta-maintained by
     the dynamic one); ``pool`` is the caller's worker pool or ``None``.
+    Every sharded batch — serial, pooled, or re-evaluated after a pool
+    failure — goes through one :func:`~repro.partition.workers.pooled_outcomes`
+    call with ``pool`` as its runner (``None`` = in process).
     ``certify`` maps a pattern graph to its canonical certificate
     (``None`` = :func:`canonical_certificate`, looked up when the walk
     starts).
@@ -191,73 +196,63 @@ class _Session:
             **self._common,
         )
 
-    def _serial(self, pattern: Pattern) -> Tuple[float, int]:
-        if self.sharded is None:
-            return self._flat(pattern)
-        from ..partition.evaluate import sharded_evaluate_support
+    def _outcomes(self, patterns: List[Pattern]) -> List[Tuple[float, int]]:
+        if self.sharded is not None:
+            from ..partition.workers import pooled_outcomes
 
-        return sharded_evaluate_support(
-            pattern,
-            self.sharded,
-            self.spec.measure,
-            index_arg=self._index_arg,
-            **self._common,
-        )
-
-    def _pooled(self, patterns: List[Pattern]) -> List[Tuple[float, int]]:
-        if self.sharded is None:
-            from .parallel import evaluate_candidate
-
-            chunksize = max(1, len(patterns) // (self.spec.workers * 4))
-            return list(
-                self.pool.map(evaluate_candidate, patterns, chunksize=chunksize)
+            return pooled_outcomes(
+                patterns,
+                self.sharded,
+                self.pool,
+                measure=self.spec.measure,
+                flat_evaluate=self._flat,
+                use_index=self.spec.use_index,
+                **self._common,
             )
-        from ..partition.workers import pooled_outcomes
+        if self.pool is None:
+            return [self._flat(pattern) for pattern in patterns]
+        from .parallel import evaluate_candidate
 
-        return pooled_outcomes(
-            patterns,
-            self.sharded,
-            self.pool,
-            measure=self.spec.measure,
-            flat_evaluate=self._flat,
-            **self._common,
-        )
+        chunksize = max(1, len(patterns) // (self.spec.workers * 4))
+        return list(self.pool.map(evaluate_candidate, patterns, chunksize=chunksize))
 
     def evaluate(
         self, batch: Sequence[Tuple[Pattern, str]], stats: MiningStats
     ) -> List[FrequentPattern]:
         """Evaluate one level's batch of candidates, results in batch order.
 
-        With a pool the whole batch goes out in one call (the flat
-        executor's ``map``, or one :func:`pooled_outcomes` plan for the
-        shard-resident pool).  ``ProcessPoolExecutor`` spawns workers
-        lazily, so environments that cannot fork only fail here, not in
-        :func:`_make_pool`.  Any pool-infrastructure failure (spawn
-        refused, workers killed) re-evaluates the batch serially, shuts
-        the pool down without waiting and sets ``pool`` to ``None``, so
-        the rest of the run stays serial.  Evaluation is pure, so the
-        retry changes nothing but wall-clock time.
+        A sharded session sends the whole batch through one
+        :func:`~repro.partition.workers.pooled_outcomes` call — the one
+        sharded evaluator, whose runner is the shard-resident pool or,
+        without a pool, the planner itself in process.  A flat session
+        maps the batch over the flat executor, or evaluates it serially.
+        ``ProcessPoolExecutor`` spawns workers lazily, so environments
+        that cannot fork only fail here, not in :func:`_make_pool`.  Any
+        pool-infrastructure failure (spawn refused, workers killed) shuts
+        the pool down without waiting, sets ``pool`` to ``None`` and
+        re-evaluates the batch through the same call without it, so the
+        rest of the run stays serial.  Evaluation is pure, so the retry
+        changes nothing but wall-clock time.
         """
         if not batch:
             return []
         from concurrent.futures import BrokenExecutor
 
         patterns = [pattern for pattern, _ in batch]
-        outcomes = None
-        if self.pool is not None:
-            try:
-                outcomes = self._pooled(patterns)
-            except (OSError, BrokenExecutor) as exc:
-                _LOG.warning(
-                    "worker pool failed mid-level (%s); re-evaluating the "
-                    "level serially and staying serial for this run",
-                    exc,
-                )
-                _metrics.counter("repro_pool_serial_fallbacks").inc()
-                self.pool.shutdown(wait=False, cancel_futures=True)
-                self.pool = None
-        if outcomes is None:
-            outcomes = [self._serial(pattern) for pattern in patterns]
+        try:
+            outcomes = self._outcomes(patterns)
+        except (OSError, BrokenExecutor) as exc:
+            if self.pool is None:
+                raise
+            _LOG.warning(
+                "worker pool failed mid-level (%s); re-evaluating the "
+                "level serially and staying serial for this run",
+                exc,
+            )
+            _metrics.counter("repro_pool_serial_fallbacks").inc()
+            self.pool.shutdown(wait=False, cancel_futures=True)
+            self.pool = None
+            outcomes = self._outcomes(patterns)
         results = []
         for (pattern, certificate), (support, num_occurrences) in zip(batch, outcomes):
             stats.support_calls += 1

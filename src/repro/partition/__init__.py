@@ -5,8 +5,12 @@ edge-disjoint shards (:mod:`repro.partition.partitioner`), replicates
 boundary vertices into per-shard halos (:mod:`repro.partition.shard`),
 builds one :class:`~repro.index.GraphIndex` per shard behind a merged
 global directory (:mod:`repro.partition.sharded_index`), and evaluates
-the paper's support measures exactly by merging per-shard enumeration
-(:mod:`repro.partition.evaluate`).  Shard directories round-trip through
+the paper's support measures exactly by merging per-shard anchored
+occurrences or node images.  One evaluator does that:
+:func:`~repro.partition.workers.pooled_outcomes` plans each batch into
+shard tasks, runs them in process or on the shard-resident worker pool
+through one task function, and merges the partials with the helpers of
+:mod:`repro.partition.evaluate`.  Shard directories round-trip through
 :mod:`repro.partition.io`.  Under update streams the partition is
 delta-maintained rather than rebuilt: :mod:`repro.partition.maintainer`
 routes each graph delta to its owning shard(s) in O(delta) and
@@ -24,11 +28,6 @@ from .evaluate import (
     plan_candidate,
     relevant_shards,
     required_depth,
-    shard_node_images,
-    shard_occurrence_items,
-    sharded_evaluate_support,
-    sharded_lazy_mni,
-    sharded_occurrences,
     support_from_shard_items,
 )
 from .io import load_partition, load_shard_view, save_partition, save_shard_views
@@ -60,12 +59,7 @@ __all__ = [
     "pattern_shardable",
     "plan_candidate",
     "relevant_shards",
-    "shard_occurrence_items",
-    "shard_node_images",
-    "sharded_occurrences",
     "merge_shard_items",
     "merge_lazy_partials",
     "support_from_shard_items",
-    "sharded_lazy_mni",
-    "sharded_evaluate_support",
 ]

@@ -18,11 +18,21 @@ counts, and (after canonical re-sorting) the derived MNI domains and
 overlap structures are **identical** to unsharded evaluation, which
 ``tests/test_partition_equivalence.py`` pins measure by measure.
 
+This module holds the pieces of the one sharded evaluator: the planning
+ladder (:func:`plan_candidate`: flat fallback, label-frequency prune, the
+relevant shards), the one task function (:func:`evaluate_task`) that
+both the shard-resident workers and the in-process runner call against a
+halo-expanded view, and the merges (:func:`support_from_shard_items`,
+:func:`merge_lazy_partials`).  The planner/merger that strings them
+together is :func:`repro.partition.workers.pooled_outcomes`.
+
 Shard pruning: a pattern's occurrences can only be anchored in shards
 whose core label-pair directory intersects the pattern's footprint, so
 the other shards are skipped outright.  Lazy (threshold-capped) MNI
-unions per-shard anchored image scans instead of occurrence lists; a
-shard that confirms ``cap`` images for a node short-circuits the scan.
+unions per-shard anchored image scans instead of occurrence lists; the
+scans are read node by node on demand (:class:`NodeImages`), so a shard
+that confirms ``cap`` images for a node short-circuits the node, and a
+node with no image ends the candidate.
 
 Patterns the per-shard argument does not cover (disconnected, or
 edge-free) fall back to flat evaluation on the source graph — exactness
@@ -31,9 +41,21 @@ over micro-optimization.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..graph.labeled_graph import LabeledGraph, Vertex, normalize_edge
+from ..graph.labeled_graph import Edge, LabeledGraph, Vertex, normalize_edge
 from ..graph.pattern import Pattern
 from ..hypergraph.construction import HypergraphBundle
 from ..index.graph_index import IndexArg, _label_pair_key
@@ -47,6 +69,15 @@ from .sharded_index import ShardedIndex
 #: One occurrence as its canonical image key: the repr-sorted
 #: ``(pattern node, data vertex)`` item tuple (see ``Occurrence.mapping_items``).
 OccurrenceItems = Tuple[Tuple[Vertex, Vertex], ...]
+
+#: One node's anchored image scan in one view: ``(images, hit-cap flag)``.
+NodeScan = Tuple[Tuple[Vertex, ...], bool]
+
+#: One planned shard task: ``(kind, pattern, shard_id, depth, exclusive,
+#: limit)`` with ``kind`` in ``{"solo", "part"}`` — the planner
+#: (:func:`repro.partition.workers.pooled_outcomes`) decides, the runner
+#: only evaluates (:func:`evaluate_task`).
+ShardTask = Tuple[str, Pattern, int, int, bool, Optional[int]]
 
 
 def required_depth(pattern: Pattern) -> int:
@@ -106,9 +137,9 @@ def plan_candidate(
     * ``("shards", shard_ids)`` — evaluate on these relevant shards and
       merge.
 
-    Both the serial path (:func:`sharded_evaluate_support`) and the
-    process-pool planner consume this one function, so their decisions
-    cannot drift apart.
+    The one planner (:func:`repro.partition.workers.pooled_outcomes`)
+    calls it once per candidate, whether its tasks then run in process
+    or on the shard-resident pool.
     """
     if sharded.num_shards == 1 or not pattern_shardable(pattern):
         return "flat", None
@@ -150,12 +181,15 @@ def anchored_occurrence_items(
 ) -> List[OccurrenceItems]:
     """Occurrences of ``pattern`` anchored on ``core`` edges, in one view.
 
-    The view-level core of :func:`shard_occurrence_items`, shared verbatim
-    by the shard-resident workers (which hold a shipped slice of the
-    expanded view instead of a :class:`ShardedIndex`): identical inputs —
-    view content, core-edge set, ``exclusive`` flag, ``limit`` — produce
-    identical item tuples wherever the enumeration runs, because the VF2
-    engine explores candidates in canonical (content-determined) order.
+    ``expanded`` is a shard's halo-expanded view and ``core`` its core
+    edges; with ``exclusive`` (the shard owns the pattern's whole
+    footprint, :func:`shard_exclusive`) every occurrence is anchored and
+    the core-edge filter is skipped.  ``index=False`` keeps the brute
+    reference path alive shard by shard.  Identical inputs — view
+    content, core-edge set, ``exclusive`` flag, ``limit`` — produce
+    identical item tuples wherever the enumeration runs (a resident
+    worker's slice or the parent's index), because the VF2 engine
+    explores candidates in canonical (content-determined) order.
     """
     if exclusive:
         return collect_subgraph_isomorphism_items(
@@ -176,31 +210,6 @@ def anchored_occurrence_items(
     # The core-edge test runs at each leaf of the search, so a `limit`
     # stops it as soon as that many *anchored* occurrences are confirmed.
     return _collect_items(pattern, expanded, limit, index, keep=uses_core_edge)
-
-
-def shard_occurrence_items(
-    pattern: Pattern,
-    sharded: ShardedIndex,
-    shard_id: int,
-    index: IndexArg = None,
-    limit: Optional[int] = None,
-) -> List[OccurrenceItems]:
-    """Occurrences of ``pattern`` anchored in one shard, as item tuples.
-
-    Enumerates the halo-expanded shard view through the ordinary engine
-    (``index=False`` keeps the brute reference path alive shard-by-shard)
-    and keeps the occurrences using at least one core edge of the shard
-    (:func:`anchored_occurrence_items`; when the shard exclusively owns
-    the pattern's footprint the filter is skipped outright).
-    """
-    return anchored_occurrence_items(
-        pattern,
-        sharded.expanded_shard(shard_id, required_depth(pattern)),
-        sharded.shards[shard_id].core_edge_set,
-        exclusive=shard_exclusive(pattern, sharded, shard_id),
-        index=index,
-        limit=limit,
-    )
 
 
 def merge_shard_items(
@@ -231,29 +240,6 @@ def merge_shard_items(
     ]
 
 
-def sharded_occurrences(
-    pattern: Pattern,
-    sharded: ShardedIndex,
-    index: IndexArg = None,
-    limit: Optional[int] = None,
-) -> List[Occurrence]:
-    """The global occurrence list of ``pattern``, via per-shard enumeration.
-
-    With ``limit`` set, each shard stops after ``limit`` anchored
-    occurrences and the merged list is truncated to ``limit`` — a
-    deterministic safety valve, though not the same prefix the unsharded
-    enumeration order would keep (equivalence holds for ``limit=None``).
-    """
-    item_lists = [
-        shard_occurrence_items(pattern, sharded, shard_id, index=index, limit=limit)
-        for shard_id in relevant_shards(pattern, sharded)
-    ]
-    merged = merge_shard_items(item_lists)
-    if limit is not None:
-        merged = merged[:limit]
-    return merged
-
-
 def support_from_shard_items(
     pattern: Pattern,
     data: LabeledGraph,
@@ -263,10 +249,9 @@ def support_from_shard_items(
 ) -> Tuple[float, int]:
     """Merge per-shard occurrence items and compute one measure exactly.
 
-    The single merge + measure path shared by the serial sharded
-    evaluator and the process-pool outcome loop (the pool ships each
-    shard's items back and merges here, in the parent), so the two modes
-    cannot drift apart.
+    The single merge + measure path of sharded evaluation: the planner
+    merges every fanned-out candidate's per-shard items here, and a
+    ``solo`` task finishes here against its own view.
     """
     merged = merge_shard_items(item_lists)
     if max_occurrences is not None:
@@ -277,7 +262,7 @@ def support_from_shard_items(
 
 
 def merge_lazy_partials(
-    partials: Sequence[Dict[Vertex, Tuple[Tuple[Vertex, ...], bool]]],
+    partials: Sequence[Mapping[Vertex, NodeScan]],
     cap: Optional[int],
 ) -> int:
     """Fold per-shard anchored image scans into the capped global MNI.
@@ -285,7 +270,10 @@ def merge_lazy_partials(
     Each partial maps pattern node -> (images found in that shard,
     hit-cap flag).  A capped shard already proves the node has >= ``cap``
     global images; otherwise the shard scan was exhaustive and the union
-    over shards is the node's exact global image set.
+    over shards is the node's exact global image set.  Partials are read
+    node by node, and the fold stops at the first shard that caps a node
+    and at the first node with no image — so an on-demand
+    :class:`NodeImages` partial never scans what the answer does not need.
     """
     best: Optional[int] = None
     nodes = partials[0].keys() if partials else ()
@@ -308,141 +296,95 @@ def merge_lazy_partials(
     return best or 0
 
 
-def node_image_partial(
-    pattern: Pattern,
-    expanded: LabeledGraph,
-    cap: Optional[int],
-    index: IndexArg = None,
-) -> Dict[Vertex, Tuple[Tuple[Vertex, ...], bool]]:
-    """Per-node anchored image scan of one expanded view (lazy MNI).
 
-    The view-level core of :func:`shard_node_images`, shared by the
-    shard-resident workers: pattern node -> (images found, hit-cap flag).
+
+class NodeImages(Mapping):
+    """One view's per-node anchored image scan (lazy MNI), read on demand.
+
+    Maps pattern node -> (images found, hit-cap flag).  Each node is
+    scanned on its first read and the view itself is resolved (through
+    the zero-argument ``view`` callable) on the first scan, so
+    :func:`merge_lazy_partials` pays only for the (node, shard) pairs it
+    reaches.  Every image found in a halo-expanded view is a genuine
+    global image (the view is a subgraph) and every anchored occurrence
+    lies inside it, so the union of these scans over the relevant shards
+    is the exact global image set per node.
     """
-    partial: Dict[Vertex, Tuple[Tuple[Vertex, ...], bool]] = {}
-    for node in pattern.nodes():
-        found = valid_images(pattern, expanded, node, stop_after=cap, index=index)
-        partial[node] = (
-            tuple(found),
-            cap is not None and len(found) >= cap,
-        )
-    return partial
 
+    def __init__(
+        self,
+        pattern: Pattern,
+        view: Callable[[], LabeledGraph],
+        cap: Optional[int],
+        index: IndexArg = None,
+    ) -> None:
+        self._pattern = pattern
+        self._view = view
+        self._graph: Optional[LabeledGraph] = None
+        self._cap = cap
+        self._index = index
+        self._scans: Dict[Vertex, NodeScan] = {}
 
-def shard_node_images(
-    pattern: Pattern,
-    sharded: ShardedIndex,
-    shard_id: int,
-    cap: Optional[int],
-    index: IndexArg = None,
-) -> Dict[Vertex, Tuple[Tuple[Vertex, ...], bool]]:
-    """Per-node anchored image scan of one halo-expanded shard (lazy MNI).
-
-    Every image found in the expanded view is a genuine global image (the
-    view is a subgraph), and every anchored occurrence is contained in
-    it, so unioning these partials across relevant shards reconstructs
-    the exact global image set per node (see :func:`merge_lazy_partials`).
-    """
-    return node_image_partial(
-        pattern,
-        sharded.expanded_shard(shard_id, required_depth(pattern)),
-        cap,
-        index=index,
-    )
-
-
-def sharded_lazy_mni(
-    pattern: Pattern,
-    sharded: ShardedIndex,
-    cap: Optional[int],
-    index: IndexArg = None,
-    shard_ids: Optional[List[int]] = None,
-) -> int:
-    """``min(sigma_MNI, cap)`` via per-shard anchored scans (no enumeration)."""
-    if shard_ids is None:
-        shard_ids = relevant_shards(pattern, sharded)
-    if not shard_ids:
-        return 0
-    best: Optional[int] = None
-    for node in pattern.nodes():
-        images: Set[Vertex] = set()
-        capped = False
-        for shard_id in shard_ids:
-            expanded = sharded.expanded_shard(shard_id, required_depth(pattern))
-            found = valid_images(pattern, expanded, node, stop_after=cap, index=index)
-            if cap is not None and len(found) >= cap:
-                capped = True
-                break
-            images.update(found)
-        count = cap if capped else len(images)
-        if cap is not None:
-            count = min(count, cap)
-        if best is None or count < best:
-            best = count
-        if best == 0:
-            return 0
-    assert best is not None
-    return best
-
-
-def sharded_evaluate_support(
-    pattern: Pattern,
-    sharded: ShardedIndex,
-    measure: str,
-    *,
-    lazy: bool,
-    lazy_cap: int,
-    max_occurrences: Optional[int],
-    index_arg: IndexArg,
-    histogram: Optional[Dict] = None,
-    prune_below: Optional[float] = None,
-) -> Tuple[float, int]:
-    """Shard-parallel twin of :func:`repro.mining.parallel.evaluate_support`.
-
-    Same contract: ``(support, num_occurrences)`` with ``-1`` when
-    occurrences were never enumerated (lazy mode or a label-frequency
-    prune).  The prune bound uses the merged **global** histogram, so the
-    sharded and flat evaluators make byte-identical pruning decisions;
-    unpruned candidates evaluate per shard and merge exactly.
-    """
-    kind, payload = plan_candidate(
-        pattern,
-        sharded,
-        measure,
-        lazy=lazy,
-        histogram=histogram,
-        prune_below=prune_below,
-    )
-    if kind == "flat":
-        from ..mining.parallel import evaluate_support
-
-        return evaluate_support(
-            pattern,
-            sharded.graph,
-            measure,
-            lazy=lazy,
-            lazy_cap=lazy_cap,
-            max_occurrences=max_occurrences,
-            index_arg=index_arg,
-            histogram=histogram,
-            prune_below=prune_below,
-        )
-    if kind == "pruned":
-        return payload  # type: ignore[return-value]
-    shard_ids: List[int] = payload  # type: ignore[assignment]
-    if lazy:
-        support = float(
-            sharded_lazy_mni(
-                pattern, sharded, cap=lazy_cap, index=index_arg, shard_ids=shard_ids
+    def __getitem__(self, node: Vertex) -> NodeScan:
+        scan = self._scans.get(node)
+        if scan is None:
+            if self._graph is None:
+                self._graph = self._view()
+            found = valid_images(
+                self._pattern,
+                self._graph,
+                node,
+                stop_after=self._cap,
+                index=self._index,
             )
-        )
-        return support, -1
-    item_lists = [
-        shard_occurrence_items(
-            pattern, sharded, shard_id, index=index_arg, limit=max_occurrences
-        )
-        for shard_id in shard_ids
-    ]
+            scan = (tuple(found), self._cap is not None and len(found) >= self._cap)
+            self._scans[node] = scan
+        return scan
+
+    def __iter__(self) -> Iterator[Vertex]:
+        return iter(self._pattern.nodes())
+
+    def __len__(self) -> int:
+        return self._pattern.num_nodes
+
+
+def evaluate_task(
+    task: ShardTask,
+    view: Callable[[], LabeledGraph],
+    core: AbstractSet[Edge],
+    config: Mapping[str, Any],
+):
+    """Evaluate one planned shard task against its halo-expanded view.
+
+    The one task function of sharded evaluation: the shard-resident
+    worker calls it with a view derived from its slice, the in-process
+    runner of :func:`repro.partition.workers.pooled_outcomes` with
+    :meth:`ShardedIndex.expanded_shard`.  ``view`` is a zero-argument
+    callable resolving the view, ``core`` the shard's core-edge set and
+    ``config`` carries ``measure``, ``lazy``, ``lazy_cap`` and
+    ``use_index``.
+
+    ``part`` returns the raw partial for the planner to merge: the
+    anchored occurrence item tuples, or in lazy mode an on-demand
+    :class:`NodeImages` scan.  ``solo`` finishes the candidate against
+    the view and returns ``(support, num_occurrences)``; measures are
+    pure functions of the occurrence set, so the local view answers
+    exactly what the global graph would.
+    """
+    kind, pattern, _shard_id, _depth, exclusive, limit = task
+    index_arg = None if config["use_index"] else False
+    if config["lazy"]:
+        cap = config["lazy_cap"]
+        images = NodeImages(pattern, view, cap, index=index_arg)
+        if kind == "part":
+            return images
+        return float(merge_lazy_partials([images], cap=cap)), -1
+    graph = view()
+    items = anchored_occurrence_items(
+        pattern, graph, core, exclusive=exclusive, index=index_arg, limit=limit
+    )
+    if kind == "part":
+        return items
     return support_from_shard_items(
-        pattern, sharded.graph, item_lists, measure, max_occurrences=max_occurrences
+        pattern, graph, [items], config["measure"], max_occurrences=limit
     )

@@ -1,7 +1,16 @@
-"""Shard-resident worker processes and out-of-core shard paging.
+"""The sharded evaluator, shard-resident worker processes and shard paging.
 
-Two subsystems that bound what mining keeps in memory, built on the same
-invalidation protocol:
+The one sharded evaluator, and two subsystems that bound what mining
+keeps in memory, built on the same invalidation protocol:
+
+**The one sharded evaluator** (:func:`pooled_outcomes`).  It plans each
+batch of candidates into ``(kind, pattern, shard_id, depth, exclusive,
+limit)`` tasks, has a *runner* evaluate them, and merges the partials.
+The runner is either the resident pool below or, with ``runner=None``,
+the planner itself evaluating in process against
+:meth:`ShardedIndex.expanded_shard` — both through the one task function
+:func:`~repro.partition.evaluate.evaluate_task`, so serial and pooled
+sharded mining are byte-identical by construction.
 
 **Shard-resident workers** (:class:`ShardWorkerPool`), the one executor
 for sharded pooled mining.  Rather than shipping the whole data graph
@@ -13,11 +22,9 @@ from then on routes only constant-size ``(candidate -> partial support)``
 requests over the pipe.  Workers derive every shallower view they need by
 BFS restriction *inside* the slice (sound because for ``d <= D`` the
 radius-``d`` ball around the shard computed within the radius-``D`` ball
-equals the global radius-``d`` ball), and evaluate through the exact
-view-level helpers the serial sharded path uses
-(:func:`~repro.partition.evaluate.anchored_occurrence_items` /
-:func:`~repro.partition.evaluate.node_image_partial`) — so results are
-byte-identical to serial evaluation regardless of worker count or
+equals the global radius-``d`` ball) and hand it to
+:func:`~repro.partition.evaluate.evaluate_task` — so results are
+byte-identical to in-process evaluation regardless of worker count or
 scheduling.  A slice is re-shipped only when delta maintenance
 invalidated it (the pool subscribes to
 :meth:`ShardedIndex.subscribe_invalidations` and applies the same
@@ -49,6 +56,7 @@ import multiprocessing
 import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -58,20 +66,16 @@ from ..graph.pattern import Pattern
 from ..index.compact import projected_index_nbytes
 from ..obs import metrics as _metrics
 from .evaluate import (
-    anchored_occurrence_items,
+    NodeImages,
+    ShardTask,
+    evaluate_task,
     merge_lazy_partials,
-    node_image_partial,
     plan_candidate,
     required_depth,
     shard_exclusive,
     support_from_shard_items,
 )
 from .sharded_index import ShardedIndex
-
-#: One resident-pool work item: ``(kind, pattern, shard_id, depth,
-#: exclusive, limit)`` with ``kind`` in ``{"solo", "part"}`` — the parent
-#: plans, the worker only evaluates (see :func:`pooled_outcomes`).
-ShardTask = Tuple[str, Pattern, int, int, bool, Optional[int]]
 
 
 class WorkerPoolError(OSError):
@@ -92,8 +96,7 @@ class ShardSlice:
 
     ``view`` is the halo expansion at ``depth`` — the deepest the session
     can ever need (``max_pattern_nodes - 2``); shallower views are derived
-    worker-side by BFS restriction from ``members``.  ``generation``
-    increases with every (re-)ship so stale in-flight slices are ordered.
+    worker-side by BFS restriction from ``members``.
     """
 
     shard_id: int
@@ -101,12 +104,9 @@ class ShardSlice:
     members: Tuple[Vertex, ...]
     core_edges: Tuple[Edge, ...]
     view: LabeledGraph
-    generation: int
 
 
-def build_slice(
-    sharded: ShardedIndex, shard_id: int, depth: int, generation: int
-) -> ShardSlice:
+def build_slice(sharded: ShardedIndex, shard_id: int, depth: int) -> ShardSlice:
     """Snapshot one shard for shipping (view computed via the index cache/pager)."""
     shard = sharded.shards[shard_id]
     return ShardSlice(
@@ -115,7 +115,6 @@ def build_slice(
         members=tuple(shard.graph.vertices()),
         core_edges=tuple(shard.core_edges),
         view=sharded.expanded_shard(shard_id, depth),
-        generation=generation,
     )
 
 
@@ -153,58 +152,18 @@ def restrict_view(slice_: ShardSlice, depth: int) -> LabeledGraph:
 # ----------------------------------------------------------------------
 # the worker process
 # ----------------------------------------------------------------------
-def _evaluate_slice_task(
-    task: ShardTask,
+def _slice_view(
     slices: Dict[int, ShardSlice],
-    cores: Dict[int, frozenset],
     derived: Dict[Tuple[int, int], LabeledGraph],
-    config: Dict[str, object],
-):
-    """One task against the worker's resident slice state.
-
-    Mirrors the serial sharded evaluator exactly: ``part`` returns the
-    raw partial (occurrence item tuples, or the per-node image scan in
-    lazy mode) for the parent to merge; ``solo`` finishes the candidate
-    locally and returns ``(support, num_occurrences)``.  Measures are
-    pure functions of the occurrence set, so computing a solo support
-    against the local view instead of the global graph changes nothing.
-    """
-    kind, pattern, shard_id, depth, exclusive, limit = task
-    slice_ = slices[shard_id]
+    shard_id: int,
+    depth: int,
+) -> LabeledGraph:
+    """The worker's ``(shard, depth)`` view, restricted once from its slice."""
     key = (shard_id, depth)
     view = derived.get(key)
     if view is None:
-        view = restrict_view(slice_, depth)
-        derived[key] = view
-    index_arg = None if config["use_index"] else False
-    lazy = bool(config["lazy"])
-    lazy_cap = int(config["lazy_cap"])  # type: ignore[call-overload]
-    measure = str(config["measure"])
-    if kind == "part":
-        if lazy:
-            return node_image_partial(pattern, view, cap=lazy_cap, index=index_arg)
-        return anchored_occurrence_items(
-            pattern,
-            view,
-            cores[shard_id],
-            exclusive=exclusive,
-            index=index_arg,
-            limit=limit,
-        )
-    if lazy:
-        partial = node_image_partial(pattern, view, cap=lazy_cap, index=index_arg)
-        return float(merge_lazy_partials([partial], cap=lazy_cap)), -1
-    items = anchored_occurrence_items(
-        pattern,
-        view,
-        cores[shard_id],
-        exclusive=exclusive,
-        index=index_arg,
-        limit=limit,
-    )
-    return support_from_shard_items(
-        pattern, view, [items], measure, max_occurrences=limit
-    )
+        view = derived[key] = restrict_view(slices[shard_id], depth)
+    return view
 
 
 def _worker_main(conn, config: Dict[str, object]) -> None:
@@ -227,17 +186,18 @@ def _worker_main(conn, config: Dict[str, object]) -> None:
             for key in [k for k in derived if k[0] == slice_.shard_id]:
                 del derived[key]
             continue
-        if kind == "drop":
-            shard_id = message[1]
-            slices.pop(shard_id, None)
-            cores.pop(shard_id, None)
-            for key in [k for k in derived if k[0] == shard_id]:
-                del derived[key]
-            continue
         if kind == "eval":
             seq, task = message[1], message[2]
+            shard_id, depth = task[2], task[3]
             try:
-                payload = _evaluate_slice_task(task, slices, cores, derived, config)
+                payload = evaluate_task(
+                    task,
+                    partial(_slice_view, slices, derived, shard_id, depth),
+                    cores[shard_id],
+                    config,
+                )
+                if isinstance(payload, NodeImages):
+                    payload = dict(payload)  # scan every node before sending
                 reply = ("ok", seq, payload)
             except BaseException:
                 reply = ("err", seq, traceback.format_exc())
@@ -296,10 +256,9 @@ class ShardWorkerPool:
         self._conns: List = []
         self._closed = False
         self._bound: Optional[ShardedIndex] = None
-        self._shipped: Dict[int, int] = {}
+        self._shipped: Set[int] = set()
         self._dirty: Set[int] = set()
         self._slice_vertices: Dict[int, Set[Vertex]] = {}
-        self._generation = 0
         self.slices_shipped = 0
         self.slices_reshipped = 0
         self.tasks_dispatched = 0
@@ -381,10 +340,9 @@ class ShardWorkerPool:
 
     def _ship(self, sharded: ShardedIndex, shard_id: int) -> None:
         reship = shard_id in self._shipped
-        self._generation += 1
-        slice_ = build_slice(sharded, shard_id, self.depth, self._generation)
+        slice_ = build_slice(sharded, shard_id, self.depth)
         self._send(self._worker_for(shard_id), ("slice", slice_))
-        self._shipped[shard_id] = slice_.generation
+        self._shipped.add(shard_id)
         self._dirty.discard(shard_id)
         self._slice_vertices[shard_id] = set(slice_.view.vertices())
         self.slices_shipped += 1
@@ -392,14 +350,6 @@ class ShardWorkerPool:
         if reship:
             self.slices_reshipped += 1
             _metrics.counter("repro_pool_slices_reshipped").inc()
-
-    def drop_shard(self, shard_id: int) -> None:
-        """Forget one shard's slice (parent bookkeeping and worker copy)."""
-        if shard_id in self._shipped:
-            self._send(self._worker_for(shard_id), ("drop", shard_id))
-            del self._shipped[shard_id]
-            self._dirty.discard(shard_id)
-            self._slice_vertices.pop(shard_id, None)
 
     # -- the request/response cycle ------------------------------------
     def run(self, sharded: ShardedIndex, tasks: Sequence[ShardTask]) -> List:
@@ -480,8 +430,10 @@ class ShardWorkerPool:
     def stats(self) -> Dict[str, int]:
         """This pool's counters under the registry naming convention.
 
-        The bare ``slices_shipped`` / ``tasks_dispatched`` attributes
-        remain as deprecated aliases of the same values.
+        The values come from the pool's own counter attributes
+        (``tasks_dispatched``, ``slices_shipped``, ``slices_reshipped``),
+        which are their storage; the registry counters of the same names
+        are process-wide.
         """
         return {
             "repro_pool_tasks_dispatched": self.tasks_dispatched,
@@ -525,27 +477,39 @@ class ShardWorkerPool:
 def pooled_outcomes(
     patterns: Sequence[Pattern],
     sharded: ShardedIndex,
-    runner,
+    runner: Optional[ShardWorkerPool],
     *,
     measure: str,
     lazy: bool,
-    lazy_cap: int,
+    lazy_cap: Optional[int],
     max_occurrences: Optional[int],
     flat_evaluate: Callable[[Pattern], Tuple[float, int]],
     histogram: Optional[Dict] = None,
     prune_below: Optional[float] = None,
+    use_index: bool = True,
 ) -> List[Tuple[float, int]]:
-    """Plan, dispatch, and merge one batch of candidates through a runner.
+    """Plan, run, and merge one batch of candidates: the sharded evaluator.
 
-    The single planner/merger of the lattice walk's evaluator
+    The only sharded evaluator of the lattice walk
     (:meth:`repro.mining.miner._Session.evaluate`), called once per level
     with that level's batch — every candidate of a static mine, or the
-    footprint-affected candidates of a dynamic refresh.  The parent
-    makes every decision the serial sharded evaluator would (prune
-    bound, relevant shards, flat fallback, solo-vs-fanout), sends the
-    batch's tasks in one :meth:`ShardWorkerPool.run`, and merges
-    partials through the same helpers — so pooled outcomes are
-    byte-identical to serial ones however the tasks execute.
+    footprint-affected candidates of a dynamic refresh.  Per candidate
+    the planner takes the :func:`~repro.partition.evaluate.plan_candidate`
+    decision (prune bound, flat fallback through ``flat_evaluate``,
+    relevant shards), then emits one ``solo`` task (one relevant shard)
+    or one ``part`` task per shard (fanout).
+
+    ``runner`` is a :class:`ShardWorkerPool`, which gets the batch's
+    tasks in one :meth:`ShardWorkerPool.run`, or ``None``, which
+    evaluates each task in process as the merge reaches it, against
+    :meth:`ShardedIndex.expanded_shard` (``use_index=False`` is the
+    brute reference path).  Either way every task goes through
+    :func:`~repro.partition.evaluate.evaluate_task` and every partial
+    through the same merges, so outcomes are byte-identical however the
+    tasks execute.  In process, a lazy fanout's partials are on-demand
+    :class:`~repro.partition.evaluate.NodeImages` scans that
+    :func:`~repro.partition.evaluate.merge_lazy_partials` reads node by
+    node, keeping its early exits.
     """
     plans: List[Tuple[str, object]] = []
     tasks: List[ShardTask] = []
@@ -562,58 +526,46 @@ def pooled_outcomes(
             plans.append((kind, payload))
             continue
         shard_ids: List[int] = payload  # type: ignore[assignment]
-        if not shard_ids:
-            # No shard can anchor the pattern: the empty merge is the
-            # exact global answer; nothing to dispatch.
-            plans.append(("empty", None))
-            continue
+        # One relevant shard finishes the candidate where it runs
+        # ("solo"); otherwise each returns a partial for the merge
+        # ("part") — with no relevant shard, the empty merge is the exact
+        # answer.  Lazy scans never filter on core edges, so they skip
+        # the exclusivity test.
+        task_kind = "solo" if len(shard_ids) == 1 else "part"
+        plans.append((task_kind, len(shard_ids)))
         depth = required_depth(pattern)
-        if len(shard_ids) == 1:
-            shard_id = shard_ids[0]
-            plans.append(("solo", None))
-            tasks.append(
-                (
-                    "solo",
-                    pattern,
-                    shard_id,
-                    depth,
-                    shard_exclusive(pattern, sharded, shard_id),
-                    max_occurrences,
-                )
-            )
-            continue
-        plans.append(("fanout", len(shard_ids)))
         tasks.extend(
             (
-                "part",
+                task_kind,
                 pattern,
                 shard_id,
                 depth,
-                shard_exclusive(pattern, sharded, shard_id),
+                not lazy and shard_exclusive(pattern, sharded, shard_id),
                 max_occurrences,
             )
             for shard_id in shard_ids
         )
-    partials = iter(runner.run(sharded, tasks) if tasks else ())
+    if runner is None:
+        config = dict(
+            measure=measure, lazy=lazy, lazy_cap=lazy_cap, use_index=use_index
+        )
+        partials = (
+            evaluate_task(
+                task,
+                partial(sharded.expanded_shard, task[2], task[3]),
+                sharded.shards[task[2]].core_edge_set,
+                config,
+            )
+            for task in tasks
+        )
+    else:
+        partials = iter(runner.run(sharded, tasks) if tasks else ())
     outcomes: List[Tuple[float, int]] = []
     for pattern, (kind, payload) in zip(patterns, plans):
         if kind == "pruned":
             outcomes.append(payload)  # type: ignore[arg-type]
         elif kind == "flat":
             outcomes.append(flat_evaluate(pattern))
-        elif kind == "empty":
-            if lazy:
-                outcomes.append((0.0, -1))
-            else:
-                outcomes.append(
-                    support_from_shard_items(
-                        pattern,
-                        sharded.graph,
-                        [],
-                        measure,
-                        max_occurrences=max_occurrences,
-                    )
-                )
         elif kind == "solo":
             outcomes.append(next(partials))
         else:
@@ -756,10 +708,6 @@ class ShardPager:
             view.num_edges,
             len(view.label_alphabet()),
         )
-
-    @property
-    def resident_shards(self) -> Tuple[int, ...]:
-        return tuple(self._resident)
 
     # -- the cache interface -------------------------------------------
     def view(self, shard_id: int, depth: int) -> LabeledGraph:
@@ -905,8 +853,9 @@ class ShardPager:
     def stats(self) -> Dict[str, int]:
         """This pager's counters under the registry naming convention.
 
-        The bare attributes (``evictions``, ``resident_weight``, ...)
-        remain as deprecated aliases of the same values.
+        The values come from the pager's own attributes (``evictions``,
+        ``resident_weight``, ...), which are their storage; the registry
+        instruments of the same names are process-wide.
         """
         return {
             "repro_pager_evictions": self.evictions,

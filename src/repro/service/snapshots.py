@@ -235,10 +235,17 @@ class SnapshotRegistry:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Detach from the live graph; outstanding pins stay readable."""
+        """Detach from the live graph; outstanding pins stay readable.
+
+        Eviction callbacks are dropped too: they are typically bound
+        methods of the owner (a :class:`GraphService`), and keeping them
+        would make a stopped owner cyclic garbage instead of freeing it
+        when its last reference goes.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self._graph.unsubscribe(self._observer)
         self._log.clear()
+        self._evict_callbacks.clear()

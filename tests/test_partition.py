@@ -229,20 +229,32 @@ class TestHaloBookkeeping:
 
     @pytest.mark.parametrize("index", [None, False])
     def test_shard_occurrence_limit_truncates_anchored_occurrences(self, index):
-        from repro.partition import shard_occurrence_items
+        from repro.partition.evaluate import (
+            anchored_occurrence_items,
+            required_depth,
+            shard_exclusive,
+        )
 
         graph = build_graph(GRAPH_SPECS[0])
         sharded = ShardedIndex.build(graph, 3, "hash")
         pattern = build_pattern()
+
+        def anchored(shard_id, limit=None):
+            return anchored_occurrence_items(
+                pattern,
+                sharded.expanded_shard(shard_id, required_depth(pattern)),
+                sharded.shards[shard_id].core_edge_set,
+                exclusive=shard_exclusive(pattern, sharded, shard_id),
+                index=index,
+                limit=limit,
+            )
+
         for shard_id in range(3):
-            full = shard_occurrence_items(pattern, sharded, shard_id, index=index)
+            full = anchored(shard_id)
             for limit in (0, 1, 3):
-                limited = shard_occurrence_items(
-                    pattern, sharded, shard_id, index=index, limit=limit
-                )
                 # Early-stopped enumeration returns the same anchored
                 # occurrences, in the same order, just truncated.
-                assert limited == full[:limit]
+                assert anchored(shard_id, limit) == full[:limit]
 
 
 class TestPartitionIO:

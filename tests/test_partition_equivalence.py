@@ -33,10 +33,13 @@ from repro.mining.spec import MiningSpec
 from repro.partition import (
     PARTITION_METHODS,
     ShardedIndex,
-    sharded_evaluate_support,
-    sharded_lazy_mni,
-    sharded_occurrences,
+    merge_shard_items,
+    pooled_outcomes,
+    relevant_shards,
+    required_depth,
 )
+from repro.partition import evaluate as evaluate_module
+from repro.partition.evaluate import anchored_occurrence_items, shard_exclusive
 
 
 PATTERNS = [
@@ -166,8 +169,9 @@ def test_pooled_lazy_sharded_identical(seed):
     """The lazy fanout branch (per-node image partials merged in the parent).
 
     hash partitioning spreads footprints across shards, so multi-shard
-    candidates actually exercise shard_node_images + merge_lazy_partials
-    rather than collapsing to solo tasks.
+    candidates actually exercise the workers' per-node image scans
+    (``evaluate_task`` part tasks) + merge_lazy_partials rather than
+    collapsing to solo tasks.
     """
     graph = build_graph(GRAPH_SPECS[seed])
     spec = MINE_SPEC.replace(lazy=True)
@@ -257,6 +261,22 @@ def test_zoo_other_measures_identical(measure):
         assert_mining_identical(other, default)
 
 
+#: No test graph has a ``Z`` label, so no shard is relevant to this
+#: pattern: its sharded outcome is the empty merge.
+UNANCHORED = path_pattern(["A", "Z"])
+
+
+def sharded_outcomes(patterns, sharded, measure, **common):
+    """Serial sharded supports: ``pooled_outcomes`` with the in-process runner."""
+
+    def flat(pattern):
+        raise AssertionError(f"{pattern} unexpectedly took the flat path")
+
+    return pooled_outcomes(
+        patterns, sharded, None, measure=measure, flat_evaluate=flat, **common
+    )
+
+
 class TestShardedSupportEquivalence:
     @pytest.mark.parametrize("seed", [0, 7, 9, 18, 20, 26])
     @pytest.mark.parametrize("method", PARTITION_METHODS)
@@ -265,7 +285,17 @@ class TestShardedSupportEquivalence:
         sharded = ShardedIndex.build(graph, 3, method)
         for pattern in PATTERNS:
             flat = find_occurrences(pattern, graph)
-            merged = sharded_occurrences(pattern, sharded)
+            merged = merge_shard_items(
+                [
+                    anchored_occurrence_items(
+                        pattern,
+                        sharded.expanded_shard(shard_id, required_depth(pattern)),
+                        sharded.shards[shard_id].core_edge_set,
+                        exclusive=shard_exclusive(pattern, sharded, shard_id),
+                    )
+                    for shard_id in relevant_shards(pattern, sharded)
+                ]
+            )
             assert {occ.mapping_items for occ in merged} == {
                 occ.mapping_items for occ in flat
             }
@@ -280,43 +310,79 @@ class TestShardedSupportEquivalence:
             lazy=False,
             lazy_cap=2,
             max_occurrences=None,
-            index_arg=None,
             histogram=graph.label_histogram(),
             prune_below=None,
         )
-        for pattern in PATTERNS:
-            assert sharded_evaluate_support(
-                pattern, sharded, measure, **common
-            ) == evaluate_support(pattern, graph, measure, **common)
+        patterns = PATTERNS + [UNANCHORED]
+        assert relevant_shards(UNANCHORED, sharded) == []
+        assert sharded_outcomes(patterns, sharded, measure, **common) == [
+            evaluate_support(pattern, graph, measure, index_arg=None, **common)
+            for pattern in patterns
+        ]
 
     @pytest.mark.parametrize("seed", [2, 14, 24])
     def test_prune_decisions_identical(self, seed):
         graph = build_graph(GRAPH_SPECS[seed])
         sharded = ShardedIndex.build(graph, 3, "edgecut")
         histogram = sharded.label_histogram()
-        for pattern in PATTERNS:
-            for threshold in (2.0, 4.0, 100.0):
-                common = dict(
-                    lazy=False,
-                    lazy_cap=2,
-                    max_occurrences=None,
-                    index_arg=None,
-                    histogram=histogram,
-                    prune_below=threshold,
-                )
-                assert sharded_evaluate_support(
-                    pattern, sharded, "mni", **common
-                ) == evaluate_support(pattern, graph, "mni", **common)
+        for threshold in (2.0, 4.0, 100.0):
+            common = dict(
+                lazy=False,
+                lazy_cap=2,
+                max_occurrences=None,
+                histogram=histogram,
+                prune_below=threshold,
+            )
+            assert sharded_outcomes(PATTERNS, sharded, "mni", **common) == [
+                evaluate_support(pattern, graph, "mni", index_arg=None, **common)
+                for pattern in PATTERNS
+            ]
 
     @pytest.mark.parametrize("seed", [4, 10, 16, 27])
     def test_lazy_capped_values_identical(self, seed):
         graph = build_graph(GRAPH_SPECS[seed])
         sharded = ShardedIndex.build(graph, 3, "hash")
-        for pattern in PATTERNS[:3]:
-            for cap in (1, 2, 4, None):
-                assert sharded_lazy_mni(pattern, sharded, cap) == lazy_mni_support(
-                    pattern, graph, cap=cap
-                )
+        patterns = PATTERNS[:3] + [UNANCHORED]
+        for cap in (1, 2, 4, None):
+            outcomes = sharded_outcomes(
+                patterns,
+                sharded,
+                "mni",
+                lazy=True,
+                lazy_cap=cap,
+                max_occurrences=None,
+            )
+            assert outcomes == [
+                (float(lazy_mni_support(pattern, graph, cap=cap)), -1)
+                for pattern in patterns
+            ]
+
+
+def test_serial_sharded_lazy_keeps_node_major_early_exits(monkeypatch):
+    """Serial sharded lazy MNI reads per-node images on demand.
+
+    The in-process runner's lazy partials are scanned node by node as
+    ``merge_lazy_partials`` reaches them, stopping at the first shard
+    that caps a node and at the first node with no image.  A shard-major
+    runner (every node of every relevant shard scanned up front) gives
+    the same answer with many more ``valid_images`` calls on this fixed
+    hash-partitioned fixture; 1158 is what the node-major serial ladder
+    made before the evaluators were merged.
+    """
+    calls = [0]
+    real = evaluate_module.valid_images
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "valid_images", counting)
+    graph = build_graph(GRAPH_SPECS[18])
+    spec = MINE_SPEC.replace(lazy=True, shards=3, partition_method="hash")
+    result = mine_frequent_patterns(graph, spec=spec)
+    assert 0 < calls[0] <= 1158
+    flat = mine_frequent_patterns(graph, spec=spec.replace(shards=1))
+    assert_mining_identical(result, flat)
 
 
 # ----------------------------------------------------------------------

@@ -204,7 +204,7 @@ class TestShardPager:
         graph = long_path_graph()
         index = ShardedIndex.build(graph, 4, "edgecut")
         for shard_id in range(4):
-            slice_ = build_slice(index, shard_id, 2, generation=1)
+            slice_ = build_slice(index, shard_id, 2)
             for depth in (0, 1, 2):
                 derived = restrict_view(slice_, depth)
                 want = index.expanded_shard(shard_id, depth)

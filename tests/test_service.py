@@ -1,8 +1,10 @@
 """Tests for the graph service: MVCC snapshots, result cache, protocol."""
 
+import gc
 import json
 import socket
 import threading
+import weakref
 
 import pytest
 
@@ -328,6 +330,35 @@ class TestGraphService:
         direct = mine_frequent_patterns(graph, spec=spec)
         assert result_bytes(served) == result_bytes(direct)
         assert [fp.num_occurrences for fp in served.frequent] == [1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "maintain",
+        [
+            MiningSpec(min_support=2, max_pattern_nodes=3),
+            MiningSpec(
+                min_support=2, max_pattern_nodes=3, shards=2, workers=2, max_resident=1
+            ),
+        ],
+        ids=["flat", "sharded-pooled-paged"],
+    )
+    def test_stopped_service_is_freed_without_gc(self, maintain):
+        # The caller keeps the graph; the stopped service and its miner
+        # must be freed by reference counting alone, not wait for a
+        # cycle collection.
+        graph = base_graph()
+        gc.disable()
+        try:
+            service = GraphService(graph, maintain=maintain)
+            service.apply_updates(UPDATES[:2])
+            service.mine(SPEC)
+            service.stop()
+            service_ref = weakref.ref(service)
+            miner_ref = weakref.ref(service._miner)
+            del service
+            assert service_ref() is None
+            assert miner_ref() is None
+        finally:
+            gc.enable()
 
     def test_bad_update_fails_the_ticket_not_the_writer(self):
         with GraphService(base_graph()) as service:
