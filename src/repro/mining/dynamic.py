@@ -31,13 +31,19 @@ unknown + unaffected -> **skip** (provably infrequent); affected -> join
 the level's batch and **re-evaluate**.  Deletions can only shrink
 supports, so an affected pattern may drop out of the frequent set — and
 its pruned descendants may *resurface* after later insertions: the
-lattice walk regenerates candidates from frequent parents each refresh,
+lattice walk proposes candidates from frequent parents each refresh,
 so revival is automatically bounded to the touched footprint
 (``stats.patterns_revived`` counts patterns that re-entered the frequent
-set on a delta refresh).  Results are byte-identical to a from-scratch
-mine of the current graph (certificates, supports, occurrence counts —
-pinned by ``tests/test_dynamic_mining.py``); only the work differs,
-which ``stats.patterns_reused`` / ``stats.patterns_skipped_unaffected``
+set on a delta refresh).  The candidates themselves barely change from
+one refresh to the next, so the walk replays them from a
+:class:`~repro.mining.miner.LatticeMemo` the miner keeps across
+refreshes (``stats.extensions_reused`` counts the parents whose
+children it replayed) and regenerates only the children of parents the
+previous walk did not extend under the current adjacent label pairs.
+Results are byte-identical to a from-scratch mine of the current graph
+(certificates, supports, occurrence counts — pinned by
+``tests/test_dynamic_mining.py``); only the work differs, which
+``stats.patterns_reused`` / ``stats.patterns_skipped_unaffected``
 report.
 
 Observation gaps (e.g. after :meth:`DynamicMiner.detach`) are answered
@@ -75,7 +81,6 @@ from typing import (
 )
 
 from ..errors import MiningError
-from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import Label, LabeledGraph, normalize_edge
 from ..graph.pattern import Pattern
 from ..index.delta import (
@@ -87,7 +92,7 @@ from ..index.delta import (
 )
 from ..index.graph_index import _label_pair_key
 from ..measures.base import measure_info
-from .miner import EVALUATE, _make_pool, _Session, _walk
+from .miner import EVALUATE, LatticeMemo, _make_pool, _Session, _walk
 from .results import FrequentPattern, MiningResult, MiningStats
 from .spec import MiningSpec, require_spec
 
@@ -248,8 +253,9 @@ class DynamicMiner:
     and after observation gaps, and otherwise the same walk with the
     label-pair footprint rule (:class:`_FootprintRule`).  What the miner
     owns is what the walk does not: the delta buffer, the maintained
-    index and partition, the revival bookkeeping, and the lifetime of
-    its worker pool and pager.
+    index and partition, the revival bookkeeping, the lattice memo
+    (:class:`~repro.mining.miner.LatticeMemo`) every walk replays and
+    refills, and the lifetime of its worker pool and pager.
 
     With ``use_index=True`` (default) the graph's acceleration index is
     delta-patched between refreshes through an
@@ -352,11 +358,9 @@ class DynamicMiner:
         # is a revival (stats.patterns_revived), a first appearance not.
         self._ever_frequent: Set[str] = set()
         self._footprints: Dict[str, FrozenSet[LabelPair]] = {}
-        # Candidate generation re-creates literally identical pattern
-        # objects every refresh; their canonical certificates are the
-        # single biggest recurring cost of the lattice walk, so memoize
-        # them across refreshes keyed by the (hashable) graph signature.
-        self._certificates: Dict[Tuple, str] = {}
+        # The lattice barely moves between refreshes: each walk replays
+        # the seeds and the children of parents the previous one extended.
+        self._lattice = LatticeMemo()
         self._synced_version: Optional[int] = None
         self._last_result: Optional[MiningResult] = None
 
@@ -447,14 +451,6 @@ class DynamicMiner:
             d.label_pair() for d in deltas if isinstance(d, (EdgeAdded, EdgeRemoved))
         }
 
-    def _certificate(self, graph: LabeledGraph) -> str:
-        key = graph.signature()
-        certificate = self._certificates.get(key)
-        if certificate is None:
-            certificate = canonical_certificate(graph)
-            self._certificates[key] = certificate
-        return certificate
-
     def _mine(self, delta_pairs: Optional[Set[LabelPair]]) -> MiningResult:
         """One lattice walk over the maintained structures."""
         resources = self._resources
@@ -472,7 +468,6 @@ class DynamicMiner:
             self._maintainer.index() if self._maintainer is not None else None,
             sharded,
             pool=resources.pool,
-            certify=self._certificate,
         )
         rule = None
         if delta_pairs is not None:
@@ -480,7 +475,7 @@ class DynamicMiner:
                 delta_pairs, self._frequent, self._ever_frequent, self._footprints
             )
         try:
-            return _walk(session, rule)
+            return _walk(session, rule, self._lattice)
         finally:
             # The evaluator shuts a pool that failed mid-level down and
             # drops it; the session then stays serial.

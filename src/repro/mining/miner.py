@@ -25,8 +25,9 @@ the flat process pool; sharded ones through the one sharded evaluator,
 shard-resident pool; with one pool-failure fallback).
 :class:`FrequentSubgraphMiner` runs the walk over one graph
 snapshot; :class:`~repro.mining.dynamic.DynamicMiner` runs the same walk
-with a per-candidate reuse rule (its label-pair footprint test) to keep
-the answer current under updates.
+with a per-candidate reuse rule (its label-pair footprint test) and a
+:class:`LatticeMemo` that replays the previous walk's candidates, to
+keep the answer current under updates.
 
 Every run is configured by one :class:`~repro.mining.spec.MiningSpec`
 passed as ``spec=`` — the only way in; field names below refer to it.
@@ -44,7 +45,7 @@ occurrence count) makes pruning heuristic, which the miner flags via
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import MiningError
 from ..graph.canonical import canonical_certificate
@@ -153,9 +154,6 @@ class _Session:
     Every sharded batch — serial, pooled, or re-evaluated after a pool
     failure — goes through one :func:`~repro.partition.workers.pooled_outcomes`
     call with ``pool`` as its runner (``None`` = in process).
-    ``certify`` maps a pattern graph to its canonical certificate
-    (``None`` = :func:`canonical_certificate`, looked up when the walk
-    starts).
     :meth:`evaluate` drops a pool that fails mid-level, so the caller
     reads ``pool`` back after the walk.
     """
@@ -167,14 +165,12 @@ class _Session:
         index: Optional[GraphIndex],
         sharded=None,
         pool=None,
-        certify=None,
     ) -> None:
         self.data = data
         self.spec = spec
         self.index = index
         self.sharded = sharded
         self.pool = pool
-        self.certify = certify
         self.label_pairs = adjacent_label_pairs(data, index=index)
         self._index_arg = None if spec.use_index else False
         self._common = dict(
@@ -269,7 +265,108 @@ class _Session:
         return results
 
 
-def _walk(session: _Session, reuse=None) -> MiningResult:
+class LatticeMemo:
+    """The candidate lattice of the last walk, replayed by the next one.
+
+    Under updates the lattice barely moves between refreshes, and the
+    children :func:`all_extensions` yields for a parent depend only on
+    the parent's content and the data graph's adjacent label pairs (the
+    size caps are fixed per miner).  So a maintained miner keeps one memo
+    across refreshes and hands it to every :func:`_walk`.  For the label
+    pairs of its last walk it stores
+
+    * the seed list, as ``(pattern, certificate)`` pairs, and
+    * for each extended parent certificate, the parent pattern and its
+      ordered ``(child, certificate)`` list; a child that was a duplicate
+      when it was recorded is stored as its certificate only
+      (``child`` is ``None``).
+
+    A walk replays a parent's entry (:meth:`children`) when the survivor
+    is the stored parent object or equals it (same vertex ids, labels and
+    edges), and every certificate-only child is still a duplicate at the
+    point it is proposed; otherwise it regenerates the children through
+    :func:`all_extensions`, the one child generator, and certifies them
+    through :meth:`certify`.  Replayed candidates are the very objects an
+    earlier walk generated, so the hit path neither copies a graph nor
+    takes a signature.
+
+    :meth:`begin` drops everything when the label-pair set changed.  A
+    walk records the entries it touches in a fresh table that replaces
+    the stored one only in :meth:`commit`, so the memo keeps just what
+    the latest complete walk touched, and a walk that raises leaves the
+    previous walk's entries in place.
+    """
+
+    __slots__ = ("seeds", "_label_pairs", "_entries", "_touched", "_certificates")
+
+    def __init__(self) -> None:
+        self._label_pairs: Optional[FrozenSet] = None
+        self.seeds: Optional[List[Tuple[Pattern, str]]] = None
+        self._entries: Dict[str, Tuple[Pattern, list]] = {}
+        self._touched: Dict[str, Tuple[Pattern, list]] = {}
+        # Miss-path certificates by graph signature; they do not depend on
+        # the label pairs, so they outlive a label-pair change.
+        self._certificates: Dict[Tuple, str] = {}
+
+    def begin(self, label_pairs) -> None:
+        """Start a walk over a data graph with these adjacent label pairs."""
+        if label_pairs != self._label_pairs:
+            self._label_pairs = frozenset(label_pairs)
+            self.seeds = None
+            self._entries = {}
+        self._touched = {}
+
+    def certify(self, graph: LabeledGraph) -> str:
+        """``graph``'s canonical certificate, memoized by its signature."""
+        key = graph.signature()
+        certificate = self._certificates.get(key)
+        if certificate is None:
+            certificate = self._certificates[key] = canonical_certificate(graph)
+        return certificate
+
+    def children(self, parent: Pattern, certificate: str, seen) -> Optional[list]:
+        """The stored children of ``parent`` if the walk may replay them.
+
+        ``seen`` holds the certificates proposed so far in the walk.
+        ``None`` means regenerate: no entry, an entry for different
+        content, or a certificate-only child that would not be a
+        duplicate where it is proposed.
+        """
+        entry = self._entries.get(certificate)
+        if entry is None:
+            return None
+        stored, children = entry
+        if stored is not parent and stored != parent:
+            return None
+        added = set()
+        for child, child_certificate in children:
+            if child_certificate in seen or child_certificate in added:
+                continue
+            if child is None:
+                return None
+            added.add(child_certificate)
+        return children
+
+    def keep(self, certificate: str, parent: Pattern, children: list) -> None:
+        """Record the children the current walk proposed for ``parent``."""
+        self._touched[certificate] = (parent, children)
+
+    def commit(self, seen) -> None:
+        """End a complete walk: keep its entries and the certificates it saw.
+
+        ``seen`` is every certificate the walk proposed.
+        """
+        self._entries, self._touched = self._touched, {}
+        self._certificates = {
+            key: certificate
+            for key, certificate in self._certificates.items()
+            if certificate in seen
+        }
+
+
+def _walk(
+    session: _Session, reuse=None, memo: Optional[LatticeMemo] = None
+) -> MiningResult:
     """The lattice walk: seed, evaluate each level as one batch, extend.
 
     ``reuse`` is an optional per-candidate rule.  ``reuse(pattern,
@@ -281,22 +378,54 @@ def _walk(session: _Session, reuse=None) -> MiningResult:
     re-entered the frequent set.  Without a rule every candidate is
     evaluated.  Frequent candidates — evaluated or kept — are extended
     in level order, so the walk visits the same lattice either way.
+
+    ``memo`` is an optional :class:`LatticeMemo` carried across walks: it
+    replays the seeds and the children of parents an earlier walk
+    extended instead of regenerating them.  The candidates, their order
+    and every counter but ``extensions_reused`` are the same with or
+    without it.
     """
     spec = session.spec
-    certify = session.certify or canonical_certificate
     stats = MiningStats()
     frequent: List[FrequentPattern] = []
     seen: set = set()
     levels = 0
+    if memo is None:
+        certify = canonical_certificate
+    else:
+        memo.begin(session.label_pairs)
+        certify = memo.certify
 
-    def propose(pattern: Pattern, into: List[Tuple[Pattern, str]]) -> None:
+    def propose(pattern: Pattern, certificate: str, into) -> bool:
+        """Add a new candidate to ``into``; False for a duplicate."""
         stats.patterns_generated += 1
-        certificate = certify(pattern.graph)
         if certificate in seen:
             stats.duplicates_skipped += 1
-            return
+            return False
         seen.add(certificate)
         into.append((pattern, certificate))
+        return True
+
+    def extend(pattern: Pattern, certificate: str, into) -> None:
+        children = None if memo is None else memo.children(pattern, certificate, seen)
+        if children is not None:
+            stats.extensions_reused += 1
+            for child, child_certificate in children:
+                propose(child, child_certificate, into)
+        else:
+            children = []
+            for child in all_extensions(
+                pattern,
+                session.label_pairs,
+                max_nodes=spec.max_pattern_nodes,
+                max_edges=spec.max_pattern_edges,
+            ):
+                child_certificate = certify(child.graph)
+                if not propose(child, child_certificate, into):
+                    child = None
+                children.append((child, child_certificate))
+        if memo is not None:
+            memo.keep(certificate, pattern, children)
 
     with _trace.span(
         "mine",
@@ -308,8 +437,16 @@ def _walk(session: _Session, reuse=None) -> MiningResult:
     ) as mine_span:
         level: List[Tuple[Pattern, str]] = []
         with _trace.span("seeds") as seed_span:
-            for seed in single_edge_patterns(session.data, index=session.index):
-                propose(seed, level)
+            seeds = memo.seeds if memo is not None else None
+            if seeds is None:
+                seeds = [
+                    (seed, certify(seed.graph))
+                    for seed in single_edge_patterns(session.data, index=session.index)
+                ]
+                if memo is not None:
+                    memo.seeds = seeds
+            for seed, certificate in seeds:
+                propose(seed, certificate, level)
             seed_span.set(seeds=len(level))
 
         while level:
@@ -330,28 +467,22 @@ def _walk(session: _Session, reuse=None) -> MiningResult:
                     results = session.evaluate([level[i] for i in pending], stats)
                     for i, result in zip(pending, results):
                         kept[i] = result
-                survivors: List[Pattern] = []
-                for (pattern, certificate), result in zip(level, kept):
+                survivors: List[Tuple[Pattern, str]] = []
+                for candidate, result in zip(level, kept):
                     if result is None:
                         continue
                     if result.support >= spec.min_support:
                         stats.patterns_frequent += 1
-                        if reuse is not None and reuse.revived(certificate):
+                        if reuse is not None and reuse.revived(candidate[1]):
                             stats.patterns_revived += 1
                         frequent.append(result)
-                        survivors.append(pattern)
+                        survivors.append(candidate)
                     else:
                         stats.patterns_pruned += 1
                 next_level: List[Tuple[Pattern, str]] = []
                 with _trace.span("extend"):
-                    for pattern in survivors:
-                        for extension in all_extensions(
-                            pattern,
-                            session.label_pairs,
-                            max_nodes=spec.max_pattern_nodes,
-                            max_edges=spec.max_pattern_edges,
-                        ):
-                            propose(extension, next_level)
+                    for pattern, certificate in survivors:
+                        extend(pattern, certificate, next_level)
                 level_span.set(
                     frequent=stats.patterns_frequent - before["patterns_frequent"],
                     pruned=stats.patterns_pruned - before["patterns_pruned"],
@@ -364,6 +495,8 @@ def _walk(session: _Session, reuse=None) -> MiningResult:
 
         frequent.sort(key=lambda fp: (fp.num_edges, -fp.support, fp.certificate))
         mine_span.set(levels=levels, frequent=len(frequent))
+    if memo is not None:
+        memo.commit(seen)
     record_session_metrics(stats, levels)
     return MiningResult(
         frequent=frequent,

@@ -47,6 +47,9 @@ class MiningStats:
     patterns_reused: int = 0
     patterns_skipped_unaffected: int = 0
     patterns_revived: int = 0
+    # Parents whose children a maintained walk replayed from its
+    # lattice memo instead of regenerating them (0 for static mines).
+    extensions_reused: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -60,6 +63,7 @@ class MiningStats:
             "patterns_reused": self.patterns_reused,
             "patterns_skipped_unaffected": self.patterns_skipped_unaffected,
             "patterns_revived": self.patterns_revived,
+            "extensions_reused": self.extensions_reused,
         }
 
 

@@ -265,6 +265,7 @@ DOCUMENTED_METRICS: Tuple[str, ...] = (
     "repro_miner_patterns_reused",
     "repro_miner_patterns_skipped_unaffected",
     "repro_miner_patterns_revived",
+    "repro_miner_extensions_reused",
     # isomorphism engines (per-process: pool workers count their own)
     "repro_match_vf2_calls",
     "repro_match_anchored_searches",

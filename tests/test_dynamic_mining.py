@@ -18,13 +18,16 @@ import pytest
 from repro.datasets.synthetic import planted_pattern_graph, random_labeled_graph
 from repro.errors import MiningError
 from repro.graph.builders import path_graph, star_pattern
+from repro.graph.pattern import Pattern
 from repro.mining.dynamic import (
     DynamicMiner,
     StreamBatch,
     mine_stream,
     pattern_footprint,
 )
-from repro.mining.miner import mine_frequent_patterns
+from repro.mining import miner as miner_module
+from repro.mining.extension import adjacent_label_pairs, single_edge_patterns
+from repro.mining.miner import LatticeMemo, mine_frequent_patterns
 from repro.mining.spec import MiningSpec
 
 
@@ -300,6 +303,191 @@ class TestDeltaSavings:
         miner = DynamicMiner(graph, spec=MINE_SPEC)
         first = miner.refresh()
         assert miner.refresh() is first
+
+
+def lattice_graph():
+    """A random A/B/C region beside three planted S(T, T) stars.
+
+    At ``min_support=3`` breaking one star edge prunes the star and
+    restoring it revives it; S and T occur nowhere else.
+    """
+    graph = random_labeled_graph(20, 0.2, alphabet=("A", "B", "C"), seed=21)
+    star = planted_pattern_graph(star_pattern("S", ["T", "T"]), num_copies=3, seed=9)
+    for vertex in star.vertices():
+        graph.add_vertex(f"p{vertex}", star.label_of(vertex))
+    for u, v in star.edges():
+        graph.add_edge(f"p{u}", f"p{v}")
+    return graph
+
+
+LATTICE_SPEC = MINE_SPEC.replace(min_support=3)
+
+
+def lattice_stream(graph):
+    """Batches that grow and shrink the label-pair set and prune + revive."""
+    hub = sorted(graph.vertices_with_label("S"), key=repr)[0]
+    leaf = sorted(graph.neighbors(hub), key=repr)[0]
+    a = sorted(graph.vertices_with_label("A"), key=repr)[0]
+    b = sorted(graph.vertices_with_label("B"), key=repr)[0]
+    return [
+        [("v", "n0", "D"), ("e", a, "n0")],
+        [("v", "n1", "D"), ("e", "n0", "n1"), ("e", b, "n1")],
+        [("de", hub, leaf)],
+        [("e", hub, leaf)],
+        [
+            ("de", "n0", "n1"),
+            ("de", b, "n1"),
+            ("dv", "n1"),
+            ("de", a, "n0"),
+            ("dv", "n0"),
+        ],
+        [("de", hub, leaf)],
+        [("e", hub, leaf)],
+    ]
+
+
+def assert_same_lattice(result, reference):
+    """Same rows (pattern content included) and the same lattice counters."""
+    assert [fp.pattern.graph.signature() for fp in result.frequent] == [
+        fp.pattern.graph.signature() for fp in reference.frequent
+    ]
+    assert result_key(result) == result_key(reference)
+    for counter in ("patterns_generated", "duplicates_skipped", "patterns_frequent"):
+        assert getattr(result.stats, counter) == getattr(reference.stats, counter)
+
+
+class TestLatticeMemo:
+    """Refreshes replay the previous walk's lattice and still match a mine."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_lattice_unchanged_across_label_churn(self, shards):
+        graph = lattice_graph()
+        spec = LATTICE_SPEC.replace(shards=shards)
+        miner = DynamicMiner(graph, spec=spec)
+        assert_same_lattice(miner.refresh(), mine_frequent_patterns(graph, spec=spec))
+        pair_counts = [len(adjacent_label_pairs(graph))]
+        revived = []
+        for batch in lattice_stream(graph):
+            miner.apply(batch)
+            result = miner.refresh()
+            assert_same_lattice(result, mine_frequent_patterns(graph, spec=spec))
+            pairs = len(adjacent_label_pairs(graph))
+            if pairs != pair_counts[-1]:
+                # A new label-pair set invalidates every stored entry.
+                assert result.stats.extensions_reused == 0
+            else:
+                assert result.stats.extensions_reused > 0
+            pair_counts.append(pairs)
+            revived.append(result.stats.patterns_revived)
+        # The stream did what it is for: the label-pair set grew, then
+        # shrank back, and the broken star came back twice.
+        assert pair_counts[0] < pair_counts[1] < pair_counts[2]
+        assert pair_counts[5] == pair_counts[0]
+        assert revived[3] >= 1 and revived[6] >= 1
+        miner.detach()
+
+    def test_warm_refreshes_replay_instead_of_extending(self, monkeypatch):
+        """Warm refreshes over a fixed label-pair set barely extend at all.
+
+        Regenerating the lattice costs one ``extend_with_*`` call per
+        generated non-seed candidate; replaying it costs one per child of
+        a parent no earlier walk extended.
+        """
+        graph = random_labeled_graph(30, 0.15, alphabet=("A", "B", "C"), seed=3)
+        miner = DynamicMiner(graph, spec=MINE_SPEC)
+        miner.refresh()
+        pairs = adjacent_label_pairs(graph)
+        seeds = len(single_edge_patterns(graph))
+        calls = []
+        for name in ("extend_with_node", "extend_with_edge"):
+            original = getattr(Pattern, name)
+
+            def counted(self, *args, _original=original):
+                calls.append(1)
+                return _original(self, *args)
+
+            monkeypatch.setattr(Pattern, name, counted)
+        rng = random.Random(1)
+        regenerated = reused = extended = 0
+        for _ in range(5):
+            u, v = rng.sample(graph.vertices(), 2)
+            if graph.has_edge(u, v):
+                graph.remove_edge(u, v)
+            else:
+                graph.add_edge(u, v)
+            assert adjacent_label_pairs(graph) == pairs
+            calls.clear()
+            result = miner.refresh()
+            extended += len(calls)
+            regenerated += result.stats.patterns_generated - seeds
+            reused += result.stats.extensions_reused
+            assert result_key(result) == reference_keys(graph, MINE_SPEC)
+        assert reused > 0
+        assert extended * 10 <= regenerated
+        miner.detach()
+
+    @pytest.mark.parametrize("fail_at", [0, 2])
+    def test_failed_refresh_leaves_the_memo_sound(self, monkeypatch, fail_at):
+        """A walk that raises mid-lattice never corrupts a later refresh.
+
+        Batch 0 adds a label pair (the memo starts over), batch 2 keeps
+        the pairs (the memo is replayed); either walk fails at level 3.
+        """
+        graph = lattice_graph()
+        miner = DynamicMiner(graph, spec=LATTICE_SPEC)
+        miner.refresh()
+        original = miner_module._Session.evaluate
+        for number, batch in enumerate(lattice_stream(graph)):
+            miner.apply(batch)
+            if number == fail_at:
+                levels = []
+
+                def failing(self, batch, stats):
+                    levels.append(len(batch))
+                    if len(levels) == 3:
+                        raise RuntimeError("evaluation failed")
+                    return original(self, batch, stats)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(miner_module._Session, "evaluate", failing)
+                    with pytest.raises(RuntimeError):
+                        miner.refresh()
+            assert_same_lattice(
+                miner.refresh(), mine_frequent_patterns(graph, spec=LATTICE_SPEC)
+            )
+        miner.detach()
+
+
+def test_memo_replays_only_matching_parents_and_live_duplicates():
+    """The reuse rule itself: parent content and certificate-only children."""
+    pairs = {("A", "B"), ("B", "A")}
+    memo = LatticeMemo()
+    memo.begin(pairs)
+    parent = Pattern.single_edge("A", "B")
+    child = parent.extend_with_node("v2", "v3", "A")
+    children = [(child, "child"), (None, "dup"), (None, "child")]
+    memo.keep("parent", parent, children)
+    memo.commit({"parent", "child", "dup"})
+    memo.begin(set(pairs))
+    # The stored object, or any pattern with its vertex ids, labels, edges.
+    assert memo.children(parent, "parent", {"dup"}) is children
+    assert memo.children(Pattern.single_edge("A", "B"), "parent", {"dup"}) is children
+    # An isomorphic parent with other vertex ids has other children.
+    assert memo.children(Pattern.single_edge("B", "A"), "parent", {"dup"}) is None
+    # "dup" must still be a duplicate where it is proposed; the second
+    # "child" is one of its earlier sibling.
+    assert memo.children(parent, "parent", set()) is None
+    # Only what the latest complete walk touched survives a commit.
+    memo.commit(set())
+    memo.begin(pairs)
+    assert memo.children(parent, "parent", {"dup"}) is None
+    # A new label-pair set drops the seeds and every entry.
+    memo.seeds = [(parent, "parent")]
+    memo.keep("parent", parent, children)
+    memo.commit({"parent"})
+    memo.begin({("A", "A")})
+    assert memo.seeds is None
+    assert memo.children(parent, "parent", {"dup"}) is None
 
 
 class TestFallbacks:

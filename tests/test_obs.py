@@ -16,7 +16,7 @@ import pytest
 from repro.graph.builders import path_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.index.delta import IndexMaintainer
-from repro.mining.dynamic import mine_stream
+from repro.mining.dynamic import DynamicMiner, mine_stream
 from repro.mining.miner import mine_frequent_patterns
 from repro.mining.spec import MiningSpec
 from repro.obs import logs as logs_mod
@@ -333,10 +333,24 @@ class TestInstrumentedMining:
         assert snap["repro_miner_levels"] >= 1
         for name, value in result.stats.as_dict().items():
             assert snap[f"repro_miner_{name}"] == value
+        assert snap["repro_miner_extensions_reused"] == 0  # static: no memo
         matcher_calls = (
             snap["repro_match_vf2_calls"] + snap["repro_match_anchored_searches"]
         )
         assert matcher_calls > 0
+
+    def test_warm_refresh_counts_extensions_reused(self, fresh_registry):
+        graph = mining_graph()
+        with DynamicMiner(graph, spec=MINE_SPEC) as miner:
+            first = miner.refresh()
+            assert first.stats.extensions_reused == 0  # the memo starts empty
+            assert fresh_registry.snapshot()["repro_miner_extensions_reused"] == 0
+            graph.remove_edge(0, 5)  # an A-B edge; A-B edges remain
+            warm = miner.refresh()
+        assert warm.stats.extensions_reused > 0
+        snap = fresh_registry.snapshot()
+        assert snap["repro_miner_sessions"] == 2
+        assert snap["repro_miner_extensions_reused"] == warm.stats.extensions_reused
 
     def test_profile_coverage_and_rendering(self, fresh_registry, tracing):
         mine_frequent_patterns(mining_graph(), spec=MINE_SPEC)
