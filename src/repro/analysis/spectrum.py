@@ -13,19 +13,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graph.labeled_graph import LabeledGraph
 from ..graph.pattern import Pattern
 from ..hypergraph.construction import HypergraphBundle
-from ..hypergraph.overlap import instance_overlap_graph
-from ..measures.mcp import mcp_support_of
-from ..measures.mi import mi_support_from_occurrences
-from ..measures.mis import mis_support_of
-from ..measures.mies import mies_support_of
-from ..measures.mni import mni_support_from_occurrences
-from ..measures.mvc import mvc_support_of
-from ..measures.relaxations import lp_mies_support_of, lp_mvc_support_of
+from ..measures.base import measure_info
 from .report import format_table
 
 #: Spectrum entries in chain order: (key, pretty name, anti-monotonic?).
@@ -82,6 +75,9 @@ def measure_spectrum(
 ) -> Spectrum:
     """Compute the (timed) spectrum; ``include`` restricts to given keys.
 
+    Each entry is the registered measure of that name, so the spectrum
+    reports exactly what the miner would count.
+
     Occurrence enumeration is timed separately (the paper's convention is
     to exclude framework-construction time from measure cost).
     """
@@ -90,41 +86,13 @@ def measure_spectrum(
         bundle = HypergraphBundle.build(pattern, data)
     enumeration_seconds = time.perf_counter() - start
 
-    overlap_cache: Dict[str, object] = {}
-
-    def instance_overlap():
-        if "graph" not in overlap_cache:
-            overlap_cache["graph"] = instance_overlap_graph(bundle.instances)
-        return overlap_cache["graph"]
-
-    computers: Dict[str, Callable[[], float]] = {
-        "occurrences": lambda: float(bundle.num_occurrences),
-        "instances": lambda: float(bundle.num_instances),
-        "mni": lambda: float(
-            mni_support_from_occurrences(pattern, bundle.occurrences)
-        ),
-        "mi": lambda: float(mi_support_from_occurrences(pattern, bundle.occurrences)),
-        "mvc": lambda: float(mvc_support_of(bundle.occurrence_hg)),
-        "mies": lambda: float(mies_support_of(bundle.instance_hg)),
-        # Large one-edge workloads: use Theorem 4.1 (MIS = MIES) plus the
-        # polynomial blossom-matching MIES instead of the overlap-graph B&B.
-        "mis": lambda: (
-            float(mies_support_of(bundle.instance_hg))
-            if bundle.instance_hg.uniformity() == 2 and bundle.num_instances > 60
-            else float(mis_support_of(instance_overlap()))
-        ),
-        "mcp": lambda: float(mcp_support_of(instance_overlap())),
-        "lp_mvc": lambda: lp_mvc_support_of(bundle.occurrence_hg),
-        "lp_mies": lambda: lp_mies_support_of(bundle.occurrence_hg),
-    }
-
     keys = include if include is not None else [key for key, _, _ in SPECTRUM_ORDER]
     entries: List[SpectrumEntry] = []
     for key, display, anti in SPECTRUM_ORDER:
         if key not in keys:
             continue
         begin = time.perf_counter()
-        value = computers[key]()
+        value = measure_info(key).compute(bundle)
         elapsed = time.perf_counter() - begin
         entries.append(
             SpectrumEntry(

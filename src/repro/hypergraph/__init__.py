@@ -4,6 +4,7 @@ from .hypergraph import (
     DualHypergraph,
     Hyperedge,
     Hypergraph,
+    component_statistics,
     dual_hypergraph,
 )
 from .construction import (
@@ -31,6 +32,7 @@ __all__ = [
     "DualHypergraph",
     "Hyperedge",
     "Hypergraph",
+    "component_statistics",
     "dual_hypergraph",
     "HypergraphBundle",
     "instance_hypergraph",

@@ -17,7 +17,7 @@ measure the paper suggests in Section 4.5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..graph.automorphism import transitive_pairs
 from ..graph.labeled_graph import Vertex
@@ -136,6 +136,32 @@ class OverlapGraph:
             return 0.0
         return 2.0 * self.num_edges / (n * (n - 1))
 
+    def components(self) -> List["OverlapGraph"]:
+        """Split into connected components, each an overlap graph of its own.
+
+        An independent set or a clique partition never links two
+        components, so MIS and MCP are sums over components; the measure
+        entry points (``mis_support_of``, ``mcp_support_of``) solve this
+        way.  Components come in order of their first node.
+        """
+        seen: Set[int] = set()
+        components: List[OverlapGraph] = []
+        for start in self.nodes:
+            if start in seen:
+                continue
+            seen.add(start)
+            members, stack = [start], [start]
+            while stack:
+                for neighbor in self.adjacency[stack.pop()]:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        members.append(neighbor)
+                        stack.append(neighbor)
+            members.sort()
+            adjacency = {node: set(self.adjacency[node]) for node in members}
+            components.append(OverlapGraph(members, adjacency, kind=self.kind))
+        return components
+
     def complement_adjacency(self) -> Dict[int, Set[int]]:
         """Adjacency of the complement graph (used by clique-based solvers)."""
         node_set = set(self.nodes)
@@ -202,17 +228,30 @@ def occurrence_overlap_graph(
     return OverlapGraph(nodes=sorted(adjacency), adjacency=adjacency, kind=kind)
 
 
-def instance_overlap_graph(instances: Sequence[Instance]) -> OverlapGraph:
-    """Instance overlap graph under simple-vertex-overlap semantics."""
-    adjacency: Dict[int, Set[int]] = {inst.index: set() for inst in instances}
+def intersection_graph(
+    keyed_sets: Iterable[Tuple[int, Iterable[Vertex]]],
+) -> OverlapGraph:
+    """One node per key, an edge wherever two keys' sets share a member.
+
+    Keyed by instance index this is the instance overlap graph; keyed by
+    edge position it is a hypergraph's edge-intersection graph, whose
+    independent sets are exactly the independent edge sets (Theorem 4.1).
+    """
+    adjacency: Dict[int, Set[int]] = {}
     incidence: Dict[Vertex, List[int]] = {}
-    for inst in instances:
-        for vertex in inst.vertex_set:
-            incidence.setdefault(vertex, []).append(inst.index)
+    for key, members in keyed_sets:
+        adjacency[key] = set()
+        for member in members:
+            incidence.setdefault(member, []).append(key)
     for a, b in _candidate_pairs_from_incidence(incidence):
         adjacency[a].add(b)
         adjacency[b].add(a)
     return OverlapGraph(nodes=sorted(adjacency), adjacency=adjacency, kind="simple")
+
+
+def instance_overlap_graph(instances: Sequence[Instance]) -> OverlapGraph:
+    """Instance overlap graph under simple-vertex-overlap semantics."""
+    return intersection_graph((inst.index, inst.vertex_set) for inst in instances)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,16 @@
-"""Support measures: MNI, MI, MVC, MIS, MIES, MCP, LP relaxations, bounds."""
+"""Support measures: MNI, MI, MVC, MIS, MIES, MCP, LP relaxations, bounds.
+
+Each NP-hard problem has one exact kernel that solves the whole graph it is
+given — :func:`minimum_vertex_cover`, :func:`maximum_independent_set` (which
+MIES runs on, over the edge-intersection graph:
+:func:`maximum_independent_edge_set`) and :func:`minimum_clique_partition` —
+and one entry point that splits by connected component, runs the kernel per
+component and sums: :func:`mvc_support_of`, :func:`mies_support_of`,
+:func:`mis_support_of` and :func:`mcp_support_of`.  Their ``budget`` bounds
+each component's search.  The registered measures call the entry points;
+``mis`` and ``mis_occurrence`` are computed as MIES (Theorem 4.1).  The LP
+relaxations solve the whole hypergraph: they are polynomial.
+"""
 
 from .base import (
     MeasureInfo,
@@ -35,7 +47,6 @@ from .mis import (
     mis_support_of,
 )
 from .mies import (
-    greedy_independent_edge_set,
     is_independent_edge_set,
     maximum_independent_edge_set,
     mies_support,
@@ -58,13 +69,6 @@ from .extensions import (
     projected_hypergraph,
     projected_mvc_breakdown,
     projected_mvc_support_from_occurrences,
-)
-from .decomposition import (
-    component_statistics,
-    decomposed_lp_mvc_support,
-    decomposed_mies_support,
-    decomposed_mvc_support,
-    hypergraph_components,
 )
 
 __all__ = [
@@ -93,7 +97,6 @@ __all__ = [
     "maximum_independent_set",
     "mis_support",
     "mis_support_of",
-    "greedy_independent_edge_set",
     "is_independent_edge_set",
     "maximum_independent_edge_set",
     "mies_support",
@@ -109,11 +112,6 @@ __all__ = [
     "ChainReport",
     "chain_values",
     "verify_bounding_chain",
-    "component_statistics",
-    "decomposed_lp_mvc_support",
-    "decomposed_mies_support",
-    "decomposed_mvc_support",
-    "hypergraph_components",
     "projected_hypergraph",
     "projected_mvc_breakdown",
     "projected_mvc_support_from_occurrences",

@@ -7,8 +7,11 @@ as the paper's principal overlap-graph-based *baseline variant*
 (Section 5) so the benchmark harness can profile the full family.
 
 Minimum clique partition of ``O`` equals proper coloring of the complement
-of ``O``; we solve it by branch-and-bound graph coloring with a greedy
-(largest-first) incumbent, budget-guarded like the other NP-hard solvers.
+of ``O``; :func:`minimum_clique_partition` (the kernel) solves it by
+branch-and-bound graph coloring with a greedy incumbent, budget-guarded like
+the other NP-hard solvers, and stops as soon as the incumbent reaches the
+``sigma_MIS`` floor.  :func:`mcp_support_of` (the entry point) runs the
+kernel once per connected component and sums.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from ..errors import BudgetExceededError
 from ..hypergraph.construction import HypergraphBundle
 from ..hypergraph.overlap import OverlapGraph, instance_overlap_graph
 from .base import register_measure
+from .mis import mis_support_of
 
 
 def greedy_clique_partition(graph: OverlapGraph) -> List[Set[int]]:
@@ -46,7 +50,8 @@ def minimum_clique_partition(
     Vertices are assigned to clique slots in order; a vertex may join an
     existing clique only if adjacent (in the overlap graph) to all its
     members, or open a new clique.  Prune when the slot count reaches the
-    incumbent.
+    incumbent; stop once the incumbent has ``sigma_MIS`` cliques, the floor
+    (each clique holds at most one vertex of an independent set).
 
     Raises
     ------
@@ -55,10 +60,13 @@ def minimum_clique_partition(
     """
     nodes = sorted(graph.nodes, key=lambda n: -graph.degree(n))
     incumbent = greedy_clique_partition(graph)
+    floor = mis_support_of(graph, budget=budget)
     nodes_expanded = 0
 
     def branch(index: int, cliques: List[Set[int]]) -> None:
         nonlocal incumbent, nodes_expanded
+        if len(incumbent) == floor:
+            return
         nodes_expanded += 1
         if nodes_expanded > budget:
             raise BudgetExceededError(budget)
@@ -83,10 +91,12 @@ def minimum_clique_partition(
 
 
 def mcp_support_of(graph: OverlapGraph, budget: int = 500_000) -> int:
-    """``sigma_MCP`` of an overlap graph: minimum clique partition size."""
-    if not graph.nodes:
-        return 0
-    return len(minimum_clique_partition(graph, budget=budget))
+    """``sigma_MCP`` of an overlap graph: minimum clique partition size,
+    summed over connected components (``budget`` bounds each one's search)."""
+    return sum(
+        len(minimum_clique_partition(component, budget=budget))
+        for component in graph.components()
+    )
 
 
 @register_measure(

@@ -2,122 +2,73 @@
 
 An independent edge set is a family of pairwise-disjoint hyperedges; MIES is
 the maximum size of such a family (hypergraph matching / set packing).
-Theorem 4.1 proves ``sigma_MIES = sigma_MIS`` on the instance hypergraph,
-which is how the overlap-graph lineage of measures embeds into the
-hypergraph framework — the test suite verifies the equality on every
-example and on random graphs.
+Theorem 4.1 proves ``sigma_MIES = sigma_MIS`` on the instance hypergraph:
+independent edges are exactly independent nodes of the edge-intersection
+graph.  That is how the overlap-graph lineage of measures embeds into the
+hypergraph framework, and it is how MIES is solved — there is no separate
+set-packing search:
 
-Solver: branch-and-bound set packing — branch on the first remaining edge
-(take it and drop all intersecting edges / skip it), pruned by a fractional
-packing bound.
+* :func:`maximum_independent_edge_set` (the kernel) runs the MIS
+  branch-and-bound (:func:`repro.measures.mis.maximum_independent_set`) on
+  the edge-intersection graph of the hypergraph it is given;
+* :func:`mies_support_of` (the entry point) sums over the hypergraph's
+  connected components; a 2-uniform component is a graph matching, solved
+  in polynomial time by Edmonds' blossom algorithm.
+
+The registered ``mis`` and ``mis_occurrence`` measures call
+:func:`mies_support_of` as well.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set
 
-from ..errors import BudgetExceededError
+from ..graph.matching import maximum_matching_size
 from ..hypergraph.hypergraph import Hypergraph, HVertex, EdgeLabel
 from ..hypergraph.construction import HypergraphBundle
+from ..hypergraph.overlap import intersection_graph
 from .base import register_measure
-
-
-def greedy_independent_edge_set(hypergraph: Hypergraph) -> List[EdgeLabel]:
-    """Greedy matching: scan edges, keep any that is disjoint from kept ones."""
-    used: Set[HVertex] = set()
-    kept: List[EdgeLabel] = []
-    for edge in hypergraph.edges():
-        if not (edge.vertices & used):
-            kept.append(edge.label)
-            used |= edge.vertices
-    return kept
-
-
-def _packing_upper_bound(edges: Sequence[Tuple[EdgeLabel, FrozenSet[HVertex]]]) -> int:
-    """Cheap bound: a fractional-style cap via vertex multiplicities.
-
-    Each vertex can serve at most one selected edge, so the packing size is
-    at most ``floor(|distinct vertices| / k_min)``; combined with the edge
-    count this prunes dense tails effectively.
-    """
-    if not edges:
-        return 0
-    distinct: Set[HVertex] = set()
-    k_min = None
-    for _, vertices in edges:
-        distinct |= vertices
-        size = len(vertices)
-        if k_min is None or size < k_min:
-            k_min = size
-    assert k_min is not None and k_min >= 1
-    return min(len(edges), len(distinct) // k_min)
+from .mis import maximum_independent_set
 
 
 def maximum_independent_edge_set(
     hypergraph: Hypergraph, budget: int = 2_000_000
 ) -> List[EdgeLabel]:
-    """Exact maximum independent edge set (set packing) via branch & bound.
+    """Exact maximum independent edge set: MIS of the edge-intersection graph.
+
+    Edges with one vertex set (automorphic occurrences) intersect and have
+    the same neighbours, so only the first of them enters the graph.
+    Returns the chosen edge labels in edge order.
 
     Raises
     ------
     BudgetExceededError
         After expanding ``budget`` search nodes.
     """
-    all_edges: List[Tuple[EdgeLabel, FrozenSet[HVertex]]] = [
-        (edge.label, edge.vertices) for edge in hypergraph.edges()
-    ]
-    incumbent = greedy_independent_edge_set(hypergraph)
-    nodes_expanded = 0
-
-    def branch(
-        index: int,
-        remaining: List[Tuple[EdgeLabel, FrozenSet[HVertex]]],
-        current: List[EdgeLabel],
-    ) -> None:
-        nonlocal incumbent, nodes_expanded
-        nodes_expanded += 1
-        if nodes_expanded > budget:
-            raise BudgetExceededError(budget)
-        if not remaining:
-            if len(current) > len(incumbent):
-                incumbent = list(current)
-            return
-        if len(current) + _packing_upper_bound(remaining) <= len(incumbent):
-            return
-        label, vertices = remaining[0]
-        rest = remaining[1:]
-        # Branch 1: take the first edge, drop everything intersecting it.
-        compatible = [
-            (other_label, other_vertices)
-            for other_label, other_vertices in rest
-            if not (other_vertices & vertices)
-        ]
-        branch(index + 1, compatible, current + [label])
-        # Branch 2: skip it.
-        branch(index + 1, rest, current)
-
-    branch(0, all_edges, [])
-    return incumbent
+    edges = hypergraph.edges()
+    first: Dict[FrozenSet[HVertex], int] = {}
+    for position, edge in enumerate(edges):
+        first.setdefault(edge.vertices, position)
+    graph = intersection_graph((i, vertices) for vertices, i in first.items())
+    chosen = maximum_independent_set(graph, budget=budget)
+    return [edges[i].label for i in sorted(chosen)]
 
 
 def mies_support_of(hypergraph: Hypergraph, budget: int = 2_000_000) -> int:
-    """``sigma_MIES`` of a hypergraph: the maximum independent edge set size.
+    """``sigma_MIES`` of a hypergraph, summed over its connected components.
 
-    For 2-uniform hypergraphs (single-edge patterns) an independent edge set
-    is a graph matching, so the value is computed exactly in polynomial time
-    with Edmonds' blossom algorithm instead of branch-and-bound.
+    ``budget`` bounds each component's search.  For a 2-uniform component
+    (single-edge patterns) an independent edge set is a graph matching, so
+    its value comes from Edmonds' blossom algorithm instead.
     """
-    if hypergraph.num_edges == 0:
-        return 0
-    if hypergraph.uniformity() == 2:
-        from ..graph.matching import maximum_matching_size
-
-        pairs = []
-        for edge in hypergraph.edges():
-            u, v = sorted(edge.vertices, key=repr)
-            pairs.append((u, v))
-        return maximum_matching_size(pairs)
-    return len(maximum_independent_edge_set(hypergraph, budget=budget))
+    total = 0
+    for component in hypergraph.components():
+        if component.uniformity() == 2:
+            pairs = [tuple(sorted(e.vertices, key=repr)) for e in component.edges()]
+            total += maximum_matching_size(pairs)
+        else:
+            total += len(maximum_independent_edge_set(component, budget=budget))
+    return total
 
 
 def is_independent_edge_set(

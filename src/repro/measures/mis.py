@@ -5,17 +5,27 @@ Definitions 2.2.5–2.2.7).
 occurrence (or instance) overlap graph.  It is the intuitive "number of
 independent appearances" but NP-hard.
 
-The solver is a branch-and-bound maximum independent set with:
+:func:`maximum_independent_set` is the one exact independent-set kernel:
+a branch-and-bound over the graph it is given, with
 
 * degree-based branching (branch on a max-degree vertex: exclude / include);
 * a greedy-clique-cover upper bound for pruning;
 * a work budget.
 
-The paper computes MIS on the **instance** overlap graph when relating it to
-MIES (Theorem 4.1); on occurrence overlap graphs the value can differ only
-when automorphic occurrences duplicate vertex sets — duplicated vertex sets
-always overlap, so independent sets pick at most one per instance and the
-two views agree.  Both entry points are provided.
+:func:`mis_support_of` is the entry point: it runs the kernel once per
+connected component of the overlap graph and sums (``budget`` bounds each
+component's search).  MIES (:mod:`repro.measures.mies`) runs on the same
+kernel, over the edge-intersection graph of a hypergraph.
+
+By Theorem 4.1, MIS of the instance overlap graph equals MIES of the
+instance hypergraph; on occurrences the two views agree too, because the
+occurrence overlap graph *is* the occurrence hypergraph's edge-intersection
+graph.  The registered ``mis`` and ``mis_occurrence`` measures are
+therefore computed as MIES (2-uniform components go through polynomial
+blossom matching).  The overlap-graph path serves the measures with no
+hypergraph twin — ``mis_structural`` and ``mis_harmful`` on the sparser
+overlap graphs of Section 4.5 — plus the CLI ``overlap`` command and
+transaction mining.
 """
 
 from __future__ import annotations
@@ -24,11 +34,7 @@ from typing import Dict, Set
 
 from ..errors import BudgetExceededError
 from ..hypergraph.construction import HypergraphBundle
-from ..hypergraph.overlap import (
-    OverlapGraph,
-    instance_overlap_graph,
-    occurrence_overlap_graph,
-)
+from ..hypergraph.overlap import OverlapGraph, occurrence_overlap_graph
 from .base import register_measure
 
 
@@ -106,8 +112,14 @@ def maximum_independent_set(
 
 
 def mis_support_of(graph: OverlapGraph, budget: int = 2_000_000) -> int:
-    """``sigma_MIS`` of an overlap graph."""
-    return len(maximum_independent_set(graph, budget=budget))
+    """``sigma_MIS`` of an overlap graph, summed over its connected components.
+
+    ``budget`` bounds each component's search.
+    """
+    return sum(
+        len(maximum_independent_set(component, budget=budget))
+        for component in graph.components()
+    )
 
 
 @register_measure(
@@ -121,9 +133,10 @@ def mis_support_of(graph: OverlapGraph, budget: int = 2_000_000) -> int:
     ),
 )
 def mis_support(bundle: HypergraphBundle) -> float:
-    """``sigma_MIS(P, G)`` on the instance overlap graph."""
-    graph = instance_overlap_graph(bundle.instances)
-    return float(mis_support_of(graph))
+    """``sigma_MIS(P, G)`` on the instance overlap graph, as MIES (Theorem 4.1)."""
+    from .mies import mies_support_of  # mies runs on this module's kernel
+
+    return float(mies_support_of(bundle.instance_hg))
 
 
 @register_measure(
@@ -134,9 +147,11 @@ def mis_support(bundle: HypergraphBundle) -> float:
     description="Maximum independent set of the occurrence overlap graph.",
 )
 def mis_occurrence_support(bundle: HypergraphBundle) -> float:
-    """``sigma_MIS`` on the occurrence overlap graph (equal value; see module docstring)."""
-    graph = occurrence_overlap_graph(bundle.pattern, bundle.occurrences, kind="simple")
-    return float(mis_support_of(graph))
+    """``sigma_MIS`` on the occurrence overlap graph, as MIES of the occurrence
+    hypergraph (the overlap graph is its edge-intersection graph)."""
+    from .mies import mies_support_of
+
+    return float(mies_support_of(bundle.occurrence_hg))
 
 
 @register_measure(

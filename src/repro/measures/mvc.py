@@ -9,7 +9,9 @@ rounds to a k-approximation as well (Section 4.3).
 Three solvers:
 
 * :func:`minimum_vertex_cover` — exact branch-and-bound with a matching
-  lower bound and greedy upper bound (budget-guarded);
+  lower bound and greedy upper bound (budget-guarded), over the whole
+  hypergraph it is given; the entry point :func:`mvc_support_of` runs it
+  once per connected component and sums;
 * :func:`greedy_vertex_cover` — the classic maximal-matching k-approximation;
 * :func:`lp_rounded_vertex_cover` — solve the LP relaxation and keep every
   vertex with ``x(v) >= 1/k``.
@@ -207,8 +209,12 @@ def minimum_vertex_cover(
 
 
 def mvc_support_of(hypergraph: Hypergraph, budget: int = 2_000_000) -> int:
-    """``sigma_MVC`` of a hypergraph: the minimum vertex cover size."""
-    return len(minimum_vertex_cover(hypergraph, budget=budget))
+    """``sigma_MVC`` of a hypergraph: the minimum vertex cover size, summed
+    over connected components (``budget`` bounds each one's search)."""
+    return sum(
+        len(minimum_vertex_cover(component, budget=budget))
+        for component in hypergraph.components()
+    )
 
 
 def lp_relaxed_cover(

@@ -47,7 +47,7 @@ import enum
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import ReproError, ServiceError
+from ..errors import BudgetExceededError, ReproError, ServiceError
 from ..mining.dynamic import GraphUpdate
 from ..mining.results import MiningResult
 from ..mining.spec import MiningSpec
@@ -70,6 +70,7 @@ class ErrorCode(str, enum.Enum):
     """
 
     BAD_REQUEST = "bad_request"
+    BUDGET_EXCEEDED = "budget_exceeded"
     UNKNOWN_OP = "unknown_op"
     UNKNOWN_SUBSCRIPTION = "unknown_subscription"
     UNSUPPORTED_PROTOCOL = "unsupported_protocol"
@@ -201,7 +202,11 @@ def handle_request(
         else:
             raise _error(ErrorCode.UNKNOWN_OP, f"unknown op {op!r}")
     except ReproError as exc:
-        code = getattr(exc, "code", ErrorCode.BAD_REQUEST)
+        if isinstance(exc, BudgetExceededError):
+            # A valid request whose exact solve outgrew its work budget.
+            code = ErrorCode.BUDGET_EXCEEDED
+        else:
+            code = getattr(exc, "code", ErrorCode.BAD_REQUEST)
         response = {
             "ok": False,
             "error": str(exc),

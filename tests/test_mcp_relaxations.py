@@ -1,5 +1,7 @@
 """Unit tests for the MCP baseline and the LP relaxations (Section 4.3)."""
 
+import random
+
 import pytest
 
 from repro.datasets.paper_figures import load_figure
@@ -71,6 +73,49 @@ class TestMCP:
 
     def test_registry_entry(self, fig6):
         assert compute_support("mcp", fig6.pattern, fig6.data_graph) >= 2.0
+
+    def test_stops_at_the_mis_floor(self):
+        # The greedy partition of P4 has sigma_MIS = 2 cliques, so it is
+        # optimal; the search returns it without expanding a node.
+        assert len(minimum_clique_partition(path_overlap_graph(), budget=1)) == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_exhaustive_partition_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        nodes = list(range(7))
+        adjacency = {n: set() for n in nodes}
+        for u in nodes:
+            for v in nodes[u + 1 :]:
+                if rng.random() < 0.5:
+                    adjacency[u].add(v)
+                    adjacency[v].add(u)
+        graph = OverlapGraph(nodes=nodes, adjacency=adjacency)
+        assert mcp_support_of(graph) == exhaustive_clique_partition(graph)
+        assert len(minimum_clique_partition(graph)) == mcp_support_of(graph)
+
+
+def exhaustive_clique_partition(graph: OverlapGraph) -> int:
+    """The fewest cliques covering ``graph``: a search over every set partition,
+    cut only where it cannot beat the best found (no greedy, no floor)."""
+    best = len(graph.nodes)
+
+    def place(index, cliques):
+        nonlocal best
+        if len(cliques) >= best:
+            return
+        if index == len(graph.nodes):
+            best = len(cliques)
+            return
+        vertex = graph.nodes[index]
+        for clique in cliques:
+            if clique <= graph.adjacency[vertex]:
+                clique.add(vertex)
+                place(index + 1, cliques)
+                clique.discard(vertex)
+        place(index + 1, cliques + [{vertex}])
+
+    place(0, [])
+    return best
 
 
 class TestRelaxations:

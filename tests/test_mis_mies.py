@@ -1,5 +1,8 @@
 """Unit tests for MIS, MIES, and the Theorem 4.1 equivalence."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from repro.datasets.paper_figures import load_figure
@@ -9,7 +12,6 @@ from repro.hypergraph.construction import HypergraphBundle
 from repro.hypergraph.overlap import OverlapGraph, instance_overlap_graph
 from repro.measures.base import compute_support
 from repro.measures.mies import (
-    greedy_independent_edge_set,
     is_independent_edge_set,
     maximum_independent_edge_set,
     mies_support_of,
@@ -93,20 +95,47 @@ class TestMIES:
         chosen = maximum_independent_edge_set(bundle.instance_hg)
         assert is_independent_edge_set(bundle.instance_hg, chosen)
 
-    def test_greedy_is_independent(self, fig6):
-        bundle = HypergraphBundle.build(fig6.pattern, fig6.data_graph)
-        chosen = greedy_independent_edge_set(bundle.instance_hg)
-        assert is_independent_edge_set(bundle.instance_hg, chosen)
-
     def test_empty_hypergraph(self):
         assert mies_support_of(Hypergraph()) == 0
 
     def test_budget_guard(self):
-        # Greedy (scan order) picks e1 = {1, 4}, blocking both others, so
-        # the incumbent (1) is below the bound (2) and branching must occur.
-        h = Hypergraph.from_edge_sets([[1, 4], [1, 2], [3, 4]])
+        # The edges of a 9-cycle: their intersection graph is a 9-cycle,
+        # which forces the MIS kernel to branch beyond one node.
+        h = Hypergraph.from_edge_sets([[n, (n + 1) % 9] for n in range(9)])
         with pytest.raises(BudgetExceededError):
             maximum_independent_edge_set(h, budget=1)
+
+
+def random_component_hypergraph(seed: int) -> Hypergraph:
+    """Several components over disjoint vertex pools, each k-uniform, k = 2-4."""
+    rng = random.Random(seed)
+    h = Hypergraph()
+    for c in range(rng.randint(2, 4)):
+        k = rng.randint(2, 4)
+        pool = [(c, v) for v in range(k + rng.randint(1, 4))]
+        for e in range(rng.randint(1, 4)):
+            h.add_edge((c, e), rng.sample(pool, k))
+    return h
+
+
+def exhaustive_mies(h: Hypergraph) -> int:
+    """The largest pairwise-disjoint edge subset, by trying every subset."""
+    edges = [edge.vertices for edge in h.edges()]
+    for size in range(len(edges), 0, -1):
+        for subset in combinations(edges, size):
+            if sum(map(len, subset)) == len(frozenset().union(*subset)):
+                return size
+    return 0
+
+
+class TestMIESExactness:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_entry_point_kernel_and_exhaustive_search_agree(self, seed):
+        h = random_component_hypergraph(seed)
+        assert len(h.components()) >= 2
+        chosen = maximum_independent_edge_set(h)
+        assert is_independent_edge_set(h, chosen)
+        assert mies_support_of(h) == len(chosen) == exhaustive_mies(h)
 
 
 class TestTheorem41Equivalence:

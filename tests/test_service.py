@@ -5,11 +5,13 @@ import json
 import socket
 import threading
 import weakref
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import MiningError, ServiceError
+from repro.errors import BudgetExceededError, MiningError, ServiceError
 from repro.graph.builders import path_graph
+from repro.measures.base import _REGISTRY, measure_info
 from repro.mining.dynamic import StreamApplier
 from repro.mining.miner import mine_frequent_patterns
 from repro.mining.spec import MiningSpec
@@ -440,6 +442,21 @@ class TestProtocol:
 
     def request_raw(self, service, line):
         return handle_request(service, line)
+
+    def test_budget_exhaustion_is_a_typed_error(self, monkeypatch):
+        def exhausted(bundle):
+            raise BudgetExceededError(7)
+
+        info = measure_info("mvc")
+        monkeypatch.setitem(_REGISTRY, "mvc", replace(info, compute=exhausted))
+        with GraphService(base_graph()) as service:
+            mined, shutdown = self.request(
+                service, {"op": "mine", "spec": {"measure": "mvc"}, "id": 4}
+            )
+        assert not shutdown
+        assert mined["ok"] is False and mined["id"] == 4
+        assert mined["type"] == "BudgetExceededError"
+        assert mined["code"] == "budget_exceeded"
 
     def test_integer_threshold_hits_the_maintained_cache(self):
         # The CLI's --min-support is a float; a JSON client's 3 is an int.
