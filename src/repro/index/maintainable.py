@@ -30,6 +30,7 @@ Concrete pairs: (:class:`~repro.index.graph_index.GraphIndex`,
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from typing import List, Optional, Tuple
 
@@ -126,6 +127,7 @@ class DeltaMaintainer:
         "patches_applied",
         "rebuilds",
         "deltas_coalesced",
+        "__weakref__",
     )
 
     def __init__(
@@ -139,7 +141,17 @@ class DeltaMaintainer:
         self.graph = graph
         self._index = index
         self._buffer: List = []
-        self._observer = graph.subscribe(self._observe)
+        # The graph holds only a weak reference back, so a dropped
+        # maintainer is freed by reference counting (no graph <->
+        # maintainer cycle) and unsubscribes itself in __del__.
+        self_ref = weakref.ref(self)
+
+        def observe(delta) -> None:
+            maintainer = self_ref()
+            if maintainer is not None:
+                maintainer._observe(delta)
+
+        self._observer = graph.subscribe(observe)
         self._attached = True
         self._patch_limit = patch_limit
         self._rebuild_pending = False
@@ -207,6 +219,10 @@ class DeltaMaintainer:
         if self._attached:
             self.graph.unsubscribe(self._observer)
             self._attached = False
+
+    def __del__(self) -> None:
+        if getattr(self, "_attached", False):
+            self.detach()
 
     @property
     def rebuild_pending(self) -> bool:

@@ -277,7 +277,7 @@ class DynamicMiner:
     **persistent** shard-resident worker pool
     (:class:`~repro.partition.ShardWorkerPool`), started on the first
     refresh: workers keep their shard views across refreshes and the
-    parent re-ships only slices that deltas actually dirtied.  A pool
+    parent patches only the views that deltas actually dirtied.  A pool
     that cannot start, or fails mid-refresh, leaves the session serial.
     ``max_resident=N`` bounds resident shard views through an
     out-of-core :class:`~repro.partition.ShardPager` that survives

@@ -95,6 +95,12 @@ def _lazy_cap(min_support: float) -> int:
     return max(1, math.ceil(min_support))
 
 
+def _halo_depth(spec: MiningSpec) -> int:
+    """The sharded session's one view depth: exhaustive for every pattern
+    of at most ``max_pattern_nodes`` nodes."""
+    return max(0, spec.max_pattern_nodes - 2)
+
+
 def _make_pool(data: LabeledGraph, spec: MiningSpec, sharded):
     """A process pool for support evaluation, or None (serial).
 
@@ -117,7 +123,6 @@ def _make_pool(data: LabeledGraph, spec: MiningSpec, sharded):
                 lazy=spec.lazy,
                 lazy_cap=_lazy_cap(spec.min_support),
                 use_index=spec.use_index,
-                depth=max(0, spec.max_pattern_nodes - 2),
             )
         from concurrent.futures import ProcessPoolExecutor
 
@@ -201,6 +206,7 @@ class _Session:
                 self.sharded,
                 self.pool,
                 measure=self.spec.measure,
+                depth=_halo_depth(self.spec),
                 flat_evaluate=self._flat,
                 use_index=self.spec.use_index,
                 **self._common,

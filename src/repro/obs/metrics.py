@@ -286,7 +286,7 @@ DOCUMENTED_METRICS: Tuple[str, ...] = (
     # shard worker pool (parent-side dispatch accounting)
     "repro_pool_tasks_dispatched",
     "repro_pool_slices_shipped",
-    "repro_pool_slices_reshipped",
+    "repro_pool_slices_patched",
     "repro_pool_serial_fallbacks",
     "repro_pool_queue_depth",
     # out-of-core pager

@@ -4,9 +4,16 @@ Per-shard enumeration is made **exhaustive** by one geometric fact: an
 occurrence of a connected n-node pattern that uses a core edge ``(u, v)``
 of shard ``s`` lies entirely within ``n - 2`` hops of ``{u, v}`` (the
 worst case is a path with the anchoring edge at one end).  So enumerating
-the pattern in :meth:`ShardedIndex.expanded_shard`\\ ``(s, n - 2)`` — the
-induced halo expansion of the shard — finds *every* occurrence anchored
-in ``s``, through the ordinary indexed VF2 engine.
+the pattern in :meth:`ShardedIndex.expanded_shard`\\ ``(s, D)`` — the
+induced halo expansion of the shard — for any ``D >= n - 2`` finds
+*every* occurrence anchored in ``s``, through the ordinary indexed VF2
+engine.  A session therefore evaluates every pattern against one view
+per shard, at ``D = max_pattern_nodes - 2``.  The deeper view changes no
+answer: every occurrence found inside it is also a global occurrence
+(the view is an induced subgraph), so the core-edge filter (or the
+``exclusive`` flag, under which every occurrence found is anchored)
+keeps exactly the anchored set, and a lazy scan's images lie between
+the anchored image set and the global one.
 
 Each shard keeps only the occurrences that actually use one of its core
 edges (its *anchored* occurrences); an occurrence whose edges span
@@ -73,11 +80,11 @@ OccurrenceItems = Tuple[Tuple[Vertex, Vertex], ...]
 #: One node's anchored image scan in one view: ``(images, hit-cap flag)``.
 NodeScan = Tuple[Tuple[Vertex, ...], bool]
 
-#: One planned shard task: ``(kind, pattern, shard_id, depth, exclusive,
-#: limit)`` with ``kind`` in ``{"solo", "part"}`` — the planner
+#: One planned shard task: ``(kind, pattern, shard_id, exclusive, limit)``
+#: with ``kind`` in ``{"solo", "part"}`` — the planner
 #: (:func:`repro.partition.workers.pooled_outcomes`) decides, the runner
-#: only evaluates (:func:`evaluate_task`).
-ShardTask = Tuple[str, Pattern, int, int, bool, Optional[int]]
+#: only evaluates (:func:`evaluate_task`) against the shard's one view.
+ShardTask = Tuple[str, Pattern, int, bool, Optional[int]]
 
 
 def required_depth(pattern: Pattern) -> int:
@@ -357,9 +364,10 @@ def evaluate_task(
     """Evaluate one planned shard task against its halo-expanded view.
 
     The one task function of sharded evaluation: the shard-resident
-    worker calls it with a view derived from its slice, the in-process
+    worker calls it with its resident view of the shard, the in-process
     runner of :func:`repro.partition.workers.pooled_outcomes` with
-    :meth:`ShardedIndex.expanded_shard`.  ``view`` is a zero-argument
+    :meth:`ShardedIndex.expanded_shard` — both the halo view at the
+    session depth.  ``view`` is a zero-argument
     callable resolving the view, ``core`` the shard's core-edge set and
     ``config`` carries ``measure``, ``lazy``, ``lazy_cap`` and
     ``use_index``.
@@ -371,7 +379,7 @@ def evaluate_task(
     pure functions of the occurrence set, so the local view answers
     exactly what the global graph would.
     """
-    kind, pattern, _shard_id, _depth, exclusive, limit = task
+    kind, pattern, _shard_id, exclusive, limit = task
     index_arg = None if config["use_index"] else False
     if config["lazy"]:
         cap = config["lazy_cap"]

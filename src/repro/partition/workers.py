@@ -4,33 +4,39 @@ The one sharded evaluator, and two subsystems that bound what mining
 keeps in memory, built on the same invalidation protocol:
 
 **The one sharded evaluator** (:func:`pooled_outcomes`).  It plans each
-batch of candidates into ``(kind, pattern, shard_id, depth, exclusive,
-limit)`` tasks, has a *runner* evaluate them, and merges the partials.
-The runner is either the resident pool below or, with ``runner=None``,
-the planner itself evaluating in process against
-:meth:`ShardedIndex.expanded_shard` — both through the one task function
-:func:`~repro.partition.evaluate.evaluate_task`, so serial and pooled
-sharded mining are byte-identical by construction.
+batch of candidates into ``(kind, pattern, shard_id, exclusive, limit)``
+tasks, has a *runner* evaluate them, and merges the partials.  The
+runner is either the resident pool below or, with ``runner=None``, the
+planner itself evaluating in process against
+:meth:`ShardedIndex.expanded_shard`.  Both go through the one task
+function :func:`~repro.partition.evaluate.evaluate_task`, and both
+evaluate every task against the same view: the shard's halo expansion
+at the session depth ``D = max_pattern_nodes - 2``, one view per shard.
+Serial and pooled sharded mining are therefore byte-identical by
+construction.
 
 **Shard-resident workers** (:class:`ShardWorkerPool`), the one executor
 for sharded pooled mining.  Rather than shipping the whole data graph
 and partition to every worker (memory ``workers x |G|``, paid again by
 every new pool), each long-lived worker *owns* the shards pinned to it
-(``shard_id % workers``): the parent ships one :class:`ShardSlice` per shard — the
-shard's member set, core edges, and its deepest halo-expanded view — and
-from then on routes only constant-size ``(candidate -> partial support)``
-requests over the pipe.  Workers derive every shallower view they need by
-BFS restriction *inside* the slice (sound because for ``d <= D`` the
-radius-``d`` ball around the shard computed within the radius-``D`` ball
-equals the global radius-``d`` ball) and hand it to
-:func:`~repro.partition.evaluate.evaluate_task` — so results are
-byte-identical to in-process evaluation regardless of worker count or
-scheduling.  A slice is re-shipped only when delta maintenance
-invalidated it (the pool subscribes to
+(``shard_id % workers``) and holds one :class:`ResidentView` per shard:
+the shard's core edges and its depth-``D`` halo view, whose index an
+:class:`~repro.index.delta.IndexMaintainer` keeps current.  What crosses
+the pipe is one kind of update, a :class:`ShardPatch`: the difference
+between the view the parent last shipped for a shard and the current
+one.  On a shard's first use that is the difference to an empty view,
+the whole shard.  After that a patch goes out only when delta
+maintenance dirtied the shard (the pool subscribes to
 :meth:`ShardedIndex.subscribe_invalidations` and applies the same
-staleness rule as the index's own view cache); across the batches of a
-``mine_stream`` run, untouched shards never cross the process boundary
-again.
+staleness rule as the index's own view cache), or after
+:meth:`ShardWorkerPool.bind` to a new index (a rebuild or
+re-partition).  The worker applies it through the :class:`LabeledGraph`
+mutation API, so its index is patched in O(delta), and a burst past the
+maintainer's patch limit folds into one rebuild.  Across the batches of
+a ``mine_stream`` run, untouched shards never cross the process boundary
+again.  A worker's tasks for one batch go out in one message, together
+with the patches they need, and come back in task order, in one reply
+unless the results outgrow :data:`REPLY_BYTES`.
 
 **Out-of-core paging** (:class:`ShardPager`).  Halo-expanded views are
 the dominant per-shard memory; with ``max_resident=N`` at most ``N``
@@ -53,17 +59,29 @@ source graph's storage and are accounted at zero weight).
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import traceback
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import PartitionError
-from ..graph.labeled_graph import Edge, LabeledGraph, Vertex
+from ..graph.labeled_graph import Edge, Label, LabeledGraph, Vertex, normalize_edge
 from ..graph.pattern import Pattern
 from ..index.compact import projected_index_nbytes
+from ..index.delta import IndexMaintainer
 from ..obs import metrics as _metrics
 from .evaluate import (
     NodeImages,
@@ -88,123 +106,181 @@ class WorkerPoolError(OSError):
 
 
 # ----------------------------------------------------------------------
-# slices: what a worker owns
+# what crosses the pipe: patches
 # ----------------------------------------------------------------------
 @dataclass
-class ShardSlice:
-    """Everything one worker needs to evaluate candidates against one shard.
+class ShardPatch:
+    """The difference between two halo views of one shard, and its core edges.
 
-    ``view`` is the halo expansion at ``depth`` — the deepest the session
-    can ever need (``max_pattern_nodes - 2``); shallower views are derived
-    worker-side by BFS restriction from ``members``.
+    The fields are applied in order (:meth:`ResidentView.apply`): edges
+    out, vertices out, vertices in, edges in.  So every removed vertex is
+    already isolated and every added edge finds both endpoints.  A vertex
+    whose label changed between the views leaves and comes back.  Against
+    an empty view the patch is the whole shard.
     """
 
     shard_id: int
-    depth: int
-    members: Tuple[Vertex, ...]
-    core_edges: Tuple[Edge, ...]
-    view: LabeledGraph
+    edges_out: Tuple[Edge, ...]
+    vertices_out: Tuple[Vertex, ...]
+    vertices_in: Tuple[Tuple[Vertex, Label], ...]
+    edges_in: Tuple[Edge, ...]
+    core_out: Tuple[Edge, ...]
+    core_in: Tuple[Edge, ...]
+
+    def __len__(self) -> int:
+        return (
+            len(self.edges_out)
+            + len(self.vertices_out)
+            + len(self.vertices_in)
+            + len(self.edges_in)
+            + len(self.core_out)
+            + len(self.core_in)
+        )
 
 
-def build_slice(sharded: ShardedIndex, shard_id: int, depth: int) -> ShardSlice:
-    """Snapshot one shard for shipping (view computed via the index cache/pager)."""
-    shard = sharded.shards[shard_id]
-    return ShardSlice(
-        shard_id=shard_id,
-        depth=depth,
-        members=tuple(shard.graph.vertices()),
-        core_edges=tuple(shard.core_edges),
-        view=sharded.expanded_shard(shard_id, depth),
-    )
+_ABSENT = object()
 
 
-def restrict_view(slice_: ShardSlice, depth: int) -> LabeledGraph:
-    """The depth-``depth`` expansion derived from a deeper slice view.
+def shard_patch(
+    shard_id: int,
+    old_view: LabeledGraph,
+    new_view: LabeledGraph,
+    old_core: AbstractSet[Edge],
+    new_core: AbstractSet[Edge],
+) -> ShardPatch:
+    """The :class:`ShardPatch` that turns ``old_view`` into ``new_view``.
 
-    For ``depth <= slice_.depth`` the radius-``depth`` ball around the
-    shard members computed inside the slice view equals the global ball
-    (every path of length ``<= depth`` from a member lies within the
-    shipped radius-``slice_.depth`` ball), so the induced subgraph is
-    content-identical to the parent's
-    :meth:`ShardedIndex.expanded_shard` at the same depth.
+    O(|old_view| + |new_view|) set comparisons in the parent; what
+    crosses the pipe, and what the worker's index is patched with, is
+    only the difference.
     """
-    if depth >= slice_.depth:
-        return slice_.view
-    keep: Set[Vertex] = set(slice_.members)
-    frontier = set(slice_.members)
-    for _ in range(depth):
-        if not frontier:
-            break
-        frontier = {
-            neighbor
-            for vertex in frontier
-            for neighbor in slice_.view.neighbors(vertex)
-            if neighbor not in keep
-        }
-        keep |= frontier
-    if len(keep) == slice_.view.num_vertices:
-        return slice_.view
-    view = slice_.view.subgraph(keep)
-    view.name = f"{slice_.view.name or 'slice'}@{depth}"
-    return view
+    edges_out: Set[Edge] = set()
+    edges_in: Set[Edge] = set()
+    vertices_out: List[Vertex] = []
+    vertices_in: List[Tuple[Vertex, Label]] = []
+    if old_view is not new_view:
+        old_labels, new_labels = old_view.labels(), new_view.labels()
+        for vertex, label in old_labels.items():
+            if new_labels.get(vertex, _ABSENT) != label:
+                vertices_out.append(vertex)
+                edges_out.update(
+                    normalize_edge(vertex, w) for w in old_view.neighbors(vertex)
+                )
+        for vertex, label in new_labels.items():
+            if old_labels.get(vertex, _ABSENT) != label:
+                vertices_in.append((vertex, label))
+                edges_in.update(
+                    normalize_edge(vertex, w) for w in new_view.neighbors(vertex)
+                )
+                continue
+            before, after = old_view.neighbors(vertex), new_view.neighbors(vertex)
+            if before != after:
+                edges_out.update(normalize_edge(vertex, w) for w in before - after)
+                edges_in.update(normalize_edge(vertex, w) for w in after - before)
+    return ShardPatch(
+        shard_id=shard_id,
+        edges_out=tuple(edges_out),
+        vertices_out=tuple(vertices_out),
+        vertices_in=tuple(vertices_in),
+        edges_in=tuple(edges_in),
+        core_out=tuple(old_core - new_core),
+        core_in=tuple(new_core - old_core),
+    )
 
 
 # ----------------------------------------------------------------------
 # the worker process
 # ----------------------------------------------------------------------
-def _slice_view(
-    slices: Dict[int, ShardSlice],
-    derived: Dict[Tuple[int, int], LabeledGraph],
-    shard_id: int,
-    depth: int,
-) -> LabeledGraph:
-    """The worker's ``(shard, depth)`` view, restricted once from its slice."""
-    key = (shard_id, depth)
-    view = derived.get(key)
-    if view is None:
-        view = derived[key] = restrict_view(slices[shard_id], depth)
-    return view
+class ResidentView:
+    """One shard as its worker holds it, patched in place across batches.
+
+    ``view`` is the shard's halo view at the session depth and ``core``
+    its core-edge set; both start empty, and the first patch fills them.
+    On the indexed path an :class:`~repro.index.delta.IndexMaintainer`
+    rides the view from then on, so the mutations of later patches patch
+    the view's cached index in O(delta).
+    """
+
+    __slots__ = ("view", "core", "_maintainer")
+
+    def __init__(self) -> None:
+        self.view = LabeledGraph()
+        self.core: Set[Edge] = set()
+        self._maintainer: Optional[IndexMaintainer] = None
+
+    def apply(self, patch: ShardPatch, use_index: bool) -> None:
+        """Patch the view, its index and the core edges to the parent's state."""
+        view = self.view
+        for u, v in patch.edges_out:
+            view.remove_edge(u, v)
+        for vertex in patch.vertices_out:
+            view.remove_vertex(vertex)
+        for vertex, label in patch.vertices_in:
+            view.add_vertex(vertex, label)
+        for u, v in patch.edges_in:
+            view.add_edge(u, v)
+        self.core.difference_update(patch.core_out)
+        self.core.update(patch.core_in)
+        if not use_index:
+            return
+        if self._maintainer is None:
+            self._maintainer = IndexMaintainer(view)  # one build, on first use
+        else:
+            self._maintainer.index()
+
+    def evaluate(self, task: ShardTask, config: Dict[str, object]):
+        """Run one task against this view; lazy scans are read out in full."""
+        payload = evaluate_task(task, lambda: self.view, self.core, config)
+        if isinstance(payload, NodeImages):
+            payload = dict(payload)  # scan every node before sending
+        return payload
+
+
+#: A worker splits a batch's reply once its pickled results reach this
+#: many bytes, so it holds at most about this much of a level's partials
+#: at a time; a typical batch still goes back in one reply.
+REPLY_BYTES = 1 << 20
 
 
 def _worker_main(conn, config: Dict[str, object]) -> None:
-    """Resident worker loop: hold slices, answer eval requests in order."""
-    slices: Dict[int, ShardSlice] = {}
-    cores: Dict[int, frozenset] = {}
-    derived: Dict[Tuple[int, int], LabeledGraph] = {}
+    """Resident worker loop: apply a batch's patches, run its tasks.
+
+    Results go back pickled one by one, in task order: in ``("more",
+    chunk)`` replies while they outgrow :data:`REPLY_BYTES`, then one
+    ``("ok", chunk)`` (or ``("err", traceback)``) that ends the batch.
+    """
+    resident: Dict[int, ResidentView] = {}
+    use_index = bool(config["use_index"])
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             break
-        kind = message[0]
-        if kind == "stop":
+        if message[0] == "stop":
             break
-        if kind == "slice":
-            slice_: ShardSlice = message[1]
-            slices[slice_.shard_id] = slice_
-            cores[slice_.shard_id] = frozenset(slice_.core_edges)
-            for key in [k for k in derived if k[0] == slice_.shard_id]:
-                del derived[key]
-            continue
-        if kind == "eval":
-            seq, task = message[1], message[2]
-            shard_id, depth = task[2], task[3]
-            try:
-                payload = evaluate_task(
-                    task,
-                    partial(_slice_view, slices, derived, shard_id, depth),
-                    cores[shard_id],
-                    config,
-                )
-                if isinstance(payload, NodeImages):
-                    payload = dict(payload)  # scan every node before sending
-                reply = ("ok", seq, payload)
-            except BaseException:
-                reply = ("err", seq, traceback.format_exc())
-            try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):
-                break
+        _, patches, tasks = message
+        chunk: List[bytes] = []
+        size = 0
+        try:
+            for patch in patches:
+                view = resident.get(patch.shard_id)
+                if view is None:
+                    view = resident[patch.shard_id] = ResidentView()
+                view.apply(patch, use_index)
+            for task in tasks:
+                result = resident[task[2]].evaluate(task, config)
+                chunk.append(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                size += len(chunk[-1])
+                if size >= REPLY_BYTES:
+                    conn.send(("more", chunk))
+                    chunk, size = [], 0
+            reply = ("ok", chunk)
+        except BaseException:
+            reply = ("err", traceback.format_exc())
+        try:
+            conn.send(reply)
+        except (BrokenPipeError, OSError):
+            break
     try:
         conn.close()
     except OSError:
@@ -215,27 +291,28 @@ def _worker_main(conn, config: Dict[str, object]) -> None:
 # the parent-side pool
 # ----------------------------------------------------------------------
 class ShardWorkerPool:
-    """Long-lived shard-owning worker processes behind a request queue.
+    """Long-lived shard-owning worker processes, one message per batch each.
 
-    Shards are pinned to workers by ``shard_id % workers`` — every task
-    for a shard runs where its slice lives, and results are collected by
-    per-task sequence number, so outcomes are position-stable and
-    byte-identical however the OS schedules the processes.  The pool
-    follows one :class:`ShardedIndex` at a time (:meth:`bind`); delta
-    invalidations mark shipped slices dirty and :meth:`run` re-ships
-    exactly those before dispatching.  Infrastructure failures raise
+    Shards are pinned to workers by ``shard_id % workers``: every task
+    for a shard runs where its resident view lives.  :meth:`run` sends
+    each worker one message per batch (the patches its shards need, then
+    its tasks in order) and reads its reply, so outcomes are
+    position-stable and byte-identical however the OS schedules the
+    processes.  The pool keeps, per shard, the view and core edges it
+    last shipped: exactly what the worker holds, so a patch diffed
+    against it is exact whatever happened in between.  It follows one
+    :class:`ShardedIndex` at one depth at a time (:meth:`bind`); delta
+    invalidations mark shipped shards dirty, and :meth:`run` patches
+    exactly those.  Infrastructure failures raise
     :class:`WorkerPoolError` (an ``OSError``), which callers treat like a
     broken executor: shut down, fall back to serial, results unchanged.
+    A batch that fails in any way shuts the pool down, since the workers'
+    views may then be anywhere between two states.
 
     ``shutdown(wait=False, cancel_futures=True)`` terminates the workers
     instead of draining them — the Ctrl-C path must never wait on a slow
     candidate.
     """
-
-    #: Eval requests in flight per worker; bounds both pipe backpressure
-    #: (no deadlock when results outgrow the socket buffer) and parent
-    #: memory for returned partials.
-    WINDOW = 4
 
     def __init__(
         self,
@@ -245,10 +322,8 @@ class ShardWorkerPool:
         lazy: bool,
         lazy_cap: int,
         use_index: bool,
-        depth: int,
     ) -> None:
         self.workers = max(1, int(workers))
-        self.depth = max(0, int(depth))
         self._config = dict(
             measure=measure, lazy=lazy, lazy_cap=lazy_cap, use_index=use_index
         )
@@ -256,16 +331,20 @@ class ShardWorkerPool:
         self._conns: List = []
         self._closed = False
         self._bound: Optional[ShardedIndex] = None
-        self._shipped: Set[int] = set()
+        self._depth: Optional[int] = None
+        # shard id -> (the view last shipped, its core-edge set)
+        self._shipped: Dict[int, Tuple[LabeledGraph, FrozenSet[Edge]]] = {}
         self._dirty: Set[int] = set()
-        self._slice_vertices: Dict[int, Set[Vertex]] = {}
+        # One copy of the source graph, shared within a batch by every
+        # shard whose view is the whole graph.
+        self._graph_copy: Optional[LabeledGraph] = None
         self.slices_shipped = 0
-        self.slices_reshipped = 0
+        self.slices_patched = 0
         self.tasks_dispatched = 0
         # Declare the pool's instruments before spawning: the documented
         # names must exist in snapshots even if process start fails below.
         registry = _metrics.get_registry()
-        for name in ("tasks_dispatched", "slices_shipped", "slices_reshipped"):
+        for name in ("tasks_dispatched", "slices_shipped", "slices_patched"):
             registry.counter(f"repro_pool_{name}")
         registry.histogram("repro_pool_queue_depth")
         context = multiprocessing.get_context()
@@ -286,42 +365,37 @@ class ShardWorkerPool:
             raise
 
     # -- index binding & staleness -------------------------------------
-    def bind(self, sharded: ShardedIndex) -> None:
-        """Follow ``sharded``; a new index object invalidates every slice.
+    def bind(self, sharded: ShardedIndex, depth: int) -> None:
+        """Follow ``sharded``'s views at ``depth``.
 
-        Re-binding happens when a maintainer rebuilt (re-partitioned) the
-        index — shard contents may have changed arbitrarily, so all
-        shipped slices are dropped and re-shipped on demand.
+        A new index object (a maintainer rebuilt or re-partitioned it) or
+        a new depth may change any view, so every shard shipped so far
+        goes dirty; its next use patches it against what its worker
+        holds.
         """
-        if sharded is self._bound:
+        if sharded is self._bound and depth == self._depth:
             return
-        if self._bound is not None:
-            self._bound.unsubscribe_invalidations(self._on_invalidation)
-        self._bound = sharded
-        self._shipped.clear()
-        self._dirty.clear()
-        self._slice_vertices.clear()
-        sharded.subscribe_invalidations(self._on_invalidation)
+        if sharded is not self._bound:
+            self.detach()
+            self._bound = sharded
+            sharded.subscribe_invalidations(self._on_invalidation)
+        self._depth = depth
+        self._dirty.update(self._shipped)
 
     def _on_invalidation(self, shard_ids, vertices, delta) -> None:
         """The pool's copy of the view-cache staleness rule.
 
-        A shipped slice goes dirty exactly when the index's own cached
-        expansion for that shard would have been dropped: the shard's
-        membership was touched, or a touched vertex lies inside the
-        shipped view (recorded parent-side at ship time — a whole-graph
-        alias view contains every vertex and therefore always dirties).
+        A shipped shard goes dirty exactly when the index's own cached
+        expansion for it would have been dropped: the shard's membership
+        was touched, or a touched vertex lies inside the view last
+        shipped.
         """
-        for shard_id in list(self._shipped):
-            if shard_id in shard_ids:
-                self._dirty.add(shard_id)
-                continue
-            resident = self._slice_vertices.get(shard_id, ())
-            if any(vertex in resident for vertex in vertices):
+        for shard_id, (view, _core) in self._shipped.items():
+            if shard_id in shard_ids or any(view.has_vertex(v) for v in vertices):
                 self._dirty.add(shard_id)
 
     def detach(self) -> None:
-        """Stop following the bound index (slices stay with the workers)."""
+        """Stop following the bound index (the workers keep their views)."""
         if self._bound is not None:
             self._bound.unsubscribe_invalidations(self._on_invalidation)
             self._bound = None
@@ -338,107 +412,135 @@ class ShardWorkerPool:
                 f"shard worker {worker} is gone (send failed: {exc})"
             ) from exc
 
-    def _ship(self, sharded: ShardedIndex, shard_id: int) -> None:
-        reship = shard_id in self._shipped
-        slice_ = build_slice(sharded, shard_id, self.depth)
-        self._send(self._worker_for(shard_id), ("slice", slice_))
-        self._shipped.add(shard_id)
+    def _snapshot(self, view: LabeledGraph) -> LabeledGraph:
+        """``view`` as it can be kept: the live source graph is copied.
+
+        The source graph is what :meth:`ShardedIndex.expanded_shard`
+        returns for a ball that swallowed the whole graph, and it keeps
+        mutating; every such shard updated in one batch shares one copy.
+        """
+        assert self._bound is not None
+        if view is not self._bound.graph:
+            return view
+        if self._graph_copy is None:
+            self._graph_copy = view.copy()
+        return self._graph_copy
+
+    def _update(self, sharded: ShardedIndex, shard_id: int) -> Optional[ShardPatch]:
+        """The patch that brings ``shard_id``'s resident view current, if any.
+
+        A shard never shipped is diffed against an empty view (the whole
+        shard); a dirty one against the view last shipped.
+        """
+        shipped = self._shipped.get(shard_id)
+        if shipped is not None and shard_id not in self._dirty:
+            return None
         self._dirty.discard(shard_id)
-        self._slice_vertices[shard_id] = set(slice_.view.vertices())
-        self.slices_shipped += 1
-        _metrics.counter("repro_pool_slices_shipped").inc()
-        if reship:
-            self.slices_reshipped += 1
-            _metrics.counter("repro_pool_slices_reshipped").inc()
+        assert self._depth is not None
+        view = self._snapshot(sharded.expanded_shard(shard_id, self._depth))
+        core = frozenset(sharded.shards[shard_id].core_edge_set)
+        self._shipped[shard_id] = (view, core)
+        if shipped is None:
+            self.slices_shipped += 1
+            _metrics.counter("repro_pool_slices_shipped").inc()
+            return shard_patch(shard_id, LabeledGraph(), view, frozenset(), core)
+        patch = shard_patch(shard_id, shipped[0], view, shipped[1], core)
+        if not len(patch):
+            return None
+        self.slices_patched += 1
+        _metrics.counter("repro_pool_slices_patched").inc()
+        return patch
 
     # -- the request/response cycle ------------------------------------
-    def run(self, sharded: ShardedIndex, tasks: Sequence[ShardTask]) -> List:
+    def run(
+        self, sharded: ShardedIndex, tasks: Sequence[ShardTask], depth: int
+    ) -> List:
         """Evaluate ``tasks`` on their owning workers; results in task order.
 
-        Ships missing/dirty slices first, then dispatches with a bounded
-        per-worker window (send a few, collect, send more) so a flood of
-        large partials can never deadlock against a full task pipe.
+        Every task is evaluated against its shard's halo view at
+        ``depth``.  Each worker gets one message — the patches its shards
+        need, then its tasks — and sends the results back in task order,
+        split only past :data:`REPLY_BYTES`.  Every reply is read
+        before a task failure is raised, so no stale reply is left in a
+        pipe; any failure then shuts the pool down.
         """
-        self.bind(sharded)
         if self._closed:
             raise WorkerPoolError("shard worker pool is shut down")
+        self.bind(sharded, depth)
         if not tasks:
             return []
-        needed = sorted({task[2] for task in tasks})
-        for shard_id in needed:
-            if shard_id not in self._shipped or shard_id in self._dirty:
-                self._ship(sharded, shard_id)
-        queues: Dict[int, deque] = {}
-        for seq, task in enumerate(tasks):
-            queues.setdefault(self._worker_for(task[2]), deque()).append((seq, task))
+        try:
+            results = self._dispatch(sharded, tasks)
+        except BaseException:
+            self.shutdown(wait=False, cancel_futures=True)
+            raise
+        self.tasks_dispatched += len(tasks)
+        _metrics.counter("repro_pool_tasks_dispatched").inc(len(tasks))
+        return results
+
+    def _dispatch(self, sharded: ShardedIndex, tasks: Sequence[ShardTask]) -> List:
+        positions: Dict[int, List[int]] = {}
+        for position, task in enumerate(tasks):
+            positions.setdefault(self._worker_for(task[2]), []).append(position)
+        patches: Dict[int, List[ShardPatch]] = {worker: [] for worker in positions}
+        for shard_id in sorted({task[2] for task in tasks}):
+            patch = self._update(sharded, shard_id)
+            if patch is not None:
+                patches[self._worker_for(shard_id)].append(patch)
+        self._graph_copy = None
         depth_histogram = _metrics.histogram("repro_pool_queue_depth")
-        for queue in queues.values():
-            depth_histogram.observe(len(queue))
-        results: List = [None] * len(tasks)
-        in_flight: Dict[int, int] = {worker: 0 for worker in queues}
-        remaining = len(tasks)
+        for worker, owned in positions.items():
+            depth_histogram.observe(len(owned))
+            self._send(worker, ("run", patches[worker], [tasks[p] for p in owned]))
         from multiprocessing.connection import wait as connection_wait
 
-        def top_up(worker: int) -> None:
-            queue = queues[worker]
-            while queue and in_flight[worker] < self.WINDOW:
-                seq, task = queue.popleft()
-                self._send(worker, ("eval", seq, task))
-                in_flight[worker] += 1
-
-        for worker in queues:
-            top_up(worker)
-        conn_of = {self._conns[worker]: worker for worker in queues}
-        while remaining:
-            active = [
-                conn
-                for conn, worker in conn_of.items()
-                if in_flight[worker] or queues[worker]
-            ]
-            ready = connection_wait(active, timeout=5.0)
+        results: List = [None] * len(tasks)
+        received = dict.fromkeys(positions, 0)
+        pending = {self._conns[worker]: worker for worker in positions}
+        failures: List[str] = []
+        while pending:
+            ready = connection_wait(list(pending), timeout=5.0)
             if not ready:
-                for worker in queues:
-                    if (in_flight[worker] or queues[worker]) and not self._procs[
-                        worker
-                    ].is_alive():
+                for worker in pending.values():
+                    if not self._procs[worker].is_alive():
                         raise WorkerPoolError(
                             f"shard worker {worker} died mid-level "
                             f"(exitcode {self._procs[worker].exitcode})"
                         )
                 continue
             for conn in ready:
-                worker = conn_of[conn]
+                worker = pending.pop(conn)
                 try:
-                    message = conn.recv()
+                    status, payload = conn.recv()
                 except (EOFError, OSError) as exc:
                     raise WorkerPoolError(
                         f"shard worker {worker} died mid-level ({exc})"
                     ) from exc
-                status, seq, payload = message
                 if status == "err":
-                    raise RuntimeError(
-                        f"shard worker {worker} task failed:\n{payload}"
-                    )
-                results[seq] = payload
-                in_flight[worker] -= 1
-                remaining -= 1
-                top_up(worker)
-        self.tasks_dispatched += len(tasks)
-        _metrics.counter("repro_pool_tasks_dispatched").inc(len(tasks))
+                    failures.append(f"shard worker {worker} task failed:\n{payload}")
+                    continue
+                done = received[worker]
+                for position, data in zip(positions[worker][done:], payload):
+                    results[position] = pickle.loads(data)
+                received[worker] = done + len(payload)
+                if status == "more":
+                    pending[conn] = worker
+        if failures:
+            raise RuntimeError("\n".join(failures))
         return results
 
     def stats(self) -> Dict[str, int]:
         """This pool's counters under the registry naming convention.
 
         The values come from the pool's own counter attributes
-        (``tasks_dispatched``, ``slices_shipped``, ``slices_reshipped``),
+        (``tasks_dispatched``, ``slices_shipped``, ``slices_patched``),
         which are their storage; the registry counters of the same names
         are process-wide.
         """
         return {
             "repro_pool_tasks_dispatched": self.tasks_dispatched,
             "repro_pool_slices_shipped": self.slices_shipped,
-            "repro_pool_slices_reshipped": self.slices_reshipped,
+            "repro_pool_slices_patched": self.slices_patched,
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -483,6 +585,7 @@ def pooled_outcomes(
     lazy: bool,
     lazy_cap: Optional[int],
     max_occurrences: Optional[int],
+    depth: int,
     flat_evaluate: Callable[[Pattern], Tuple[float, int]],
     histogram: Optional[Dict] = None,
     prune_below: Optional[float] = None,
@@ -499,9 +602,12 @@ def pooled_outcomes(
     relevant shards), then emits one ``solo`` task (one relevant shard)
     or one ``part`` task per shard (fanout).
 
+    Every task is evaluated against its shard's halo view at ``depth``,
+    the session depth (``max_pattern_nodes - 2``), which must cover every
+    planned pattern's :func:`~repro.partition.evaluate.required_depth`.
     ``runner`` is a :class:`ShardWorkerPool`, which gets the batch's
-    tasks in one :meth:`ShardWorkerPool.run`, or ``None``, which
-    evaluates each task in process as the merge reaches it, against
+    tasks and the depth in one :meth:`ShardWorkerPool.run`, or ``None``,
+    which evaluates each task in process as the merge reaches it, against
     :meth:`ShardedIndex.expanded_shard` (``use_index=False`` is the
     brute reference path).  Either way every task goes through
     :func:`~repro.partition.evaluate.evaluate_task` and every partial
@@ -526,6 +632,11 @@ def pooled_outcomes(
             plans.append((kind, payload))
             continue
         shard_ids: List[int] = payload  # type: ignore[assignment]
+        if required_depth(pattern) > depth:
+            raise PartitionError(
+                f"{pattern!r} needs halo depth {required_depth(pattern)}, "
+                f"above the session depth {depth}"
+            )
         # One relevant shard finishes the candidate where it runs
         # ("solo"); otherwise each returns a partial for the merge
         # ("part") — with no relevant shard, the empty merge is the exact
@@ -533,13 +644,11 @@ def pooled_outcomes(
         # the exclusivity test.
         task_kind = "solo" if len(shard_ids) == 1 else "part"
         plans.append((task_kind, len(shard_ids)))
-        depth = required_depth(pattern)
         tasks.extend(
             (
                 task_kind,
                 pattern,
                 shard_id,
-                depth,
                 not lazy and shard_exclusive(pattern, sharded, shard_id),
                 max_occurrences,
             )
@@ -552,14 +661,14 @@ def pooled_outcomes(
         partials = (
             evaluate_task(
                 task,
-                partial(sharded.expanded_shard, task[2], task[3]),
+                partial(sharded.expanded_shard, task[2], depth),
                 sharded.shards[task[2]].core_edge_set,
                 config,
             )
             for task in tasks
         )
     else:
-        partials = iter(runner.run(sharded, tasks) if tasks else ())
+        partials = iter(runner.run(sharded, tasks, depth) if tasks else ())
     outcomes: List[Tuple[float, int]] = []
     for pattern, (kind, payload) in zip(patterns, plans):
         if kind == "pruned":

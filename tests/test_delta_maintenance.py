@@ -14,8 +14,10 @@ still land on the identical structure.  Style and scope mirror
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -238,6 +240,35 @@ class TestDeltaPublication:
         clone = pickle.loads(pickle.dumps(graph))
         assert not clone.has_observers()
         assert clone == graph
+
+
+class TestMaintainerLifetime:
+    @pytest.mark.parametrize("kind", ["flat", "sharded"])
+    def test_dropped_maintainer_is_freed_without_gc(self, kind):
+        # The caller keeps the graph and drops the maintainer: reference
+        # counting alone must free it and take its observer off the
+        # graph.  A graph holding the maintainer's bound method while
+        # the maintainer holds the graph is a cycle that would keep it
+        # alive, and observing, until a cycle collection.
+        from repro.partition import ShardedIndexMaintainer
+
+        graph = build_graph(("er", 8, 12, 0.25))
+        gc.disable()
+        try:
+            if kind == "flat":
+                maintainer = IndexMaintainer(graph)
+            else:
+                maintainer = ShardedIndexMaintainer(graph, 2, "hash")
+            graph.add_vertex("fresh", "A")
+            maintainer.refresh()
+            assert maintainer.patches_applied == 1
+            assert graph.has_observers()
+            maintainer_ref = weakref.ref(maintainer)
+            del maintainer
+            assert maintainer_ref() is None
+            assert not graph.has_observers()
+        finally:
+            gc.enable()
 
 
 class TestRemovalPatching:

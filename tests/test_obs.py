@@ -457,6 +457,8 @@ class TestDocumentedMetrics:
         assert snap["repro_miner_sessions"] >= 2
         assert snap["repro_pool_tasks_dispatched"] > 0
         assert snap["repro_pool_slices_shipped"] > 0
+        # Delta-dirtied slices travel as patches.
+        assert snap["repro_pool_slices_patched"] > 0
         assert snap["repro_pager_recomputes"] > 0
         assert snap["repro_pager_evictions"] > 0
         assert snap["repro_sharded_index_patches_applied"] > 0

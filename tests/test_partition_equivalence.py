@@ -23,6 +23,7 @@ from repro.datasets.synthetic import (
     random_labeled_graph,
 )
 from repro.datasets.zoo import zoo_graph, zoo_names
+from repro.errors import PartitionError
 from repro.graph.builders import path_pattern, star_pattern, triangle_pattern
 from repro.isomorphism.matcher import find_occurrences
 from repro.measures.lazy_mni import lazy_mni_support
@@ -267,13 +268,17 @@ UNANCHORED = path_pattern(["A", "Z"])
 
 
 def sharded_outcomes(patterns, sharded, measure, **common):
-    """Serial sharded supports: ``pooled_outcomes`` with the in-process runner."""
+    """Serial sharded supports: ``pooled_outcomes`` with the in-process runner.
+
+    The views are at depth 2, a 4-node session's, deeper than some of
+    ``PATTERNS`` need.
+    """
 
     def flat(pattern):
         raise AssertionError(f"{pattern} unexpectedly took the flat path")
 
     return pooled_outcomes(
-        patterns, sharded, None, measure=measure, flat_evaluate=flat, **common
+        patterns, sharded, None, measure=measure, depth=2, flat_evaluate=flat, **common
     )
 
 
@@ -356,6 +361,20 @@ class TestShardedSupportEquivalence:
                 (float(lazy_mni_support(pattern, graph, cap=cap)), -1)
                 for pattern in patterns
             ]
+
+    def test_session_depth_must_cover_patterns(self):
+        """One view per shard is exact only at a depth every pattern fits."""
+        sharded = ShardedIndex.build(build_graph(GRAPH_SPECS[0]), 3, "hash")
+        common = dict(
+            measure="mni",
+            lazy=False,
+            lazy_cap=2,
+            max_occurrences=None,
+            flat_evaluate=None,
+        )
+        three_nodes = [path_pattern(["A", "B", "A"])]
+        with pytest.raises(PartitionError, match="needs halo depth 1"):
+            pooled_outcomes(three_nodes, sharded, None, depth=0, **common)
 
 
 def test_serial_sharded_lazy_keeps_node_major_early_exits(monkeypatch):

@@ -2,7 +2,9 @@
 
 The resident pool (:class:`repro.partition.ShardWorkerPool`) keeps one
 long-lived worker per shard and ships each shard's halo-expanded slice
-once, re-shipping only slices that deltas dirtied; the pager
+once, as a patch against an empty view; a slice that deltas dirtied,
+or that a re-partition may have changed, is patched in the worker by the
+difference to the view last shipped; the pager
 (:class:`repro.partition.ShardPager`) bounds how many shards keep views
 in memory, spilling cold shards to disk and re-hydrating (plus replaying
 ball-safe pending deltas) on demand.  Everything here pins the same
@@ -14,6 +16,7 @@ partition, pool failures degrading to serial).
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -23,20 +26,24 @@ from repro.errors import MiningError
 from repro.graph.builders import path_pattern
 from repro.graph.labeled_graph import LabeledGraph
 from repro.mining import miner as miner_module
-from repro.mining.dynamic import DynamicMiner, mine_stream
+from repro.mining.dynamic import DynamicMiner, apply_update, mine_stream
 from repro.mining.miner import FrequentSubgraphMiner, mine_frequent_patterns
 from repro.mining.results import FrequentPattern
 from repro.mining.spec import MiningSpec
 from repro.obs import metrics
+from repro.index.graph_index import GraphIndex
 from repro.partition import (
+    RebalancePolicy,
     ShardedIndex,
+    ShardedIndexMaintainer,
     ShardPager,
     ShardWorkerPool,
     WorkerPoolError,
     load_shard_view,
+    pooled_outcomes,
     save_shard_views,
 )
-from repro.partition.workers import build_slice, restrict_view
+from repro.partition.workers import ResidentView, shard_patch
 
 
 MINE_SPEC = MiningSpec(
@@ -147,8 +154,6 @@ class TestShardPager:
 
     def test_replay_and_stale_spills(self, tmp_path):
         """Isolated-vertex deltas replay onto spills; edge deltas poison them."""
-        from repro.partition import ShardedIndexMaintainer
-
         graph = long_path_graph()
         maintainer = ShardedIndexMaintainer(graph, 4, "edgecut")
         index = maintainer.sharded()
@@ -199,16 +204,137 @@ class TestShardPager:
         assert load_shard_view(tmp_path, 1, 1) is None  # depth not spilled
         assert load_shard_view(tmp_path, 3, 0) is None  # shard not spilled
 
-    def test_restrict_view_matches_expanded(self):
-        """Workers derive shallow views from the max-depth slice."""
+
+# ----------------------------------------------------------------------
+# resident views patched by delta == views computed from scratch
+# ----------------------------------------------------------------------
+def index_content(index: GraphIndex, graph: LabeledGraph):
+    """Every decoded query of ``index`` over ``graph``'s vertices and labels."""
+    alphabet = graph.label_alphabet()
+    return {
+        "histogram": dict(index.label_histogram()),
+        "inverted": {label: index.vertices_with_label(label) for label in alphabet},
+        "label_pairs": set(index.adjacent_label_pairs()),
+        "degrees": {v: index.degree_of(v) for v in graph.vertices()},
+        "signatures": {v: dict(index.signature_of(v)) for v in graph.vertices()},
+        "neighbors": {
+            (v, label): index.neighbors_with_label(v, label)
+            for v in graph.vertices()
+            for label in alphabet
+        },
+    }
+
+
+def random_churn(graph: LabeledGraph, rng: random.Random, steps: int, tag: str):
+    """``steps`` random vertex/edge inserts and deletes, applied to ``graph``.
+
+    Returns them as stream updates.  Edges join random vertex pairs, so
+    halo balls both grow (a chord across the long path) and shrink (a
+    chord or path edge removed).
+    """
+    updates = []
+    for step in range(steps):
+        vertices = graph.vertices()
+        roll = rng.random()
+        if roll < 0.2:
+            update = ("v", f"{tag}{step}", rng.choice("ABC"))
+        elif roll < 0.55:
+            u, v = rng.sample(vertices, 2)
+            if graph.has_edge(u, v):
+                continue
+            update = ("e", u, v)
+        elif roll < 0.9 and graph.num_edges:
+            update = ("de", *rng.choice(graph.edges()))
+        else:
+            update = ("dv", rng.choice(vertices))
+        apply_update(graph, update)
+        updates.append(update)
+    return updates
+
+
+def shipped_patch(worker: ResidentView, index: ShardedIndex, shard_id, depth, shipped):
+    """Patch ``worker`` as the pool would: by the difference to ``shipped``.
+
+    The pickle round trip is the pipe: the worker owns a copy.  Returns
+    the new shipped record and whether the patch was non-empty.
+    """
+    view = index.expanded_shard(shard_id, depth).copy()
+    core = frozenset(index.shards[shard_id].core_edge_set)
+    old_view, old_core = shipped
+    patch = shard_patch(shard_id, old_view, view, old_core, core)
+    worker.apply(pickle.loads(pickle.dumps(patch)), use_index=True)
+    return (view, core), bool(len(patch))
+
+
+def assert_worker_current(worker: ResidentView, index: ShardedIndex, shard_id, depth):
+    view = index.expanded_shard(shard_id, depth)
+    assert graph_content(worker.view) == graph_content(view)
+    assert worker.core == index.shards[shard_id].core_edge_set
+    got = worker.view.cached_index()
+    want = GraphIndex(worker.view.copy())
+    assert index_content(got, view) == index_content(want, view)
+
+
+class TestResidentViewPatching:
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_patched_view_matches_expanded(self, seed):
+        """After N patches a worker's view is the parent's view, indexed alike.
+
+        Small batches patch the index delta by delta; the last round
+        deletes two thirds of the graph, a burst that outgrows the
+        maintainers' patch limits and folds into one rebuild, with the
+        same result.
+        """
         graph = long_path_graph()
-        index = ShardedIndex.build(graph, 4, "edgecut")
-        for shard_id in range(4):
-            slice_ = build_slice(index, shard_id, 2)
-            for depth in (0, 1, 2):
-                derived = restrict_view(slice_, depth)
-                want = index.expanded_shard(shard_id, depth)
-                assert graph_content(derived) == graph_content(want)
+        maintainer = ShardedIndexMaintainer(graph, 4, "edgecut")
+        index = maintainer.sharded()
+        depth = 2
+        rng = random.Random(seed)
+        resident = {shard_id: ResidentView() for shard_id in range(4)}
+        shipped = {shard_id: (LabeledGraph(), frozenset()) for shard_id in range(4)}
+        for shard_id, worker in resident.items():
+            shipped[shard_id], _ = shipped_patch(
+                worker, index, shard_id, depth, shipped[shard_id]
+            )
+            assert_worker_current(worker, index, shard_id, depth)
+        patched = 0
+        for round_ in range(8):
+            random_churn(graph, rng, 6, f"r{round_}-")
+            assert maintainer.sharded() is index  # patched, not re-partitioned
+            for shard_id, worker in resident.items():
+                shipped[shard_id], changed = shipped_patch(
+                    worker, index, shard_id, depth, shipped[shard_id]
+                )
+                patched += changed
+                assert_worker_current(worker, index, shard_id, depth)
+        assert patched > 0
+        for worker in resident.values():
+            assert worker._maintainer.rebuilds == 0  # every refresh patched
+        vertices = graph.vertices()
+        for vertex in vertices[: 2 * len(vertices) // 3]:
+            apply_update(graph, ("dv", vertex))
+        index = maintainer.sharded()
+        for shard_id, worker in resident.items():
+            shipped[shard_id], _ = shipped_patch(
+                worker, index, shard_id, depth, shipped[shard_id]
+            )
+            assert_worker_current(worker, index, shard_id, depth)
+        assert any(worker._maintainer.rebuilds for worker in resident.values())
+
+    def test_relabeled_vertex_leaves_and_returns(self):
+        """A vertex deleted and re-added with a new label is patched exactly."""
+        old = LabeledGraph([(1, "A"), (2, "B"), (3, "A")], [(1, 2), (2, 3)])
+        new = LabeledGraph([(1, "A"), (2, "C"), (3, "A")], [(1, 2)])
+        worker = ResidentView()
+        first = shard_patch(0, LabeledGraph(), old, frozenset(), {(1, 2)})
+        worker.apply(pickle.loads(pickle.dumps(first)), use_index=True)
+        assert graph_content(worker.view) == graph_content(old)
+        patch = shard_patch(0, old, new, frozenset({(1, 2)}), {(1, 2), (2, 3)})
+        worker.apply(pickle.loads(pickle.dumps(patch)), use_index=True)
+        assert graph_content(worker.view) == graph_content(new)
+        assert worker.core == {(1, 2), (2, 3)}
+        patched_index = worker.view.cached_index()
+        assert index_content(patched_index, new) == index_content(GraphIndex(new), new)
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +346,7 @@ class TestPoolFailureFallback:
         graph = random_labeled_graph(16, 0.25, alphabet=("A", "B", "C"), seed=3)
         serial = mine_frequent_patterns(graph, spec=MINE_SPEC.replace(shards=3))
 
-        def broken_run(self, sharded, tasks):
+        def broken_run(self, sharded, tasks, depth):
             raise WorkerPoolError("worker killed mid-level (test)")
 
         monkeypatch.setattr(ShardWorkerPool, "run", broken_run)
@@ -243,7 +369,7 @@ class TestPoolFailureFallback:
             pool = miner._resources.pool
             assert isinstance(pool, ShardWorkerPool)
 
-            def broken_run(self, sharded, tasks):
+            def broken_run(self, sharded, tasks, depth):
                 raise WorkerPoolError("worker killed mid-refresh (test)")
 
             spawned = []
@@ -270,26 +396,108 @@ class TestPoolFailureFallback:
             miner.detach()
             reference.detach()
 
+    def test_split_replies_keep_task_order(self, monkeypatch):
+        """Results split across replies still land in task order."""
+        from repro.partition import workers
+
+        # Forked workers inherit the patched size: every result is sent
+        # as soon as it is computed.
+        monkeypatch.setattr(workers, "REPLY_BYTES", 1)
+        graph = long_path_graph()
+        index = ShardedIndex.build(graph, 4, "edgecut")
+        patterns = [path_pattern(list(labels)) for labels in ("AB", "ABC", "BCA")]
+        common = dict(
+            measure="mni",
+            lazy=False,
+            lazy_cap=2,
+            max_occurrences=None,
+            depth=1,
+            flat_evaluate=None,
+        )
+        pool = ShardWorkerPool(2, measure="mni", lazy=False, lazy_cap=2, use_index=True)
+        try:
+            got = pooled_outcomes(patterns, index, pool, **common)
+            assert got == pooled_outcomes(patterns, index, None, **common)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+
     def test_killed_worker_raises_worker_pool_error(self):
         """A genuinely dead worker process surfaces as WorkerPoolError."""
         graph = long_path_graph()
         index = ShardedIndex.build(graph, 4, "edgecut")
-        pool = ShardWorkerPool(
-            2, measure="mni", lazy=False, lazy_cap=2, use_index=True, depth=2
-        )
+        pool = ShardWorkerPool(2, measure="mni", lazy=False, lazy_cap=2, use_index=True)
         try:
             pattern = path_pattern(["A", "B"])
-            tasks = [
-                ("part", pattern, shard_id, 0, False, None) for shard_id in range(4)
-            ]
-            assert len(pool.run(index, tasks)) == 4
+            tasks = [("part", pattern, shard_id, False, None) for shard_id in range(4)]
+            assert len(pool.run(index, tasks, 2)) == 4
             for process in pool._procs:
                 process.terminate()
                 process.join(timeout=5.0)
             with pytest.raises(WorkerPoolError):
-                pool.run(index, tasks)
+                pool.run(index, tasks, 2)
+            assert pool._closed  # a failed batch shuts the pool down
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
+
+    def test_killed_worker_after_patches_falls_back_and_fresh_pool_ships_whole(self):
+        """Workers killed after patching: serial answers, and a new pool
+        starts from whole slices (it has nothing to patch against)."""
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=4, shards=3, workers=2)
+        graph, reference_graph, model = (long_path_graph() for _ in range(3))
+        miner = DynamicMiner(graph, spec=spec)
+        reference = DynamicMiner(reference_graph, spec=spec.replace(workers=1))
+        fallbacks = metrics.counter("repro_pool_serial_fallbacks")
+        rng = random.Random(3)
+
+        def step():
+            batch = random_churn(model, rng, 4, f"k{rng.random()}-")
+            miner.apply(batch)
+            reference.apply(batch)
+            result = miner.refresh()
+            assert_mining_identical(result, reference.refresh())
+            return result
+
+        try:
+            assert_mining_identical(miner.refresh(), reference.refresh())
+            pool = miner._resources.pool
+            assert isinstance(pool, ShardWorkerPool)
+            for _ in range(10):
+                step()
+                if pool.slices_patched:
+                    break
+            assert pool.slices_patched > 0
+            for process in pool._procs:
+                process.terminate()
+                process.join(timeout=5.0)
+            before = fallbacks.value
+            result = step()
+            assert fallbacks.value == before + 1
+            assert miner._resources.pool is None
+            step()  # and serial from then on
+
+            sharded = miner._sharded_maintainer.sharded()
+            patterns = [fp.pattern for fp in result.frequent]
+            common = dict(
+                measure="mni",
+                lazy=False,
+                lazy_cap=2,
+                max_occurrences=None,
+                depth=2,
+                flat_evaluate=None,
+            )
+            fresh = ShardWorkerPool(
+                2, measure="mni", lazy=False, lazy_cap=2, use_index=True
+            )
+            try:
+                pooled = pooled_outcomes(patterns, sharded, fresh, **common)
+                assert pooled == pooled_outcomes(patterns, sharded, None, **common)
+                assert fresh.slices_shipped > 0
+                assert fresh.slices_patched == 0
+            finally:
+                fresh.shutdown(wait=False, cancel_futures=True)
+        finally:
+            miner.detach()
+            reference.detach()
 
 
 # ----------------------------------------------------------------------
@@ -464,3 +672,166 @@ class TestStreamWorkers:
             DynamicMiner(graph, spec=MiningSpec(max_resident=2))
         with pytest.raises(MiningError):
             DynamicMiner(graph, spec=MiningSpec(shards=2, max_resident=0))
+
+
+# ----------------------------------------------------------------------
+# randomized churn: pooled refresh == serial sharded == flat, per batch
+# ----------------------------------------------------------------------
+#: Two shards per worker under label partitioning, and a paged hash
+#: layout that keeps one shard's view in parent memory.
+CHURN_LAYOUTS = {
+    "label-4x2": dict(shards=4, partition_method="label", workers=2),
+    "hash-3x2-paged": dict(
+        shards=3, partition_method="hash", workers=2, max_resident=1
+    ),
+}
+
+
+def removal_burst(graph: LabeledGraph, rng: random.Random):
+    """Delete vertices until the deltas outnumber half of ``|V| + |E|``.
+
+    Past that point the deltas exceed the maintainers' patch limit
+    (``max(64, |V| + |E|)`` of the shrinking graph), so the sharded
+    maintainer re-partitions and the pool re-binds, and the workers'
+    patches outgrow their views' limits and fold into index rebuilds.
+    """
+    target = (graph.num_vertices + graph.num_edges) // 2 + 1
+    updates, deltas = [], 0
+    while deltas <= target:
+        vertex = rng.choice(graph.vertices())
+        deltas += graph.degree(vertex) + 1
+        apply_update(graph, ("dv", vertex))
+        updates.append(("dv", vertex))
+    return updates
+
+
+def chord_burst(graph: LabeledGraph, rng: random.Random, tag: str):
+    """A new vertex joined to far-apart vertices: halo balls jump in size."""
+    hub = f"{tag}hub"
+    updates = [("v", hub, "A")]
+    apply_update(graph, updates[0])
+    for vertex in rng.sample(graph.vertices(), min(6, graph.num_vertices - 1)):
+        if vertex != hub:
+            apply_update(graph, ("e", hub, vertex))
+            updates.append(("e", hub, vertex))
+    return updates
+
+
+class TestPatchedChurn:
+    @pytest.mark.parametrize("seed", [1, 4])
+    @pytest.mark.parametrize("layout", sorted(CHURN_LAYOUTS))
+    def test_pooled_refresh_matches_serial_and_flat(self, layout, seed):
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=4)
+        sharded_spec = spec.replace(**CHURN_LAYOUTS[layout])
+        policy = RebalancePolicy(max_load_factor=1.2)
+        graphs = [long_path_graph() for _ in range(3)]
+        model = long_path_graph()
+        pooled = DynamicMiner(graphs[0], spec=sharded_spec, rebalance=policy)
+        serial = DynamicMiner(
+            graphs[1], spec=sharded_spec.replace(workers=1), rebalance=policy
+        )
+        flat = DynamicMiner(graphs[2], spec=spec)
+        miners = (pooled, serial, flat)
+        rng = random.Random(seed)
+        try:
+            rows = [result_key(miner.refresh()) for miner in miners]
+            assert rows[0] == rows[1] == rows[2]
+            pool = pooled._resources.pool
+            assert isinstance(pool, ShardWorkerPool)
+            for number in range(12):
+                if number == 4:
+                    batch = chord_burst(model, rng, f"c{number}-")
+                elif number == 7:
+                    batch = removal_burst(model, rng)
+                else:
+                    batch = random_churn(model, rng, rng.randint(1, 6), f"b{number}-")
+                for miner in miners:
+                    miner.apply(batch)
+                results = [miner.refresh() for miner in miners]
+                rows = [result_key(result) for result in results]
+                assert rows[0] == rows[1] == rows[2], number
+                assert results[0].stats.as_dict() == results[1].stats.as_dict()
+            assert pooled._resources.pool is pool  # no fallback
+            assert pooled._sharded_maintainer.rebuilds >= 1
+            assert pool.slices_patched > 0
+            # Each shard crossed the pipe whole once, on first use: the
+            # re-partition re-bound the pool, which patched its shards
+            # against what the workers held.
+            assert pool.slices_shipped <= sharded_spec.shards
+        finally:
+            for miner in miners:
+                miner.detach()
+
+    def test_whole_graph_views_share_one_parent_copy(self):
+        """Shards whose balls swallow the graph share one copy of it per
+        batch in the parent, not one per shard."""
+        graph = random_labeled_graph(16, 0.25, alphabet="ABC", seed=11)
+        maintainer = ShardedIndexMaintainer(graph, 4, "label")
+        pool = ShardWorkerPool(2, measure="mni", lazy=False, lazy_cap=2, use_index=True)
+        pattern = path_pattern(["A", "B"])
+        tasks = [("part", pattern, shard_id, False, None) for shard_id in range(4)]
+        try:
+            for batch in ([], [("v", "new", "A"), ("e", "new", 0)], [("e", "new", 5)]):
+                for update in batch:
+                    apply_update(graph, update)
+                index = maintainer.sharded()
+                assert all(index.expanded_shard(s, 2) is graph for s in range(4))
+                want = pooled_outcomes(
+                    [pattern],
+                    index,
+                    None,
+                    measure="mni",
+                    lazy=False,
+                    lazy_cap=2,
+                    max_occurrences=None,
+                    depth=2,
+                    flat_evaluate=None,
+                )
+                assert len(pool.run(index, tasks, 2)) == 4
+                records = {id(view) for view, _core in pool._shipped.values()}
+                assert len(records) == 1
+                (view, _core), *_ = pool._shipped.values()
+                assert view is not graph and view == graph
+                got = pooled_outcomes(
+                    [pattern],
+                    index,
+                    pool,
+                    measure="mni",
+                    lazy=False,
+                    lazy_cap=2,
+                    max_occurrences=None,
+                    depth=2,
+                    flat_evaluate=None,
+                )
+                assert got == want
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+            maintainer.detach()
+
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_whole_graph_views_patch_independently(self, seed):
+        """Balls that swallow the graph are one alias object in the parent;
+        the two shards a worker owns must still hold separate views."""
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=3)
+        sharded_spec = spec.replace(shards=4, partition_method="label", workers=2)
+        graphs = [
+            random_labeled_graph(16, 0.25, alphabet="ABC", seed=11) for _ in range(4)
+        ]
+        model = graphs.pop()
+        pooled = DynamicMiner(graphs[0], spec=sharded_spec)
+        serial = DynamicMiner(graphs[1], spec=sharded_spec.replace(workers=1))
+        flat = DynamicMiner(graphs[2], spec=spec)
+        miners = (pooled, serial, flat)
+        rng = random.Random(seed)
+        try:
+            for number in range(8):
+                if number:
+                    batch = random_churn(model, rng, rng.randint(1, 4), f"w{number}-")
+                    for miner in miners:
+                        miner.apply(batch)
+                rows = [result_key(miner.refresh()) for miner in miners]
+                assert rows[0] == rows[1] == rows[2], number
+            assert pooled._resources.pool.slices_patched > 0
+        finally:
+            for miner in miners:
+                miner.detach()
