@@ -14,7 +14,6 @@ orderable ids (ints and strings in practice).
 from __future__ import annotations
 
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -74,10 +73,11 @@ class LabeledGraph:
         "_num_edges",
         "_version",
         "_index",
-        "_observers",
+        "_log",
         "_vertices_cache",
         "_edges_cache",
         "name",
+        "__weakref__",
     )
 
     def __init__(
@@ -92,7 +92,7 @@ class LabeledGraph:
         self._num_edges = 0
         self._version = 0
         self._index: Optional[object] = None
-        self._observers: List[Callable[[object], None]] = []
+        self._log: Optional[object] = None
         self._vertices_cache: Optional[Tuple[int, List[Vertex]]] = None
         self._edges_cache: Optional[Tuple[int, List[Edge]]] = None
         self.name = name
@@ -119,10 +119,10 @@ class LabeledGraph:
         self._labels[vertex] = label
         self._by_label.setdefault(label, set()).add(vertex)
         self._version += 1
-        if self._observers:
+        if self._log is not None:
             from ..index.delta import VertexAdded
 
-            self._publish(
+            self._log.append(
                 VertexAdded(version=self._version, vertex=vertex, label=label)
             )
 
@@ -140,10 +140,10 @@ class LabeledGraph:
         self._adj[v].add(u)
         self._num_edges += 1
         self._version += 1
-        if self._observers:
+        if self._log is not None:
             from ..index.delta import EdgeAdded
 
-            self._publish(
+            self._log.append(
                 EdgeAdded(
                     version=self._version,
                     u=u,
@@ -161,10 +161,10 @@ class LabeledGraph:
         self._adj[v].discard(u)
         self._num_edges -= 1
         self._version += 1
-        if self._observers:
+        if self._log is not None:
             from ..index.delta import EdgeRemoved
 
-            self._publish(
+            self._log.append(
                 EdgeRemoved(
                     version=self._version,
                     u=u,
@@ -186,10 +186,10 @@ class LabeledGraph:
             del self._by_label[label]
         del self._adj[vertex]
         self._version += 1
-        if self._observers:
+        if self._log is not None:
             from ..index.delta import VertexRemoved
 
-            self._publish(
+            self._log.append(
                 VertexRemoved(version=self._version, vertex=vertex, label=label)
             )
 
@@ -399,41 +399,44 @@ class LabeledGraph:
         self._index = index
 
     # ------------------------------------------------------------------
-    # mutation-observer hook (see repro.index.delta)
+    # delta log (see repro.index.delta)
     # ------------------------------------------------------------------
-    def subscribe(self, observer: Callable[[object], None]) -> Callable[[object], None]:
-        """Register ``observer`` to receive one typed delta per mutation.
+    def cursor(self, version: Optional[int] = None):
+        """Open a :class:`~repro.index.delta.DeltaCursor` on this graph's log.
 
-        Each structural mutation (``add_vertex`` / ``add_edge`` /
-        ``remove_edge`` / ``remove_vertex``) that actually changes the graph
-        publishes exactly one delta from :mod:`repro.index.delta`, carrying
-        the post-mutation :meth:`mutation_version` — idempotent no-ops
-        (re-adding a vertex or edge) publish nothing.  Observers must not
-        mutate the graph or raise.  Returns ``observer`` for use as the
-        :meth:`unsubscribe` token.
+        While any cursor is open, each structural mutation
+        (``add_vertex`` / ``add_edge`` / ``remove_edge`` /
+        ``remove_vertex``) that changes the graph appends exactly one
+        typed delta from :mod:`repro.index.delta`, carrying the
+        post-mutation :meth:`mutation_version`, to the graph's one
+        :class:`~repro.index.delta.DeltaLog`; idempotent no-ops (re-adding
+        a vertex or edge) append nothing.  ``version`` is the version the
+        reader is synced to (default: now); the cursor's first read is a
+        gap when the log never held the deltas after it.
         """
-        self._observers.append(observer)
-        return observer
+        log = self._log
+        if log is None:
+            from ..index.delta import DeltaLog
 
-    def unsubscribe(self, observer: Callable[[object], None]) -> None:
-        """Detach ``observer``; detaching one that is not attached is a no-op."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
+            size = len(self._adj) + self._num_edges
+            log = self._log = DeltaLog(self._version, size)
+        return log.open(self, self._version if version is None else version)
 
-    def has_observers(self) -> bool:
-        """True when at least one mutation observer is attached."""
-        return bool(self._observers)
+    def delta_log(self) -> Optional[object]:
+        """The log the mutators append to (opaque here), or ``None``.
 
-    def _publish(self, delta: object) -> None:
-        for observer in tuple(self._observers):
-            observer(delta)
+        ``None`` exactly while no cursor is open on a live graph.
+        """
+        return self._log
+
+    def set_delta_log(self, log: Optional[object]) -> None:
+        """Install (or clear, with ``None``) the log the mutators append to."""
+        self._log = log
 
     def __getstate__(self):
-        # Cached indexes and observers are per-process acceleration state;
-        # drop them so pickles stay small (process-pool workers rebuild on
-        # first use, and an observer in another process would go stale).
+        # Cached indexes and delta logs are per-process state; drop them
+        # so pickles stay small (process-pool workers rebuild on first
+        # use, and a cursor in another process would go stale).
         return {
             "_adj": self._adj,
             "_labels": self._labels,
@@ -447,7 +450,7 @@ class LabeledGraph:
         for key, value in state.items():
             setattr(self, key, value)
         self._index = None
-        self._observers = []
+        self._log = None
         self._vertices_cache = None
         self._edges_cache = None
 

@@ -8,8 +8,8 @@ the rest of the library routes through it.
 """
 
 from .delta import (
-    INSERTION_DELTAS,
-    PATCHABLE_DELTAS,
+    DeltaCursor,
+    DeltaLog,
     EdgeAdded,
     EdgeRemoved,
     GraphDelta,
@@ -33,8 +33,8 @@ __all__ = [
     "EdgeAdded",
     "EdgeRemoved",
     "VertexRemoved",
-    "INSERTION_DELTAS",
-    "PATCHABLE_DELTAS",
+    "DeltaLog",
+    "DeltaCursor",
     "IndexMaintainer",
     "MaintainableIndex",
     "DeltaMaintainer",

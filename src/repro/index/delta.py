@@ -10,14 +10,20 @@ update.  This module follows the dynamic query-evaluation direction
 argues, handle deletions symmetrically to insertions, or real update
 streams (which mix both) degenerate back to recomputation.
 
-Three pieces cooperate:
+Four pieces cooperate:
 
 * **typed deltas** — :class:`VertexAdded`, :class:`EdgeAdded`,
   :class:`EdgeRemoved`, :class:`VertexRemoved`.  Every structural mutation
-  of a :class:`~repro.graph.labeled_graph.LabeledGraph` publishes exactly
-  one delta to its subscribed observers (the mutation-observer hook),
-  stamped with the post-mutation version, so a contiguous delta run is a
-  faithful replay of the version counter;
+  of a :class:`~repro.graph.labeled_graph.LabeledGraph` makes exactly one
+  delta, stamped with the post-mutation version, so a contiguous delta
+  run is a faithful replay of the version counter;
+* **one delta log per graph** — :class:`DeltaLog`.  While some reader
+  holds a :class:`DeltaCursor` (``LabeledGraph.cursor``), the graph
+  appends each delta to its log; each cursor's :meth:`DeltaCursor.read`
+  returns the contiguous deltas since its last read, or ``None`` for a
+  gap.  Every delta consumer — the index maintainers, the dynamic miner,
+  the snapshot registry, the subscription registry — reads the log this
+  way, so the contiguity rule exists once;
 * **O(delta) patching** — ``GraphIndex.apply_delta`` splices a single
   update into the inverted lists, label-pair edge counts, and
   degree/neighbor-label signatures: insertions splice *in* at the
@@ -25,15 +31,11 @@ Three pieces cooperate:
   that empty), so a patched index is structurally identical to one
   rebuilt from scratch either way (pinned by
   ``tests/test_delta_maintenance.py``);
-* **:class:`IndexMaintainer`** — subscribes to a graph, buffers its
-  deltas, and on :meth:`IndexMaintainer.index` brings the maintained
-  index current: patching when the buffered run is contiguous, falling
-  back to a full rebuild only for observation gaps (e.g. after
-  :meth:`IndexMaintainer.detach`) or bursts larger than the graph itself,
-  where a rebuild is the cheaper move.  Oversized bursts coalesce into
-  one deferred rebuild: crossing the patch limit drops the buffer and
-  later deltas are absorbed without being stored, so an arbitrarily long
-  burst costs O(1) maintained state and a single rebuild.
+* **:class:`IndexMaintainer`** — reads a graph's log through a cursor
+  and on :meth:`IndexMaintainer.index` brings the maintained index
+  current: patching when the cursor reads a contiguous run, falling back
+  to one full rebuild across a gap — a detached maintainer, or a burst
+  longer than the log's bound, where a rebuild is the cheaper move.
 
 The maintainer re-caches the patched index on the graph itself, so every
 hot path that resolves indexes through ``get_index`` transparently sees
@@ -43,8 +45,10 @@ own rebuild-on-stale behavior remains the reference path.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from itertools import islice
+from typing import ClassVar, Deque, Dict, List, Optional, Tuple, Union
 
 from ..graph.labeled_graph import Label, LabeledGraph, Vertex
 from .graph_index import GraphIndex, _label_pair_key, get_index
@@ -56,11 +60,14 @@ class GraphDelta:
     """Base class for typed mutation deltas.
 
     ``version`` is the graph's :meth:`mutation_version` *after* the
-    mutation; the publisher bumps the counter by exactly one per delta,
-    so versions of a faithful observation run are consecutive.
+    mutation; the graph bumps the counter by exactly one per delta, so
+    the versions of its log are consecutive.  ``growth`` is the change
+    the delta makes to ``|V| + |E|``.
     """
 
     version: int
+
+    growth: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -94,65 +101,165 @@ class EdgeAdded(_EdgeDelta):
 class EdgeRemoved(_EdgeDelta):
     """An undirected edge left the graph."""
 
+    growth: ClassVar[int] = -1
+
 
 @dataclass(frozen=True)
 class VertexRemoved(GraphDelta):
-    """A vertex left the graph (its incident-edge removals were published first)."""
+    """A vertex left the graph (its incident-edge removals were logged first)."""
 
     vertex: Vertex
     label: Label
 
+    growth: ClassVar[int] = -1
 
-#: Insertion-shaped delta kinds.  Kept as a named subset because the
-#: growing direction still has special structure (supports are monotone
-#: under it); the index itself patches the full :data:`PATCHABLE_DELTAS`.
-INSERTION_DELTAS = (VertexAdded, EdgeAdded)
-
-#: Delta kinds a GraphIndex can absorb in O(delta).  Removals patch as
-#: the exact inverse splices of insertions — ``remove_vertex`` publishes
-#: the incident ``EdgeRemoved`` deltas before its ``VertexRemoved``, so a
-#: contiguous replay only ever removes isolated vertices from the index.
-PATCHABLE_DELTAS = (VertexAdded, EdgeAdded, EdgeRemoved, VertexRemoved)
 
 AnyDelta = Union[VertexAdded, EdgeAdded, EdgeRemoved, VertexRemoved]
+
+#: The fewest deltas the log keeps for a lagging cursor, however small
+#: the graph.
+MIN_BOUND = 64
+
+
+class DeltaLog:
+    """The append-only delta log of one graph, read through cursors.
+
+    ``LabeledGraph.cursor`` creates the log with the first cursor and
+    takes it off the graph when the last one closes; in between, every
+    mutator appends its one delta here and nothing else observes the
+    graph.  The log keeps what its slowest open cursor has not read,
+    but never more than its **bound**: ``max(64, 2 * (|V| + |E|) // 5)``
+    deltas, on the graph's size at the head.  That is where replaying a
+    run through ``GraphIndex.apply_delta`` stops beating one rebuild of
+    the index (measured at 0.36-0.49 x ``|V| + |E|``), so a cursor that
+    falls further behind reads a gap, and its consumer rebuilds,
+    re-mines or copies once instead of replaying.  The log holds no
+    reference to its graph or its cursors, so it adds no reference cycle.
+    """
+
+    __slots__ = ("_deltas", "_base", "_size", "_positions", "_tokens")
+
+    def __init__(self, version: int, size: int) -> None:
+        # Deltas of versions _base + 1 .. head, oldest first.
+        self._deltas: Deque[AnyDelta] = deque()
+        self._base = version
+        self._size = size  # |V| + |E| at the head
+        self._positions: Dict[int, int] = {}  # open cursor -> version read
+        self._tokens = 0
+
+    def append(self, delta: AnyDelta) -> None:
+        """Log one delta (the graph's mutators call this, once per mutation)."""
+        deltas = self._deltas
+        deltas.append(delta)
+        self._size += delta.growth
+        while len(deltas) > MIN_BOUND and 5 * len(deltas) > 2 * self._size:
+            deltas.popleft()
+            self._base += 1
+
+    def open(self, graph: LabeledGraph, version: int) -> "DeltaCursor":
+        """A new cursor on this log, synced at ``version``."""
+        self._tokens += 1
+        self._positions[self._tokens] = version
+        return DeltaCursor(graph, self, self._tokens, version)
+
+    def _read(self, token: int, since: int, target: int) -> Optional[List[AnyDelta]]:
+        positions = self._positions
+        positions[token] = target
+        deltas = self._deltas
+        read = None
+        if since >= self._base:
+            read = list(islice(deltas, since - self._base, None))
+        oldest = min(positions.values())
+        while self._base < oldest:
+            deltas.popleft()
+            self._base += 1
+        return read
+
+    def _close(self, token: int) -> bool:
+        """Forget one cursor; ``True`` when none is left open."""
+        positions = self._positions
+        del positions[token]
+        return not positions
+
+
+class DeltaCursor:
+    """One reader's position in a graph's :class:`DeltaLog`.
+
+    Open one with ``graph.cursor(version)``, where ``version`` is the
+    graph version the reader is synced to (default: the current one).
+    Close it with :meth:`close`; a dropped cursor closes itself.
+    """
+
+    __slots__ = ("_log", "graph", "version", "_token")
+
+    def __init__(
+        self, graph: LabeledGraph, log: DeltaLog, token: int, version: int
+    ) -> None:
+        self._log: Optional[DeltaLog] = log
+        self.graph = graph
+        self.version = version
+        self._token = token
+
+    @property
+    def open(self) -> bool:
+        """True until :meth:`close`."""
+        return self._log is not None
+
+    def read(self) -> Optional[List[AnyDelta]]:
+        """The deltas since the last read, oldest first, or ``None`` for a gap.
+
+        A gap is a closed cursor, a cursor opened at a version the log
+        never held, or one that fell more than the log's bound behind.
+        Either way the cursor moves to the graph's current version.
+        """
+        since, target = self.version, self.graph.mutation_version()
+        self.version = target
+        if self._log is None:
+            return [] if since == target else None
+        return self._log._read(self._token, since, target)
+
+    def close(self) -> None:
+        """Stop reading; the log leaves the graph with its last cursor."""
+        log, self._log = self._log, None
+        if log is not None and log._close(self._token):
+            if self.graph.delta_log() is log:
+                self.graph.set_delta_log(None)
+
+    def __del__(self) -> None:
+        self.close()
 
 
 class IndexMaintainer(DeltaMaintainer):
     """Keep one graph's :class:`GraphIndex` current by patching, not rebuilding.
 
-    Attach with ``IndexMaintainer(graph)``; the maintainer subscribes to
-    the graph's mutation-observer hook and buffers deltas as they are
-    published.  :meth:`index` returns an index that is current for the
-    graph's present version, obtained by (in preference order):
+    Attach with ``IndexMaintainer(graph)``; the maintainer opens a cursor
+    on the graph's delta log.  :meth:`index` returns an index that is
+    current for the graph's present version, obtained by (in preference
+    order):
 
     1. returning the maintained index untouched when nothing changed;
     2. adopting the graph's cached index when some other caller already
        rebuilt it (interleaved reads through ``get_index`` stay cheap);
-    3. **patching** the maintained index in O(delta) when the buffered
-       deltas form a contiguous run up to the graph's current version —
-       insertions and removals alike;
-    4. rebuilding from scratch otherwise — an observation gap (attached
-       late, detached in between, a buffer that cannot replay the version
-       counter exactly) or a burst that outgrew the patch limit.
+    3. **patching** the maintained index in O(delta) with the deltas its
+       cursor reads — insertions and removals alike;
+    4. rebuilding from scratch when the cursor reads a gap (detached, or
+       a burst past the log's bound).
 
-    The buffering, burst-coalescing, and contiguity bookkeeping are the
-    shared :class:`~repro.index.maintainable.DeltaMaintainer` core (one
+    The refresh ladder is the shared
+    :class:`~repro.index.maintainable.DeltaMaintainer` core (one
     implementation, also driving the sharded maintainer); this class
     adds only what is specific to the flat index: adopting the graph's
     cached index when an interleaved ``get_index`` read already rebuilt
     it, and re-caching each refreshed index on the graph so subsequent
     ``get_index`` calls (matcher, miner, overlap graphs …) reuse it.
-    ``patches_applied`` / ``rebuilds`` count how each refresh was served;
-    oversized bursts coalesce into one deferred rebuild
-    (``deltas_coalesced``, O(1) state past the patch limit).
+    ``patches_applied`` / ``rebuilds`` count how each refresh was served,
+    and ``deltas_coalesced`` the deltas a rebuild skipped.
     """
-
-    patchable_kinds = PATCHABLE_DELTAS
 
     __slots__ = ()
 
-    def __init__(self, graph: LabeledGraph, patch_limit: Optional[int] = None) -> None:
-        super().__init__(graph, get_index(graph), patch_limit)
+    def __init__(self, graph: LabeledGraph) -> None:
+        super().__init__(graph, get_index(graph))
 
     def index(self) -> GraphIndex:
         """The maintained index, brought current for the graph's version."""

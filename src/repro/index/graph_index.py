@@ -44,7 +44,7 @@ update stream — insertions *and* deletions — a full rebuild is avoidable:
 :meth:`GraphIndex.apply_delta` patches the buffers in O(delta) per update
 (``array.insert`` and slice deletion are C-level memmoves within one
 row/list), and :class:`repro.index.delta.IndexMaintainer` drives that
-from the graph's mutation-observer hook.  A rebuild re-interns the table
+from a cursor on the graph's delta log.  A rebuild re-interns the table
 from scratch, which is the only point where tombstoned slots are
 reclaimed.
 
@@ -58,6 +58,7 @@ and every patch splice lands where a rebuild would put it (asserted by
 from __future__ import annotations
 
 import sys
+import weakref
 from array import array
 from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
@@ -124,7 +125,7 @@ class GraphIndex(MaintainableIndex):
     """
 
     __slots__ = (
-        "graph",
+        "_graph",
         "version",
         "table",
         "_lab",
@@ -139,7 +140,10 @@ class GraphIndex(MaintainableIndex):
     )
 
     def __init__(self, graph: LabeledGraph) -> None:
-        self.graph = graph
+        # The graph caches its index, so the index refers back weakly: a
+        # strong reference both ways would leave every dropped indexed
+        # graph to the cycle collector.
+        self._graph = weakref.ref(graph)
         self.version = graph.mutation_version()
 
         vertices = graph.vertices()  # canonical repr order
@@ -197,6 +201,11 @@ class GraphIndex(MaintainableIndex):
     # ------------------------------------------------------------------
     # factory / freshness
     # ------------------------------------------------------------------
+    @property
+    def graph(self) -> Optional[LabeledGraph]:
+        """The indexed graph (``None`` once it is gone)."""
+        return self._graph()
+
     @classmethod
     def build(cls, graph: LabeledGraph) -> "GraphIndex":
         """Build a fresh index for ``graph`` (no caching)."""
@@ -505,6 +514,14 @@ class GraphIndex(MaintainableIndex):
             )
             self._memo_lpairs = pairs
         return pairs
+
+    def pair_count(self, lu: Label, lv: Label) -> int:
+        """How many data edges join a ``lu`` vertex to a ``lv`` vertex."""
+        lint_of = self.table._lint_of
+        la, lb = lint_of.get(lu), lint_of.get(lv)
+        if la is None or lb is None:
+            return 0
+        return self._pair_counts.get(self._pair_key(la, lb), 0)
 
     def distinct_edge_label_pairs(self) -> List[Tuple[Label, Label]]:
         """Canonical unordered label pairs realized by data edges, sorted."""

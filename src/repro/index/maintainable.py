@@ -4,8 +4,8 @@ PR 2 taught :class:`~repro.index.graph_index.GraphIndex` to absorb typed
 graph deltas in O(delta); the partition layer's
 :class:`~repro.partition.sharded_index.ShardedIndex` learns the same
 trick in this PR.  Both sit behind one protocol so the maintenance
-machinery — delta buffering, contiguity checks, burst coalescing,
-rebuild fallbacks — exists exactly once:
+machinery — reading the graph's delta log, rebuild fallbacks — exists
+exactly once:
 
 * :class:`MaintainableIndex` — the structure contract.  A maintainable
   index snapshots its graph's mutation version, patches one typed delta
@@ -13,14 +13,12 @@ rebuild fallbacks — exists exactly once:
   knows how to produce a from-scratch replacement of itself for the
   graph's current state (``rebuilt`` — the fallback when patching would
   be unsound or wasteful);
-* :class:`DeltaMaintainer` — the lifecycle contract.  A maintainer
-  subscribes to the graph's mutation-observer hook, buffers published
-  deltas, and on :meth:`DeltaMaintainer.refresh` brings its index
-  current: patching contiguous runs, coalescing oversized bursts into
-  one deferred rebuild (O(1) state past the patch limit), and rebuilding
-  across observation gaps.  Subclasses supply the index and optional
-  adoption/re-caching hooks; the bookkeeping — previously duplicated
-  between the flat and sharded maintainers — lives here.
+* :class:`DeltaMaintainer` — the lifecycle contract.  A maintainer holds
+  a cursor on the graph's :class:`~repro.index.delta.DeltaLog` and on
+  :meth:`DeltaMaintainer.refresh` brings its index current: patching
+  the run its cursor reads, or rebuilding once when the cursor reads a
+  gap (detached, or a burst past the log's bound).  Subclasses supply
+  the index and optional adoption/re-caching hooks.
 
 Concrete pairs: (:class:`~repro.index.graph_index.GraphIndex`,
 :class:`~repro.index.delta.IndexMaintainer`) and
@@ -30,9 +28,8 @@ Concrete pairs: (:class:`~repro.index.graph_index.GraphIndex`,
 
 from __future__ import annotations
 
-import weakref
 from abc import ABC, abstractmethod
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..graph.labeled_graph import LabeledGraph
 from ..obs import metrics as _metrics
@@ -63,9 +60,9 @@ class MaintainableIndex(ABC):
         """Patch this index in place for one typed delta.
 
         Advances ``version`` to the delta's version and returns ``True``;
-        returns ``False`` for delta kinds the index cannot patch (the
-        caller falls back to :meth:`rebuilt`).  Deltas must be applied
-        contiguously — :class:`DeltaMaintainer` enforces this.
+        returns ``False`` for delta kinds the index cannot patch.  Deltas
+        must be applied contiguously, as a cursor on the graph's delta
+        log reads them.
         """
 
     @abstractmethod
@@ -84,33 +81,23 @@ class DeltaMaintainer:
 
     The shared lifecycle core: subclasses construct their index, pass it
     to ``__init__``, and expose :meth:`refresh` (usually under a
-    domain-specific name).  On each refresh the maintainer serves, in
-    preference order:
+    domain-specific name).  The maintainer opens a cursor on the graph's
+    :class:`~repro.index.delta.DeltaLog` at the index's version.  On each
+    refresh it serves, in preference order:
 
     1. the maintained index untouched, when nothing changed;
     2. an adopted replacement from :meth:`_adopt`, when some interleaved
        reader already paid for a fresh structure;
-    3. the maintained index **patched** in O(delta), when the buffered
-       deltas form a contiguous patchable replay of the version counter;
-    4. a from-scratch :meth:`MaintainableIndex.rebuilt` otherwise — an
-       observation gap (attached late, detached in between, a buffer
-       that cannot replay the version counter exactly) or a burst that
-       outgrew the patch limit.
+    3. the maintained index **patched** in O(delta) with the run its
+       cursor reads;
+    4. a from-scratch :meth:`MaintainableIndex.rebuilt` when the cursor
+       reads a gap: ``gap`` after :meth:`detach`, ``patch-limit`` when a
+       burst outgrew the log's bound (past it one rebuild is cheaper
+       than the replay).
 
-    The **patch limit** bounds buffered state: once a run grows past
-    ``patch_limit`` deltas (default ``max(64, |V| + |E|)``, the point
-    where replaying the run stops being cheaper than one rebuild), the
-    buffer is dropped, a single rebuild is deferred, and every further
-    delta of the burst is absorbed without being stored — an arbitrarily
-    long burst costs O(1) maintained state and exactly one rebuild at
-    the next refresh (``deltas_coalesced`` counts the absorbed deltas).
-
-    ``patches_applied`` / ``rebuilds`` count how each refresh was served.
+    ``patches_applied`` / ``rebuilds`` count how each refresh was served,
+    ``deltas_coalesced`` the deltas the rebuilds skipped.
     """
-
-    #: Delta kinds the maintained index can absorb in O(delta).
-    #: Subclasses set this (normally ``repro.index.delta.PATCHABLE_DELTAS``).
-    patchable_kinds: Tuple[type, ...] = ()
 
     #: Metrics-subsystem label: counters land on
     #: ``repro_<obs_subsystem>_{patches_applied,rebuilds,deltas_coalesced}``.
@@ -118,43 +105,18 @@ class DeltaMaintainer:
 
     __slots__ = (
         "graph",
-        "_buffer",
-        "_observer",
-        "_attached",
+        "_cursor",
         "_index",
-        "_patch_limit",
-        "_rebuild_pending",
         "patches_applied",
         "rebuilds",
         "deltas_coalesced",
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        graph: LabeledGraph,
-        index: MaintainableIndex,
-        patch_limit: Optional[int] = None,
-    ) -> None:
-        if patch_limit is not None and patch_limit < 1:
-            raise ValueError("patch_limit must be a positive delta count")
+    def __init__(self, graph: LabeledGraph, index: MaintainableIndex) -> None:
         self.graph = graph
         self._index = index
-        self._buffer: List = []
-        # The graph holds only a weak reference back, so a dropped
-        # maintainer is freed by reference counting (no graph <->
-        # maintainer cycle) and unsubscribes itself in __del__.
-        self_ref = weakref.ref(self)
-
-        def observe(delta) -> None:
-            maintainer = self_ref()
-            if maintainer is not None:
-                maintainer._observe(delta)
-
-        self._observer = graph.subscribe(observe)
-        self._attached = True
-        self._patch_limit = patch_limit
-        self._rebuild_pending = False
+        self._cursor = graph.cursor(index.version)
         self.patches_applied = 0
         self.rebuilds = 0
         self.deltas_coalesced = 0
@@ -175,142 +137,56 @@ class DeltaMaintainer:
         the graph).  Default: nothing to publish."""
 
     # ------------------------------------------------------------------
-    # observation
-    # ------------------------------------------------------------------
-    def _effective_patch_limit(self) -> int:
-        if self._patch_limit is not None:
-            return self._patch_limit
-        return max(64, self.graph.num_vertices + self.graph.num_edges)
-
-    def _observe(self, delta) -> None:
-        """Buffer one published delta, folding oversized bursts into one rebuild.
-
-        Once a rebuild is pending, every subsequent delta is already
-        covered by that rebuild (it reads the graph's final state), so
-        nothing further is buffered until the rebuild is served.
-        """
-        if self._rebuild_pending:
-            self.deltas_coalesced += 1
-            _metrics.counter(f"repro_{self.obs_subsystem}_deltas_coalesced").inc()
-            return
-        if isinstance(delta, self.patchable_kinds):
-            self._buffer.append(delta)
-            if len(self._buffer) <= self._effective_patch_limit():
-                return
-        # Unknown delta kind, or the burst outgrew the patch limit: the
-        # buffered run is superseded by one deferred rebuild.
-        coalesced = len(self._buffer) + (
-            0 if isinstance(delta, self.patchable_kinds) else 1
-        )
-        self.deltas_coalesced += coalesced
-        _metrics.counter(f"repro_{self.obs_subsystem}_deltas_coalesced").inc(
-            coalesced
-        )
-        self._buffer.clear()
-        self._rebuild_pending = True
-
     @property
     def attached(self) -> bool:
-        """True while the maintainer still observes the graph's mutations."""
-        return self._attached
+        """True while the maintainer still reads the graph's delta log."""
+        return self._cursor.open
 
     def detach(self) -> None:
-        """Stop observing.  Later refreshes detect the gap and rebuild."""
-        if self._attached:
-            self.graph.unsubscribe(self._observer)
-            self._attached = False
-
-    def __del__(self) -> None:
-        if getattr(self, "_attached", False):
-            self.detach()
-
-    @property
-    def rebuild_pending(self) -> bool:
-        """True while a coalesced rebuild is deferred to the next refresh."""
-        return self._rebuild_pending
+        """Stop reading.  Later refreshes see the gap and rebuild."""
+        self._cursor.close()
 
     # ------------------------------------------------------------------
     # the refresh ladder
     # ------------------------------------------------------------------
     def refresh(self) -> MaintainableIndex:
         """The maintained index, brought current for the graph's version."""
+        deltas = self._cursor.read()
+        index = self._index
         target = self.graph.mutation_version()
-        if self._index.version == target:
-            self._reset_observation()
-            return self._index
+        if index.version == target:
+            return index
         adopted = self._adopt()
         if adopted is not None:
             self._index = adopted
-            self._reset_observation()
             return adopted
-        deltas = [d for d in self._buffer if d.version > self._index.version]
-        if not self._rebuild_pending and self._patchable(deltas, target):
+        metric = f"repro_{self.obs_subsystem}"
+        if deltas is not None:
             for delta in deltas:
-                self._index.apply_delta(delta)
+                index.apply_delta(delta)
             self.patches_applied += len(deltas)
-            _metrics.counter(
-                f"repro_{self.obs_subsystem}_patches_applied"
-            ).inc(len(deltas))
+            _metrics.counter(f"{metric}_patches_applied").inc(len(deltas))
         else:
-            reason = self._rebuild_reason(deltas)
+            reason = "patch-limit" if self._cursor.open else "gap"
             _LOG.warning(
                 "%s demoted to a full rebuild (reason: %s, v%d -> v%d)",
                 type(self).__name__,
                 reason,
-                self._index.version,
+                index.version,
                 target,
             )
-            self._index = self._index.rebuilt()
+            skipped = target - index.version
+            self._index = index.rebuilt()
             self.rebuilds += 1
-            _metrics.counter(f"repro_{self.obs_subsystem}_rebuilds").inc()
-            _metrics.counter(
-                f"repro_{self.obs_subsystem}_rebuilds_{reason.replace('-', '_')}"
-            ).inc()
-        self._reset_observation()
+            self.deltas_coalesced += skipped
+            _metrics.counter(f"{metric}_rebuilds").inc()
+            _metrics.counter(f"{metric}_rebuilds_{reason.replace('-', '_')}").inc()
+            _metrics.counter(f"{metric}_deltas_coalesced").inc(skipped)
         self._store(self._index)
         return self._index
 
-    def _rebuild_reason(self, deltas: List) -> str:
-        """Why this refresh could not be served by patching.
-
-        ``patch-limit``: a burst outgrew the patch limit and was coalesced
-        into this one deferred rebuild.  ``unpatchable``: the buffered run
-        is contiguous but contains a delta kind the index cannot splice.
-        ``gap``: everything else — attached late, detached in between, or
-        a buffer that cannot replay the version counter exactly.
-        """
-        if self._rebuild_pending:
-            return "patch-limit"
-        if (
-            self._attached
-            and deltas
-            and deltas[0].version == self._index.version + 1
-            and all(b.version == a.version + 1 for a, b in zip(deltas, deltas[1:]))
-            and not all(isinstance(d, self.patchable_kinds) for d in deltas)
-        ):
-            return "unpatchable"
-        return "gap"
-
-    def _reset_observation(self) -> None:
-        self._buffer.clear()
-        self._rebuild_pending = False
-
-    def _patchable(self, deltas: List, target: int) -> bool:
-        """True when ``deltas`` is a contiguous patchable replay to ``target``."""
-        if not self._attached or not deltas:
-            return False
-        if deltas[0].version != self._index.version + 1:
-            return False
-        if deltas[-1].version != target:
-            return False
-        if any(b.version != a.version + 1 for a, b in zip(deltas, deltas[1:])):
-            return False
-        return all(isinstance(d, self.patchable_kinds) for d in deltas)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "attached" if self._attached else "detached"
-        if self._rebuild_pending:
-            state += " rebuild-pending"
+        state = "attached" if self.attached else "detached"
         return (
             f"<{type(self).__name__} {state} v{self._index.version} "
             f"patches={self.patches_applied} rebuilds={self.rebuilds} "

@@ -46,8 +46,9 @@ Results are byte-identical to a from-scratch mine of the current graph
 ``stats.patterns_reused`` / ``stats.patterns_skipped_unaffected``
 report.
 
-Observation gaps (e.g. after :meth:`DynamicMiner.detach`) are answered
-with a full re-mine.  The data graph's index rides along through an
+The miner reads the graph's delta log through a cursor; a gap (after
+:meth:`DynamicMiner.detach`, or a batch past the log's bound) is
+answered with a full re-mine.  The data graph's index rides along through an
 :class:`~repro.index.delta.IndexMaintainer`, so the ``GraphIndex`` is
 patched in O(delta) — insertions and deletions alike — rather than
 rebuilt per batch; ``spec.use_index=False`` keeps the brute-force
@@ -73,7 +74,6 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
-    List,
     Optional,
     Sequence,
     Set,
@@ -83,13 +83,7 @@ from typing import (
 from ..errors import MiningError
 from ..graph.labeled_graph import Label, LabeledGraph, normalize_edge
 from ..graph.pattern import Pattern
-from ..index.delta import (
-    PATCHABLE_DELTAS,
-    AnyDelta,
-    EdgeAdded,
-    EdgeRemoved,
-    IndexMaintainer,
-)
+from ..index.delta import EdgeAdded, EdgeRemoved, IndexMaintainer
 from ..index.graph_index import _label_pair_key
 from ..measures.base import measure_info
 from .miner import EVALUATE, LatticeMemo, _make_pool, _Session, _walk
@@ -132,14 +126,13 @@ def pattern_footprint(pattern: Pattern) -> FrozenSet[LabelPair]:
 class _MinerResources:
     """Everything a :class:`DynamicMiner` must give back, held *outside* it.
 
-    The graph subscription, the index/sharded maintainers, the persistent
-    worker pool, and the out-of-core pager all
-    outlive a miner that is simply dropped on the floor — the graph keeps
-    the observers alive and the pool keeps OS processes alive.  Keeping
-    them on a separate object lets a ``weakref.finalize`` on the miner
-    call :meth:`release` without referencing the miner itself (which
-    would keep it alive forever), so constructed-and-abandoned miners
-    cannot leak subscriptions or workers even when refresh never ran.
+    The index/sharded maintainers, the persistent worker pool, and the
+    out-of-core pager outlive a miner that is simply dropped on the
+    floor — the pool keeps OS processes alive.  Keeping them on a
+    separate object lets a ``weakref.finalize`` on the miner call
+    :meth:`release` without referencing the miner itself (which would
+    keep it alive forever), so constructed-and-abandoned miners cannot
+    leak workers even when refresh never ran.
 
     :meth:`release` is idempotent and re-runnable: each step takes and
     nulls its slot first, so an explicit ``detach()`` followed by the
@@ -147,33 +140,20 @@ class _MinerResources:
     through releases the rest on the next call.
     """
 
-    __slots__ = (
-        "graph",
-        "observer",
-        "maintainer",
-        "sharded_maintainer",
-        "pool",
-        "pager",
-    )
+    __slots__ = ("maintainer", "sharded_maintainer", "pool", "pager")
 
     def __init__(self) -> None:
-        self.graph: Optional[LabeledGraph] = None
-        self.observer = None
         self.maintainer = None
         self.sharded_maintainer = None
         self.pool = None
         self.pager = None
 
     def release(self) -> None:
-        """Unsubscribe + detach + shut down everything still held.
+        """Detach + shut down everything still held.
 
         Never waits on in-flight work: this runs on the interrupt path
         and inside GC finalization, where blocking is unacceptable.
         """
-        graph, observer = self.graph, self.observer
-        self.graph = self.observer = None
-        if graph is not None and observer is not None:
-            graph.unsubscribe(observer)
         maintainer, self.maintainer = self.maintainer, None
         if maintainer is not None:
             maintainer.detach()
@@ -236,8 +216,8 @@ class _FootprintRule:
 class DynamicMiner:
     """Maintain the frequent-pattern set of one graph under updates.
 
-    Construct over a live :class:`LabeledGraph`; the miner subscribes to
-    the graph's mutation-observer hook.  Mutate the graph freely (directly
+    Construct over a live :class:`LabeledGraph`; the miner opens a cursor
+    on the graph's delta log.  Mutate the graph freely (directly
     or via :meth:`apply`), then call :meth:`refresh` to get a
     :class:`MiningResult` for the *current* graph.  ``spec`` is the
     same :class:`~repro.mining.spec.MiningSpec` that configures
@@ -250,9 +230,9 @@ class DynamicMiner:
 
     Each refresh runs the static miner's lattice walk
     (:func:`repro.mining.miner._walk`): a full walk on the first refresh
-    and after observation gaps, and otherwise the same walk with the
+    and after gaps in the delta log, and otherwise the same walk with the
     label-pair footprint rule (:class:`_FootprintRule`).  What the miner
-    owns is what the walk does not: the delta buffer, the maintained
+    owns is what the walk does not: the delta cursor, the maintained
     index and partition, the revival bookkeeping, the lattice memo
     (:class:`~repro.mining.miner.LatticeMemo`) every walk replays and
     refills, and the lifetime of its worker pool and pager.
@@ -321,7 +301,6 @@ class DynamicMiner:
         # finalizer below can give it all back without touching (and
         # thus without keeping alive) the miner itself.
         self._resources = _MinerResources()
-        self._resources.graph = data
         # The pool is started once per session, on the first refresh.
         self._pool_started = False
         if spec.use_index:
@@ -345,10 +324,7 @@ class DynamicMiner:
                 self._resources.pager = ShardPager(
                     self._sharded_maintainer.sharded(), spec.max_resident
                 )
-        self._buffer: List[AnyDelta] = []
-        self._observer = data.subscribe(self._buffer.append)
-        self._resources.observer = self._observer
-        self._attached = True
+        self._cursor = data.cursor()
         # Abandoned miners (service shutdown, reader exception, plain GC)
         # release everything even if detach()/close() was never called.
         self._finalizer = weakref.finalize(self, self._resources.release)
@@ -367,18 +343,18 @@ class DynamicMiner:
     # ------------------------------------------------------------------
     @property
     def attached(self) -> bool:
-        """True while the miner still observes the graph's mutations."""
-        return self._attached
+        """True while the miner still reads the graph's delta log."""
+        return self._cursor.open
 
     def detach(self) -> None:
-        """Stop observing (index and sharded maintainers included).
+        """Stop reading deltas (index and sharded maintainers included).
 
         Also tears down the persistent worker pool (without waiting —
         detach may run on the interrupt path) and closes the out-of-core
         pager.  Refreshes after a detach-era mutation fall back to a full
         re-mine — results stay correct, only the delta savings are lost.
         """
-        self._attached = False
+        self._cursor.close()
         self._resources.release()
 
     #: Explicit lifecycle alias: a service shutting its miner down reads
@@ -405,7 +381,22 @@ class DynamicMiner:
         target = self.data.mutation_version()
         if self._synced_version == target and self._last_result is not None:
             return self._last_result
-        delta_pairs = self._consume_deltas(target)
+        deltas = self._cursor.read()
+        delta_pairs = None
+        if deltas is not None and self._synced_version is not None:
+            # Inserted and deleted edges both contribute their pair: any
+            # occurrence gained *or* lost must use a touched data edge.
+            # Vertex deltas touch no pair — patterns have no isolated
+            # nodes, and a VertexRemoved follows its incident EdgeRemoved
+            # deltas, which carry the pairs.
+            delta_pairs = {
+                d.label_pair()
+                for d in deltas
+                if isinstance(d, (EdgeAdded, EdgeRemoved))
+            }
+        # Until the walk completes the miner is synced nowhere: a walk
+        # that raises leaves the next refresh a full re-mine.
+        self._synced_version = None
         result = self._mine(delta_pairs)
         self._frequent = {fp.certificate: fp for fp in result.frequent}
         self._ever_frequent.update(self._frequent)
@@ -416,41 +407,6 @@ class DynamicMiner:
     mine = refresh
 
     # ------------------------------------------------------------------
-    def _consume_deltas(self, target: int) -> Optional[Set[LabelPair]]:
-        """Canonical label pairs touched since the last refresh.
-
-        Inserted and deleted edges both contribute their pair: any
-        occurrence gained *or* lost must use a touched data edge.  Vertex
-        deltas touch no pair — an added or removed isolated vertex cannot
-        appear in any occurrence (patterns have no isolated nodes), and a
-        ``VertexRemoved`` is always preceded by its incident
-        ``EdgeRemoved`` deltas, which carry the pairs.
-
-        ``None`` means "treat everything as affected" — first refresh, an
-        unknown delta kind, or any gap in observation (detached, or a
-        buffer that cannot replay the version counter contiguously).
-        """
-        # The subscribed observer is this list's bound .append — clear in
-        # place, never swap the list out from under it.
-        buffer = list(self._buffer)
-        self._buffer.clear()
-        synced = self._synced_version
-        if synced is None or not self._attached:
-            return None
-        deltas = [d for d in buffer if d.version > synced]
-        if not deltas:
-            # Version moved but nothing observed: a gap; re-mine fully.
-            return None if synced != target else set()
-        if deltas[0].version != synced + 1 or deltas[-1].version != target:
-            return None
-        if any(b.version != a.version + 1 for a, b in zip(deltas, deltas[1:])):
-            return None
-        if not all(isinstance(d, PATCHABLE_DELTAS) for d in deltas):
-            return None
-        return {
-            d.label_pair() for d in deltas if isinstance(d, (EdgeAdded, EdgeRemoved))
-        }
-
     def _mine(self, delta_pairs: Optional[Set[LabelPair]]) -> MiningResult:
         """One lattice walk over the maintained structures."""
         resources = self._resources
@@ -707,7 +663,7 @@ def _stream_via_service(
                 info.expired,
             )
     finally:
-        # The service's miner (and its IndexMaintainer) subscribed to the
-        # caller's graph; leave no observers behind once the stream is
+        # The service's miner (and its IndexMaintainer) holds cursors on
+        # the caller's graph; leave none open once the stream is
         # consumed, abandoned, or fails mid-batch.
         service.stop()

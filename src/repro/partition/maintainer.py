@@ -1,16 +1,15 @@
 """Delta maintenance and rebalancing for partitioned graphs.
 
 :class:`ShardedIndexMaintainer` is the partition layer's twin of
-:class:`~repro.index.delta.IndexMaintainer`: it subscribes to the source
-graph's mutation-observer hook and keeps a
+:class:`~repro.index.delta.IndexMaintainer`: it reads the source
+graph's delta log through a cursor and keeps a
 :class:`~repro.partition.sharded_index.ShardedIndex` current by routing
-each buffered delta to its owning shard(s) in O(delta) — the buffering,
-burst-coalescing, and gap-detection bookkeeping is the shared
-:class:`~repro.index.maintainable.DeltaMaintainer` core, so the flat and
-sharded maintainers cannot drift apart.  A rebuild here means a full
-**re-partition** (``ShardedIndex.rebuilt``), which is exactly what the
-maintainer exists to avoid: it triggers only for observation gaps and
-bursts past the patch limit.
+each delta to its owning shard(s) in O(delta) — the refresh ladder is
+the shared :class:`~repro.index.maintainable.DeltaMaintainer` core, so
+the flat and sharded maintainers cannot drift apart.  A rebuild here
+means a full **re-partition** (``ShardedIndex.rebuilt``), which is
+exactly what the maintainer exists to avoid: it triggers only when the
+cursor reads a gap (detached, or a burst past the log's bound).
 
 On top of plain maintenance sits the **rebalancing policy**
 (:class:`RebalancePolicy`): delta routing keeps partitions *valid*, but
@@ -43,7 +42,6 @@ from typing import Optional
 
 from ..errors import PartitionError
 from ..graph.labeled_graph import LabeledGraph
-from ..index.delta import PATCHABLE_DELTAS
 from ..index.maintainable import DeltaMaintainer
 from ..obs import metrics as _metrics
 from ..obs.logs import get_logger
@@ -86,10 +84,9 @@ class ShardedIndexMaintainer(DeltaMaintainer):
     Attach with ``ShardedIndexMaintainer(graph, num_shards, method)`` (or
     wrap an existing index — e.g. one loaded from disk — via
     ``sharded=``); mutate the graph freely, then call :meth:`sharded` to
-    get an index current for the graph's present version.  Contiguous
-    delta runs patch in O(delta) per update; observation gaps and
-    oversized bursts fall back to a single full re-partition, with the
-    same patch-limit coalescing as the flat maintainer
+    get an index current for the graph's present version.  The deltas
+    its cursor reads patch in O(delta) per update; a gap falls back to a
+    single full re-partition, as in the flat maintainer
     (``patches_applied`` / ``rebuilds`` / ``deltas_coalesced``).
 
     Pass a :class:`RebalancePolicy` to have every refresh also check the
@@ -97,7 +94,6 @@ class ShardedIndexMaintainer(DeltaMaintainer):
     ``full_repartitions`` count what the policy did.
     """
 
-    patchable_kinds = PATCHABLE_DELTAS
     obs_subsystem = "sharded_index"
 
     __slots__ = ("policy", "rebalances", "edges_moved", "full_repartitions")
@@ -108,7 +104,6 @@ class ShardedIndexMaintainer(DeltaMaintainer):
         num_shards: int = 2,
         method: str = "hash",
         *,
-        patch_limit: Optional[int] = None,
         policy: Optional[RebalancePolicy] = None,
         sharded: Optional[ShardedIndex] = None,
     ) -> None:
@@ -130,7 +125,7 @@ class ShardedIndexMaintainer(DeltaMaintainer):
         registry = _metrics.get_registry()
         for name in ("rebalances", "edges_moved", "full_repartitions"):
             registry.counter(f"repro_sharded_index_{name}")
-        super().__init__(sharded.graph, sharded, patch_limit)
+        super().__init__(sharded.graph, sharded)
 
     def sharded(self) -> ShardedIndex:
         """The maintained index, brought current (policy applied, if any).

@@ -36,7 +36,7 @@ patched in every incident shard, and the merged histogram, label-pair
 directory, and cached halo expansions are updated (or, for expansions
 whose ball a delta touched, invalidated) incrementally.
 :class:`~repro.partition.maintainer.ShardedIndexMaintainer` drives this
-from the graph's mutation-observer hook; un-maintained callers keep the
+from a cursor on the graph's delta log; un-maintained callers keep the
 old behavior — :meth:`is_current` reports staleness and the miner
 re-partitions per session exactly as before.
 """

@@ -32,7 +32,7 @@ staleness rule as the index's own view cache), or after
 :meth:`ShardWorkerPool.bind` to a new index (a rebuild or
 re-partition).  The worker applies it through the :class:`LabeledGraph`
 mutation API, so its index is patched in O(delta), and a burst past the
-maintainer's patch limit folds into one rebuild.  Across the batches of
+view's delta-log bound folds into one rebuild.  Across the batches of
 a ``mine_stream`` run, untouched shards never cross the process boundary
 again.  A worker's tasks for one batch go out in one message, together
 with the patches they need, and come back in task order, in one reply

@@ -363,20 +363,12 @@ class GraphService:
         return self.metrics.snapshot()
 
     def stats(self) -> dict:
-        """Cache counters + snapshot bookkeeping, for the request surface.
+        """Snapshot bookkeeping for the request surface.
 
-        Rebased on the metrics-registry snapshot so the ``stats`` and
-        ``metrics`` verbs report from one source and cannot drift; the
-        historical short key names (``hits``, ``misses``, ``evictions``,
-        ``entries``) are aliases of the ``repro_cache_*`` instruments and
-        kept for one release.
+        Cache counters are read through :meth:`metrics_snapshot` (the
+        ``metrics`` verb), under their ``repro_cache_*`` names.
         """
-        snap = self.metrics_snapshot()
         return {
-            "entries": snap.get("repro_cache_entries", 0),
-            "hits": snap.get("repro_cache_hits", 0),
-            "misses": snap.get("repro_cache_misses", 0),
-            "evictions": snap.get("repro_cache_evictions", 0),
             "version": self.registry.tip,
             "pinned_versions": sorted(self.registry.pinned_versions()),
             "maintained": self._maintain is not None,

@@ -6,14 +6,15 @@ see a *frozen* graph at a well-defined version, and must never block the
 writer.  :class:`SnapshotRegistry` provides that with copy-on-write over
 the delta log:
 
-* the registry subscribes to the live graph and buffers its typed
-  deltas (the same :mod:`repro.index.delta` records the maintainers
-  consume);
+* the registry holds a cursor on the live graph's
+  :class:`~repro.index.delta.DeltaLog` (the same typed deltas the
+  maintainers read);
 * it keeps a **shadow graph** equal to the live graph at the last
   *published* version.  :meth:`SnapshotRegistry.publish` (writer-only)
-  rolls the shadow forward by replaying the buffered deltas — O(delta)
-  per batch, no copying — or, on an observation gap, falls back to one
-  full copy of the live graph;
+  rolls the shadow forward by replaying the deltas its cursor reads —
+  O(delta) per batch, no copying — or, when the cursor reads a gap (a
+  batch past the log's bound), falls back to one full copy of the live
+  graph;
 * :meth:`SnapshotRegistry.pin` hands a reader the shadow at its current
   version, refcounted.  Only when a *pinned* tip must advance does the
   writer copy the shadow (copy-on-write): the old object is frozen for
@@ -21,9 +22,10 @@ the delta log:
   garbage-collected the moment their refcount drops to zero — eviction
   callbacks let the result cache drop exactly that version's entries.
 
-A pinned snapshot's graph carries a tripwire observer that raises
-:class:`~repro.errors.ServiceError` on any mutation, so an accidental
-write to a frozen view fails loudly instead of corrupting readers.
+A pinned snapshot's graph carries a tripwire in place of a delta log:
+its ``append`` raises :class:`~repro.errors.ServiceError`, so an
+accidental write to a frozen view fails loudly instead of corrupting
+readers, at no cost to the mutation path.
 """
 
 from __future__ import annotations
@@ -33,19 +35,12 @@ from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..errors import ServiceError
 from ..graph.labeled_graph import LabeledGraph
-from ..index.delta import (
-    PATCHABLE_DELTAS,
-    AnyDelta,
-    EdgeAdded,
-    EdgeRemoved,
-    VertexAdded,
-    VertexRemoved,
-)
+from ..index.delta import AnyDelta, EdgeAdded, EdgeRemoved, VertexAdded, VertexRemoved
 from ..obs import metrics as _metrics
 
 
 def _replay(graph: LabeledGraph, delta: AnyDelta) -> None:
-    """Apply one observed delta to a (shadow) graph copy."""
+    """Apply one logged delta to a (shadow) graph copy."""
     if isinstance(delta, VertexAdded):
         graph.add_vertex(delta.vertex, delta.label)
     elif isinstance(delta, EdgeAdded):
@@ -54,15 +49,23 @@ def _replay(graph: LabeledGraph, delta: AnyDelta) -> None:
         graph.remove_edge(delta.u, delta.v)
     elif isinstance(delta, VertexRemoved):
         graph.remove_vertex(delta.vertex)
-    else:  # pragma: no cover - PATCHABLE_DELTAS is checked before replay
+    else:  # pragma: no cover - the log holds only the four kinds
         raise ServiceError(f"cannot replay delta {delta!r}")
 
 
-def _tripwire(delta: object) -> None:
-    raise ServiceError(
-        "a pinned snapshot graph was mutated; snapshots are immutable — "
-        "apply updates to the live graph through the service writer"
-    )
+class _Tripwire:
+    """The delta log of a pinned graph: any mutation is an error."""
+
+    __slots__ = ()
+
+    def append(self, delta: AnyDelta) -> None:
+        raise ServiceError(
+            "a pinned snapshot graph was mutated; snapshots are immutable — "
+            "apply updates to the live graph through the service writer"
+        )
+
+
+_TRIPWIRE = _Tripwire()
 
 
 class Snapshot:
@@ -114,8 +117,7 @@ class SnapshotRegistry:
 
     def __init__(self, graph: LabeledGraph) -> None:
         self._graph = graph
-        self._log: List[AnyDelta] = []
-        self._observer = graph.subscribe(self._log.append)
+        self._cursor = graph.cursor()
         # The shadow starts as one full copy; every publish afterwards is
         # an O(delta) replay (or a copy-on-write split when pinned).
         self._shadow = graph.copy()
@@ -159,7 +161,7 @@ class SnapshotRegistry:
             if target == self._tip:
                 if target not in self._frozen:
                     self._frozen[target] = self._shadow
-                    self._shadow.subscribe(_tripwire)
+                    self._shadow.set_delta_log(_TRIPWIRE)
             elif target not in self._frozen:
                 raise ServiceError(
                     f"version {target} is not materialized (tip is "
@@ -182,7 +184,7 @@ class SnapshotRegistry:
                 if frozen is self._shadow:
                     # The tip was the shadow itself; make it mutable for
                     # the writer's next in-place roll-forward.
-                    self._shadow.unsubscribe(_tripwire)
+                    self._shadow.set_delta_log(None)
         if evicted:
             _metrics.counter("repro_snapshots_gc_versions").inc()
             for callback in self._evict_callbacks:
@@ -192,43 +194,29 @@ class SnapshotRegistry:
     def publish(self) -> int:
         """Writer-only: advance the shadow to the live graph's version.
 
-        Contiguous patchable deltas replay in O(delta); any gap (missed
-        observation, unknown delta kind) falls back to one full copy of
-        the live graph.  If the departing tip is pinned, the shadow is
-        copied first (copy-on-write) so pinned readers keep their frozen
-        object untouched.
+        The deltas the cursor reads replay in O(delta); a gap falls back
+        to one full copy of the live graph.  If the departing tip is
+        pinned, the shadow is copied before the replay (copy-on-write) so
+        pinned readers keep their frozen object untouched.
         """
         target = self._graph.mutation_version()
         with self._lock:
             if self._closed:
                 raise ServiceError("the snapshot registry is closed")
-            # The subscribed observer is this list's bound .append —
-            # clear in place, never swap the list out from under it.
-            buffered = list(self._log)
-            self._log.clear()
+            deltas = self._cursor.read()
             if target == self._tip:
                 return self._tip
-            deltas = [d for d in buffered if d.version > self._tip]
-            contiguous = (
-                bool(deltas)
-                and deltas[0].version == self._tip + 1
-                and deltas[-1].version == target
-                and all(
-                    b.version == a.version + 1 for a, b in zip(deltas, deltas[1:])
-                )
-                and all(isinstance(d, PATCHABLE_DELTAS) for d in deltas)
-            )
-            if self._tip in self._frozen:
-                # Copy-on-write: the old shadow stays frozen for its
-                # pinned readers; copy() drops the tripwire with the
-                # rest of the observers, so the new shadow is mutable.
-                self._shadow = self._shadow.copy()
-                _metrics.counter("repro_snapshots_cow_splits").inc()
-            if contiguous:
+            if deltas is None:
+                # A fresh object: a pinned tip keeps its frozen one.
+                self._shadow = self._graph.copy()
+            else:
+                if self._tip in self._frozen:
+                    # Copy-on-write: the old shadow stays frozen for its
+                    # pinned readers; the copy has no tripwire.
+                    self._shadow = self._shadow.copy()
+                    _metrics.counter("repro_snapshots_cow_splits").inc()
                 for delta in deltas:
                     _replay(self._shadow, delta)
-            else:
-                self._shadow = self._graph.copy()
             self._tip = target
             _metrics.counter("repro_snapshots_publishes").inc()
             return self._tip
@@ -246,6 +234,5 @@ class SnapshotRegistry:
             if self._closed:
                 return
             self._closed = True
-        self._graph.unsubscribe(self._observer)
-        self._log.clear()
+        self._cursor.close()
         self._evict_callbacks.clear()

@@ -30,9 +30,12 @@ thread (the service routes ``subscribe``/``unsubscribe`` through the
 command queue), so routing state needs no locks; only each
 subscription's event queue is shared with poller threads.
 
-Zero subscriptions cost zero: the registry only subscribes to the
-graph's mutation-observer hook while at least one subscription exists,
-and :meth:`dispatch` is a constant-time early exit when none do.
+Zero subscriptions cost zero: the registry only holds a cursor on the
+graph's delta log, and an :class:`~repro.index.delta.IndexMaintainer`
+whose label-pair edge counts feed the skip rule above, while at least
+one subscription exists, and :meth:`dispatch` is a constant-time early
+exit when none do.  After a maintained writer refresh that maintainer
+adopts the writer's patched index in O(1).
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import ServiceError
 from ..graph.labeled_graph import LabeledGraph
-from ..index.delta import PATCHABLE_DELTAS, EdgeAdded, EdgeRemoved, IndexMaintainer
-from ..index.graph_index import _label_pair_key
+from ..index.delta import EdgeAdded, EdgeRemoved, IndexMaintainer
+from ..index.graph_index import GraphIndex
 from ..mining.dynamic import DynamicMiner, pattern_footprint
 from ..mining.standing import (
     Answer,
@@ -210,7 +213,7 @@ class _ThresholdEvaluator:
         self,
         inserted: Set[LabelPair],
         removed: Set[LabelPair],
-        pair_counts: Dict[LabelPair, int],
+        index: GraphIndex,
     ) -> bool:
         if not inserted.isdisjoint(self.watched):
             return True
@@ -218,7 +221,7 @@ class _ThresholdEvaluator:
             return True
         threshold = self.spec.min_support
         for pair in inserted:
-            cap = pair_counts.get(pair, 0) * (2 if pair[0] == pair[1] else 1)
+            cap = index.pair_count(*pair) * (2 if pair[0] == pair[1] else 1)
             if cap >= threshold:
                 return True
         return False
@@ -245,10 +248,8 @@ class SubscriptionRegistry:
         self._subs: Dict[str, Subscription] = {}
         self._evaluators: Dict[str, _ThresholdEvaluator] = {}
         self._next_id = 0
-        self._buffer: List = []
-        self._observer = None
-        self._synced_version: Optional[int] = None
-        self._pair_counts: Dict[LabelPair, int] = {}
+        # Held while any subscription exists (see the module docstring).
+        self._cursor = None
         self._index_maintainer: Optional[IndexMaintainer] = None
         registry = _metrics.get_registry()
         registry.gauge("repro_subs_active")
@@ -301,8 +302,6 @@ class SubscriptionRegistry:
             evaluator.refs += 1
             answer, _ = evaluator.evaluate(version, self._cache)
         else:
-            if self._index_maintainer is None:
-                self._index_maintainer = IndexMaintainer(self._graph)
             answer = evaluate_standing(
                 spec, self._graph, index=self._index_maintainer.index()
             )
@@ -332,11 +331,6 @@ class SubscriptionRegistry:
                 if evaluator.refs <= 0:
                     evaluator.close()
                     del self._evaluators[sub.cache_key]
-        if self._index_maintainer is not None and not any(
-            s.spec.kind == "pattern" for s in self._subs.values()
-        ):
-            self._index_maintainer.detach()
-            self._index_maintainer = None
         if not self._subs:
             self._detach()
         _metrics.counter("repro_subs_unregistered").inc()
@@ -356,75 +350,31 @@ class SubscriptionRegistry:
             self.unregister(sub_id)
 
     # ------------------------------------------------------------------
-    # delta observation + routing (writer thread only)
+    # delta reading + routing (writer thread only)
     # ------------------------------------------------------------------
     def _attach(self) -> None:
-        if self._observer is not None:
+        if self._cursor is not None:
             return
-        self._buffer = []
-        self._observer = self._graph.subscribe(self._buffer.append)
-        self._synced_version = self._graph.mutation_version()
-        self._pair_counts = self._count_pairs()
+        self._cursor = self._graph.cursor()
+        self._index_maintainer = IndexMaintainer(self._graph)
 
     def _detach(self) -> None:
-        if self._observer is None:
+        if self._cursor is None:
             return
-        self._graph.unsubscribe(self._observer)
-        self._observer = None
-        self._buffer = []
-        self._pair_counts = {}
-        self._synced_version = None
+        self._cursor.close()
+        self._index_maintainer.detach()
+        self._cursor = self._index_maintainer = None
 
-    def _count_pairs(self) -> Dict[LabelPair, int]:
-        counts: Dict[LabelPair, int] = {}
-        label_of = self._graph.label_of
-        for u, v in self._graph.edges():
-            pair = _label_pair_key(label_of(u), label_of(v))
-            counts[pair] = counts.get(pair, 0) + 1
-        return counts
-
-    def _consume_deltas(
-        self, target: int
-    ) -> Optional[Tuple[Set[LabelPair], Set[LabelPair]]]:
+    def _touched(self) -> Optional[Tuple[Set[LabelPair], Set[LabelPair]]]:
         """``(inserted_pairs, removed_pairs)`` since the last dispatch.
 
-        Same contiguity discipline as ``DynamicMiner._consume_deltas``:
-        any observation gap returns ``None`` ("treat everything as
-        affected") and the pair counts are recounted from the graph.
+        ``None`` for a gap in the delta log: treat everything as affected.
         """
-        buffer = list(self._buffer)
-        self._buffer.clear()
-        synced = self._synced_version
-        self._synced_version = target
-        deltas = [d for d in buffer if synced is None or d.version > synced]
-        contiguous = (
-            synced is not None
-            and deltas
-            and deltas[0].version == synced + 1
-            and deltas[-1].version == target
-            and all(b.version == a.version + 1 for a, b in zip(deltas, deltas[1:]))
-            and all(isinstance(d, PATCHABLE_DELTAS) for d in deltas)
-        )
-        if synced is not None and synced == target:
-            return set(), set()
-        if not contiguous:
-            self._pair_counts = self._count_pairs()
+        deltas = self._cursor.read()
+        if deltas is None:
             return None
-        inserted: Set[LabelPair] = set()
-        removed: Set[LabelPair] = set()
-        for delta in deltas:
-            if isinstance(delta, EdgeAdded):
-                pair = delta.label_pair()
-                inserted.add(pair)
-                self._pair_counts[pair] = self._pair_counts.get(pair, 0) + 1
-            elif isinstance(delta, EdgeRemoved):
-                pair = delta.label_pair()
-                removed.add(pair)
-                count = self._pair_counts.get(pair, 0) - 1
-                if count > 0:
-                    self._pair_counts[pair] = count
-                else:
-                    self._pair_counts.pop(pair, None)
+        inserted = {d.label_pair() for d in deltas if isinstance(d, EdgeAdded)}
+        removed = {d.label_pair() for d in deltas if isinstance(d, EdgeRemoved)}
         return inserted, removed
 
     # ------------------------------------------------------------------
@@ -439,7 +389,8 @@ class SubscriptionRegistry:
 
     def _dispatch(self, version: int) -> None:
         _metrics.counter("repro_subs_dispatches").inc()
-        touched = self._consume_deltas(self._graph.mutation_version())
+        touched = self._touched()
+        index = self._index_maintainer.index()
         if touched is None:
             inserted = removed = None
             touched_pairs = None
@@ -464,18 +415,13 @@ class SubscriptionRegistry:
                     skipped += 1
                     continue
                 with _trace.span("subs.evaluate", subscription=sub.id, kind="pattern"):
-                    index = (
-                        self._index_maintainer.index()
-                        if self._index_maintainer is not None
-                        else None
-                    )
                     new_answer = evaluate_standing(sub.spec, self._graph, index=index)
             else:
                 evaluator = self._evaluators[sub.cache_key]
                 affected = threshold_affected.get(sub.cache_key)
                 if affected is None:
                     affected = touched_pairs is None or evaluator.affected_by(
-                        inserted, removed, self._pair_counts
+                        inserted, removed, index
                     )
                     threshold_affected[sub.cache_key] = affected
                 if not affected:

@@ -203,8 +203,7 @@ def _window_stream(seed: int):
     rng = random.Random(seed)
     graph = LabeledGraph(name="window")
     index = GraphIndex(graph)
-    pending = []
-    graph.subscribe(pending.append)
+    cursor = graph.cursor()
     window = []
     for step in range(80):
         vertex = f"w{step}"
@@ -214,9 +213,8 @@ def _window_stream(seed: int):
         window.append(vertex)
         if len(window) > 12:
             graph.remove_vertex(window.pop(0))
-        for delta in pending:
+        for delta in cursor.read():
             assert index.apply_delta(delta)
-        pending.clear()
     assert index.is_current()
     return graph, index
 
@@ -231,14 +229,12 @@ class TestCompactChurn:
             10, 0.3, alphabet=("A", "B", "C"), seed=seed
         )
         patched = GraphIndex(graph)
-        pending = []
-        graph.subscribe(pending.append)
+        cursor = graph.cursor()
         next_id = [0]
         for step in range(120):
             _random_mutation(rng, graph, next_id)
-            for delta in pending:
+            for delta in cursor.read():
                 assert patched.apply_delta(delta)
-            pending.clear()
             assert patched.is_current()
             if step % 20 == 19:
                 expected = graph_view(graph)
@@ -283,11 +279,10 @@ class TestSegmentSetMemo:
         li = index.table.lint("A")
         before = index._segment_set(vi, li)
         assert index._segment_set(vi, li) is before  # memoized
-        pending = []
-        graph.subscribe(pending.append)
+        cursor = graph.cursor()
         graph.add_vertex("zz", "A")
         graph.add_edge("zz", vertex)
-        for delta in pending:
+        for delta in cursor.read():
             index.apply_delta(delta)
         after = index._segment_set(vi, li)
         assert index.table.vint("zz") in after

@@ -6,9 +6,9 @@ it.  A patched index must be *structurally identical* to one rebuilt
 from scratch — same inverted lists in the same canonical order, same
 label-pair edge lists, same degree/neighbor-label signatures, same
 version — after every batch of a randomized update sequence, mixed
-insert/delete churn included.  Observation gaps, detached observers, and
-bursts past the patch limit must fall back to a (single) rebuild and
-still land on the identical structure.  Style and scope mirror
+insert/delete churn included.  Gaps in the delta log — detached
+maintainers, bursts past the log's bound — must fall back to a (single)
+rebuild and still land on the identical structure.  Style and scope mirror
 ``tests/test_index_equivalence.py``.
 """
 
@@ -36,12 +36,13 @@ from repro.index import (
     VertexRemoved,
     get_index,
 )
+from repro.index.delta import MIN_BOUND
 from repro.index.graph_index import _label_pair_key
 from repro.isomorphism.matcher import find_occurrences
 
 
 def pair_edge_counts(index: GraphIndex):
-    """The label-pair edge counts, decoded (no query method reads them)."""
+    """The label-pair edge counts, decoded from the raw buffer."""
     label_of, counts = index.table.label_of, index._pair_counts
     return {(label_of[a], label_of[b]): counts[a, b] for a, b in counts}
 
@@ -81,7 +82,9 @@ def assert_patched_equals_rebuilt(maintainer: IndexMaintainer, graph):
     patched = maintainer.index()
     rebuilt = GraphIndex.build(graph)
     assert index_structure(patched, graph) == index_structure(rebuilt, graph)
-    assert pair_edge_counts(patched) == graph_pair_counts(graph)
+    expected = graph_pair_counts(graph)
+    assert pair_edge_counts(patched) == expected
+    assert {pair: patched.pair_count(*pair) for pair in expected} == expected
     return patched
 
 
@@ -195,14 +198,14 @@ class TestRandomizedPatchEquivalence:
 class TestDeltaPublication:
     def test_one_typed_delta_per_mutation(self):
         graph = build_graph(("er", 4, 10, 0.2))
-        received = []
-        graph.subscribe(received.append)
+        cursor = graph.cursor()
         before = graph.mutation_version()
         graph.add_vertex("x", "A")
         graph.add_vertex("y", "B")
         graph.add_edge("x", "y")
         graph.remove_edge("x", "y")
         graph.remove_vertex("x")
+        received = cursor.read()
         kinds = [type(delta) for delta in received]
         expected = [VertexAdded, VertexAdded, EdgeAdded, EdgeRemoved, VertexRemoved]
         assert kinds == expected
@@ -211,35 +214,94 @@ class TestDeltaPublication:
         )
         edge_added = received[2]
         assert {edge_added.label_u, edge_added.label_v} == {"A", "B"}
+        assert cursor.read() == []  # a read consumes what it returns
 
     def test_idempotent_mutations_publish_nothing(self):
         graph = build_graph(("er", 5, 10, 0.2))
         graph.add_vertex("x", "A")
         graph.add_vertex("y", "B")
         graph.add_edge("x", "y")
-        received = []
-        graph.subscribe(received.append)
+        cursor = graph.cursor()
         graph.add_vertex("x", "A")  # re-add, same label
         graph.add_edge("x", "y")  # existing edge
-        assert received == []
+        assert cursor.read() == []
 
-    def test_unsubscribe_and_has_observers(self):
+    def test_last_cursor_closed_takes_the_log_off_the_graph(self):
         graph = build_graph(("er", 6, 10, 0.2))
-        received = []
-        token = graph.subscribe(received.append)
-        assert graph.has_observers()
-        graph.unsubscribe(token)
-        graph.unsubscribe(token)  # second detach is a no-op
-        assert not graph.has_observers()
-        graph.add_vertex("quiet", "A")
-        assert received == []
+        first, second = graph.cursor(), graph.cursor()
+        log = graph.delta_log()
+        assert log is not None
+        first.close()
+        first.close()  # second close is a no-op
+        assert graph.delta_log() is log  # the other cursor still reads it
+        second.close()
+        assert graph.delta_log() is None
+        graph.add_vertex("quiet", "A")  # logged nowhere
+        assert first.read() is None  # a closed cursor reads a gap
+        assert graph.cursor().read() == []  # a new log starts at the tip
 
-    def test_observers_dropped_from_pickles(self):
+    def test_dropped_cursor_closes_itself(self):
+        graph = build_graph(("er", 6, 10, 0.2))
+        gc.disable()
+        try:
+            cursor = graph.cursor()
+            assert graph.delta_log() is not None
+            del cursor
+            assert graph.delta_log() is None
+        finally:
+            gc.enable()
+
+    def test_log_dropped_from_pickles(self):
         graph = build_graph(("er", 7, 10, 0.2))
-        graph.subscribe(lambda delta: None)
+        cursor = graph.cursor()
         clone = pickle.loads(pickle.dumps(graph))
-        assert not clone.has_observers()
+        assert clone.delta_log() is None
         assert clone == graph
+        cursor.close()
+
+    def test_cursors_read_at_their_own_pace(self):
+        graph = build_graph(("er", 8, 10, 0.2))
+        fast, slow = graph.cursor(), graph.cursor()
+        graph.add_vertex("a1", "A")
+        assert [d.vertex for d in fast.read()] == ["a1"]
+        graph.add_vertex("a2", "B")
+        assert [d.vertex for d in fast.read()] == ["a2"]
+        assert [d.vertex for d in slow.read()] == ["a1", "a2"]
+
+    def test_cursor_opened_behind_the_log_reads_a_gap(self):
+        graph = build_graph(("er", 9, 10, 0.2))
+        graph.add_vertex("before", "A")
+        cursor = graph.cursor(graph.mutation_version() - 1)
+        assert cursor.read() is None
+        graph.add_vertex("after", "A")
+        assert [d.vertex for d in cursor.read()] == ["after"]
+
+    def test_cursor_past_the_bound_reads_one_gap_then_resumes(self):
+        graph = build_graph(("er", 10, 10, 0.2))  # |V| + |E| well under 160
+        lagging, keeping_up = graph.cursor(), graph.cursor()
+        for serial in range(MIN_BOUND + 1):
+            graph.add_vertex(f"b{serial}", "A")
+            assert len(keeping_up.read()) == 1
+        assert lagging.read() is None
+        graph.add_vertex("next", "B")
+        assert [d.vertex for d in lagging.read()] == ["next"]
+
+    def test_bound_scales_with_graph_size(self):
+        graph = build_graph(("er", 11, 200, 0.02))
+        bound = 2 * (graph.num_vertices + graph.num_edges) // 5
+        assert bound > MIN_BOUND
+        cursor = graph.cursor()
+
+        def flicker(times: int) -> None:
+            # Add-then-remove pairs keep |V| + |E|, and so the bound, fixed.
+            for _ in range(times):
+                graph.add_vertex("flicker", "A")
+                graph.remove_vertex("flicker")
+
+        flicker(bound // 2)
+        assert len(cursor.read()) == 2 * (bound // 2)
+        flicker(bound // 2 + 1)
+        assert cursor.read() is None
 
 
 class TestMaintainerLifetime:
@@ -262,11 +324,33 @@ class TestMaintainerLifetime:
             graph.add_vertex("fresh", "A")
             maintainer.refresh()
             assert maintainer.patches_applied == 1
-            assert graph.has_observers()
+            assert graph.delta_log() is not None
             maintainer_ref = weakref.ref(maintainer)
             del maintainer
             assert maintainer_ref() is None
-            assert not graph.has_observers()
+            assert graph.delta_log() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("holder", ["cached index", "maintainer"])
+    def test_dropped_graph_is_freed_without_gc(self, holder):
+        # A graph caches its index and the index refers back to the graph
+        # weakly, so reference counting alone frees a dropped graph with
+        # its index, its maintainer and its delta log.
+        gc.disable()
+        try:
+            graph = build_graph(("er", 23, 12, 0.25))
+            maintainer = None
+            if holder == "maintainer":
+                maintainer = IndexMaintainer(graph)
+                graph.add_vertex("fresh", "A")
+                maintainer.index()
+            else:
+                get_index(graph)
+            assert graph.cached_index().graph is graph
+            graph_ref = weakref.ref(graph)
+            del graph, maintainer
+            assert graph_ref() is None
         finally:
             gc.enable()
 
@@ -363,74 +447,71 @@ class TestRebuildFallbacks:
         assert maintainer.rebuilds == 0
 
 
+def burst(graph, steps: int, tag: str) -> None:
+    """Add ``steps`` isolated vertices in one run."""
+    for serial in range(steps):
+        graph.add_vertex(f"{tag}-{serial}", "A")
+
+
 class TestPatchLimitCoalescing:
     def test_oversized_burst_coalesces_into_one_rebuild(self):
         graph = build_graph(("er", 13, 14, 0.4))
-        maintainer = IndexMaintainer(graph, patch_limit=4)
+        maintainer = IndexMaintainer(graph)
         mutated = 0
         for u, v in list(graph.edges())[:10]:
             graph.remove_edge(u, v)
             mutated += 1
-            if mutated > 4:
-                assert maintainer.rebuild_pending
-                assert not maintainer._buffer  # O(1) state past the limit
-        assert maintainer.deltas_coalesced == mutated
+        burst(graph, MIN_BOUND, "burst")
+        mutated += MIN_BOUND
+        assert len(maintainer._cursor._log._deltas) <= MIN_BOUND  # bounded state
         assert_patched_equals_rebuilt(maintainer, graph)
-        assert maintainer.rebuilds == 1  # one deferred rebuild, not ten
-        assert not maintainer.rebuild_pending
+        assert maintainer.rebuilds == 1  # one rebuild, not a 74-delta replay
+        assert maintainer.patches_applied == 0
+        assert maintainer.deltas_coalesced == mutated
 
     def test_burst_within_limit_patches(self):
         graph = build_graph(("er", 14, 12, 0.3))
-        maintainer = IndexMaintainer(graph, patch_limit=4)
+        maintainer = IndexMaintainer(graph)
         graph.add_vertex("pre", "A")
         u, v = graph.edges()[0]
         graph.remove_edge(u, v)
         graph.add_vertex("post", "B")
         graph.add_edge("pre", "post")
-        assert not maintainer.rebuild_pending
         assert_patched_equals_rebuilt(maintainer, graph)
         assert maintainer.rebuilds == 0
         assert maintainer.patches_applied == 4
 
     def test_patching_resumes_after_coalesced_rebuild(self):
         graph = build_graph(("er", 15, 12, 0.3))
-        maintainer = IndexMaintainer(graph, patch_limit=3)
-        for u, v in list(graph.edges())[:5]:
-            graph.remove_edge(u, v)
+        maintainer = IndexMaintainer(graph)
+        burst(graph, MIN_BOUND + 5, "burst")
         assert_patched_equals_rebuilt(maintainer, graph)
         grow_randomly(graph, random.Random(9), steps=3, alphabet="ABC", tag="c")
         assert_patched_equals_rebuilt(maintainer, graph)
         assert maintainer.rebuilds == 1
         assert maintainer.patches_applied == 3
-        assert maintainer.deltas_coalesced == 5
+        assert maintainer.deltas_coalesced == MIN_BOUND + 5
 
     def test_adoption_clears_pending_rebuild(self):
         graph = build_graph(("er", 16, 12, 0.3))
-        maintainer = IndexMaintainer(graph, patch_limit=1)
-        u, v = graph.edges()[0]
-        graph.remove_edge(u, v)
-        w, x = graph.edges()[0]
-        graph.remove_edge(w, x)
-        assert maintainer.rebuild_pending
+        maintainer = IndexMaintainer(graph)
+        burst(graph, MIN_BOUND + 1, "burst")
         interloper = get_index(graph)  # someone else pays for the rebuild
         adopted = maintainer.index()
         assert adopted is interloper
         assert maintainer.rebuilds == 0
-        assert not maintainer.rebuild_pending
+        graph.add_vertex("after", "B")  # and patching resumes from it
+        assert_patched_equals_rebuilt(maintainer, graph)
+        assert (maintainer.patches_applied, maintainer.rebuilds) == (1, 0)
 
     def test_default_limit_scales_with_graph_size(self):
-        graph = build_graph(("er", 18, 12, 0.3))
+        graph = build_graph(("er", 18, 200, 0.02))
         maintainer = IndexMaintainer(graph)
-        # Well under max(64, |V|+|E|): a long-ish run still patches.
-        grow_randomly(graph, random.Random(4), steps=30, alphabet="ABC", tag="d")
+        # Over 64 deltas yet under the bound 2 * (|V| + |E|) // 5: patched.
+        grow_randomly(graph, random.Random(4), steps=80, alphabet="ABC", tag="d")
         assert_patched_equals_rebuilt(maintainer, graph)
         assert maintainer.rebuilds == 0
-        assert maintainer.patches_applied == 30
-
-    def test_rejects_non_positive_patch_limit(self):
-        graph = build_graph(("er", 19, 10, 0.3))
-        with pytest.raises(ValueError):
-            IndexMaintainer(graph, patch_limit=0)
+        assert maintainer.patches_applied == 80
 
 
 class TestMaintainerRemovalStats:

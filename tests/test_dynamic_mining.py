@@ -578,12 +578,12 @@ class TestMineStream:
     def test_stream_detaches_observers_when_done(self):
         graph = random_labeled_graph(8, 0.3, alphabet=("A", "B"), seed=24)
         list(mine_stream(graph, [("v", "s-0", "A")], spec=MINE_SPEC))
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
         # Abandoning the generator mid-stream must also clean up.
         stream = mine_stream(graph, [("v", "s-1", "B")], spec=MINE_SPEC)
         next(stream)
         stream.close()
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
 
     def test_modes_agree_on_mixed_stream(self):
         """Insert/delete updates (de/dv records) keep all modes identical."""
@@ -740,13 +740,13 @@ class TestMaxOccurrencesIsOneShot:
         graph = path_graph(["A", "B"] * 4)
         with pytest.raises(MiningError, match="max_occurrences"):
             DynamicMiner(graph, spec=self.SPEC)
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
 
     def test_delta_stream_refuses(self):
         graph = path_graph(["A", "B"] * 4)
         with pytest.raises(MiningError, match="max_occurrences"):
             list(mine_stream(graph, self.UPDATES, spec=self.SPEC))
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
 
     @pytest.mark.parametrize("mode", ["rebuild", "brute"])
     def test_reference_streams_honour_it(self, mode):

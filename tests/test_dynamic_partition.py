@@ -215,13 +215,15 @@ class TestShardedMaintainerLifecycle:
 
     def test_burst_coalesces_into_one_repartition(self):
         graph = build_graph(4, size=16, p=0.35)
-        maintainer = ShardedIndexMaintainer(graph, 2, "hash", patch_limit=3)
+        maintainer = ShardedIndexMaintainer(graph, 2, "hash")
         for u, v in list(graph.edges())[:8]:
             graph.remove_edge(u, v)
-        assert maintainer.rebuild_pending
+        for vertex in range(100, 160):  # past the log's bound of 64
+            graph.add_vertex(vertex, "A")
         view = maintainer.sharded()
         assert maintainer.rebuilds == 1
-        assert maintainer.deltas_coalesced == 8
+        assert maintainer.patches_applied == 0
+        assert maintainer.deltas_coalesced == 68
         assert view.is_current()
         assert sharded_structure(view) == dict(
             sharded_structure(rebuilt_from_partition(view)), version=view.version

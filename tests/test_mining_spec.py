@@ -227,10 +227,10 @@ class TestDynamicMinerTeardown:
         # delta log forever.
         graph = sample_graph()
         miner = DynamicMiner(graph, spec=MiningSpec(min_support=2))
-        assert graph.has_observers()
+        assert graph.delta_log() is not None
         del miner
         gc.collect()
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
 
     def test_abandoned_pooled_miner_releases_resources(self):
         graph = path_graph(["a", "b", "a", "b", "a", "b"])
@@ -242,16 +242,16 @@ class TestDynamicMinerTeardown:
         assert pool is not None
         del miner
         gc.collect()
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
         assert pool._closed
 
     def test_close_is_idempotent_and_context_managed(self):
         graph = sample_graph()
         with DynamicMiner(graph, spec=MiningSpec(min_support=2)) as miner:
             miner.refresh()
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
         miner.close()  # second release is a no-op
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
 
 
 def test_spec_json_shape_is_pure_data():

@@ -296,9 +296,9 @@ class TestLogging:
         self, fresh_registry, caplog
     ):
         graph = path_graph(["a", "b", "a", "b"])
-        maintainer = IndexMaintainer(graph, patch_limit=1)
-        graph.add_vertex(10, "a")
-        graph.add_vertex(11, "b")  # past the patch limit: coalesced rebuild
+        maintainer = IndexMaintainer(graph)
+        for vertex in range(10, 80):  # a burst past the log's bound of 64
+            graph.add_vertex(vertex, "a")
         with caplog.at_level(logging.WARNING, logger="repro"):
             maintainer.index()
         assert maintainer.rebuilds == 1
@@ -306,7 +306,7 @@ class TestLogging:
         snap = fresh_registry.snapshot()
         assert snap["repro_index_rebuilds"] == 1
         assert snap["repro_index_rebuilds_patch_limit"] == 1
-        assert snap["repro_index_deltas_coalesced"] >= 1
+        assert snap["repro_index_deltas_coalesced"] == 70
 
 
 # ----------------------------------------------------------------------
@@ -382,9 +382,11 @@ class TestServiceMetrics:
             service.mine()  # hit
             stats = service.stats()
             snap = service.metrics_snapshot()
-        assert stats["hits"] == snap["repro_cache_hits"] == 1
-        assert stats["misses"] == snap["repro_cache_misses"] == 1
-        assert stats["entries"] == snap["repro_cache_entries"] == 1
+        # Cache counters live in the registry only; stats keeps no aliases.
+        assert set(stats) == {"version", "pinned_versions", "maintained"}
+        assert snap["repro_cache_hits"] == 1
+        assert snap["repro_cache_misses"] == 1
+        assert snap["repro_cache_entries"] == 1
         assert snap["repro_service_mine_requests"] == 2
         assert snap["repro_snapshots_pins"] >= 2
 

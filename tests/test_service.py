@@ -11,10 +11,14 @@ import pytest
 
 from repro.errors import BudgetExceededError, MiningError, ServiceError
 from repro.graph.builders import path_graph
+from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.pattern import Pattern
+from repro.index.delta import MIN_BOUND, DeltaLog
 from repro.measures.base import _REGISTRY, measure_info
-from repro.mining.dynamic import StreamApplier
+from repro.mining.dynamic import DynamicMiner, StreamApplier
 from repro.mining.miner import mine_frequent_patterns
 from repro.mining.spec import MiningSpec
+from repro.mining.standing import StandingSpec, evaluate_standing, replay_answer
 from repro.service import (
     GraphService,
     ResultCache,
@@ -127,8 +131,105 @@ class TestSnapshotRegistry:
         graph = base_graph()
         registry = SnapshotRegistry(graph)
         registry.close()
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
         registry.close()  # idempotent
+
+
+#: One batch past the delta log's bound on base_graph(): a chain of 40
+#: new ``c`` vertices.  It touches only the (c, c) label pair, so a
+#: consumer that kept up would skip or reuse everything built on (a, b).
+BURST = [("v", 100, "c")] + [
+    update for i in range(101, 140) for update in (("v", i, "c"), ("e", i - 1, i))
+]
+
+
+class TestGapPerConsumer:
+    """Each delta consumer falls back, exactly, when its cursor reads a gap."""
+
+    def test_burst_is_past_the_bound(self):
+        graph = base_graph()
+        size = graph.num_vertices + graph.num_edges + len(BURST)  # all growth
+        assert len(BURST) > max(MIN_BOUND, 2 * size // 5)
+
+    def test_miner_rewalks_in_full(self):
+        graph = base_graph()
+        miner = DynamicMiner(graph, spec=SPEC)
+        miner.refresh()
+        StreamApplier(graph).apply_batch(BURST)
+        result = miner.refresh()
+        miner.detach()
+        assert result.stats.patterns_reused == 0
+        assert result.stats.patterns_skipped_unaffected == 0
+        brute = mine_frequent_patterns(graph, spec=SPEC.replace(use_index=False))
+        assert result_bytes(result) == result_bytes(brute)
+
+    def test_snapshots_copy_once_and_keep_pins(self, monkeypatch):
+        graph = base_graph()
+        registry = SnapshotRegistry(graph)
+        pinned = registry.pin()
+        frozen = pinned.graph.copy()
+        copied = []
+        copy = LabeledGraph.copy
+
+        def counting_copy(self):
+            copied.append(self)
+            return copy(self)
+
+        monkeypatch.setattr(LabeledGraph, "copy", counting_copy)
+        StreamApplier(graph).apply_batch(BURST)
+        registry.publish()
+        assert len(copied) == 1 and copied[0] is graph  # no replay, one copy
+        assert pinned.graph == frozen
+        with registry.pin() as tip:
+            assert tip.graph == graph and tip.graph is not graph
+        pinned.release()
+        registry.close()
+
+    def test_subscriptions_evaluate_everything(self):
+        threshold = StandingSpec.from_kwargs(
+            kind="threshold", min_support=2, max_nodes=3
+        )
+        watch = StandingSpec.from_kwargs(
+            pattern=Pattern.single_edge("a", "b"), min_support=2
+        )
+        with GraphService(base_graph()) as service:
+            subs = [service.subscribe(threshold), service.subscribe(watch)]
+            baselines = [sub.answer_snapshot() for sub in subs]
+            before = service.metrics_snapshot()
+            service.apply_updates(BURST)
+            after = service.metrics_snapshot()
+            with service.pin() as snap:
+                for sub, baseline in zip(subs, baselines):
+                    replayed = replay_answer(baseline, sub.poll())
+                    assert replayed == evaluate_standing(sub.spec, snap.graph)
+        moved = {
+            name: after[name] - before.get(name, 0)
+            for name in ("repro_subs_evaluations", "repro_subs_dispatch_skipped")
+        }
+        assert moved == {
+            "repro_subs_evaluations": 2,
+            "repro_subs_dispatch_skipped": 0,
+        }
+
+    def test_service_graph_carries_one_log(self, monkeypatch):
+        appended_to = []
+        append = DeltaLog.append
+
+        def counting_append(self, delta):
+            appended_to.append(self)
+            append(self, delta)
+
+        monkeypatch.setattr(DeltaLog, "append", counting_append)
+        graph = base_graph()
+        other = StandingSpec.from_kwargs(kind="threshold", min_support=3, max_nodes=3)
+        with GraphService(graph, maintain=SPEC) as service:
+            service.subscribe(other)  # its evaluator runs its own miner
+            log = graph.delta_log()
+            service.apply_updates(UPDATES)
+            assert graph.delta_log() is log
+        assert len(appended_to) == len(UPDATES)  # one append per mutation
+        assert all(target is log for target in appended_to)
+        assert graph.delta_log() is None  # and no cursor outlives the service
 
 
 class TestResultCache:
@@ -245,10 +346,10 @@ class TestGraphService:
     def test_repeated_requests_hit_the_cache(self):
         with GraphService(base_graph()) as service:
             service.mine(SPEC)
-            before = service.stats()
+            before = service.cache.stats()
             service.mine(SPEC)
             service.mine(SPEC)
-            after = service.stats()
+            after = service.cache.stats()
             assert after["hits"] == before["hits"] + 2
             assert after["misses"] == before["misses"]
 
@@ -261,7 +362,7 @@ class TestGraphService:
             # v0 is pinned: its entry must survive the advance.
             assert service.cache.peek(v0, SPEC.cache_key()) is not None
             service.mine(SPEC, snapshot=pinned)  # still a hit
-            assert service.stats()["hits"] >= 1
+            assert service.cache.stats()["hits"] >= 1
             pinned.release()
             # Last pin gone and v0 is no longer the tip: entry evicted.
             assert service.cache.peek(v0, SPEC.cache_key()) is None
@@ -269,9 +370,9 @@ class TestGraphService:
     def test_maintained_service_precaches_each_version(self):
         with GraphService(base_graph(), maintain=SPEC) as service:
             service.apply_updates(UPDATES[:2])
-            stats_before = service.stats()
+            stats_before = service.cache.stats()
             result = service.mine()  # spec-less → the maintained spec
-            assert service.stats()["hits"] == stats_before["hits"] + 1
+            assert service.cache.stats()["hits"] == stats_before["hits"] + 1
             direct = mine_frequent_patterns(graph_after(2), spec=SPEC)
             assert result_bytes(result) == result_bytes(direct)
 
@@ -316,7 +417,7 @@ class TestGraphService:
         service = GraphService(graph, maintain=SPEC)
         service.apply_updates(UPDATES[:2])
         service.stop()
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
 
     def test_maintained_spec_refuses_max_occurrences(self):
         # The maintained result is cached under spec.cache_key(), which
@@ -325,7 +426,7 @@ class TestGraphService:
         spec = MiningSpec(min_support=1, max_pattern_nodes=3, max_occurrences=1)
         with pytest.raises(MiningError, match="max_occurrences"):
             GraphService(graph, maintain=spec)
-        assert not graph.has_observers()
+        assert graph.delta_log() is None
         # An ad-hoc read of the same spec is a one-shot mine: honoured.
         with GraphService(graph) as service:
             served = service.mine(spec=spec)
@@ -465,10 +566,10 @@ class TestProtocol:
             update, _ = self.request(
                 service, {"op": "update", "updates": [["v", 6, "b"], ["e", 5, 6]]}
             )
-            assert update["ok"] and service.stats()["entries"] == 1
+            assert update["ok"] and service.cache.stats()["entries"] == 1
             mined, _ = self.request(service, {"op": "mine", "spec": {"min_support": 3}})
             assert mined["ok"] and mined["cached"] is True
-            assert service.stats()["entries"] == 1
+            assert service.cache.stats()["entries"] == 1
 
 
 #: Spec payloads of the wrong field type: each must come back as a typed

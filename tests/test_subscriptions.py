@@ -225,11 +225,12 @@ class TestLifecycle:
         graph = base_graph()
         with GraphService(graph) as service:
             registry = service.subscriptions
-            assert registry._observer is None  # zero subs -> zero hooks
+            assert registry._cursor is None  # zero subs -> zero cursors
             sub = service.subscribe(WATCH_AB)
-            assert registry._observer is not None
+            assert registry._cursor is not None and registry._cursor.open
+            cursor = registry._cursor
             service.unsubscribe(sub)
-            assert registry._observer is None
+            assert registry._cursor is None and not cursor.open
 
     def test_drop_owner_gc(self):
         with GraphService(base_graph()) as service:
