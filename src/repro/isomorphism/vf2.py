@@ -72,10 +72,15 @@ Mapping = Dict[Vertex, Vertex]
 Items = Tuple[Tuple[Vertex, Vertex], ...]
 
 
-def _matching_order(pattern: Pattern, data: Optional[LabeledGraph]) -> List[Vertex]:
+def _matching_order(
+    pattern: Pattern, data: Optional[LabeledGraph], start: Sequence[Vertex] = ()
+) -> List[Vertex]:
     """A static node order: rarest label first, then connectivity-first growth.
 
-    When the pattern is disconnected the order simply chains components.
+    ``start`` pins a prefix (an anchored plan's anchor nodes), so the
+    growth continues from it and every later node of a connected pattern
+    has a mapped neighbor.  When the pattern is disconnected the order
+    simply chains components.
     """
     graph = pattern.graph
     if data is not None:
@@ -86,9 +91,9 @@ def _matching_order(pattern: Pattern, data: Optional[LabeledGraph]) -> List[Vert
     else:
         rarity = {node: 0 for node in graph.vertices()}
 
-    remaining: Set[Vertex] = set(graph.vertices())
-    ordered: Set[Vertex] = set()
-    order: List[Vertex] = []
+    order: List[Vertex] = list(start)
+    ordered: Set[Vertex] = set(order)
+    remaining: Set[Vertex] = set(graph.vertices()) - ordered
     while remaining:
         # Prefer a node adjacent to the already-ordered prefix; tie-break on
         # label rarity in the data graph, then high degree, then repr.
@@ -204,6 +209,90 @@ class _Plan:
                 self.reqs.append(None)
         size = len(ci.table.vertex_of)
         self.memo = [None if req is None else bytearray(size) for req in self.reqs]
+
+
+class _PlanCache:
+    """One pattern's anchored plans over one maintained index, kept across patches.
+
+    A caller that searches the same pattern again and again over an
+    index that is patched in place between searches (a maintained
+    occurrence set) keeps its plans here, keyed by the anchor-node
+    tuple, under these rules:
+
+    * the plans belong to one index object: a rebuilt index (a new
+      object, with a new intern table) drops them all (a caller that
+      lost track of the patches starts a new cache);
+    * a requirement verdict depends only on the vertex's degree and
+      neighbor-label signature, which a patch changes only at the
+      vertices it touches (the endpoints of an added or removed edge, an
+      added or removed vertex), so :meth:`touch` resets exactly those
+      memo entries, at every depth;
+    * vertices the patches intern grow the memos and the ``used``
+      scratch buffer with zeroed (unknown) entries;
+    * a plan built empty (some pattern label had no live data vertex) is
+      rebuilt at its next use, and a plan one of whose labels has since
+      lost its last vertex answers nothing.
+    """
+
+    __slots__ = ("pattern", "index", "plans", "scratch")
+
+    def __init__(self, pattern: Pattern) -> None:
+        self.pattern = pattern
+        self.index: Optional[GraphIndex] = None
+        self.plans: Dict[Tuple[Vertex, ...], _Plan] = {}
+        self.scratch = bytearray()
+
+    def touch(self, ci: GraphIndex, vertices: Iterable[Vertex]) -> None:
+        """Forget the requirement verdicts of ``vertices``: a patch moved them."""
+        if ci is not self.index:
+            return  # the plans go at the next search anyway
+        vint_of = ci.table._vint_of
+        vints = [vint_of[v] for v in vertices if v in vint_of]
+        for plan in self.plans.values():
+            for memo in plan.memo:
+                if memo is None:
+                    continue
+                size = len(memo)
+                for vi in vints:
+                    if vi < size:
+                        memo[vi] = 0
+
+    def search(
+        self,
+        ci: GraphIndex,
+        data: LabeledGraph,
+        anchors: Tuple[Vertex, ...],
+        anchor_vints: Sequence[int],
+        nodes: Sequence[Vertex],
+    ) -> List[Items]:
+        """Every occurrence mapping ``anchors`` onto ``anchor_vints``, as items.
+
+        The anchor images must be distinct, label-matched, and adjacent
+        wherever their pattern nodes are (the kernel checks adjacency only
+        from the first non-anchor depth on).  Items are decoded over
+        ``nodes``.
+        """
+        if ci is not self.index:
+            self.index = ci
+            self.plans = {}
+        plan = self.plans.get(anchors)
+        if plan is None or plan.empty:
+            order = _matching_order(self.pattern, data, anchors)
+            plan = self.plans[anchors] = _Plan(self.pattern, ci, order, anchors)
+            if plan.empty:
+                return []
+        inv = ci._inv
+        if any(li not in inv for li in plan.lints):
+            return []
+        size = len(ci.table.vertex_of)
+        for memo in plan.memo:
+            if memo is not None and len(memo) < size:
+                memo.extend(bytes(size - len(memo)))
+        if len(self.scratch) < size:
+            self.scratch.extend(bytes(size - len(self.scratch)))
+        images = [0] * len(plan.order)
+        images[: plan.k] = anchor_vints
+        return _search(ci, plan, images, self.scratch, None, nodes)
 
 
 def _search(

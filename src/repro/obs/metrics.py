@@ -283,10 +283,14 @@ DOCUMENTED_METRICS: Tuple[str, ...] = (
     "repro_sharded_index_rebalances",
     "repro_sharded_index_edges_moved",
     "repro_sharded_index_full_repartitions",
-    # shard worker pool (parent-side dispatch accounting)
+    # shard worker pool (parent-side dispatch accounting, plus the workers'
+    # occurrence-set tallies carried on their replies)
     "repro_pool_tasks_dispatched",
     "repro_pool_slices_shipped",
     "repro_pool_slices_patched",
+    "repro_pool_tasks_from_sets",
+    "repro_pool_sets_built",
+    "repro_pool_sets_dropped",
     "repro_pool_serial_fallbacks",
     "repro_pool_queue_depth",
     # out-of-core pager

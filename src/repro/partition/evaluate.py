@@ -65,11 +65,17 @@ from typing import (
 from ..graph.labeled_graph import Edge, LabeledGraph, Vertex, normalize_edge
 from ..graph.pattern import Pattern
 from ..hypergraph.construction import HypergraphBundle
-from ..index.graph_index import IndexArg, _label_pair_key
+from ..index.delta import EdgeAdded, EdgeRemoved
+from ..index.graph_index import IndexArg, get_index
 from ..isomorphism.anchored import valid_images
 from ..isomorphism.matcher import Occurrence
-from ..isomorphism.vf2 import _collect_items, collect_subgraph_isomorphism_items
+from ..isomorphism.vf2 import (
+    _collect_items,
+    _PlanCache,
+    collect_subgraph_isomorphism_items,
+)
 from ..measures.base import compute_support
+from ..mining.dynamic import pattern_footprint
 from ..mining.parallel import LABEL_FREQUENCY_BOUNDED, label_frequency_bound
 from .sharded_index import ShardedIndex
 
@@ -101,24 +107,15 @@ def pattern_shardable(pattern: Pattern) -> bool:
     return pattern.num_edges > 0 and pattern.graph.is_connected()
 
 
-def pattern_label_pairs(pattern: Pattern) -> Set[Tuple]:
-    """The canonical label pairs realized by ``pattern``'s edges."""
-    graph = pattern.graph
-    return {
-        _label_pair_key(graph.label_of(u), graph.label_of(v))
-        for u, v in graph.edges()
-    }
-
-
-def relevant_shards(pattern: Pattern, sharded: ShardedIndex) -> List[int]:
-    """Shard ids that can anchor an occurrence of ``pattern``.
+def relevant_shards(footprint: AbstractSet[Tuple], sharded: ShardedIndex) -> List[int]:
+    """Shard ids that can anchor an occurrence of a pattern with ``footprint``.
 
     An anchored occurrence maps some pattern edge onto a shard core edge,
     so the shard's core label pairs must intersect the pattern's
-    label-pair footprint.
+    label-pair footprint (:func:`~repro.mining.dynamic.pattern_footprint`).
     """
     ids: Set[int] = set()
-    for pair in pattern_label_pairs(pattern):
+    for pair in footprint:
         ids.update(sharded.shards_for_pair(*pair))
     return sorted(ids)
 
@@ -141,12 +138,16 @@ def plan_candidate(
     * ``("pruned", (bound, -1))`` — the global label-frequency bound
       already sits below the threshold (eager mode only), a finished
       outcome;
-    * ``("shards", shard_ids)`` — evaluate on these relevant shards and
-      merge.
+    * ``("shards", [(shard_id, exclusive), ...])`` — evaluate on these
+      relevant shards and merge; ``exclusive`` is
+      :func:`shard_exclusive` (always ``False`` for lazy scans, which
+      never filter on core edges).
 
-    The one planner (:func:`repro.partition.workers.pooled_outcomes`)
-    calls it once per candidate, whether its tasks then run in process
-    or on the shard-resident pool.
+    The pattern's label-pair footprint is computed once here and shared
+    by the shard lookup and every exclusivity test.  The one planner
+    (:func:`repro.partition.workers.pooled_outcomes`) calls it once per
+    candidate, whether its tasks then run in process or on the
+    shard-resident pool.
     """
     if sharded.num_shards == 1 or not pattern_shardable(pattern):
         return "flat", None
@@ -159,11 +160,17 @@ def plan_candidate(
         bound = label_frequency_bound(pattern, histogram)
         if bound < prune_below:
             return "pruned", (float(bound), -1)
-    return "shards", relevant_shards(pattern, sharded)
+    footprint = pattern_footprint(pattern)
+    return "shards", [
+        (shard_id, not lazy and shard_exclusive(footprint, sharded, shard_id))
+        for shard_id in relevant_shards(footprint, sharded)
+    ]
 
 
-def shard_exclusive(pattern: Pattern, sharded: ShardedIndex, shard_id: int) -> bool:
-    """True when ``shard_id`` exclusively owns the pattern's whole footprint.
+def shard_exclusive(
+    footprint: AbstractSet[Tuple], sharded: ShardedIndex, shard_id: int
+) -> bool:
+    """True when ``shard_id`` exclusively owns a pattern's whole ``footprint``.
 
     Every data edge an occurrence could use is then a core edge of this
     shard, so the per-occurrence core-edge filter can be skipped (the
@@ -171,10 +178,7 @@ def shard_exclusive(pattern: Pattern, sharded: ShardedIndex, shard_id: int) -> b
     parent computes this flag when planning shard-resident work, so a
     worker holding only its own slice makes the identical decision.
     """
-    return all(
-        sharded.shards_for_pair(*pair) == (shard_id,)
-        for pair in pattern_label_pairs(pattern)
-    )
+    return all(sharded.shards_for_pair(*pair) == (shard_id,) for pair in footprint)
 
 
 def anchored_occurrence_items(
@@ -217,6 +221,176 @@ def anchored_occurrence_items(
     # The core-edge test runs at each leaf of the search, so a `limit`
     # stops it as soon as that many *anchored* occurrences are confirmed.
     return _collect_items(pattern, expanded, limit, index, keep=uses_core_edge)
+
+
+class OccurrenceSet:
+    """One pattern's occurrences in one resident view, patched by the view's deltas.
+
+    The set holds *every* occurrence of ``pattern`` in the view, as item
+    tuples, together with a vertex -> occurrences map and, per pattern
+    node, an image -> multiplicity count (so MNI is a ``len`` per node).
+    It reads the view's delta log through its own cursor and is synced
+    at each use (:meth:`sync`):
+
+    * an occurrence that used a removed edge or vertex is dropped,
+      found through the vertex map;
+    * an added edge still in the view is the anchor of k = 2 searches of
+      the one VF2 kernel, one per pattern edge orientation whose labels
+      match, over plans kept in a :class:`~repro.isomorphism.vf2._PlanCache`;
+      every occurrence the current view gained uses such an edge;
+    * a gap (a burst past the log's bound, or a closed cursor) refills
+      the set by full enumeration.
+
+    Because the set covers the whole view, a task whose shard owns the
+    pattern's footprint (``exclusive``) reads its answer straight off the
+    counts, and any other task keeps the occurrences that use a core
+    edge (:meth:`anchored`).
+    """
+
+    __slots__ = (
+        "pattern",
+        "_nodes",
+        "_edge_positions",
+        "_orientations",
+        "_cursor",
+        "_plans",
+        "_items",
+        "_by_vertex",
+        "_images",
+    )
+
+    def __init__(self, pattern: Pattern, view: LabeledGraph) -> None:
+        self.pattern = pattern
+        graph = pattern.graph
+        self._nodes = sorted(graph.vertices(), key=repr)
+        position = {node: i for i, node in enumerate(self._nodes)}
+        self._edge_positions = [(position[a], position[b]) for a, b in graph.edges()]
+        # (label of u, label of v) -> the pattern edges (a, b) to anchor
+        # on a data edge (u, v), each orientation whose labels match.
+        orientations: Dict[Tuple, List[Tuple[Vertex, Vertex]]] = {}
+        for a, b in graph.edges():
+            for x, y in ((a, b), (b, a)):
+                key = (graph.label_of(x), graph.label_of(y))
+                if (x, y) not in orientations.setdefault(key, []):
+                    orientations[key].append((x, y))
+        self._orientations = orientations
+        self._plans = _PlanCache(pattern)
+        self._cursor = view.cursor()
+        self._fill(view)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def mni(self) -> int:
+        """MNI of the set: the fewest distinct images of any pattern node."""
+        if not self._items:
+            return 0
+        return min(len(counts) for counts in self._images)
+
+    def items(self) -> List[OccurrenceItems]:
+        """Every occurrence in the view."""
+        return list(self._items)
+
+    def anchored(self, core: AbstractSet[Edge]) -> List[OccurrenceItems]:
+        """The occurrences that use one of the ``core`` edges."""
+        positions = self._edge_positions
+        return [
+            items
+            for items in self._items
+            if any(
+                normalize_edge(items[pa][1], items[pb][1]) in core
+                for pa, pb in positions
+            )
+        ]
+
+    def close(self) -> None:
+        """Stop reading the view's delta log."""
+        self._cursor.close()
+
+    # -- maintenance ---------------------------------------------------
+    def _fill(self, view: LabeledGraph) -> None:
+        self._items: Dict[OccurrenceItems, None] = {}
+        self._by_vertex: Dict[Vertex, Set[OccurrenceItems]] = {}
+        self._images: List[Dict[Vertex, int]] = [{} for _ in self._nodes]
+        for items in collect_subgraph_isomorphism_items(self.pattern, view):
+            self._add(items)
+
+    def _add(self, items: OccurrenceItems) -> None:
+        if items in self._items:
+            return
+        self._items[items] = None
+        by_vertex = self._by_vertex
+        for counts, (_node, vertex) in zip(self._images, items):
+            counts[vertex] = counts.get(vertex, 0) + 1
+            bucket = by_vertex.get(vertex)
+            if bucket is None:
+                by_vertex[vertex] = {items}
+            else:
+                bucket.add(items)
+
+    def _discard(self, items: OccurrenceItems) -> None:
+        del self._items[items]
+        by_vertex = self._by_vertex
+        for counts, (_node, vertex) in zip(self._images, items):
+            left = counts[vertex] - 1
+            if left:
+                counts[vertex] = left
+            else:
+                del counts[vertex]
+            bucket = by_vertex[vertex]
+            bucket.discard(items)
+            if not bucket:
+                del by_vertex[vertex]
+
+    def _uses(self, items: OccurrenceItems, u: Vertex, v: Vertex) -> bool:
+        """True when the occurrence maps a pattern edge onto the edge ``(u, v)``."""
+        for pa, pb in self._edge_positions:
+            x, y = items[pa][1], items[pb][1]
+            if (x == u and y == v) or (x == v and y == u):
+                return True
+        return False
+
+    def sync(self, view: LabeledGraph) -> bool:
+        """Bring the set current with ``view``; ``False`` when a gap refilled it."""
+        deltas = self._cursor.read()
+        if deltas is None:
+            self._plans = _PlanCache(self.pattern)
+            self._fill(view)
+            return False
+        if not deltas:
+            return True
+        by_vertex = self._by_vertex
+        touched: Set[Vertex] = set()
+        added: Dict[Edge, None] = {}
+        for delta in deltas:
+            if isinstance(delta, EdgeRemoved):
+                u, v = delta.u, delta.v
+                touched.update((u, v))
+                first, second = by_vertex.get(u), by_vertex.get(v)
+                if first and second:
+                    bucket = first if len(first) <= len(second) else second
+                    for items in [o for o in bucket if self._uses(o, u, v)]:
+                        self._discard(items)
+            elif isinstance(delta, EdgeAdded):
+                touched.update((delta.u, delta.v))
+                added[normalize_edge(delta.u, delta.v)] = None
+            else:  # a vertex joined or left
+                touched.add(delta.vertex)
+                for items in list(by_vertex.get(delta.vertex, ())):
+                    self._discard(items)
+        index = get_index(view)
+        self._plans.touch(index, touched)
+        vint_of = index.table._vint_of
+        for u, v in added:
+            if not view.has_edge(u, v):
+                continue
+            anchors = self._orientations.get((view.label_of(u), view.label_of(v)))
+            for a, b in anchors or ():
+                for items in self._plans.search(
+                    index, view, (a, b), (vint_of[u], vint_of[v]), self._nodes
+                ):
+                    self._add(items)
+        return True
 
 
 def merge_shard_items(
@@ -360,6 +534,7 @@ def evaluate_task(
     view: Callable[[], LabeledGraph],
     core: AbstractSet[Edge],
     config: Mapping[str, Any],
+    source: Optional[OccurrenceSet] = None,
 ):
     """Evaluate one planned shard task against its halo-expanded view.
 
@@ -378,6 +553,11 @@ def evaluate_task(
     the view and returns ``(support, num_occurrences)``; measures are
     pure functions of the occurrence set, so the local view answers
     exactly what the global graph would.
+
+    ``source`` is the pattern's :class:`OccurrenceSet` in the view, when
+    its holder keeps one (eager MNI, no ``limit``, indexed): the
+    occurrences are read from it instead of enumerated, and an
+    ``exclusive`` ``solo`` task reads MNI off its image counts.
     """
     kind, pattern, _shard_id, exclusive, limit = task
     index_arg = None if config["use_index"] else False
@@ -388,9 +568,16 @@ def evaluate_task(
             return images
         return float(merge_lazy_partials([images], cap=cap)), -1
     graph = view()
-    items = anchored_occurrence_items(
-        pattern, graph, core, exclusive=exclusive, index=index_arg, limit=limit
-    )
+    if source is None:
+        items = anchored_occurrence_items(
+            pattern, graph, core, exclusive=exclusive, index=index_arg, limit=limit
+        )
+    elif not exclusive:
+        items = source.anchored(core)
+    elif kind == "solo":
+        return float(source.mni()), len(source)
+    else:
+        items = source.items()
     if kind == "part":
         return items
     return support_from_shard_items(

@@ -85,12 +85,12 @@ from ..index.delta import IndexMaintainer
 from ..obs import metrics as _metrics
 from .evaluate import (
     NodeImages,
+    OccurrenceSet,
     ShardTask,
     evaluate_task,
     merge_lazy_partials,
     plan_candidate,
     required_depth,
-    shard_exclusive,
     support_from_shard_items,
 )
 from .sharded_index import ShardedIndex
@@ -191,6 +191,11 @@ def shard_patch(
 # ----------------------------------------------------------------------
 # the worker process
 # ----------------------------------------------------------------------
+#: A view keeps at most this many stored occurrences per vertex and edge
+#: of its own: the bound on its :class:`OccurrenceSet` store.
+SET_OCCURRENCES_PER_ELEMENT = 4
+
+
 class ResidentView:
     """One shard as its worker holds it, patched in place across batches.
 
@@ -199,14 +204,31 @@ class ResidentView:
     On the indexed path an :class:`~repro.index.delta.IndexMaintainer`
     rides the view from then on, so the mutations of later patches patch
     the view's cached index in O(delta).
+
+    The view also keeps the occurrence sets of the patterns it is asked
+    about again (eager MNI tasks without an occurrence limit, indexed):
+    the first evaluation of a pattern enumerates as usual and only
+    remembers the pattern's key, ``pattern.graph.signature()`` (node ids
+    included: the items of a set are positional, so an isomorphic
+    pattern with other node ids is another key); the second builds the
+    pattern's :class:`~repro.partition.evaluate.OccurrenceSet`, and
+    later ones sync it by the view's deltas and read their answer from
+    it.  The sets hold at most :data:`SET_OCCURRENCES_PER_ELEMENT` x
+    ``(|V| + |E|)`` occurrences in all; past that the least recently
+    used sets are dropped.  ``counts`` tallies tasks served from a kept
+    set, sets built and sets dropped (by a gap or the bound).
     """
 
-    __slots__ = ("view", "core", "_maintainer")
+    __slots__ = ("view", "core", "_maintainer", "_sets", "_seen", "_stored", "counts")
 
     def __init__(self) -> None:
         self.view = LabeledGraph()
         self.core: Set[Edge] = set()
         self._maintainer: Optional[IndexMaintainer] = None
+        self._sets: "OrderedDict[object, OccurrenceSet]" = OrderedDict()
+        self._seen: "OrderedDict[object, None]" = OrderedDict()
+        self._stored = 0
+        self.counts = [0, 0, 0]  # served, built, dropped
 
     def apply(self, patch: ShardPatch, use_index: bool) -> None:
         """Patch the view, its index and the core edges to the parent's state."""
@@ -230,10 +252,58 @@ class ResidentView:
 
     def evaluate(self, task: ShardTask, config: Dict[str, object]):
         """Run one task against this view; lazy scans are read out in full."""
-        payload = evaluate_task(task, lambda: self.view, self.core, config)
+        source = None
+        if (
+            config["measure"] == "mni"
+            and not config["lazy"]
+            and config["use_index"]
+            and task[4] is None
+        ):
+            source = self._occurrence_set(task[1])
+        payload = evaluate_task(task, lambda: self.view, self.core, config, source)
         if isinstance(payload, NodeImages):
             payload = dict(payload)  # scan every node before sending
+        if source is not None:
+            self._trim()
         return payload
+
+    def _occurrence_set(self, pattern: Pattern) -> Optional[OccurrenceSet]:
+        """The pattern's synced set, built at its second evaluation here."""
+        key = pattern.graph.signature()
+        kept = self._sets.get(key)
+        if kept is None:
+            if key not in self._seen:
+                self._seen[key] = None
+                if len(self._seen) > self._bound():
+                    self._seen.popitem(last=False)
+                return None
+            del self._seen[key]
+            kept = self._sets[key] = OccurrenceSet(pattern, self.view)
+            self.counts[1] += 1
+            self._stored += len(kept)
+            return kept
+        self._sets.move_to_end(key)
+        before = len(kept)
+        if kept.sync(self.view):
+            self.counts[0] += 1
+        else:
+            self.counts[1] += 1
+            self.counts[2] += 1
+        self._stored += len(kept) - before
+        return kept
+
+    def _bound(self) -> int:
+        view = self.view
+        return SET_OCCURRENCES_PER_ELEMENT * (view.num_vertices + view.num_edges)
+
+    def _trim(self) -> None:
+        """Drop the least recently used sets while the store is over its bound."""
+        bound = self._bound()
+        while self._stored > bound and self._sets:
+            _key, dropped = self._sets.popitem(last=False)
+            dropped.close()
+            self._stored -= len(dropped)
+            self.counts[2] += 1
 
 
 #: A worker splits a batch's reply once its pickled results reach this
@@ -247,7 +317,10 @@ def _worker_main(conn, config: Dict[str, object]) -> None:
 
     Results go back pickled one by one, in task order: in ``("more",
     chunk)`` replies while they outgrow :data:`REPLY_BYTES`, then one
-    ``("ok", chunk)`` (or ``("err", traceback)``) that ends the batch.
+    ``("ok", chunk, counts)`` (or ``("err", traceback)``) that ends the
+    batch.  ``counts`` is the batch's occurrence-set tally, summed over
+    the worker's views (:attr:`ResidentView.counts`): tasks served from
+    a kept set, sets built, sets dropped.
     """
     resident: Dict[int, ResidentView] = {}
     use_index = bool(config["use_index"])
@@ -274,7 +347,11 @@ def _worker_main(conn, config: Dict[str, object]) -> None:
                 if size >= REPLY_BYTES:
                     conn.send(("more", chunk))
                     chunk, size = [], 0
-            reply = ("ok", chunk)
+            counts = [0, 0, 0]
+            for view in resident.values():
+                counts = [a + b for a, b in zip(counts, view.counts)]
+                view.counts = [0, 0, 0]
+            reply = ("ok", chunk, tuple(counts))
         except BaseException:
             reply = ("err", traceback.format_exc())
         try:
@@ -290,6 +367,12 @@ def _worker_main(conn, config: Dict[str, object]) -> None:
 # ----------------------------------------------------------------------
 # the parent-side pool
 # ----------------------------------------------------------------------
+#: The pool's own dispatch counters, and those fed by the workers'
+#: replies (in reply order).
+_DISPATCH_COUNTERS = ("tasks_dispatched", "slices_shipped", "slices_patched")
+_SET_COUNTERS = ("tasks_from_sets", "sets_built", "sets_dropped")
+
+
 class ShardWorkerPool:
     """Long-lived shard-owning worker processes, one message per batch each.
 
@@ -341,10 +424,14 @@ class ShardWorkerPool:
         self.slices_shipped = 0
         self.slices_patched = 0
         self.tasks_dispatched = 0
+        # The workers' occurrence-set tallies, summed from their replies.
+        self.tasks_from_sets = 0
+        self.sets_built = 0
+        self.sets_dropped = 0
         # Declare the pool's instruments before spawning: the documented
         # names must exist in snapshots even if process start fails below.
         registry = _metrics.get_registry()
-        for name in ("tasks_dispatched", "slices_shipped", "slices_patched"):
+        for name in _DISPATCH_COUNTERS + _SET_COUNTERS:
             registry.counter(f"repro_pool_{name}")
         registry.histogram("repro_pool_queue_depth")
         context = multiprocessing.get_context()
@@ -511,7 +598,7 @@ class ShardWorkerPool:
             for conn in ready:
                 worker = pending.pop(conn)
                 try:
-                    status, payload = conn.recv()
+                    status, payload, *tally = conn.recv()
                 except (EOFError, OSError) as exc:
                     raise WorkerPoolError(
                         f"shard worker {worker} died mid-level ({exc})"
@@ -519,6 +606,8 @@ class ShardWorkerPool:
                 if status == "err":
                     failures.append(f"shard worker {worker} task failed:\n{payload}")
                     continue
+                if tally:
+                    self._count_sets(*tally)
                 done = received[worker]
                 for position, data in zip(positions[worker][done:], payload):
                     results[position] = pickle.loads(data)
@@ -529,18 +618,25 @@ class ShardWorkerPool:
             raise RuntimeError("\n".join(failures))
         return results
 
+    def _count_sets(self, counts: Tuple[int, int, int]) -> None:
+        """Add one worker reply's occurrence-set tally to the pool's counters."""
+        for name, count in zip(_SET_COUNTERS, counts):
+            if count:
+                setattr(self, name, getattr(self, name) + count)
+                _metrics.counter(f"repro_pool_{name}").inc(count)
+
     def stats(self) -> Dict[str, int]:
         """This pool's counters under the registry naming convention.
 
         The values come from the pool's own counter attributes
-        (``tasks_dispatched``, ``slices_shipped``, ``slices_patched``),
-        which are their storage; the registry counters of the same names
-        are process-wide.
+        (``tasks_dispatched``, ``slices_shipped``, ``slices_patched`` and
+        the workers' occurrence-set tallies ``tasks_from_sets``,
+        ``sets_built``, ``sets_dropped``), which are their storage; the
+        registry counters of the same names are process-wide.
         """
         return {
-            "repro_pool_tasks_dispatched": self.tasks_dispatched,
-            "repro_pool_slices_shipped": self.slices_shipped,
-            "repro_pool_slices_patched": self.slices_patched,
+            f"repro_pool_{name}": getattr(self, name)
+            for name in _DISPATCH_COUNTERS + _SET_COUNTERS
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -631,7 +727,7 @@ def pooled_outcomes(
         if kind != "shards":
             plans.append((kind, payload))
             continue
-        shard_ids: List[int] = payload  # type: ignore[assignment]
+        shards: List[Tuple[int, bool]] = payload  # type: ignore[assignment]
         if required_depth(pattern) > depth:
             raise PartitionError(
                 f"{pattern!r} needs halo depth {required_depth(pattern)}, "
@@ -640,19 +736,12 @@ def pooled_outcomes(
         # One relevant shard finishes the candidate where it runs
         # ("solo"); otherwise each returns a partial for the merge
         # ("part") — with no relevant shard, the empty merge is the exact
-        # answer.  Lazy scans never filter on core edges, so they skip
-        # the exclusivity test.
-        task_kind = "solo" if len(shard_ids) == 1 else "part"
-        plans.append((task_kind, len(shard_ids)))
+        # answer.
+        task_kind = "solo" if len(shards) == 1 else "part"
+        plans.append((task_kind, len(shards)))
         tasks.extend(
-            (
-                task_kind,
-                pattern,
-                shard_id,
-                not lazy and shard_exclusive(pattern, sharded, shard_id),
-                max_occurrences,
-            )
-            for shard_id in shard_ids
+            (task_kind, pattern, shard_id, exclusive, max_occurrences)
+            for shard_id, exclusive in shards
         )
     if runner is None:
         config = dict(

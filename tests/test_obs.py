@@ -445,7 +445,14 @@ class TestDocumentedMetrics:
     def test_core_counters_move(self, fresh_registry):
         """Beyond existing: the load-bearing counters actually count."""
         graph = mining_graph()
-        updates = [("v", 100, "A"), ("e", 100, 0), ("de", 2, 3), ("e", 2, 3)]
+        updates = [
+            ("v", 100, "A"),
+            ("e", 100, 0),
+            ("de", 2, 3),
+            ("e", 2, 3),
+            ("de", 6, 7),
+            ("e", 6, 7),
+        ]
         list(
             mine_stream(
                 graph,
@@ -463,6 +470,11 @@ class TestDocumentedMetrics:
         assert snap["repro_pool_slices_patched"] > 0
         assert snap["repro_pager_recomputes"] > 0
         assert snap["repro_pager_evictions"] > 0
+        # Counts the workers carry back on their replies: patterns
+        # re-evaluated on a view get a kept occurrence set at their
+        # second evaluation there and are read from it afterwards.
+        assert snap["repro_pool_sets_built"] > 0
+        assert snap["repro_pool_tasks_from_sets"] > 0
         assert snap["repro_sharded_index_patches_applied"] > 0
         assert snap["repro_snapshots_publishes"] >= 2
         assert snap["repro_cache_entries"] >= 1

@@ -229,6 +229,7 @@ class TestHaloBookkeeping:
 
     @pytest.mark.parametrize("index", [None, False])
     def test_shard_occurrence_limit_truncates_anchored_occurrences(self, index):
+        from repro.mining.dynamic import pattern_footprint
         from repro.partition.evaluate import (
             anchored_occurrence_items,
             required_depth,
@@ -244,7 +245,9 @@ class TestHaloBookkeeping:
                 pattern,
                 sharded.expanded_shard(shard_id, required_depth(pattern)),
                 sharded.shards[shard_id].core_edge_set,
-                exclusive=shard_exclusive(pattern, sharded, shard_id),
+                exclusive=shard_exclusive(
+                    pattern_footprint(pattern), sharded, shard_id
+                ),
                 index=index,
                 limit=limit,
             )

@@ -27,7 +27,7 @@ from repro.errors import PartitionError
 from repro.graph.builders import path_pattern, star_pattern, triangle_pattern
 from repro.isomorphism.matcher import find_occurrences
 from repro.measures.lazy_mni import lazy_mni_support
-from repro.mining.dynamic import DynamicMiner, mine_stream
+from repro.mining.dynamic import DynamicMiner, mine_stream, pattern_footprint
 from repro.mining.miner import mine_frequent_patterns
 from repro.mining.parallel import evaluate_support
 from repro.mining.spec import MiningSpec
@@ -290,15 +290,16 @@ class TestShardedSupportEquivalence:
         sharded = ShardedIndex.build(graph, 3, method)
         for pattern in PATTERNS:
             flat = find_occurrences(pattern, graph)
+            footprint = pattern_footprint(pattern)
             merged = merge_shard_items(
                 [
                     anchored_occurrence_items(
                         pattern,
                         sharded.expanded_shard(shard_id, required_depth(pattern)),
                         sharded.shards[shard_id].core_edge_set,
-                        exclusive=shard_exclusive(pattern, sharded, shard_id),
+                        exclusive=shard_exclusive(footprint, sharded, shard_id),
                     )
-                    for shard_id in relevant_shards(pattern, sharded)
+                    for shard_id in relevant_shards(footprint, sharded)
                 ]
             )
             assert {occ.mapping_items for occ in merged} == {
@@ -319,7 +320,7 @@ class TestShardedSupportEquivalence:
             prune_below=None,
         )
         patterns = PATTERNS + [UNANCHORED]
-        assert relevant_shards(UNANCHORED, sharded) == []
+        assert relevant_shards(pattern_footprint(UNANCHORED), sharded) == []
         assert sharded_outcomes(patterns, sharded, measure, **common) == [
             evaluate_support(pattern, graph, measure, index_arg=None, **common)
             for pattern in patterns

@@ -23,8 +23,19 @@ import pytest
 
 from repro.datasets.synthetic import random_labeled_graph
 from repro.errors import MiningError
-from repro.graph.builders import path_pattern
+from repro.graph.builders import path_pattern, star_pattern, triangle_pattern
+from repro.graph.canonical import canonical_certificate
 from repro.graph.labeled_graph import LabeledGraph
+from repro.index.delta import IndexMaintainer
+from repro.isomorphism.matcher import Occurrence
+from repro.isomorphism.vf2 import (
+    _matching_order,
+    _Plan,
+    _PlanCache,
+    _search,
+    collect_subgraph_isomorphism_items,
+)
+from repro.measures.mni import mni_support_from_occurrences
 from repro.mining import miner as miner_module
 from repro.mining.dynamic import DynamicMiner, apply_update, mine_stream
 from repro.mining.miner import FrequentSubgraphMiner, mine_frequent_patterns
@@ -42,6 +53,13 @@ from repro.partition import (
     load_shard_view,
     pooled_outcomes,
     save_shard_views,
+)
+from repro.partition import workers as workers_module
+from repro.partition.evaluate import (
+    OccurrenceSet,
+    anchored_occurrence_items,
+    evaluate_task,
+    support_from_shard_items,
 )
 from repro.partition.workers import ResidentView, shard_patch
 
@@ -754,6 +772,7 @@ class TestPatchedChurn:
             assert pooled._resources.pool is pool  # no fallback
             assert pooled._sharded_maintainer.rebuilds >= 1
             assert pool.slices_patched > 0
+            assert pool.tasks_from_sets > 0  # answers read from kept sets
             # Each shard crossed the pipe whole once, on first use: the
             # re-partition re-bound the pool, which patched its shards
             # against what the workers held.
@@ -835,3 +854,348 @@ class TestPatchedChurn:
         finally:
             for miner in miners:
                 miner.detach()
+
+
+# ----------------------------------------------------------------------
+# maintained occurrence sets: patched by delta == enumerated afresh
+# ----------------------------------------------------------------------
+SET_PATTERNS = [
+    path_pattern(["A", "B"]),
+    path_pattern(["B", "A", "B"]),
+    path_pattern(["A", "B", "C"]),
+    path_pattern(["C", "A", "B", "C"]),
+    star_pattern("A", ["B", "C", "C"]),
+    triangle_pattern("A", "B", "C"),
+]
+
+EAGER = dict(measure="mni", lazy=False, lazy_cap=2, use_index=True)
+
+
+def relabel(graph: LabeledGraph, vertex, label) -> None:
+    """Delete ``vertex`` and add it back under ``label``, with its edges."""
+    neighbors = list(graph.neighbors(vertex))
+    apply_update(graph, ("dv", vertex))
+    apply_update(graph, ("v", vertex, label))
+    for neighbor in neighbors:
+        apply_update(graph, ("e", vertex, neighbor))
+
+
+def leaf_burst(graph: LabeledGraph, vertex, tag: str, count: int = 40) -> None:
+    """``2 * count`` deltas around one vertex: past the log's bound of 64."""
+    for i in range(count):
+        apply_update(graph, ("v", f"{tag}{i}", "ABC"[i % 3]))
+        apply_update(graph, ("e", vertex, f"{tag}{i}"))
+
+
+def occurrence_list(items_list):
+    return [
+        Occurrence(mapping_items=items, index=i) for i, items in enumerate(items_list)
+    ]
+
+
+def assert_sets_current(sets, worker: ResidentView):
+    """Sync every set; each must equal a fresh enumeration on the view.
+
+    Returns the :meth:`OccurrenceSet.sync` outcomes (``False`` = gap).
+    """
+    outcomes = []
+    for pattern, kept in sets.items():
+        outcomes.append(kept.sync(worker.view))
+        every = anchored_occurrence_items(
+            pattern, worker.view, worker.core, exclusive=True
+        )
+        assert sorted(kept.items(), key=repr) == sorted(every, key=repr)
+        anchored = anchored_occurrence_items(
+            pattern, worker.view, worker.core, exclusive=False
+        )
+        assert sorted(kept.anchored(worker.core), key=repr) == sorted(
+            anchored, key=repr
+        )
+        assert len(kept) == len(every)
+        assert kept.mni() == mni_support_from_occurrences(
+            pattern, occurrence_list(every)
+        )
+    return outcomes
+
+
+class TestOccurrenceSets:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_patched_sets_match_fresh_enumeration(self, seed):
+        """Maintained sets equal a fresh enumeration after every sync.
+
+        Each round ships one or more patches to the views before the
+        sets sync, as a worker that is not asked about a pattern in every
+        batch does.  The rounds cover random churn, a vertex relabelled
+        out and back (within one sync and across two), an edge added and
+        removed again within one sync, a halo that grows (a hub joined
+        to far vertices) and shrinks (the hub deleted), a burst past the
+        views' delta-log bound (a gap: the set refills by enumeration)
+        and a burst that re-partitions the index, after which the views
+        are patched by their difference to the new partition's views, as
+        a re-bound pool does.
+        """
+        graph = long_path_graph()
+        maintainer = ShardedIndexMaintainer(graph, 4, "edgecut")
+        index = maintainer.sharded()
+        depth = 2
+        rng = random.Random(seed)
+        workers = {shard_id: ResidentView() for shard_id in range(4)}
+        shipped = {shard_id: (LabeledGraph(), frozenset()) for shard_id in range(4)}
+        sets = {}
+        for shard_id, worker in workers.items():
+            shipped[shard_id], _ = shipped_patch(
+                worker, index, shard_id, depth, shipped[shard_id]
+            )
+            sets[shard_id] = {
+                pattern: OccurrenceSet(pattern, worker.view) for pattern in SET_PATTERNS
+            }
+        vertex = graph.vertices()[rng.randrange(graph.num_vertices)]
+        label = graph.label_of(vertex)
+        other = "B" if label != "B" else "C"
+        far = next(
+            w
+            for w in graph.vertices_with_label(other)
+            if w != vertex and not graph.has_edge(vertex, w)
+        )
+
+        def churn(tag):
+            return lambda: random_churn(graph, rng, rng.randint(1, 6), tag)
+
+        rounds = [
+            [churn("a-"), churn("b-")],
+            [
+                lambda: relabel(graph, vertex, other),
+                lambda: relabel(graph, vertex, label),
+            ],
+            [lambda: relabel(graph, vertex, other)],
+            [lambda: relabel(graph, vertex, label)],
+            [
+                lambda: apply_update(graph, ("e", vertex, far)),
+                lambda: apply_update(graph, ("de", vertex, far)),
+            ],
+            [lambda: chord_burst(graph, rng, "grow-")],
+            [lambda: apply_update(graph, ("dv", "grow-hub"))],
+            [churn("c-"), churn("d-"), churn("e-")],
+            [lambda: leaf_burst(graph, vertex, "leaf-")],
+            [lambda: removal_burst(graph, rng)],
+            [churn("f-"), churn("g-")],
+        ]
+        outcomes = []
+        for steps in rounds:
+            for step in steps:
+                step()
+                index = maintainer.sharded()
+                for shard_id, worker in workers.items():
+                    shipped[shard_id], _ = shipped_patch(
+                        worker, index, shard_id, depth, shipped[shard_id]
+                    )
+            for shard_id, worker in workers.items():
+                outcomes += assert_sets_current(sets[shard_id], worker)
+        assert True in outcomes and False in outcomes  # patched, and refilled
+        assert maintainer.rebuilds >= 1  # the removal burst re-partitioned
+
+    def test_same_certificate_other_node_ids_is_another_set(self):
+        """Isomorphic patterns with other node ids keep separate sets.
+
+        A set's items are positional, so a certificate key would serve
+        one pattern the other's node ids.
+        """
+        forward = path_pattern(["A", "B", "C"])
+        backward = path_pattern(["C", "B", "A"])
+        assert canonical_certificate(forward.graph) == canonical_certificate(
+            backward.graph
+        )
+        assert forward.graph.signature() != backward.graph.signature()
+        graph = long_path_graph()
+        worker = ResidentView()
+        patch = shard_patch(0, LabeledGraph(), graph, frozenset(), set(graph.edges()))
+        worker.apply(patch, use_index=True)
+        for _ in range(3):
+            for pattern in (forward, backward):
+                got = worker.evaluate(("part", pattern, 0, True, None), EAGER)
+                want = collect_subgraph_isomorphism_items(pattern, worker.view)
+                assert sorted(got, key=repr) == sorted(want, key=repr)
+        assert len(worker._sets) == 2
+        assert worker.counts == [2, 2, 0]  # built at the 2nd pass, read at the 3rd
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_memo_patched_plan_matches_fresh_plan(self, seed):
+        """A cached plan, memo-reset at touched vertices, answers as a fresh one.
+
+        Every requirement verdict the cached plan holds must also equal
+        the verdict a fresh plan reaches for the same (depth, vertex).
+        """
+        graph = random_labeled_graph(30, 0.12, alphabet=("A", "B", "C"), seed=seed)
+        maintainer = IndexMaintainer(graph)
+        cursor = graph.cursor()
+        pattern = path_pattern(["A", "B", "C", "A"])
+        nodes = sorted(pattern.nodes(), key=repr)
+        cache = _PlanCache(pattern)
+        rng = random.Random(seed)
+        searched = 0
+        try:
+            for round_ in range(12):
+                ci = maintainer.index()
+                touched = set()
+                for delta in cursor.read():
+                    touched.update(
+                        (delta.u, delta.v) if hasattr(delta, "u") else (delta.vertex,)
+                    )
+                cache.touch(ci, touched)
+                vint_of = ci.table._vint_of
+                for u, v in graph.edges():
+                    for a, b in pattern.edges():
+                        for x, y in ((u, v), (v, u)):
+                            if (graph.label_of(x), graph.label_of(y)) != (
+                                pattern.label_of(a),
+                                pattern.label_of(b),
+                            ):
+                                continue
+                            anchors = (vint_of[x], vint_of[y])
+                            got = cache.search(ci, graph, (a, b), anchors, nodes)
+                            order = _matching_order(pattern, graph, (a, b))
+                            fresh = _Plan(pattern, ci, order, (a, b))
+                            images = [0] * len(fresh.order)
+                            images[:2] = anchors
+                            scratch = bytearray(len(ci.table.vertex_of))
+                            want = _search(ci, fresh, images, scratch, None, nodes)
+                            assert got == want
+                            cached = cache.plans[(a, b)]
+                            for kept, new in zip(cached.memo, fresh.memo):
+                                if kept is None:
+                                    continue
+                                for w, verdict in enumerate(new):
+                                    if verdict and kept[w]:
+                                        assert kept[w] == verdict
+                            searched += 1
+                random_churn(graph, rng, 5, f"r{round_}-")
+            assert searched > 0
+            assert maintainer.rebuilds == 0  # one index, patched in place
+        finally:
+            cursor.close()
+            maintainer.detach()
+
+    def test_counted_mni_matches_measure(self):
+        """MNI read off a set's image counts equals the measure's answer."""
+        graph = long_path_graph()
+        model = long_path_graph()
+        worker = ResidentView()
+        core = set(graph.edges())
+        worker.apply(shard_patch(0, LabeledGraph(), graph, frozenset(), core), True)
+        rng = random.Random(7)
+        for round_ in range(6):
+            for pattern in SET_PATTERNS:
+                task = ("solo", pattern, 0, True, None)
+                want = support_from_shard_items(
+                    pattern,
+                    worker.view,
+                    [collect_subgraph_isomorphism_items(pattern, worker.view)],
+                    "mni",
+                )
+                assert worker.evaluate(task, EAGER) == want
+            random_churn(model, rng, 4, f"m{round_}-")
+            patch = shard_patch(0, graph, model, frozenset(core), set(model.edges()))
+            worker.apply(patch, use_index=True)
+            graph, core = model.copy(), set(model.edges())
+        assert worker.counts[0] > 0  # answers came from kept sets
+
+    def test_bound_evicts_the_least_recently_used_set(self, monkeypatch):
+        """Past the bound the oldest-used set goes first, and is counted."""
+        graph = long_path_graph()
+        worker = ResidentView()
+        patch = shard_patch(0, LabeledGraph(), graph, frozenset(), set(graph.edges()))
+        worker.apply(patch, use_index=True)
+        first, second = path_pattern(["A", "B"]), path_pattern(["B", "C"])
+        sizes = [
+            len(collect_subgraph_isomorphism_items(p, graph)) for p in (first, second)
+        ]
+        elements = graph.num_vertices + graph.num_edges
+        # Room for either set alone, never for both.
+        per_element = max(sizes) / elements
+        monkeypatch.setattr(workers_module, "SET_OCCURRENCES_PER_ELEMENT", per_element)
+        assert sum(sizes) > worker._bound() >= max(sizes)
+        for pattern in (first, first, second, second):
+            worker.evaluate(("solo", pattern, 0, True, None), EAGER)
+        assert list(worker._sets) == [second.graph.signature()]
+        assert worker._stored == sizes[1] <= worker._bound()
+        assert worker.counts == [0, 2, 1]
+
+    @pytest.mark.parametrize(
+        "change, limit",
+        [
+            ({"lazy": True}, None),
+            ({}, 3),
+            ({"use_index": False}, None),
+            ({"measure": "mi"}, None),
+        ],
+        ids=["lazy", "max_occurrences", "no-index", "other-measure"],
+    )
+    def test_other_modes_take_todays_path(self, change, limit):
+        """Lazy, an occurrence limit, the brute path and other measures
+        enumerate every time and keep no set."""
+        config = dict(EAGER, **change)
+        graph = long_path_graph()
+        worker = ResidentView()
+        core = set(graph.edges())
+        patch = shard_patch(0, LabeledGraph(), graph, frozenset(), core)
+        worker.apply(patch, use_index=config["use_index"])
+        pattern = path_pattern(["A", "B", "C"])
+        for kind in ("solo", "part", "solo", "part", "solo"):
+            task = (kind, pattern, 0, True, limit)
+            want = evaluate_task(task, lambda: worker.view, worker.core, config)
+            if kind == "part" and config["lazy"]:
+                want = dict(want)
+            assert worker.evaluate(task, config) == want
+        assert not worker._sets
+        assert worker.counts == [0, 0, 0]
+
+    def test_sets_start_at_the_second_evaluation_on_the_pool(self):
+        """The pool's counters: no set after one pass, built on the second,
+        read on the third; the one-shot answers stay identical."""
+        graph = long_path_graph()
+        maintainer = ShardedIndexMaintainer(graph, 3, "hash")
+        pool = ShardWorkerPool(2, measure="mni", lazy=False, lazy_cap=2, use_index=True)
+        tasks = [
+            ("part", pattern, shard_id, False, None)
+            for pattern in SET_PATTERNS
+            for shard_id in range(3)
+        ]
+        try:
+            index = maintainer.sharded()
+            want = [
+                evaluate_task(
+                    task,
+                    lambda shard_id=task[2]: index.expanded_shard(shard_id, 2),
+                    index.shards[task[2]].core_edge_set,
+                    EAGER,
+                )
+                for task in tasks
+            ]
+            tallies = []
+            for _ in range(3):
+                got = pool.run(index, tasks, 2)
+                assert [sorted(items, key=repr) for items in got] == [
+                    sorted(items, key=repr) for items in want
+                ]
+                tallies.append((pool.sets_built, pool.tasks_from_sets))
+            assert tallies == [(0, 0), (len(tasks), 0), (len(tasks), len(tasks))]
+            assert pool.stats()["repro_pool_tasks_from_sets"] == len(tasks)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+            maintainer.detach()
+
+    def test_one_shot_pooled_mine_keeps_no_set(self):
+        registry = metrics.MetricsRegistry()
+        previous = metrics.set_registry(registry)
+        try:
+            result = mine_frequent_patterns(
+                long_path_graph(),
+                spec=MINE_SPEC.replace(shards=4, workers=2, partition_method="label"),
+            )
+        finally:
+            metrics.set_registry(previous)
+        assert result.frequent
+        snap = registry.snapshot()
+        assert snap["repro_pool_tasks_dispatched"] > 0
+        assert snap["repro_pool_sets_built"] == 0
+        assert snap["repro_pool_tasks_from_sets"] == 0
