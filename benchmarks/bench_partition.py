@@ -22,11 +22,11 @@ Five experiments share this module:
   O(delta) per update, per-shard state patched, untouched expansions
   cached — must beat re-partitioning + re-mining per batch by
   **>= 1.3x**, with byte-identical per-batch results;
-* **tab10f** — the out-of-core gate: mining a large-diameter corridor
-  graph with ``max_resident=1`` must be byte-identical to the
+* **tab10f** — the bounded-view-cache gate: mining a large-diameter
+  corridor graph with ``max_resident=1`` must be byte-identical to the
   all-resident run while its deterministic peak resident view weight
-  (``ShardPager.peak_resident_weight``, the projected index footprint
-  in bytes of every non-alias resident view) stays strictly below the
+  (``ShardedIndex.peak_resident_weight``, the projected index footprint
+  in bytes of every non-alias cached view) stays strictly below the
   all-resident peak.
 
 Results must be identical in every configuration; wall time is the
@@ -341,7 +341,7 @@ def test_tab10d_sharded_delta_stream_vs_repartition_per_batch(
 
 
 # ----------------------------------------------------------------------
-# tab10f — out-of-core shard paging bounds resident memory
+# tab10f — the max_resident bound on the halo view cache bounds resident memory
 # ----------------------------------------------------------------------
 
 
@@ -351,9 +351,9 @@ def corridor_workload():
 
     ``edgecut`` partitioning keeps each shard a contiguous stretch of
     the corridor, so its radius-2 halo ball stays a fraction of the
-    graph — the regime where paging shard views out actually frees
+    graph — the regime where dropping cold shard views actually frees
     memory (small-diameter graphs collapse every ball to a whole-graph
-    alias view, which is never spilled by design).
+    alias view, which weighs nothing).
     """
     from repro.graph.labeled_graph import LabeledGraph
 
@@ -369,7 +369,7 @@ def corridor_workload():
 
 
 def test_tab10f_out_of_core_memory(corridor_workload, emit):
-    """Acceptance gate: max_resident=1 pages, matches, and uses less memory."""
+    """Acceptance gate: max_resident=1 evicts, matches, and uses less memory."""
     from repro.mining.miner import FrequentSubgraphMiner
 
     spec = MINE_SPEC.replace(partition_method="edgecut")
@@ -379,7 +379,7 @@ def test_tab10f_out_of_core_memory(corridor_workload, emit):
             corridor_workload, spec=spec.replace(shards=4, max_resident=max_resident)
         )
         result = miner.mine()
-        runs[max_resident] = (result, miner._pager)
+        runs[max_resident] = (result, miner._sharded)
 
     flat = mine_frequent_patterns(corridor_workload, spec=MINE_SPEC)
     for max_resident, (result, _) in runs.items():
@@ -389,27 +389,27 @@ def test_tab10f_out_of_core_memory(corridor_workload, emit):
     bounded, all_resident = runs[1][1], runs[4][1]
     emit(
         format_table(
-            ["run", "peak resident weight", "evictions", "rehydrations"],
+            ["run", "peak resident weight", "evictions", "recomputes"],
             [
                 [
                     "all-resident (max_resident=4)",
                     all_resident.peak_resident_weight,
                     all_resident.evictions,
-                    all_resident.rehydrations,
+                    all_resident.recomputes,
                 ],
                 [
-                    "out-of-core (max_resident=1)",
+                    "bounded (max_resident=1)",
                     bounded.peak_resident_weight,
                     bounded.evictions,
-                    bounded.rehydrations,
+                    bounded.recomputes,
                 ],
             ],
-            title="tab10f: out-of-core shard paging (corridor graph, k=4)",
+            title="tab10f: bounded halo view cache (corridor graph, k=4)",
         )
     )
     assert bounded.evictions > 0
     assert bounded.peak_resident_weight < all_resident.peak_resident_weight, (
-        f"paged peak {bounded.peak_resident_weight} not below "
+        f"bounded peak {bounded.peak_resident_weight} not below "
         f"all-resident peak {all_resident.peak_resident_weight}"
     )
 

@@ -57,7 +57,7 @@ CORE_NONZERO = [
     "repro_miner_sessions",  # the writer's maintained refreshes
     "repro_sharded_index_patches_applied",  # delta maintenance patched
     "repro_pool_slices_shipped",  # resident workers got their shards
-    "repro_pager_recomputes",  # out-of-core views materialized
+    "repro_pager_recomputes",  # halo views computed into the cache
     "repro_snapshots_publishes",  # MVCC advanced per batch
     "repro_snapshots_pins",  # readers pinned snapshots
     "repro_cache_entries",  # maintained results cached

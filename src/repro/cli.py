@@ -88,9 +88,10 @@ def _spec_parent() -> argparse.ArgumentParser:
         type=int,
         default=spec.max_resident,
         help=(
-            "out-of-core mode: keep at most this many shards' expanded views "
-            "in memory, spilling cold shards to disk (requires --shards > 1; "
-            "results identical regardless of eviction order)"
+            "keep cached halo views for at most this many shards, dropping "
+            "the least recently used shard's views and recomputing them on "
+            "their next use (requires --shards > 1; results identical "
+            "regardless of eviction order)"
         ),
     )
     return parent

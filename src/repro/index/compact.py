@@ -3,7 +3,8 @@
 * :class:`LabelTable` interns vertex ids and labels to the dense ints
   (vints / lints) the index buffers are keyed by;
 * :func:`projected_index_nbytes` is the analytic footprint of an index
-  over a graph of a given size — the pager's deterministic cost model.
+  over a graph of a given size — the halo view cache's deterministic
+  cost model.
 
 The index itself (CSR rows, inverted lists, label-pair edge counts, and
 their O(delta) patching) lives in :mod:`repro.index.graph_index`.
@@ -92,7 +93,7 @@ class LabelTable:
 
 
 # ----------------------------------------------------------------------
-# projected footprints (the pager's deterministic cost model)
+# projected footprints (the halo view cache's deterministic cost model)
 # ----------------------------------------------------------------------
 #: Per-entry byte estimates (per-vertex, per-edge, per-label), calibrated
 #: against ``GraphIndex.nbytes()`` on CPython 3.11/64-bit synthetic graphs
@@ -103,10 +104,10 @@ _FOOTPRINT_COEFFICIENTS = (180, 14, 900)
 def projected_index_nbytes(num_vertices: int, num_edges: int, num_labels: int) -> int:
     """Deterministic footprint estimate for an index over a graph this size.
 
-    Used by :class:`repro.partition.workers.ShardPager` as its resident-
-    weight cost model: paging decisions must be cheap and reproducible, so
-    they use this projection rather than measuring a (possibly not yet
-    built) per-view index.
+    Used by :class:`repro.partition.ShardedIndex` to weigh the halo views
+    it caches: the accounting must be cheap and reproducible, so it uses
+    this projection rather than measuring a (possibly not yet built)
+    per-view index.
     """
     per_vertex, per_edge, per_label = _FOOTPRINT_COEFFICIENTS
     return (

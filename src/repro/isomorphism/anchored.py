@@ -34,13 +34,16 @@ class AnchoredSearch:
 
     Anchored probes come in bursts — lazy MNI asks "does any occurrence
     map v to u?" once per candidate data vertex — so the per-pattern setup
-    (index resolution, matching order, one plan per anchor set with its
-    requirement memos, the ``used`` scratch buffer) is computed once here
-    and shared across every probe.  With an index the probes run entirely
-    over interned ids, decoding only yielded mappings.
+    (index resolution, one plan per anchor set with its requirement memos,
+    the ``used`` scratch buffer) is computed once here and shared across
+    every probe.  With an index the probes run entirely over interned
+    ids, decoding only yielded mappings.  Both paths assign the other
+    pattern nodes in a matching order grown from the anchors, so every
+    later node of a connected pattern has a mapped neighbour to extend
+    from.
     """
 
-    __slots__ = ("pattern", "data", "resolved", "order", "_plans", "_scratch")
+    __slots__ = ("pattern", "data", "resolved", "_plans", "_scratch")
 
     def __init__(
         self, pattern: Pattern, data: LabeledGraph, index: IndexArg = None
@@ -51,7 +54,6 @@ class AnchoredSearch:
         self.pattern = pattern
         self.data = data
         self.resolved = resolve_index(data, index)
-        self.order = _matching_order(pattern, data)
         self._plans: Dict[FrozenSet[Vertex], _Plan] = {}
         # The kernel's `used` buffer, zeroed between searches; like the
         # plans' memos it is sized for the resolved index.
@@ -66,7 +68,8 @@ class AnchoredSearch:
         key = frozenset(anchor_nodes)
         plan = self._plans.get(key)
         if plan is None:
-            plan = _Plan(self.pattern, self.resolved, self.order, anchor_nodes)
+            order = _matching_order(self.pattern, self.data, anchor_nodes)
+            plan = _Plan(self.pattern, self.resolved, order, anchor_nodes)
             self._plans[key] = plan
         return plan
 
@@ -110,7 +113,8 @@ class AnchoredSearch:
             return
         ci = self.resolved
         if ci is None:
-            yield from islice(_extend(pattern, data, self.order, anchors, False), limit)
+            order = _matching_order(pattern, data, tuple(anchors))
+            yield from islice(_extend(pattern, data, order, anchors, False), limit)
             return
         plan = self._plan_for(tuple(anchors))
         if plan.empty:

@@ -126,13 +126,13 @@ def pattern_footprint(pattern: Pattern) -> FrozenSet[LabelPair]:
 class _MinerResources:
     """Everything a :class:`DynamicMiner` must give back, held *outside* it.
 
-    The index/sharded maintainers, the persistent worker pool, and the
-    out-of-core pager outlive a miner that is simply dropped on the
-    floor — the pool keeps OS processes alive.  Keeping them on a
-    separate object lets a ``weakref.finalize`` on the miner call
-    :meth:`release` without referencing the miner itself (which would
-    keep it alive forever), so constructed-and-abandoned miners cannot
-    leak workers even when refresh never ran.
+    The index/sharded maintainers and the persistent worker pool
+    outlive a miner that is simply dropped on the floor — the pool
+    keeps OS processes alive.  Keeping them on a separate object lets a
+    ``weakref.finalize`` on the miner call :meth:`release` without
+    referencing the miner itself (which would keep it alive forever), so
+    constructed-and-abandoned miners cannot leak workers even when
+    refresh never ran.
 
     :meth:`release` is idempotent and re-runnable: each step takes and
     nulls its slot first, so an explicit ``detach()`` followed by the
@@ -140,13 +140,12 @@ class _MinerResources:
     through releases the rest on the next call.
     """
 
-    __slots__ = ("maintainer", "sharded_maintainer", "pool", "pager")
+    __slots__ = ("maintainer", "sharded_maintainer", "pool")
 
     def __init__(self) -> None:
         self.maintainer = None
         self.sharded_maintainer = None
         self.pool = None
-        self.pager = None
 
     def release(self) -> None:
         """Detach + shut down everything still held.
@@ -163,9 +162,6 @@ class _MinerResources:
         pool, self.pool = self.pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        pager, self.pager = self.pager, None
-        if pager is not None:
-            pager.close()
 
 
 class _FootprintRule:
@@ -235,7 +231,7 @@ class DynamicMiner:
     owns is what the walk does not: the delta cursor, the maintained
     index and partition, the revival bookkeeping, the lattice memo
     (:class:`~repro.mining.miner.LatticeMemo`) every walk replays and
-    refills, and the lifetime of its worker pool and pager.
+    refills, and the lifetime of its worker pool.
 
     With ``use_index=True`` (default) the graph's acceleration index is
     delta-patched between refreshes through an
@@ -259,8 +255,9 @@ class DynamicMiner:
     refresh: workers keep their shard views across refreshes and the
     parent patches only the views that deltas actually dirtied.  A pool
     that cannot start, or fails mid-refresh, leaves the session serial.
-    ``max_resident=N`` bounds resident shard views through an
-    out-of-core :class:`~repro.partition.ShardPager` that survives
+    ``max_resident=N`` bounds how many shards keep halo views in the
+    maintained index's view cache (the least recently used shard's views
+    are dropped and recomputed on their next use); the bound survives
     policy-triggered re-partitions.
     """
 
@@ -311,19 +308,16 @@ class DynamicMiner:
         self._sharded_maintainer = None
         if spec.shards > 1:
             from ..partition.maintainer import ShardedIndexMaintainer
+            from ..partition.sharded_index import ShardedIndex
 
             self._sharded_maintainer = ShardedIndexMaintainer(
-                data, spec.shards, spec.partition_method, policy=rebalance
+                data,
+                policy=rebalance,
+                sharded=ShardedIndex.build(
+                    data, spec.shards, spec.partition_method, spec.max_resident
+                ),
             )
             self._resources.sharded_maintainer = self._sharded_maintainer
-            if spec.max_resident is not None:
-                from ..partition.workers import ShardPager
-
-                # Attached now, carried across policy re-partitions by
-                # ShardedIndexMaintainer.sharded().
-                self._resources.pager = ShardPager(
-                    self._sharded_maintainer.sharded(), spec.max_resident
-                )
         self._cursor = data.cursor()
         # Abandoned miners (service shutdown, reader exception, plain GC)
         # release everything even if detach()/close() was never called.
@@ -350,9 +344,9 @@ class DynamicMiner:
         """Stop reading deltas (index and sharded maintainers included).
 
         Also tears down the persistent worker pool (without waiting —
-        detach may run on the interrupt path) and closes the out-of-core
-        pager.  Refreshes after a detach-era mutation fall back to a full
-        re-mine — results stay correct, only the delta savings are lost.
+        detach may run on the interrupt path).  Refreshes after a
+        detach-era mutation fall back to a full re-mine — results stay
+        correct, only the delta savings are lost.
         """
         self._cursor.close()
         self._resources.release()
@@ -587,8 +581,8 @@ def mine_stream(
     the delta mode evaluates through one persistent shard-resident pool
     across all batches (requires ``shards > 1``; it raises otherwise),
     and the reference modes pass workers into each per-batch mine.
-    ``max_resident=N`` likewise rides along to bound resident shard
-    views out-of-core.
+    ``max_resident=N`` likewise rides along to bound how many shards
+    keep cached halo views.
 
     ``window=N`` turns the replay into a **sliding-window** workload: after
     each batch, the oldest live stream-inserted edges are removed until at

@@ -539,11 +539,12 @@ class FrequentSubgraphMiner:
         partitioner) and merges per-shard results exactly — with
         ``workers`` as well, each shard is pinned to one long-lived
         shard-resident worker (``shard_id % workers``) that holds its
-        slice for the whole session; ``max_resident`` bounds the
-        resident shard views, spilling the least recently used one to
-        disk (:class:`repro.partition.workers.ShardPager`).  With
-        ``max_occurrences`` set, sharded truncation is deterministic but
-        may keep a different occurrence subset than the flat order.
+        slice for the whole session; ``max_resident`` bounds how many
+        shards keep halo views in the sharded index's view cache,
+        dropping the least recently used shard's views (recomputed on
+        their next use).  With ``max_occurrences`` set, sharded
+        truncation is deterministic but may keep a different occurrence
+        subset than the flat order.
 
     :meth:`mine` runs the module's lattice walk with no reuse rule and a
     worker pool of its own, started per call and shut down when the
@@ -560,7 +561,6 @@ class FrequentSubgraphMiner:
             )
         self.data = data
         self.spec = spec
-        self._pager = None
         # Built once per mining session; every candidate evaluation, seed
         # generation, and extension proposal reuses it.  mine() re-syncs
         # against the graph's mutation version, so a graph mutated between
@@ -576,20 +576,12 @@ class FrequentSubgraphMiner:
             return
         spec = self.spec
         self._index = get_index(self.data) if spec.use_index else None
-        if self._pager is not None:
-            # The old index (and any spills derived from it) is obsolete.
-            self._pager.close()
-            self._pager = None
         if spec.shards > 1:
             from ..partition.sharded_index import ShardedIndex
 
             self._sharded = ShardedIndex.build(
-                self.data, spec.shards, spec.partition_method
+                self.data, spec.shards, spec.partition_method, spec.max_resident
             )
-            if spec.max_resident is not None:
-                from ..partition.workers import ShardPager
-
-                self._pager = ShardPager(self._sharded, spec.max_resident)
         else:
             self._sharded = None
         self._session_version = self.data.mutation_version()

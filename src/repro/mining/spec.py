@@ -19,11 +19,12 @@ one knob derive a spec with :meth:`MiningSpec.replace`:
   spec has exactly one wire form;
 * :meth:`MiningSpec.cache_key` is the canonical form of the
   **result-affecting subset** of fields — execution-strategy knobs
-  (``use_index``, ``workers``, ``shards``, paging, stream batching) are
-  excluded because the equivalence suites pin that they never change
-  the mined bytes.  The service layer's :class:`~repro.service.ResultCache`
-  keys on ``(graph version, cache_key)``, so a brute-force request can be
-  served from a cache entry an indexed request populated.
+  (``use_index``, ``workers``, ``shards``, ``max_resident``, stream
+  batching) are excluded because the equivalence suites pin that they
+  never change the mined bytes.  The service layer's
+  :class:`~repro.service.ResultCache` keys on ``(graph version,
+  cache_key)``, so a brute-force request can be served from a cache
+  entry an indexed request populated.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ STREAM_MODES = ("delta", "rebuild", "brute")
 #: Fields whose value can change the mined *result* (certificates,
 #: supports, occurrence counts).  Everything else is execution strategy:
 #: the equivalence suites pin indexed == brute, sharded == flat,
-#: pooled == serial, paged == resident byte-identical, so those fields
-#: are deliberately not part of the result cache key.
+#: pooled == serial, bounded == unbounded view cache byte-identical, so
+#: those fields are deliberately not part of the result cache key.
 RESULT_FIELDS = (
     "measure",
     "min_support",
@@ -117,7 +118,9 @@ class MiningSpec:
 
     Structural fields (``measure`` .. ``lazy``) decide *what* is mined;
     strategy fields (``use_index`` .. ``max_resident``) decide *how*
-    — results are byte-identical across strategies; stream fields
+    — results are byte-identical across strategies (``max_resident``
+    bounds how many shards keep halo views in the sharded index's view
+    cache; evicted views are recomputed, never spilled); stream fields
     (``window``, ``batch_size``, ``mode``) only apply to update-stream
     replays and are ignored by one-shot mining.
     """
@@ -246,7 +249,7 @@ class MiningSpec:
         """Canonical form of the result-affecting fields (the cache key).
 
         Strategy fields are excluded on purpose: indexed/brute,
-        sharded/flat, pooled/serial and paged/resident runs are pinned
+        sharded/flat, pooled/serial and bounded/unbounded runs are pinned
         byte-identical by the equivalence suites, so caching their
         results under one key is sound — and turns "same question,
         different execution plan" into a cache hit.

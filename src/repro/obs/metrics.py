@@ -293,12 +293,9 @@ DOCUMENTED_METRICS: Tuple[str, ...] = (
     "repro_pool_sets_dropped",
     "repro_pool_serial_fallbacks",
     "repro_pool_queue_depth",
-    # out-of-core pager
+    # the sharded index's halo view cache (bounded by max_resident)
     "repro_pager_evictions",
-    "repro_pager_spills",
-    "repro_pager_rehydrations",
     "repro_pager_recomputes",
-    "repro_pager_replayed_deltas",
     "repro_pager_resident_weight",
     "repro_pager_peak_resident_weight",
     # snapshot registry (MVCC)

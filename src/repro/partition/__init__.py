@@ -15,10 +15,10 @@ through one task function, and merges the partials with the helpers of
 delta-maintained rather than rebuilt: :mod:`repro.partition.maintainer`
 routes each graph delta to its owning shard(s) in O(delta) and
 re-balances overflowing shards.  Pooled mining keeps one long-lived
-worker per shard and can page cold shards to disk
-(:mod:`repro.partition.workers`).  See the "Partitioning", "Dynamic
-partitions", and "Shard-resident workers & paging" sections of
-``docs/architecture.md`` for the invariants and routing rules.
+worker per shard (:mod:`repro.partition.workers`).  See the
+"Partitioning", "Dynamic partitions", and "Shard-resident workers"
+sections of ``docs/architecture.md`` for the invariants and routing
+rules.
 """
 
 from .evaluate import (
@@ -30,12 +30,12 @@ from .evaluate import (
     required_depth,
     support_from_shard_items,
 )
-from .io import load_partition, load_shard_view, save_partition, save_shard_views
+from .io import load_partition, save_partition
 from .maintainer import RebalancePolicy, ShardedIndexMaintainer, absorb_graph
 from .partitioner import PARTITION_METHODS, EdgeRouter, Partition, partition_edges
 from .shard import GraphShard
 from .sharded_index import ShardedIndex
-from .workers import ShardPager, ShardWorkerPool, WorkerPoolError, pooled_outcomes
+from .workers import ShardWorkerPool, WorkerPoolError, pooled_outcomes
 
 __all__ = [
     "PARTITION_METHODS",
@@ -49,10 +49,7 @@ __all__ = [
     "absorb_graph",
     "save_partition",
     "load_partition",
-    "save_shard_views",
-    "load_shard_view",
     "ShardWorkerPool",
-    "ShardPager",
     "WorkerPoolError",
     "pooled_outcomes",
     "required_depth",

@@ -31,9 +31,8 @@ state is reconstructed from the shard files.
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Union
 
 from ..errors import DatasetError, PartitionError
 from ..graph.io import format_lg, parse_lg
@@ -92,104 +91,6 @@ def save_partition(sharded: ShardedIndex, directory: PathLike) -> Path:
     manifest_path = directory / MANIFEST_NAME
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
-
-
-def _shard_cache_dirname(shard_id: int) -> str:
-    return f"shard-{shard_id:04d}"
-
-
-def save_shard_views(
-    directory: PathLike, shard_id: int, views: Dict[int, "LabeledGraph"]
-) -> Path:
-    """Spill one shard's halo-expanded views as a shard cache directory.
-
-    The out-of-core pager's disk format: a manifest-format-2 style shard
-    directory — one self-contained ``.lg`` file per cached expansion
-    depth plus a ``manifest.json`` recording depth, file, and size of
-    each view.  Existing contents for the shard are replaced atomically
-    enough for a single-process pager (removed, then rewritten), so the
-    directory always reflects exactly one spill generation.
-
-    Vertex ids and labels must round-trip the ``.lg`` text format — the
-    same contract :func:`save_partition` already relies on — which keeps
-    a rehydrated view *content-identical* to the evicted one, and hence
-    every evaluation over it byte-identical.
-    """
-    shard_dir = Path(directory) / _shard_cache_dirname(shard_id)
-    if shard_dir.exists():
-        shutil.rmtree(shard_dir)
-    shard_dir.mkdir(parents=True)
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "shard_id": shard_id,
-        "views": [],
-    }
-    for depth in sorted(views):
-        view = views[depth]
-        filename = f"view-d{depth:02d}.lg"
-        (shard_dir / filename).write_text(format_lg(view))
-        manifest["views"].append(
-            {
-                "depth": depth,
-                "file": filename,
-                "vertices": view.num_vertices,
-                "edges": view.num_edges,
-            }
-        )
-    (shard_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
-    return shard_dir
-
-
-def load_shard_view(
-    directory: PathLike, shard_id: int, depth: int
-) -> Optional[LabeledGraph]:
-    """Re-hydrate one spilled expansion view, or ``None`` if not on disk.
-
-    Returns ``None`` both for a missing shard cache directory and for a
-    depth the last spill did not include — the pager then recomputes the
-    view from the live index instead.
-
-    Raises
-    ------
-    DatasetError
-        When the cache directory exists but is malformed (unreadable
-        manifest, missing view file, or a view whose size contradicts
-        its manifest entry — e.g. a truncated write).
-    """
-    shard_dir = Path(directory) / _shard_cache_dirname(shard_id)
-    manifest_path = shard_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        return None
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"malformed shard cache manifest {manifest_path}: {exc}")
-    if (
-        manifest.get("format") != MANIFEST_FORMAT
-        or manifest.get("shard_id") != shard_id
-    ):
-        raise DatasetError(
-            f"shard cache manifest {manifest_path} does not describe shard "
-            f"{shard_id} in format {MANIFEST_FORMAT}"
-        )
-    for entry in manifest.get("views", ()):
-        if not isinstance(entry, dict) or entry.get("depth") != depth:
-            continue
-        path = shard_dir / entry.get("file", "")
-        if not path.is_file():
-            raise DatasetError(f"shard cache view file not found: {path}")
-        view = parse_lg(path.read_text(), name=path.stem)
-        if (
-            view.num_vertices != entry.get("vertices")
-            or view.num_edges != entry.get("edges")
-        ):
-            raise DatasetError(
-                f"shard cache view {path} does not match its manifest entry "
-                f"({view.num_vertices} vertices / {view.num_edges} edges on "
-                f"disk vs {entry.get('vertices')}/{entry.get('edges')} recorded)"
-            )
-        return view
-    return None
 
 
 def load_partition(directory: PathLike) -> ShardedIndex:

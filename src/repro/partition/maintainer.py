@@ -130,20 +130,13 @@ class ShardedIndexMaintainer(DeltaMaintainer):
     def sharded(self) -> ShardedIndex:
         """The maintained index, brought current (policy applied, if any).
 
-        When a refresh or policy trigger *replaces* the index (full
-        re-partition), an out-of-core pager attached to the old index is
-        re-bound to the replacement — paging survives rebuilds, though
-        every spill from the old index is void (shard membership may have
-        changed arbitrarily, so re-used spills would be unsound).
+        A refresh or policy trigger that *replaces* the index (a full
+        re-partition) goes through :meth:`ShardedIndex.rebuilt`, which
+        carries the view-cache bound ``max_resident`` over.
         """
-        old: ShardedIndex = self._index  # type: ignore[assignment]
         result: ShardedIndex = self.refresh()  # type: ignore[assignment]
         if self.policy is not None:
             result = self._apply_policy(result)
-        if result is not old:
-            pager = old.pager
-            if pager is not None and result.pager is None:
-                pager.rebind(result)
         return result
 
     def _apply_policy(self, sharded: ShardedIndex) -> ShardedIndex:

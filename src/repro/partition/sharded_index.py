@@ -23,7 +23,9 @@ views evaluation needs:
   hops of a shard's vertices, cached per (shard, depth).  Depth
   ``n - 2`` is exactly what makes per-shard enumeration of an n-node
   connected pattern exhaustive for occurrences using a core edge (see
-  :mod:`repro.partition.evaluate`).
+  :mod:`repro.partition.evaluate`).  ``max_resident`` bounds how many
+  shards keep cached views: past it the least recently used shard's
+  views are dropped and recomputed on their next use.
 
 Like :class:`~repro.index.GraphIndex`, a ShardedIndex is a snapshot of
 one graph version — but no longer a *static* one: it implements the
@@ -44,6 +46,7 @@ re-partitions per session exactly as before.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PartitionError
@@ -54,8 +57,10 @@ from ..graph.labeled_graph import (
     Vertex,
     normalize_edge,
 )
+from ..index.compact import projected_index_nbytes
 from ..index.graph_index import GraphIndex, _label_pair_key
 from ..index.maintainable import MaintainableIndex
+from ..obs import metrics as _metrics
 from .partitioner import EdgeRouter, Partition, partition_edges
 from .shard import GraphShard
 
@@ -70,6 +75,15 @@ class ShardedIndex(MaintainableIndex):
     source graph is retained: halo expansion and global-exactness
     guarantees both need it, and a one-shard index degenerates to the
     ordinary single-graph path.
+
+    ``max_resident`` (``None`` = unbounded) caps how many shards keep
+    halo views in the view cache (:meth:`expanded_shard`).
+    ``resident_weight`` / ``peak_resident_weight`` account the cached
+    views by :func:`repro.index.compact.projected_index_nbytes`, the
+    analytic byte cost of an index over each view (a whole-graph alias
+    shares the source graph's storage and weighs 0); ``evictions`` and
+    ``recomputes`` count the shards the bound dropped and the views
+    computed.  The registry mirrors them as ``repro_pager_*``.
     """
 
     __slots__ = (
@@ -86,20 +100,39 @@ class ShardedIndex(MaintainableIndex):
         "_maintainers",
         "_expanded",
         "_listeners",
-        "_pager",
-        "_active_delta",
+        "max_resident",
+        "resident_weight",
+        "peak_resident_weight",
+        "evictions",
+        "recomputes",
     )
 
-    def __init__(self, graph: LabeledGraph, partition: Partition) -> None:
+    def __init__(
+        self,
+        graph: LabeledGraph,
+        partition: Partition,
+        max_resident: Optional[int] = None,
+    ) -> None:
+        if max_resident is not None and max_resident < 1:
+            raise PartitionError(f"max_resident must be >= 1, got {max_resident}")
         self.graph = graph
         self.partition = partition
         self.version = graph.mutation_version()
-        self._expanded: Dict[Tuple[int, int], LabeledGraph] = {}
+        # shard id -> depth -> cached view; least recently used shard first
+        self._expanded: "OrderedDict[int, Dict[int, LabeledGraph]]" = OrderedDict()
         self._router: Optional[EdgeRouter] = None
         self._maintainers: Dict[int, object] = {}
         self._listeners: List = []
-        self._pager = None
-        self._active_delta = None
+        self.max_resident = max_resident
+        self.resident_weight = 0
+        self.peak_resident_weight = 0
+        self.evictions = 0
+        self.recomputes = 0
+        registry = _metrics.get_registry()
+        for name in ("evictions", "recomputes"):
+            registry.counter(f"repro_pager_{name}")
+        for name in ("resident_weight", "peak_resident_weight"):
+            registry.gauge(f"repro_pager_{name}")
 
         members: List[Dict[Vertex, Label]] = [{} for _ in range(partition.num_shards)]
         core_edges: List[List] = [[] for _ in range(partition.num_shards)]
@@ -160,15 +193,24 @@ class ShardedIndex(MaintainableIndex):
     # ------------------------------------------------------------------
     @classmethod
     def build(
-        cls, graph: LabeledGraph, num_shards: int, method: str = "hash"
+        cls,
+        graph: LabeledGraph,
+        num_shards: int,
+        method: str = "hash",
+        max_resident: Optional[int] = None,
     ) -> "ShardedIndex":
         """Partition ``graph`` and build the sharded index in one call."""
-        return cls(graph, partition_edges(graph, num_shards, method))
+        return cls(graph, partition_edges(graph, num_shards, method), max_resident)
 
     def rebuilt(self) -> "ShardedIndex":
         """Re-partition + re-index the graph's current state from scratch,
-        preserving the shard count and partition method."""
-        return ShardedIndex.build(self.graph, self.num_shards, self.partition.method)
+        preserving the shard count, partition method, view-cache bound and
+        peak resident weight."""
+        result = ShardedIndex.build(
+            self.graph, self.num_shards, self.partition.method, self.max_resident
+        )
+        result.peak_resident_weight = self.peak_resident_weight
+        return result
 
     def router(self) -> EdgeRouter:
         """The partition's online assignment function (delta routing).
@@ -225,20 +267,16 @@ class ShardedIndex(MaintainableIndex):
         # lazily mid-splice (after an attach/detach already moved shard
         # state) would double- or under-count the moved edge in its loads.
         self.router()
-        self._active_delta = delta
-        try:
-            if isinstance(delta, VertexAdded):
-                self._apply_vertex_added(delta.vertex, delta.label)
-            elif isinstance(delta, EdgeAdded):
-                self._apply_edge_added(delta.u, delta.v, delta.label_u, delta.label_v)
-            elif isinstance(delta, EdgeRemoved):
-                self._apply_edge_removed(delta.u, delta.v, delta.label_u, delta.label_v)
-            elif isinstance(delta, VertexRemoved):
-                self._apply_vertex_removed(delta.vertex, delta.label)
-            else:
-                return False
-        finally:
-            self._active_delta = None
+        if isinstance(delta, VertexAdded):
+            self._apply_vertex_added(delta.vertex, delta.label)
+        elif isinstance(delta, EdgeAdded):
+            self._apply_edge_added(delta.u, delta.v, delta.label_u, delta.label_v)
+        elif isinstance(delta, EdgeRemoved):
+            self._apply_edge_removed(delta.u, delta.v, delta.label_u, delta.label_v)
+        elif isinstance(delta, VertexRemoved):
+            self._apply_vertex_removed(delta.vertex, delta.label)
+        else:
+            return False
         self.version = delta.version
         return True
 
@@ -326,34 +364,32 @@ class ShardedIndex(MaintainableIndex):
         outside a ball cannot shorten any path into it).
 
         Subscribed invalidation listeners (the shard-resident worker pool
-        and the out-of-core pager track slice/spill staleness through
-        them) are notified *before* the cache scan — they hold their own
-        copies of view state and must hear about every touched region
-        even when nothing is cached here.  ``delta`` is the typed graph
-        delta being applied, or ``None`` for structural invalidations
-        (rebalance moves) a replay cannot reproduce.
+        tracks slice staleness through them) are notified *before* the
+        cache scan — they hold their own copies of view state and must
+        hear about every touched region even when nothing is cached here.
         """
-        if self._listeners:
-            delta = self._active_delta
-            touched = tuple(vertices)
-            for listener in tuple(self._listeners):
-                listener(shard_ids, touched, delta)
+        for listener in tuple(self._listeners):
+            listener(shard_ids, vertices)
         if not self._expanded:
             return
         graph = self.graph
-        dead = [
-            key
-            for key, view in self._expanded.items()
-            if key[0] in shard_ids
-            or view is graph
-            or any(view.has_vertex(vertex) for vertex in vertices)
-        ]
-        for key in dead:
-            del self._expanded[key]
+        for shard_id in list(self._expanded):
+            views = self._expanded[shard_id]
+            dead = [
+                depth
+                for depth, view in views.items()
+                if shard_id in shard_ids
+                or view is graph
+                or any(view.has_vertex(vertex) for vertex in vertices)
+            ]
+            for depth in dead:
+                self._weigh(views.pop(depth), -1)
+            if not views:
+                del self._expanded[shard_id]
 
     def subscribe_invalidations(self, listener) -> None:
-        """Register ``listener(shard_ids, vertices, delta)`` for every
-        expansion invalidation (deltas and rebalance moves alike)."""
+        """Register ``listener(shard_ids, vertices)`` for every expansion
+        invalidation (deltas and rebalance moves alike)."""
         self._listeners.append(listener)
 
     def unsubscribe_invalidations(self, listener) -> None:
@@ -580,27 +616,6 @@ class ShardedIndex(MaintainableIndex):
     # ------------------------------------------------------------------
     # halo-expanded views
     # ------------------------------------------------------------------
-    def attach_pager(self, pager) -> None:
-        """Route view caching through an out-of-core pager.
-
-        With a pager attached, :meth:`expanded_shard` delegates to
-        ``pager.view`` (LRU residency + disk spill,
-        :class:`repro.partition.workers.ShardPager`) instead of the
-        unbounded in-memory ``_expanded`` cache, which is cleared — the
-        pager owns every cached view from here on.
-        """
-        self._pager = pager
-        self._expanded.clear()
-
-    def detach_pager(self) -> None:
-        """Return to the plain in-memory view cache."""
-        self._pager = None
-
-    @property
-    def pager(self):
-        """The attached out-of-core pager, or ``None``."""
-        return self._pager
-
     def expanded_shard(self, shard_id: int, depth: int) -> LabeledGraph:
         """The induced subgraph within ``depth`` hops of a shard's vertices.
 
@@ -610,21 +625,46 @@ class ShardedIndex(MaintainableIndex):
         Views are cached per (shard, depth); when the ball swallows the
         whole graph the source graph itself is returned, so its cached
         global index is reused instead of duplicated.  Delta maintenance
-        invalidates exactly the views a delta could have changed.  With a
-        pager attached (:meth:`attach_pager`) residency is bounded and
-        cold views page to disk instead of living here.
+        invalidates exactly the views a delta could have changed.  With
+        ``max_resident`` set, caching a view for one shard more than the
+        bound drops every view of the least recently used shard; the
+        next access recomputes them, so the result never depends on the
+        eviction order.
         """
-        if self._pager is not None:
-            return self._pager.view(shard_id, depth)
-        key = (shard_id, depth)
-        cached = self._expanded.get(key)
-        if cached is not None:
-            return cached
-        return self._compute_expansion(shard_id, depth, cache=True)
+        views = self._expanded.get(shard_id)
+        if views is not None:
+            self._expanded.move_to_end(shard_id)
+            view = views.get(depth)
+            if view is not None:
+                return view
+        view = self._compute_expansion(shard_id, depth)
+        self._expanded.setdefault(shard_id, {})[depth] = view
+        self.recomputes += 1
+        _metrics.counter("repro_pager_recomputes").inc()
+        self._weigh(view, 1)
+        if self.max_resident is not None:
+            while len(self._expanded) > self.max_resident:
+                _, evicted = self._expanded.popitem(last=False)
+                for old in evicted.values():
+                    self._weigh(old, -1)
+                self.evictions += 1
+                _metrics.counter("repro_pager_evictions").inc()
+        return view
 
-    def _compute_expansion(
-        self, shard_id: int, depth: int, cache: bool = False
-    ) -> LabeledGraph:
+    def _weigh(self, view: LabeledGraph, sign: int) -> None:
+        """Add (``sign=1``) or remove (``-1``) one cached view's weight."""
+        if view is not self.graph:
+            self.resident_weight += sign * projected_index_nbytes(
+                view.num_vertices, view.num_edges, len(view.label_alphabet())
+            )
+        if self.resident_weight > self.peak_resident_weight:
+            self.peak_resident_weight = self.resident_weight
+        _metrics.gauge("repro_pager_resident_weight").set(self.resident_weight)
+        _metrics.gauge("repro_pager_peak_resident_weight").set_max(
+            self.peak_resident_weight
+        )
+
+    def _compute_expansion(self, shard_id: int, depth: int) -> LabeledGraph:
         """Compute one halo-expanded view from scratch (no cache lookup).
 
         When the source graph carries a current index, the BFS
@@ -681,8 +721,6 @@ class ShardedIndex(MaintainableIndex):
         else:
             expanded = self.graph.subgraph(keep)
             expanded.name = f"{self.graph.name or 'graph'}[shard {shard_id}+{depth}]"
-        if cache:
-            self._expanded[(shard_id, depth)] = expanded
         return expanded
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,7 +1,4 @@
-"""The sharded evaluator, shard-resident worker processes and shard paging.
-
-The one sharded evaluator, and two subsystems that bound what mining
-keeps in memory, built on the same invalidation protocol:
+"""The sharded evaluator and the shard-resident worker processes.
 
 **The one sharded evaluator** (:func:`pooled_outcomes`).  It plans each
 batch of candidates into ``(kind, pattern, shard_id, exclusive, limit)``
@@ -38,22 +35,10 @@ again.  A worker's tasks for one batch go out in one message, together
 with the patches they need, and come back in task order, in one reply
 unless the results outgrow :data:`REPLY_BYTES`.
 
-**Out-of-core paging** (:class:`ShardPager`).  Halo-expanded views are
-the dominant per-shard memory; with ``max_resident=N`` at most ``N``
-shards keep views in parent memory (LRU), and evicted shards spill to
-disk as manifest-format-2 shard cache directories
-(:func:`repro.partition.io.save_shard_views`).  Re-access re-hydrates the
-spilled view and replays any pending deltas that are provably
-*ball-safe* — only isolated-vertex additions/removals qualify, because an
-added or removed **edge** can change which vertices a ball reaches in a
-way the spilled view cannot see; any such delta (and every rebalance
-move) marks the spill stale and the view is recomputed from the live
-index instead.  Either way the resulting view is content-identical to an
-always-resident one, so mining results are byte-identical regardless of
-eviction order.  The source graph, shard core graphs, and router are the
-index's own maintained state and never page out — eviction is forbidden
-for them (and pointless for whole-graph alias views, which share the
-source graph's storage and are accounted at zero weight).
+The pool keeps the view it last shipped per shard (it diffs the next
+patch against it), so under a pool the parent holds one view per shipped
+shard whatever the index's ``max_resident`` bound says; the bound limits
+only the index's own view cache.
 """
 
 from __future__ import annotations
@@ -64,7 +49,6 @@ import traceback
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import (
     AbstractSet,
     Callable,
@@ -80,7 +64,6 @@ from typing import (
 from ..errors import PartitionError
 from ..graph.labeled_graph import Edge, Label, LabeledGraph, Vertex, normalize_edge
 from ..graph.pattern import Pattern
-from ..index.compact import projected_index_nbytes
 from ..index.delta import IndexMaintainer
 from ..obs import metrics as _metrics
 from .evaluate import (
@@ -469,7 +452,7 @@ class ShardWorkerPool:
         self._depth = depth
         self._dirty.update(self._shipped)
 
-    def _on_invalidation(self, shard_ids, vertices, delta) -> None:
+    def _on_invalidation(self, shard_ids, vertices) -> None:
         """The pool's copy of the view-cache staleness rule.
 
         A shipped shard goes dirty exactly when the index's own cached
@@ -786,289 +769,3 @@ def pooled_outcomes(
                     )
                 )
     return outcomes
-
-
-# ----------------------------------------------------------------------
-# out-of-core paging
-# ----------------------------------------------------------------------
-_STALE = object()  # pending-delta sentinel: spill unusable, recompute
-
-
-class ShardPager:
-    """LRU residency for halo-expanded shard views, with disk spill.
-
-    Attach to a :class:`ShardedIndex` (``ShardPager(sharded,
-    max_resident=N)`` attaches itself); from then on
-    :meth:`ShardedIndex.expanded_shard` routes through :meth:`view`.  At
-    most ``max_resident`` shards keep views in memory; the least recently
-    used shard is evicted when the bound would be exceeded — its views
-    spill to a manifest-format-2 shard cache directory
-    (:func:`repro.partition.io.save_shard_views`) and later re-access
-    re-hydrates from disk instead of recomputing.
-
-    Delta maintenance marks spills stale through the index's
-    invalidation hook.  Isolated-vertex deltas (``VertexAdded`` /
-    ``VertexRemoved``) are **ball-safe** — an isolated vertex reaches
-    nothing, so no other vertex's ball membership can change — and are
-    queued for replay onto the re-hydrated view; edge deltas and
-    rebalance moves can re-shape halo balls invisibly to the spilled
-    view, so they poison the spill (``recomputes`` counts the fallback).
-    Replay or recompute, the produced view is content-identical to an
-    always-resident one: results never depend on eviction order.
-
-    Whole-graph alias views (a ball that swallowed the graph) share the
-    source graph's storage: they are accounted at zero weight and never
-    spilled — evicting them frees nothing, and the source graph itself
-    (like shard core graphs and the router) is maintained state that
-    must never page out.
-
-    ``resident_weight`` / ``peak_resident_weight`` account resident view
-    footprints deterministically via
-    :func:`repro.index.compact.projected_index_nbytes` — the analytic
-    byte cost of an index over each non-alias view — so paging
-    decisions track what a view actually costs to keep hot.  The
-    out-of-core benchmark gates on these.
-    """
-
-    def __init__(
-        self,
-        sharded: ShardedIndex,
-        max_resident: int,
-        cache_dir: Optional[str] = None,
-    ) -> None:
-        if max_resident < 1:
-            raise PartitionError(f"max_resident must be >= 1, got {max_resident}")
-        self.max_resident = int(max_resident)
-        self._tmp = None
-        if cache_dir is None:
-            import tempfile
-
-            self._tmp = tempfile.TemporaryDirectory(prefix="repro-shard-cache-")
-            cache_dir = self._tmp.name
-        self.cache_dir = Path(cache_dir)
-        self.evictions = 0
-        self.spills = 0
-        self.rehydrations = 0
-        self.recomputes = 0
-        self.replayed_deltas = 0
-        self.resident_weight = 0
-        self.peak_resident_weight = 0
-        registry = _metrics.get_registry()
-        for name in (
-            "evictions",
-            "spills",
-            "rehydrations",
-            "recomputes",
-            "replayed_deltas",
-        ):
-            registry.counter(f"repro_pager_{name}")
-        registry.gauge("repro_pager_resident_weight")
-        registry.gauge("repro_pager_peak_resident_weight")
-        self.sharded: Optional[ShardedIndex] = None
-        self._resident: "OrderedDict[int, Dict[int, LabeledGraph]]" = OrderedDict()
-        self._on_disk: Dict[int, Set[int]] = {}
-        self._disk_vertices: Dict[int, Set[Vertex]] = {}
-        self._pending: Dict[int, object] = {}
-        self.attach(sharded)
-
-    # -- binding -------------------------------------------------------
-    def attach(self, sharded: ShardedIndex) -> None:
-        """Start paging for ``sharded`` (clears all prior pager state)."""
-        if self.sharded is not None:
-            self.detach()
-        self.sharded = sharded
-        self._resident.clear()
-        self._on_disk.clear()
-        self._disk_vertices.clear()
-        self._pending.clear()
-        self.resident_weight = 0
-        sharded.subscribe_invalidations(self._on_invalidation)
-        sharded.attach_pager(self)
-
-    def detach(self) -> None:
-        """Stop paging; the index falls back to its in-memory cache."""
-        if self.sharded is not None:
-            self.sharded.unsubscribe_invalidations(self._on_invalidation)
-            if self.sharded.pager is self:
-                self.sharded.detach_pager()
-            self.sharded = None
-
-    def rebind(self, sharded: ShardedIndex) -> None:
-        """Follow a rebuilt (re-partitioned) index; all spills are void."""
-        self.attach(sharded)
-
-    # -- weights -------------------------------------------------------
-    def _view_weight(self, view: LabeledGraph) -> int:
-        if self.sharded is not None and view is self.sharded.graph:
-            return 0
-        return projected_index_nbytes(
-            view.num_vertices,
-            view.num_edges,
-            len(view.label_alphabet()),
-        )
-
-    # -- the cache interface -------------------------------------------
-    def view(self, shard_id: int, depth: int) -> LabeledGraph:
-        """The (shard, depth) expansion — resident, re-hydrated, or computed."""
-        assert self.sharded is not None, "pager is detached"
-        entry = self._resident.get(shard_id)
-        if entry is not None:
-            self._resident.move_to_end(shard_id)
-            view = entry.get(depth)
-            if view is None:
-                view = self._materialize(shard_id, depth)
-                entry[depth] = view
-                self._bump_weight(view)
-            return view
-        view = self._materialize(shard_id, depth)
-        self._resident[shard_id] = {depth: view}
-        self._bump_weight(view)
-        self._evict_over_limit()
-        return view
-
-    def _bump_weight(self, view: LabeledGraph) -> None:
-        self.resident_weight += self._view_weight(view)
-        if self.resident_weight > self.peak_resident_weight:
-            self.peak_resident_weight = self.resident_weight
-        self._sync_weight_gauges()
-
-    def _sync_weight_gauges(self) -> None:
-        _metrics.gauge("repro_pager_resident_weight").set(self.resident_weight)
-        _metrics.gauge("repro_pager_peak_resident_weight").set_max(
-            self.peak_resident_weight
-        )
-
-    def _materialize(self, shard_id: int, depth: int) -> LabeledGraph:
-        pending = self._pending.get(shard_id)
-        if pending is not _STALE and depth in self._on_disk.get(shard_id, ()):
-            from .io import load_shard_view
-
-            view = load_shard_view(self.cache_dir, shard_id, depth)
-            if view is not None:
-                self.rehydrations += 1
-                _metrics.counter("repro_pager_rehydrations").inc()
-                if pending:
-                    for delta in pending:  # type: ignore[union-attr]
-                        self._replay(view, delta)
-                    replayed = len(pending)  # type: ignore[arg-type]
-                    self.replayed_deltas += replayed
-                    _metrics.counter("repro_pager_replayed_deltas").inc(replayed)
-                return view
-        self.recomputes += 1
-        _metrics.counter("repro_pager_recomputes").inc()
-        assert self.sharded is not None
-        return self.sharded._compute_expansion(shard_id, depth)
-
-    @staticmethod
-    def _replay(view: LabeledGraph, delta) -> None:
-        """Apply one ball-safe pending delta to a re-hydrated view."""
-        from ..index.delta import VertexAdded, VertexRemoved
-
-        if isinstance(delta, VertexAdded):
-            if not view.has_vertex(delta.vertex):
-                view.add_vertex(delta.vertex, delta.label)
-        elif isinstance(delta, VertexRemoved):
-            if view.has_vertex(delta.vertex):
-                view.remove_vertex(delta.vertex)
-
-    def _evict_over_limit(self) -> None:
-        while len(self._resident) > self.max_resident:
-            shard_id, views = self._resident.popitem(last=False)
-            self._spill(shard_id, views)
-            self.evictions += 1
-            _metrics.counter("repro_pager_evictions").inc()
-
-    def _spill(self, shard_id: int, views: Dict[int, LabeledGraph]) -> None:
-        assert self.sharded is not None
-        for view in views.values():
-            self.resident_weight -= self._view_weight(view)
-        self._sync_weight_gauges()
-        graph = self.sharded.graph
-        spillable = {
-            depth: view for depth, view in views.items() if view is not graph
-        }
-        if not spillable:
-            # Only whole-graph aliases were resident: nothing worth
-            # writing, the next access recomputes the (cheap) alias.
-            self._on_disk.pop(shard_id, None)
-            self._disk_vertices.pop(shard_id, None)
-            self._pending.pop(shard_id, None)
-            return
-        from .io import save_shard_views
-
-        save_shard_views(self.cache_dir, shard_id, spillable)
-        self.spills += 1
-        _metrics.counter("repro_pager_spills").inc()
-        self._on_disk[shard_id] = set(spillable)
-        vertices: Set[Vertex] = set()
-        for view in spillable.values():
-            vertices.update(view.vertices())
-        self._disk_vertices[shard_id] = vertices
-        # The spill reflects the shard's current state; prior pending
-        # deltas are baked in.
-        self._pending.pop(shard_id, None)
-
-    # -- staleness -----------------------------------------------------
-    def _on_invalidation(self, shard_ids, vertices, delta) -> None:
-        """Mirror the index's invalidation rule onto resident + spilled views."""
-        from ..index.delta import VertexAdded, VertexRemoved
-
-        graph = self.sharded.graph if self.sharded is not None else None
-        for shard_id in list(self._resident):
-            views = self._resident[shard_id]
-            affected = shard_id in shard_ids or any(
-                view is graph or any(view.has_vertex(v) for v in vertices)
-                for view in views.values()
-            )
-            if affected:
-                for view in views.values():
-                    self.resident_weight -= self._view_weight(view)
-                del self._resident[shard_id]
-                self._sync_weight_gauges()
-        replayable = isinstance(delta, (VertexAdded, VertexRemoved))
-        for shard_id in list(self._on_disk):
-            touched = shard_id in shard_ids or bool(
-                self._disk_vertices.get(shard_id, set()).intersection(vertices)
-            )
-            if not touched:
-                continue
-            if not replayable:
-                self._pending[shard_id] = _STALE
-                continue
-            pending = self._pending.get(shard_id)
-            if pending is _STALE:
-                continue
-            if pending is None:
-                pending = []
-                self._pending[shard_id] = pending
-            pending.append(delta)  # type: ignore[union-attr]
-            if isinstance(delta, VertexAdded):
-                # The new vertex belongs to this shard's future view;
-                # track it so later deltas touching it are seen as
-                # touching the spill.
-                self._disk_vertices.setdefault(shard_id, set()).add(delta.vertex)
-
-    def stats(self) -> Dict[str, int]:
-        """This pager's counters under the registry naming convention.
-
-        The values come from the pager's own attributes (``evictions``,
-        ``resident_weight``, ...), which are their storage; the registry
-        instruments of the same names are process-wide.
-        """
-        return {
-            "repro_pager_evictions": self.evictions,
-            "repro_pager_spills": self.spills,
-            "repro_pager_rehydrations": self.rehydrations,
-            "repro_pager_recomputes": self.recomputes,
-            "repro_pager_replayed_deltas": self.replayed_deltas,
-            "repro_pager_resident_weight": self.resident_weight,
-            "repro_pager_peak_resident_weight": self.peak_resident_weight,
-        }
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        """Detach and delete the spill directory (if pager-owned)."""
-        self.detach()
-        if self._tmp is not None:
-            self._tmp.cleanup()
-            self._tmp = None

@@ -6,9 +6,16 @@ from hypothesis import given, settings, strategies as st
 from repro.datasets.synthetic import random_labeled_graph
 from repro.datasets.zoo import zoo_graph
 from repro.errors import MeasureError, MiningError
-from repro.graph.builders import path_graph, path_pattern, star_graph, triangle_pattern
+from repro.graph.builders import (
+    path_graph,
+    path_pattern,
+    star_graph,
+    star_pattern,
+    triangle_pattern,
+)
 from repro.graph.pattern import Pattern
 from repro.isomorphism.anchored import (
+    AnchoredSearch,
     find_anchored_isomorphisms,
     has_occurrence_with,
     valid_images,
@@ -59,6 +66,30 @@ class TestAnchoredSearch:
         occurrences = find_occurrences(fig2.pattern, fig2.data_graph)
         eager = {o.mapping["v1"] for o in occurrences}
         assert set(valid_images(fig2.pattern, fig2.data_graph, "v1")) == eager
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            path_pattern(["A", "B", "C", "D"]),
+            path_pattern(["D", "A", "A", "B", "C"]),
+            star_pattern("B", ["A", "C", "D"]),
+            triangle_pattern("A", "B", "C"),
+        ],
+        ids=["path4", "path5", "star", "triangle"],
+    )
+    def test_anchored_plans_extend_from_mapped_neighbours(self, pattern):
+        """Past the anchors, every plan depth of a connected pattern has a
+        mapped pattern neighbour, so no probe scans a whole inverted list."""
+        data = random_labeled_graph(60, 0.08, seed=3)
+        search = AnchoredSearch(pattern, data)
+        anchor_sets = [(node,) for node in pattern.graph.vertices()]
+        anchor_sets += [tuple(edge) for edge in pattern.edges()]
+        for anchors in anchor_sets:
+            plan = search._plan_for(anchors)
+            assert not plan.empty
+            assert plan.order[: plan.k] == list(anchors)
+            for depth in range(plan.k, len(plan.order)):
+                assert plan.prior[depth], (anchors, plan.order, depth)
 
     def test_valid_images_stop_after(self):
         g = star_graph("c", ["l"] * 6)

@@ -1,17 +1,17 @@
-"""Shard-resident workers and the out-of-core shard pager.
+"""Shard-resident workers and the bounded halo view cache.
 
 The resident pool (:class:`repro.partition.ShardWorkerPool`) keeps one
 long-lived worker per shard and ships each shard's halo-expanded slice
 once, as a patch against an empty view; a slice that deltas dirtied,
 or that a re-partition may have changed, is patched in the worker by the
-difference to the view last shipped; the pager
-(:class:`repro.partition.ShardPager`) bounds how many shards keep views
-in memory, spilling cold shards to disk and re-hydrating (plus replaying
-ball-safe pending deltas) on demand.  Everything here pins the same
-contract as the rest of the partition suite: **byte-identical results**
-— whatever the worker scheduling, whatever the eviction order — plus the
-pool-lifecycle bugfixes (Ctrl-C shutdown, flat workers never shipped a
-partition, pool failures degrading to serial).
+difference to the view last shipped.  ``max_resident`` bounds how many
+shards keep views in :class:`repro.partition.ShardedIndex`'s own view
+cache, dropping the least recently used shard's views and recomputing
+them on demand.  Everything here pins the same contract as the rest of
+the partition suite: **byte-identical results** — whatever the worker
+scheduling, whatever the eviction order — plus the pool-lifecycle
+bugfixes (Ctrl-C shutdown, flat workers never shipped a partition, pool
+failures degrading to serial).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import random
 import pytest
 
 from repro.datasets.synthetic import random_labeled_graph
-from repro.errors import MiningError
+from repro.errors import MiningError, PartitionError
 from repro.graph.builders import path_pattern, star_pattern, triangle_pattern
 from repro.graph.canonical import canonical_certificate
 from repro.graph.labeled_graph import LabeledGraph
@@ -47,12 +47,9 @@ from repro.partition import (
     RebalancePolicy,
     ShardedIndex,
     ShardedIndexMaintainer,
-    ShardPager,
     ShardWorkerPool,
     WorkerPoolError,
-    load_shard_view,
     pooled_outcomes,
-    save_shard_views,
 )
 from repro.partition import workers as workers_module
 from repro.partition.evaluate import (
@@ -114,8 +111,8 @@ class TestResidentPoolEquivalence:
         )
         assert_mining_identical(pooled, flat)
 
-    def test_out_of_core_pool_identical_and_pages(self):
-        """max_resident < shards under the pool: identical, and it paged."""
+    def test_bounded_pool_identical_and_evicts(self):
+        """max_resident < shards under the pool: identical, and it evicted."""
         graph = long_path_graph()
         flat = mine_frequent_patterns(graph, spec=MINE_SPEC)
         miner = FrequentSubgraphMiner(
@@ -124,14 +121,15 @@ class TestResidentPoolEquivalence:
                 shards=4, workers=2, max_resident=1, partition_method="edgecut"
             ),
         )
-        paged = miner.mine()
-        assert_mining_identical(paged, flat)
-        pager = miner._pager
-        assert pager is not None
-        assert pager.evictions > 0
-        assert pager.rehydrations + pager.recomputes > 0
+        bounded = miner.mine()
+        assert_mining_identical(bounded, flat)
+        sharded = miner._sharded
+        assert sharded.max_resident == 1
+        assert sharded.evictions > 0
+        assert sharded.recomputes > sharded.evictions
+        assert len(sharded._expanded) == 1
 
-    def test_out_of_core_peak_weight_below_all_resident(self):
+    def test_bounded_peak_weight_below_all_resident(self):
         """The acceptance gate in miniature: bounded residency uses less."""
         graph = long_path_graph()
         peaks = {}
@@ -143,84 +141,104 @@ class TestResidentPoolEquivalence:
                 ),
             )
             miner.mine()
-            peaks[max_resident] = miner._pager.peak_resident_weight
+            peaks[max_resident] = miner._sharded.peak_resident_weight
         assert peaks[1] < peaks[4]
 
 
 # ----------------------------------------------------------------------
-# the pager in isolation: eviction order must not matter
+# the bounded view cache: eviction order must not matter
 # ----------------------------------------------------------------------
-class TestShardPager:
-    @pytest.mark.parametrize("seed", [0, 7, 13])
-    def test_randomized_eviction_order_byte_identity(self, seed, tmp_path):
-        """Any access order, any eviction order: views == pristine views."""
-        graph = long_path_graph()
-        pristine = ShardedIndex.build(graph, 4, "edgecut")
-        paged_index = ShardedIndex.build(graph, 4, "edgecut")
-        pager = ShardPager(paged_index, max_resident=2, cache_dir=str(tmp_path))
-        rng = random.Random(seed)
-        accesses = [
-            (rng.randrange(4), rng.choice([0, 1, 2])) for _ in range(60)
-        ]
-        for shard_id, depth in accesses:
-            got = paged_index.expanded_shard(shard_id, depth)
-            want = pristine.expanded_shard(shard_id, depth)
+def cached_weight(index: ShardedIndex) -> int:
+    """The projected weight of every view ``index`` caches, summed afresh."""
+    from repro.index.compact import projected_index_nbytes
+
+    return sum(
+        projected_index_nbytes(
+            view.num_vertices, view.num_edges, len(view.label_alphabet())
+        )
+        for views in index._expanded.values()
+        for view in views.values()
+        if view is not index.graph
+    )
+
+
+def assert_views_match(index: ShardedIndex, reference: ShardedIndex, depths):
+    for shard_id in range(index.num_shards):
+        for depth in depths:
+            got = index.expanded_shard(shard_id, depth)
+            want = reference.expanded_shard(shard_id, depth)
             assert graph_content(got) == graph_content(want), (shard_id, depth)
-        assert pager.evictions > 0
-        assert pager.rehydrations > 0
-        pager.close()
 
-    def test_replay_and_stale_spills(self, tmp_path):
-        """Isolated-vertex deltas replay onto spills; edge deltas poison them."""
+
+class TestBoundedViewCache:
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    def test_random_access_matches_unbounded(self, seed):
+        """Any access order, any eviction order: views == unbounded views."""
         graph = long_path_graph()
-        maintainer = ShardedIndexMaintainer(graph, 4, "edgecut")
-        index = maintainer.sharded()
-        pager = ShardPager(index, max_resident=1, cache_dir=str(tmp_path))
-        for shard_id in range(4):  # touch all shards; 3 spill
+        unbounded = ShardedIndex.build(graph, 4, "edgecut")
+        bounded = ShardedIndex.build(graph, 4, "edgecut", max_resident=2)
+        rng = random.Random(seed)
+        for _ in range(60):
+            shard_id, depth = rng.randrange(4), rng.choice([0, 1, 2])
+            got = bounded.expanded_shard(shard_id, depth)
+            want = unbounded.expanded_shard(shard_id, depth)
+            assert graph_content(got) == graph_content(want), (shard_id, depth)
+            assert len(bounded._expanded) <= 2
+            assert bounded.resident_weight == cached_weight(bounded)
+            assert bounded.peak_resident_weight >= bounded.resident_weight
+        assert bounded.evictions > 0
+        assert unbounded.evictions == 0
+        assert bounded.peak_resident_weight < unbounded.peak_resident_weight
+
+    def test_deltas_while_evicted_match_fresh_index(self):
+        """Edge and isolated-vertex deltas reach evicted shards' next views."""
+        graph = long_path_graph()
+        index = ShardedIndex.build(graph, 4, "edgecut", max_resident=1)
+        maintainer = ShardedIndexMaintainer(graph, sharded=index)
+        for shard_id in range(4):  # touch every shard; three are evicted
             index.expanded_shard(shard_id, 2)
-        assert pager.evictions > 0
-        # Ball-safe deltas: keep adding isolated vertices until one lands
-        # in a *spilled* shard, then its re-hydrated view must replay it.
-        home = None
-        for i in range(8):
-            vertex = 990 + i
-            graph.add_vertex(vertex, "A")
+        assert index.evictions == 3
+        updates = [("v", 990 + i, "A") for i in range(8)]
+        updates += [("e", 20, 45), ("e", 990, 3), ("de", 0, 1), ("dv", 991)]
+        for update in updates:
+            apply_update(graph, update)
             assert maintainer.sharded() is index  # patched, not rebuilt
-            shard_id = index.partition.vertex_assignment.get(vertex)
-            if shard_id is not None and shard_id in pager._on_disk:
-                home = (vertex, shard_id)
-                break
-        assert home is not None, "router never hit a spilled shard"
-        vertex, shard_id = home
-        rehydrations_before = pager.rehydrations
-        view = index.expanded_shard(shard_id, 2)
-        assert view.has_vertex(vertex)
-        assert pager.rehydrations > rehydrations_before
-        assert pager.replayed_deltas > 0
-        # An edge delta poisons the spills it touches: those shards must
-        # recompute, and every view must match a from-scratch reference
-        # built over the same partition.
-        graph.add_edge(20, 45)
-        assert maintainer.sharded() is index
-        recomputes_before = pager.recomputes
-        reference = ShardedIndex(graph, index.partition)
-        for shard_id in range(4):
-            assert graph_content(index.expanded_shard(shard_id, 2)) == graph_content(
-                reference.expanded_shard(shard_id, 2)
-            ), shard_id
-        assert pager.recomputes > recomputes_before
-        pager.close()
+            recomputes = index.recomputes
+            assert_views_match(index, ShardedIndex(graph, index.partition), (0, 2))
+            assert index.recomputes > recomputes
+            assert len(index._expanded) == 1
+            assert index.resident_weight == cached_weight(index)
 
-    def test_shard_view_roundtrip(self, tmp_path):
+    def test_bound_and_weight_survive_repartition(self):
+        """A maintainer re-partition keeps the bound and the peak weight."""
         graph = long_path_graph()
-        index = ShardedIndex.build(graph, 4, "edgecut")
-        views = {d: index.expanded_shard(1, d) for d in (0, 2)}
-        save_shard_views(tmp_path, 1, views)
-        for depth, view in views.items():
-            loaded = load_shard_view(tmp_path, 1, depth)
-            assert graph_content(loaded) == graph_content(view)
-        assert load_shard_view(tmp_path, 1, 1) is None  # depth not spilled
-        assert load_shard_view(tmp_path, 3, 0) is None  # shard not spilled
+        maintainer = ShardedIndexMaintainer(
+            graph,
+            policy=RebalancePolicy(max_replication=1.0),
+            sharded=ShardedIndex.build(graph, 4, "edgecut", max_resident=1),
+        )
+        index = maintainer.sharded()
+        for shard_id in range(4):
+            index.expanded_shard(shard_id, 2)
+        peak = index.peak_resident_weight
+        assert peak > 0
+        apply_update(graph, ("e", 0, 30))
+        rebuilt = maintainer.sharded()
+        assert rebuilt is not index
+        assert maintainer.full_repartitions > 0
+        assert rebuilt.max_resident == 1
+        assert rebuilt.peak_resident_weight >= peak
+        assert rebuilt.resident_weight == 0
+        reference = ShardedIndex(graph, rebuilt.partition)
+        assert_views_match(rebuilt, reference, (2,))
+        assert rebuilt.evictions == 3
+        assert len(rebuilt._expanded) == 1
+        assert rebuilt.resident_weight == cached_weight(rebuilt)
+
+    def test_max_resident_below_one_rejected(self):
+        graph = long_path_graph()
+        with pytest.raises(PartitionError, match="max_resident"):
+            ShardedIndex.build(graph, 4, "edgecut", max_resident=0)
 
 
 # ----------------------------------------------------------------------
@@ -695,8 +713,8 @@ class TestStreamWorkers:
 # ----------------------------------------------------------------------
 # randomized churn: pooled refresh == serial sharded == flat, per batch
 # ----------------------------------------------------------------------
-#: Two shards per worker under label partitioning, and a paged hash
-#: layout that keeps one shard's view in parent memory.
+#: Two shards per worker under label partitioning, and a hash layout
+#: whose index caches one shard's view (``max_resident=1``).
 CHURN_LAYOUTS = {
     "label-4x2": dict(shards=4, partition_method="label", workers=2),
     "hash-3x2-paged": dict(
