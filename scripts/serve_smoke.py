@@ -207,6 +207,15 @@ def main():
             f"subscribed {sub_id} (poll) + {push_sub['subscription']} (push): "
             f"{len(answer)} frequent at version {subscribed['version']}"
         )
+        # Both subscriptions ask the daemon's maintained question: they
+        # share its one miner instead of each building their own.
+        maintained = control.request({"op": "metrics"})["metrics"].get(
+            "repro_service_maintained_specs"
+        )
+        assert maintained == 1, (
+            f"FAIL: expected 1 maintained spec for the maintained key and its "
+            f"two subscriptions, got {maintained}"
+        )
 
         for i, batch in enumerate(BATCHES):
             info = control.request({"op": "update", "updates": batch})

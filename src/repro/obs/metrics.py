@@ -311,6 +311,7 @@ DOCUMENTED_METRICS: Tuple[str, ...] = (
     # service
     "repro_service_batches_applied",
     "repro_service_mine_requests",
+    "repro_service_maintained_specs",
     # standing-query subscriptions
     "repro_subs_active",
     "repro_subs_registered",

@@ -109,14 +109,6 @@ class ResultCache:
             _metrics.gauge("repro_cache_entries").set(len(self._entries))
             return len(doomed)
 
-    def clear(self) -> None:
-        with self._lock:
-            self.evictions += len(self._entries)
-            if self._entries:
-                _metrics.counter("repro_cache_evictions").inc(len(self._entries))
-            self._entries.clear()
-            _metrics.gauge("repro_cache_entries").set(0)
-
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {

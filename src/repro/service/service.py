@@ -8,11 +8,11 @@ surfaces — in-process callers, the ``repro serve`` daemon, and
   submitted as tickets and applied in order through
   :class:`~repro.mining.dynamic.StreamApplier` (sliding-window rules
   included); after each batch the writer — when a *maintenance spec* is
-  configured — refreshes its :class:`~repro.mining.dynamic.DynamicMiner`
-  (O(delta) reuse/skip over the existing maintainer stack) and caches
-  the result at the new version, and only then publishes that version
-  as a new snapshot, so readers asking the maintained question are pure
-  cache hits;
+  configured — refreshes that spec's miner in its one table of
+  maintained specs (O(delta) reuse/skip, shared with threshold
+  subscriptions on the same key) and caches the result at the new
+  version, and only then publishes that version as a new snapshot, so
+  readers asking the maintained question are pure cache hits;
 * **readers never touch the live graph.**  A mine request pins an
   immutable snapshot from the :class:`SnapshotRegistry`, consults the
   :class:`ResultCache` at the pinned version, and only on a miss runs a
@@ -34,7 +34,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from ..errors import MiningError, ServiceError
 from ..graph.labeled_graph import LabeledGraph
-from ..mining.dynamic import DynamicMiner, GraphUpdate, StreamApplier
+from ..mining.dynamic import GraphUpdate, StreamApplier
 from ..mining.miner import mine_frequent_patterns
 from ..mining.results import MiningResult
 from ..mining.spec import DEFAULT_SPEC, MiningSpec
@@ -133,6 +133,7 @@ class GraphService:
         registry = _metrics.get_registry()
         registry.counter("repro_service_batches_applied")
         registry.counter("repro_service_mine_requests")
+        registry.gauge("repro_service_maintained_specs")
         self.cache = ResultCache(max_entries=cache_size)
         self.registry = SnapshotRegistry(graph)
         # A fully-released non-tip version can never be requested again
@@ -142,10 +143,9 @@ class GraphService:
         if window is None and maintain is not None:
             window = maintain.window
         self._applier = StreamApplier(graph, window)
-        self._miner: Optional[DynamicMiner] = None
         if maintain is not None:
             try:
-                self._miner = DynamicMiner(graph, spec=maintain)
+                self.subscriptions.acquire(maintain)  # released by stop()
             except MiningError:
                 # A spec the miner refuses must not leave the registry
                 # subscribed to the caller's graph.
@@ -188,13 +188,12 @@ class GraphService:
     def _apply_batch(self, updates: Sequence[GraphUpdate]) -> BatchInfo:
         applied, expired = self._applier.apply_batch(updates)
         result = None
-        if self._miner is not None:
+        if self._maintain is not None:
             # Cache the maintained result before the version is published:
             # a reader that pins the new tip must find it, never re-mine.
-            result = self._miner.refresh()
-            self.cache.put(
-                self._graph.mutation_version(), self._maintain.cache_key(), result
-            )
+            key = self._maintain.cache_key()
+            result = self.subscriptions.refresh(key)
+            self.cache.put(self._graph.mutation_version(), key, result)
         version = self.registry.publish()
         # Version advance is the one invalidation rule: entries for
         # versions nobody can reach anymore (older than tip, unpinned)
@@ -303,7 +302,7 @@ class GraphService:
         skips pinning (and the snapshot stays pinned for the caller).
         """
         if spec is None:
-            spec = self._maintain if self._maintain is not None else DEFAULT_SPEC
+            spec = self.maintain_spec
         if snapshot is not None:
             if version is not None and version != snapshot.version:
                 raise ServiceError(
@@ -334,7 +333,7 @@ class GraphService:
         thread — submit/poll/await without ever blocking the writer.
         """
         if spec is None:
-            spec = self._maintain if self._maintain is not None else DEFAULT_SPEC
+            spec = self.maintain_spec
         snap = self.registry.pin(version)
         ticket = Ticket()
 
@@ -375,7 +374,7 @@ class GraphService:
         }
 
     def stop(self) -> None:
-        """Drain the writer, release the miner and registry. Idempotent.
+        """Drain the writer, close every miner and the registry. Idempotent.
 
         Queued update batches finish first (their tickets resolve);
         anything submitted after stop() raises.
@@ -387,8 +386,6 @@ class GraphService:
         self._commands.put(None)
         self._writer.join()
         self.subscriptions.close()
-        if self._miner is not None:
-            self._miner.close()
         self.registry.close()
 
     def __enter__(self) -> "GraphService":

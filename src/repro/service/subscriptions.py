@@ -32,10 +32,13 @@ subscription's event queue is shared with poller threads.
 
 Zero subscriptions cost zero: the registry only holds a cursor on the
 graph's delta log, and an :class:`~repro.index.delta.IndexMaintainer`
-whose label-pair edge counts feed the skip rule above, while at least
-one subscription exists, and :meth:`dispatch` is a constant-time early
-exit when none do.  After a maintained writer refresh that maintainer
-adopts the writer's patched index in O(1).
+(skip-rule pair counts, pattern evaluation), while at least one
+subscription of either kind exists, and :meth:`dispatch` is a
+constant-time early exit when none do.  After a maintained writer
+refresh that maintainer adopts the writer's patched index in O(1).
+
+The writer's table of maintained specs lives here too: one refcounted
+:class:`DynamicMiner` per cache key, for ``maintain=`` and each threshold key.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ from ..graph.labeled_graph import LabeledGraph
 from ..index.delta import EdgeAdded, EdgeRemoved, IndexMaintainer
 from ..index.graph_index import GraphIndex
 from ..mining.dynamic import DynamicMiner, pattern_footprint
+from ..mining.results import MiningResult
+from ..mining.spec import MiningSpec
 from ..mining.standing import (
     Answer,
     AnswerEvent,
@@ -165,45 +170,38 @@ class _ThresholdEvaluator:
 
     Serves answers cache-first: the writer's maintained refresh (or any
     reader's mine of the same question) lands in the
-    :class:`~repro.service.ResultCache` under the same key, so a
-    subscription to the maintained spec never mines at all.  On a miss a
-    lazily-created :class:`DynamicMiner` refreshes in O(delta) — its
-    certificate memoization and reuse/skip routing carry over between
-    dispatches — and the result is cached for everyone else.
+    :class:`~repro.service.ResultCache` under the same key.  A miss
+    refreshes the key's table miner (O(delta); a no-op if the writer
+    already did at this version) and caches the result for everyone.
 
     ``watched`` is the label-pair union of the current frequent
     patterns: the routing set the skip rule above tests against.
     """
 
-    __slots__ = ("spec", "refs", "version", "answer", "watched", "_miner", "_graph")
+    __slots__ = ("spec", "refs", "version", "answer", "watched")
 
-    def __init__(self, spec: StandingSpec, graph: LabeledGraph) -> None:
+    def __init__(self, spec: StandingSpec) -> None:
         self.spec = spec
         self.refs = 0
         self.version: Optional[int] = None
         self.answer: Answer = {}
         self.watched: FrozenSet[LabelPair] = frozenset()
-        self._miner: Optional[DynamicMiner] = None
-        self._graph = graph
 
-    def evaluate(self, version: int, cache: ResultCache) -> Tuple[Answer, bool]:
-        """The answer at ``version``; ``(answer, served_from_cache)``."""
+    def evaluate(self, version: int, cache: ResultCache, refresh) -> Answer:
+        """The answer at ``version``; ``refresh(key)`` serves a cache miss."""
         if self.version == version:
-            return self.answer, True
+            return self.answer
         key = self.spec.cache_key()
         result = cache.get(version, key)
-        cached = result is not None
         if result is None:
-            if self._miner is None:
-                self._miner = DynamicMiner(self._graph, spec=self.spec.mining_spec())
-            result = self._miner.refresh()
+            result = refresh(key)
             cache.put(version, key, result)
         self.answer = answer_from_result(result)
         self.watched = frozenset().union(
             *(pattern_footprint(fp.pattern) for fp in result.frequent)
         )
         self.version = version
-        return self.answer, cached
+        return self.answer
 
     def adopt(self, version: int) -> None:
         """Fast-forward to ``version`` with the answer proven unchanged."""
@@ -226,11 +224,6 @@ class _ThresholdEvaluator:
                 return True
         return False
 
-    def close(self) -> None:
-        if self._miner is not None:
-            self._miner.close()
-            self._miner = None
-
 
 class SubscriptionRegistry:
     """The writer-side dispatcher for standing-query subscriptions."""
@@ -247,6 +240,8 @@ class SubscriptionRegistry:
         self._max_pending = max_pending
         self._subs: Dict[str, Subscription] = {}
         self._evaluators: Dict[str, _ThresholdEvaluator] = {}
+        # The maintained-spec table: cache key -> (miner, refcount).
+        self._maintained: Dict[str, Tuple[DynamicMiner, int]] = {}
         self._next_id = 0
         # Held while any subscription exists (see the module docstring).
         self._cursor = None
@@ -297,10 +292,11 @@ class SubscriptionRegistry:
         if spec.kind == "threshold":
             evaluator = self._evaluators.get(spec.cache_key())
             if evaluator is None:
-                evaluator = _ThresholdEvaluator(spec, self._graph)
+                self.acquire(spec.mining_spec())
+                evaluator = _ThresholdEvaluator(spec)
                 self._evaluators[spec.cache_key()] = evaluator
             evaluator.refs += 1
-            answer, _ = evaluator.evaluate(version, self._cache)
+            answer = evaluator.evaluate(version, self._cache, self.refresh)
         else:
             answer = evaluate_standing(
                 spec, self._graph, index=self._index_maintainer.index()
@@ -325,12 +321,11 @@ class SubscriptionRegistry:
         if sub is None:
             return False
         if sub.spec.kind == "threshold":
-            evaluator = self._evaluators.get(sub.cache_key)
-            if evaluator is not None:
-                evaluator.refs -= 1
-                if evaluator.refs <= 0:
-                    evaluator.close()
-                    del self._evaluators[sub.cache_key]
+            evaluator = self._evaluators[sub.cache_key]
+            evaluator.refs -= 1
+            if not evaluator.refs:
+                del self._evaluators[sub.cache_key]
+                self.release(sub.cache_key)
         if not self._subs:
             self._detach()
         _metrics.counter("repro_subs_unregistered").inc()
@@ -345,9 +340,33 @@ class SubscriptionRegistry:
         return len(doomed)
 
     def close(self) -> None:
-        """Drop every subscription and detach from the graph."""
+        """Drop every subscription, close every maintained miner, detach."""
         for sub_id in list(self._subs):
             self.unregister(sub_id)
+        for key in list(self._maintained):  # the service's maintain= entry
+            self.release(key)
+
+    def acquire(self, spec: MiningSpec) -> None:
+        """Take a reference on ``spec``'s miner; the key's first spec builds it."""
+        key = spec.cache_key()
+        miner, refs = self._maintained.get(key, (None, 0))
+        if miner is None:
+            miner = DynamicMiner(self._graph, spec=spec)
+        self._maintained[key] = (miner, refs + 1)
+        _metrics.gauge("repro_service_maintained_specs").set(len(self._maintained))
+
+    def release(self, key: str) -> None:
+        """Drop one reference on ``key``'s miner; the last one closes it."""
+        miner, refs = self._maintained.pop(key)
+        if refs > 1:
+            self._maintained[key] = (miner, refs - 1)
+        else:
+            miner.close()
+        _metrics.gauge("repro_service_maintained_specs").set(len(self._maintained))
+
+    def refresh(self, key: str) -> MiningResult:
+        """``key``'s maintained answer at the graph's current version."""
+        return self._maintained[key][0].refresh()
 
     # ------------------------------------------------------------------
     # delta reading + routing (writer thread only)
@@ -432,7 +451,7 @@ class SubscriptionRegistry:
                 with _trace.span(
                     "subs.evaluate", subscription=sub.id, kind="threshold"
                 ):
-                    new_answer, _ = evaluator.evaluate(version, self._cache)
+                    new_answer = evaluator.evaluate(version, self._cache, self.refresh)
             evaluated += 1
             events, sub.seq = diff_answer(
                 sub.answer,

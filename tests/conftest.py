@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.datasets.paper_figures import load_all_figures, load_figure
@@ -9,6 +11,7 @@ from repro.datasets.zoo import zoo_graph
 from repro.graph.builders import path_pattern, triangle_pattern
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.pattern import Pattern
+from repro.mining.dynamic import DynamicMiner
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +64,20 @@ def fan_graph() -> LabeledGraph:
 @pytest.fixture
 def disjoint_tri_graph() -> LabeledGraph:
     return zoo_graph("disjoint_triangles")
+
+
+@pytest.fixture
+def built_miners(monkeypatch):
+    """Every ``DynamicMiner`` built during the test: ``(cache key, weakref)``.
+
+    Weak references only, so a test can still prove the miners are freed.
+    """
+    built = []
+    init = DynamicMiner.__init__
+
+    def recording_init(self, data, spec=None, rebalance=None):
+        init(self, data, spec, rebalance)
+        built.append((self.spec.cache_key(), weakref.ref(self)))
+
+    monkeypatch.setattr(DynamicMiner, "__init__", recording_init)
+    return built

@@ -435,31 +435,48 @@ class TestGraphService:
         assert [fp.num_occurrences for fp in served.frequent] == [1, 1, 1]
 
     @pytest.mark.parametrize(
-        "maintain",
+        "maintain,second_key",
         [
-            MiningSpec(min_support=2, max_pattern_nodes=3),
-            MiningSpec(
-                min_support=2, max_pattern_nodes=3, shards=2, workers=2, max_resident=1
+            (MiningSpec(min_support=2, max_pattern_nodes=3), False),
+            (
+                MiningSpec(
+                    min_support=2,
+                    max_pattern_nodes=3,
+                    shards=2,
+                    workers=2,
+                    max_resident=1,
+                ),
+                False,
             ),
+            (MiningSpec(min_support=2, max_pattern_nodes=3), True),
         ],
-        ids=["flat", "sharded-pooled-paged"],
+        ids=["flat", "sharded-pooled-paged", "flat-with-second-key-subscription"],
     )
-    def test_stopped_service_is_freed_without_gc(self, maintain):
-        # The caller keeps the graph; the stopped service and its miner
-        # must be freed by reference counting alone, not wait for a
-        # cycle collection.
+    def test_stopped_service_is_freed_without_gc(
+        self, maintain, second_key, built_miners
+    ):
+        # The caller keeps the graph; the stopped service and every miner
+        # in its table (a live subscription's too) must be freed by
+        # reference counting alone, not wait for a cycle collection.
         graph = base_graph()
         gc.disable()
         try:
             service = GraphService(graph, maintain=maintain)
+            if second_key:
+                service.subscribe(
+                    StandingSpec.from_kwargs(
+                        kind="threshold", min_support=1, max_nodes=2
+                    )
+                )
             service.apply_updates(UPDATES[:2])
             service.mine(SPEC)
             service.stop()
             service_ref = weakref.ref(service)
-            miner_ref = weakref.ref(service._miner)
             del service
             assert service_ref() is None
-            assert miner_ref() is None
+            assert len(built_miners) == (2 if second_key else 1)
+            assert [ref() for _, ref in built_miners] == [None] * len(built_miners)
+            assert graph.delta_log() is None
         finally:
             gc.enable()
 

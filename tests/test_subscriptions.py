@@ -39,6 +39,7 @@ from repro.service import (
     GraphService,
     ResultCache,
     handle_request,
+    result_bytes,
 )
 from repro.service.subscriptions import SubscriptionRegistry
 
@@ -394,6 +395,89 @@ class TestFootprintRouting:
             # (plus the baseline mine at subscribe time), not two.
             assert snap["repro_subs_evaluations"] == 3
             assert snap["repro_miner_sessions"] == 4
+
+
+MAINTAIN = THRESHOLD.mining_spec()
+#: A second threshold question: a different cache key from MAINTAIN's.
+OTHER_KEY = THRESHOLD.replace(min_support=3.0)
+TABLE_BATCHES = [
+    [("v", 7, "a"), ("e", 6, 7), ("v", 8, "b"), ("e", 7, 8)],
+    [("de", 1, 2), ("e", 8, 2)],
+    [("v", 9, "a"), ("e", 8, 9), ("de", 3, 4)],
+]
+
+
+def _replays_match(service, subs, reference, batches):
+    """Apply ``batches``; every sub's replayed events equal a one-shot answer."""
+    states = {sub.id: sub.answer_snapshot() for sub in subs}
+    applier = StreamApplier(reference, None)
+    for batch in batches:
+        service.apply_updates(batch)
+        applier.apply_batch(batch)
+        for sub in subs:
+            states[sub.id] = replay_answer(states[sub.id], sub.poll())
+            assert states[sub.id] == evaluate_standing(sub.spec, reference)
+
+
+class TestMaintainedSpecTable:
+    """One refcounted miner per cache key, whoever asks the question."""
+
+    def test_subscription_before_first_batch_shares_the_maintained_miner(
+        self, built_miners, fresh_registry
+    ):
+        assert THRESHOLD.cache_key() == MAINTAIN.cache_key()
+        with GraphService(base_graph(), maintain=MAINTAIN) as service:
+            sub = service.subscribe(THRESHOLD)  # version 0: nothing cached yet
+            assert [key for key, _ in built_miners] == [MAINTAIN.cache_key()]
+            snap = fresh_registry.snapshot()
+            assert snap["repro_service_maintained_specs"] == 1
+            _replays_match(service, [sub], base_graph(), TABLE_BATCHES)
+        assert len(built_miners) == 1
+
+    def test_evicted_maintained_entry_is_refreshed_not_rebuilt(self, built_miners):
+        # With one cache entry, the second key's baseline evicts the
+        # maintained result; the maintained key's subscription must then
+        # ask the table's miner, not build its own.
+        with GraphService(base_graph(), maintain=MAINTAIN, cache_size=1) as service:
+            reference = base_graph()
+            _replays_match(service, [], reference, TABLE_BATCHES[:1])
+            subs = [service.subscribe(OTHER_KEY), service.subscribe(THRESHOLD)]
+            _replays_match(service, subs, reference, TABLE_BATCHES[1:])
+        keys = sorted(key for key, _ in built_miners)
+        assert keys == sorted([MAINTAIN.cache_key(), OTHER_KEY.cache_key()])
+
+    def test_sharded_maintained_miner_serves_flat_subscription(self, built_miners):
+        maintain = MAINTAIN.replace(shards=2)
+        with GraphService(base_graph(), maintain=maintain) as service:
+            sub = service.subscribe(THRESHOLD)
+            _replays_match(service, [sub], base_graph(), TABLE_BATCHES)
+            ((key, miner_ref),) = built_miners
+            assert key == THRESHOLD.cache_key()
+            assert miner_ref().spec.shards == 2  # the first spec's strategy
+
+    def test_last_reference_closes_the_miner(self, built_miners, fresh_registry):
+        def gauge():
+            return fresh_registry.snapshot()["repro_service_maintained_specs"]
+
+        graph = base_graph()
+        with GraphService(graph, maintain=MAINTAIN) as service:
+            shared = [service.subscribe(THRESHOLD) for _ in range(2)]
+            lone = service.subscribe(OTHER_KEY)
+            assert gauge() == 2
+            miners = {key: ref() for key, ref in built_miners}
+            assert len(built_miners) == len(miners) == 2
+            service.unsubscribe(lone)
+            assert not miners[OTHER_KEY.cache_key()].attached
+            assert gauge() == 1
+            for sub in shared:
+                service.unsubscribe(sub)
+            maintained = miners[MAINTAIN.cache_key()]
+            assert maintained.attached and gauge() == 1
+            info = service.apply_updates(TABLE_BATCHES[0])
+            assert maintained.refresh() is info.result  # the writer's refresh
+            expected = mine_frequent_patterns(graph.copy(), spec=MAINTAIN)
+            assert result_bytes(info.result) == result_bytes(expected)
+        assert not maintained.attached and gauge() == 0
 
 
 def _random_stream(rng, reference, num_updates, *, labels=("a", "b", "c")):
