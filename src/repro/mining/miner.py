@@ -360,14 +360,20 @@ class LatticeMemo:
     def commit(self, seen) -> None:
         """End a complete walk: keep its entries and the certificates it saw.
 
-        ``seen`` is every certificate the walk proposed.
+        ``seen`` is every certificate the walk proposed.  The certificate
+        memo is pruned to the signatures whose certificates are in
+        ``seen`` only once it holds more than ``2 * len(seen)``
+        signatures.  So after every commit it holds at most that many,
+        or only signatures of certificates the walk saw, and a warm
+        refresh over a steady lattice rebuilds nothing.
         """
         self._entries, self._touched = self._touched, {}
-        self._certificates = {
-            key: certificate
-            for key, certificate in self._certificates.items()
-            if certificate in seen
-        }
+        if len(self._certificates) > 2 * len(seen):
+            self._certificates = {
+                key: certificate
+                for key, certificate in self._certificates.items()
+                if certificate in seen
+            }
 
 
 def _walk(

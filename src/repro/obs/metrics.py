@@ -293,6 +293,8 @@ DOCUMENTED_METRICS: Tuple[str, ...] = (
     "repro_pool_sets_dropped",
     "repro_pool_serial_fallbacks",
     "repro_pool_queue_depth",
+    "repro_pool_patch_elements",
+    "repro_pool_recorded_members",
     # the sharded index's halo view cache (bounded by max_resident)
     "repro_pager_evictions",
     "repro_pager_recomputes",

@@ -67,6 +67,23 @@ from .shard import GraphShard
 LabelPair = Tuple[Label, Label]
 
 
+def within_hops(graph: LabeledGraph, seeds, depth: int) -> Set[Vertex]:
+    """The vertices of ``graph`` within ``depth`` hops of the ``seeds``."""
+    frontier = set(seeds)
+    keep = set(frontier)
+    for _ in range(depth):
+        if not frontier:
+            break
+        frontier = {
+            neighbor
+            for vertex in frontier
+            for neighbor in graph.neighbors(vertex)
+            if neighbor not in keep
+        }
+        keep |= frontier
+    return keep
+
+
 class ShardedIndex(MaintainableIndex):
     """k edge-disjoint shards of one data graph, plus merged global views.
 
@@ -99,7 +116,6 @@ class ShardedIndex(MaintainableIndex):
         "_router",
         "_maintainers",
         "_expanded",
-        "_listeners",
         "max_resident",
         "resident_weight",
         "peak_resident_weight",
@@ -122,7 +138,6 @@ class ShardedIndex(MaintainableIndex):
         self._expanded: "OrderedDict[int, Dict[int, LabeledGraph]]" = OrderedDict()
         self._router: Optional[EdgeRouter] = None
         self._maintainers: Dict[int, object] = {}
-        self._listeners: List = []
         self.max_resident = max_resident
         self.resident_weight = 0
         self.peak_resident_weight = 0
@@ -362,14 +377,7 @@ class ShardedIndex(MaintainableIndex):
         lies inside it — in which case neither its vertex ball nor its
         induced edges can have moved (a touched edge with both endpoints
         outside a ball cannot shorten any path into it).
-
-        Subscribed invalidation listeners (the shard-resident worker pool
-        tracks slice staleness through them) are notified *before* the
-        cache scan — they hold their own copies of view state and must
-        hear about every touched region even when nothing is cached here.
         """
-        for listener in tuple(self._listeners):
-            listener(shard_ids, vertices)
         if not self._expanded:
             return
         graph = self.graph
@@ -386,18 +394,6 @@ class ShardedIndex(MaintainableIndex):
                 self._weigh(views.pop(depth), -1)
             if not views:
                 del self._expanded[shard_id]
-
-    def subscribe_invalidations(self, listener) -> None:
-        """Register ``listener(shard_ids, vertices)`` for every expansion
-        invalidation (deltas and rebalance moves alike)."""
-        self._listeners.append(listener)
-
-    def unsubscribe_invalidations(self, listener) -> None:
-        """Remove a listener; unknown listeners are ignored."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
     # -- per-kind handlers ---------------------------------------------
     def _apply_vertex_added(self, vertex: Vertex, label: Label) -> None:
@@ -704,18 +700,9 @@ class ShardedIndex(MaintainableIndex):
             decode = ci.table.vertex_of
             keep = {decode[vi] for vi in kept_ints}
         else:
-            frontier = set(self.shards[shard_id].graph.vertices())
-            keep = set(frontier)
-            for _ in range(depth):
-                if not frontier:
-                    break
-                frontier = {
-                    neighbor
-                    for vertex in frontier
-                    for neighbor in self.graph.neighbors(vertex)
-                    if neighbor not in keep
-                }
-                keep |= frontier
+            keep = within_hops(
+                self.graph, self.shards[shard_id].graph.vertices(), depth
+            )
         if len(keep) == self.graph.num_vertices:
             expanded = self.graph
         else:

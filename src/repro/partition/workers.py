@@ -19,26 +19,22 @@ every new pool), each long-lived worker *owns* the shards pinned to it
 (``shard_id % workers``) and holds one :class:`ResidentView` per shard:
 the shard's core edges and its depth-``D`` halo view, whose index an
 :class:`~repro.index.delta.IndexMaintainer` keeps current.  What crosses
-the pipe is one kind of update, a :class:`ShardPatch`: the difference
-between the view the parent last shipped for a shard and the current
-one.  On a shard's first use that is the difference to an empty view,
-the whole shard.  After that a patch goes out only when delta
-maintenance dirtied the shard (the pool subscribes to
-:meth:`ShardedIndex.subscribe_invalidations` and applies the same
-staleness rule as the index's own view cache), or after
-:meth:`ShardWorkerPool.bind` to a new index (a rebuild or
-re-partition).  The worker applies it through the :class:`LabeledGraph`
-mutation API, so its index is patched in O(delta), and a burst past the
-view's delta-log bound folds into one rebuild.  Across the batches of
-a ``mine_stream`` run, untouched shards never cross the process boundary
-again.  A worker's tasks for one batch go out in one message, together
-with the patches they need, and come back in task order, in one reply
-unless the results outgrow :data:`REPLY_BYTES`.
+the pipe is one kind of update, a :class:`ShardPatch`: on a shard's
+first use the whole view, after that the change since its last
+shipment, which the parent derives from the graph's deltas
+(:class:`ShippedShard`) without recomputing or diffing a view.  The
+worker applies it through the :class:`LabeledGraph` mutation API, so
+its index is patched in O(delta), and a burst past the view's delta-log
+bound folds into one rebuild.  Across the batches of a ``mine_stream``
+run, untouched shards never cross the process boundary again.  A
+worker's tasks for one batch go out in one message, together with the
+patches they need, and come back in task order, in one reply unless the
+results outgrow :data:`REPLY_BYTES`.
 
-The pool keeps the view it last shipped per shard (it diffs the next
-patch against it), so under a pool the parent holds one view per shipped
-shard whatever the index's ``max_resident`` bound says; the bound limits
-only the index's own view cache.
+The parent keeps no views: per shipped shard it records the ball's
+vertex set (at most ``|V|`` members, the ``repro_pool_recorded_members``
+gauge) and the core edges, whatever the index's ``max_resident`` bound
+says; the bound limits only the index's own view cache.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from typing import (
     AbstractSet,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -64,7 +59,7 @@ from typing import (
 from ..errors import PartitionError
 from ..graph.labeled_graph import Edge, Label, LabeledGraph, Vertex, normalize_edge
 from ..graph.pattern import Pattern
-from ..index.delta import IndexMaintainer
+from ..index.delta import EdgeAdded, EdgeRemoved, IndexMaintainer, VertexRemoved
 from ..obs import metrics as _metrics
 from .evaluate import (
     NodeImages,
@@ -76,7 +71,7 @@ from .evaluate import (
     required_depth,
     support_from_shard_items,
 )
-from .sharded_index import ShardedIndex
+from .sharded_index import ShardedIndex, within_hops
 
 
 class WorkerPoolError(OSError):
@@ -93,13 +88,15 @@ class WorkerPoolError(OSError):
 # ----------------------------------------------------------------------
 @dataclass
 class ShardPatch:
-    """The difference between two halo views of one shard, and its core edges.
+    """One update of a shard's resident view: its halo view and core edges.
 
     The fields are applied in order (:meth:`ResidentView.apply`): edges
-    out, vertices out, vertices in, edges in.  So every removed vertex is
-    already isolated and every added edge finds both endpoints.  A vertex
-    whose label changed between the views leaves and comes back.  Against
-    an empty view the patch is the whole shard.
+    out, vertices out, vertices in, edges in.  A vertex that goes out
+    takes its remaining view edges with it, and every added edge finds
+    both endpoints.  A vertex that was deleted from the graph and added
+    back (perhaps under another label) goes out and comes back in.  The
+    first patch of a shard is the whole view (:func:`shard_patch`); later
+    ones are derived from the graph's deltas (:class:`ShippedShard`).
     """
 
     shard_id: int
@@ -121,54 +118,208 @@ class ShardPatch:
         )
 
 
-_ABSENT = object()
-
-
 def shard_patch(
     shard_id: int,
-    old_view: LabeledGraph,
-    new_view: LabeledGraph,
-    old_core: AbstractSet[Edge],
-    new_core: AbstractSet[Edge],
+    view: LabeledGraph,
+    core: AbstractSet[Edge],
+    old_members: AbstractSet[Vertex] = frozenset(),
+    old_core: AbstractSet[Edge] = frozenset(),
 ) -> ShardPatch:
-    """The :class:`ShardPatch` that turns ``old_view`` into ``new_view``.
+    """The patch that replaces a resident view wholesale with ``view``.
 
-    O(|old_view| + |new_view|) set comparisons in the parent; what
-    crosses the pipe, and what the worker's index is patched with, is
-    only the difference.
+    Every vertex of the old view (``old_members``) goes out, taking its
+    edges with it, and all of ``view`` comes in; the core set goes from
+    ``old_core`` to ``core``.  Against an empty view (the defaults) this
+    is a shard's first shipment.
     """
-    edges_out: Set[Edge] = set()
-    edges_in: Set[Edge] = set()
-    vertices_out: List[Vertex] = []
-    vertices_in: List[Tuple[Vertex, Label]] = []
-    if old_view is not new_view:
-        old_labels, new_labels = old_view.labels(), new_view.labels()
-        for vertex, label in old_labels.items():
-            if new_labels.get(vertex, _ABSENT) != label:
-                vertices_out.append(vertex)
-                edges_out.update(
-                    normalize_edge(vertex, w) for w in old_view.neighbors(vertex)
-                )
-        for vertex, label in new_labels.items():
-            if old_labels.get(vertex, _ABSENT) != label:
-                vertices_in.append((vertex, label))
-                edges_in.update(
-                    normalize_edge(vertex, w) for w in new_view.neighbors(vertex)
-                )
-                continue
-            before, after = old_view.neighbors(vertex), new_view.neighbors(vertex)
-            if before != after:
-                edges_out.update(normalize_edge(vertex, w) for w in before - after)
-                edges_in.update(normalize_edge(vertex, w) for w in after - before)
+    labels = view.labels()
+    edges: Set[Edge] = set()
+    for vertex in labels:
+        edges.update(normalize_edge(vertex, w) for w in view.neighbors(vertex))
     return ShardPatch(
         shard_id=shard_id,
-        edges_out=tuple(edges_out),
-        vertices_out=tuple(vertices_out),
-        vertices_in=tuple(vertices_in),
-        edges_in=tuple(edges_in),
-        core_out=tuple(old_core - new_core),
-        core_in=tuple(new_core - old_core),
+        edges_out=(),
+        vertices_out=tuple(old_members),
+        vertices_in=tuple(labels.items()),
+        edges_in=tuple(edges),
+        core_out=tuple(old_core),
+        core_in=tuple(core),
     )
+
+
+def _within(graph: LabeledGraph, targets: LabeledGraph, vertex, depth: int) -> bool:
+    """True when ``vertex`` lies within ``depth`` hops of a vertex of ``targets``."""
+    if vertex in targets:
+        return True
+    if vertex not in graph:
+        return False
+    seen = {vertex}
+    frontier = [vertex]
+    for _ in range(depth):
+        next_frontier = []
+        for v in frontier:
+            for w in graph.neighbors(v):
+                if w in seen:
+                    continue
+                if w in targets:
+                    return True
+                seen.add(w)
+                next_frontier.append(w)
+        frontier = next_frontier
+    return False
+
+
+class ShippedShard:
+    """The parent's record of one shipped shard, and the patches that follow.
+
+    The record keeps what the shard's worker holds, as sets: ``members``,
+    the vertex set of the halo view last shipped (the ball of radius
+    ``D`` around the shard's vertex set ``S``), and ``core``, its core
+    edges.  The view itself is the subgraph of the source graph that
+    ``members`` induces, so nothing else needs keeping.  Two cursors
+    follow what changed since the last shipment: one on the source
+    graph's delta log and one on the shard's core graph, whose vertex
+    set is ``S`` and whose edges are the core edges (rebalance moves
+    change it in place).
+
+    :meth:`update` derives the next patch from those deltas.  A vertex
+    can enter or leave the ball only if, in the current graph, it lies
+    within ``D`` hops of a *touched* vertex: an endpoint of an added or
+    removed edge, an added or removed vertex, or a vertex that entered
+    or left ``S``.  (A path of at most ``D`` hops to ``S`` that appeared
+    or broke runs through such a vertex.)  Each of these candidates is
+    re-tested with a radius-``D`` search for ``S``.  When no touched
+    vertex lies in the old ball, only the vertices that entered or left
+    ``S`` need to be, so a shard far from the deltas costs one set
+    check.  An edge between members that stay changes only where a
+    delta touched it, and a vertex that enters brings its current edges
+    to members.  So the parent's work is local to the deltas, and the
+    patched view is again the induced subgraph on the new ball: exact.
+
+    Fallback: a new record, a record closed by :meth:`close` (the pool
+    re-bound to another index object or depth, or detached), and a gap
+    on either cursor replace the view wholesale (:func:`shard_patch`),
+    read through :meth:`ShardedIndex.expanded_shard`.
+    """
+
+    __slots__ = ("shard_id", "members", "core", "_source", "_core_cursor")
+
+    def __init__(self, shard_id: int) -> None:
+        self.shard_id = shard_id
+        self.members: Set[Vertex] = set()
+        self.core: Set[Edge] = set()
+        self._source = None
+        self._core_cursor = None
+
+    def _replace(self, sharded: ShardedIndex, depth: int) -> ShardPatch:
+        """Re-ship the whole view, read through ``expanded_shard``."""
+        self.close()
+        shard = sharded.shards[self.shard_id]
+        view = sharded.expanded_shard(self.shard_id, depth)
+        core = set(shard.core_edge_set)
+        patch = shard_patch(self.shard_id, view, core, self.members, self.core)
+        self.members = set(view.labels())
+        self.core = core
+        self._source = sharded.graph.cursor()
+        self._core_cursor = shard.graph.cursor()
+        return patch
+
+    def close(self) -> None:
+        """Close the cursors; the next update replaces the view wholesale."""
+        for cursor in (self._source, self._core_cursor):
+            if cursor is not None:
+                cursor.close()
+        self._source = self._core_cursor = None
+
+    def update(
+        self, sharded: ShardedIndex, depth: int
+    ) -> Tuple[Optional[ShardPatch], bool]:
+        """The patch since the last shipment (``None`` when nothing
+        changed), and whether it replaces the view wholesale."""
+        deltas = None if self._source is None else self._source.read()
+        core_deltas = None if deltas is None else self._core_cursor.read()
+        if core_deltas is None:
+            return self._replace(sharded, depth), True
+        if not deltas and not core_deltas:
+            return None, False
+        graph = sharded.graph
+        shard = sharded.shards[self.shard_id]
+        touched: Set[Vertex] = set()
+        removed: Set[Vertex] = set()
+        # Touched pair -> whether the edge was there at the last shipment.
+        edges: Dict[Edge, bool] = {}
+        for delta in deltas:
+            if isinstance(delta, (EdgeAdded, EdgeRemoved)):
+                touched.add(delta.u)
+                touched.add(delta.v)
+                pair = normalize_edge(delta.u, delta.v)
+                if pair not in edges:
+                    edges[pair] = isinstance(delta, EdgeRemoved)
+            else:
+                touched.add(delta.vertex)
+                if isinstance(delta, VertexRemoved):
+                    removed.add(delta.vertex)
+        members = self.members
+        core_touched: Set[Edge] = set()
+        moved: Set[Vertex] = set()  # vertices that entered or left S
+        for delta in core_deltas:
+            if isinstance(delta, (EdgeAdded, EdgeRemoved)):
+                core_touched.add(normalize_edge(delta.u, delta.v))
+            else:
+                moved.add(delta.vertex)
+        # A path to S that appeared or broke through no vertex of the old
+        # ball runs to a vertex that entered or left S.
+        if touched.isdisjoint(members):
+            touched.clear()
+        touched |= moved
+        present = [vertex for vertex in touched if vertex in graph]
+        leaving: Set[Vertex] = set()
+        entering: Set[Vertex] = set()
+        for vertex in touched | within_hops(graph, present, depth):
+            inside = _within(graph, shard.graph, vertex, depth)
+            if vertex in members:
+                if inside and vertex not in removed:
+                    continue
+                leaving.add(vertex)
+            if inside:
+                entering.add(vertex)
+        members -= leaving
+        members |= entering
+        # Members that stayed hold the touched edges they had; every
+        # other member arrives with all of its edges to members.
+        edges_out: List[Edge] = []
+        edges_in: Set[Edge] = set()
+        for pair, before in edges.items():
+            a, b = pair
+            if a not in members or b not in members:
+                continue
+            wanted = graph.has_edge(a, b)
+            held = before and a not in entering and b not in entering
+            if held and not wanted:
+                edges_out.append(pair)
+            elif wanted and not held:
+                edges_in.add(pair)
+        for vertex in entering:
+            edges_in.update(
+                normalize_edge(vertex, w)
+                for w in graph.neighbors(vertex)
+                if w in members
+            )
+        now = shard.core_edge_set
+        core_out = tuple(e for e in core_touched if e in self.core and e not in now)
+        core_in = tuple(e for e in core_touched if e in now and e not in self.core)
+        self.core.difference_update(core_out)
+        self.core.update(core_in)
+        patch = ShardPatch(
+            shard_id=self.shard_id,
+            edges_out=tuple(edges_out),
+            vertices_out=tuple(leaving),
+            vertices_in=tuple((vertex, graph.label_of(vertex)) for vertex in entering),
+            edges_in=tuple(edges_in),
+            core_out=core_out,
+            core_in=core_in,
+        )
+        return (patch if len(patch) else None), False
 
 
 # ----------------------------------------------------------------------
@@ -354,6 +505,9 @@ def _worker_main(conn, config: Dict[str, object]) -> None:
 #: replies (in reply order).
 _DISPATCH_COUNTERS = ("tasks_dispatched", "slices_shipped", "slices_patched")
 _SET_COUNTERS = ("tasks_from_sets", "sets_built", "sets_dropped")
+#: Buckets of ``repro_pool_patch_elements``: a derived patch is a handful
+#: of elements, a shard's first shipment its whole view.
+PATCH_ELEMENT_BUCKETS = (4, 16, 64, 256, 1024, 4096, 16384)
 
 
 class ShardWorkerPool:
@@ -364,12 +518,13 @@ class ShardWorkerPool:
     each worker one message per batch (the patches its shards need, then
     its tasks in order) and reads its reply, so outcomes are
     position-stable and byte-identical however the OS schedules the
-    processes.  The pool keeps, per shard, the view and core edges it
-    last shipped: exactly what the worker holds, so a patch diffed
-    against it is exact whatever happened in between.  It follows one
-    :class:`ShardedIndex` at one depth at a time (:meth:`bind`); delta
-    invalidations mark shipped shards dirty, and :meth:`run` patches
-    exactly those.  Infrastructure failures raise
+    processes.  The pool keeps one :class:`ShippedShard` record per
+    shipped shard, which derives the shard's next patch from the deltas
+    since its last shipment.  It follows one :class:`ShardedIndex` at
+    one depth at a time (:meth:`bind`), and :meth:`run` patches the
+    shards a batch's tasks use.  Each patch that crosses the pipe is
+    observed in the ``repro_pool_patch_elements`` histogram.
+    Infrastructure failures raise
     :class:`WorkerPoolError` (an ``OSError``), which callers treat like a
     broken executor: shut down, fall back to serial, results unchanged.
     A batch that fails in any way shuts the pool down, since the workers'
@@ -398,12 +553,9 @@ class ShardWorkerPool:
         self._closed = False
         self._bound: Optional[ShardedIndex] = None
         self._depth: Optional[int] = None
-        # shard id -> (the view last shipped, its core-edge set)
-        self._shipped: Dict[int, Tuple[LabeledGraph, FrozenSet[Edge]]] = {}
-        self._dirty: Set[int] = set()
-        # One copy of the source graph, shared within a batch by every
-        # shard whose view is the whole graph.
-        self._graph_copy: Optional[LabeledGraph] = None
+        self._shipped: Dict[int, ShippedShard] = {}
+        # Patches that empty the views of dropped records (:meth:`bind`).
+        self._emptied: List[ShardPatch] = []
         self.slices_shipped = 0
         self.slices_patched = 0
         self.tasks_dispatched = 0
@@ -417,6 +569,8 @@ class ShardWorkerPool:
         for name in _DISPATCH_COUNTERS + _SET_COUNTERS:
             registry.counter(f"repro_pool_{name}")
         registry.histogram("repro_pool_queue_depth")
+        registry.histogram("repro_pool_patch_elements", PATCH_ELEMENT_BUCKETS)
+        registry.gauge("repro_pool_recorded_members")
         context = multiprocessing.get_context()
         try:
             for _ in range(self.workers):
@@ -434,41 +588,37 @@ class ShardWorkerPool:
             self.shutdown(wait=False, cancel_futures=True)
             raise
 
-    # -- index binding & staleness -------------------------------------
+    # -- index binding ---------------------------------------------------
     def bind(self, sharded: ShardedIndex, depth: int) -> None:
         """Follow ``sharded``'s views at ``depth``.
 
         A new index object (a maintainer rebuilt or re-partitioned it) or
-        a new depth may change any view, so every shard shipped so far
-        goes dirty; its next use patches it against what its worker
-        holds.
+        a new depth may change any view, so every shipped shard's record
+        is closed and its next use replaces the view wholesale.  The
+        records of shard ids the new index lacks are dropped, and the
+        next message to their workers empties those views.
         """
         if sharded is self._bound and depth == self._depth:
             return
-        if sharded is not self._bound:
-            self.detach()
-            self._bound = sharded
-            sharded.subscribe_invalidations(self._on_invalidation)
+        for shard_id, record in list(self._shipped.items()):
+            record.close()
+            if shard_id >= sharded.num_shards:
+                del self._shipped[shard_id]
+                self._emptied.append(
+                    shard_patch(shard_id, LabeledGraph(), (), record.members, record.core)
+                )
+        self._bound = sharded
         self._depth = depth
-        self._dirty.update(self._shipped)
-
-    def _on_invalidation(self, shard_ids, vertices) -> None:
-        """The pool's copy of the view-cache staleness rule.
-
-        A shipped shard goes dirty exactly when the index's own cached
-        expansion for it would have been dropped: the shard's membership
-        was touched, or a touched vertex lies inside the view last
-        shipped.
-        """
-        for shard_id, (view, _core) in self._shipped.items():
-            if shard_id in shard_ids or any(view.has_vertex(v) for v in vertices):
-                self._dirty.add(shard_id)
 
     def detach(self) -> None:
-        """Stop following the bound index (the workers keep their views)."""
-        if self._bound is not None:
-            self._bound.unsubscribe_invalidations(self._on_invalidation)
-            self._bound = None
+        """Stop following the bound index and close every cursor.
+
+        The workers keep their views, and the records what they hold: a
+        shard's next use replaces its view wholesale.
+        """
+        for record in self._shipped.values():
+            record.close()
+        self._bound = None
 
     # -- plumbing ------------------------------------------------------
     def _worker_for(self, shard_id: int) -> int:
@@ -482,43 +632,27 @@ class ShardWorkerPool:
                 f"shard worker {worker} is gone (send failed: {exc})"
             ) from exc
 
-    def _snapshot(self, view: LabeledGraph) -> LabeledGraph:
-        """``view`` as it can be kept: the live source graph is copied.
-
-        The source graph is what :meth:`ShardedIndex.expanded_shard`
-        returns for a ball that swallowed the whole graph, and it keeps
-        mutating; every such shard updated in one batch shares one copy.
-        """
-        assert self._bound is not None
-        if view is not self._bound.graph:
-            return view
-        if self._graph_copy is None:
-            self._graph_copy = view.copy()
-        return self._graph_copy
-
     def _update(self, sharded: ShardedIndex, shard_id: int) -> Optional[ShardPatch]:
         """The patch that brings ``shard_id``'s resident view current, if any.
 
-        A shard never shipped is diffed against an empty view (the whole
-        shard); a dirty one against the view last shipped.
+        A whole view (a shard's first shipment, or a replacement after a
+        gap or a re-bind) counts as a shipped slice; a patch its record
+        derives from the deltas since the last shipment as a patched one.
         """
-        shipped = self._shipped.get(shard_id)
-        if shipped is not None and shard_id not in self._dirty:
-            return None
-        self._dirty.discard(shard_id)
         assert self._depth is not None
-        view = self._snapshot(sharded.expanded_shard(shard_id, self._depth))
-        core = frozenset(sharded.shards[shard_id].core_edge_set)
-        self._shipped[shard_id] = (view, core)
-        if shipped is None:
-            self.slices_shipped += 1
-            _metrics.counter("repro_pool_slices_shipped").inc()
-            return shard_patch(shard_id, LabeledGraph(), view, frozenset(), core)
-        patch = shard_patch(shard_id, shipped[0], view, shipped[1], core)
-        if not len(patch):
+        record = self._shipped.get(shard_id)
+        if record is None:
+            record = self._shipped[shard_id] = ShippedShard(shard_id)
+        patch, whole = record.update(sharded, self._depth)
+        if patch is None:
             return None
-        self.slices_patched += 1
-        _metrics.counter("repro_pool_slices_patched").inc()
+        name = "slices_shipped" if whole else "slices_patched"
+        setattr(self, name, getattr(self, name) + 1)
+        _metrics.counter(f"repro_pool_{name}").inc()
+        elements = _metrics.histogram(
+            "repro_pool_patch_elements", PATCH_ELEMENT_BUCKETS
+        )
+        elements.observe(len(patch))
         return patch
 
     # -- the request/response cycle ------------------------------------
@@ -553,15 +687,21 @@ class ShardWorkerPool:
         for position, task in enumerate(tasks):
             positions.setdefault(self._worker_for(task[2]), []).append(position)
         patches: Dict[int, List[ShardPatch]] = {worker: [] for worker in positions}
+        for patch in self._emptied:
+            patches.setdefault(self._worker_for(patch.shard_id), []).append(patch)
+        self._emptied = []
         for shard_id in sorted({task[2] for task in tasks}):
             patch = self._update(sharded, shard_id)
             if patch is not None:
                 patches[self._worker_for(shard_id)].append(patch)
-        self._graph_copy = None
+        _metrics.gauge("repro_pool_recorded_members").set(
+            sum(len(record.members) for record in self._shipped.values())
+        )
         depth_histogram = _metrics.histogram("repro_pool_queue_depth")
-        for worker, owned in positions.items():
+        for worker, shipped in patches.items():
+            owned = positions.setdefault(worker, [])
             depth_histogram.observe(len(owned))
-            self._send(worker, ("run", patches[worker], [tasks[p] for p in owned]))
+            self._send(worker, ("run", shipped, [tasks[p] for p in owned]))
         from multiprocessing.connection import wait as connection_wait
 
         results: List = [None] * len(tasks)

@@ -458,6 +458,53 @@ class TestLatticeMemo:
         miner.detach()
 
 
+def test_certificate_memo_stays_within_its_bound_under_churn(monkeypatch):
+    """Over a churned stream the rows equal a static mine's, byte for byte,
+    and after every commit the certificate memo holds at most twice as
+    many signatures as the walk saw certificates, or only signatures of
+    certificates it saw.
+
+    The stream adds a label and takes it away again (its patterns' memo
+    entries go stale and stay, within the bound), then thins the graph
+    until the lattice shrinks below half the memo (a prune).
+    """
+    def rows(result):
+        return [
+            (fp.certificate, fp.support, fp.num_occurrences) for fp in result.frequent
+        ]
+
+    commits = []
+    real_commit = LatticeMemo.commit
+
+    def recording_commit(self, seen):
+        before = len(self._certificates)
+        real_commit(self, seen)
+        commits.append((before, dict(self._certificates), set(seen)))
+
+    monkeypatch.setattr(LatticeMemo, "commit", recording_commit)
+    graph = lattice_graph()
+    batches = lattice_stream(graph)
+    rng = random.Random(5)
+    with DynamicMiner(graph, spec=LATTICE_SPEC) as miner:
+        for number in range(12):
+            if number < len(batches):
+                miner.apply(batches[number])
+            elif number > len(batches):
+                edges = graph.edges()
+                for u, v in rng.sample(edges, len(edges) // 4):
+                    graph.remove_edge(u, v)
+            result = miner.refresh()
+            static = mine_frequent_patterns(graph, spec=LATTICE_SPEC)
+            assert rows(result) == rows(static)
+    stale = pruned = 0
+    for before, held, seen in commits:
+        live = all(certificate in seen for certificate in held.values())
+        assert len(held) <= 2 * len(seen) or live
+        stale += not live
+        pruned += len(held) < before
+    assert stale and pruned  # kept stale signatures up to the bound, then pruned
+
+
 def test_memo_replays_only_matching_parents_and_live_duplicates():
     """The reuse rule itself: parent content and certificate-only children."""
     pairs = {("A", "B"), ("B", "A")}

@@ -479,3 +479,13 @@ class TestDocumentedMetrics:
         assert snap["repro_snapshots_publishes"] >= 2
         assert snap["repro_cache_entries"] >= 1
         assert snap["repro_pool_queue_depth"]["count"] > 0
+        # One observation per patch that crossed the pipe: each shard's
+        # whole first shipment, then the small patches derived from the
+        # deltas.
+        elements = snap["repro_pool_patch_elements"]
+        assert elements["count"] == (
+            snap["repro_pool_slices_shipped"] + snap["repro_pool_slices_patched"]
+        )
+        assert elements["le_4"] > 0  # a derived patch of a few elements
+        # The parent records the shipped views as vertex sets.
+        assert snap["repro_pool_recorded_members"] >= graph.num_vertices

@@ -2,9 +2,10 @@
 
 The resident pool (:class:`repro.partition.ShardWorkerPool`) keeps one
 long-lived worker per shard and ships each shard's halo-expanded slice
-once, as a patch against an empty view; a slice that deltas dirtied,
-or that a re-partition may have changed, is patched in the worker by the
-difference to the view last shipped.  ``max_resident`` bounds how many
+once, whole; after that the parent derives each patch from the graph's
+deltas since the last shipment (:class:`ShippedShard`), recomputing a
+shard's membership after a re-partition and replacing its view
+wholesale after a gap in the delta log.  ``max_resident`` bounds how many
 shards keep views in :class:`repro.partition.ShardedIndex`'s own view
 cache, dropping the least recently used shard's views and recomputing
 them on demand.  Everything here pins the same contract as the rest of
@@ -58,7 +59,7 @@ from repro.partition.evaluate import (
     evaluate_task,
     support_from_shard_items,
 )
-from repro.partition.workers import ResidentView, shard_patch
+from repro.partition.workers import ResidentView, ShippedShard, shard_patch
 
 
 MINE_SPEC = MiningSpec(
@@ -288,22 +289,42 @@ def random_churn(graph: LabeledGraph, rng: random.Random, steps: int, tag: str):
     return updates
 
 
-def shipped_patch(worker: ResidentView, index: ShardedIndex, shard_id, depth, shipped):
-    """Patch ``worker`` as the pool would: by the difference to ``shipped``.
+class Shipper:
+    """The pool's parent side in process: one record per shipped shard.
 
-    The pickle round trip is the pipe: the worker owns a copy.  Returns
-    the new shipped record and whether the patch was non-empty.
+    :meth:`ship` patches a worker's view as the pool would: whole on the
+    shard's first use and after the index object changed (the records
+    are closed, as a re-bound pool closes them), otherwise by the patch
+    its record derives from the deltas.  The pickle round trip is the
+    pipe: the worker owns a copy.
     """
-    view = index.expanded_shard(shard_id, depth).copy()
-    core = frozenset(index.shards[shard_id].core_edge_set)
-    old_view, old_core = shipped
-    patch = shard_patch(shard_id, old_view, view, old_core, core)
-    worker.apply(pickle.loads(pickle.dumps(patch)), use_index=True)
-    return (view, core), bool(len(patch))
+
+    def __init__(self, depth: int) -> None:
+        self.depth = depth
+        self.records = {}
+        self.bound = None
+
+    def ship(self, worker: ResidentView, index: ShardedIndex, shard_id) -> bool:
+        """Bring ``worker`` current; ``True`` when a patch went out."""
+        if index is not self.bound:
+            self.close()
+            self.bound = index
+        record = self.records.get(shard_id)
+        if record is None:
+            record = self.records[shard_id] = ShippedShard(shard_id)
+        patch, _whole = record.update(index, self.depth)
+        if patch is not None:
+            worker.apply(pickle.loads(pickle.dumps(patch)), use_index=True)
+        return patch is not None
+
+    def close(self) -> None:
+        for record in self.records.values():
+            record.close()
 
 
 def assert_worker_current(worker: ResidentView, index: ShardedIndex, shard_id, depth):
-    view = index.expanded_shard(shard_id, depth)
+    """The worker holds the view computed from scratch, indexed alike."""
+    view = index._compute_expansion(shard_id, depth)
     assert graph_content(worker.view) == graph_content(view)
     assert worker.core == index.shards[shard_id].core_edge_set
     got = worker.view.cached_index()
@@ -317,9 +338,9 @@ class TestResidentViewPatching:
         """After N patches a worker's view is the parent's view, indexed alike.
 
         Small batches patch the index delta by delta; the last round
-        deletes two thirds of the graph, a burst that outgrows the
-        maintainers' patch limits and folds into one rebuild, with the
-        same result.
+        deletes two thirds of the graph, a burst past the delta log's
+        bound: the parent replaces the views wholesale and the workers'
+        indexes fold the patches into one rebuild, with the same result.
         """
         graph = long_path_graph()
         maintainer = ShardedIndexMaintainer(graph, 4, "edgecut")
@@ -327,50 +348,165 @@ class TestResidentViewPatching:
         depth = 2
         rng = random.Random(seed)
         resident = {shard_id: ResidentView() for shard_id in range(4)}
-        shipped = {shard_id: (LabeledGraph(), frozenset()) for shard_id in range(4)}
-        for shard_id, worker in resident.items():
-            shipped[shard_id], _ = shipped_patch(
-                worker, index, shard_id, depth, shipped[shard_id]
-            )
-            assert_worker_current(worker, index, shard_id, depth)
-        patched = 0
-        for round_ in range(8):
-            random_churn(graph, rng, 6, f"r{round_}-")
-            assert maintainer.sharded() is index  # patched, not re-partitioned
+        shipper = Shipper(depth)
+        try:
             for shard_id, worker in resident.items():
-                shipped[shard_id], changed = shipped_patch(
-                    worker, index, shard_id, depth, shipped[shard_id]
-                )
-                patched += changed
+                shipper.ship(worker, index, shard_id)
                 assert_worker_current(worker, index, shard_id, depth)
-        assert patched > 0
-        for worker in resident.values():
-            assert worker._maintainer.rebuilds == 0  # every refresh patched
-        vertices = graph.vertices()
-        for vertex in vertices[: 2 * len(vertices) // 3]:
-            apply_update(graph, ("dv", vertex))
-        index = maintainer.sharded()
-        for shard_id, worker in resident.items():
-            shipped[shard_id], _ = shipped_patch(
-                worker, index, shard_id, depth, shipped[shard_id]
-            )
-            assert_worker_current(worker, index, shard_id, depth)
-        assert any(worker._maintainer.rebuilds for worker in resident.values())
+            patched = 0
+            for round_ in range(8):
+                random_churn(graph, rng, 6, f"r{round_}-")
+                assert maintainer.sharded() is index  # patched, not re-partitioned
+                for shard_id, worker in resident.items():
+                    patched += shipper.ship(worker, index, shard_id)
+                    assert_worker_current(worker, index, shard_id, depth)
+            assert patched > 0
+            for worker in resident.values():
+                assert worker._maintainer.rebuilds == 0  # every refresh patched
+            vertices = graph.vertices()
+            for vertex in vertices[: 2 * len(vertices) // 3]:
+                apply_update(graph, ("dv", vertex))
+            index = maintainer.sharded()
+            for shard_id, worker in resident.items():
+                shipper.ship(worker, index, shard_id)
+                assert_worker_current(worker, index, shard_id, depth)
+            assert any(worker._maintainer.rebuilds for worker in resident.values())
+        finally:
+            shipper.close()
+            maintainer.detach()
 
     def test_relabeled_vertex_leaves_and_returns(self):
         """A vertex deleted and re-added with a new label is patched exactly."""
-        old = LabeledGraph([(1, "A"), (2, "B"), (3, "A")], [(1, 2), (2, 3)])
-        new = LabeledGraph([(1, "A"), (2, "C"), (3, "A")], [(1, 2)])
+        graph = LabeledGraph([(1, "A"), (2, "B"), (3, "A")], [(1, 2), (2, 3)])
+        maintainer = ShardedIndexMaintainer(graph, 1, "hash")
         worker = ResidentView()
-        first = shard_patch(0, LabeledGraph(), old, frozenset(), {(1, 2)})
-        worker.apply(pickle.loads(pickle.dumps(first)), use_index=True)
-        assert graph_content(worker.view) == graph_content(old)
-        patch = shard_patch(0, old, new, frozenset({(1, 2)}), {(1, 2), (2, 3)})
-        worker.apply(pickle.loads(pickle.dumps(patch)), use_index=True)
-        assert graph_content(worker.view) == graph_content(new)
-        assert worker.core == {(1, 2), (2, 3)}
-        patched_index = worker.view.cached_index()
-        assert index_content(patched_index, new) == index_content(GraphIndex(new), new)
+        shipper = Shipper(1)
+        try:
+            assert shipper.ship(worker, maintainer.sharded(), 0)
+            assert graph_content(worker.view) == graph_content(graph)
+            apply_update(graph, ("dv", 2))
+            apply_update(graph, ("v", 2, "C"))
+            apply_update(graph, ("e", 1, 2))
+            index = maintainer.sharded()
+            assert shipper.ship(worker, index, 0)
+            assert graph_content(worker.view) == graph_content(graph)
+            assert worker.core == {(1, 2)}
+            patched_index = worker.view.cached_index()
+            assert index_content(patched_index, graph) == index_content(
+                GraphIndex(graph.copy()), graph
+            )
+        finally:
+            shipper.close()
+            maintainer.detach()
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["path", "dense"])
+    def test_derived_patches_match_expansion(self, kind, depth):
+        """Views patched only by derived patches equal views computed afresh.
+
+        Each round of the seeded stream is followed by one patch per
+        shard.  The stream mixes vertex and edge inserts and deletes,
+        chords that bridge into balls and removals that shrink them, in
+        place rebalance moves (the core graphs change under a fixed
+        graph), a re-partitioned index (the views are replaced whole),
+        and a burst past the source log's bound (a gap: replaced whole
+        too).  On the dense graph most balls are the whole graph.
+        """
+        if kind == "path":
+            graph = long_path_graph()
+        else:
+            graph = random_labeled_graph(16, 0.25, alphabet="ABC", seed=11)
+        policy = RebalancePolicy(max_load_factor=1.0)
+        maintainer = ShardedIndexMaintainer(graph, 4, "edgecut", policy=policy)
+        index = maintainer.sharded()
+        rng = random.Random(depth)
+        resident = {shard_id: ResidentView() for shard_id in range(4)}
+        shipper = Shipper(depth)
+        whole = derived = aliases = moved = 0
+
+        def churn(tag):
+            return lambda: random_churn(graph, rng, rng.randint(1, 6), tag)
+
+        def hub_out():
+            apply_update(graph, ("dv", "grow-hub"))
+
+        def repartition():
+            nonlocal maintainer, moved
+            random_churn(graph, rng, 3, "rp-")
+            moved += maintainer.edges_moved
+            maintainer.detach()
+            maintainer = ShardedIndexMaintainer(
+                sharded=ShardedIndex.build(graph, 4, "label")
+            )
+
+        def burst():
+            leaf_burst(graph, graph.vertices()[0], "leaf-", count=80)
+
+        rounds = [churn("a-"), churn("b-"), lambda: chord_burst(graph, rng, "grow-")]
+        rounds += [hub_out, churn("c-"), churn("d-"), repartition, churn("e-")]
+        rounds += [burst, churn("f-"), churn("g-")]
+        try:
+            for shard_id, worker in resident.items():
+                shipper.ship(worker, index, shard_id)
+                assert_worker_current(worker, index, shard_id, depth)
+            for step in rounds:
+                step()
+                index = maintainer.sharded()
+                recomputes = index.recomputes
+                aliases += sum(
+                    index._compute_expansion(s, depth) is graph for s in range(4)
+                )
+                for shard_id, worker in resident.items():
+                    shipper.ship(worker, index, shard_id)
+                    assert_worker_current(worker, index, shard_id, depth)
+                shipped_whole = index.recomputes - recomputes
+                whole += shipped_whole
+                derived += shipped_whole == 0
+            # Only the re-partition and the burst replaced views wholesale.
+            assert derived == len(rounds) - 2
+            assert whole > 0
+            assert moved + maintainer.edges_moved > 0
+            if kind == "dense":
+                assert aliases > 0  # balls that are the whole graph
+        finally:
+            shipper.close()
+            maintainer.detach()
+
+    def test_localized_stream_recomputes_no_view(self):
+        """Under a pool, steady-state batches recompute no halo view."""
+        spec = MiningSpec(
+            min_support=2.0,
+            max_pattern_nodes=4,
+            shards=4,
+            workers=2,
+            partition_method="edgecut",
+        )
+        graph = long_path_graph()
+        reference_graph = long_path_graph()
+        batches = [
+            [("e", 10, 13)],
+            [("de", 10, 13), ("v", "x", "A"), ("e", "x", 11)],
+            [("de", 11, 12), ("e", "x", 12)],
+            [("dv", "x"), ("e", 11, 12)],
+        ]
+        miner = DynamicMiner(graph, spec=spec)
+        reference = DynamicMiner(reference_graph, spec=spec.replace(workers=1))
+        try:
+            assert_mining_identical(miner.refresh(), reference.refresh())
+            sharded = miner._sharded_maintainer.sharded()
+            pool = miner._resources.pool
+            assert isinstance(pool, ShardWorkerPool)
+            for batch in batches:
+                recomputes = sharded.recomputes
+                miner.apply(batch)
+                reference.apply(batch)
+                assert_mining_identical(miner.refresh(), reference.refresh())
+                assert miner._sharded_maintainer.sharded() is sharded
+                assert sharded.recomputes == recomputes
+            assert pool.slices_patched > 0
+        finally:
+            miner.detach()
+            reference.detach()
 
 
 # ----------------------------------------------------------------------
@@ -774,6 +910,9 @@ class TestPatchedChurn:
             assert rows[0] == rows[1] == rows[2]
             pool = pooled._resources.pool
             assert isinstance(pool, ShardWorkerPool)
+            first = pool.slices_shipped
+            assert first == sharded_spec.shards  # every shard, whole
+            index = pooled._sharded_maintainer.sharded()
             for number in range(12):
                 if number == 4:
                     batch = chord_burst(model, rng, f"c{number}-")
@@ -783,67 +922,91 @@ class TestPatchedChurn:
                     batch = random_churn(model, rng, rng.randint(1, 6), f"b{number}-")
                 for miner in miners:
                     miner.apply(batch)
+                shipped = pool.slices_shipped
                 results = [miner.refresh() for miner in miners]
                 rows = [result_key(result) for result in results]
                 assert rows[0] == rows[1] == rows[2], number
                 assert results[0].stats.as_dict() == results[1].stats.as_dict()
+                # A shard crosses the pipe whole again only when the
+                # removal burst outran the delta log (a gap) and the
+                # maintainer re-partitioned; every other batch is patched.
+                previous, index = index, pooled._sharded_maintainer.sharded()
+                if number != 7:
+                    assert index is previous, number
+                    assert pool.slices_shipped == shipped, number
             assert pooled._resources.pool is pool  # no fallback
             assert pooled._sharded_maintainer.rebuilds >= 1
             assert pool.slices_patched > 0
             assert pool.tasks_from_sets > 0  # answers read from kept sets
-            # Each shard crossed the pipe whole once, on first use: the
-            # re-partition re-bound the pool, which patched its shards
-            # against what the workers held.
-            assert pool.slices_shipped <= sharded_spec.shards
+            assert first < pool.slices_shipped <= first + sharded_spec.shards
         finally:
             for miner in miners:
                 miner.detach()
 
-    def test_whole_graph_views_share_one_parent_copy(self):
-        """Shards whose balls swallow the graph share one copy of it per
-        batch in the parent, not one per shard."""
+    def test_whole_graph_views_keep_no_parent_copy(self):
+        """Shards whose balls swallow the graph are recorded as vertex
+        sets in the parent, not as copies of the graph."""
         graph = random_labeled_graph(16, 0.25, alphabet="ABC", seed=11)
         maintainer = ShardedIndexMaintainer(graph, 4, "label")
         pool = ShardWorkerPool(2, measure="mni", lazy=False, lazy_cap=2, use_index=True)
         pattern = path_pattern(["A", "B"])
         tasks = [("part", pattern, shard_id, False, None) for shard_id in range(4)]
+        common = dict(
+            measure="mni",
+            lazy=False,
+            lazy_cap=2,
+            max_occurrences=None,
+            depth=2,
+            flat_evaluate=None,
+        )
         try:
             for batch in ([], [("v", "new", "A"), ("e", "new", 0)], [("e", "new", 5)]):
                 for update in batch:
                     apply_update(graph, update)
                 index = maintainer.sharded()
                 assert all(index.expanded_shard(s, 2) is graph for s in range(4))
-                want = pooled_outcomes(
-                    [pattern],
-                    index,
-                    None,
-                    measure="mni",
-                    lazy=False,
-                    lazy_cap=2,
-                    max_occurrences=None,
-                    depth=2,
-                    flat_evaluate=None,
-                )
+                want = pooled_outcomes([pattern], index, None, **common)
                 assert len(pool.run(index, tasks, 2)) == 4
-                records = {id(view) for view, _core in pool._shipped.values()}
-                assert len(records) == 1
-                (view, _core), *_ = pool._shipped.values()
-                assert view is not graph and view == graph
-                got = pooled_outcomes(
-                    [pattern],
-                    index,
-                    pool,
-                    measure="mni",
-                    lazy=False,
-                    lazy_cap=2,
-                    max_occurrences=None,
-                    depth=2,
-                    flat_evaluate=None,
-                )
-                assert got == want
+                for record in pool._shipped.values():
+                    assert record.members == set(graph.vertices())
+                    assert record.core == index.shards[record.shard_id].core_edge_set
+                assert pooled_outcomes([pattern], index, pool, **common) == want
+            assert pool.slices_patched > 0
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
             maintainer.detach()
+        assert graph.delta_log() is None  # the pool's cursors closed
+
+    def test_rebind_to_fewer_shards_forgets_their_records(self):
+        """Records of shards a new index lacks are dropped and their
+        worker views emptied, so a later index that has them again
+        ships them whole into empty views, not on top of stale ones."""
+        graph = long_path_graph()
+        rng = random.Random(3)
+        pool = ShardWorkerPool(2, measure="mni", lazy=False, lazy_cap=2, use_index=True)
+        pattern = path_pattern(["A", "B", "C"])
+        common = dict(
+            measure="mni",
+            lazy=False,
+            lazy_cap=2,
+            max_occurrences=None,
+            depth=1,
+            flat_evaluate=None,
+        )
+        try:
+            for shards in (4, 2, 4):
+                for vertex in rng.sample(graph.vertices(), 8):
+                    apply_update(graph, ("dv", vertex))
+                index = ShardedIndex.build(graph, shards, "hash")
+                want = pooled_outcomes([pattern], index, None, **common)
+                assert pooled_outcomes([pattern], index, pool, **common) == want
+                assert sorted(pool._shipped) == list(range(index.num_shards))
+                recorded = metrics.gauge("repro_pool_recorded_members").value
+                assert recorded == sum(len(r.members) for r in pool._shipped.values())
+                assert recorded <= index.num_shards * graph.num_vertices
+            assert pool.slices_shipped == 4 + 2 + 4
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
 
     @pytest.mark.parametrize("seed", [2, 6])
     def test_whole_graph_views_patch_independently(self, seed):
@@ -949,8 +1112,7 @@ class TestOccurrenceSets:
         to far vertices) and shrinks (the hub deleted), a burst past the
         views' delta-log bound (a gap: the set refills by enumeration)
         and a burst that re-partitions the index, after which the views
-        are patched by their difference to the new partition's views, as
-        a re-bound pool does.
+        are replaced wholesale, as a re-bound pool does.
         """
         graph = long_path_graph()
         maintainer = ShardedIndexMaintainer(graph, 4, "edgecut")
@@ -958,12 +1120,10 @@ class TestOccurrenceSets:
         depth = 2
         rng = random.Random(seed)
         workers = {shard_id: ResidentView() for shard_id in range(4)}
-        shipped = {shard_id: (LabeledGraph(), frozenset()) for shard_id in range(4)}
+        shipper = Shipper(depth)
         sets = {}
         for shard_id, worker in workers.items():
-            shipped[shard_id], _ = shipped_patch(
-                worker, index, shard_id, depth, shipped[shard_id]
-            )
+            shipper.ship(worker, index, shard_id)
             sets[shard_id] = {
                 pattern: OccurrenceSet(pattern, worker.view) for pattern in SET_PATTERNS
             }
@@ -1004,11 +1164,11 @@ class TestOccurrenceSets:
                 step()
                 index = maintainer.sharded()
                 for shard_id, worker in workers.items():
-                    shipped[shard_id], _ = shipped_patch(
-                        worker, index, shard_id, depth, shipped[shard_id]
-                    )
+                    shipper.ship(worker, index, shard_id)
             for shard_id, worker in workers.items():
                 outcomes += assert_sets_current(sets[shard_id], worker)
+        shipper.close()
+        maintainer.detach()
         assert True in outcomes and False in outcomes  # patched, and refilled
         assert maintainer.rebuilds >= 1  # the removal burst re-partitioned
 
@@ -1026,7 +1186,7 @@ class TestOccurrenceSets:
         assert forward.graph.signature() != backward.graph.signature()
         graph = long_path_graph()
         worker = ResidentView()
-        patch = shard_patch(0, LabeledGraph(), graph, frozenset(), set(graph.edges()))
+        patch = shard_patch(0, graph, set(graph.edges()))
         worker.apply(patch, use_index=True)
         for _ in range(3):
             for pattern in (forward, backward):
@@ -1096,32 +1256,34 @@ class TestOccurrenceSets:
     def test_counted_mni_matches_measure(self):
         """MNI read off a set's image counts equals the measure's answer."""
         graph = long_path_graph()
-        model = long_path_graph()
+        maintainer = ShardedIndexMaintainer(graph, 1, "hash")
         worker = ResidentView()
-        core = set(graph.edges())
-        worker.apply(shard_patch(0, LabeledGraph(), graph, frozenset(), core), True)
+        shipper = Shipper(1)
         rng = random.Random(7)
-        for round_ in range(6):
-            for pattern in SET_PATTERNS:
-                task = ("solo", pattern, 0, True, None)
-                want = support_from_shard_items(
-                    pattern,
-                    worker.view,
-                    [collect_subgraph_isomorphism_items(pattern, worker.view)],
-                    "mni",
-                )
-                assert worker.evaluate(task, EAGER) == want
-            random_churn(model, rng, 4, f"m{round_}-")
-            patch = shard_patch(0, graph, model, frozenset(core), set(model.edges()))
-            worker.apply(patch, use_index=True)
-            graph, core = model.copy(), set(model.edges())
+        try:
+            for round_ in range(6):
+                shipper.ship(worker, maintainer.sharded(), 0)
+                assert worker.core == set(graph.edges())
+                for pattern in SET_PATTERNS:
+                    task = ("solo", pattern, 0, True, None)
+                    want = support_from_shard_items(
+                        pattern,
+                        worker.view,
+                        [collect_subgraph_isomorphism_items(pattern, worker.view)],
+                        "mni",
+                    )
+                    assert worker.evaluate(task, EAGER) == want
+                random_churn(graph, rng, 4, f"m{round_}-")
+        finally:
+            shipper.close()
+            maintainer.detach()
         assert worker.counts[0] > 0  # answers came from kept sets
 
     def test_bound_evicts_the_least_recently_used_set(self, monkeypatch):
         """Past the bound the oldest-used set goes first, and is counted."""
         graph = long_path_graph()
         worker = ResidentView()
-        patch = shard_patch(0, LabeledGraph(), graph, frozenset(), set(graph.edges()))
+        patch = shard_patch(0, graph, set(graph.edges()))
         worker.apply(patch, use_index=True)
         first, second = path_pattern(["A", "B"]), path_pattern(["B", "C"])
         sizes = [
@@ -1155,7 +1317,7 @@ class TestOccurrenceSets:
         graph = long_path_graph()
         worker = ResidentView()
         core = set(graph.edges())
-        patch = shard_patch(0, LabeledGraph(), graph, frozenset(), core)
+        patch = shard_patch(0, graph, core)
         worker.apply(patch, use_index=config["use_index"])
         pattern = path_pattern(["A", "B", "C"])
         for kind in ("solo", "part", "solo", "part", "solo"):
