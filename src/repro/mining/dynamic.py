@@ -86,7 +86,7 @@ from ..graph.pattern import Pattern
 from ..index.delta import EdgeAdded, EdgeRemoved, IndexMaintainer
 from ..index.graph_index import _label_pair_key
 from ..measures.base import measure_info
-from .miner import EVALUATE, LatticeMemo, _make_pool, _Session, _walk
+from .miner import EVALUATE, LatticeMemo, _make_pool, _Session, _sharded_index, _walk
 from .results import FrequentPattern, MiningResult, MiningStats
 from .spec import MiningSpec, require_spec
 
@@ -246,15 +246,15 @@ class DynamicMiner:
     (``rebalance=``, a policy object rather than a spec field) lets
     skewed streams trigger shard rebalancing between refreshes.
 
-    ``workers=n > 1`` (sharded sessions only — the flat pool ships one
-    snapshot of the graph, which goes stale after the first update, so
-    flat parallelism would be silently wrong; it raises instead)
-    evaluates each level's affected candidates through one
-    **persistent** shard-resident worker pool
+    ``workers=n > 1`` evaluates each level's affected candidates through
+    one **persistent** shard-resident worker pool
     (:class:`~repro.partition.ShardWorkerPool`), started on the first
     refresh: workers keep their shard views across refreshes and the
-    parent patches only the views that deltas actually dirtied.  A pool
-    that cannot start, or fails mid-refresh, leaves the session serial.
+    parent patches only the views that deltas actually dirtied.  A flat
+    spec with ``workers > 1`` is maintained as one shard whose view, the
+    whole graph, every worker holds (the session rule of
+    :func:`~repro.mining.miner._sharded_index`).  A pool that cannot
+    start, or fails mid-refresh, leaves the session serial.
     ``max_resident=N`` bounds how many shards keep halo views in the
     maintained index's view cache (the least recently used shard's views
     are dropped and recomputed on their next use); the bound survives
@@ -281,17 +281,6 @@ class DynamicMiner:
                 f"max_occurrences={spec.max_occurrences}); use the "
                 "rebuild/brute stream modes"
             )
-        if spec.workers > 1 and spec.shards <= 1:
-            # The flat pool ships one snapshot of the graph to its
-            # workers; after the first update it is stale.  (candidate,
-            # shard) tasks on the resident pool are the only parallel
-            # granularity that follows deltas.  Refusing beats silently
-            # mining serially.
-            raise MiningError(
-                "workers > 1 requires shards > 1 under delta maintenance "
-                f"(got workers={spec.workers}, shards={spec.shards}); use the "
-                "rebuild/brute stream modes for flat parallelism"
-            )
         self.data = data
         self.spec = spec
         # Every releasable resource lives on ``_resources`` so the
@@ -306,16 +295,12 @@ class DynamicMiner:
         else:
             self._maintainer = None
         self._sharded_maintainer = None
-        if spec.shards > 1:
+        sharded = _sharded_index(data, spec)
+        if sharded is not None:
             from ..partition.maintainer import ShardedIndexMaintainer
-            from ..partition.sharded_index import ShardedIndex
 
             self._sharded_maintainer = ShardedIndexMaintainer(
-                data,
-                policy=rebalance,
-                sharded=ShardedIndex.build(
-                    data, spec.shards, spec.partition_method, spec.max_resident
-                ),
+                data, policy=rebalance, sharded=sharded
             )
             self._resources.sharded_maintainer = self._sharded_maintainer
         self._cursor = data.cursor()
@@ -411,7 +396,7 @@ class DynamicMiner:
         )
         if not self._pool_started:
             self._pool_started = True
-            resources.pool = _make_pool(self.data, self.spec, sharded)
+            resources.pool = _make_pool(self.spec)
         session = _Session(
             self.data,
             self.spec,
@@ -579,8 +564,9 @@ def mine_stream(
 
     ``workers=n`` is honored by **every** mode — never silently dropped:
     the delta mode evaluates through one persistent shard-resident pool
-    across all batches (requires ``shards > 1``; it raises otherwise),
-    and the reference modes pass workers into each per-batch mine.
+    across all batches (with ``shards=1``, one whole-graph shard held by
+    every worker), and the reference modes pass workers into each
+    per-batch mine.
     ``max_resident=N`` likewise rides along to bound how many shards
     keep cached halo views.
 

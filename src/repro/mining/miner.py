@@ -19,10 +19,12 @@ the per-level batches are what parallel support evaluation
 (``workers > 1``) farms out while keeping results identical.
 
 This module holds the **one lattice walk** (:func:`_walk`) and its one
-evaluator (:meth:`_Session.evaluate`: flat candidates serially or on
-the flat process pool; sharded ones through the one sharded evaluator,
+evaluator (:meth:`_Session.evaluate`: flat candidates serially; sharded
+ones through the one sharded evaluator,
 :func:`repro.partition.workers.pooled_outcomes`, in process or on the
-shard-resident pool; with one pool-failure fallback).
+shard-resident pool; with one pool-failure fallback).  A pooled session
+is always sharded: with ``shards=1`` it runs as one shard whose
+whole-graph view every worker holds (:func:`_sharded_index`).
 :class:`FrequentSubgraphMiner` runs the walk over one graph
 snapshot; :class:`~repro.mining.dynamic.DynamicMiner` runs the same walk
 with a per-candidate reuse rule (its label-pair footprint test) and a
@@ -101,45 +103,48 @@ def _halo_depth(spec: MiningSpec) -> int:
     return max(0, spec.max_pattern_nodes - 2)
 
 
-def _make_pool(data: LabeledGraph, spec: MiningSpec, sharded):
-    """A process pool for support evaluation, or None (serial).
+def _sharded_index(data: LabeledGraph, spec: MiningSpec):
+    """The session's :class:`~repro.partition.ShardedIndex`, or None (flat).
 
-    Sharded sessions get the shard-resident worker pool — this is the one
-    place a :class:`~repro.partition.workers.ShardWorkerPool` is built;
-    flat sessions get the candidate-level executor, which ships one
-    snapshot of ``data`` to every worker.  Any construction failure
-    degrades to the serial path, which produces identical results; the
-    degrade path for workers that die later is :meth:`_Session.evaluate`.
+    The one rule for when a session is sharded: ``shards`` shards when
+    ``shards > 1``; one shard when ``workers > 1``, so a flat pooled
+    session runs on the shard-resident pool as a whole-graph view
+    replicated to every worker; otherwise flat.  The one-shard index
+    uses the ``hash`` partitioner whatever ``partition_method`` says
+    (a flat spec's method is never validated).
+    """
+    if spec.shards > 1:
+        shards, method = spec.shards, spec.partition_method
+    elif spec.workers > 1:
+        shards, method = 1, "hash"
+    else:
+        return None
+    from ..partition.sharded_index import ShardedIndex
+
+    return ShardedIndex.build(data, shards, method, spec.max_resident)
+
+
+def _make_pool(spec: MiningSpec):
+    """The session's worker pool, or None (serial).
+
+    This is the one place a
+    :class:`~repro.partition.workers.ShardWorkerPool` is built, and the
+    only pool there is: every pooled session is sharded
+    (:func:`_sharded_index`).  A construction failure degrades to the
+    serial path, which produces identical results; the degrade path for
+    workers that die later is :meth:`_Session.evaluate`.
     """
     if spec.workers <= 1:
         return None
+    from ..partition.workers import ShardWorkerPool
+
     try:
-        if sharded is not None:
-            from ..partition.workers import ShardWorkerPool
-
-            return ShardWorkerPool(
-                spec.workers,
-                measure=spec.measure,
-                lazy=spec.lazy,
-                lazy_cap=_lazy_cap(spec.min_support),
-                use_index=spec.use_index,
-            )
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .parallel import init_worker
-
-        return ProcessPoolExecutor(
-            max_workers=spec.workers,
-            initializer=init_worker,
-            initargs=(
-                data,
-                spec.measure,
-                spec.lazy,
-                _lazy_cap(spec.min_support),
-                spec.max_occurrences,
-                spec.use_index,
-                spec.min_support,
-            ),
+        return ShardWorkerPool(
+            spec.workers,
+            measure=spec.measure,
+            lazy=spec.lazy,
+            lazy_cap=_lazy_cap(spec.min_support),
+            use_index=spec.use_index,
         )
     except (OSError, ValueError) as exc:
         # Restricted environments (no usable start method, no
@@ -198,52 +203,45 @@ class _Session:
         )
 
     def _outcomes(self, patterns: List[Pattern]) -> List[Tuple[float, int]]:
-        if self.sharded is not None:
-            from ..partition.workers import pooled_outcomes
-
-            return pooled_outcomes(
-                patterns,
-                self.sharded,
-                self.pool,
-                measure=self.spec.measure,
-                depth=_halo_depth(self.spec),
-                flat_evaluate=self._flat,
-                use_index=self.spec.use_index,
-                **self._common,
-            )
-        if self.pool is None:
+        if self.sharded is None:
             return [self._flat(pattern) for pattern in patterns]
-        from .parallel import evaluate_candidate
+        from ..partition.workers import pooled_outcomes
 
-        chunksize = max(1, len(patterns) // (self.spec.workers * 4))
-        return list(self.pool.map(evaluate_candidate, patterns, chunksize=chunksize))
+        return pooled_outcomes(
+            patterns,
+            self.sharded,
+            self.pool,
+            measure=self.spec.measure,
+            depth=_halo_depth(self.spec),
+            flat_evaluate=self._flat,
+            use_index=self.spec.use_index,
+            **self._common,
+        )
 
     def evaluate(
         self, batch: Sequence[Tuple[Pattern, str]], stats: MiningStats
     ) -> List[FrequentPattern]:
         """Evaluate one level's batch of candidates, results in batch order.
 
-        A sharded session sends the whole batch through one
+        A sharded session (pooled sessions included, see
+        :func:`_sharded_index`) sends the whole batch through one
         :func:`~repro.partition.workers.pooled_outcomes` call — the one
         sharded evaluator, whose runner is the shard-resident pool or,
         without a pool, the planner itself in process.  A flat session
-        maps the batch over the flat executor, or evaluates it serially.
-        ``ProcessPoolExecutor`` spawns workers lazily, so environments
-        that cannot fork only fail here, not in :func:`_make_pool`.  Any
-        pool-infrastructure failure (spawn refused, workers killed) shuts
-        the pool down without waiting, sets ``pool`` to ``None`` and
-        re-evaluates the batch through the same call without it, so the
-        rest of the run stays serial.  Evaluation is pure, so the retry
-        changes nothing but wall-clock time.
+        evaluates it serially.  A pool-infrastructure failure (a worker
+        killed, a pipe broken) raises
+        :class:`~repro.partition.workers.WorkerPoolError`, an
+        ``OSError``: the pool is shut down without waiting, ``pool`` set
+        to ``None``, and the batch re-evaluated through the same call
+        without it, so the rest of the run stays serial.  Evaluation is
+        pure, so the retry changes nothing but wall-clock time.
         """
         if not batch:
             return []
-        from concurrent.futures import BrokenExecutor
-
         patterns = [pattern for pattern, _ in batch]
         try:
             outcomes = self._outcomes(patterns)
-        except (OSError, BrokenExecutor) as exc:
+        except OSError as exc:
             if self.pool is None:
                 raise
             _LOG.warning(
@@ -538,19 +536,22 @@ class FrequentSubgraphMiner:
 
         Its strategy fields decide how, and never change the result:
         ``use_index=False`` is the brute-force reference path;
-        ``workers > 1`` evaluates each level's candidates in worker
-        processes (falling back to serial if they cannot be spawned);
         ``shards=k`` evaluates support over ``k`` edge-disjoint,
         halo-expanded shards (``partition_method`` picks the
-        partitioner) and merges per-shard results exactly — with
-        ``workers`` as well, each shard is pinned to one long-lived
-        shard-resident worker (``shard_id % workers``) that holds its
-        slice for the whole session; ``max_resident`` bounds how many
+        partitioner) and merges per-shard results exactly;
+        ``workers > 1`` evaluates each level's candidates on the
+        shard-resident worker pool (falling back to serial if it cannot
+        be spawned), whose long-lived workers hold their shards' views
+        for the whole session: shard ``s`` lives on every worker ``w``
+        with ``w % min(k, workers) == s % workers``.  A pooled session
+        with ``shards=1`` is one ``hash`` shard whose view is the whole
+        graph, held by every worker.  ``max_resident`` bounds how many
         shards keep halo views in the sharded index's view cache,
         dropping the least recently used shard's views (recomputed on
-        their next use).  With ``max_occurrences`` set, sharded
-        truncation is deterministic but may keep a different occurrence
-        subset than the flat order.
+        their next use).  With ``max_occurrences`` set and ``k > 1``,
+        sharded truncation is deterministic but may keep a different
+        occurrence subset than the flat order; one shard keeps the flat
+        order.
 
     :meth:`mine` runs the module's lattice walk with no reuse rule and a
     worker pool of its own, started per call and shut down when the
@@ -580,16 +581,8 @@ class FrequentSubgraphMiner:
         """(Re)derive per-session state from the data graph when it changed."""
         if self._session_version == self.data.mutation_version():
             return
-        spec = self.spec
-        self._index = get_index(self.data) if spec.use_index else None
-        if spec.shards > 1:
-            from ..partition.sharded_index import ShardedIndex
-
-            self._sharded = ShardedIndex.build(
-                self.data, spec.shards, spec.partition_method, spec.max_resident
-            )
-        else:
-            self._sharded = None
+        self._index = get_index(self.data) if self.spec.use_index else None
+        self._sharded = _sharded_index(self.data, self.spec)
         self._session_version = self.data.mutation_version()
 
     def mine(self) -> MiningResult:
@@ -600,7 +593,7 @@ class FrequentSubgraphMiner:
             self.spec,
             self._index,
             self._sharded,
-            pool=_make_pool(self.data, self.spec, self._sharded),
+            pool=_make_pool(self.spec),
         )
         try:
             result = _walk(session)

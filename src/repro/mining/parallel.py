@@ -1,25 +1,18 @@
-"""Process-pool support evaluation for the frequent-subgraph miner.
+"""Per-candidate support evaluation shared by every evaluator.
 
-Support evaluation dominates mining time and candidates at one search
-level are independent of each other, so the miner can farm them out to a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Design notes:
+:func:`evaluate_support` evaluates one candidate against one graph: the
+serial flat path of the lattice walk
+(:meth:`repro.mining.miner._Session.evaluate`) calls it per candidate,
+and the sharded planner (:func:`repro.partition.workers.pooled_outcomes`)
+falls back to it for the patterns the per-shard argument does not
+cover.  :func:`label_frequency_bound` is the GraMi prune that it and
+the shard planner (:func:`repro.partition.evaluate.plan_candidate`)
+apply before enumerating a single occurrence.
 
-* the **data graph is shipped once per worker** (pool initializer), not
-  once per candidate; each worker builds its own :class:`GraphIndex` on
-  first use and reuses it for every candidate it evaluates;
-* workers return plain ``(support, num_occurrences)`` tuples — patterns
-  and certificates stay in the parent, so nothing model-sized crosses the
-  process boundary back;
-* results come back through ``Executor.map``, which preserves submission
-  order, so mining results are **deterministic and identical to the
-  serial path** regardless of worker count or scheduling.
-
-Flat pooled sessions only: a sharded pooled session always runs on the
-shard-resident :class:`~repro.partition.workers.ShardWorkerPool`, planned
-and merged through :func:`repro.partition.workers.pooled_outcomes`.
-
-The helpers live in their own module (not nested in the miner class) so
-they are picklable under every ``multiprocessing`` start method.
+Pooled evaluation has one executor, the shard-resident
+:class:`~repro.partition.workers.ShardWorkerPool`: a flat session with
+``workers > 1`` runs there as a one-shard session whose whole-graph
+view is replicated to every worker.
 """
 
 from __future__ import annotations
@@ -66,8 +59,8 @@ def evaluate_support(
     measure in :data:`LABEL_FREQUENCY_BOUNDED`, and the bound already below
     the threshold; the returned support is then the bound itself, which
     over-states the true support but preserves every pruning decision).
-    Shared by the serial miner and the process-pool workers so both modes
-    make byte-identical decisions.
+    Shared by the serial miner and the sharded planner's flat fallback,
+    so both make byte-identical decisions.
     """
     if lazy:
         from ..measures.lazy_mni import lazy_mni_support
@@ -91,49 +84,3 @@ def evaluate_support(
     support = compute_support(measure, pattern, data, bundle=bundle)
     return support, bundle.num_occurrences
 
-
-#: Per-worker state installed by :func:`init_worker` (one dict per process).
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def init_worker(
-    data: LabeledGraph,
-    measure: str,
-    lazy: bool,
-    lazy_cap: int,
-    max_occurrences: Optional[int],
-    use_index: bool,
-    prune_below: Optional[float],
-) -> None:
-    """Pool initializer: stash the shared evaluation context in the worker."""
-    if use_index:
-        from ..index.graph_index import get_index
-
-        get_index(data)  # build once; cached on the graph for all candidates
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(
-        data=data,
-        measure=measure,
-        lazy=lazy,
-        lazy_cap=lazy_cap,
-        max_occurrences=max_occurrences,
-        index_arg=None if use_index else False,
-        histogram=data.label_histogram(),
-        prune_below=prune_below,
-    )
-
-
-def evaluate_candidate(pattern: Pattern) -> Tuple[float, int]:
-    """Evaluate one candidate in a worker (see :func:`evaluate_support`)."""
-    state = _WORKER_STATE
-    return evaluate_support(
-        pattern,
-        state["data"],  # type: ignore[arg-type]
-        str(state["measure"]),
-        lazy=bool(state["lazy"]),
-        lazy_cap=int(state["lazy_cap"]),  # type: ignore[arg-type]
-        max_occurrences=state["max_occurrences"],  # type: ignore[arg-type]
-        index_arg=state["index_arg"],
-        histogram=state["histogram"],  # type: ignore[arg-type]
-        prune_below=state["prune_below"],  # type: ignore[arg-type]
-    )

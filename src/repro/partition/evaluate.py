@@ -133,15 +133,18 @@ def plan_candidate(
 
     Returns one of:
 
-    * ``("flat", None)`` — single shard or a pattern the anchored
-      argument does not cover; evaluate on the source graph;
+    * ``("flat", None)`` — a pattern the anchored argument does not
+      cover; evaluate on the source graph;
     * ``("pruned", (bound, -1))`` — the global label-frequency bound
       already sits below the threshold (eager mode only), a finished
       outcome;
     * ``("shards", [(shard_id, exclusive), ...])`` — evaluate on these
       relevant shards and merge; ``exclusive`` is
       :func:`shard_exclusive` (always ``False`` for lazy scans, which
-      never filter on core edges).
+      never filter on core edges).  A one-shard index (a flat pooled
+      session) lists its one shard, exclusive: the candidate becomes one
+      ``solo`` task whose enumeration, and so its truncation, keeps the
+      flat order.
 
     The pattern's label-pair footprint is computed once here and shared
     by the shard lookup and every exclusivity test.  The one planner
@@ -149,7 +152,7 @@ def plan_candidate(
     candidate, whether its tasks then run in process or on the
     shard-resident pool.
     """
-    if sharded.num_shards == 1 or not pattern_shardable(pattern):
+    if not pattern_shardable(pattern):
         return "flat", None
     if (
         not lazy

@@ -90,8 +90,8 @@ class ShardedIndex(MaintainableIndex):
     Build with :meth:`build` (partitioning included) or directly from a
     pre-computed :class:`~repro.partition.partitioner.Partition`.  The
     source graph is retained: halo expansion and global-exactness
-    guarantees both need it, and a one-shard index degenerates to the
-    ordinary single-graph path.
+    guarantees both need it, and a one-shard index's halo view is the
+    source graph itself.
 
     ``max_resident`` (``None`` = unbounded) caps how many shards keep
     halo views in the view cache (:meth:`expanded_shard`).

@@ -12,12 +12,16 @@ at the session depth ``D = max_pattern_nodes - 2``, one view per shard.
 Serial and pooled sharded mining are therefore byte-identical by
 construction.
 
-**Shard-resident workers** (:class:`ShardWorkerPool`), the one executor
-for sharded pooled mining.  Rather than shipping the whole data graph
-and partition to every worker (memory ``workers x |G|``, paid again by
-every new pool), each long-lived worker *owns* the shards pinned to it
-(``shard_id % workers``) and holds one :class:`ResidentView` per shard:
-the shard's core edges and its depth-``D`` halo view, whose index an
+**Shard-resident workers** (:class:`ShardWorkerPool`), the one pool of
+the package: every pooled session is sharded, and a flat session with
+``workers > 1`` runs as one shard whose view is the whole graph.
+Rather than shipping the whole data graph and partition to every worker
+(memory ``workers x |G|``, paid again by every new pool), each
+long-lived worker *owns* the shards placed on it (:func:`shard_owners`:
+``shard_id % workers`` when there are at least as many shards as
+workers, otherwise each shard on every ``k``-th worker) and holds one
+:class:`ResidentView` per shard: the shard's core edges and its
+depth-``D`` halo view, whose index an
 :class:`~repro.index.delta.IndexMaintainer` keeps current.  What crosses
 the pipe is one kind of update, a :class:`ShardPatch`: on a shard's
 first use the whole view, after that the change since its last
@@ -34,7 +38,10 @@ results outgrow :data:`REPLY_BYTES`.
 The parent keeps no views: per shipped shard it records the ball's
 vertex set (at most ``|V|`` members, the ``repro_pool_recorded_members``
 gauge) and the core edges, whatever the index's ``max_resident`` bound
-says; the bound limits only the index's own view cache.
+says; the bound limits only the index's own view cache.  One shard's
+ball is the whole graph, which the index returns as the source graph
+itself (weight 0, no view copy); the parent does hold the one-shard
+index's core graph, a copy of the graph's vertices and edges.
 """
 
 from __future__ import annotations
@@ -77,10 +84,24 @@ from .sharded_index import ShardedIndex, within_hops
 class WorkerPoolError(OSError):
     """A resident worker died or its pipe broke mid-run.
 
-    Subclasses :class:`OSError` so the miner's existing pool-failure
-    fallback (``except (OSError, BrokenExecutor)`` -> serial
-    re-evaluation) covers the resident pool without new plumbing.
+    Subclasses :class:`OSError`, the one failure the miner's pool
+    fallback catches (``except OSError`` -> serial re-evaluation), so a
+    failed spawn and a failed batch degrade the same way.
     """
+
+
+def shard_owners(shard_id: int, shards: int, workers: int) -> Tuple[int, ...]:
+    """The workers that hold shard ``shard_id``'s view, out of ``shards``.
+
+    Every worker ``w`` with ``w % min(shards, workers) == shard_id %
+    workers``: with at least as many shards as workers that is the one
+    worker ``shard_id % workers``; with fewer, shard ``s`` is replicated
+    on workers ``s, s + shards, ...``, so no worker idles (one shard:
+    every worker).
+    """
+    span = min(shards, workers)
+    home = shard_id % workers
+    return tuple(worker for worker in range(workers) if worker % span == home)
 
 
 # ----------------------------------------------------------------------
@@ -513,20 +534,22 @@ PATCH_ELEMENT_BUCKETS = (4, 16, 64, 256, 1024, 4096, 16384)
 class ShardWorkerPool:
     """Long-lived shard-owning worker processes, one message per batch each.
 
-    Shards are pinned to workers by ``shard_id % workers``: every task
-    for a shard runs where its resident view lives.  :meth:`run` sends
-    each worker one message per batch (the patches its shards need, then
-    its tasks in order) and reads its reply, so outcomes are
-    position-stable and byte-identical however the OS schedules the
-    processes.  The pool keeps one :class:`ShippedShard` record per
-    shipped shard, which derives the shard's next patch from the deltas
-    since its last shipment.  It follows one :class:`ShardedIndex` at
+    Shards are placed on workers by :func:`shard_owners`: every task for
+    a shard runs on a worker that holds its resident view.  A shard held
+    by several workers (fewer shards than workers) gets each of its
+    patches on all of them, and its tasks are dealt among them in turn.
+    :meth:`run` sends each worker one message per batch (the patches its
+    shards need, then its tasks in order) and reads its reply, so
+    outcomes are position-stable and byte-identical however the OS
+    schedules the processes.  The pool keeps one :class:`ShippedShard`
+    record per shipped shard, which derives the shard's next patch from
+    the deltas since its last shipment.  It follows one :class:`ShardedIndex` at
     one depth at a time (:meth:`bind`), and :meth:`run` patches the
     shards a batch's tasks use.  Each patch that crosses the pipe is
     observed in the ``repro_pool_patch_elements`` histogram.
-    Infrastructure failures raise
-    :class:`WorkerPoolError` (an ``OSError``), which callers treat like a
-    broken executor: shut down, fall back to serial, results unchanged.
+    Infrastructure failures raise :class:`WorkerPoolError` (an
+    ``OSError``), which callers answer by shutting the pool down and
+    falling back to serial, results unchanged.
     A batch that fails in any way shuts the pool down, since the workers'
     views may then be anywhere between two states.
 
@@ -554,8 +577,11 @@ class ShardWorkerPool:
         self._bound: Optional[ShardedIndex] = None
         self._depth: Optional[int] = None
         self._shipped: Dict[int, ShippedShard] = {}
-        # Patches that empty the views of dropped records (:meth:`bind`).
-        self._emptied: List[ShardPatch] = []
+        # The shard count the records' holders are placed by.
+        self._placed: Optional[int] = None
+        # (worker, patch) pairs that empty the views of dropped records
+        # (:meth:`bind`).
+        self._emptied: List[Tuple[int, ShardPatch]] = []
         self.slices_shipped = 0
         self.slices_patched = 0
         self.tasks_dispatched = 0
@@ -595,20 +621,28 @@ class ShardWorkerPool:
         A new index object (a maintainer rebuilt or re-partitioned it) or
         a new depth may change any view, so every shipped shard's record
         is closed and its next use replaces the view wholesale.  The
-        records of shard ids the new index lacks are dropped, and the
-        next message to their workers empties those views.
+        records of shard ids the new index lacks, or that the new shard
+        count places on other workers, are dropped, and the next message
+        to every worker that held one empties its view there.
         """
         if sharded is self._bound and depth == self._depth:
             return
+        shards = sharded.num_shards
         for shard_id, record in list(self._shipped.items()):
             record.close()
-            if shard_id >= sharded.num_shards:
-                del self._shipped[shard_id]
-                self._emptied.append(
-                    shard_patch(shard_id, LabeledGraph(), (), record.members, record.core)
-                )
+            holders = shard_owners(shard_id, self._placed, self.workers)
+            if shard_id < shards and holders == shard_owners(
+                shard_id, shards, self.workers
+            ):
+                continue
+            del self._shipped[shard_id]
+            emptied = shard_patch(
+                shard_id, LabeledGraph(), (), record.members, record.core
+            )
+            self._emptied.extend((worker, emptied) for worker in holders)
         self._bound = sharded
         self._depth = depth
+        self._placed = shards
 
     def detach(self) -> None:
         """Stop following the bound index and close every cursor.
@@ -621,9 +655,6 @@ class ShardWorkerPool:
         self._bound = None
 
     # -- plumbing ------------------------------------------------------
-    def _worker_for(self, shard_id: int) -> int:
-        return shard_id % self.workers
-
     def _send(self, worker: int, message) -> None:
         try:
             self._conns[worker].send(message)
@@ -632,11 +663,14 @@ class ShardWorkerPool:
                 f"shard worker {worker} is gone (send failed: {exc})"
             ) from exc
 
-    def _update(self, sharded: ShardedIndex, shard_id: int) -> Optional[ShardPatch]:
-        """The patch that brings ``shard_id``'s resident view current, if any.
+    def _update(
+        self, sharded: ShardedIndex, shard_id: int, holders: Tuple[int, ...]
+    ) -> Optional[ShardPatch]:
+        """The patch that brings ``shard_id``'s resident views current, if any.
 
-        A whole view (a shard's first shipment, or a replacement after a
-        gap or a re-bind) counts as a shipped slice; a patch its record
+        The patch goes to every worker in ``holders``.  A whole view (a
+        shard's first shipment, or a replacement after a gap or a
+        re-bind) counts as a shipped slice per holder; a patch its record
         derives from the deltas since the last shipment as a patched one.
         """
         assert self._depth is not None
@@ -647,12 +681,13 @@ class ShardWorkerPool:
         if patch is None:
             return None
         name = "slices_shipped" if whole else "slices_patched"
-        setattr(self, name, getattr(self, name) + 1)
-        _metrics.counter(f"repro_pool_{name}").inc()
+        setattr(self, name, getattr(self, name) + len(holders))
+        _metrics.counter(f"repro_pool_{name}").inc(len(holders))
         elements = _metrics.histogram(
             "repro_pool_patch_elements", PATCH_ELEMENT_BUCKETS
         )
-        elements.observe(len(patch))
+        for _ in holders:
+            elements.observe(len(patch))
         return patch
 
     # -- the request/response cycle ------------------------------------
@@ -683,17 +718,26 @@ class ShardWorkerPool:
         return results
 
     def _dispatch(self, sharded: ShardedIndex, tasks: Sequence[ShardTask]) -> List:
+        holders = {
+            shard_id: shard_owners(shard_id, sharded.num_shards, self.workers)
+            for shard_id in sorted({task[2] for task in tasks})
+        }
+        dealt = dict.fromkeys(holders, 0)
         positions: Dict[int, List[int]] = {}
         for position, task in enumerate(tasks):
-            positions.setdefault(self._worker_for(task[2]), []).append(position)
+            owners = holders[task[2]]
+            worker = owners[dealt[task[2]] % len(owners)]
+            dealt[task[2]] += 1
+            positions.setdefault(worker, []).append(position)
         patches: Dict[int, List[ShardPatch]] = {worker: [] for worker in positions}
-        for patch in self._emptied:
-            patches.setdefault(self._worker_for(patch.shard_id), []).append(patch)
+        for worker, patch in self._emptied:
+            patches.setdefault(worker, []).append(patch)
         self._emptied = []
-        for shard_id in sorted({task[2] for task in tasks}):
-            patch = self._update(sharded, shard_id)
+        for shard_id, owners in holders.items():
+            patch = self._update(sharded, shard_id, owners)
             if patch is not None:
-                patches[self._worker_for(shard_id)].append(patch)
+                for worker in owners:
+                    patches.setdefault(worker, []).append(patch)
         _metrics.gauge("repro_pool_recorded_members").set(
             sum(len(record.members) for record in self._shipped.values())
         )

@@ -372,43 +372,62 @@ class TestMinerRobustness:
         ]
 
     def test_broken_pool_degrades_to_serial(self, monkeypatch):
-        from concurrent.futures import BrokenExecutor
-
         from repro.mining import miner as miner_module
+        from repro.obs import metrics
+        from repro.partition import WorkerPoolError
 
         class ExplodingPool:
-            """Pool whose workers die on first use (spawn-refused stand-in)."""
+            """Pool whose workers die on first use (killed-worker stand-in)."""
 
-            def map(self, *args, **kwargs):
-                raise BrokenExecutor("no workers for you")
+            def run(self, *args, **kwargs):
+                raise WorkerPoolError("no workers for you")
 
             def shutdown(self, *args, **kwargs):
                 pass
 
-        monkeypatch.setattr(
-            miner_module, "_make_pool", lambda data, spec, sharded: ExplodingPool()
-        )
+        monkeypatch.setattr(miner_module, "_make_pool", lambda spec: ExplodingPool())
         graph = build_graph(("er", 11, 14, 0.25))
         spec = MiningSpec(measure="mni", min_support=2, max_pattern_nodes=3)
+        fallbacks = metrics.counter("repro_pool_serial_fallbacks")
+        before = fallbacks.value
         broken = mine_frequent_patterns(graph, spec=spec.replace(workers=4))
+        assert fallbacks.value == before + 1  # flat sessions use the pool too
         monkeypatch.undo()
         serial = mine_frequent_patterns(graph, spec=spec)
         assert broken.certificates() == serial.certificates()
         assert broken.stats.as_dict() == serial.stats.as_dict()
 
 
+#: Flat pooled variants: measures, lazy MNI, truncation and the brute path.
+PARALLEL_VARIANTS = {
+    "mni": {},
+    "mi": dict(measure="mi"),
+    "mvc": dict(measure="mvc"),
+    "lazy-mni": dict(lazy=True),
+    "mni-truncated": dict(max_occurrences=5),
+    "mi-truncated": dict(measure="mi", max_occurrences=7),
+    "brute": dict(use_index=False),
+}
+
+
+def result_rows(result):
+    return [(fp.certificate, fp.support, fp.num_occurrences) for fp in result.frequent]
+
+
+@pytest.mark.parametrize("variant", sorted(PARALLEL_VARIANTS))
 @pytest.mark.parametrize("seed", [3, 17, 29])
-def test_parallel_mining_identical_to_serial(seed):
+def test_parallel_mining_identical_to_serial(seed, variant):
+    """A flat pooled mine (one whole-graph shard on both workers) equals
+    the serial mine, rows and stats.  Truncated mines keep the flat
+    occurrence order: each candidate is one exclusive ``solo`` task."""
     graph = build_graph(("er", seed, 16, 0.3))
-    spec = MiningSpec(
+    base = MiningSpec(
         measure="mni", min_support=2, max_pattern_nodes=4, max_pattern_edges=4
     )
+    spec = base.replace(**PARALLEL_VARIANTS[variant])
     serial = mine_frequent_patterns(graph, spec=spec)
     parallel = mine_frequent_patterns(graph, spec=spec.replace(workers=2))
-    assert parallel.certificates() == serial.certificates()
-    assert [fp.support for fp in parallel.frequent] == [
-        fp.support for fp in serial.frequent
-    ]
+    assert result_rows(parallel) == result_rows(serial)
     assert parallel.stats.as_dict() == serial.stats.as_dict()
 
 

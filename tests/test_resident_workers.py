@@ -10,9 +10,10 @@ shards keep views in :class:`repro.partition.ShardedIndex`'s own view
 cache, dropping the least recently used shard's views and recomputing
 them on demand.  Everything here pins the same contract as the rest of
 the partition suite: **byte-identical results** — whatever the worker
-scheduling, whatever the eviction order — plus the pool-lifecycle
-bugfixes (Ctrl-C shutdown, flat workers never shipped a partition, pool
-failures degrading to serial).
+scheduling, whatever the eviction order — plus the shard placement
+(fewer shards than workers replicate each shard, so a flat pooled
+session is one whole-graph shard on every worker) and the pool-lifecycle
+bugfixes (Ctrl-C shutdown, pool failures degrading to serial).
 """
 
 from __future__ import annotations
@@ -59,7 +60,13 @@ from repro.partition.evaluate import (
     evaluate_task,
     support_from_shard_items,
 )
-from repro.partition.workers import ResidentView, ShippedShard, shard_patch
+from repro.partition.workers import (
+    ResidentView,
+    ShardPatch,
+    ShippedShard,
+    shard_owners,
+    shard_patch,
+)
 
 
 MINE_SPEC = MiningSpec(
@@ -719,19 +726,158 @@ class TestShutdownOnInterrupt:
         assert fake.calls == [("shutdown", True, False)]
 
 
-class TestFlatWorkersStayFlat:
-    def test_flat_pool_ships_no_partition(self):
-        from repro.partition import Partition
+# ----------------------------------------------------------------------
+# placement: fewer shards than workers replicate each shard
+# ----------------------------------------------------------------------
+def mirror(pool: ShardWorkerPool):
+    """Record what ``pool`` sends, applying it to in-process views.
 
-        graph = random_labeled_graph(10, 0.3, alphabet=("A", "B"), seed=0)
-        pool = miner_module._make_pool(graph, MINE_SPEC.replace(workers=2), None)
+    Returns ``(views, tasks, sent)``: per worker, the shard id ->
+    :class:`ResidentView` it holds after applying every patch sent to it
+    in order (the worker's own view code, over a pickle round trip), the
+    shard ids of the tasks it was sent, and every patch object sent.
+    """
+    views = {worker: {} for worker in range(pool.workers)}
+    tasks = {worker: [] for worker in range(pool.workers)}
+    sent = []
+    real = pool._send
+
+    def send(worker, message):
+        if message[0] == "run":
+            _, patches, batch = message
+            for patch in patches:
+                sent.append(patch)
+                held = views[worker].setdefault(patch.shard_id, ResidentView())
+                held.apply(pickle.loads(pickle.dumps(patch)), use_index=False)
+            tasks[worker].extend(task[2] for task in batch)
+        real(worker, message)
+
+    pool._send = send
+    return views, tasks, sent
+
+
+PLACEMENT_PATTERNS = [
+    path_pattern(["A", "B"]),
+    path_pattern(["A", "B", "C"]),
+    path_pattern(["B", "C", "A"]),
+    path_pattern(["C", "A", "B", "C"]),
+    star_pattern("A", ["B", "C", "C"]),
+]
+
+POOL_COMMON = dict(
+    measure="mni",
+    lazy=False,
+    lazy_cap=2,
+    max_occurrences=None,
+    depth=2,
+    flat_evaluate=None,
+)
+
+
+class TestReplicatedPlacement:
+    OWNERS = {
+        (1, 2): [(0, 1)],
+        (2, 3): [(0, 2), (1,)],
+        (4, 2): [(0,), (1,), (0,), (1,)],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(OWNERS), ids="k{0[0]}-w{0[1]}".format)
+    def test_owner_lists(self, layout):
+        shards, workers = layout
+        owners = [shard_owners(s, shards, workers) for s in range(shards)]
+        assert owners == self.OWNERS[layout]
+
+    def test_at_least_as_many_shards_as_workers_keeps_one_owner(self):
+        for shards in range(2, 9):
+            for workers in range(1, shards + 1):
+                for shard_id in range(shards):
+                    owners = shard_owners(shard_id, shards, workers)
+                    assert owners == (shard_id % workers,)
+
+    @pytest.mark.parametrize("layout", sorted(OWNERS), ids="k{0[0]}-w{0[1]}".format)
+    def test_churned_owner_views_match_expansion(self, layout):
+        """After every churn batch each owner holds the shard's view as
+        computed from scratch, every owner got tasks, and the pooled
+        outcomes equal the in-process ones."""
+        shards, workers = layout
+        graph = long_path_graph()
+        rng = random.Random(5)
+        maintainer = ShardedIndexMaintainer(graph, shards, "hash")
+        pool = ShardWorkerPool(
+            workers, measure="mni", lazy=False, lazy_cap=2, use_index=True
+        )
+        views, tasks, sent = mirror(pool)
         try:
-            assert pool is None or not any(
-                isinstance(arg, Partition) for arg in pool._initargs
-            )
+            for number in range(6):
+                if number:
+                    random_churn(graph, rng, rng.randint(1, 5), f"p{number}-")
+                index = maintainer.sharded()
+                want = pooled_outcomes(PLACEMENT_PATTERNS, index, None, **POOL_COMMON)
+                got = pooled_outcomes(PLACEMENT_PATTERNS, index, pool, **POOL_COMMON)
+                assert got == want, number
+                for shard_id in range(shards):
+                    view = index._compute_expansion(shard_id, 2)
+                    core = index.shards[shard_id].core_edge_set
+                    for worker in shard_owners(shard_id, shards, workers):
+                        held = views[worker][shard_id]
+                        assert graph_content(held.view) == graph_content(view)
+                        assert held.core == core
+            for shard_id in range(shards):
+                for worker in shard_owners(shard_id, shards, workers):
+                    assert shard_id in tasks[worker]
+            assert pool.slices_patched > 0
+            assert all(isinstance(patch, ShardPatch) for patch in sent)
+            if shards == 1:
+                # A flat pooled session's layout: each worker holds one
+                # view, the whole graph, and no partition crossed a pipe.
+                for worker in range(workers):
+                    assert list(views[worker]) == [0]
+                    held = views[worker][0]
+                    assert graph_content(held.view) == graph_content(graph)
+                    assert held.core == set(graph.edges())
         finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=False, cancel_futures=True)
+            maintainer.detach()
+
+    def test_rebinds_empty_dropped_views_on_every_holder(self):
+        """3, 2, 1, then 3 shards on 3 workers, with deletions between.
+
+        Every re-bind drops the records of the shards the new index lacks
+        or places on other workers, and empties their views on every
+        worker that held them (shard 0 sits on two workers at 2 shards
+        and on all three at 1); a shard placed anew then ships whole into
+        empty views.  After each step a worker holds, for every shard it
+        owns, the view computed from scratch, and nothing for any other.
+        """
+        graph = long_path_graph()
+        rng = random.Random(7)
+        pool = ShardWorkerPool(3, measure="mni", lazy=False, lazy_cap=2, use_index=True)
+        views, _tasks, _sent = mirror(pool)
+        try:
+            for shards in (3, 2, 1, 3):
+                for vertex in rng.sample(graph.vertices(), 3):
+                    apply_update(graph, ("dv", vertex))
+                index = ShardedIndex.build(graph, shards, "hash")
+                want = pooled_outcomes(PLACEMENT_PATTERNS, index, None, **POOL_COMMON)
+                got = pooled_outcomes(PLACEMENT_PATTERNS, index, pool, **POOL_COMMON)
+                assert got == want, shards
+                assert sorted(pool._shipped) == list(range(shards))
+                for worker, held in views.items():
+                    for shard_id, view in held.items():
+                        if shard_id < shards and worker in shard_owners(
+                            shard_id, shards, 3
+                        ):
+                            expanded = index._compute_expansion(shard_id, 2)
+                            assert graph_content(view.view) == graph_content(expanded)
+                            assert view.core == index.shards[shard_id].core_edge_set
+                        else:
+                            assert view.view.num_vertices == 0 and not view.core
+                if shards == 1:
+                    for worker in range(3):
+                        held = views[worker][0].view
+                        assert graph_content(held) == graph_content(graph)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
@@ -780,11 +926,29 @@ class TestStreamWorkers:
         rebuilt = self._run(mode="rebuild", shards=2, workers=2)
         assert rebuilt == serial
 
-    def test_delta_workers_require_shards(self):
-        """workers must never be silently dropped: shards=1 delta raises."""
+    def test_flat_delta_workers_identical_to_serial(self):
+        """A flat pooled delta stream equals the serial one batch by batch,
+        rows and stats, over one pool that survives every refresh."""
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=4)
         graph, updates = _stream_fixture()
-        with pytest.raises(MiningError, match="workers > 1 requires shards > 1"):
-            list(mine_stream(graph, updates, spec=MiningSpec(mode="delta", workers=2)))
+        reference_graph, _ = _stream_fixture()
+        pooled = DynamicMiner(graph, spec=spec.replace(workers=2))
+        serial = DynamicMiner(reference_graph, spec=spec)
+        try:
+            assert_mining_identical(pooled.refresh(), serial.refresh())
+            pool = pooled._resources.pool
+            assert isinstance(pool, ShardWorkerPool)
+            assert pooled._sharded_maintainer.sharded().num_shards == 1
+            for start in range(0, len(updates), 3):
+                pooled.apply(updates[start : start + 3])
+                serial.apply(updates[start : start + 3])
+                assert_mining_identical(pooled.refresh(), serial.refresh())
+                assert pooled._resources.pool is pool
+            assert pool.slices_patched > 0
+        finally:
+            pooled.detach()
+            serial.detach()
+        assert self._run(workers=2) == self._run()
 
     def test_dynamic_miner_persistent_pool_reused(self):
         """One pool across refreshes; slices re-ship only when dirtied."""
@@ -838,8 +1002,6 @@ class TestStreamWorkers:
 
     def test_dynamic_validation(self):
         graph, _ = _stream_fixture()
-        with pytest.raises(MiningError):
-            DynamicMiner(graph, spec=MiningSpec(workers=2))
         with pytest.raises(MiningError):
             DynamicMiner(graph, spec=MiningSpec(max_resident=2))
         with pytest.raises(MiningError):
