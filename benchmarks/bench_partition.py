@@ -19,15 +19,15 @@ Five experiments share this module:
 * **tab10d** — the dynamic-partition gate: over a deletion-heavy mixed
   update stream (shared with tab9c via ``stream_workloads``), the
   delta-maintained sharded miner — one partition kept current in
-  O(delta) per update, per-shard state patched, untouched expansions
-  cached — must beat re-partitioning + re-mining per batch by
+  O(delta) per update, per-shard state patched, shard views patched by
+  delta — must beat re-partitioning + re-mining per batch by
   **>= 1.3x**, with byte-identical per-batch results;
-* **tab10f** — the bounded-view-cache gate: mining a large-diameter
-  corridor graph with ``max_resident=1`` must be byte-identical to the
-  all-resident run while its deterministic peak resident view weight
-  (``ShardedIndex.peak_resident_weight``, the projected index footprint
-  in bytes of every non-alias cached view) stays strictly below the
-  all-resident peak.
+* **tab10f** — the bounded-runner gate: a serial sharded mine of a
+  large-diameter corridor graph with ``max_resident=1`` must be
+  byte-identical to the all-resident run while its deterministic peak
+  resident view weight (``repro_pager_peak_resident_weight``, the
+  projected index footprint in bytes of every view the in-process
+  runner holds) stays strictly below the all-resident peak.
 
 Results must be identical in every configuration; wall time is the
 experiment.
@@ -341,7 +341,7 @@ def test_tab10d_sharded_delta_stream_vs_repartition_per_batch(
 
 
 # ----------------------------------------------------------------------
-# tab10f — the max_resident bound on the halo view cache bounds resident memory
+# tab10f — the max_resident bound on the in-process runner bounds resident memory
 # ----------------------------------------------------------------------
 
 
@@ -370,16 +370,29 @@ def corridor_workload():
 
 def test_tab10f_out_of_core_memory(corridor_workload, emit):
     """Acceptance gate: max_resident=1 evicts, matches, and uses less memory."""
-    from repro.mining.miner import FrequentSubgraphMiner
+    from repro.obs import metrics
 
     spec = MINE_SPEC.replace(partition_method="edgecut")
     runs = {}
     for max_resident in (1, 4):
-        miner = FrequentSubgraphMiner(
-            corridor_workload, spec=spec.replace(shards=4, max_resident=max_resident)
+        # A fresh registry per mine: the runner's pager metrics are its own.
+        registry = metrics.MetricsRegistry()
+        previous = metrics.set_registry(registry)
+        try:
+            result = mine_frequent_patterns(
+                corridor_workload,
+                spec=spec.replace(shards=4, max_resident=max_resident),
+            )
+        finally:
+            metrics.set_registry(previous)
+        snap = registry.snapshot()
+        runs[max_resident] = (
+            result,
+            {
+                name: snap[f"repro_pager_{name}"]
+                for name in ("peak_resident_weight", "evictions", "recomputes")
+            },
         )
-        result = miner.mine()
-        runs[max_resident] = (result, miner._sharded)
 
     flat = mine_frequent_patterns(corridor_workload, spec=MINE_SPEC)
     for max_resident, (result, _) in runs.items():
@@ -393,24 +406,24 @@ def test_tab10f_out_of_core_memory(corridor_workload, emit):
             [
                 [
                     "all-resident (max_resident=4)",
-                    all_resident.peak_resident_weight,
-                    all_resident.evictions,
-                    all_resident.recomputes,
+                    all_resident["peak_resident_weight"],
+                    all_resident["evictions"],
+                    all_resident["recomputes"],
                 ],
                 [
                     "bounded (max_resident=1)",
-                    bounded.peak_resident_weight,
-                    bounded.evictions,
-                    bounded.recomputes,
+                    bounded["peak_resident_weight"],
+                    bounded["evictions"],
+                    bounded["recomputes"],
                 ],
             ],
-            title="tab10f: bounded halo view cache (corridor graph, k=4)",
+            title="tab10f: bounded in-process runner (corridor graph, k=4)",
         )
     )
-    assert bounded.evictions > 0
-    assert bounded.peak_resident_weight < all_resident.peak_resident_weight, (
-        f"bounded peak {bounded.peak_resident_weight} not below "
-        f"all-resident peak {all_resident.peak_resident_weight}"
+    assert bounded["evictions"] > 0
+    assert bounded["peak_resident_weight"] < all_resident["peak_resident_weight"], (
+        f"bounded peak {bounded['peak_resident_weight']} not below "
+        f"all-resident peak {all_resident['peak_resident_weight']}"
     )
 
 

@@ -88,10 +88,11 @@ def _spec_parent() -> argparse.ArgumentParser:
         type=int,
         default=spec.max_resident,
         help=(
-            "keep cached halo views for at most this many shards, dropping "
-            "the least recently used shard's views and recomputing them on "
-            "their next use (requires --shards > 1; results identical "
-            "regardless of eviction order)"
+            "hold halo views for at most this many shards in a serial "
+            "sharded run, dropping the least recently used shard's view and "
+            "shipping it whole again on its next use; a pooled parent holds "
+            "no views, so the bound holds there trivially (requires "
+            "--shards > 1; results identical regardless of eviction order)"
         ),
     )
     return parent

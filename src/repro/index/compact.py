@@ -3,8 +3,8 @@
 * :class:`LabelTable` interns vertex ids and labels to the dense ints
   (vints / lints) the index buffers are keyed by;
 * :func:`projected_index_nbytes` is the analytic footprint of an index
-  over a graph of a given size — the halo view cache's deterministic
-  cost model.
+  over a graph of a given size — the deterministic weight model of the
+  shard views the in-process runner holds.
 
 The index itself (CSR rows, inverted lists, label-pair edge counts, and
 their O(delta) patching) lives in :mod:`repro.index.graph_index`.
@@ -93,7 +93,7 @@ class LabelTable:
 
 
 # ----------------------------------------------------------------------
-# projected footprints (the halo view cache's deterministic cost model)
+# projected footprints (the shard views' deterministic weight model)
 # ----------------------------------------------------------------------
 #: Per-entry byte estimates (per-vertex, per-edge, per-label), calibrated
 #: against ``GraphIndex.nbytes()`` on CPython 3.11/64-bit synthetic graphs

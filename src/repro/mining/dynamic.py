@@ -126,13 +126,13 @@ def pattern_footprint(pattern: Pattern) -> FrozenSet[LabelPair]:
 class _MinerResources:
     """Everything a :class:`DynamicMiner` must give back, held *outside* it.
 
-    The index/sharded maintainers and the persistent worker pool
-    outlive a miner that is simply dropped on the floor — the pool
-    keeps OS processes alive.  Keeping them on a separate object lets a
-    ``weakref.finalize`` on the miner call :meth:`release` without
-    referencing the miner itself (which would keep it alive forever), so
-    constructed-and-abandoned miners cannot leak workers even when
-    refresh never ran.
+    The index/sharded maintainers and the persistent runner outlive a
+    miner that is simply dropped on the floor — a pool keeps OS
+    processes alive, and every runner keeps cursors on the graph.
+    Keeping them on a separate object lets a ``weakref.finalize`` on the
+    miner call :meth:`release` without referencing the miner itself
+    (which would keep it alive forever), so constructed-and-abandoned
+    miners cannot leak workers even when refresh never ran.
 
     :meth:`release` is idempotent and re-runnable: each step takes and
     nulls its slot first, so an explicit ``detach()`` followed by the
@@ -231,7 +231,7 @@ class DynamicMiner:
     owns is what the walk does not: the delta cursor, the maintained
     index and partition, the revival bookkeeping, the lattice memo
     (:class:`~repro.mining.miner.LatticeMemo`) every walk replays and
-    refills, and the lifetime of its worker pool.
+    refills, and the lifetime of its runner.
 
     With ``use_index=True`` (default) the graph's acceleration index is
     delta-patched between refreshes through an
@@ -246,19 +246,22 @@ class DynamicMiner:
     (``rebalance=``, a policy object rather than a spec field) lets
     skewed streams trigger shard rebalancing between refreshes.
 
-    ``workers=n > 1`` evaluates each level's affected candidates through
-    one **persistent** shard-resident worker pool
-    (:class:`~repro.partition.ShardWorkerPool`), started on the first
-    refresh: workers keep their shard views across refreshes and the
-    parent patches only the views that deltas actually dirtied.  A flat
-    spec with ``workers > 1`` is maintained as one shard whose view, the
-    whole graph, every worker holds (the session rule of
+    A sharded session evaluates each level's affected candidates on one
+    **persistent** runner, built on the first refresh: with
+    ``workers=n > 1`` the shard-resident worker pool
+    (:class:`~repro.partition.ShardWorkerPool`), otherwise the same view
+    machinery in process (:class:`~repro.partition.InProcessRunner`).
+    Either keeps its shard views across refreshes and patches only the
+    views that deltas actually dirtied.  A flat spec with ``workers >
+    1`` is maintained as one shard whose view, the whole graph, every
+    worker holds (the session rule of
     :func:`~repro.mining.miner._sharded_index`).  A pool that cannot
-    start, or fails mid-refresh, leaves the session serial.
-    ``max_resident=N`` bounds how many shards keep halo views in the
-    maintained index's view cache (the least recently used shard's views
-    are dropped and recomputed on their next use); the bound survives
-    policy-triggered re-partitions.
+    start, or fails mid-refresh, leaves the session on an in-process
+    runner.  ``max_resident=N`` bounds how many shards hold views in
+    the in-process runner (the least recently used shard's view is
+    dropped and shipped whole again on its next use); a pooled parent
+    holds none.  A refresh after :meth:`detach` shuts its runner down
+    again, so a detached miner keeps no cursor on the graph.
     """
 
     def __init__(
@@ -287,8 +290,6 @@ class DynamicMiner:
         # finalizer below can give it all back without touching (and
         # thus without keeping alive) the miner itself.
         self._resources = _MinerResources()
-        # The pool is started once per session, on the first refresh.
-        self._pool_started = False
         if spec.use_index:
             self._maintainer = IndexMaintainer(data)
             self._resources.maintainer = self._maintainer
@@ -328,7 +329,7 @@ class DynamicMiner:
     def detach(self) -> None:
         """Stop reading deltas (index and sharded maintainers included).
 
-        Also tears down the persistent worker pool (without waiting —
+        Also tears down the persistent runner (without waiting —
         detach may run on the interrupt path).  Refreshes after a
         detach-era mutation fall back to a full re-mine — results stay
         correct, only the delta savings are lost.
@@ -394,8 +395,7 @@ class DynamicMiner:
             if self._sharded_maintainer is not None
             else None
         )
-        if not self._pool_started:
-            self._pool_started = True
+        if sharded is not None and resources.pool is None:
             resources.pool = _make_pool(self.spec)
         session = _Session(
             self.data,
@@ -412,9 +412,11 @@ class DynamicMiner:
         try:
             return _walk(session, rule, self._lattice)
         finally:
-            # The evaluator shuts a pool that failed mid-level down and
-            # drops it; the session then stays serial.
+            # The evaluator replaces a pool that failed mid-level with an
+            # in-process runner; the session then stays serial.
             resources.pool = session.pool
+            if not self.attached:
+                resources.release()  # a detached miner keeps no cursor
 
 
 @dataclass(frozen=True)
@@ -566,9 +568,10 @@ def mine_stream(
     the delta mode evaluates through one persistent shard-resident pool
     across all batches (with ``shards=1``, one whole-graph shard held by
     every worker), and the reference modes pass workers into each
-    per-batch mine.
+    per-batch mine.  A serial sharded delta stream keeps its shard views
+    in process across all batches, patched by delta like the pool's.
     ``max_resident=N`` likewise rides along to bound how many shards
-    keep cached halo views.
+    hold views in process.
 
     ``window=N`` turns the replay into a **sliding-window** workload: after
     each batch, the oldest live stream-inserted edges are removed until at

@@ -21,10 +21,11 @@ the per-level batches are what parallel support evaluation
 This module holds the **one lattice walk** (:func:`_walk`) and its one
 evaluator (:meth:`_Session.evaluate`: flat candidates serially; sharded
 ones through the one sharded evaluator,
-:func:`repro.partition.workers.pooled_outcomes`, in process or on the
-shard-resident pool; with one pool-failure fallback).  A pooled session
-is always sharded: with ``shards=1`` it runs as one shard whose
-whole-graph view every worker holds (:func:`_sharded_index`).
+:func:`repro.partition.workers.pooled_outcomes`, on the session's
+runner, in process or the shard-resident pool; with one pool-failure
+fallback).  A pooled session is always sharded: with ``shards=1`` it
+runs as one shard whose whole-graph view every worker holds
+(:func:`_sharded_index`).
 :class:`FrequentSubgraphMiner` runs the walk over one graph
 snapshot; :class:`~repro.mining.dynamic.DynamicMiner` runs the same walk
 with a per-candidate reuse rule (its label-pair footprint test) and a
@@ -121,38 +122,36 @@ def _sharded_index(data: LabeledGraph, spec: MiningSpec):
         return None
     from ..partition.sharded_index import ShardedIndex
 
-    return ShardedIndex.build(data, shards, method, spec.max_resident)
+    return ShardedIndex.build(data, shards, method)
 
 
 def _make_pool(spec: MiningSpec):
-    """The session's worker pool, or None (serial).
+    """The one runner factory of sharded sessions (flat ones build none).
 
-    This is the one place a
-    :class:`~repro.partition.workers.ShardWorkerPool` is built, and the
-    only pool there is: every pooled session is sharded
-    (:func:`_sharded_index`).  A construction failure degrades to the
-    serial path, which produces identical results; the degrade path for
-    workers that die later is :meth:`_Session.evaluate`.
+    A :class:`~repro.partition.workers.ShardWorkerPool` when ``workers >
+    1``, else an :class:`~repro.partition.workers.InProcessRunner`
+    bounded by ``max_resident``.  A pool that cannot start degrades to
+    the in-process runner, which produces identical results; the degrade
+    path for workers that die later is :meth:`_Session.evaluate`.
     """
-    if spec.workers <= 1:
-        return None
-    from ..partition.workers import ShardWorkerPool
+    from ..partition.workers import InProcessRunner, ShardWorkerPool
 
-    try:
-        return ShardWorkerPool(
-            spec.workers,
-            measure=spec.measure,
-            lazy=spec.lazy,
-            lazy_cap=_lazy_cap(spec.min_support),
-            use_index=spec.use_index,
-        )
-    except (OSError, ValueError) as exc:
-        # Restricted environments (no usable start method, no
-        # /dev/shm): degrade to the serial path, which produces
-        # identical results.
-        _LOG.warning("could not start the worker pool (%s); mining serially", exc)
-        _metrics.counter("repro_pool_serial_fallbacks").inc()
-        return None
+    config = dict(
+        measure=spec.measure,
+        lazy=spec.lazy,
+        lazy_cap=_lazy_cap(spec.min_support),
+        use_index=spec.use_index,
+    )
+    if spec.workers > 1:
+        try:
+            return ShardWorkerPool(spec.workers, **config)
+        except (OSError, ValueError) as exc:
+            # Restricted environments (no usable start method, no
+            # /dev/shm): degrade to the serial path, which produces
+            # identical results.
+            _LOG.warning("could not start the worker pool (%s); mining serially", exc)
+            _metrics.counter("repro_pool_serial_fallbacks").inc()
+    return InProcessRunner(max_resident=spec.max_resident, **config)
 
 
 class _Session:
@@ -160,12 +159,13 @@ class _Session:
 
     ``index`` and ``sharded`` are the caller's structures for ``data``
     (rebuilt per graph version by the static miner, delta-maintained by
-    the dynamic one); ``pool`` is the caller's worker pool or ``None``.
-    Every sharded batch — serial, pooled, or re-evaluated after a pool
-    failure — goes through one :func:`~repro.partition.workers.pooled_outcomes`
-    call with ``pool`` as its runner (``None`` = in process).
-    :meth:`evaluate` drops a pool that fails mid-level, so the caller
-    reads ``pool`` back after the walk.
+    the dynamic one); ``pool`` is the caller's runner (:func:`_make_pool`)
+    for a sharded session, ``None`` for a flat one.  Every sharded batch
+    — serial, pooled, or re-evaluated after a pool failure — goes
+    through one :func:`~repro.partition.workers.pooled_outcomes` call
+    with ``pool`` as its runner.  :meth:`evaluate` replaces a pool that
+    fails mid-level with an in-process runner, so the caller reads
+    ``pool`` back after the walk.
     """
 
     def __init__(
@@ -214,7 +214,6 @@ class _Session:
             measure=self.spec.measure,
             depth=_halo_depth(self.spec),
             flat_evaluate=self._flat,
-            use_index=self.spec.use_index,
             **self._common,
         )
 
@@ -226,14 +225,14 @@ class _Session:
         A sharded session (pooled sessions included, see
         :func:`_sharded_index`) sends the whole batch through one
         :func:`~repro.partition.workers.pooled_outcomes` call — the one
-        sharded evaluator, whose runner is the shard-resident pool or,
-        without a pool, the planner itself in process.  A flat session
-        evaluates it serially.  A pool-infrastructure failure (a worker
-        killed, a pipe broken) raises
+        sharded evaluator — on its runner: the shard-resident pool or
+        the in-process runner, which hold the same delta-patched views.
+        A flat session evaluates it serially.  A pool-infrastructure
+        failure (a worker killed, a pipe broken) raises
         :class:`~repro.partition.workers.WorkerPoolError`, an
-        ``OSError``: the pool is shut down without waiting, ``pool`` set
-        to ``None``, and the batch re-evaluated through the same call
-        without it, so the rest of the run stays serial.  Evaluation is
+        ``OSError``: the pool is shut down without waiting, replaced by
+        an in-process runner, and the batch re-evaluated through the
+        same call, so the rest of the run stays serial.  Evaluation is
         pure, so the retry changes nothing but wall-clock time.
         """
         if not batch:
@@ -242,7 +241,9 @@ class _Session:
         try:
             outcomes = self._outcomes(patterns)
         except OSError as exc:
-            if self.pool is None:
+            from ..partition.workers import ShardWorkerPool
+
+            if not isinstance(self.pool, ShardWorkerPool):
                 raise
             _LOG.warning(
                 "worker pool failed mid-level (%s); re-evaluating the "
@@ -251,7 +252,7 @@ class _Session:
             )
             _metrics.counter("repro_pool_serial_fallbacks").inc()
             self.pool.shutdown(wait=False, cancel_futures=True)
-            self.pool = None
+            self.pool = _make_pool(self.spec.replace(workers=1))
             outcomes = self._outcomes(patterns)
         results = []
         for (pattern, certificate), (support, num_occurrences) in zip(batch, outcomes):
@@ -545,17 +546,20 @@ class FrequentSubgraphMiner:
         for the whole session: shard ``s`` lives on every worker ``w``
         with ``w % min(k, workers) == s % workers``.  A pooled session
         with ``shards=1`` is one ``hash`` shard whose view is the whole
-        graph, held by every worker.  ``max_resident`` bounds how many
-        shards keep halo views in the sharded index's view cache,
-        dropping the least recently used shard's views (recomputed on
-        their next use).  With ``max_occurrences`` set and ``k > 1``,
-        sharded truncation is deterministic but may keep a different
-        occurrence subset than the flat order; one shard keeps the flat
-        order.
+        graph, held by every worker.  A serial sharded session runs the
+        pool's view machinery in process
+        (:class:`~repro.partition.workers.InProcessRunner`);
+        ``max_resident`` bounds how many shards hold views there,
+        dropping the least recently used shard's view (shipped whole
+        again on its next use).  A pooled parent holds no views, so the
+        bound holds there trivially.  With ``max_occurrences`` set and
+        ``k > 1``, sharded truncation is deterministic but may keep a
+        different occurrence subset than the flat order; one shard keeps
+        the flat order.
 
-    :meth:`mine` runs the module's lattice walk with no reuse rule and a
-    worker pool of its own, started per call and shut down when the
-    call ends.
+    :meth:`mine` runs the module's lattice walk with no reuse rule and,
+    when sharded, a runner of its own, built per call and shut down when
+    the call ends (closing its delta cursors on the graph).
     """
 
     def __init__(self, data: LabeledGraph, spec: Optional[MiningSpec] = None) -> None:
@@ -593,18 +597,17 @@ class FrequentSubgraphMiner:
             self.spec,
             self._index,
             self._sharded,
-            pool=_make_pool(self.spec),
+            pool=None if self._sharded is None else _make_pool(self.spec),
         )
+        finished = False
         try:
             result = _walk(session)
-        except BaseException:
+            finished = True
+        finally:
             # Interrupt/failure path: never *wait* for in-flight work —
             # a Ctrl-C during a long level must not hang on shutdown.
             if session.pool is not None:
-                session.pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        if session.pool is not None:
-            session.pool.shutdown()
+                session.pool.shutdown(wait=finished, cancel_futures=not finished)
         return result
 
 

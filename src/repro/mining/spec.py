@@ -42,7 +42,7 @@ STREAM_MODES = ("delta", "rebuild", "brute")
 #: Fields whose value can change the mined *result* (certificates,
 #: supports, occurrence counts).  Everything else is execution strategy:
 #: the equivalence suites pin indexed == brute, sharded == flat,
-#: pooled == serial, bounded == unbounded view cache byte-identical, so
+#: pooled == serial, bounded == unbounded shard views byte-identical, so
 #: those fields are deliberately not part of the result cache key.
 RESULT_FIELDS = (
     "measure",
@@ -119,10 +119,10 @@ class MiningSpec:
     Structural fields (``measure`` .. ``lazy``) decide *what* is mined;
     strategy fields (``use_index`` .. ``max_resident``) decide *how*
     — results are byte-identical across strategies (``max_resident``
-    bounds how many shards keep halo views in the sharded index's view
-    cache; evicted views are recomputed, never spilled); stream fields
-    (``window``, ``batch_size``, ``mode``) only apply to update-stream
-    replays and are ignored by one-shot mining.
+    bounds how many shards hold views in a serial sharded session's
+    in-process runner; evicted views ship whole again, never spilled);
+    stream fields (``window``, ``batch_size``, ``mode``) only apply to
+    update-stream replays and are ignored by one-shot mining.
     """
 
     measure: str = "mni"

@@ -295,7 +295,8 @@ DOCUMENTED_METRICS: Tuple[str, ...] = (
     "repro_pool_queue_depth",
     "repro_pool_patch_elements",
     "repro_pool_recorded_members",
-    # the sharded index's halo view cache (bounded by max_resident)
+    # shard views: computed by the sharded index (recomputes), held by the
+    # serial in-process runner (bounded by max_resident; 0 in a pooled parent)
     "repro_pager_evictions",
     "repro_pager_recomputes",
     "repro_pager_resident_weight",

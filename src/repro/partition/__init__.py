@@ -3,12 +3,13 @@
 Splits one :class:`~repro.graph.labeled_graph.LabeledGraph` into k
 edge-disjoint shards (:mod:`repro.partition.partitioner`), replicates
 boundary vertices into per-shard halos (:mod:`repro.partition.shard`),
-builds one :class:`~repro.index.GraphIndex` per shard behind a merged
-global directory (:mod:`repro.partition.sharded_index`), and evaluates
+keeps a merged global directory over them
+(:mod:`repro.partition.sharded_index`), and evaluates
 the paper's support measures exactly by merging per-shard anchored
 occurrences or node images.  One evaluator does that:
 :func:`~repro.partition.workers.pooled_outcomes` plans each batch into
-shard tasks, runs them in process or on the shard-resident worker pool
+shard tasks, runs them on a runner — in process or on the
+shard-resident worker pool, both holding delta-patched shard views —
 through one task function, and merges the partials with the helpers of
 :mod:`repro.partition.evaluate`.  Shard directories round-trip through
 :mod:`repro.partition.io`.  Under update streams the partition is
@@ -35,7 +36,7 @@ from .maintainer import RebalancePolicy, ShardedIndexMaintainer, absorb_graph
 from .partitioner import PARTITION_METHODS, EdgeRouter, Partition, partition_edges
 from .shard import GraphShard
 from .sharded_index import ShardedIndex
-from .workers import ShardWorkerPool, WorkerPoolError, pooled_outcomes
+from .workers import InProcessRunner, ShardWorkerPool, WorkerPoolError, pooled_outcomes
 
 __all__ = [
     "PARTITION_METHODS",
@@ -49,6 +50,7 @@ __all__ = [
     "absorb_graph",
     "save_partition",
     "load_partition",
+    "InProcessRunner",
     "ShardWorkerPool",
     "WorkerPoolError",
     "pooled_outcomes",

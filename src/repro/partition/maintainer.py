@@ -19,7 +19,7 @@ After each refresh the maintainer checks the policy's triggers:
 * **per-shard load** — any shard holding more than ``max_load_factor``
   times the ideal ``|E| / k`` core edges sheds its excess onto open
   shards (:meth:`ShardedIndex.rebalance` — only the shards involved are
-  touched, everything else keeps its cached state);
+  touched);
 * **replication factor** — if boundary replication exceeds
   ``max_replication``, local moves are no longer worth it and the
   maintainer falls back to one full re-partition.
@@ -131,8 +131,10 @@ class ShardedIndexMaintainer(DeltaMaintainer):
         """The maintained index, brought current (policy applied, if any).
 
         A refresh or policy trigger that *replaces* the index (a full
-        re-partition) goes through :meth:`ShardedIndex.rebuilt`, which
-        carries the view-cache bound ``max_resident`` over.
+        re-partition) goes through :meth:`ShardedIndex.rebuilt`.  The
+        index holds no views: a runner bound to the old object drops or
+        replaces its views wholesale when it sees the new one, and keeps
+        them current by delta while the object stays the same.
         """
         result: ShardedIndex = self.refresh()  # type: ignore[assignment]
         if self.policy is not None:

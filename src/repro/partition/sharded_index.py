@@ -15,17 +15,12 @@ views evaluation needs:
   *core* edges realize it.  A pattern can only have occurrences anchored
   in shards sharing its footprint, so the directory prunes whole shards
   per candidate;
-* per-shard :class:`~repro.index.GraphIndex` instances (built lazily,
-  cached on each shard's core graph, and delta-patched through a
-  per-shard :class:`~repro.index.delta.IndexMaintainer` — the PR 2
-  splice machinery applied shard-by-shard);
 * **halo-expanded shard views** — the induced subgraph within ``depth``
-  hops of a shard's vertices, cached per (shard, depth).  Depth
-  ``n - 2`` is exactly what makes per-shard enumeration of an n-node
-  connected pattern exhaustive for occurrences using a core edge (see
-  :mod:`repro.partition.evaluate`).  ``max_resident`` bounds how many
-  shards keep cached views: past it the least recently used shard's
-  views are dropped and recomputed on their next use.
+  hops of a shard's vertices, computed afresh on each call (the index
+  keeps no views: the runners of :mod:`repro.partition.workers` hold
+  them and keep them current by delta).  Depth ``n - 2`` is exactly what
+  makes per-shard enumeration of an n-node connected pattern exhaustive
+  for occurrences using a core edge (see :mod:`repro.partition.evaluate`).
 
 Like :class:`~repro.index.GraphIndex`, a ShardedIndex is a snapshot of
 one graph version — but no longer a *static* one: it implements the
@@ -34,9 +29,8 @@ typed graph deltas in O(delta) through :meth:`apply_delta` instead of
 forcing a re-partition + rebuild.  Each delta is routed to its owning
 shard by the partition's persisted assignment function
 (:class:`~repro.partition.partitioner.EdgeRouter`), halo replicas are
-patched in every incident shard, and the merged histogram, label-pair
-directory, and cached halo expansions are updated (or, for expansions
-whose ball a delta touched, invalidated) incrementally.
+patched in every incident shard, and the merged histogram and label-pair
+directory are updated incrementally.
 :class:`~repro.partition.maintainer.ShardedIndexMaintainer` drives this
 from a cursor on the graph's delta log; un-maintained callers keep the
 old behavior — :meth:`is_current` reports staleness and the miner
@@ -46,7 +40,6 @@ re-partitions per session exactly as before.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PartitionError
@@ -57,7 +50,6 @@ from ..graph.labeled_graph import (
     Vertex,
     normalize_edge,
 )
-from ..index.compact import projected_index_nbytes
 from ..index.graph_index import GraphIndex, _label_pair_key
 from ..index.maintainable import MaintainableIndex
 from ..obs import metrics as _metrics
@@ -90,17 +82,9 @@ class ShardedIndex(MaintainableIndex):
     Build with :meth:`build` (partitioning included) or directly from a
     pre-computed :class:`~repro.partition.partitioner.Partition`.  The
     source graph is retained: halo expansion and global-exactness
-    guarantees both need it, and a one-shard index's halo view is the
-    source graph itself.
-
-    ``max_resident`` (``None`` = unbounded) caps how many shards keep
-    halo views in the view cache (:meth:`expanded_shard`).
-    ``resident_weight`` / ``peak_resident_weight`` account the cached
-    views by :func:`repro.index.compact.projected_index_nbytes`, the
-    analytic byte cost of an index over each view (a whole-graph alias
-    shares the source graph's storage and weighs 0); ``evictions`` and
-    ``recomputes`` count the shards the bound dropped and the views
-    computed.  The registry mirrors them as ``repro_pager_*``.
+    guarantees both need it, and a ball that swallows the whole graph is
+    returned as the source graph itself.  ``recomputes`` counts the
+    views :meth:`expanded_shard` computed (``repro_pager_recomputes``).
     """
 
     __slots__ = (
@@ -114,35 +98,17 @@ class ShardedIndex(MaintainableIndex):
         "_owners",
         "_histogram",
         "_router",
-        "_maintainers",
-        "_expanded",
-        "max_resident",
-        "resident_weight",
-        "peak_resident_weight",
-        "evictions",
         "recomputes",
     )
 
-    def __init__(
-        self,
-        graph: LabeledGraph,
-        partition: Partition,
-        max_resident: Optional[int] = None,
-    ) -> None:
-        if max_resident is not None and max_resident < 1:
-            raise PartitionError(f"max_resident must be >= 1, got {max_resident}")
+    def __init__(self, graph: LabeledGraph, partition: Partition) -> None:
         self.graph = graph
         self.partition = partition
         self.version = graph.mutation_version()
-        # shard id -> depth -> cached view; least recently used shard first
-        self._expanded: "OrderedDict[int, Dict[int, LabeledGraph]]" = OrderedDict()
         self._router: Optional[EdgeRouter] = None
-        self._maintainers: Dict[int, object] = {}
-        self.max_resident = max_resident
-        self.resident_weight = 0
-        self.peak_resident_weight = 0
-        self.evictions = 0
         self.recomputes = 0
+        # Every sharded session builds an index: it registers the view
+        # metrics its runner moves (repro.partition.workers) beside its own.
         registry = _metrics.get_registry()
         for name in ("evictions", "recomputes"):
             registry.counter(f"repro_pager_{name}")
@@ -208,24 +174,15 @@ class ShardedIndex(MaintainableIndex):
     # ------------------------------------------------------------------
     @classmethod
     def build(
-        cls,
-        graph: LabeledGraph,
-        num_shards: int,
-        method: str = "hash",
-        max_resident: Optional[int] = None,
+        cls, graph: LabeledGraph, num_shards: int, method: str = "hash"
     ) -> "ShardedIndex":
         """Partition ``graph`` and build the sharded index in one call."""
-        return cls(graph, partition_edges(graph, num_shards, method), max_resident)
+        return cls(graph, partition_edges(graph, num_shards, method))
 
     def rebuilt(self) -> "ShardedIndex":
         """Re-partition + re-index the graph's current state from scratch,
-        preserving the shard count, partition method, view-cache bound and
-        peak resident weight."""
-        result = ShardedIndex.build(
-            self.graph, self.num_shards, self.partition.method, self.max_resident
-        )
-        result.peak_resident_weight = self.peak_resident_weight
-        return result
+        preserving the shard count and partition method."""
+        return ShardedIndex.build(self.graph, self.num_shards, self.partition.method)
 
     def router(self) -> EdgeRouter:
         """The partition's online assignment function (delta routing).
@@ -245,8 +202,7 @@ class ShardedIndex(MaintainableIndex):
     def apply_delta(self, delta) -> bool:
         """Patch the sharded index in place for one typed graph delta.
 
-        Routing rules (each delta touches O(delta) maintained state plus
-        the invalidation scan over cached expansions):
+        Routing rules (each delta touches O(delta) maintained state):
 
         * ``VertexAdded`` — the isolated vertex is routed to its stable
           bucket shard, recorded in ``vertex_assignment``, added to that
@@ -267,12 +223,7 @@ class ShardedIndex(MaintainableIndex):
           emits the incident ``EdgeRemoved`` deltas first): the vertex
           leaves its assigned shard and the histogram.
 
-        Cached halo expansions whose ball a delta could touch are
-        invalidated (membership-changed shards, views containing a
-        touched vertex, and whole-graph aliases); untouched views — and
-        their cached per-view indexes — survive, which is what makes
-        localized streams cheap.  The index version advances to the
-        delta's version; apply deltas contiguously
+        The index version advances to the delta's version; apply deltas contiguously
         (:class:`~repro.partition.maintainer.ShardedIndexMaintainer`
         enforces this).  Returns ``False`` for unknown delta kinds.
         """
@@ -369,39 +320,12 @@ class ShardedIndex(MaintainableIndex):
                 del self._edge_counts[w]
         self.router().edge_removed(shard_id)
 
-    def _invalidate_expansions(self, shard_ids: Set[int], vertices) -> None:
-        """Drop cached halo expansions a delta could have changed.
-
-        A view survives only when its base shard's membership is
-        untouched, it is not a whole-graph alias, and no touched vertex
-        lies inside it — in which case neither its vertex ball nor its
-        induced edges can have moved (a touched edge with both endpoints
-        outside a ball cannot shorten any path into it).
-        """
-        if not self._expanded:
-            return
-        graph = self.graph
-        for shard_id in list(self._expanded):
-            views = self._expanded[shard_id]
-            dead = [
-                depth
-                for depth, view in views.items()
-                if shard_id in shard_ids
-                or view is graph
-                or any(view.has_vertex(vertex) for vertex in vertices)
-            ]
-            for depth in dead:
-                self._weigh(views.pop(depth), -1)
-            if not views:
-                del self._expanded[shard_id]
-
     # -- per-kind handlers ---------------------------------------------
     def _apply_vertex_added(self, vertex: Vertex, label: Label) -> None:
         shard_id = self.router().route_vertex(vertex)
         self.partition.vertex_assignment[vertex] = shard_id
         self._add_member(shard_id, vertex, label)
         self._histogram[label] = self._histogram.get(label, 0) + 1
-        self._invalidate_expansions({shard_id}, (vertex,))
 
     def _apply_edge_added(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
         edge = normalize_edge(u, v)
@@ -411,18 +335,15 @@ class ShardedIndex(MaintainableIndex):
                 "the mutation stream contiguously"
             )
         shard_id = self.router().route_edge(u, v, lu, lv)
-        touched = {shard_id}
         for w in (u, v):
             stale = self.partition.vertex_assignment.pop(w, None)
             if stale is not None and stale != shard_id:
                 # The endpoint is no longer isolated; its only reason to
                 # live in the stale shard is gone.
                 self._drop_member(stale, w)
-                touched.add(stale)
         self._attach_edge(edge, lu, lv, shard_id)
         self._refresh_halo(u)
         self._refresh_halo(v)
-        self._invalidate_expansions(touched, (u, v))
 
     def _apply_edge_removed(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
         edge = normalize_edge(u, v)
@@ -433,7 +354,6 @@ class ShardedIndex(MaintainableIndex):
                 "cover; deltas must replay the mutation stream contiguously"
             )
         self._detach_edge(edge, lu, lv, shard_id)
-        touched = {shard_id}
         for w, lw in ((u, lu), (v, lv)):
             counts = self._edge_counts.get(w)
             if counts is None:
@@ -444,7 +364,6 @@ class ShardedIndex(MaintainableIndex):
                     self.partition.vertex_assignment[w] = home
                     if home != shard_id:
                         self._drop_member(shard_id, w)
-                        touched.add(home)
                     self._add_member(home, w, lw)
             elif (
                 counts.get(shard_id, 0) == 0
@@ -452,7 +371,6 @@ class ShardedIndex(MaintainableIndex):
             ):
                 self._drop_member(shard_id, w)
             self._refresh_halo(w)
-        self._invalidate_expansions(touched, (u, v))
 
     def _apply_vertex_removed(self, vertex: Vertex, label: Label) -> None:
         if vertex in self._edge_counts:
@@ -471,7 +389,6 @@ class ShardedIndex(MaintainableIndex):
         self._histogram[label] -= 1
         if self._histogram[label] == 0:
             del self._histogram[label]
-        self._invalidate_expansions({shard_id}, (vertex,))
 
     # ------------------------------------------------------------------
     # rebalancing
@@ -484,7 +401,7 @@ class ShardedIndex(MaintainableIndex):
         their canonically-last core edges onto the open shard with the
         most endpoint affinity (fewest new replicas), load and id as
         tie-breaks — deterministic, and touching **only** the shards
-        involved (per-shard indexes and expansions elsewhere survive).
+        involved.
         The graph itself is never mutated, so the index version is
         unchanged and exactness is preserved for any resulting partition.
         """
@@ -547,7 +464,6 @@ class ShardedIndex(MaintainableIndex):
             ):
                 self._drop_member(src, w)
             self._refresh_halo(w)
-        self._invalidate_expansions({src, dst}, (u, v))
 
     # ------------------------------------------------------------------
     # merged global views
@@ -573,23 +489,6 @@ class ShardedIndex(MaintainableIndex):
     def label_pair_directory(self) -> Dict[LabelPair, Tuple[int, ...]]:
         """Canonical label pair -> shard ids (do not mutate)."""
         return self._pair_shards
-
-    def shard_index(self, shard_id: int) -> GraphIndex:
-        """The (cached) :class:`GraphIndex` of one shard's core graph.
-
-        Each shard graph rides its own
-        :class:`~repro.index.delta.IndexMaintainer` (attached lazily on
-        first use), so shard-graph mutations made by :meth:`apply_delta`
-        are absorbed by the existing O(delta) splice machinery instead of
-        triggering per-shard rebuilds.
-        """
-        maintainer = self._maintainers.get(shard_id)
-        if maintainer is None:
-            from ..index.delta import IndexMaintainer
-
-            maintainer = IndexMaintainer(self.shards[shard_id].graph)
-            self._maintainers[shard_id] = maintainer
-        return maintainer.index()  # type: ignore[union-attr]
 
     def boundary_vertices(self) -> Set[Vertex]:
         """All vertices replicated into more than one shard."""
@@ -618,56 +517,15 @@ class ShardedIndex(MaintainableIndex):
         Depth 0 is the induced subgraph on the shard's own vertex set
         (which may pick up non-core edges between boundary vertices —
         exactly the cross-shard edges halo-aware evaluation must see).
-        Views are cached per (shard, depth); when the ball swallows the
-        whole graph the source graph itself is returned, so its cached
-        global index is reused instead of duplicated.  Delta maintenance
-        invalidates exactly the views a delta could have changed.  With
-        ``max_resident`` set, caching a view for one shard more than the
-        bound drops every view of the least recently used shard; the
-        next access recomputes them, so the result never depends on the
-        eviction order.
+        Every call computes the view afresh and counts it in
+        ``recomputes``; when the ball swallows the whole graph the source
+        graph itself is returned instead of a copy.  When the source
+        graph carries a current index, the BFS runs over the CSR rows
+        with interned ids (one list index per neighbor instead of a hash
+        probe per visit) and the kept set is decoded once at the end.
         """
-        views = self._expanded.get(shard_id)
-        if views is not None:
-            self._expanded.move_to_end(shard_id)
-            view = views.get(depth)
-            if view is not None:
-                return view
-        view = self._compute_expansion(shard_id, depth)
-        self._expanded.setdefault(shard_id, {})[depth] = view
         self.recomputes += 1
         _metrics.counter("repro_pager_recomputes").inc()
-        self._weigh(view, 1)
-        if self.max_resident is not None:
-            while len(self._expanded) > self.max_resident:
-                _, evicted = self._expanded.popitem(last=False)
-                for old in evicted.values():
-                    self._weigh(old, -1)
-                self.evictions += 1
-                _metrics.counter("repro_pager_evictions").inc()
-        return view
-
-    def _weigh(self, view: LabeledGraph, sign: int) -> None:
-        """Add (``sign=1``) or remove (``-1``) one cached view's weight."""
-        if view is not self.graph:
-            self.resident_weight += sign * projected_index_nbytes(
-                view.num_vertices, view.num_edges, len(view.label_alphabet())
-            )
-        if self.resident_weight > self.peak_resident_weight:
-            self.peak_resident_weight = self.resident_weight
-        _metrics.gauge("repro_pager_resident_weight").set(self.resident_weight)
-        _metrics.gauge("repro_pager_peak_resident_weight").set_max(
-            self.peak_resident_weight
-        )
-
-    def _compute_expansion(self, shard_id: int, depth: int) -> LabeledGraph:
-        """Compute one halo-expanded view from scratch (no cache lookup).
-
-        When the source graph carries a current index, the BFS
-        runs over the CSR rows with interned ids (one list index per
-        neighbor instead of a hash probe per visit) and the kept set is
-        decoded once at the end.
-        """
         cached_index = self.graph.cached_index()
         if (
             depth > 0

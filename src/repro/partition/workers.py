@@ -1,14 +1,15 @@
-"""The sharded evaluator and the shard-resident worker processes.
+"""The sharded evaluator and its two runners: in process and shard-resident.
 
 **The one sharded evaluator** (:func:`pooled_outcomes`).  It plans each
 batch of candidates into ``(kind, pattern, shard_id, exclusive, limit)``
-tasks, has a *runner* evaluate them, and merges the partials.  The
-runner is either the resident pool below or, with ``runner=None``, the
-planner itself evaluating in process against
-:meth:`ShardedIndex.expanded_shard`.  Both go through the one task
-function :func:`~repro.partition.evaluate.evaluate_task`, and both
-evaluate every task against the same view: the shard's halo expansion
-at the session depth ``D = max_pattern_nodes - 2``, one view per shard.
+tasks, has a *runner* evaluate them, and merges the partials.  There is
+one view machinery and two runners of it: the resident pool below, and
+:class:`InProcessRunner`, which runs the same machinery in the calling
+process for serial sessions.  Both hold one :class:`ResidentView` per
+shard, the shard's halo expansion at the session depth ``D =
+max_pattern_nodes - 2``, kept current by that shard's
+:class:`ShippedShard` record, and both evaluate every task through the
+one task function :func:`~repro.partition.evaluate.evaluate_task`.
 Serial and pooled sharded mining are therefore byte-identical by
 construction.
 
@@ -35,13 +36,14 @@ worker's tasks for one batch go out in one message, together with the
 patches they need, and come back in task order, in one reply unless the
 results outgrow :data:`REPLY_BYTES`.
 
-The parent keeps no views: per shipped shard it records the ball's
-vertex set (at most ``|V|`` members, the ``repro_pool_recorded_members``
-gauge) and the core edges, whatever the index's ``max_resident`` bound
-says; the bound limits only the index's own view cache.  One shard's
-ball is the whole graph, which the index returns as the source graph
-itself (weight 0, no view copy); the parent does hold the one-shard
-index's core graph, a copy of the graph's vertices and edges.
+The pooled parent keeps no views: per shipped shard it records the
+ball's vertex set (at most ``|V|`` members, the
+``repro_pool_recorded_members`` gauge) and the core edges, so the
+``max_resident`` bound, which caps the in-process runner's views, holds
+there trivially.  A ball that swallows the whole graph is read as the
+source graph itself (no view copy in the parent); the parent does hold
+the one-shard index's core graph, a copy of the graph's vertices and
+edges.
 """
 
 from __future__ import annotations
@@ -49,23 +51,26 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import traceback
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
 from typing import (
     AbstractSet,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..errors import PartitionError
 from ..graph.labeled_graph import Edge, Label, LabeledGraph, Vertex, normalize_edge
 from ..graph.pattern import Pattern
+from ..index.compact import projected_index_nbytes
 from ..index.delta import EdgeAdded, EdgeRemoved, IndexMaintainer, VertexRemoved
 from ..obs import metrics as _metrics
 from .evaluate import (
@@ -217,10 +222,12 @@ class ShippedShard:
     to members.  So the parent's work is local to the deltas, and the
     patched view is again the induced subgraph on the new ball: exact.
 
-    Fallback: a new record, a record closed by :meth:`close` (the pool
-    re-bound to another index object or depth, or detached), and a gap
+    Fallback: a new record, a record closed by :meth:`close` (its runner
+    re-bound to another index object or depth, or shut down), and a gap
     on either cursor replace the view wholesale (:func:`shard_patch`),
-    read through :meth:`ShardedIndex.expanded_shard`.
+    computed by :meth:`ShardedIndex.expanded_shard`.  Close a record
+    when its runner drops it: an open source cursor keeps the graph's
+    delta log alive.
     """
 
     __slots__ = ("shard_id", "members", "core", "_source", "_core_cursor")
@@ -233,7 +240,7 @@ class ShippedShard:
         self._core_cursor = None
 
     def _replace(self, sharded: ShardedIndex, depth: int) -> ShardPatch:
-        """Re-ship the whole view, read through ``expanded_shard``."""
+        """Re-ship the whole view, computed by ``expanded_shard``."""
         self.close()
         shard = sharded.shards[self.shard_id]
         view = sharded.expanded_shard(self.shard_id, depth)
@@ -406,7 +413,7 @@ class ResidentView:
             self._maintainer.index()
 
     def evaluate(self, task: ShardTask, config: Dict[str, object]):
-        """Run one task against this view; lazy scans are read out in full."""
+        """Run one task against this view (a lazy ``part`` task's scan on demand)."""
         source = None
         if (
             config["measure"] == "mni"
@@ -416,8 +423,6 @@ class ResidentView:
         ):
             source = self._occurrence_set(task[1])
         payload = evaluate_task(task, lambda: self.view, self.core, config, source)
-        if isinstance(payload, NodeImages):
-            payload = dict(payload)  # scan every node before sending
         if source is not None:
             self._trim()
         return payload
@@ -497,6 +502,8 @@ def _worker_main(conn, config: Dict[str, object]) -> None:
                 view.apply(patch, use_index)
             for task in tasks:
                 result = resident[task[2]].evaluate(task, config)
+                if isinstance(result, NodeImages):
+                    result = dict(result)  # scan every node before sending
                 chunk.append(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
                 size += len(chunk[-1])
                 if size >= REPLY_BYTES:
@@ -531,13 +538,24 @@ _SET_COUNTERS = ("tasks_from_sets", "sets_built", "sets_dropped")
 PATCH_ELEMENT_BUCKETS = (4, 16, 64, 256, 1024, 4096, 16384)
 
 
+def _deal_key(pattern: Pattern) -> int:
+    """A key of ``pattern``'s signature that is the same in every run
+    (sorted reprs, not ``hash()``, whose string hashes vary per run)."""
+    labels, edges = pattern.graph.signature()
+    text = repr((sorted(map(repr, labels)), sorted(map(repr, edges))))
+    return zlib.crc32(text.encode())
+
+
 class ShardWorkerPool:
     """Long-lived shard-owning worker processes, one message per batch each.
 
     Shards are placed on workers by :func:`shard_owners`: every task for
     a shard runs on a worker that holds its resident view.  A shard held
     by several workers (fewer shards than workers) gets each of its
-    patches on all of them, and its tasks are dealt among them in turn.
+    patches on all of them, and its tasks are dealt among them by a
+    stable key of the pattern's signature (:func:`_deal_key`), so a
+    pattern re-evaluated batch after batch keeps its occurrence set on
+    one holder.
     :meth:`run` sends each worker one message per batch (the patches its
     shards need, then its tasks in order) and reads its reply, so
     outcomes are position-stable and byte-identical however the OS
@@ -644,16 +662,6 @@ class ShardWorkerPool:
         self._depth = depth
         self._placed = shards
 
-    def detach(self) -> None:
-        """Stop following the bound index and close every cursor.
-
-        The workers keep their views, and the records what they hold: a
-        shard's next use replaces its view wholesale.
-        """
-        for record in self._shipped.values():
-            record.close()
-        self._bound = None
-
     # -- plumbing ------------------------------------------------------
     def _send(self, worker: int, message) -> None:
         try:
@@ -722,12 +730,13 @@ class ShardWorkerPool:
             shard_id: shard_owners(shard_id, sharded.num_shards, self.workers)
             for shard_id in sorted({task[2] for task in tasks})
         }
-        dealt = dict.fromkeys(holders, 0)
         positions: Dict[int, List[int]] = {}
         for position, task in enumerate(tasks):
             owners = holders[task[2]]
-            worker = owners[dealt[task[2]] % len(owners)]
-            dealt[task[2]] += 1
+            if len(owners) > 1:
+                worker = owners[_deal_key(task[1]) % len(owners)]
+            else:
+                worker = owners[0]
             positions.setdefault(worker, []).append(position)
         patches: Dict[int, List[ShardPatch]] = {worker: [] for worker in positions}
         for worker, patch in self._emptied:
@@ -818,7 +827,9 @@ class ShardWorkerPool:
         if self._closed:
             return
         self._closed = True
-        self.detach()
+        for record in self._shipped.values():
+            record.close()
+        self._bound = None
         if wait and not cancel_futures:
             for conn in self._conns:
                 try:
@@ -839,10 +850,115 @@ class ShardWorkerPool:
                 pass
 
 
+class InProcessRunner:
+    """The pool's view machinery in the calling process: the serial runner.
+
+    One :class:`ResidentView` per shard, kept current by the shard's
+    :class:`ShippedShard` record as a pool worker's view is, so a steady
+    stream computes no view and re-evaluated eager-MNI patterns read
+    kept sets.  :meth:`run` has the pool's signature but runs each task
+    only when the merge reaches it, so a lazy ``part`` task's on-demand
+    :class:`~repro.partition.evaluate.NodeImages` keeps the merge's
+    node-major early exits.
+
+    ``max_resident`` (``None`` = unbounded) caps how many shards hold
+    views: one more drops the least recently used shard's view and
+    closes its record, and its next use ships it whole.  A re-bind
+    (another index object or depth) drops every view.
+    ``resident_weight`` / ``peak_resident_weight`` sum
+    :func:`~repro.index.compact.projected_index_nbytes` over the held
+    views and ``evictions`` counts the bound's drops; the registry
+    mirrors them as ``repro_pager_*``.
+    """
+
+    def __init__(
+        self,
+        *,
+        measure: str,
+        lazy: bool,
+        lazy_cap: Optional[int],
+        use_index: bool,
+        max_resident: Optional[int] = None,
+    ) -> None:
+        if max_resident is not None and max_resident < 1:
+            raise PartitionError(f"max_resident must be >= 1, got {max_resident}")
+        self._config = dict(
+            measure=measure, lazy=lazy, lazy_cap=lazy_cap, use_index=use_index
+        )
+        self.max_resident = max_resident
+        # shard id -> [record, view, weight]; least recently used first
+        self._held: "OrderedDict[int, list]" = OrderedDict()
+        self._bound: Optional[ShardedIndex] = None
+        self._depth: Optional[int] = None
+        self.resident_weight = 0
+        self.peak_resident_weight = 0
+        self.evictions = 0
+
+    def run(
+        self, sharded: ShardedIndex, tasks: Sequence[ShardTask], depth: int
+    ) -> Iterator:
+        """Evaluate ``tasks`` against ``sharded``'s views at ``depth``, lazily."""
+        if sharded is not self._bound or depth != self._depth:
+            self._drop(list(self._held))
+            self._bound, self._depth = sharded, depth
+        return self._evaluate(sharded, tasks)
+
+    def _evaluate(self, sharded: ShardedIndex, tasks: Sequence[ShardTask]):
+        current: Set[int] = set()  # shards brought current in this batch
+        for task in tasks:
+            yield self._view(sharded, task[2], current).evaluate(task, self._config)
+
+    def _view(self, sharded: ShardedIndex, shard_id: int, current: Set[int]):
+        held = self._held.get(shard_id)
+        if held is None:
+            held = self._held[shard_id] = [ShippedShard(shard_id), ResidentView(), 0]
+        else:
+            self._held.move_to_end(shard_id)
+        record, view, weight = held
+        if shard_id not in current:
+            current.add(shard_id)
+            patch, _whole = record.update(sharded, self._depth)
+            if patch is not None:
+                view.apply(patch, self._config["use_index"])
+                held[2] = projected_index_nbytes(
+                    view.view.num_vertices,
+                    view.view.num_edges,
+                    len(view.view.label_alphabet()),
+                )
+                self._weigh(held[2] - weight)
+        if self.max_resident is not None and len(self._held) > self.max_resident:
+            evicted = next(iter(self._held))
+            current.discard(evicted)
+            self._drop([evicted])
+            self.evictions += 1
+            _metrics.counter("repro_pager_evictions").inc()
+        return view
+
+    def _drop(self, shard_ids) -> None:
+        """Drop these shards' views and close their records."""
+        for shard_id in shard_ids:
+            record, _view, weight = self._held.pop(shard_id)
+            record.close()
+            self._weigh(-weight)
+
+    def _weigh(self, change: int) -> None:
+        self.resident_weight += change
+        self.peak_resident_weight = max(self.peak_resident_weight, self.resident_weight)
+        _metrics.gauge("repro_pager_resident_weight").set(self.resident_weight)
+        _metrics.gauge("repro_pager_peak_resident_weight").set_max(
+            self.peak_resident_weight
+        )
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Drop every view and close every record (the pool's signature)."""
+        self._drop(list(self._held))
+        self._bound = None
+
+
 def pooled_outcomes(
     patterns: Sequence[Pattern],
     sharded: ShardedIndex,
-    runner: Optional[ShardWorkerPool],
+    runner: Union[ShardWorkerPool, InProcessRunner],
     *,
     measure: str,
     lazy: bool,
@@ -852,7 +968,6 @@ def pooled_outcomes(
     flat_evaluate: Callable[[Pattern], Tuple[float, int]],
     histogram: Optional[Dict] = None,
     prune_below: Optional[float] = None,
-    use_index: bool = True,
 ) -> List[Tuple[float, int]]:
     """Plan, run, and merge one batch of candidates: the sharded evaluator.
 
@@ -868,14 +983,13 @@ def pooled_outcomes(
     Every task is evaluated against its shard's halo view at ``depth``,
     the session depth (``max_pattern_nodes - 2``), which must cover every
     planned pattern's :func:`~repro.partition.evaluate.required_depth`.
-    ``runner`` is a :class:`ShardWorkerPool`, which gets the batch's
-    tasks and the depth in one :meth:`ShardWorkerPool.run`, or ``None``,
-    which evaluates each task in process as the merge reaches it, against
-    :meth:`ShardedIndex.expanded_shard` (``use_index=False`` is the
-    brute reference path).  Either way every task goes through
-    :func:`~repro.partition.evaluate.evaluate_task` and every partial
-    through the same merges, so outcomes are byte-identical however the
-    tasks execute.  In process, a lazy fanout's partials are on-demand
+    ``runner`` gets the batch's tasks and the depth in one ``run`` call:
+    a :class:`ShardWorkerPool`, or an :class:`InProcessRunner`, which
+    evaluates each task as the merge reaches it.  Either way every task
+    goes through :func:`~repro.partition.evaluate.evaluate_task` against
+    a :class:`ResidentView` and every partial through the same merges,
+    so outcomes are byte-identical however the tasks execute.  In
+    process, a lazy fanout's partials are on-demand
     :class:`~repro.partition.evaluate.NodeImages` scans that
     :func:`~repro.partition.evaluate.merge_lazy_partials` reads node by
     node, keeping its early exits.
@@ -910,21 +1024,7 @@ def pooled_outcomes(
             (task_kind, pattern, shard_id, exclusive, max_occurrences)
             for shard_id, exclusive in shards
         )
-    if runner is None:
-        config = dict(
-            measure=measure, lazy=lazy, lazy_cap=lazy_cap, use_index=use_index
-        )
-        partials = (
-            evaluate_task(
-                task,
-                partial(sharded.expanded_shard, task[2], depth),
-                sharded.shards[task[2]].core_edge_set,
-                config,
-            )
-            for task in tasks
-        )
-    else:
-        partials = iter(runner.run(sharded, tasks, depth) if tasks else ())
+    partials = iter(runner.run(sharded, tasks, depth) if tasks else ())
     outcomes: List[Tuple[float, int]] = []
     for pattern, (kind, payload) in zip(patterns, plans):
         if kind == "pruned":

@@ -154,8 +154,11 @@ class TestShardedApplyDelta:
         )
         assert maintainer.rebuilds == 0
 
-    def test_expansion_cache_survives_remote_deltas(self):
-        """A delta outside a cached expansion's ball leaves the view cached."""
+    def test_remote_deltas_leave_shard_views_unpatched(self):
+        """A delta outside a shipped view's ball derives no patch for it."""
+        from repro.graph.labeled_graph import normalize_edge
+        from repro.partition.workers import ShippedShard
+
         graph = LabeledGraph(name="two-islands")
         for i in range(4):
             graph.add_vertex(f"l{i}", "A")
@@ -167,22 +170,32 @@ class TestShardedApplyDelta:
         for u, v in graph.edges():
             assignment[(u, v)] = 0 if u.startswith("l") else 1
         partition = Partition(
-            num_shards=2, method="hash", assignment=assignment,
+            num_shards=2,
+            method="hash",
+            assignment=assignment,
             vertex_assignment={},
         )
         sharded = ShardedIndex(graph, partition)
         maintainer = ShardedIndexMaintainer(sharded=sharded)
-        left_view = sharded.expanded_shard(0, 1)
-        right_view = sharded.expanded_shard(1, 1)
-        # Remove a middle right-island edge: no vertex isolates, so only
-        # the right shard's views are touched.
-        graph.remove_edge("r1", "r2")
-        patched = maintainer.sharded()
-        assert patched is sharded
-        assert sharded.expanded_shard(0, 1) is left_view  # cache survives
-        fresh_right = sharded.expanded_shard(1, 1)
-        assert fresh_right is not right_view  # invalidated and rebuilt
-        assert not fresh_right.has_edge("r1", "r2")
+        left, right = ShippedShard(0), ShippedShard(1)
+        try:
+            assert left.update(sharded, 1)[1] and right.update(sharded, 1)[1]
+            # Remove a middle right-island edge: no vertex isolates, so
+            # only the right shard's view changes.
+            graph.remove_edge("r1", "r2")
+            patched = maintainer.sharded()
+            assert patched is sharded
+            assert left.update(sharded, 1) == (None, False)
+            patch, whole = right.update(sharded, 1)
+            assert not whole
+            assert patch.edges_out == (normalize_edge("r1", "r2"),)
+            assert patch.core_out == (normalize_edge("r1", "r2"),)
+            assert not patch.vertices_out and not patch.edges_in
+        finally:
+            left.close()
+            right.close()
+            maintainer.detach()
+        assert graph.delta_log() is None
 
     def test_maintainable_protocol(self):
         graph = build_graph(11)

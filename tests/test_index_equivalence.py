@@ -372,20 +372,14 @@ class TestMinerRobustness:
         ]
 
     def test_broken_pool_degrades_to_serial(self, monkeypatch):
-        from repro.mining import miner as miner_module
         from repro.obs import metrics
-        from repro.partition import WorkerPoolError
+        from repro.partition import ShardWorkerPool, WorkerPoolError
 
-        class ExplodingPool:
-            """Pool whose workers die on first use (killed-worker stand-in)."""
+        def exploding_run(self, *args, **kwargs):
+            """Workers that die on first use (killed-worker stand-in)."""
+            raise WorkerPoolError("no workers for you")
 
-            def run(self, *args, **kwargs):
-                raise WorkerPoolError("no workers for you")
-
-            def shutdown(self, *args, **kwargs):
-                pass
-
-        monkeypatch.setattr(miner_module, "_make_pool", lambda spec: ExplodingPool())
+        monkeypatch.setattr(ShardWorkerPool, "run", exploding_run)
         graph = build_graph(("er", 11, 14, 0.25))
         spec = MiningSpec(measure="mni", min_support=2, max_pattern_nodes=3)
         fallbacks = metrics.counter("repro_pool_serial_fallbacks")

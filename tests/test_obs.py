@@ -453,15 +453,10 @@ class TestDocumentedMetrics:
             ("de", 6, 7),
             ("e", 6, 7),
         ]
-        list(
-            mine_stream(
-                graph,
-                updates,
-                spec=MINE_SPEC.replace(
-                    batch_size=2, mode="delta", shards=3, workers=2, max_resident=1
-                ),
-            )
+        bounded = MINE_SPEC.replace(
+            batch_size=2, mode="delta", shards=3, workers=2, max_resident=1
         )
+        list(mine_stream(graph, updates, spec=bounded))
         snap = fresh_registry.snapshot()
         assert snap["repro_miner_sessions"] >= 2
         assert snap["repro_pool_tasks_dispatched"] > 0
@@ -469,7 +464,13 @@ class TestDocumentedMetrics:
         # Delta-dirtied slices travel as patches.
         assert snap["repro_pool_slices_patched"] > 0
         assert snap["repro_pager_recomputes"] > 0
-        assert snap["repro_pager_evictions"] > 0
+        # A pooled parent holds no views; the serial runner's bound evicts.
+        assert snap["repro_pager_evictions"] == 0
+        assert snap["repro_pager_peak_resident_weight"] == 0
+        list(mine_stream(mining_graph(), updates, spec=bounded.replace(workers=1)))
+        serial = fresh_registry.snapshot()
+        assert serial["repro_pager_evictions"] > 0
+        assert serial["repro_pager_peak_resident_weight"] > 0
         # Counts the workers carry back on their replies: patterns
         # re-evaluated on a view get a kept occurrence set at their
         # second evaluation there and are read from it afterwards.

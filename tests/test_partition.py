@@ -204,7 +204,11 @@ class TestHaloBookkeeping:
             for v in graph.neighbors(u):
                 if v in ball:
                     assert expanded2.has_edge(u, v)
-        assert sharded.expanded_shard(1, 2) is expanded2  # cached
+        recomputes = sharded.recomputes
+        again = sharded.expanded_shard(1, 2)  # no view cache: computed afresh
+        assert sharded.recomputes == recomputes + 1
+        assert set(again.vertices()) == ball
+        assert set(again.edges()) == set(expanded2.edges())
 
     def test_expanded_shard_degenerates_to_whole_graph(self):
         graph = build_graph(GRAPH_SPECS[0])

@@ -32,6 +32,7 @@ from repro.mining.miner import mine_frequent_patterns
 from repro.mining.parallel import evaluate_support
 from repro.mining.spec import MiningSpec
 from repro.partition import (
+    InProcessRunner,
     PARTITION_METHODS,
     ShardedIndex,
     merge_shard_items,
@@ -268,7 +269,7 @@ UNANCHORED = path_pattern(["A", "Z"])
 
 
 def sharded_outcomes(patterns, sharded, measure, **common):
-    """Serial sharded supports: ``pooled_outcomes`` with the in-process runner.
+    """Serial sharded supports: ``pooled_outcomes`` on a fresh in-process runner.
 
     The views are at depth 2, a 4-node session's, deeper than some of
     ``PATTERNS`` need.
@@ -277,9 +278,24 @@ def sharded_outcomes(patterns, sharded, measure, **common):
     def flat(pattern):
         raise AssertionError(f"{pattern} unexpectedly took the flat path")
 
-    return pooled_outcomes(
-        patterns, sharded, None, measure=measure, depth=2, flat_evaluate=flat, **common
+    runner = InProcessRunner(
+        measure=measure,
+        lazy=common["lazy"],
+        lazy_cap=common["lazy_cap"],
+        use_index=True,
     )
+    try:
+        return pooled_outcomes(
+            patterns,
+            sharded,
+            runner,
+            measure=measure,
+            depth=2,
+            flat_evaluate=flat,
+            **common,
+        )
+    finally:
+        runner.shutdown()
 
 
 class TestShardedSupportEquivalence:

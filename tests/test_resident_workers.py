@@ -1,19 +1,20 @@
-"""Shard-resident workers and the bounded halo view cache.
+"""Shard-resident views: the worker pool and the in-process runner.
 
 The resident pool (:class:`repro.partition.ShardWorkerPool`) keeps one
 long-lived worker per shard and ships each shard's halo-expanded slice
 once, whole; after that the parent derives each patch from the graph's
-deltas since the last shipment (:class:`ShippedShard`), recomputing a
-shard's membership after a re-partition and replacing its view
-wholesale after a gap in the delta log.  ``max_resident`` bounds how many
-shards keep views in :class:`repro.partition.ShardedIndex`'s own view
-cache, dropping the least recently used shard's views and recomputing
-them on demand.  Everything here pins the same contract as the rest of
-the partition suite: **byte-identical results** — whatever the worker
-scheduling, whatever the eviction order — plus the shard placement
-(fewer shards than workers replicate each shard, so a flat pooled
-session is one whole-graph shard on every worker) and the pool-lifecycle
-bugfixes (Ctrl-C shutdown, pool failures degrading to serial).
+deltas since the last shipment (:class:`ShippedShard`), replacing a
+shard's view wholesale after a re-partition or a gap in the delta log.
+Serial sharded sessions run the same view machinery in process
+(:class:`repro.partition.InProcessRunner`), where ``max_resident``
+bounds how many shards hold views, dropping the least recently used
+shard's view and shipping it whole on its next use.  Everything here
+pins the same contract as the rest of the partition suite:
+**byte-identical results** — whatever the worker scheduling, whatever
+the eviction order — plus the shard placement (fewer shards than
+workers replicate each shard, so a flat pooled session is one
+whole-graph shard on every worker) and the pool-lifecycle bugfixes
+(Ctrl-C shutdown, pool failures degrading to the in-process runner).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.mining.spec import MiningSpec
 from repro.obs import metrics
 from repro.index.graph_index import GraphIndex
 from repro.partition import (
+    InProcessRunner,
     RebalancePolicy,
     ShardedIndex,
     ShardedIndexMaintainer,
@@ -106,6 +108,36 @@ def assert_mining_identical(left, right):
     assert left.stats.as_dict() == right.stats.as_dict()
 
 
+def fresh_outcomes(patterns, index, **common):
+    """``pooled_outcomes`` on a fresh in-process runner, shut down after.
+
+    A fresh runner ships every view whole from
+    :meth:`ShardedIndex.expanded_shard`, so the reference does not go
+    through the delta-derived patches the pool under test uses.
+    """
+    runner = InProcessRunner(
+        measure=common["measure"],
+        lazy=common["lazy"],
+        lazy_cap=common["lazy_cap"],
+        use_index=True,
+    )
+    try:
+        return pooled_outcomes(patterns, index, runner, **common)
+    finally:
+        runner.shutdown()
+
+
+def pager_snapshot(mine):
+    """Run ``mine()`` on a fresh metrics registry; returns its snapshot."""
+    registry = metrics.MetricsRegistry()
+    previous = metrics.set_registry(registry)
+    try:
+        mine()
+    finally:
+        metrics.set_registry(previous)
+    return registry.snapshot()
+
+
 # ----------------------------------------------------------------------
 # resident pool == flat serial
 # ----------------------------------------------------------------------
@@ -119,134 +151,179 @@ class TestResidentPoolEquivalence:
         )
         assert_mining_identical(pooled, flat)
 
-    def test_bounded_pool_identical_and_evicts(self):
-        """max_resident < shards under the pool: identical, and it evicted."""
+    def test_bounded_mines_identical_serial_evicts_pool_holds_none(self):
+        """max_resident < shards: identical serial and pooled; the serial
+        runner evicted, and the pooled parent held no view at all."""
         graph = long_path_graph()
         flat = mine_frequent_patterns(graph, spec=MINE_SPEC)
-        miner = FrequentSubgraphMiner(
-            graph,
-            spec=MINE_SPEC.replace(
-                shards=4, workers=2, max_resident=1, partition_method="edgecut"
-            ),
+        bounded = MINE_SPEC.replace(
+            shards=4, max_resident=1, partition_method="edgecut"
         )
-        bounded = miner.mine()
-        assert_mining_identical(bounded, flat)
-        sharded = miner._sharded
-        assert sharded.max_resident == 1
-        assert sharded.evictions > 0
-        assert sharded.recomputes > sharded.evictions
-        assert len(sharded._expanded) == 1
+        for workers, evicts in ((1, True), (2, False)):
+            spec = bounded.replace(workers=workers)
+            results = []
+            snap = pager_snapshot(
+                lambda: results.append(mine_frequent_patterns(graph, spec=spec))
+            )
+            assert_mining_identical(results[0], flat)
+            assert (snap["repro_pager_evictions"] > 0) is evicts, workers
+            if not evicts:
+                assert snap["repro_pager_peak_resident_weight"] == 0
+            assert snap["repro_pager_recomputes"] > 0
+        assert graph.delta_log() is None  # every runner closed its cursors
 
     def test_bounded_peak_weight_below_all_resident(self):
         """The acceptance gate in miniature: bounded residency uses less."""
         graph = long_path_graph()
         peaks = {}
         for max_resident in (1, 4):
-            miner = FrequentSubgraphMiner(
-                graph,
-                spec=MINE_SPEC.replace(
-                    shards=4, max_resident=max_resident, partition_method="edgecut"
-                ),
+            spec = MINE_SPEC.replace(
+                shards=4, max_resident=max_resident, partition_method="edgecut"
             )
-            miner.mine()
-            peaks[max_resident] = miner._sharded.peak_resident_weight
-        assert peaks[1] < peaks[4]
+            snap = pager_snapshot(lambda: mine_frequent_patterns(graph, spec=spec))
+            peaks[max_resident] = snap["repro_pager_peak_resident_weight"]
+        assert 0 < peaks[1] < peaks[4]
 
 
 # ----------------------------------------------------------------------
-# the bounded view cache: eviction order must not matter
+# the bounded in-process runner: eviction order must not matter
 # ----------------------------------------------------------------------
-def cached_weight(index: ShardedIndex) -> int:
-    """The projected weight of every view ``index`` caches, summed afresh."""
+def held_weight(runner: InProcessRunner) -> int:
+    """The projected weight of every view ``runner`` holds, summed afresh."""
     from repro.index.compact import projected_index_nbytes
 
     return sum(
         projected_index_nbytes(
-            view.num_vertices, view.num_edges, len(view.label_alphabet())
+            held.view.num_vertices,
+            held.view.num_edges,
+            len(held.view.label_alphabet()),
         )
-        for views in index._expanded.values()
-        for view in views.values()
-        if view is not index.graph
+        for _record, held, _weight in runner._held.values()
     )
 
 
-def assert_views_match(index: ShardedIndex, reference: ShardedIndex, depths):
-    for shard_id in range(index.num_shards):
-        for depth in depths:
-            got = index.expanded_shard(shard_id, depth)
-            want = reference.expanded_shard(shard_id, depth)
-            assert graph_content(got) == graph_content(want), (shard_id, depth)
+def eager_runner(max_resident=None) -> InProcessRunner:
+    return InProcessRunner(
+        measure="mni", lazy=False, lazy_cap=2, use_index=True, max_resident=max_resident
+    )
 
 
-class TestBoundedViewCache:
+def touch(runner: InProcessRunner, index: ShardedIndex, shard_id: int, depth=2):
+    """Run one task on ``shard_id``; returns its partial."""
+    task = ("part", path_pattern(["A", "B", "C"]), shard_id, False, None)
+    (partial,) = runner.run(index, [task], depth)
+    return sorted(partial, key=repr)
+
+
+def fresh_touch(index: ShardedIndex, shard_id: int):
+    """:func:`touch` on a fresh unbounded runner."""
+    runner = eager_runner()
+    try:
+        return touch(runner, index, shard_id)
+    finally:
+        runner.shutdown()
+
+
+def assert_views_match(runner: InProcessRunner, reference: ShardedIndex, depth=2):
+    """Every view ``runner`` holds is the view computed from scratch."""
+    for shard_id, (_record, held, _weight) in runner._held.items():
+        want = reference.expanded_shard(shard_id, depth)
+        assert graph_content(held.view) == graph_content(want), shard_id
+        assert held.core == reference.shards[shard_id].core_edge_set
+
+
+class TestBoundedRunner:
     @pytest.mark.parametrize("seed", [0, 7, 13])
     def test_random_access_matches_unbounded(self, seed):
-        """Any access order, any eviction order: views == unbounded views."""
+        """Any access order, any eviction order: answers == unbounded ones."""
         graph = long_path_graph()
-        unbounded = ShardedIndex.build(graph, 4, "edgecut")
-        bounded = ShardedIndex.build(graph, 4, "edgecut", max_resident=2)
+        index = ShardedIndex.build(graph, 4, "edgecut")
+        unbounded, bounded = eager_runner(), eager_runner(max_resident=2)
         rng = random.Random(seed)
-        for _ in range(60):
-            shard_id, depth = rng.randrange(4), rng.choice([0, 1, 2])
-            got = bounded.expanded_shard(shard_id, depth)
-            want = unbounded.expanded_shard(shard_id, depth)
-            assert graph_content(got) == graph_content(want), (shard_id, depth)
-            assert len(bounded._expanded) <= 2
-            assert bounded.resident_weight == cached_weight(bounded)
-            assert bounded.peak_resident_weight >= bounded.resident_weight
-        assert bounded.evictions > 0
-        assert unbounded.evictions == 0
-        assert bounded.peak_resident_weight < unbounded.peak_resident_weight
+        try:
+            for _ in range(60):
+                shard_id = rng.randrange(4)
+                assert touch(bounded, index, shard_id) == touch(
+                    unbounded, index, shard_id
+                )
+                assert len(bounded._held) <= 2
+                assert bounded.resident_weight == held_weight(bounded)
+                assert bounded.peak_resident_weight >= bounded.resident_weight
+                assert_views_match(bounded, index)
+            assert bounded.evictions > 0
+            assert unbounded.evictions == 0
+            assert unbounded.resident_weight == held_weight(unbounded)
+            assert bounded.peak_resident_weight < unbounded.peak_resident_weight
+        finally:
+            bounded.shutdown()
+            unbounded.shutdown()
+        assert graph.delta_log() is None
 
     def test_deltas_while_evicted_match_fresh_index(self):
-        """Edge and isolated-vertex deltas reach evicted shards' next views."""
+        """Edge and isolated-vertex deltas reach evicted shards, which
+        come back whole."""
         graph = long_path_graph()
-        index = ShardedIndex.build(graph, 4, "edgecut", max_resident=1)
+        index = ShardedIndex.build(graph, 4, "edgecut")
         maintainer = ShardedIndexMaintainer(graph, sharded=index)
-        for shard_id in range(4):  # touch every shard; three are evicted
-            index.expanded_shard(shard_id, 2)
-        assert index.evictions == 3
-        updates = [("v", 990 + i, "A") for i in range(8)]
-        updates += [("e", 20, 45), ("e", 990, 3), ("de", 0, 1), ("dv", 991)]
-        for update in updates:
-            apply_update(graph, update)
-            assert maintainer.sharded() is index  # patched, not rebuilt
-            recomputes = index.recomputes
-            assert_views_match(index, ShardedIndex(graph, index.partition), (0, 2))
-            assert index.recomputes > recomputes
-            assert len(index._expanded) == 1
-            assert index.resident_weight == cached_weight(index)
+        runner = eager_runner(max_resident=1)
+        try:
+            for shard_id in range(4):  # touch every shard; three are evicted
+                touch(runner, index, shard_id)
+            assert runner.evictions == 3
+            updates = [("v", 990 + i, "A") for i in range(8)]
+            updates += [("e", 20, 45), ("e", 990, 3), ("de", 0, 1), ("dv", 991)]
+            for update in updates:
+                apply_update(graph, update)
+                assert maintainer.sharded() is index  # patched, not rebuilt
+                reference = ShardedIndex(graph, index.partition)
+                for shard_id in range(4):
+                    recomputes = index.recomputes
+                    got = touch(runner, index, shard_id)
+                    assert index.recomputes == recomputes + 1  # shipped whole
+                    assert got == fresh_touch(reference, shard_id)
+                    assert list(runner._held) == [shard_id]
+                    assert_views_match(runner, reference)
+                    assert runner.resident_weight == held_weight(runner)
+        finally:
+            runner.shutdown()
+            maintainer.detach()
+        assert graph.delta_log() is None
 
     def test_bound_and_weight_survive_repartition(self):
-        """A maintainer re-partition keeps the bound and the peak weight."""
+        """A re-partition drops the runner's views; its bound and peak stay."""
         graph = long_path_graph()
         maintainer = ShardedIndexMaintainer(
             graph,
             policy=RebalancePolicy(max_replication=1.0),
-            sharded=ShardedIndex.build(graph, 4, "edgecut", max_resident=1),
+            sharded=ShardedIndex.build(graph, 4, "edgecut"),
         )
-        index = maintainer.sharded()
-        for shard_id in range(4):
-            index.expanded_shard(shard_id, 2)
-        peak = index.peak_resident_weight
-        assert peak > 0
-        apply_update(graph, ("e", 0, 30))
-        rebuilt = maintainer.sharded()
-        assert rebuilt is not index
-        assert maintainer.full_repartitions > 0
-        assert rebuilt.max_resident == 1
-        assert rebuilt.peak_resident_weight >= peak
-        assert rebuilt.resident_weight == 0
-        reference = ShardedIndex(graph, rebuilt.partition)
-        assert_views_match(rebuilt, reference, (2,))
-        assert rebuilt.evictions == 3
-        assert len(rebuilt._expanded) == 1
-        assert rebuilt.resident_weight == cached_weight(rebuilt)
+        runner = eager_runner(max_resident=1)
+        try:
+            index = maintainer.sharded()
+            for shard_id in range(4):
+                touch(runner, index, shard_id)
+            peak = runner.peak_resident_weight
+            assert peak > 0
+            apply_update(graph, ("e", 0, 30))
+            rebuilt = maintainer.sharded()
+            assert rebuilt is not index
+            assert maintainer.full_repartitions > 0
+            for shard_id in range(4):
+                touch(runner, rebuilt, shard_id)
+            assert runner.max_resident == 1
+            assert runner.peak_resident_weight >= peak
+            assert runner.evictions == 6  # the re-bind itself evicts nothing
+            assert list(runner._held) == [3]
+            assert_views_match(runner, ShardedIndex(graph, rebuilt.partition))
+            assert runner.resident_weight == held_weight(runner)
+        finally:
+            runner.shutdown()
+            maintainer.detach()
+        assert runner.resident_weight == 0
 
     def test_max_resident_below_one_rejected(self):
-        graph = long_path_graph()
         with pytest.raises(PartitionError, match="max_resident"):
-            ShardedIndex.build(graph, 4, "edgecut", max_resident=0)
+            eager_runner(max_resident=0)
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +387,7 @@ class Shipper:
         self.depth = depth
         self.records = {}
         self.bound = None
+        self.whole = 0  # patches that replaced a view wholesale
 
     def ship(self, worker: ResidentView, index: ShardedIndex, shard_id) -> bool:
         """Bring ``worker`` current; ``True`` when a patch went out."""
@@ -319,7 +397,8 @@ class Shipper:
         record = self.records.get(shard_id)
         if record is None:
             record = self.records[shard_id] = ShippedShard(shard_id)
-        patch, _whole = record.update(index, self.depth)
+        patch, whole = record.update(index, self.depth)
+        self.whole += whole
         if patch is not None:
             worker.apply(pickle.loads(pickle.dumps(patch)), use_index=True)
         return patch is not None
@@ -331,7 +410,7 @@ class Shipper:
 
 def assert_worker_current(worker: ResidentView, index: ShardedIndex, shard_id, depth):
     """The worker holds the view computed from scratch, indexed alike."""
-    view = index._compute_expansion(shard_id, depth)
+    view = index.expanded_shard(shard_id, depth)
     assert graph_content(worker.view) == graph_content(view)
     assert worker.core == index.shards[shard_id].core_edge_set
     got = worker.view.cached_index()
@@ -459,14 +538,14 @@ class TestResidentViewPatching:
             for step in rounds:
                 step()
                 index = maintainer.sharded()
-                recomputes = index.recomputes
+                before = shipper.whole
                 aliases += sum(
-                    index._compute_expansion(s, depth) is graph for s in range(4)
+                    index.expanded_shard(s, depth) is graph for s in range(4)
                 )
                 for shard_id, worker in resident.items():
                     shipper.ship(worker, index, shard_id)
                     assert_worker_current(worker, index, shard_id, depth)
-                shipped_whole = index.recomputes - recomputes
+                shipped_whole = shipper.whole - before
                 whole += shipped_whole
                 derived += shipped_whole == 0
             # Only the re-partition and the burst replaced views wholesale.
@@ -565,11 +644,13 @@ class TestPoolFailureFallback:
             reference.apply(updates[:4])
             assert_mining_identical(miner.refresh(), reference.refresh())
             assert fallbacks.value == before + 1
-            assert pool._closed and miner._resources.pool is None
+            assert pool._closed
+            runner = miner._resources.pool
+            assert isinstance(runner, InProcessRunner)
             miner.apply(updates[4:])
             reference.apply(updates[4:])
             assert_mining_identical(miner.refresh(), reference.refresh())
-            assert spawned == [] and miner._resources.pool is None
+            assert spawned == [] and miner._resources.pool is runner
             assert fallbacks.value == before + 1
         finally:
             miner.detach()
@@ -596,7 +677,7 @@ class TestPoolFailureFallback:
         pool = ShardWorkerPool(2, measure="mni", lazy=False, lazy_cap=2, use_index=True)
         try:
             got = pooled_outcomes(patterns, index, pool, **common)
-            assert got == pooled_outcomes(patterns, index, None, **common)
+            assert got == fresh_outcomes(patterns, index, **common)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -651,7 +732,7 @@ class TestPoolFailureFallback:
             before = fallbacks.value
             result = step()
             assert fallbacks.value == before + 1
-            assert miner._resources.pool is None
+            assert isinstance(miner._resources.pool, InProcessRunner)
             step()  # and serial from then on
 
             sharded = miner._sharded_maintainer.sharded()
@@ -669,7 +750,7 @@ class TestPoolFailureFallback:
             )
             try:
                 pooled = pooled_outcomes(patterns, sharded, fresh, **common)
-                assert pooled == pooled_outcomes(patterns, sharded, None, **common)
+                assert pooled == fresh_outcomes(patterns, sharded, **common)
                 assert fresh.slices_shipped > 0
                 assert fresh.slices_patched == 0
             finally:
@@ -709,8 +790,9 @@ class TestShutdownOnInterrupt:
         assert fake.calls == [("shutdown", False, True)]
 
     def test_clean_exit_uses_waiting_shutdown(self, monkeypatch):
+        """A serial sharded mine shuts its in-process runner down too."""
         graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=1)
-        miner = FrequentSubgraphMiner(graph, spec=MINE_SPEC)
+        miner = FrequentSubgraphMiner(graph, spec=MINE_SPEC.replace(shards=2))
         fake = _RecordingPool()
         monkeypatch.setattr(miner_module, "_make_pool", lambda *args: fake)
 
@@ -812,11 +894,11 @@ class TestReplicatedPlacement:
                 if number:
                     random_churn(graph, rng, rng.randint(1, 5), f"p{number}-")
                 index = maintainer.sharded()
-                want = pooled_outcomes(PLACEMENT_PATTERNS, index, None, **POOL_COMMON)
+                want = fresh_outcomes(PLACEMENT_PATTERNS, index, **POOL_COMMON)
                 got = pooled_outcomes(PLACEMENT_PATTERNS, index, pool, **POOL_COMMON)
                 assert got == want, number
                 for shard_id in range(shards):
-                    view = index._compute_expansion(shard_id, 2)
+                    view = index.expanded_shard(shard_id, 2)
                     core = index.shards[shard_id].core_edge_set
                     for worker in shard_owners(shard_id, shards, workers):
                         held = views[worker][shard_id]
@@ -858,7 +940,7 @@ class TestReplicatedPlacement:
                 for vertex in rng.sample(graph.vertices(), 3):
                     apply_update(graph, ("dv", vertex))
                 index = ShardedIndex.build(graph, shards, "hash")
-                want = pooled_outcomes(PLACEMENT_PATTERNS, index, None, **POOL_COMMON)
+                want = fresh_outcomes(PLACEMENT_PATTERNS, index, **POOL_COMMON)
                 got = pooled_outcomes(PLACEMENT_PATTERNS, index, pool, **POOL_COMMON)
                 assert got == want, shards
                 assert sorted(pool._shipped) == list(range(shards))
@@ -867,7 +949,7 @@ class TestReplicatedPlacement:
                         if shard_id < shards and worker in shard_owners(
                             shard_id, shards, 3
                         ):
-                            expanded = index._compute_expansion(shard_id, 2)
+                            expanded = index.expanded_shard(shard_id, 2)
                             assert graph_content(view.view) == graph_content(expanded)
                             assert view.core == index.shards[shard_id].core_edge_set
                         else:
@@ -1127,7 +1209,7 @@ class TestPatchedChurn:
                     apply_update(graph, update)
                 index = maintainer.sharded()
                 assert all(index.expanded_shard(s, 2) is graph for s in range(4))
-                want = pooled_outcomes([pattern], index, None, **common)
+                want = fresh_outcomes([pattern], index, **common)
                 assert len(pool.run(index, tasks, 2)) == 4
                 for record in pool._shipped.values():
                     assert record.members == set(graph.vertices())
@@ -1160,7 +1242,7 @@ class TestPatchedChurn:
                 for vertex in rng.sample(graph.vertices(), 8):
                     apply_update(graph, ("dv", vertex))
                 index = ShardedIndex.build(graph, shards, "hash")
-                want = pooled_outcomes([pattern], index, None, **common)
+                want = fresh_outcomes([pattern], index, **common)
                 assert pooled_outcomes([pattern], index, pool, **common) == want
                 assert sorted(pool._shipped) == list(range(index.num_shards))
                 recorded = metrics.gauge("repro_pool_recorded_members").value
@@ -1541,3 +1623,127 @@ class TestOccurrenceSets:
         assert snap["repro_pool_tasks_dispatched"] > 0
         assert snap["repro_pool_sets_built"] == 0
         assert snap["repro_pool_tasks_from_sets"] == 0
+
+
+# ----------------------------------------------------------------------
+# serial sharded sessions: the pool's view machinery, in process
+# ----------------------------------------------------------------------
+#: A stream that touches one stretch of the long path and undoes itself.
+LOCALIZED_BATCHES = [
+    [("e", 10, 13)],
+    [("de", 10, 13), ("v", "x", "A"), ("e", "x", 11)],
+    [("de", 11, 12), ("e", "x", 12)],
+    [("dv", "x"), ("e", 11, 12)],
+]
+
+
+def served_from_sets(runner: InProcessRunner) -> int:
+    """Tasks the runner's held views answered from kept occurrence sets."""
+    return sum(held.counts[0] for _record, held, _weight in runner._held.values())
+
+
+class TestInProcessRunner:
+    def test_localized_stream_computes_no_view(self):
+        """A serial sharded miner computes no view on steady-state batches
+        and answers re-evaluated eager-MNI tasks from kept sets, equal to
+        a flat miner batch by batch, rows and stats."""
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=4)
+        graph, flat_graph = long_path_graph(), long_path_graph()
+        serial = DynamicMiner(
+            graph, spec=spec.replace(shards=4, partition_method="edgecut")
+        )
+        flat = DynamicMiner(flat_graph, spec=spec)
+        try:
+            assert_mining_identical(serial.refresh(), flat.refresh())
+            sharded = serial._sharded_maintainer.sharded()
+            runner = serial._resources.pool
+            assert isinstance(runner, InProcessRunner)
+            assert len(runner._held) == 4
+            for batch in LOCALIZED_BATCHES * 3:
+                recomputes = sharded.recomputes
+                serial.apply(batch)
+                flat.apply(batch)
+                assert_mining_identical(serial.refresh(), flat.refresh())
+                assert serial._sharded_maintainer.sharded() is sharded
+                assert sharded.recomputes == recomputes  # no view computed
+            assert serial._resources.pool is runner
+            assert served_from_sets(runner) > 0
+        finally:
+            serial.detach()
+            flat.detach()
+        assert graph.delta_log() is None  # detach closed the runner's cursors
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_bounded_serial_stream_matches_flat(self, seed):
+        """max_resident=1 under churn: every batch equals the flat miner,
+        the runner evicts, and its weight is the weight of what it holds."""
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=4)
+        bounded = spec.replace(shards=3, partition_method="hash", max_resident=1)
+        graph, flat_graph, model = (long_path_graph() for _ in range(3))
+        serial = DynamicMiner(graph, spec=bounded)
+        flat = DynamicMiner(flat_graph, spec=spec)
+        rng = random.Random(seed)
+        try:
+            assert_mining_identical(serial.refresh(), flat.refresh())
+            runner = serial._resources.pool
+            for number in range(8):
+                batch = random_churn(model, rng, rng.randint(1, 5), f"s{number}-")
+                serial.apply(batch)
+                flat.apply(batch)
+                assert_mining_identical(serial.refresh(), flat.refresh())
+                assert len(runner._held) == 1
+                assert runner.resident_weight == held_weight(runner)
+            assert runner.evictions > 0
+        finally:
+            serial.detach()
+            flat.detach()
+        assert graph.delta_log() is None
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_serial_sharded_mine_leaves_no_delta_log(self, lazy):
+        """The per-call runner is shut down: no cursor stays on any graph."""
+        graph = long_path_graph()
+        spec = MINE_SPEC.replace(lazy=lazy, shards=3, partition_method="label")
+        miner = FrequentSubgraphMiner(graph, spec=spec)
+        assert_mining_identical(
+            miner.mine(), mine_frequent_patterns(graph, spec=spec.replace(shards=1))
+        )
+        assert graph.delta_log() is None
+        assert all(shard.graph.delta_log() is None for shard in miner._sharded.shards)
+
+
+class TestReplicatedDealing:
+    def test_each_signature_stays_on_one_holder(self, monkeypatch):
+        """(K=1, W=2) under churn: a pattern's tasks go to the same worker
+        in every batch, so its kept set is built on one holder only."""
+        holders = {}
+        real = ShardWorkerPool._send
+
+        def send(pool, worker, message):
+            if message[0] == "run":
+                for task in message[2]:
+                    key = task[1].graph.signature()
+                    holders.setdefault(key, set()).add(worker)
+            real(pool, worker, message)
+
+        monkeypatch.setattr(ShardWorkerPool, "_send", send)
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=4)
+        graph, flat_graph, model = (long_path_graph() for _ in range(3))
+        pooled = DynamicMiner(graph, spec=spec.replace(workers=2))
+        flat = DynamicMiner(flat_graph, spec=spec)
+        rng = random.Random(2)
+        try:
+            assert_mining_identical(pooled.refresh(), flat.refresh())
+            pool = pooled._resources.pool
+            assert isinstance(pool, ShardWorkerPool)
+            for number in range(8):
+                batch = random_churn(model, rng, rng.randint(1, 4), f"d{number}-")
+                pooled.apply(batch)
+                flat.apply(batch)
+                assert_mining_identical(pooled.refresh(), flat.refresh())
+            assert pool.sets_built > 0
+            assert all(len(workers) == 1 for workers in holders.values())
+            assert set().union(*holders.values()) == {0, 1}  # both deal
+        finally:
+            pooled.detach()
+            flat.detach()
