@@ -512,16 +512,18 @@ def _cmd_partition_rebalance(args: argparse.Namespace, data) -> int:
 
 
 def _print_partition_summary(sharded, title: str) -> None:
-    rows = [
-        [
-            shard.shard_id,
-            shard.num_vertices,
-            shard.num_core_edges,
-            len(shard.halo_vertices),
-            len(shard.interior_vertices()),
-        ]
-        for shard in sharded.shards
-    ]
+    rows = []
+    for shard in sharded.shards:
+        halo = len(sharded.halo_vertices(shard.shard_id))
+        rows.append(
+            [
+                shard.shard_id,
+                shard.num_vertices,
+                shard.num_core_edges,
+                halo,
+                shard.num_vertices - halo,
+            ]
+        )
     print(
         format_table(
             ["shard", "|V|", "core edges", "halo", "interior"],

@@ -60,7 +60,6 @@ from __future__ import annotations
 import sys
 import weakref
 from array import array
-from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..graph.labeled_graph import Label, LabeledGraph, Vertex
@@ -69,23 +68,6 @@ from .compact import LabelTable
 from .maintainable import MaintainableIndex
 
 _EMPTY: Tuple = ()
-
-
-def _insert_canonical(members: Tuple, item) -> Tuple:
-    """Insert ``item`` into a repr-sorted tuple, preserving canonical order."""
-    position = bisect_left(members, repr(item), key=repr)
-    return members[:position] + (item,) + members[position:]
-
-
-def _remove_canonical(members: Tuple, item) -> Tuple:
-    """Splice ``item`` out of a repr-sorted tuple, preserving canonical order."""
-    position = bisect_left(members, repr(item), key=repr)
-    while position < len(members) and members[position] != item:
-        # repr ties (distinct items with equal repr) are broken linearly.
-        position += 1
-    if position == len(members):
-        raise KeyError(item)
-    return members[:position] + members[position + 1 :]
 
 
 def _label_pair_key(lu: Label, lv: Label) -> Tuple[Label, Label]:

@@ -51,7 +51,6 @@ from __future__ import annotations
 from typing import (
     AbstractSet,
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -486,25 +485,23 @@ class NodeImages(Mapping):
     """One view's per-node anchored image scan (lazy MNI), read on demand.
 
     Maps pattern node -> (images found, hit-cap flag).  Each node is
-    scanned on its first read and the view itself is resolved (through
-    the zero-argument ``view`` callable) on the first scan, so
-    :func:`merge_lazy_partials` pays only for the (node, shard) pairs it
-    reaches.  Every image found in a halo-expanded view is a genuine
-    global image (the view is a subgraph) and every anchored occurrence
-    lies inside it, so the union of these scans over the relevant shards
-    is the exact global image set per node.
+    scanned in ``view`` on its first read, so :func:`merge_lazy_partials`
+    pays only for the (node, shard) pairs it reaches.  Every image found
+    in a halo-expanded view is a genuine global image (the view is a
+    subgraph) and every anchored occurrence lies inside it, so the union
+    of these scans over the relevant shards is the exact global image set
+    per node.
     """
 
     def __init__(
         self,
         pattern: Pattern,
-        view: Callable[[], LabeledGraph],
+        view: LabeledGraph,
         cap: Optional[int],
         index: IndexArg = None,
     ) -> None:
         self._pattern = pattern
         self._view = view
-        self._graph: Optional[LabeledGraph] = None
         self._cap = cap
         self._index = index
         self._scans: Dict[Vertex, NodeScan] = {}
@@ -512,11 +509,9 @@ class NodeImages(Mapping):
     def __getitem__(self, node: Vertex) -> NodeScan:
         scan = self._scans.get(node)
         if scan is None:
-            if self._graph is None:
-                self._graph = self._view()
             found = valid_images(
                 self._pattern,
-                self._graph,
+                self._view,
                 node,
                 stop_after=self._cap,
                 index=self._index,
@@ -534,21 +529,20 @@ class NodeImages(Mapping):
 
 def evaluate_task(
     task: ShardTask,
-    view: Callable[[], LabeledGraph],
+    view: LabeledGraph,
     core: AbstractSet[Edge],
     config: Mapping[str, Any],
     source: Optional[OccurrenceSet] = None,
 ):
     """Evaluate one planned shard task against its halo-expanded view.
 
-    The one task function of sharded evaluation: the shard-resident
-    worker calls it with its resident view of the shard, the in-process
-    runner of :func:`repro.partition.workers.pooled_outcomes` with
-    :meth:`ShardedIndex.expanded_shard` — both the halo view at the
-    session depth.  ``view`` is a zero-argument
-    callable resolving the view, ``core`` the shard's core-edge set and
-    ``config`` carries ``measure``, ``lazy``, ``lazy_cap`` and
-    ``use_index``.
+    The one task function of sharded evaluation: both runners of
+    :func:`repro.partition.workers.pooled_outcomes` (the shard-resident
+    worker and the in-process runner) call it with their
+    :class:`~repro.partition.workers.ResidentView` of the shard, the halo
+    view at the session depth.  ``view`` is that view's graph, ``core``
+    the shard's core-edge set and ``config`` carries ``measure``,
+    ``lazy``, ``lazy_cap`` and ``use_index``.
 
     ``part`` returns the raw partial for the planner to merge: the
     anchored occurrence item tuples, or in lazy mode an on-demand
@@ -570,10 +564,9 @@ def evaluate_task(
         if kind == "part":
             return images
         return float(merge_lazy_partials([images], cap=cap)), -1
-    graph = view()
     if source is None:
         items = anchored_occurrence_items(
-            pattern, graph, core, exclusive=exclusive, index=index_arg, limit=limit
+            pattern, view, core, exclusive=exclusive, index=index_arg, limit=limit
         )
     elif not exclusive:
         items = source.anchored(core)
@@ -584,5 +577,5 @@ def evaluate_task(
     if kind == "part":
         return items
     return support_from_shard_items(
-        pattern, graph, [items], config["measure"], max_occurrences=limit
+        pattern, view, [items], config["measure"], max_occurrences=limit
     )

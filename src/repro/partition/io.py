@@ -85,7 +85,7 @@ def save_partition(sharded: ShardedIndex, directory: PathLike) -> Path:
                 "file": filename,
                 "vertices": shard.num_vertices,
                 "core_edges": shard.num_core_edges,
-                "halo": len(shard.halo_vertices),
+                "halo": len(sharded.halo_vertices(shard.shard_id)),
             }
         )
     manifest_path = directory / MANIFEST_NAME

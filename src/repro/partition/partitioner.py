@@ -270,7 +270,7 @@ class EdgeRouter:
             graph = shard.graph
             for vertex in graph.vertices():
                 router._homes[shard.shard_id].add(vertex)
-            for u, v in shard.core_edges:
+            for u, v in graph.edges():
                 pair = _label_pair_key(graph.label_of(u), graph.label_of(v))
                 router._pair_shard.setdefault(pair, shard.shard_id)
                 router._label_sets[shard.shard_id].update(pair)

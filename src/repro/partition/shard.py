@@ -1,30 +1,31 @@
-"""One shard of a partitioned data graph, with its halo bookkeeping.
+"""One shard of a partitioned data graph.
 
 A :class:`GraphShard` materializes the core subgraph of one partition
 cell: its assigned (core) edges, their endpoints, and any isolated
-vertices the partitioner routed here.  Vertices whose incident edges span
-several shards are **boundary vertices**; each incident shard replicates
-them — that replicated set is the shard's **halo**.  The invariant the
-test suite pins: a boundary vertex appears in *every* shard owning one of
-its edges, exactly once per shard.
+vertices the partitioner routed here.  Its ``graph`` is the one record
+of the shard: the edge set of ``graph`` *is* the core-edge set
+(``graph.edges()`` lists it in canonical order), and a vertex's core
+edges here are ``graph.degree(vertex)``.  Vertices whose incident edges
+span several shards are **boundary vertices**; each incident shard
+replicates them — that replicated set is the shard's **halo**, which
+:meth:`~repro.partition.sharded_index.ShardedIndex.halo_vertices`
+derives from the index's vertex owners.  The invariant the test suite
+pins: a boundary vertex appears in *every* shard owning one of its
+edges, exactly once per shard.
 
 Shards are mutable in exactly one controlled way: the owning
-:class:`~repro.partition.sharded_index.ShardedIndex` patches core edges
-and halo membership while absorbing graph deltas (or rebalancing), via
-the underscore-prefixed splice helpers below.  Everyone else treats a
-shard as read-only.
+:class:`~repro.partition.sharded_index.ShardedIndex` patches the shard
+graph while absorbing graph deltas (or rebalancing).  Everyone else
+treats a shard as read-only.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Set, Tuple
-
-from ..graph.labeled_graph import Edge, LabeledGraph, Vertex
-from ..index.graph_index import _insert_canonical, _remove_canonical
+from ..graph.labeled_graph import LabeledGraph
 
 
 class GraphShard:
-    """The core subgraph + halo bookkeeping for one partition cell.
+    """The core subgraph of one partition cell.
 
     Built by :class:`~repro.partition.sharded_index.ShardedIndex`; the
     ``graph`` attribute is a self-contained :class:`LabeledGraph` (core
@@ -32,20 +33,11 @@ class GraphShard:
     per-shard indexing and serialization.
     """
 
-    __slots__ = ("shard_id", "graph", "core_edges", "core_edge_set", "halo_vertices")
+    __slots__ = ("shard_id", "graph")
 
-    def __init__(
-        self,
-        shard_id: int,
-        graph: LabeledGraph,
-        core_edges: Tuple[Edge, ...],
-        halo_vertices: Iterable[Vertex],
-    ) -> None:
+    def __init__(self, shard_id: int, graph: LabeledGraph) -> None:
         self.shard_id = shard_id
         self.graph = graph
-        self.core_edges = core_edges
-        self.core_edge_set: Set[Edge] = set(core_edges)
-        self.halo_vertices: Set[Vertex] = set(halo_vertices)
 
     @property
     def num_vertices(self) -> int:
@@ -53,31 +45,10 @@ class GraphShard:
 
     @property
     def num_core_edges(self) -> int:
-        return len(self.core_edges)
-
-    def interior_vertices(self) -> FrozenSet[Vertex]:
-        """Vertices living only in this shard (complement of the halo)."""
-        return frozenset(self.graph.vertices()) - self.halo_vertices
-
-    def owns_edge(self, edge: Edge) -> bool:
-        """True when the canonical ``edge`` is one of this shard's core edges."""
-        return edge in self.core_edge_set
-
-    # ------------------------------------------------------------------
-    # maintenance splices (ShardedIndex.apply_delta / rebalance only)
-    # ------------------------------------------------------------------
-    def _add_core_edge(self, edge: Edge) -> None:
-        """Splice a canonical edge into the core set at its canonical position."""
-        self.core_edges = _insert_canonical(self.core_edges, edge)
-        self.core_edge_set.add(edge)
-
-    def _remove_core_edge(self, edge: Edge) -> None:
-        """Splice a canonical edge out of the core set."""
-        self.core_edges = _remove_canonical(self.core_edges, edge)
-        self.core_edge_set.discard(edge)
+        return self.graph.num_edges
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<GraphShard {self.shard_id} |V|={self.num_vertices} "
-            f"core|E|={self.num_core_edges} halo={len(self.halo_vertices)}>"
+            f"core|E|={self.num_core_edges}>"
         )

@@ -7,10 +7,6 @@ This is the architectural seam the ROADMAP's sharding item asked for: a
 boundary vertices into per-shard halos, and exposes the merged global
 views evaluation needs:
 
-* a **global label histogram** — merged over shard vertex sets with
-  replicated boundary vertices counted once, so it is identical to the
-  unpartitioned graph's histogram (the miner's label-frequency prune
-  bound stays exact);
 * a **label-pair directory** — canonical label pair → the shard ids whose
   *core* edges realize it.  A pattern can only have occurrences anchored
   in shards sharing its footprint, so the directory prunes whole shards
@@ -22,15 +18,23 @@ views evaluation needs:
   makes per-shard enumeration of an n-node connected pattern exhaustive
   for occurrences using a core edge (see :mod:`repro.partition.evaluate`).
 
+Each shard fact is kept once.  A shard's graph is its record: its edges
+are the shard's core edges and a vertex's degree there is its core-edge
+count in that shard.  Beside the shard graphs the index keeps each
+vertex's owner shards (halos and the boundary are read off them when
+asked), the label-pair directory's per-shard edge counts, the
+partition's assignment and the router.  The miner's label-frequency
+prune reads its histogram from the flat graph index, not from here.
+
 Like :class:`~repro.index.GraphIndex`, a ShardedIndex is a snapshot of
 one graph version — but no longer a *static* one: it implements the
 :class:`~repro.index.maintainable.MaintainableIndex` protocol, absorbing
 typed graph deltas in O(delta) through :meth:`apply_delta` instead of
 forcing a re-partition + rebuild.  Each delta is routed to its owning
 shard by the partition's persisted assignment function
-(:class:`~repro.partition.partitioner.EdgeRouter`), halo replicas are
-patched in every incident shard, and the merged histogram and label-pair
-directory are updated incrementally.
+(:class:`~repro.partition.partitioner.EdgeRouter`), boundary replicas
+are patched in every incident shard, and the label-pair directory is
+updated incrementally.
 :class:`~repro.partition.maintainer.ShardedIndexMaintainer` drives this
 from a cursor on the graph's delta log; un-maintained callers keep the
 old behavior — :meth:`is_current` reports staleness and the miner
@@ -50,7 +54,7 @@ from ..graph.labeled_graph import (
     Vertex,
     normalize_edge,
 )
-from ..index.graph_index import GraphIndex, _label_pair_key
+from ..index.graph_index import _label_pair_key
 from ..index.maintainable import MaintainableIndex
 from ..obs import metrics as _metrics
 from .partitioner import EdgeRouter, Partition, partition_edges
@@ -94,9 +98,7 @@ class ShardedIndex(MaintainableIndex):
         "shards",
         "_pair_shards",
         "_pair_counts",
-        "_edge_counts",
         "_owners",
-        "_histogram",
         "_router",
         "recomputes",
     )
@@ -118,7 +120,6 @@ class ShardedIndex(MaintainableIndex):
         members: List[Dict[Vertex, Label]] = [{} for _ in range(partition.num_shards)]
         core_edges: List[List] = [[] for _ in range(partition.num_shards)]
         owners: Dict[Vertex, Set[int]] = {}
-        edge_counts: Dict[Vertex, Dict[int, int]] = {}
         for edge in graph.edges():
             owner = partition.assignment.get(edge)
             if owner is None:
@@ -130,13 +131,10 @@ class ShardedIndex(MaintainableIndex):
             for vertex in edge:
                 members[owner][vertex] = graph.label_of(vertex)
                 owners.setdefault(vertex, set()).add(owner)
-                counts = edge_counts.setdefault(vertex, {})
-                counts[owner] = counts.get(owner, 0) + 1
         for vertex, owner in partition.vertex_assignment.items():
             members[owner][vertex] = graph.label_of(vertex)
             owners.setdefault(vertex, set()).add(owner)
         self._owners = owners
-        self._edge_counts = edge_counts
 
         pair_counts: Dict[LabelPair, Dict[int, int]] = {}
         shards: List[GraphShard] = []
@@ -151,23 +149,12 @@ class ShardedIndex(MaintainableIndex):
                 pair = _label_pair_key(graph.label_of(u), graph.label_of(v))
                 counts = pair_counts.setdefault(pair, {})
                 counts[shard_id] = counts.get(shard_id, 0) + 1
-            halo = frozenset(
-                vertex for vertex in members[shard_id] if len(owners[vertex]) > 1
-            )
-            shards.append(
-                GraphShard(
-                    shard_id=shard_id,
-                    graph=shard_graph,
-                    core_edges=tuple(sorted(core_edges[shard_id], key=repr)),
-                    halo_vertices=halo,
-                )
-            )
+            shards.append(GraphShard(shard_id, shard_graph))
         self.shards = tuple(shards)
         self._pair_counts = pair_counts
         self._pair_shards = {
             pair: tuple(sorted(ids)) for pair, ids in pair_counts.items()
         }
-        self._histogram: Dict[Label, int] = dict(graph.label_histogram())
 
     # ------------------------------------------------------------------
     # factory / freshness
@@ -205,14 +192,14 @@ class ShardedIndex(MaintainableIndex):
         Routing rules (each delta touches O(delta) maintained state):
 
         * ``VertexAdded`` — the isolated vertex is routed to its stable
-          bucket shard, recorded in ``vertex_assignment``, added to that
-          shard's graph, and counted in the merged histogram;
+          bucket shard, recorded in ``vertex_assignment``, and added to
+          that shard's graph;
         * ``EdgeAdded`` — the edge is routed by :meth:`router` (sticky
           pairs / affinity / hash, per the partition method), becomes a
           core edge of its owner shard, both endpoints are replicated
-          into the owner shard (halos re-derived from the owner sets),
-          stale isolated assignments are retired, and the label-pair
-          directory gains the owner;
+          into the owner shard under their own labels, stale isolated
+          assignments are retired, and the label-pair directory gains
+          the owner;
         * ``EdgeRemoved`` — the inverse: the core edge leaves its owner
           shard, endpoints whose last edge there vanished leave the
           shard (or, having lost their last edge anywhere, are
@@ -221,7 +208,7 @@ class ShardedIndex(MaintainableIndex):
           them;
         * ``VertexRemoved`` — sound only once isolated (the publisher
           emits the incident ``EdgeRemoved`` deltas first): the vertex
-          leaves its assigned shard and the histogram.
+          leaves its assigned shard.
 
         The index version advances to the delta's version; apply deltas contiguously
         (:class:`~repro.partition.maintainer.ShardedIndexMaintainer`
@@ -246,7 +233,7 @@ class ShardedIndex(MaintainableIndex):
         self.version = delta.version
         return True
 
-    # -- membership / halo helpers -------------------------------------
+    # -- membership helpers --------------------------------------------
     def _add_member(self, shard_id: int, vertex: Vertex, label: Label) -> None:
         shard = self.shards[shard_id]
         if not shard.graph.has_vertex(vertex):
@@ -257,35 +244,28 @@ class ShardedIndex(MaintainableIndex):
         shard = self.shards[shard_id]
         if shard.graph.has_vertex(vertex):
             shard.graph.remove_vertex(vertex)
-        shard.halo_vertices.discard(vertex)
         owners = self._owners.get(vertex)
         if owners is not None:
             owners.discard(shard_id)
             if not owners:
                 del self._owners[vertex]
 
-    def _refresh_halo(self, vertex: Vertex) -> None:
-        """Re-derive the boundary status of one vertex in every incident shard."""
-        owners = self._owners.get(vertex, ())
-        boundary = len(owners) > 1
-        for shard_id in owners:
-            halo = self.shards[shard_id].halo_vertices
-            if boundary:
-                halo.add(vertex)
-            else:
-                halo.discard(vertex)
+    def _has_core_edges(self, vertex: Vertex) -> bool:
+        """True when ``vertex`` is an endpoint of a core edge of any shard."""
+        return any(
+            self.shards[shard_id].graph.degree(vertex)
+            for shard_id in self._owners.get(vertex, ())
+        )
 
     # -- core-edge attach/detach (shared by deltas and rebalancing) ----
     def _attach_edge(self, edge: Edge, lu: Label, lv: Label, shard_id: int) -> None:
+        """Make ``edge`` a core edge of ``shard_id``; ``lu``, ``lv`` label
+        its endpoints in the edge's (canonical) order."""
         u, v = edge
         self.partition.assignment[edge] = shard_id
-        for w, lw in ((u, lu), (v, lv)):
-            counts = self._edge_counts.setdefault(w, {})
-            counts[shard_id] = counts.get(shard_id, 0) + 1
-            self._add_member(shard_id, w, lw)
-        shard = self.shards[shard_id]
-        shard.graph.add_edge(u, v)
-        shard._add_core_edge(edge)
+        self._add_member(shard_id, u, lu)
+        self._add_member(shard_id, v, lv)
+        self.shards[shard_id].graph.add_edge(u, v)
         pair = _label_pair_key(lu, lv)
         pair_counts = self._pair_counts.setdefault(pair, {})
         if shard_id not in pair_counts:
@@ -296,10 +276,7 @@ class ShardedIndex(MaintainableIndex):
 
     def _detach_edge(self, edge: Edge, lu: Label, lv: Label, shard_id: int) -> None:
         """Remove a core edge from its shard (membership handled by callers)."""
-        u, v = edge
-        shard = self.shards[shard_id]
-        shard.graph.remove_edge(u, v)
-        shard._remove_core_edge(edge)
+        self.shards[shard_id].graph.remove_edge(*edge)
         pair = _label_pair_key(lu, lv)
         pair_counts = self._pair_counts[pair]
         pair_counts[shard_id] -= 1
@@ -311,13 +288,6 @@ class ShardedIndex(MaintainableIndex):
                 # A rebuild never materializes empty directory entries.
                 del self._pair_counts[pair]
                 del self._pair_shards[pair]
-        for w in (u, v):
-            counts = self._edge_counts[w]
-            counts[shard_id] -= 1
-            if counts[shard_id] == 0:
-                del counts[shard_id]
-            if not counts:
-                del self._edge_counts[w]
         self.router().edge_removed(shard_id)
 
     # -- per-kind handlers ---------------------------------------------
@@ -325,7 +295,6 @@ class ShardedIndex(MaintainableIndex):
         shard_id = self.router().route_vertex(vertex)
         self.partition.vertex_assignment[vertex] = shard_id
         self._add_member(shard_id, vertex, label)
-        self._histogram[label] = self._histogram.get(label, 0) + 1
 
     def _apply_edge_added(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
         edge = normalize_edge(u, v)
@@ -341,9 +310,9 @@ class ShardedIndex(MaintainableIndex):
                 # The endpoint is no longer isolated; its only reason to
                 # live in the stale shard is gone.
                 self._drop_member(stale, w)
+        if edge != (u, v):
+            lu, lv = lv, lu  # pair each label with its endpoint in the edge
         self._attach_edge(edge, lu, lv, shard_id)
-        self._refresh_halo(u)
-        self._refresh_halo(v)
 
     def _apply_edge_removed(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
         edge = normalize_edge(u, v)
@@ -355,8 +324,7 @@ class ShardedIndex(MaintainableIndex):
             )
         self._detach_edge(edge, lu, lv, shard_id)
         for w, lw in ((u, lu), (v, lv)):
-            counts = self._edge_counts.get(w)
-            if counts is None:
+            if not self._has_core_edges(w):
                 # Last edge anywhere: w is isolated again; give it the
                 # stable-bucket home a from-scratch partition would.
                 if w not in self.partition.vertex_assignment:
@@ -366,14 +334,13 @@ class ShardedIndex(MaintainableIndex):
                         self._drop_member(shard_id, w)
                     self._add_member(home, w, lw)
             elif (
-                counts.get(shard_id, 0) == 0
+                self.shards[shard_id].graph.degree(w) == 0
                 and self.partition.vertex_assignment.get(w) != shard_id
             ):
                 self._drop_member(shard_id, w)
-            self._refresh_halo(w)
 
     def _apply_vertex_removed(self, vertex: Vertex, label: Label) -> None:
-        if vertex in self._edge_counts:
+        if self._has_core_edges(vertex):
             raise PartitionError(
                 f"VertexRemoved({vertex!r}) patched while the vertex still "
                 "has core edges; the publisher must emit the incident "
@@ -386,9 +353,6 @@ class ShardedIndex(MaintainableIndex):
                 "not cover; deltas must replay the mutation stream contiguously"
             )
         self._drop_member(shard_id, vertex)
-        self._histogram[label] -= 1
-        if self._histogram[label] == 0:
-            del self._histogram[label]
 
     # ------------------------------------------------------------------
     # rebalancing
@@ -421,6 +385,12 @@ class ShardedIndex(MaintainableIndex):
         capacity = max(1, math.ceil(max_load_factor * total / self.num_shards))
         moved = 0
         for src in range(self.num_shards):
+            if loads[src] <= capacity:
+                continue
+            shard_graph = self.shards[src].graph
+            # Nothing moves into src while it sheds, so one canonical
+            # listing of its core edges serves the whole loop.
+            pending = shard_graph.edges()
             while loads[src] > capacity:
                 targets = [
                     s
@@ -429,9 +399,8 @@ class ShardedIndex(MaintainableIndex):
                 ]
                 if not targets:  # pragma: no cover - capacity covers total
                     break
-                edge = self.shards[src].core_edges[-1]
+                edge = pending.pop()
                 u, v = edge
-                shard_graph = self.shards[src].graph
                 lu, lv = shard_graph.label_of(u), shard_graph.label_of(v)
                 owners_u = self._owners.get(u, ())
                 owners_v = self._owners.get(v, ())
@@ -457,13 +426,11 @@ class ShardedIndex(MaintainableIndex):
         self._attach_edge(edge, lu, lv, dst)
         self._detach_edge(edge, lu, lv, src)
         for w in (u, v):
-            counts = self._edge_counts.get(w, {})
             if (
-                counts.get(src, 0) == 0
+                self.shards[src].graph.degree(w) == 0
                 and self.partition.vertex_assignment.get(w) != src
             ):
                 self._drop_member(src, w)
-            self._refresh_halo(w)
 
     # ------------------------------------------------------------------
     # merged global views
@@ -471,16 +438,6 @@ class ShardedIndex(MaintainableIndex):
     @property
     def num_shards(self) -> int:
         return self.partition.num_shards
-
-    def label_histogram(self) -> Dict[Label, int]:
-        """Global vertex count per label (boundary vertices counted once).
-
-        Maintained incrementally under deltas — equal to the source
-        graph's histogram at the index version, which keeps every
-        histogram-derived prune bound exact under sharding.  Do not
-        mutate the returned dict.
-        """
-        return self._histogram
 
     def shards_for_pair(self, lu: Label, lv: Label) -> Tuple[int, ...]:
         """Shard ids whose core edges realize the unordered label pair."""
@@ -490,12 +447,16 @@ class ShardedIndex(MaintainableIndex):
         """Canonical label pair -> shard ids (do not mutate)."""
         return self._pair_shards
 
+    def halo_vertices(self, shard_id: int) -> Set[Vertex]:
+        """Shard ``shard_id``'s vertices that other shards replicate too."""
+        owners = self._owners
+        return {
+            vertex for vertex in self.shards[shard_id].graph if len(owners[vertex]) > 1
+        }
+
     def boundary_vertices(self) -> Set[Vertex]:
         """All vertices replicated into more than one shard."""
-        boundary: Set[Vertex] = set()
-        for shard in self.shards:
-            boundary |= shard.halo_vertices
-        return boundary
+        return {vertex for vertex, owners in self._owners.items() if len(owners) > 1}
 
     def replication_factor(self) -> float:
         """``sum_i |V_i| / |V|`` — 1.0 means no vertex is replicated.
@@ -519,48 +480,11 @@ class ShardedIndex(MaintainableIndex):
         exactly the cross-shard edges halo-aware evaluation must see).
         Every call computes the view afresh and counts it in
         ``recomputes``; when the ball swallows the whole graph the source
-        graph itself is returned instead of a copy.  When the source
-        graph carries a current index, the BFS runs over the CSR rows
-        with interned ids (one list index per neighbor instead of a hash
-        probe per visit) and the kept set is decoded once at the end.
+        graph itself is returned instead of a copy.
         """
         self.recomputes += 1
         _metrics.counter("repro_pager_recomputes").inc()
-        cached_index = self.graph.cached_index()
-        if (
-            depth > 0
-            and isinstance(cached_index, GraphIndex)
-            and cached_index.is_current()
-        ):
-            ci = cached_index
-            vint_of = ci.table._vint_of
-            rows = ci._rows
-            seen = bytearray(len(ci.table.vertex_of))
-            frontier_ints = []
-            for vertex in self.shards[shard_id].graph.vertices():
-                vi = vint_of[vertex]
-                seen[vi] = 1
-                frontier_ints.append(vi)
-            kept_ints = list(frontier_ints)
-            for _ in range(depth):
-                if not frontier_ints:
-                    break
-                next_frontier = []
-                for vi in frontier_ints:
-                    row = rows[vi]
-                    for j in range(1 + 2 * row[0], len(row)):
-                        w = row[j]
-                        if not seen[w]:
-                            seen[w] = 1
-                            next_frontier.append(w)
-                frontier_ints = next_frontier
-                kept_ints.extend(next_frontier)
-            decode = ci.table.vertex_of
-            keep = {decode[vi] for vi in kept_ints}
-        else:
-            keep = within_hops(
-                self.graph, self.shards[shard_id].graph.vertices(), depth
-            )
+        keep = within_hops(self.graph, self.shards[shard_id].graph.vertices(), depth)
         if len(keep) == self.graph.num_vertices:
             expanded = self.graph
         else:

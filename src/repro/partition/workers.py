@@ -244,7 +244,7 @@ class ShippedShard:
         self.close()
         shard = sharded.shards[self.shard_id]
         view = sharded.expanded_shard(self.shard_id, depth)
-        core = set(shard.core_edge_set)
+        core = set(shard.graph.edges())
         patch = shard_patch(self.shard_id, view, core, self.members, self.core)
         self.members = set(view.labels())
         self.core = core
@@ -333,9 +333,9 @@ class ShippedShard:
                 for w in graph.neighbors(vertex)
                 if w in members
             )
-        now = shard.core_edge_set
-        core_out = tuple(e for e in core_touched if e in self.core and e not in now)
-        core_in = tuple(e for e in core_touched if e in now and e not in self.core)
+        has_core = shard.graph.has_edge
+        core_out = tuple(e for e in core_touched if e in self.core and not has_core(*e))
+        core_in = tuple(e for e in core_touched if has_core(*e) and e not in self.core)
         self.core.difference_update(core_out)
         self.core.update(core_in)
         patch = ShardPatch(
@@ -422,7 +422,7 @@ class ResidentView:
             and task[4] is None
         ):
             source = self._occurrence_set(task[1])
-        payload = evaluate_task(task, lambda: self.view, self.core, config, source)
+        payload = evaluate_task(task, self.view, self.core, config, source)
         if source is not None:
             self._trim()
         return payload
@@ -595,11 +595,6 @@ class ShardWorkerPool:
         self._bound: Optional[ShardedIndex] = None
         self._depth: Optional[int] = None
         self._shipped: Dict[int, ShippedShard] = {}
-        # The shard count the records' holders are placed by.
-        self._placed: Optional[int] = None
-        # (worker, patch) pairs that empty the views of dropped records
-        # (:meth:`bind`).
-        self._emptied: List[Tuple[int, ShardPatch]] = []
         self.slices_shipped = 0
         self.slices_patched = 0
         self.tasks_dispatched = 0
@@ -636,31 +631,26 @@ class ShardWorkerPool:
     def bind(self, sharded: ShardedIndex, depth: int) -> None:
         """Follow ``sharded``'s views at ``depth``.
 
-        A new index object (a maintainer rebuilt or re-partitioned it) or
-        a new depth may change any view, so every shipped shard's record
-        is closed and its next use replaces the view wholesale.  The
-        records of shard ids the new index lacks, or that the new shard
-        count places on other workers, are dropped, and the next message
-        to every worker that held one empties its view there.
+        A pool serves one shard count for its whole life: the first bind
+        fixes it, and a bind to an index of another count raises
+        :class:`~repro.errors.PartitionError` (a maintainer's rebuild and
+        its policy's re-partition keep the count, and a static mine
+        builds a pool per call).  A new index object of that count (a
+        maintainer rebuilt or re-partitioned it) or a new depth may
+        change any view, so every shipped shard's record is closed and
+        its next use replaces the view wholesale, on the same holders.
         """
         if sharded is self._bound and depth == self._depth:
             return
-        shards = sharded.num_shards
-        for shard_id, record in list(self._shipped.items()):
-            record.close()
-            holders = shard_owners(shard_id, self._placed, self.workers)
-            if shard_id < shards and holders == shard_owners(
-                shard_id, shards, self.workers
-            ):
-                continue
-            del self._shipped[shard_id]
-            emptied = shard_patch(
-                shard_id, LabeledGraph(), (), record.members, record.core
+        if self._bound is not None and sharded.num_shards != self._bound.num_shards:
+            raise PartitionError(
+                f"a pool placed for {self._bound.num_shards} shard(s) cannot "
+                f"serve an index of {sharded.num_shards}"
             )
-            self._emptied.extend((worker, emptied) for worker in holders)
+        for record in self._shipped.values():
+            record.close()
         self._bound = sharded
         self._depth = depth
-        self._placed = shards
 
     # -- plumbing ------------------------------------------------------
     def _send(self, worker: int, message) -> None:
@@ -739,9 +729,6 @@ class ShardWorkerPool:
                 worker = owners[0]
             positions.setdefault(worker, []).append(position)
         patches: Dict[int, List[ShardPatch]] = {worker: [] for worker in positions}
-        for worker, patch in self._emptied:
-            patches.setdefault(worker, []).append(patch)
-        self._emptied = []
         for shard_id, owners in holders.items():
             patch = self._update(sharded, shard_id, owners)
             if patch is not None:

@@ -6,8 +6,8 @@ fresh partition + rebuild, byte for byte) lives in
 underneath it:
 
 * a delta-patched :class:`ShardedIndex` is **structurally identical** to
-  one rebuilt from its own (patched) partition — shard membership, core
-  edges, halos, label-pair directory, merged histogram;
+  one rebuilt from its own (patched) partition — shard membership and
+  labels, core edges, halos, label-pair directory;
 * the :class:`EdgeRouter` continues each partitioner's placement rule
   deterministically, and its state survives ``save_partition`` /
   ``load_partition`` so a loaded partition keeps absorbing deltas
@@ -32,6 +32,7 @@ from repro.errors import PartitionError
 from repro.graph.io import save_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.index import MaintainableIndex
+from repro.mining.dynamic import DynamicMiner
 from repro.mining.miner import mine_frequent_patterns
 from repro.mining.spec import MiningSpec
 from repro.partition import (
@@ -80,19 +81,25 @@ def churn_randomly(graph, rng, steps, alphabet, tag):
 
 
 def sharded_structure(sharded):
-    """Every structure delta maintenance patches, via the public API."""
+    """Every structure delta maintenance patches, via the public API.
+
+    ``members`` maps each shard's vertices to their labels in the shard
+    graph, so a vertex filed under the wrong label shows up.
+    """
     return {
         "version": sharded.version,
-        "histogram": dict(sharded.label_histogram()),
         "directory": dict(sharded.label_pair_directory()),
         "assignment": dict(sharded.partition.assignment),
         "vertex_assignment": dict(sharded.partition.vertex_assignment),
-        "members": [sorted(s.graph.vertices(), key=repr) for s in sharded.shards],
-        "shard_edges": [s.graph.edges() for s in sharded.shards],
-        "core_edges": [s.core_edges for s in sharded.shards],
-        "halos": [set(s.halo_vertices) for s in sharded.shards],
+        "members": [s.graph.labels() for s in sharded.shards],
+        "core_edges": [s.graph.edges() for s in sharded.shards],
+        "halos": [sharded.halo_vertices(s.shard_id) for s in sharded.shards],
         "boundary": sharded.boundary_vertices(),
     }
+
+
+def result_rows(result):
+    return [(fp.certificate, fp.support, fp.num_occurrences) for fp in result.frequent]
 
 
 def rebuilt_from_partition(sharded):
@@ -153,6 +160,39 @@ class TestShardedApplyDelta:
             version=patched.version,
         )
         assert maintainer.rebuilds == 0
+
+    def test_reversed_insertion_keeps_endpoint_labels(self):
+        """``add_edge(2, 1)`` files each endpoint under its own label.
+
+        The edge normalizes to ``(1, 2)``; both endpoints are new to the
+        owner shard (the label pair's sticky home), so each must enter
+        the shard graph under the label the graph gives it.
+        """
+        graph = LabeledGraph(name="reversed")
+        for vertex, label in ((1, "A"), (2, "B"), (3, "A"), (4, "B")):
+            graph.add_vertex(vertex, label)
+        graph.add_edge(3, 4)
+        partition = Partition(
+            num_shards=2,
+            method="label",
+            assignment={(3, 4): 1},
+            vertex_assignment={1: 0, 2: 0},
+        )
+        sharded = ShardedIndex(graph, partition)
+        maintainer = ShardedIndexMaintainer(sharded=sharded)
+        try:
+            graph.add_edge(2, 1)
+            patched = maintainer.sharded()
+        finally:
+            maintainer.detach()
+        owner = patched.shards[patched.partition.assignment[(1, 2)]].graph
+        assert owner is patched.shards[1].graph
+        assert owner.label_of(1) == graph.label_of(1) == "A"
+        assert owner.label_of(2) == graph.label_of(2) == "B"
+        assert sharded_structure(patched) == dict(
+            sharded_structure(rebuilt_from_partition(patched)),
+            version=patched.version,
+        )
 
     def test_remote_deltas_leave_shard_views_unpatched(self):
         """A delta outside a shipped view's ball derives no patch for it."""
@@ -293,6 +333,30 @@ class TestRebalancing:
         )
         flat_result = mine_frequent_patterns(graph.copy(), spec=MINE_SPEC)
         assert sharded_result.certificates() == flat_result.certificates()
+
+    @pytest.mark.parametrize("seed", [0, 4, 10])
+    def test_reversed_insertions_with_rebalance_match_flat(self, seed):
+        """Edges inserted larger endpoint first, rebalanced every refresh,
+        answer exactly what a flat mine of the same graph does."""
+        rng = random.Random(seed)
+        graph = LabeledGraph(name="reversed-stream")
+        for vertex in range(12):
+            graph.add_vertex(vertex, rng.choice("ABC"))
+        spec = MiningSpec(min_support=2.0, max_pattern_nodes=3, shards=3)
+        miner = DynamicMiner(
+            graph, spec=spec, rebalance=RebalancePolicy(max_load_factor=1.0)
+        )
+        try:
+            miner.refresh()
+            for batch in range(6):
+                for _ in range(4):
+                    low, high = sorted(rng.sample(range(12), 2))
+                    if not graph.has_edge(high, low):
+                        graph.add_edge(high, low)
+                want = mine_frequent_patterns(graph.copy(), spec=spec.replace(shards=1))
+                assert result_rows(miner.refresh()) == result_rows(want), batch
+        finally:
+            miner.detach()
 
     def test_rebalance_is_deterministic(self):
         first_graph, first = self.skewed_maintainer(RebalancePolicy(1.25))

@@ -144,8 +144,8 @@ class TestHaloBookkeeping:
             is_boundary = len(incident[vertex]) > 1
             for shard in sharded.shards:
                 if shard.graph.has_vertex(vertex):
-                    assert (vertex in shard.halo_vertices) == is_boundary
-                    assert (vertex in shard.interior_vertices()) == (not is_boundary)
+                    halo = sharded.halo_vertices(shard.shard_id)
+                    assert (vertex in halo) == is_boundary
         assert sharded.boundary_vertices() == {
             vertex for vertex, owners in incident.items() if len(owners) > 1
         }
@@ -153,19 +153,17 @@ class TestHaloBookkeeping:
     def test_shard_graphs_carry_exactly_core_edges(self):
         graph = build_graph(GRAPH_SPECS[1])
         sharded = ShardedIndex.build(graph, 3, "edgecut")
+        assigned = sharded.partition.assignment
         for shard in sharded.shards:
-            assert shard.graph.edges() == list(shard.core_edges)
-            assert shard.num_core_edges == len(shard.core_edge_set)
-            for u, v in shard.core_edges:
-                assert shard.owns_edge((u, v))
+            core = sorted(
+                (edge for edge in assigned if assigned[edge] == shard.shard_id),
+                key=repr,
+            )
+            assert shard.graph.edges() == core
+            assert shard.num_core_edges == len(core)
+            for u, v in core:
                 assert shard.graph.label_of(u) == graph.label_of(u)
                 assert shard.graph.label_of(v) == graph.label_of(v)
-
-    def test_merged_histogram_counts_replicas_once(self):
-        graph = build_graph(GRAPH_SPECS[2])
-        for k in (1, 2, 4):
-            sharded = ShardedIndex.build(graph, k, "hash")
-            assert sharded.label_histogram() == graph.label_histogram()
 
     def test_label_pair_directory_matches_core_edges(self):
         graph = build_graph(GRAPH_SPECS[0])
@@ -182,7 +180,7 @@ class TestHaloBookkeeping:
                             key=repr,
                         )
                     )
-                    for u, v in sharded.shards[shard_id].core_edges
+                    for u, v in sharded.shards[shard_id].graph.edges()
                 }
                 assert pair in labels
         assert sharded.shards_for_pair("Z", "Z") == ()
@@ -248,7 +246,7 @@ class TestHaloBookkeeping:
             return anchored_occurrence_items(
                 pattern,
                 sharded.expanded_shard(shard_id, required_depth(pattern)),
-                sharded.shards[shard_id].core_edge_set,
+                set(sharded.shards[shard_id].graph.edges()),
                 exclusive=shard_exclusive(
                     pattern_footprint(pattern), sharded, shard_id
                 ),
@@ -281,8 +279,10 @@ class TestPartitionIO:
         )
         for original, reloaded in zip(sharded.shards, loaded.shards):
             assert reloaded.graph == original.graph
-            assert reloaded.core_edges == original.core_edges
-            assert reloaded.halo_vertices == original.halo_vertices
+            assert reloaded.graph.edges() == original.graph.edges()
+            assert loaded.halo_vertices(reloaded.shard_id) == (
+                sharded.halo_vertices(original.shard_id)
+            )
 
     def test_missing_and_malformed_directories(self, tmp_path):
         with pytest.raises(DatasetError):

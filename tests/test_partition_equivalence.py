@@ -25,6 +25,7 @@ from repro.datasets.synthetic import (
 from repro.datasets.zoo import zoo_graph, zoo_names
 from repro.errors import PartitionError
 from repro.graph.builders import path_pattern, star_pattern, triangle_pattern
+from repro.index import get_index
 from repro.isomorphism.matcher import find_occurrences
 from repro.measures.lazy_mni import lazy_mni_support
 from repro.mining.dynamic import DynamicMiner, mine_stream, pattern_footprint
@@ -312,7 +313,7 @@ class TestShardedSupportEquivalence:
                     anchored_occurrence_items(
                         pattern,
                         sharded.expanded_shard(shard_id, required_depth(pattern)),
-                        sharded.shards[shard_id].core_edge_set,
+                        set(sharded.shards[shard_id].graph.edges()),
                         exclusive=shard_exclusive(footprint, sharded, shard_id),
                     )
                     for shard_id in relevant_shards(footprint, sharded)
@@ -346,7 +347,7 @@ class TestShardedSupportEquivalence:
     def test_prune_decisions_identical(self, seed):
         graph = build_graph(GRAPH_SPECS[seed])
         sharded = ShardedIndex.build(graph, 3, "edgecut")
-        histogram = sharded.label_histogram()
+        histogram = get_index(graph).label_histogram()  # as the miner reads it
         for threshold in (2.0, 4.0, 100.0):
             common = dict(
                 lazy=False,

@@ -229,7 +229,7 @@ def assert_views_match(runner: InProcessRunner, reference: ShardedIndex, depth=2
     for shard_id, (_record, held, _weight) in runner._held.items():
         want = reference.expanded_shard(shard_id, depth)
         assert graph_content(held.view) == graph_content(want), shard_id
-        assert held.core == reference.shards[shard_id].core_edge_set
+        assert held.core == set(reference.shards[shard_id].graph.edges())
 
 
 class TestBoundedRunner:
@@ -412,7 +412,7 @@ def assert_worker_current(worker: ResidentView, index: ShardedIndex, shard_id, d
     """The worker holds the view computed from scratch, indexed alike."""
     view = index.expanded_shard(shard_id, depth)
     assert graph_content(worker.view) == graph_content(view)
-    assert worker.core == index.shards[shard_id].core_edge_set
+    assert worker.core == set(index.shards[shard_id].graph.edges())
     got = worker.view.cached_index()
     want = GraphIndex(worker.view.copy())
     assert index_content(got, view) == index_content(want, view)
@@ -899,7 +899,7 @@ class TestReplicatedPlacement:
                 assert got == want, number
                 for shard_id in range(shards):
                     view = index.expanded_shard(shard_id, 2)
-                    core = index.shards[shard_id].core_edge_set
+                    core = set(index.shards[shard_id].graph.edges())
                     for worker in shard_owners(shard_id, shards, workers):
                         held = views[worker][shard_id]
                         assert graph_content(held.view) == graph_content(view)
@@ -921,43 +921,48 @@ class TestReplicatedPlacement:
             pool.shutdown(wait=False, cancel_futures=True)
             maintainer.detach()
 
-    def test_rebinds_empty_dropped_views_on_every_holder(self):
-        """3, 2, 1, then 3 shards on 3 workers, with deletions between.
+    def test_same_count_rebind_replaces_views_on_every_holder(self):
+        """2 shards on 3 workers, re-bound to new 2-shard indexes with
+        deletions between; then 3- and 1-shard indexes are refused.
 
-        Every re-bind drops the records of the shards the new index lacks
-        or places on other workers, and empties their views on every
-        worker that held them (shard 0 sits on two workers at 2 shards
-        and on all three at 1); a shard placed anew then ships whole into
-        empty views.  After each step a worker holds, for every shard it
-        owns, the view computed from scratch, and nothing for any other.
+        Every re-bind to a new index object of the pool's shard count
+        ships each shard whole again to every holder (shard 0 sits on
+        two workers), and after each step a worker holds, for every
+        shard it owns, the view computed from scratch.  A bind to
+        another shard count raises and leaves the pool serving its last
+        index unchanged.
         """
         graph = long_path_graph()
         rng = random.Random(7)
         pool = ShardWorkerPool(3, measure="mni", lazy=False, lazy_cap=2, use_index=True)
         views, _tasks, _sent = mirror(pool)
+        holders = [shard_owners(shard_id, 2, 3) for shard_id in range(2)]
+        assert holders == [(0, 2), (1,)]
         try:
-            for shards in (3, 2, 1, 3):
+            for step in range(1, 4):
                 for vertex in rng.sample(graph.vertices(), 3):
                     apply_update(graph, ("dv", vertex))
-                index = ShardedIndex.build(graph, shards, "hash")
+                index = ShardedIndex.build(graph, 2, "hash")
                 want = fresh_outcomes(PLACEMENT_PATTERNS, index, **POOL_COMMON)
                 got = pooled_outcomes(PLACEMENT_PATTERNS, index, pool, **POOL_COMMON)
-                assert got == want, shards
-                assert sorted(pool._shipped) == list(range(shards))
+                assert got == want, step
+                assert sorted(pool._shipped) == [0, 1]
+                assert pool.slices_shipped == 3 * step
+                assert pool.slices_patched == 0
                 for worker, held in views.items():
                     for shard_id, view in held.items():
-                        if shard_id < shards and worker in shard_owners(
-                            shard_id, shards, 3
-                        ):
-                            expanded = index.expanded_shard(shard_id, 2)
-                            assert graph_content(view.view) == graph_content(expanded)
-                            assert view.core == index.shards[shard_id].core_edge_set
-                        else:
-                            assert view.view.num_vertices == 0 and not view.core
-                if shards == 1:
-                    for worker in range(3):
-                        held = views[worker][0].view
-                        assert graph_content(held) == graph_content(graph)
+                        assert worker in holders[shard_id]
+                        expanded = index.expanded_shard(shard_id, 2)
+                        assert graph_content(view.view) == graph_content(expanded)
+                        core = set(index.shards[shard_id].graph.edges())
+                        assert view.core == core
+            for shards in (3, 1):
+                other = ShardedIndex.build(graph, shards, "hash")
+                with pytest.raises(PartitionError, match="2 shard"):
+                    pooled_outcomes(PLACEMENT_PATTERNS, other, pool, **POOL_COMMON)
+            got = pooled_outcomes(PLACEMENT_PATTERNS, index, pool, **POOL_COMMON)
+            assert got == want
+            assert pool.slices_shipped == 9
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -1213,7 +1218,8 @@ class TestPatchedChurn:
                 assert len(pool.run(index, tasks, 2)) == 4
                 for record in pool._shipped.values():
                     assert record.members == set(graph.vertices())
-                    assert record.core == index.shards[record.shard_id].core_edge_set
+                    core = index.shards[record.shard_id].graph.edges()
+                    assert record.core == set(core)
                 assert pooled_outcomes([pattern], index, pool, **common) == want
             assert pool.slices_patched > 0
         finally:
@@ -1221,10 +1227,10 @@ class TestPatchedChurn:
             maintainer.detach()
         assert graph.delta_log() is None  # the pool's cursors closed
 
-    def test_rebind_to_fewer_shards_forgets_their_records(self):
-        """Records of shards a new index lacks are dropped and their
-        worker views emptied, so a later index that has them again
-        ships them whole into empty views, not on top of stale ones."""
+    def test_rebind_to_another_shard_count_is_refused(self):
+        """A pool serves one shard count: a 2-shard index is refused by a
+        pool placed for 4, and a new 4-shard index ships every shard
+        whole again, recorded members and all."""
         graph = long_path_graph()
         rng = random.Random(3)
         pool = ShardWorkerPool(2, measure="mni", lazy=False, lazy_cap=2, use_index=True)
@@ -1242,13 +1248,17 @@ class TestPatchedChurn:
                 for vertex in rng.sample(graph.vertices(), 8):
                     apply_update(graph, ("dv", vertex))
                 index = ShardedIndex.build(graph, shards, "hash")
+                if shards != 4:
+                    with pytest.raises(PartitionError, match="4 shard"):
+                        pool.run(index, [("solo", pattern, 0, False, None)], 1)
+                    continue
                 want = fresh_outcomes([pattern], index, **common)
                 assert pooled_outcomes([pattern], index, pool, **common) == want
-                assert sorted(pool._shipped) == list(range(index.num_shards))
+                assert sorted(pool._shipped) == list(range(4))
                 recorded = metrics.gauge("repro_pool_recorded_members").value
                 assert recorded == sum(len(r.members) for r in pool._shipped.values())
                 assert recorded <= index.num_shards * graph.num_vertices
-            assert pool.slices_shipped == 4 + 2 + 4
+            assert pool.slices_shipped == 4 + 4
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -1566,7 +1576,7 @@ class TestOccurrenceSets:
         pattern = path_pattern(["A", "B", "C"])
         for kind in ("solo", "part", "solo", "part", "solo"):
             task = (kind, pattern, 0, True, limit)
-            want = evaluate_task(task, lambda: worker.view, worker.core, config)
+            want = evaluate_task(task, worker.view, worker.core, config)
             if kind == "part" and config["lazy"]:
                 want = dict(want)
             assert worker.evaluate(task, config) == want
@@ -1589,8 +1599,8 @@ class TestOccurrenceSets:
             want = [
                 evaluate_task(
                     task,
-                    lambda shard_id=task[2]: index.expanded_shard(shard_id, 2),
-                    index.shards[task[2]].core_edge_set,
+                    index.expanded_shard(task[2], 2),
+                    set(index.shards[task[2]].graph.edges()),
                     EAGER,
                 )
                 for task in tasks
